@@ -182,6 +182,11 @@ impl BytesMut {
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
     }
+
+    /// Unwraps the written bytes without copying them.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.data
+    }
 }
 
 impl BufMut for BytesMut {
@@ -667,6 +672,16 @@ mod tests {
         b.copy_to_slice(&mut tail);
         assert_eq!(&tail, b"tail");
         assert_eq!(b.remaining(), 0);
+    }
+
+    #[test]
+    fn into_vec_moves_the_buffer() {
+        let mut buf = BytesMut::with_capacity(64);
+        buf.put_slice(b"frame");
+        let before = buf.as_ptr();
+        let v = buf.into_vec();
+        assert_eq!(v, b"frame");
+        assert_eq!(v.as_ptr(), before, "same allocation, not a copy");
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Each accepted socket becomes a [`Conn`] living in one event loop's
 //! slab. The loop drives it with nonblocking reads ([`Conn::fill`] feeds a
-//! [`FrameBuffer`]) and nonblocking writes ([`Conn::flush`] drains the
-//! outbound queue), while batch-worker completions deliver encoded replies
+//! [`FrameBuffer`]) and nonblocking writes ([`Conn::flush`] hands the
+//! whole outbound queue to the socket in one `write`), while batch-worker
+//! completions deliver encoded replies
 //! through the connection's shared [`ConnHandle`] — a small mailbox the
 //! owning loop empties into the outbound queue on its next wakeup. The
 //! handle (not the `Conn`) is what escapes the loop thread, so all socket
@@ -13,7 +14,7 @@ use std::collections::{HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use hpnn_bytes::{FrameBuffer, FrameTooLong};
@@ -76,14 +77,21 @@ impl ConnHandle {
         }
     }
 
+    /// The mailbox, poison-tolerant: it is only ever pushed to or taken
+    /// whole, so it is valid at every step, and a batch worker that
+    /// panicked mid-delivery must not take the event loop down with it.
+    fn mailbox(&self) -> MutexGuard<'_, VecDeque<Outbound>> {
+        self.out.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Queues one encoded reply for the owning loop to collect.
     pub fn push(&self, out: Outbound) {
-        self.out.lock().unwrap().push_back(out);
+        self.mailbox().push_back(out);
     }
 
     /// Takes everything queued since the last call.
     pub fn take(&self) -> VecDeque<Outbound> {
-        std::mem::take(&mut self.out.lock().unwrap())
+        std::mem::take(&mut *self.mailbox())
     }
 
     /// True if a dirty-list registration is already pending; marks one
@@ -156,16 +164,28 @@ pub enum FlushOutcome {
     Broken,
 }
 
+/// What the outbound queue remembers of one frame once its bytes joined
+/// the contiguous buffer.
+struct FrameMark {
+    len: usize,
+    reply_ready: Option<(Instant, u32)>,
+}
+
 /// One connection's state inside an event loop slab.
 pub struct Conn {
     /// The nonblocking socket.
     pub stream: TcpStream,
     /// Incremental frame reassembly over whatever bytes arrived.
     pub frames: FrameBuffer,
-    /// Encoded frames awaiting socket room; front entry may be partially
-    /// written (`front_written` bytes already sent).
-    pub outbound: VecDeque<Outbound>,
-    front_written: usize,
+    /// Every queued frame's bytes, back to back, so one `write` can carry
+    /// the whole queue; the first `out_written` bytes are already sent.
+    out_bytes: Vec<u8>,
+    out_written: usize,
+    /// One mark per queued frame, in `out_bytes` order. The count is what
+    /// backpressure caps; the stamps close `writeback` spans.
+    out_frames: VecDeque<FrameMark>,
+    /// Bytes of the front frame already sent.
+    front_sent: usize,
     /// The protocol version of the last well-formed frame this connection
     /// sent (clamped to what we speak). Error replies to frames too broken
     /// to carry a version answer in this, so a pipelined v2 session never
@@ -204,8 +224,10 @@ impl Conn {
         Ok(Conn {
             stream,
             frames: FrameBuffer::new(MAX_FRAME_PAYLOAD),
-            outbound: VecDeque::new(),
-            front_written: 0,
+            out_bytes: Vec::new(),
+            out_written: 0,
+            out_frames: VecDeque::new(),
+            front_sent: 0,
             version: PROTOCOL_V1,
             handle,
             window: std::sync::Arc::new(ConnWindow::new()),
@@ -227,7 +249,7 @@ impl Conn {
         !self.read_closed
             && !self.closing
             && !self.v1_blocked
-            && self.outbound.len() < outbound_cap
+            && self.queued_frames() < outbound_cap
             && self.frames.buffered_len() < READ_BUFFER_CAP
     }
 
@@ -265,7 +287,22 @@ impl Conn {
 
     /// Appends an encoded frame to the outbound queue.
     pub fn enqueue(&mut self, out: Outbound) {
-        self.outbound.push_back(out);
+        self.out_frames.push_back(FrameMark {
+            len: out.buf.len(),
+            reply_ready: out.reply_ready,
+        });
+        if self.out_bytes.is_empty() {
+            // Idle connection: adopt the frame's buffer, no copy.
+            self.out_bytes = out.buf;
+        } else {
+            self.out_bytes.extend_from_slice(&out.buf);
+        }
+    }
+
+    /// How many frames are queued and not yet fully written — the number
+    /// the `max_inflight + 16` backpressure cap counts.
+    pub fn queued_frames(&self) -> usize {
+        self.out_frames.len()
     }
 
     /// Transfers one mailboxed completion reply into the outbound queue,
@@ -280,37 +317,56 @@ impl Conn {
         if out.unblocks_v1 {
             self.v1_blocked = false;
         }
-        self.outbound.push_back(out);
+        self.enqueue(out);
     }
 
-    /// Writes as much of the outbound queue as the socket accepts,
-    /// closing each `LOGITS` reply's `writeback` trace span as its last
-    /// byte is handed to the kernel.
+    /// Writes as much of the outbound queue as the socket accepts — the
+    /// whole queue in one `write` when it fits, so a batch's replies leave
+    /// as one segment — closing each `LOGITS` reply's `writeback` trace
+    /// span as its last byte is handed to the kernel.
     pub fn flush(&mut self) -> FlushOutcome {
-        while let Some(front) = self.outbound.front() {
-            while self.front_written < front.buf.len() {
-                match self.stream.write(&front.buf[self.front_written..]) {
-                    Ok(0) => return FlushOutcome::Broken,
-                    Ok(n) => self.front_written += n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        return FlushOutcome::Pending;
+        while self.out_written < self.out_bytes.len() {
+            match self.stream.write(&self.out_bytes[self.out_written..]) {
+                Ok(0) => return FlushOutcome::Broken,
+                Ok(n) => self.mark_sent(n),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // Drop the sent prefix once it outweighs the rest: a
+                    // slow reader's buffer stays under twice its unsent
+                    // bytes, and no more bytes are moved than were sent.
+                    if self.out_written >= self.out_bytes.len() - self.out_written {
+                        self.out_bytes.drain(..self.out_written);
+                        self.out_written = 0;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => return FlushOutcome::Broken,
+                    return FlushOutcome::Pending;
                 }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return FlushOutcome::Broken,
             }
+        }
+        self.out_bytes.clear();
+        self.out_written = 0;
+        FlushOutcome::Clean
+    }
+
+    /// Accounts `n` more bytes as sent, retiring every frame they complete.
+    fn mark_sent(&mut self, n: usize) {
+        self.out_written += n;
+        self.front_sent += n;
+        while let Some(front) = self.out_frames.front() {
+            if self.front_sent < front.len {
+                break;
+            }
+            self.front_sent -= front.len;
             if let Some((ready, corr)) = front.reply_ready {
                 hpnn_trace::span_since("writeback", ready, Some(u64::from(corr)));
             }
-            self.outbound.pop_front();
-            self.front_written = 0;
+            self.out_frames.pop_front();
         }
-        FlushOutcome::Clean
     }
 
     /// True when nothing remains to write.
     pub fn flushed(&self) -> bool {
-        self.outbound.is_empty()
+        self.out_frames.is_empty()
     }
 
     /// True once the connection has nothing left to do: the peer stopped
@@ -319,7 +375,7 @@ impl Conn {
     /// client that half-closes after its request (send, `shutdown(WR)`,
     /// read) must still receive the reply.
     pub fn retired(&self) -> bool {
-        self.read_closed && self.outbound.is_empty() && self.window.depth() == 0 && !self.v1_blocked
+        self.read_closed && self.flushed() && self.window.depth() == 0 && !self.v1_blocked
     }
 }
 
@@ -371,42 +427,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flush_handles_partial_writes_and_drains() {
-        let (client, server) = pair();
-        let handle = std::sync::Arc::new(ConnHandle::new(0));
-        let mut conn = Conn::new(server, handle).unwrap();
-        // Far more than any socket buffer: forces Pending at least once.
-        let big = vec![0xA5u8; 32 << 20];
-        conn.enqueue(plain(big.clone()));
-        let mut pending_seen = false;
-        let mut received = 0usize;
-        let mut scratch = vec![0u8; 1 << 20];
+    /// Frame `i` of a test sequence: `len` bytes, all distinct from its
+    /// neighbours', so misordered or duplicated bytes cannot go unnoticed.
+    fn numbered(i: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|j| (i * 31 + j) as u8).collect()
+    }
+
+    /// Reads exactly `want` bytes from the client side, flushing the
+    /// server side whenever the client runs dry.
+    fn pump(conn: &mut Conn, mut client: &TcpStream, want: usize) -> (Vec<u8>, bool) {
         client.set_nonblocking(true).unwrap();
+        let mut got = Vec::with_capacity(want);
+        let mut scratch = vec![0u8; 1 << 20];
+        let mut pending_seen = false;
         let deadline = Instant::now() + std::time::Duration::from_secs(30);
-        while !conn.flushed() {
+        while got.len() < want {
             match conn.flush() {
-                FlushOutcome::Clean => break,
-                FlushOutcome::Pending => {
-                    pending_seen = true;
-                    // Drain the client side so the server can make progress.
-                    match (&client).read(&mut scratch) {
-                        Ok(n) => received += n,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                        Err(e) => panic!("client read failed: {e}"),
-                    }
-                }
+                FlushOutcome::Clean => {}
+                FlushOutcome::Pending => pending_seen = true,
                 FlushOutcome::Broken => panic!("loopback write broke"),
             }
-            assert!(Instant::now() < deadline, "flush never completed");
-        }
-        assert!(pending_seen, "32 MiB must not fit in one send buffer");
-        // Collect the rest.
-        let deadline = Instant::now() + std::time::Duration::from_secs(30);
-        while received < big.len() {
-            match (&client).read(&mut scratch) {
+            match client.read(&mut scratch) {
                 Ok(0) => panic!("server closed early"),
-                Ok(n) => received += n,
+                Ok(n) => got.extend_from_slice(&scratch[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
@@ -414,7 +457,77 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "payload never fully arrived");
         }
-        assert_eq!(received, big.len());
+        (got, pending_seen)
+    }
+
+    #[test]
+    fn flush_coalesces_small_frames_in_order() {
+        let (client, server) = pair();
+        let handle = std::sync::Arc::new(ConnHandle::new(0));
+        let mut conn = Conn::new(server, handle).unwrap();
+        let mut wire = Vec::new();
+        for i in 0..40 {
+            let frame = numbered(i, 5 + i % 7);
+            wire.extend_from_slice(&frame);
+            conn.enqueue(plain(frame));
+        }
+        assert_eq!(conn.queued_frames(), 40);
+        // All forty fit any send buffer: one flush, one write, all retired.
+        assert_eq!(conn.flush(), FlushOutcome::Clean);
+        assert!(conn.flushed());
+        assert_eq!(conn.queued_frames(), 0);
+        let (got, _) = pump(&mut conn, &client, wire.len());
+        assert_eq!(got, wire);
+        // The queue restarts cleanly after a full flush.
+        conn.enqueue(plain(vec![9, 9, 9]));
+        assert_eq!(conn.flush(), FlushOutcome::Clean);
+        assert_eq!(pump(&mut conn, &client, 3).0, vec![9, 9, 9]);
+    }
+
+    #[test]
+    fn flush_handles_partial_writes_and_drains() {
+        let (client, server) = pair();
+        let handle = std::sync::Arc::new(ConnHandle::new(0));
+        let mut conn = Conn::new(server, handle).unwrap();
+        // Far more than any socket buffer: the kernel cuts the coalesced
+        // write wherever it likes (mid-frame), several times over.
+        let frames = 64;
+        let mut wire = Vec::new();
+        for i in 0..frames {
+            let frame = numbered(i, (512 << 10) + i);
+            wire.extend_from_slice(&frame);
+            conn.enqueue(plain(frame));
+        }
+        let (got, pending_seen) = pump(&mut conn, &client, wire.len());
+        assert!(pending_seen, "32 MiB must not fit in one send buffer");
+        assert!(got == wire, "bytes reordered or lost across partial writes");
+        assert_eq!(conn.flush(), FlushOutcome::Clean);
+        assert!(conn.flushed());
+    }
+
+    /// Where a short write stops is the kernel's choice, so the two cases
+    /// that matter are staged through the accounting `flush` itself uses:
+    /// a write ending mid-frame, and one ending exactly between frames.
+    #[test]
+    fn flush_resumes_after_short_write_mid_frame_and_on_boundary() {
+        for (sent, frames_left) in [(15, 2), (20, 1), (0, 3), (29, 1)] {
+            let (client, server) = pair();
+            let handle = std::sync::Arc::new(ConnHandle::new(0));
+            let mut conn = Conn::new(server, handle).unwrap();
+            let mut wire = Vec::new();
+            for i in 0..3 {
+                let frame = numbered(i, 10);
+                wire.extend_from_slice(&frame);
+                conn.enqueue(plain(frame));
+            }
+            conn.mark_sent(sent);
+            assert_eq!(conn.queued_frames(), frames_left, "after {sent} bytes");
+            assert!(!conn.flushed());
+            assert_eq!(conn.flush(), FlushOutcome::Clean);
+            assert!(conn.flushed());
+            let rest = pump(&mut conn, &client, wire.len() - sent).0;
+            assert_eq!(rest, &wire[sent..], "resume point after {sent} bytes");
+        }
     }
 
     #[test]
@@ -432,6 +545,23 @@ mod tests {
         assert!(!handle.is_closed());
         handle.set_closed();
         assert!(handle.is_closed());
+    }
+
+    #[test]
+    fn poisoned_mailbox_still_delivers() {
+        let handle = std::sync::Arc::new(ConnHandle::new(0));
+        handle.push(plain(vec![1]));
+        let poisoner = std::sync::Arc::clone(&handle);
+        let panicked = std::thread::spawn(move || {
+            let _guard = poisoner.out.lock().unwrap();
+            panic!("worker dies holding the mailbox");
+        })
+        .join();
+        assert!(panicked.is_err() && handle.out.is_poisoned());
+        // The loop and later workers carry on: nothing is lost.
+        handle.push(plain(vec![2]));
+        let drained: Vec<_> = handle.take().into_iter().map(|o| o.buf).collect();
+        assert_eq!(drained, vec![vec![1], vec![2]]);
     }
 
     #[test]
@@ -467,7 +597,7 @@ mod tests {
         v1.unblocks_v1 = true;
         conn.absorb(v1);
         assert!(!conn.v1_blocked, "the v1 reply itself resumes decode");
-        assert_eq!(conn.outbound.len(), 2);
+        assert_eq!(conn.queued_frames(), 2);
     }
 
     #[test]
@@ -484,7 +614,12 @@ mod tests {
             conn.enqueue(plain(vec![0]));
         }
         assert!(!conn.wants_read(cap), "outbound at cap pauses reads");
-        conn.outbound.clear();
+        // The cap counts frames, not bytes: retiring one (its byte sent)
+        // reopens the read, a lone unsent byte would not have closed it.
+        conn.mark_sent(1);
+        assert!(conn.wants_read(cap), "one frame retired, back under cap");
+        conn.mark_sent(cap - 1);
+        assert!(conn.flushed());
         conn.frames.feed(&vec![0u8; READ_BUFFER_CAP]);
         assert!(!conn.wants_read(cap), "full frame buffer pauses reads");
     }

@@ -12,13 +12,14 @@
 //!   non-unix targets a fallback reports every descriptor ready after a
 //!   short sleep — correct (all socket I/O is nonblocking and tolerates
 //!   spurious readiness) if less efficient.
-//! - [`WakePipe`] / [`Waker`] — a loopback TCP socketpair that lets batch
-//!   workers (and the accept thread) interrupt an event loop blocked in
-//!   `poll`. A pending-flag keeps the pipe to at most one buffered byte no
-//!   matter how many completions fire between wakeups.
+//! - [`WakePipe`] / [`Waker`] — a connected stream pair (a unix-domain
+//!   `socketpair` on unix, loopback TCP elsewhere) that lets batch workers
+//!   (and the accept thread) interrupt an event loop blocked in `poll`. A
+//!   pending-flag keeps the pipe to at most one buffered byte no matter how
+//!   many completions fire between wakeups; [`WakeSet`] lets a batch fire
+//!   one wake per loop after all of its replies are mailboxed.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -194,15 +195,71 @@ impl Poller {
     }
 }
 
-/// The receiving half of a wakeup channel: one nonblocking loopback TCP
-/// stream the event loop includes in its poll set.
+/// The stream type a wake channel is built from.
+#[cfg(unix)]
+type WakeStream = std::os::unix::net::UnixStream;
+#[cfg(not(unix))]
+type WakeStream = std::net::TcpStream;
+
+/// A connected `(tx, rx)` pair: one `socketpair(2)` call — no port, no TCP
+/// stack on the wake path.
+#[cfg(unix)]
+fn stream_pair() -> io::Result<(WakeStream, WakeStream)> {
+    WakeStream::pair()
+}
+
+/// std has no portable `socketpair`: listener on an ephemeral loopback
+/// port, connect, accept.
+#[cfg(not(unix))]
+fn stream_pair() -> io::Result<(WakeStream, WakeStream)> {
+    let listener = std::net::TcpListener::bind(("127.0.0.1", 0))?;
+    let tx = WakeStream::connect(listener.local_addr()?)?;
+    let (rx, _) = listener.accept()?;
+    tx.set_nodelay(true)?;
+    Ok((tx, rx))
+}
+
+/// The receiving half of a wakeup channel: one nonblocking stream the
+/// event loop includes in its poll set.
+///
+/// # Protocol
+///
+/// `pending` says "a wake byte is written or about to be, and the loop has
+/// not yet re-armed". [`Waker::wake`] swaps it to `true` and writes a byte
+/// only on the `false → true` edge; [`WakePipe::drain`] reads the pipe
+/// *first* and swaps it back to `false` *afterwards*. Every access to
+/// `pending` is an `AcqRel` swap, so the swaps form one total order in
+/// which each synchronizes with all earlier ones, and any `wake()` falls on
+/// one side of the re-arm:
+///
+/// - **before it** — the wake found `pending` already `true` (or wrote the
+///   byte `drain` just read). It writes nothing more, and needs nothing
+///   more: whatever its caller published before calling `wake()` (a dirty-
+///   list or incoming-queue push, a flag) happens-before the re-arm, and
+///   the loop examines that state only after `drain` returns.
+/// - **after it** — the wake sees `false` (or the `true` of a yet later
+///   wake that saw `false`), so a fresh byte is written after `drain`'s
+///   read and the next `poll` returns at once.
+///
+/// Re-arming *before* the read — the original order — loses wakes: a wake
+/// landing between the two writes a byte the read then swallows, leaving
+/// `pending == true` with an empty pipe, after which no `wake()` ever
+/// writes again. For state published under a mutex the loop takes after
+/// `drain` (the dirty list, the incoming queue) the same conclusion also
+/// follows from the mutex alone: a push the loop's scan misses locks after
+/// that scan, hence after the re-arm, so its `wake()` is of the second
+/// kind.
+///
+/// The owner only drains a readable pipe, so a byte is consumed before
+/// each re-arm and at most one `false → true` edge is outstanding: the
+/// pipe never holds more than one byte and a single `read` empties it.
 pub struct WakePipe {
-    rx: TcpStream,
+    rx: WakeStream,
     inner: Arc<WakerInner>,
 }
 
 struct WakerInner {
-    tx: TcpStream,
+    tx: WakeStream,
     pending: AtomicBool,
 }
 
@@ -213,20 +270,17 @@ pub struct Waker {
 }
 
 impl WakePipe {
-    /// Builds a connected loopback socketpair (listener on an ephemeral
-    /// port, connect, accept — std has no `socketpair`). The receive side
-    /// is nonblocking; the send side stays blocking but never carries more
-    /// than one unread byte.
+    /// Builds the connected pair. Both sides are nonblocking: the loop
+    /// must never block in `drain`, and a waker must never block on a pipe
+    /// that — holding unread bytes — is going to wake the loop anyway.
     ///
     /// # Errors
     ///
     /// Propagates socket setup failures.
     pub fn new() -> io::Result<WakePipe> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let tx = TcpStream::connect(listener.local_addr()?)?;
-        let (rx, _) = listener.accept()?;
+        let (tx, rx) = stream_pair()?;
         rx.set_nonblocking(true)?;
-        tx.set_nodelay(true)?;
+        tx.set_nonblocking(true)?;
         Ok(WakePipe {
             rx,
             inner: Arc::new(WakerInner {
@@ -248,24 +302,32 @@ impl WakePipe {
         }
     }
 
-    /// Consumes every buffered wakeup byte and re-arms the pending flag;
+    /// Test probe: polls the pipe alone, true if readable within `timeout`.
+    #[cfg(test)]
+    pub(crate) fn readable_within(&self, timeout: Duration) -> bool {
+        let mut poller = Poller::new();
+        let idx = poller.register(
+            self.fd(),
+            Ready {
+                readable: true,
+                writable: false,
+            },
+        );
+        poller.poll(timeout).unwrap();
+        poller.ready(idx).readable
+    }
+
+    /// Consumes the buffered wakeup bytes, then re-arms the pending flag;
     /// returns how many wakeups were delivered. Call once per readable
     /// poll result, *before* scanning the work the wakeups advertised —
-    /// a signal arriving after the drain then writes a fresh byte and the
-    /// next poll returns immediately.
+    /// see the type-level protocol for why that order loses nothing.
     pub fn drain(&self) -> u64 {
-        self.inner.pending.store(false, Ordering::Release);
         let mut buf = [0u8; 64];
-        let mut total = 0u64;
-        loop {
-            match (&self.rx).read(&mut buf) {
-                Ok(0) => break, // send side gone: server tearing down
-                Ok(n) => total += n as u64,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        total
+        // One read empties the pipe (see the protocol); a byte left behind
+        // by the always-ready fallback poller only costs a spurious wakeup.
+        let delivered = (&self.rx).read(&mut buf).unwrap_or(0);
+        self.inner.pending.swap(false, Ordering::AcqRel);
+        delivered as u64
     }
 }
 
@@ -274,8 +336,43 @@ impl Waker {
     /// first wake after a [`WakePipe::drain`] writes a byte, so back-to-
     /// back completions cost one atomic swap each, not one syscall each.
     pub fn wake(&self) {
-        if !self.inner.pending.swap(true, Ordering::AcqRel) {
-            let _ = (&self.inner.tx).write(&[1u8]);
+        if !self.inner.pending.swap(true, Ordering::AcqRel)
+            && (&self.inner.tx).write(&[1u8]).is_err()
+        {
+            // No byte went out, so nothing will re-arm the flag: give the
+            // edge back and let the next wake try again (this one is left
+            // to the loop's poll timeout).
+            self.inner.pending.swap(false, Ordering::AcqRel);
+        }
+    }
+}
+
+/// The wakes a batch owes, fired together once the batch has mailboxed all
+/// of its replies: each distinct loop is woken once, not once per reply.
+/// Firing happens on drop, so an unwinding batch worker still wakes the
+/// loops it already handed replies to.
+#[derive(Default)]
+pub struct WakeSet {
+    wakers: Vec<Waker>,
+}
+
+impl WakeSet {
+    /// Notes that `waker`'s loop must be woken when the set drops.
+    pub fn add(&mut self, waker: Waker) {
+        if !self
+            .wakers
+            .iter()
+            .any(|w| Arc::ptr_eq(&w.inner, &waker.inner))
+        {
+            self.wakers.push(waker);
+        }
+    }
+}
+
+impl Drop for WakeSet {
+    fn drop(&mut self) {
+        for w in &self.wakers {
+            w.wake();
         }
     }
 }
@@ -323,6 +420,9 @@ impl Default for AcceptBackoff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
     use std::time::Instant;
 
     #[test]
@@ -350,24 +450,10 @@ mod tests {
         for _ in 0..100 {
             waker.wake();
         }
-        // Give loopback a moment to deliver.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut poller = Poller::new();
-        loop {
-            poller.clear();
-            let idx = poller.register(
-                pipe.fd(),
-                Ready {
-                    readable: true,
-                    writable: false,
-                },
-            );
-            poller.poll(Duration::from_millis(100)).unwrap();
-            if poller.ready(idx).readable {
-                break;
-            }
-            assert!(Instant::now() < deadline, "wake byte never arrived");
-        }
+        assert!(
+            pipe.readable_within(Duration::from_secs(5)),
+            "wake byte never arrived"
+        );
         assert_eq!(pipe.drain(), 1);
         // Re-armed: the next wake writes a fresh byte.
         waker.wake();
@@ -375,6 +461,90 @@ mod tests {
         while pipe.drain() == 0 {
             assert!(Instant::now() < deadline, "re-armed wake never arrived");
             std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The lost-wake-up race: wakers hammer the pipe while the owner loops
+    /// poll → drain; once they stop and the pipe is drained dry, one more
+    /// wake must still produce a byte. With the flag re-armed *before* the
+    /// read, a wake landing in between has its byte swallowed and the flag
+    /// sticks at `true` — the final wake then writes nothing. Only unix
+    /// has a real poll to observe that with.
+    #[cfg(unix)]
+    #[test]
+    fn late_wakeup_after_drain_is_never_lost() {
+        const HAMMERS: usize = 3;
+        const ROUNDS: usize = 2000;
+        const WAKES_PER_ROUND: usize = 1000;
+        let pipe = WakePipe::new().unwrap();
+        // Each round everyone meets at `start`, the hammers fire a burst
+        // of wakes and check in on `finished`.
+        let start = Barrier::new(HAMMERS + 1);
+        let finished = AtomicUsize::new(0);
+        let stop = AtomicBool::new(false);
+        let mut lost_in_round = None;
+        std::thread::scope(|scope| {
+            for _ in 0..HAMMERS {
+                let waker = pipe.waker();
+                let (start, finished, stop) = (&start, &finished, &stop);
+                scope.spawn(move || loop {
+                    start.wait();
+                    if stop.load(Ordering::Acquire) {
+                        return;
+                    }
+                    for _ in 0..WAKES_PER_ROUND {
+                        waker.wake();
+                    }
+                    finished.fetch_add(1, Ordering::AcqRel);
+                });
+            }
+            let waker = pipe.waker();
+            for round in 0..ROUNDS {
+                start.wait();
+                // Drain while the burst runs, then until the pipe is dry.
+                loop {
+                    let quiesced = finished.load(Ordering::Acquire) == HAMMERS * (round + 1);
+                    if pipe.readable_within(Duration::ZERO) {
+                        pipe.drain();
+                    } else if quiesced {
+                        break;
+                    }
+                }
+                waker.wake();
+                if !pipe.readable_within(Duration::from_millis(500)) {
+                    lost_in_round = Some(round);
+                    break;
+                }
+                pipe.drain();
+            }
+            // Release the hammers (parked on the barrier) so the scope joins.
+            stop.store(true, Ordering::Release);
+            start.wait();
+        });
+        assert_eq!(
+            lost_in_round, None,
+            "a wake after the drain wrote no byte: the pending flag stuck"
+        );
+    }
+
+    #[test]
+    fn batch_set_fires_each_loop_once_on_drop() {
+        let (a, b) = (WakePipe::new().unwrap(), WakePipe::new().unwrap());
+        {
+            let mut set = WakeSet::default();
+            set.add(a.waker());
+            set.add(b.waker());
+            set.add(a.waker());
+            assert_eq!(set.wakers.len(), 2, "same loop is noted once");
+            #[cfg(unix)]
+            assert!(
+                !a.readable_within(Duration::ZERO),
+                "nothing fires before the set drops"
+            );
+        }
+        for pipe in [&a, &b] {
+            assert!(pipe.readable_within(Duration::from_secs(5)));
+            assert_eq!(pipe.drain(), 1);
         }
     }
 

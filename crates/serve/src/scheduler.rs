@@ -36,6 +36,7 @@ use hpnn_tensor::{Shape, Tensor, TensorError};
 
 use crate::cluster::{RemoteOutcome, RemoteStageBackend};
 use crate::config::{DispatchPolicy, ServeConfig};
+use crate::event::{WakeSet, Waker};
 use crate::metrics::{Histogram, Metrics, ShardStatsSnapshot};
 use crate::protocol::{ErrorCode, InferMode, ModelInfo};
 use crate::registry::ServeRegistry;
@@ -161,8 +162,13 @@ pub enum ReplyPayload {
 /// [`ReplyPayload`]; if the completion is dropped unfired (a worker died
 /// under the request, or the scheduler was torn down), the callback runs
 /// with [`ReplyPayload::Aborted`] so no caller waits forever.
+///
+/// The callback parks the reply wherever its consumer will look and hands
+/// back the [`Waker`] of the event loop that must be told, if any. A batch
+/// collects those and wakes each loop once after the whole group is
+/// parked; a completion resolved on its own wakes at once.
 pub struct Completion {
-    inner: Option<Box<dyn FnOnce(ReplyPayload) + Send + 'static>>,
+    inner: Option<Box<dyn FnOnce(ReplyPayload) -> Option<Waker> + Send + 'static>>,
     /// Set at admission; the in-flight gauge falls exactly once when the
     /// completion resolves (fire, dismiss, or drop).
     gauge: Option<Arc<Metrics>>,
@@ -174,7 +180,7 @@ pub struct Completion {
 
 impl Completion {
     /// Wraps a callback to run when the request resolves.
-    pub fn new(f: impl FnOnce(ReplyPayload) + Send + 'static) -> Self {
+    pub fn new(f: impl FnOnce(ReplyPayload) -> Option<Waker> + Send + 'static) -> Self {
         Completion {
             inner: Some(Box::new(f)),
             gauge: None,
@@ -198,11 +204,24 @@ impl Completion {
         }
     }
 
-    /// Fires the callback with `payload`.
-    pub fn complete(mut self, payload: ReplyPayload) {
+    /// Fires the callback with `payload` and hands back the wake it owes.
+    fn fire(&mut self, payload: ReplyPayload) -> Option<Waker> {
         self.release_gauge();
-        if let Some(f) = self.inner.take() {
-            f(payload);
+        self.inner.take().and_then(|f| f(payload))
+    }
+
+    /// Fires the callback with `payload`, waking its loop at once.
+    pub fn complete(mut self, payload: ReplyPayload) {
+        if let Some(waker) = self.fire(payload) {
+            waker.wake();
+        }
+    }
+
+    /// Fires the callback with `payload` as part of a batch: the wake it
+    /// owes joins `wakes` and fires when the batch drops the set.
+    fn complete_in_batch(mut self, payload: ReplyPayload, wakes: &mut WakeSet) {
+        if let Some(waker) = self.fire(payload) {
+            wakes.add(waker);
         }
     }
 
@@ -216,9 +235,8 @@ impl Completion {
 
 impl Drop for Completion {
     fn drop(&mut self) {
-        self.release_gauge();
-        if let Some(f) = self.inner.take() {
-            f(ReplyPayload::Aborted);
+        if let Some(waker) = self.fire(ReplyPayload::Aborted) {
+            waker.wake();
         }
     }
 }
@@ -849,6 +867,7 @@ impl Scheduler {
         let (tx, rx) = mpsc::channel();
         let done = Completion::new(move |payload| {
             let _ = tx.send(payload);
+            None
         });
         match self.submit_with(model, mode, rows, cols, data, deadline, done) {
             Ok(()) => Ok(rx),
@@ -988,6 +1007,10 @@ fn concat_rows(group: &[Pending], cols: usize) -> (usize, Vec<f32>) {
 /// exactly one sample per OK reply, keeping their counts reconciled with
 /// `replies_ok` — and because each OK reply runs on exactly one shard,
 /// `Σ shard.forward.count == replies_ok` holds too.
+///
+/// Hand-off is per batch: every reply is parked first, then each event
+/// loop that received any is woken once (when `wakes` drops), so the loop
+/// finds the whole group on its one pass and flushes it in one write.
 #[allow(clippy::too_many_arguments)]
 fn finish_group(
     metrics: &Metrics,
@@ -999,6 +1022,7 @@ fn finish_group(
     fill_ns: u64,
     popped: Instant,
 ) {
+    let mut wakes = WakeSet::default();
     let mut row = 0usize;
     for p in group {
         let chunk = out[row * out_features..(row + p.rows) * out_features].to_vec();
@@ -1014,11 +1038,14 @@ fn finish_group(
         hpnn_trace::span_between("queue.wait", p.enqueued, popped, Some(p.done.trace_id()));
         // The callback may be a no-op by now (client disconnected
         // mid-flight); the work still counts.
-        p.done.complete(ReplyPayload::Logits {
-            rows: p.rows,
-            cols: out_features,
-            data: chunk,
-        });
+        p.done.complete_in_batch(
+            ReplyPayload::Logits {
+                rows: p.rows,
+                cols: out_features,
+                data: chunk,
+            },
+            &mut wakes,
+        );
     }
 }
 
@@ -1320,6 +1347,7 @@ fn advance_chain(chain: ChainGroup, mut stage_idx: usize, mut data: Vec<f32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::WakePipe;
     use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
     use hpnn_nn::mlp;
     use hpnn_tensor::Rng;
@@ -1571,6 +1599,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let done = Completion::new(move |p| {
             let _ = tx.send(p);
+            None
         });
         drop(done);
         assert_eq!(rx.recv().unwrap(), ReplyPayload::Aborted);
@@ -1581,6 +1610,7 @@ mod tests {
         let (tx, rx) = mpsc::channel::<ReplyPayload>();
         Completion::new(move |p| {
             let _ = tx.send(p);
+            None
         })
         .dismiss();
         assert!(rx.recv().is_err(), "dismiss must not fire the callback");
@@ -1594,6 +1624,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let done = Completion::new(move |p| {
             let _ = tx.send(p);
+            None
         });
         let (e, done) = sched
             .submit_with(9, InferMode::Keyed, 1, 4, vec![0.0; 4], None, done)
@@ -1608,6 +1639,64 @@ mod tests {
         done.complete(ReplyPayload::Expired);
         assert_eq!(rx.recv().unwrap(), ReplyPayload::Expired);
         assert_eq!(metrics.snapshot().inflight, 0, "gauge released");
+    }
+
+    const PATIENT: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn batch_parks_every_reply_then_wakes_its_loop_once() {
+        let reg = registry_with_mlp(13);
+        let metrics = Arc::new(Metrics::new());
+        let cfg = ServeConfig {
+            max_wait: Duration::from_millis(200),
+            ..quick_cfg()
+        };
+        let sched = Scheduler::start(&reg, cfg, Arc::clone(&metrics)).unwrap();
+        let pipe = WakePipe::new().unwrap();
+        let parked = Arc::new(Mutex::new(Vec::new()));
+        let n = 4;
+        for _ in 0..n {
+            let (parked, waker) = (Arc::clone(&parked), pipe.waker());
+            let done = Completion::new(move |p| {
+                parked.lock().unwrap().push(p);
+                Some(waker)
+            });
+            sched
+                .submit_with(0, InferMode::Keyed, 1, 4, vec![0.5; 4], None, done)
+                .unwrap();
+        }
+        assert!(
+            pipe.readable_within(PATIENT),
+            "the batch never woke its loop"
+        );
+        // One coalesced batch: by the time the wake is visible, all of its
+        // replies are parked, and they cost one wake byte between them.
+        assert_eq!(metrics.snapshot().batches, 1, "requests did not coalesce");
+        assert_eq!(parked.lock().unwrap().len(), n);
+        assert_eq!(pipe.drain(), 1);
+        sched.drain();
+        assert!(
+            !pipe.readable_within(Duration::ZERO),
+            "no further wake after the batch's one"
+        );
+    }
+
+    #[test]
+    fn completion_resolved_outside_a_batch_wakes_at_once() {
+        let pipe = WakePipe::new().unwrap();
+        let waker = pipe.waker();
+        drop(Completion::new(move |_| Some(waker)));
+        assert!(
+            pipe.readable_within(PATIENT),
+            "Aborted must wake its loop immediately"
+        );
+        assert_eq!(pipe.drain(), 1);
+        let waker = pipe.waker();
+        Completion::new(move |_| Some(waker)).complete(ReplyPayload::Expired);
+        assert!(
+            pipe.readable_within(PATIENT),
+            "a lone completion must wake immediately"
+        );
     }
 
     #[test]

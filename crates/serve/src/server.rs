@@ -14,12 +14,16 @@
 //! the completion lands), control frames are answered inline.
 //!
 //! Batch-worker completions never touch a socket: they encode the reply,
-//! push it into the connection's [`ConnHandle`] mailbox, register the
-//! handle on the owning loop's dirty list, and poke the loop's wake pipe.
-//! The loop transfers mailboxed replies to the connection's outbound queue
+//! push it into the connection's [`ConnHandle`] mailbox and register the
+//! handle on the owning loop's dirty list; once a batch has mailboxed all
+//! of its replies the scheduler pokes each touched loop's wake pipe once
+//! (a completion resolved outside a batch pokes at once). The loop
+//! transfers mailboxed replies to the connection's outbound queue
 //! (recording the `writeback` histogram sample at transfer, before the
 //! socket write, so a reply the client has received is always already
-//! counted) and writes them out as the socket allows. A reply whose
+//! counted) and writes the queue out in one `write` per flush, as far as
+//! the socket allows. The poll timeout is a safety net only — no reply
+//! depends on it or on unrelated traffic to reach the wire. A reply whose
 //! connection died in the meantime is drained and counted the same way,
 //! keeping `writeback.count == replies_ok` exact.
 //!
@@ -37,7 +41,7 @@
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -103,6 +107,13 @@ impl LoopShared {
             dirty: Mutex::new(Vec::new()),
             incoming: Mutex::new(Vec::new()),
         })
+    }
+
+    /// The dirty list, poison-tolerant: it is only pushed to or taken
+    /// whole, so a batch worker that panicked holding it leaves it valid,
+    /// and must not be able to take the event loop down through it.
+    fn dirty_list(&self) -> MutexGuard<'_, Vec<Arc<ConnHandle>>> {
+        self.dirty.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -356,7 +367,7 @@ fn encode_outbound(reply: &Reply, version: u8, correlation: u32) -> Outbound {
     reply.encode(&mut out, version, correlation);
     let reply_ready = matches!(reply, Reply::Logits { .. }).then(|| (Instant::now(), correlation));
     Outbound {
-        buf: out.to_vec(),
+        buf: out.into_vec(),
         reply_ready,
         retire_correlation: None,
         unblocks_v1: false,
@@ -370,16 +381,21 @@ fn push_reply(conn: &mut Conn, reply: &Reply, version: u8, correlation: u32) {
 }
 
 /// Delivers an encoded reply from *outside* the owning loop thread
-/// (batch-worker completions): mailbox the frame, register the handle
-/// dirty, wake the loop. Connection-state effects (correlation retirement,
-/// v1 unblock) ride on the [`Outbound`]'s tags and are applied by the loop
-/// thread at mailbox transfer.
-fn deliver(lp: &Arc<LoopShared>, handle: &Arc<ConnHandle>, out: Outbound) {
+/// (batch-worker completions): mailbox the frame and register the handle
+/// dirty. Connection-state effects (correlation retirement, v1 unblock)
+/// ride on the [`Outbound`]'s tags and are applied by the loop thread at
+/// mailbox transfer.
+///
+/// Returns the wake the caller now owes the loop — every delivering
+/// thread wakes for its own replies, so none waits on another thread's
+/// progress. The scheduler fires it once the rest of the batch is
+/// mailboxed too, or at once for a completion resolved on its own.
+fn deliver(lp: &LoopShared, handle: &Arc<ConnHandle>, out: Outbound) -> Waker {
     handle.push(out);
     if !handle.mark_queued() {
-        lp.dirty.lock().unwrap().push(Arc::clone(handle));
+        lp.dirty_list().push(Arc::clone(handle));
     }
-    lp.waker.wake();
+    lp.waker.clone()
 }
 
 /// One event loop: owns a slab of connections and multiplexes all their
@@ -463,7 +479,7 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
         // outbound queues. A handle whose slot was reclaimed (client left
         // while the batch ran) is drained and *counted* anyway so
         // `writeback.count == replies_ok` stays exact.
-        let dirty = std::mem::take(&mut *lp.dirty.lock().unwrap());
+        let dirty = std::mem::take(&mut *lp.dirty_list());
         for handle in dirty {
             handle.clear_queued();
             let replies = handle.take();
@@ -561,9 +577,8 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
                 stop_deadline = Some(Instant::now() + STOP_FLUSH_GRACE);
             }
             let flushed = slab.iter().flatten().all(|c| c.flushed());
-            let idle = flushed
-                && lp.dirty.lock().unwrap().is_empty()
-                && lp.incoming.lock().unwrap().is_empty();
+            let idle =
+                flushed && lp.dirty_list().is_empty() && lp.incoming.lock().unwrap().is_empty();
             if idle || Instant::now() >= stop_deadline.expect("set above") {
                 // Sweep remaining mailboxes for exact writeback accounting.
                 for conn in slab.iter().flatten() {
@@ -595,7 +610,7 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
 /// backpressure cap.
 fn dispatch_frames(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, cap: usize) {
     loop {
-        if conn.outbound.len() >= cap {
+        if conn.queued_frames() >= cap {
             // Outbound full: stop decoding; TCP backpressure reaches the
             // client once its socket buffers fill. Decode resumes after a
             // flush makes room.
@@ -893,7 +908,7 @@ fn infer_lockstep(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, a
         // Tagged so the loop resumes this connection's decode exactly when
         // *this* reply transfers — an interleaved v2 completion must not.
         out.unblocks_v1 = true;
-        deliver(&completion_lp, &completion_handle, out);
+        Some(deliver(&completion_lp, &completion_handle, out))
     });
     let submitted = shared.scheduler.submit_with(
         args.model, args.mode, args.rows, args.cols, args.data, deadline, done,
@@ -992,7 +1007,7 @@ fn infer_pipelined(
         // correlation before receiving this reply, which the loop only
         // flushes after absorbing it.
         out.retire_correlation = Some(correlation);
-        deliver(&completion_lp, &completion_handle, out);
+        Some(deliver(&completion_lp, &completion_handle, out))
     });
     done.set_trace_id(u64::from(correlation));
     let submitted = match args.stage {

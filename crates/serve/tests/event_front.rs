@@ -384,6 +384,72 @@ fn half_closed_v2_session_still_collects_replies() {
     server.shutdown();
 }
 
+/// Regression (lost wake-up): replies must reach the wire on the batch's
+/// own wake — not on the next request's bytes, not on the 200 ms poll
+/// timeout. The wake pipe used to re-arm before reading, so under dense
+/// traffic a wake slipped between the two, its byte was swallowed, and the
+/// pipe went silent for the rest of the server's life; every later reply
+/// then sat in its mailbox until unrelated traffic or the timeout moved
+/// the loop. A dense pipelined burst provokes that state; the sparse
+/// requests after it, alone on a silent connection, expose it.
+#[test]
+fn replies_ride_their_own_wake_after_a_dense_burst() {
+    let server = mlp_server(29, small_cfg(1));
+    let mut s = Session::connect(server.local_addr()).unwrap();
+    s.hello("burst-then-sparse").unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    // Dense phase: keep 32 requests pipelined (two full batches, so the
+    // worker mailboxes replies while the loop is busy draining) for 1.5 s.
+    let burst_end = Instant::now() + Duration::from_millis(1500);
+    let mut burst = 0u64;
+    while Instant::now() < burst_end {
+        let tickets: Vec<_> = (0..32)
+            .map(|i| {
+                s.submit(0, InferMode::Keyed, 0, 1, 6, vec![0.01 * i as f32; 6])
+                    .unwrap()
+            })
+            .collect();
+        for t in tickets {
+            assert_eq!(s.wait(t).unwrap().rows, 1);
+        }
+        burst += 32;
+    }
+    let after_burst = server.metrics();
+    assert_eq!(after_burst.replies_ok, burst);
+    assert!(
+        after_burst.batches < burst,
+        "burst must have produced multi-row batches"
+    );
+
+    // Sparse phase: nothing else moves this loop, so each reply's latency
+    // is what its own wake delivers. A dead pipe shows as ~200 ms each.
+    let sparse = 5u64;
+    for i in 0..sparse {
+        thread::sleep(Duration::from_millis(300));
+        let sent = Instant::now();
+        let t = s
+            .submit(0, InferMode::Keyed, 0, 1, 6, vec![0.5; 6])
+            .unwrap();
+        assert_eq!(s.wait(t).unwrap().rows, 1);
+        let took = sent.elapsed();
+        assert!(
+            took < Duration::from_millis(50),
+            "sparse reply {i} took {took:?}: it waited for the poll timeout, not its wake"
+        );
+    }
+    let stats = server.metrics();
+    assert!(
+        stats.wakeups >= after_burst.wakeups + sparse,
+        "wake pipe went silent after the burst: {} wakeups before, {} after {sparse} lone replies",
+        after_burst.wakeups,
+        stats.wakeups
+    );
+    assert_eq!(stats.replies_ok, burst + sparse);
+    assert_eq!(stats.writeback.count, burst + sparse);
+    server.shutdown();
+}
+
 /// Regression (shutdown poke, the other direction): a listener bound to a
 /// *specific* non-localhost address does not answer on 127.0.0.1, so a
 /// poke hardwired to loopback misses it (ECONNREFUSED — or worse, reaches
