@@ -12,6 +12,8 @@
 //! * [`LockedModel`] — the published obfuscated model container, with
 //!   trusted ([`LockedModel::deploy_trusted`]) and stolen
 //!   ([`LockedModel::deploy_stolen`]) inference paths.
+//! * [`InferencePlan`] — one immutable deployment a server shares across
+//!   threads, run under a keyed or keyless [`PlanView`] per call.
 //! * [`theory`] — executable Theorem 1 / Lemma 1 checks.
 //!
 //! ## End-to-end example
@@ -47,6 +49,7 @@ mod digest;
 mod key;
 mod model;
 mod partition;
+mod plan;
 mod registry;
 mod schedule;
 pub mod theory;
@@ -57,6 +60,7 @@ pub use digest::{sha256, Digest};
 pub use key::{HpnnKey, KeyVault, ParseKeyError, KEY_BITS};
 pub use model::{LockedModel, ModelMetadata};
 pub use partition::{LayerPartition, PartitionError, Stage};
+pub use plan::{InferencePlan, PlanView};
 pub use registry::{ModelRegistry, RegistryError};
 pub use schedule::{Schedule, ScheduleKind};
 pub use train::{HpnnTrainer, TrainedArtifacts};

@@ -115,6 +115,53 @@ impl Activation {
     pub fn clear_lock_factors(&mut self) {
         self.factors = None;
     }
+
+    /// `out_j = f(L_j · MAC_j)` for every row — the one body behind both
+    /// [`Layer::infer`] and [`Layer::forward`]. With `train` it also
+    /// returns `f'(L_j·MAC_j)·L_j` for the key-dependent delta rule.
+    fn apply(&self, input: &Tensor, lock: Option<&[f32]>, train: bool) -> (Tensor, Option<Tensor>) {
+        assert_eq!(
+            input.shape().cols(),
+            self.features,
+            "activation features {} != {}",
+            input.shape().cols(),
+            self.features
+        );
+        if let Some(factors) = lock {
+            // The kernels below only debug-check this.
+            assert_eq!(factors.len(), self.features, "lock factor count");
+        }
+        let batch = input.shape().rows();
+        let mut out = input.clone();
+        let mut dmask = train.then(|| Tensor::zeros([batch, self.features]));
+        let kind = self.kind;
+        if kind == ActKind::Relu {
+            // Vectorized path: the ReLU select (including the locked
+            // sign-flip pre-scale) is branch-free and dispatched through
+            // `hpnn_tensor::simd`, bit-identical to the scalar loop below
+            // at every SIMD level.
+            simd::relu_fwd_rows(
+                out.data_mut(),
+                self.features,
+                lock,
+                dmask.as_mut().map(|d| d.data_mut()),
+            );
+        } else {
+            for r in 0..batch {
+                for (j, v) in out.row_mut(r).iter_mut().enumerate() {
+                    // `1.0 · z` is exact, so the keyless view shares the loop.
+                    let l = lock.map_or(1.0, |factors| factors[j]);
+                    let z = l * *v;
+                    let y = kind.eval(z);
+                    if let Some(d) = dmask.as_mut() {
+                        d.row_mut(r)[j] = kind.deriv(z, y) * l;
+                    }
+                    *v = y;
+                }
+            }
+        }
+        (out, dmask)
+    }
 }
 
 impl Layer for Activation {
@@ -126,60 +173,12 @@ impl Layer for Activation {
         }
     }
 
+    fn infer(&self, input: &Tensor, lock: Option<&[f32]>) -> Tensor {
+        self.apply(input, lock, false).0
+    }
+
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(
-            input.shape().cols(),
-            self.features,
-            "activation features {} != {}",
-            input.shape().cols(),
-            self.features
-        );
-        let batch = input.shape().rows();
-        let mut out = input.clone();
-        let mut dmask = if train {
-            Some(Tensor::zeros([batch, self.features]))
-        } else {
-            None
-        };
-        let kind = self.kind;
-        if kind == ActKind::Relu {
-            // Vectorized path: the ReLU select (including the locked
-            // sign-flip pre-scale) is branch-free and dispatched through
-            // `hpnn_tensor::simd`, bit-identical to the scalar loop below
-            // at every SIMD level.
-            simd::relu_fwd_rows(
-                out.data_mut(),
-                self.features,
-                self.factors.as_deref(),
-                dmask.as_mut().map(|d| d.data_mut()),
-            );
-        } else {
-            for r in 0..batch {
-                let row = out.row_mut(r);
-                match &self.factors {
-                    Some(factors) => {
-                        for (j, v) in row.iter_mut().enumerate() {
-                            let z = factors[j] * *v;
-                            let y = kind.eval(z);
-                            if let Some(d) = dmask.as_mut() {
-                                d.row_mut(r)[j] = kind.deriv(z, y) * factors[j];
-                            }
-                            *v = y;
-                        }
-                    }
-                    None => {
-                        for (j, v) in row.iter_mut().enumerate() {
-                            let z = *v;
-                            let y = kind.eval(z);
-                            if let Some(d) = dmask.as_mut() {
-                                d.row_mut(r)[j] = kind.deriv(z, y);
-                            }
-                            *v = y;
-                        }
-                    }
-                }
-            }
-        }
+        let (out, dmask) = self.apply(input, self.factors.as_deref(), train);
         self.cached_dmask = dmask;
         out
     }

@@ -84,77 +84,88 @@ impl Layer for BatchNorm {
         "batchnorm"
     }
 
+    fn infer(&self, input: &Tensor, _lock: Option<&[f32]>) -> Tensor {
+        let batch = input.shape().rows();
+        assert_eq!(
+            input.shape().cols(),
+            self.features(),
+            "batchnorm width mismatch"
+        );
+        let plane = self.plane;
+        let mut out = Tensor::zeros(input.shape().clone());
+        for c in 0..self.channels {
+            let mean = self.running_mean.value.data()[c];
+            let std = (self.running_var.value.data()[c] + self.eps).sqrt();
+            let g = self.gamma.value.data()[c];
+            let b = self.beta.value.data()[c];
+            for s in 0..batch {
+                let x = input.row(s);
+                let y = out.row_mut(s);
+                for p in 0..plane {
+                    y[c * plane + p] = g * (x[c * plane + p] - mean) / std + b;
+                }
+            }
+        }
+        out
+    }
+
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        if !train {
+            self.cache = None;
+            return self.infer(input, None);
+        }
         let batch = input.shape().rows();
         let features = self.features();
         assert_eq!(input.shape().cols(), features, "batchnorm width mismatch");
         let plane = self.plane;
         let channels = self.channels;
         let count = (batch * plane) as f32;
-
+        assert!(
+            batch > 1 || plane > 1,
+            "batch norm needs more than one statistic sample"
+        );
         let mut out = Tensor::zeros(input.shape().clone());
-        if train {
-            assert!(
-                batch > 1 || plane > 1,
-                "batch norm needs more than one statistic sample"
-            );
-            let mut x_hat = Tensor::zeros(input.shape().clone());
-            let mut stds = Vec::with_capacity(channels);
-            for c in 0..channels {
-                // Mean/variance over batch × plane for channel c.
-                let mut mean = 0.0f32;
-                for s in 0..batch {
-                    let row = input.row(s);
-                    for p in 0..plane {
-                        mean += row[c * plane + p];
-                    }
+        let mut x_hat = Tensor::zeros(input.shape().clone());
+        let mut stds = Vec::with_capacity(channels);
+        for c in 0..channels {
+            // Mean/variance over batch × plane for channel c.
+            let mut mean = 0.0f32;
+            for s in 0..batch {
+                let row = input.row(s);
+                for p in 0..plane {
+                    mean += row[c * plane + p];
                 }
-                mean /= count;
-                let mut var = 0.0f32;
-                for s in 0..batch {
-                    let row = input.row(s);
-                    for p in 0..plane {
-                        let d = row[c * plane + p] - mean;
-                        var += d * d;
-                    }
+            }
+            mean /= count;
+            let mut var = 0.0f32;
+            for s in 0..batch {
+                let row = input.row(s);
+                for p in 0..plane {
+                    let d = row[c * plane + p] - mean;
+                    var += d * d;
                 }
-                var /= count;
-                let std = (var + self.eps).sqrt();
-                stds.push(std);
+            }
+            var /= count;
+            let std = (var + self.eps).sqrt();
+            stds.push(std);
 
-                let g = self.gamma.value.data()[c];
-                let b = self.beta.value.data()[c];
-                for s in 0..batch {
-                    let row = input.row(s);
-                    for p in 0..plane {
-                        let xh = (row[c * plane + p] - mean) / std;
-                        x_hat.row_mut(s)[c * plane + p] = xh;
-                        out.row_mut(s)[c * plane + p] = g * xh + b;
-                    }
-                }
-                // Update running statistics.
-                let rm = &mut self.running_mean.value.data_mut()[c];
-                *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
-                let rv = &mut self.running_var.value.data_mut()[c];
-                *rv = (1.0 - self.momentum) * *rv + self.momentum * var;
-            }
-            self.cache = Some(BnCache { x_hat, std: stds });
-        } else {
-            for c in 0..channels {
-                let mean = self.running_mean.value.data()[c];
-                let std = (self.running_var.value.data()[c] + self.eps).sqrt();
-                let g = self.gamma.value.data()[c];
-                let b = self.beta.value.data()[c];
-                for s in 0..batch {
-                    let x = input.row(s);
-                    let y = out.row_mut(s);
-                    for p in 0..plane {
-                        y[c * plane + p] = g * (x[c * plane + p] - mean) / std + b;
-                    }
+            let g = self.gamma.value.data()[c];
+            let b = self.beta.value.data()[c];
+            for s in 0..batch {
+                let row = input.row(s);
+                for p in 0..plane {
+                    let xh = (row[c * plane + p] - mean) / std;
+                    x_hat.row_mut(s)[c * plane + p] = xh;
+                    out.row_mut(s)[c * plane + p] = g * xh + b;
                 }
             }
-            self.cache = None;
+            // Update running statistics.
+            let rm = &mut self.running_mean.value.data_mut()[c];
+            *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
+            let rv = &mut self.running_var.value.data_mut()[c];
+            *rv = (1.0 - self.momentum) * *rv + self.momentum * var;
         }
+        self.cache = Some(BnCache { x_hat, std: stds });
         out
     }
 

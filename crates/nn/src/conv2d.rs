@@ -100,14 +100,12 @@ impl Conv2d {
     pub fn bias(&self) -> &Param {
         &self.bias
     }
-}
 
-impl Layer for Conv2d {
-    fn name(&self) -> &'static str {
-        "conv2d"
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    /// Lowers the batch and convolves it — the one body behind both
+    /// [`Layer::infer`] and [`Layer::forward`]. Returns the output and the
+    /// column matrix, which training keeps for backward and inference
+    /// drops straight back into the arena.
+    fn convolve(&self, input: &Tensor) -> (Tensor, ScratchTensor) {
         let batch = input.shape().rows();
         assert_eq!(
             input.shape().cols(),
@@ -144,9 +142,24 @@ impl Layer for Conv2d {
         }
         let mut out = scratch::take_vec(batch * out_vol);
         conv2d_forward_batch_into(&cols, &w_t, self.bias.value.data(), &self.geom, &mut out);
+        let out = Tensor::from_vec(Shape::d2(batch, out_vol), out).expect("conv output volume");
+        (out, cols)
+    }
+}
 
-        self.cached_cols = if train { Some(cols) } else { None };
-        Tensor::from_vec(Shape::d2(batch, out_vol), out).expect("conv output volume")
+impl Layer for Conv2d {
+    fn name(&self) -> &'static str {
+        "conv2d"
+    }
+
+    fn infer(&self, input: &Tensor, _lock: Option<&[f32]>) -> Tensor {
+        self.convolve(input).0
+    }
+
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let (out, cols) = self.convolve(input);
+        self.cached_cols = train.then_some(cols);
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -100,7 +100,7 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn infer(&self, input: &Tensor, _lock: Option<&[f32]>) -> Tensor {
         assert_eq!(
             input.shape().cols(),
             self.in_features,
@@ -114,13 +114,16 @@ impl Layer for Dense {
         let mut out = Tensor::from_vec(Shape::d2(batch, self.out_features), out)
             .expect("dense output volume");
         out.add_row_bias(&self.bias.value);
-        self.cached_input = if train {
+        out
+    }
+
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let out = self.infer(input, None);
+        self.cached_input = train.then(|| {
             let mut cache = scratch::take_guard(input.shape().clone());
             cache.data_mut().copy_from_slice(input.data());
-            Some(cache)
-        } else {
-            None
-        };
+            cache
+        });
         out
     }
 

@@ -60,7 +60,7 @@ impl Layer for Dropout {
         "dropout"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn infer(&self, input: &Tensor, _lock: Option<&[f32]>) -> Tensor {
         assert_eq!(
             input.shape().cols(),
             self.features,
@@ -68,9 +68,13 @@ impl Layer for Dropout {
             input.shape().cols(),
             self.features
         );
+        input.clone()
+    }
+
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         if !train || self.p == 0.0 {
             self.cached_mask = None;
-            return input.clone();
+            return self.infer(input, None);
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;

@@ -1,4 +1,5 @@
-//! The [`Layer`] trait: forward/backward with internally cached state.
+//! The [`Layer`] trait: `&self` inference, and training forward/backward
+//! with internally cached state.
 
 use hpnn_tensor::Tensor;
 
@@ -21,14 +22,26 @@ use crate::param::Param;
 /// vector of ±1 lock factors via `set_lock_factors`. Gradients flow through
 /// the lock factor exactly as in the paper's key-dependent delta rule
 /// (Eq. 4): `∂out/∂MAC = f'(L·MAC)·L`.
-pub trait Layer: Send {
+///
+/// Parameters and execution are separate: [`infer`](Layer::infer) takes
+/// `&self` and the lock factors as an argument, so one copy of the weights
+/// serves every thread and both lock views — hence the `Sync` bound.
+pub trait Layer: Send + Sync {
     /// Human-readable layer kind (for summaries and error messages).
     fn name(&self) -> &'static str;
 
-    /// Computes the layer output for a `[batch x in_features]` input.
+    /// Inference: the layer output for a `[batch x in_features]` input,
+    /// touching no layer state. `lock` is this layer's slice of lock
+    /// factors (`L_j`, [`lockable_neurons`](Layer::lockable_neurons) long);
+    /// `None` means all `+1`, the keyless view. Installed factors are not
+    /// consulted.
+    fn infer(&self, input: &Tensor, lock: Option<&[f32]>) -> Tensor;
+
+    /// Computes the layer output for a `[batch x in_features]` input under
+    /// the installed lock factors.
     ///
     /// When `train` is true the layer caches intermediate state for
-    /// `backward`.
+    /// `backward`; otherwise the call is [`infer`](Layer::infer).
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Propagates `grad_out` (`[batch x out_features]`) back through the

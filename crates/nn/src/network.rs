@@ -1,5 +1,7 @@
 //! Sequential network container.
 
+use std::ops::{Deref, Range};
+
 use hpnn_tensor::{scratch, Tensor};
 
 use crate::layer::Layer;
@@ -94,44 +96,18 @@ impl Network {
         self.layers[i].as_mut()
     }
 
-    /// Runs the network forward. With `train = true`, layers cache state for
-    /// a subsequent [`backward`](Network::backward).
+    /// Runs the network forward under the installed lock factors. With
+    /// `train = true`, layers cache state for a subsequent
+    /// [`backward`](Network::backward).
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(
-            input.shape().cols(),
-            self.in_features,
-            "network input features {} != {}",
-            input.shape().cols(),
-            self.in_features
-        );
-        // Each intermediate activation goes back to the scratch arena as
-        // soon as the next layer has consumed it (layers copy anything they
-        // need to cache), so steady-state training reuses the same storage
-        // every step.
-        let rows = input.shape().dims()[0] as u64;
-        let mut layers = self.layers.iter_mut();
-        let mut x = match layers.next() {
-            Some(first) => {
-                let _span = hpnn_trace::span_dyn(first.name(), Some(rows));
-                first.forward(input, train)
-            }
-            None => return input.clone(),
-        };
-        for layer in layers {
-            let y = {
-                let _span = hpnn_trace::span_dyn(layer.name(), Some(rows));
-                layer.forward(&x, train)
-            };
-            scratch::recycle_tensor(std::mem::replace(&mut x, y));
-        }
-        x
+        self.forward_range(input, train, 0..self.layers.len())
     }
 
-    /// Runs only the layers in `range` forward (inference), treating
-    /// `input` as the activation entering `range.start`. Splitting a
-    /// forward pass into consecutive ranges is bitwise identical to one
-    /// full [`forward`](Network::forward): the per-layer loop is the same
-    /// code, and no layer's arithmetic depends on its neighbours.
+    /// Runs only the layers in `range` forward, treating `input` as the
+    /// activation entering `range.start`. Splitting a forward pass into
+    /// consecutive ranges is bitwise identical to one full
+    /// [`forward`](Network::forward): it is the same per-layer loop, and
+    /// no layer's arithmetic depends on its neighbours.
     ///
     /// This is the execution primitive behind distributed layer
     /// partitioning: each cluster stage runs one contiguous range and
@@ -142,49 +118,59 @@ impl Network {
     /// Panics if `range` is out of bounds or, for a non-empty range,
     /// `input`'s width does not match the output width of layer
     /// `range.start - 1` (the input width for `range.start == 0`).
-    pub fn forward_range(
-        &mut self,
-        input: &Tensor,
-        train: bool,
-        range: std::ops::Range<usize>,
-    ) -> Tensor {
+    pub fn forward_range(&mut self, input: &Tensor, train: bool, range: Range<usize>) -> Tensor {
+        self.check_entry(input, &range);
+        run_layers(self.layers[range].iter_mut(), input, |layer, x| {
+            layer.forward(x, train)
+        })
+    }
+
+    /// [`forward_range`](Network::forward_range) for inference through
+    /// `&self`: the same loop, nothing written, so one network serves many
+    /// threads at once. `lock` is the whole network's lock-factor vector
+    /// (`L_j`, one per lockable neuron in layer order) whatever the range;
+    /// `None` is the all-`+1` keyless view. Installed factors are not
+    /// consulted.
+    ///
+    /// # Panics
+    ///
+    /// As [`forward_range`](Network::forward_range), plus a `lock` whose
+    /// length is not [`lockable_neurons`](Network::lockable_neurons).
+    pub fn infer_range(&self, input: &Tensor, range: Range<usize>, lock: Option<&[f32]>) -> Tensor {
+        let mut offset = self.check_entry(input, &range);
+        if let Some(factors) = lock {
+            assert_eq!(factors.len(), self.lockable_neurons(), "lock factors");
+        }
+        run_layers(self.layers[range].iter(), input, |layer, x| {
+            let n = layer.lockable_neurons();
+            let slice = lock.map(|factors| &factors[offset..offset + n]);
+            offset += n;
+            layer.infer(x, slice)
+        })
+    }
+
+    /// Validates a layer range and the activation entering it; returns how
+    /// many lockable neurons precede `range.start`.
+    fn check_entry(&self, input: &Tensor, range: &Range<usize>) -> usize {
         assert!(
             range.start <= range.end && range.end <= self.layers.len(),
             "layer range {range:?} out of bounds (network has {} layers)",
             self.layers.len()
         );
-        if range.is_empty() {
-            return input.clone(); // identity: no layers, no width to check
-        }
-        let mut width = self.in_features;
+        let (mut width, mut lockable) = (self.in_features, 0);
         for layer in &self.layers[..range.start] {
             width = layer.out_features(width);
+            lockable += layer.lockable_neurons();
         }
-        assert_eq!(
-            input.shape().cols(),
-            width,
+        // An empty range is the identity: no layer, no width to check.
+        assert!(
+            range.is_empty() || input.shape().cols() == width,
             "stage input features {} != {} entering layer {}",
             input.shape().cols(),
             width,
             range.start
         );
-        let rows = input.shape().dims()[0] as u64;
-        let mut layers = self.layers[range].iter_mut();
-        let mut x = match layers.next() {
-            Some(first) => {
-                let _span = hpnn_trace::span_dyn(first.name(), Some(rows));
-                first.forward(input, train)
-            }
-            None => return input.clone(),
-        };
-        for layer in layers {
-            let y = {
-                let _span = hpnn_trace::span_dyn(layer.name(), Some(rows));
-                layer.forward(&x, train)
-            };
-            scratch::recycle_tensor(std::mem::replace(&mut x, y));
-        }
-        x
+        lockable
     }
 
     /// Backpropagates a loss gradient, accumulating parameter gradients, and
@@ -323,6 +309,29 @@ impl Network {
         let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
         correct as f32 / preds.len() as f32
     }
+}
+
+/// The one per-layer loop: a span per layer, and each intermediate
+/// activation goes back to the scratch arena as soon as the next layer has
+/// consumed it (layers copy anything they need to cache), so steady-state
+/// training and serving reuse the same storage every pass.
+fn run_layers<L: Deref<Target = Box<dyn Layer>>>(
+    layers: impl Iterator<Item = L>,
+    input: &Tensor,
+    mut step: impl FnMut(L, &Tensor) -> Tensor,
+) -> Tensor {
+    let rows = input.shape().dims()[0] as u64;
+    let mut x: Option<Tensor> = None;
+    for layer in layers {
+        let y = {
+            let _span = hpnn_trace::span_dyn(layer.name(), Some(rows));
+            step(layer, x.as_ref().unwrap_or(input))
+        };
+        if let Some(consumed) = x.replace(y) {
+            scratch::recycle_tensor(consumed);
+        }
+    }
+    x.unwrap_or_else(|| input.clone())
 }
 
 #[cfg(test)]

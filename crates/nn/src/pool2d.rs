@@ -26,8 +26,9 @@ pub struct MaxPool2d {
     /// Winning input index per (sample, channel, output cell).
     cached_argmax: Option<Vec<u32>>,
     cached_batch: usize,
-    /// Retired argmax storage, reused by the next forward (the scratch
-    /// arena only pools `f32` buffers).
+    /// Retired argmax storage, reused by the next training forward (the
+    /// scratch arena only pools `f32` buffers). Inference records no
+    /// indices and never touches it.
     argmax_spare: Vec<u32>,
 }
 
@@ -60,6 +61,39 @@ impl MaxPool2d {
     fn out_plane(&self) -> usize {
         self.geom.out_h * self.geom.out_w
     }
+
+    /// Pools every channel plane of every sample — the one body behind
+    /// both [`Layer::infer`] and [`Layer::forward`]. With `argmax`
+    /// (`batch · out_volume` long) it also records each winner's input
+    /// index for backward.
+    fn pool(&self, input: &Tensor, mut argmax: Option<&mut [u32]>) -> Tensor {
+        let batch = input.shape().rows();
+        let in_plane = self.in_plane();
+        let out_plane = self.out_plane();
+        let in_vol = self.channels * in_plane;
+        let out_vol = self.channels * out_plane;
+        assert_eq!(
+            input.shape().cols(),
+            in_vol,
+            "pool input volume {} != {in_vol}",
+            input.shape().cols()
+        );
+        let mut out = scratch::take_vec(batch * out_vol);
+        for i in 0..batch {
+            let sample = input.row(i);
+            for c in 0..self.channels {
+                let plane = &sample[c * in_plane..(c + 1) * in_plane];
+                let o = (i * self.channels + c) * out_plane;
+                maxpool_plane_into(
+                    plane,
+                    &self.geom,
+                    &mut out[o..o + out_plane],
+                    argmax.as_deref_mut().map(|a| &mut a[o..o + out_plane]),
+                );
+            }
+        }
+        Tensor::from_vec(Shape::d2(batch, out_vol), out).expect("pool output volume")
+    }
 }
 
 impl Layer for MaxPool2d {
@@ -67,46 +101,23 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let batch = input.shape().rows();
-        let in_vol = self.channels * self.in_plane();
-        let out_vol = self.channels * self.out_plane();
-        assert_eq!(
-            input.shape().cols(),
-            in_vol,
-            "pool input volume {} != {in_vol}",
-            input.shape().cols()
-        );
+    fn infer(&self, input: &Tensor, _lock: Option<&[f32]>) -> Tensor {
+        self.pool(input, None)
+    }
 
-        // Output comes from the scratch arena; argmax storage is recycled
-        // from the previous step via `argmax_spare`.
-        let mut out = scratch::take_vec(batch * out_vol);
-        let in_plane = self.in_plane();
-        let out_plane = self.out_plane();
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.cached_batch = input.shape().rows();
+        if !train {
+            self.cached_argmax = None;
+            return self.infer(input, None);
+        }
+        // Argmax storage is recycled from the previous step.
         let mut argmax = std::mem::take(&mut self.argmax_spare);
         argmax.clear();
-        argmax.resize(if train { batch * out_vol } else { out_plane }, 0);
-        for i in 0..batch {
-            let sample = input.row(i);
-            for c in 0..self.channels {
-                let plane = &sample[c * in_plane..(c + 1) * in_plane];
-                let o = (i * self.channels + c) * out_plane;
-                let idxs = if train {
-                    &mut argmax[o..o + out_plane]
-                } else {
-                    &mut argmax[..]
-                };
-                maxpool_plane_into(plane, &self.geom, &mut out[o..o + out_plane], idxs);
-            }
-        }
-        if train {
-            self.cached_argmax = Some(argmax);
-        } else {
-            self.cached_argmax = None;
-            self.argmax_spare = argmax;
-        }
-        self.cached_batch = batch;
-        Tensor::from_vec(Shape::d2(batch, out_vol), out).expect("pool output volume")
+        argmax.resize(self.cached_batch * self.channels * self.out_plane(), 0);
+        let out = self.pool(input, Some(&mut argmax));
+        self.cached_argmax = Some(argmax);
+        out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -93,6 +93,19 @@ impl ResidualBlock {
     pub fn out_volume(&self) -> usize {
         self.conv2.geom().out_volume()
     }
+
+    /// The block's inference arithmetic, with each ReLU's lock factors
+    /// given separately (`None` = all `+1`).
+    fn infer_with(&self, input: &Tensor, lock1: Option<&[f32]>, lock2: Option<&[f32]>) -> Tensor {
+        let mut main = self.conv1.infer(input, None);
+        main = self.relu1.infer(&main, lock1);
+        main = self.conv2.infer(&main, None);
+        let skip = match &self.projection {
+            Some(proj) => proj.infer(input, None),
+            None => input.clone(),
+        };
+        self.relu2.infer(&main.add(&skip), lock2)
+    }
 }
 
 impl Layer for ResidualBlock {
@@ -100,7 +113,18 @@ impl Layer for ResidualBlock {
         "residual"
     }
 
+    fn infer(&self, input: &Tensor, lock: Option<&[f32]>) -> Tensor {
+        let (lock1, lock2) = lock
+            .map(|f| f.split_at(self.relu1.lockable_neurons()))
+            .unzip();
+        self.infer_with(input, lock1, lock2)
+    }
+
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        if !train {
+            let (lock1, lock2) = (self.relu1.lock_factors(), self.relu2.lock_factors());
+            return self.infer_with(input, lock1, lock2);
+        }
         let mut main = self.conv1.forward(input, train);
         main = self.relu1.forward(&main, train);
         main = self.conv2.forward(&main, train);

@@ -6,18 +6,14 @@
 //! validates cross-field invariants once, at build time, with typed
 //! [`ConfigError`]s. [`Server::start`](crate::server::Server::start) is the
 //! single entry point consuming it.
-//!
-//! The previous surface — a bare [`BatchConfig`] struct mutated field by
-//! field — survives one release as a deprecated shim convertible into a
-//! [`ServeConfig`] via `From`.
 
 use std::fmt;
 use std::net::SocketAddr;
 use std::ops::RangeInclusive;
 use std::time::Duration;
 
-/// Hard ceiling on `max_shards`: a shard is a deployed network copy plus a
-/// worker thread, so an absurd range is a config bug, not a tuning choice.
+/// Hard ceiling on `max_shards`: a shard is a queue plus a worker thread,
+/// so an absurd range is a config bug, not a tuning choice.
 pub const SHARD_CAP: usize = 64;
 
 /// How the scheduler picks a shard for an admitted request.
@@ -214,9 +210,8 @@ impl std::error::Error for ConfigError {}
 /// The complete, validated serve configuration.
 ///
 /// Construct through [`ServeConfig::builder`]; the field documentation
-/// lives on the builder methods. A `Default` config matches the historical
-/// `BatchConfig::default()` behavior: one shard per model, least-loaded
-/// dispatch (trivial at one shard), no cluster role.
+/// lives on the builder methods. A `Default` config is one shard per
+/// model, least-loaded dispatch (trivial at one shard), no cluster role.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Target rows per coalesced forward.
@@ -485,56 +480,6 @@ impl ServeConfigBuilder {
     }
 }
 
-/// Batching and admission-control knobs (legacy surface).
-#[deprecated(
-    since = "0.9.0",
-    note = "use ServeConfig::builder() — BatchConfig is a one-release shim"
-)]
-#[derive(Debug, Clone, Copy)]
-pub struct BatchConfig {
-    /// Target rows per coalesced forward.
-    pub max_batch: usize,
-    /// Longest the oldest queued request may wait for co-riders.
-    pub max_wait: Duration,
-    /// Row capacity of each model's queue; admissions beyond it get `BUSY`.
-    pub queue_cap: usize,
-    /// Largest single request, in rows.
-    pub max_rows_per_request: usize,
-    /// Most requests one v2 connection may have in flight.
-    pub max_inflight_per_conn: usize,
-    /// Event-loop threads (0 = auto).
-    pub event_threads: usize,
-}
-
-#[allow(deprecated)]
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            max_batch: 64,
-            max_wait: Duration::from_micros(200),
-            queue_cap: 1024,
-            max_rows_per_request: 4096,
-            max_inflight_per_conn: 64,
-            event_threads: 0,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<BatchConfig> for ServeConfig {
-    fn from(b: BatchConfig) -> Self {
-        ServeConfig {
-            max_batch: b.max_batch,
-            max_wait: b.max_wait,
-            queue_cap: b.queue_cap,
-            max_rows_per_request: b.max_rows_per_request,
-            max_inflight_per_conn: b.max_inflight_per_conn,
-            event_threads: b.event_threads,
-            ..ServeConfig::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -728,24 +673,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroFlightBudget
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn batch_config_converts_to_serve_config() {
-        let legacy = BatchConfig {
-            max_batch: 5,
-            max_wait: Duration::from_millis(2),
-            queue_cap: 10,
-            max_rows_per_request: 9,
-            max_inflight_per_conn: 3,
-            event_threads: 1,
-        };
-        let cfg: ServeConfig = legacy.into();
-        assert_eq!(cfg.max_batch, 5);
-        assert_eq!(cfg.queue_cap, 10);
-        assert_eq!(cfg.shard_range(), 1..=1, "legacy configs stay unsharded");
-        assert_eq!(cfg.dispatch, DispatchPolicy::LeastLoaded);
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //!
 //! Batching and sharding never change results: the batched conv/dense
 //! forwards are row-decomposable with a fixed reduction order, and every
-//! shard runs a bit-identical deployment of the model, so any coalescing
-//! or placement returns the same bits as per-request serial execution.
+//! shard runs the model's one shared deployment, so any coalescing or
+//! placement returns the same bits as per-request serial execution.
 //!
 //! # Examples
 //!
@@ -94,8 +94,6 @@ pub mod server;
 
 pub use client::{Client, DrainedTicket, Logits, ServeError, Session, Ticket};
 pub use cluster::{ClusterPlan, RemoteDone, RemoteOutcome, RemoteStageBackend};
-#[allow(deprecated)]
-pub use config::BatchConfig;
 pub use config::{
     ClusterRole, ConfigError, DispatchPolicy, ObsRole, ServeConfig, ServeConfigBuilder, SHARD_CAP,
 };
@@ -112,5 +110,3 @@ pub use protocol::{
 pub use registry::{ServeEntry, ServeRegistry};
 pub use scheduler::{Completion, ReplyPayload, Scheduler, SubmitError};
 pub use server::Server;
-#[allow(deprecated)]
-pub use server::{serve, ServerHandle};

@@ -1,14 +1,20 @@
 //! Adaptive micro-batching scheduler with N-way worker sharding.
 //!
-//! Each registered model gets a shard set: `max_shards` bounded queues,
-//! each drained by a dedicated batch worker holding its own deployment of
-//! the model. Connection handlers [`submit`](Scheduler::submit) requests;
-//! a dispatch policy ([`DispatchPolicy`], default least-loaded by queued
-//! rows) picks the shard, and the worker coalesces queued requests into
-//! one batched [`Network::forward`] call whenever `max_batch` rows are
-//! waiting **or** the oldest request has waited `max_wait` — classic
-//! adaptive micro-batching: full batches under load, bounded added latency
-//! when idle.
+//! Each registered model is deployed **once** — one immutable
+//! [`InferencePlan`] shared by `Arc` — and gets a shard set: `max_shards`
+//! bounded queues, each drained by a dedicated batch worker. Connection
+//! handlers [`submit`](Scheduler::submit) requests; a dispatch policy
+//! ([`DispatchPolicy`], default least-loaded by queued rows) picks the
+//! shard, and the worker coalesces queued requests into one batched run of
+//! the plan whenever `max_batch` rows are waiting **or** the oldest request
+//! has waited `max_wait` — classic adaptive micro-batching: full batches
+//! under load, bounded added latency when idle.
+//!
+//! Keyed and keyless requests run the same weights: the mode only selects
+//! the plan's lock view (the paper's `L_j`, or all `+1`). The plan is read
+//! through `&self`, so shards never serialize on it, there is no lock a
+//! panicking forward could poison, and resident weights do not grow with
+//! the shard count.
 //!
 //! An adaptive controller samples total queued rows per model on a fixed
 //! tick and scales the *active* shard count between `min_shards` and
@@ -17,10 +23,10 @@
 //! draining what it already queued — transitions never lose requests.
 //!
 //! Because the batched conv/dense paths are row-decomposable with a fixed
-//! reduction order, and every shard deploys from the same locked weights
-//! (deployment is deterministic), a coalesced forward on any shard produces
-//! **bitwise identical** rows to per-request serial forwards — sharding and
-//! batching are purely throughput optimizations, never a numerics change.
+//! reduction order, and every shard runs the same plan, a coalesced forward
+//! on any shard produces **bitwise identical** rows to per-request serial
+//! forwards — sharding and batching are purely throughput optimizations,
+//! never a numerics change.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -30,8 +36,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use hpnn_core::{LayerPartition, Stage};
-use hpnn_nn::Network;
+use hpnn_core::{InferencePlan, LayerPartition, Stage};
 use hpnn_tensor::{Shape, Tensor, TensorError};
 
 use crate::cluster::{RemoteOutcome, RemoteStageBackend};
@@ -394,8 +399,8 @@ impl BatchQueue {
     }
 }
 
-/// One shard: a bounded queue drained by a dedicated worker holding its
-/// own deployment, plus the shard-local latency histograms.
+/// One shard: a bounded queue drained by a dedicated worker, plus the
+/// shard-local latency histograms.
 struct Shard {
     queue: BatchQueue,
     /// Batched-forward wall time per reply served by this shard.
@@ -478,7 +483,7 @@ struct ShardSet {
     /// Round-robin cursor (only advanced under that policy).
     rr: AtomicUsize,
     info: ModelInfo,
-    partition: Option<Arc<LayerPartition>>,
+    model: Arc<ModelCtx>,
 }
 
 impl ShardSet {
@@ -526,9 +531,9 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Deploys every registry entry (keyed when a vault is present, and
-    /// always keyless), once per shard, and starts the batch workers plus
-    /// — when the shard range allows scaling — the adaptive controller.
+    /// Deploys every registry entry once (one [`InferencePlan`] per model,
+    /// whatever the shard count) and starts the batch workers plus — when
+    /// the shard range allows scaling — the adaptive controller.
     ///
     /// # Errors
     ///
@@ -541,7 +546,7 @@ impl Scheduler {
         let mut sets = Vec::with_capacity(registry.len());
         let mut workers = Vec::new();
         let mut remotes: Vec<Arc<dyn RemoteStageBackend>> = Vec::new();
-        for (id, entry) in registry.iter().enumerate() {
+        for (entry, info) in registry.iter().zip(registry.model_infos()) {
             let (partition, remote) = match &entry.plan {
                 Some(plan) => (Some(Arc::clone(&plan.partition)), plan.remote.clone()),
                 None => (None, None),
@@ -549,45 +554,36 @@ impl Scheduler {
             if let Some(r) = &remote {
                 remotes.push(Arc::clone(r));
             }
-            let info = ModelInfo {
-                id: id as u16,
-                name: entry.name.clone(),
-                in_features: entry.model.spec().in_features,
-                out_features: entry.model.spec().out_features(),
-                has_key: entry.vault.is_some(),
-            };
-            let mut shards = Vec::with_capacity(cfg.max_shards);
-            for shard_idx in 0..cfg.max_shards {
-                // Each shard holds its own deployment of the same locked
-                // weights. Deployment is deterministic, so every shard's
-                // forward is bit-identical; per-shard nets keep the
-                // `&mut self` forwards from serializing across workers.
-                // They still live behind mutexes so cluster-chain
-                // continuations — which resume on a peer client's reply
-                // thread — can run the tail stages.
-                let keyed = match &entry.vault {
-                    Some(vault) => Some(Arc::new(Mutex::new(entry.model.deploy_trusted(vault)?))),
-                    None => None,
-                };
-                let keyless = Arc::new(Mutex::new(entry.model.deploy_stolen()?));
-                let shard = Arc::new(Shard::new());
-                let ctx = WorkerCtx {
-                    cfg: cfg.clone(),
-                    metrics: Arc::clone(&metrics),
-                    keyed,
-                    keyless,
+            let stages = match &partition {
+                Some(p) => p.stages().to_vec(),
+                // Unpartitioned: one stage spanning every layer, with no
+                // remote to leave this node for.
+                None => vec![Stage {
+                    index: 0,
+                    layers: 0..entry.model.spec().layers.len(),
                     in_features: info.in_features,
                     out_features: info.out_features,
-                    partition: partition.clone(),
-                    remote: remote.clone(),
-                    model: id as u16,
-                };
-                let worker_shard = Arc::clone(&shard);
-                let name = entry.name.clone();
+                    trusted_required: true,
+                    flops_per_row: 0,
+                }],
+            };
+            let model = Arc::new(ModelCtx {
+                id: info.id,
+                plan: InferencePlan::new(&entry.model, entry.vault.as_ref())?,
+                partition,
+                stages,
+                remote,
+                metrics: Arc::clone(&metrics),
+            });
+            let mut shards = Vec::with_capacity(cfg.max_shards);
+            for shard_idx in 0..cfg.max_shards {
+                let shard = Arc::new(Shard::new());
+                let (worker_shard, worker_cfg, worker_model) =
+                    (Arc::clone(&shard), cfg.clone(), Arc::clone(&model));
                 workers.push(
                     thread::Builder::new()
-                        .name(format!("hpnn-batch-{name}-{shard_idx}"))
-                        .spawn(move || batch_worker(worker_shard, ctx))
+                        .name(format!("hpnn-batch-{}-{shard_idx}", entry.name))
+                        .spawn(move || batch_worker(worker_shard, worker_cfg, worker_model))
                         .expect("spawn batch worker"),
                 );
                 shards.push(shard);
@@ -597,7 +593,7 @@ impl Scheduler {
                 active: AtomicUsize::new(cfg.min_shards.min(cfg.max_shards)),
                 rr: AtomicUsize::new(0),
                 info,
-                partition,
+                model,
             });
         }
         let sets = Arc::new(sets);
@@ -749,7 +745,7 @@ impl Scheduler {
         };
         let expected = match stage {
             Some(s) => {
-                let Some(partition) = &set.partition else {
+                let Some(partition) = &set.model.partition else {
                     return err(SubmitError::BadStage { stages: 0, got: s }, done);
                 };
                 let Some(st) = partition.get(s as usize) else {
@@ -964,35 +960,26 @@ fn controller_loop(
     }
 }
 
-/// Everything one batch worker needs; moved into its thread at start.
-struct WorkerCtx {
-    cfg: ServeConfig,
-    metrics: Arc<Metrics>,
-    keyed: Option<Arc<Mutex<Network>>>,
-    keyless: Arc<Mutex<Network>>,
-    in_features: usize,
-    out_features: usize,
+/// Everything about one model that its shard workers and chain
+/// continuations share: built once at start, immutable after.
+struct ModelCtx {
+    id: u16,
+    /// The model's one deployment; a group's mode picks the lock view.
+    plan: InferencePlan,
+    /// The cluster partition, when the model carries one (`FWD_ACT`
+    /// admission checks stages against it).
     partition: Option<Arc<LayerPartition>>,
+    /// The chain a whole-network request walks: the partition's stages, or
+    /// — unpartitioned — the one stage spanning every layer.
+    stages: Vec<Stage>,
     remote: Option<Arc<dyn RemoteStageBackend>>,
-    model: u16,
-}
-
-impl WorkerCtx {
-    fn net_for(&self, mode: InferMode) -> &Arc<Mutex<Network>> {
-        if mode == InferMode::Keyed {
-            self.keyed
-                .as_ref()
-                .expect("keyed requests are rejected at submit when no vault exists")
-        } else {
-            &self.keyless
-        }
-    }
+    metrics: Arc<Metrics>,
 }
 
 /// Concatenates a group's rows into one contiguous buffer.
-fn concat_rows(group: &[Pending], cols: usize) -> (usize, Vec<f32>) {
+fn concat_rows(group: &[Pending]) -> (usize, Vec<f32>) {
     let total_rows: usize = group.iter().map(|p| p.rows).sum();
-    let mut data = Vec::with_capacity(total_rows * cols);
+    let mut data = Vec::with_capacity(group.iter().map(|p| p.data.len()).sum());
     for p in group {
         data.extend_from_slice(&p.data);
     }
@@ -1055,17 +1042,18 @@ type BatchGroups = Vec<((InferMode, Option<u16>), Vec<Pending>)>;
 /// Runs one shard's coalescing loop until the queue drains dry — or a
 /// batch panics, in which case the shard is marked dead, its queue is
 /// answered with `Internal`, and the worker exits instead of stranding
-/// clients until their deadlines.
-fn batch_worker(shard: Arc<Shard>, ctx: WorkerCtx) {
-    while let Some(batch) = shard.queue.pop_batch(&ctx.cfg) {
+/// clients until their deadlines. The plan is only ever read, so a panic
+/// here leaves the other shards' view of it intact.
+fn batch_worker(shard: Arc<Shard>, cfg: ServeConfig, model: Arc<ModelCtx>) {
+    while let Some(batch) = shard.queue.pop_batch(&cfg) {
         // The batch (and every completion in it) moves into the guarded
         // call; an unwind drops the completions, which fire `Aborted` —
         // the server maps that to an `Internal` wire error.
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            process_batch(&shard, &ctx, batch);
+            process_batch(&shard, &model, batch);
         }));
         if outcome.is_err() {
-            Metrics::bump(&ctx.metrics.worker_panics);
+            Metrics::bump(&model.metrics.worker_panics);
             shard.dead.store(true, Ordering::Release);
             shard.queue.fail_queued();
             return;
@@ -1074,7 +1062,7 @@ fn batch_worker(shard: Arc<Shard>, ctx: WorkerCtx) {
 }
 
 /// Expires, groups, and runs one popped batch.
-fn process_batch(shard: &Arc<Shard>, ctx: &WorkerCtx, batch: Vec<Pending>) {
+fn process_batch(shard: &Arc<Shard>, model: &Arc<ModelCtx>, batch: Vec<Pending>) {
     if shard.panic_next.swap(false, Ordering::AcqRel) {
         panic!("injected batch-worker panic (fail_next_batch)");
     }
@@ -1090,13 +1078,11 @@ fn process_batch(shard: &Arc<Shard>, ctx: &WorkerCtx, batch: Vec<Pending>) {
     let batch_rows: usize = batch.iter().map(|p| p.rows).sum();
     hpnn_trace::span_between("batch.fill", oldest, popped, Some(batch_rows as u64));
     // Group by (mode, stage), preserving arrival order within each
-    // group, and expire requests whose deadline already passed. A
-    // stage group runs one `forward_range`; the whole-network groups
-    // run the full forward (or the partition chain on cluster heads).
+    // group, and expire requests whose deadline already passed.
     let mut groups: BatchGroups = Vec::new();
     for p in batch {
         if p.deadline.is_some_and(|d| d < popped) {
-            Metrics::bump(&ctx.metrics.expired);
+            Metrics::bump(&model.metrics.expired);
             p.done.complete(ReplyPayload::Expired);
             continue;
         }
@@ -1107,123 +1093,43 @@ fn process_batch(shard: &Arc<Shard>, ctx: &WorkerCtx, batch: Vec<Pending>) {
         }
     }
     for ((mode, stage), group) in groups {
-        match stage {
-            Some(s) => run_stage_group(shard, ctx, s, mode, group, fill_ns, popped),
-            None => run_full_group(shard, ctx, mode, group, fill_ns, popped),
-        }
+        // A `FWD_ACT` group runs exactly its one stage, always here —
+        // forwarded work is never forwarded again, so a misconfigured ring
+        // cannot loop activations forever. A whole-network group walks
+        // every stage, offloading where its cluster plan allows.
+        let (stages, may_offload) = match stage {
+            Some(s) => (usize::from(s)..usize::from(s) + 1, false),
+            None => (0..model.stages.len(), true),
+        };
+        let (total_rows, data) = concat_rows(&group);
+        let chain = ChainGroup {
+            model: Arc::clone(model),
+            shard: Arc::clone(shard),
+            mode,
+            end: stages.end,
+            may_offload,
+            group,
+            fill_ns,
+            popped,
+            fwd_start: Instant::now(),
+            total_rows,
+        };
+        advance_chain(chain, stages.start, data, true);
     }
 }
 
-/// Worker role: executes exactly one partition stage for a `FWD_ACT`
-/// group. Always local — forwarded work is never forwarded again, so a
-/// misconfigured ring cannot loop activations forever.
-fn run_stage_group(
-    shard: &Arc<Shard>,
-    ctx: &WorkerCtx,
-    stage_idx: u16,
-    mode: InferMode,
-    group: Vec<Pending>,
-    fill_ns: u64,
-    popped: Instant,
-) {
-    let partition = ctx
-        .partition
-        .as_ref()
-        .expect("stage submits are rejected without a partition");
-    let stage = partition.stage(stage_idx as usize);
-    let (total_rows, data) = concat_rows(&group, stage.in_features);
-    let x = Tensor::from_vec(Shape::d2(total_rows, stage.in_features), data)
-        .expect("submit validated rows * stage in_features");
-    let fwd_start = Instant::now();
-    let y = {
-        let _span = hpnn_trace::span!("stage.forward", total_rows);
-        ctx.net_for(mode)
-            .lock()
-            .unwrap()
-            .forward_range(&x, false, stage.layers.clone())
-    };
-    let fwd_ns = fwd_start.elapsed().as_nanos() as u64;
-    Metrics::bump(&ctx.metrics.batches);
-    debug_assert_eq!(y.shape().dims(), &[total_rows, stage.out_features]);
-    finish_group(
-        &ctx.metrics,
-        shard,
-        group,
-        y.data(),
-        stage.out_features,
-        fwd_ns,
-        fill_ns,
-        popped,
-    );
-}
-
-/// Head/solo role: runs a whole-network group — the classic single
-/// coalesced forward when the model is unpartitioned, or the stage chain
-/// (with remote offload) when it carries a cluster plan.
-fn run_full_group(
-    shard: &Arc<Shard>,
-    ctx: &WorkerCtx,
-    mode: InferMode,
-    group: Vec<Pending>,
-    fill_ns: u64,
-    popped: Instant,
-) {
-    let Some(partition) = ctx.partition.clone() else {
-        let (total_rows, data) = concat_rows(&group, ctx.in_features);
-        let x = Tensor::from_vec(Shape::d2(total_rows, ctx.in_features), data)
-            .expect("submit validated rows * in_features");
-        let fwd_start = Instant::now();
-        let y = {
-            let _fwd_span = hpnn_trace::span!("batch.forward", total_rows);
-            ctx.net_for(mode).lock().unwrap().forward(&x, false)
-        };
-        let fwd_ns = fwd_start.elapsed().as_nanos() as u64;
-        Metrics::bump(&ctx.metrics.batches);
-        debug_assert_eq!(y.shape().dims(), &[total_rows, ctx.out_features]);
-        finish_group(
-            &ctx.metrics,
-            shard,
-            group,
-            y.data(),
-            ctx.out_features,
-            fwd_ns,
-            fill_ns,
-            popped,
-        );
-        return;
-    };
-    let (total_rows, data) = concat_rows(&group, ctx.in_features);
-    let chain = ChainGroup {
-        metrics: Arc::clone(&ctx.metrics),
-        shard: Arc::clone(shard),
-        keyed: ctx.keyed.clone(),
-        keyless: Arc::clone(&ctx.keyless),
-        remote: ctx.remote.clone(),
-        partition,
-        model: ctx.model,
-        mode,
-        group,
-        fill_ns,
-        popped,
-        fwd_start: Instant::now(),
-        total_rows,
-    };
-    advance_chain(chain, 0, data);
-}
-
-/// One whole-network group mid-chain; owned by whichever thread is
-/// advancing it (the batch worker, or a remote backend's reply thread).
+/// One group mid-chain; owned by whichever thread is advancing it (the
+/// batch worker, or a remote backend's reply thread).
 struct ChainGroup {
-    metrics: Arc<Metrics>,
+    model: Arc<ModelCtx>,
     /// The shard that popped the batch; its histograms receive the chain's
     /// replies even when the chain finishes on a peer reply thread.
     shard: Arc<Shard>,
-    keyed: Option<Arc<Mutex<Network>>>,
-    keyless: Arc<Mutex<Network>>,
-    remote: Option<Arc<dyn RemoteStageBackend>>,
-    partition: Arc<LayerPartition>,
-    model: u16,
     mode: InferMode,
+    /// One past the last stage the group runs.
+    end: usize,
+    /// Whether offloadable stages may be offered to the remote backend.
+    may_offload: bool,
     group: Vec<Pending>,
     fill_ns: u64,
     popped: Instant,
@@ -1231,86 +1137,65 @@ struct ChainGroup {
     total_rows: usize,
 }
 
-/// Runs one stage of a chain group locally.
-fn run_stage_local(chain: &ChainGroup, stage: &Stage, data: Vec<f32>) -> Vec<f32> {
-    let x = Tensor::from_vec(Shape::d2(chain.total_rows, stage.in_features), data)
-        .expect("chain stage widths align by construction");
-    let net = if chain.mode == InferMode::Keyed {
-        chain
-            .keyed
-            .as_ref()
-            .expect("keyed requests are rejected at submit when no vault exists")
-    } else {
-        &chain.keyless
-    };
-    let _span = hpnn_trace::span!("stage.forward", chain.total_rows);
-    let y = net
-        .lock()
-        .unwrap()
-        .forward_range(&x, false, stage.layers.clone());
-    y.data().to_vec()
-}
-
-/// Fails every request in a chain whose remote hop cannot be recovered.
+/// Fails every request in a chain that cannot finish.
 fn fail_chain(chain: ChainGroup, code: ErrorCode) {
     for p in chain.group {
         p.done.complete(ReplyPayload::Failed { code });
     }
 }
 
-/// Advances a chain group from `stage_idx` to completion: local stages run
-/// inline; an offloadable stage is offered to the remote backend and the
-/// chain parks until the reply (or refusal, which runs the stage locally —
-/// offloading degrades to single-node execution, never to an error, unless
-/// the work was already in flight when the peer died).
-fn advance_chain(chain: ChainGroup, mut stage_idx: usize, mut data: Vec<f32>) {
+/// The one forward walker: advances a group from `stage_idx` to its end
+/// and hands the replies out. Local stages run inline on the shared plan;
+/// an offloadable stage is offered to the remote backend (unless `offer`
+/// is off for this first stage) and the chain parks until the reply — or
+/// the refusal, which re-enters here with `offer` off to run the stage
+/// locally: offloading degrades to single-node execution, never to an
+/// error, unless the work was already in flight when the peer died.
+fn advance_chain(chain: ChainGroup, mut stage_idx: usize, mut data: Vec<f32>, mut offer: bool) {
+    let model = Arc::clone(&chain.model);
+    let rows = chain.total_rows;
     loop {
-        if stage_idx == chain.partition.len() {
+        if stage_idx == chain.end {
             let fwd_ns = chain.fwd_start.elapsed().as_nanos() as u64;
-            Metrics::bump(&chain.metrics.batches);
-            let metrics = Arc::clone(&chain.metrics);
-            let shard = Arc::clone(&chain.shard);
-            let out_features = chain.partition.out_features();
+            Metrics::bump(&model.metrics.batches);
             finish_group(
-                &metrics,
-                &shard,
+                &model.metrics,
+                &chain.shard,
                 chain.group,
                 &data,
-                out_features,
+                model.stages[stage_idx - 1].out_features,
                 fwd_ns,
                 chain.fill_ns,
                 chain.popped,
             );
             return;
         }
-        let stage = chain.partition.stage(stage_idx).clone();
+        let stage = &model.stages[stage_idx];
         // Trusted-required stages never leave this node.
-        let offload_via = (!stage.trusted_required)
-            .then(|| chain.remote.clone())
+        let offload_via = (offer && chain.may_offload && !stage.trusted_required)
+            .then(|| model.remote.clone())
             .flatten();
         if let Some(remote) = offload_via {
-            let bump_metrics = Arc::clone(&chain.metrics);
-            let done_metrics = Arc::clone(&chain.metrics);
+            let done_model = Arc::clone(&model);
             let sent = Instant::now();
             let deadline = chain.group.iter().filter_map(|p| p.deadline).min();
-            let rows = chain.total_rows;
             let stage_u16 = stage_idx as u16;
-            let model = chain.model;
-            let cols = stage.in_features;
+            let out_len = rows * stage.out_features;
             // Offloadable stages hold no lockable neurons, so the keyless
-            // deployment computes them bit-identically — the wire always
-            // asks for keyless, and vault-less workers stay usable.
+            // view computes them bit-identically — the wire always asks
+            // for keyless, and vault-less workers stay usable.
             let accepted = remote.forward(
-                model,
+                model.id,
                 stage_u16,
                 InferMode::Keyless,
                 rows,
-                cols,
+                stage.in_features,
                 data,
                 deadline,
                 Box::new(move |outcome| match outcome {
                     RemoteOutcome::Output(out) => {
-                        done_metrics
+                        done_model
+                            .metrics
                             .remote_wait
                             .record(sent.elapsed().as_nanos() as u64);
                         hpnn_trace::span_between(
@@ -1319,28 +1204,46 @@ fn advance_chain(chain: ChainGroup, mut stage_idx: usize, mut data: Vec<f32>) {
                             Instant::now(),
                             Some(u64::from(stage_u16)),
                         );
-                        if out.len() == rows * stage.out_features {
-                            advance_chain(chain, stage_idx + 1, out);
+                        if out.len() == out_len {
+                            advance_chain(chain, stage_idx + 1, out, true);
                         } else {
                             // A peer that answers with the wrong shape is
                             // as good as gone.
                             fail_chain(chain, ErrorCode::PeerUnavailable);
                         }
                     }
-                    RemoteOutcome::Refused(data) => {
-                        let out = run_stage_local(&chain, &stage, data);
-                        advance_chain(chain, stage_idx + 1, out);
-                    }
+                    RemoteOutcome::Refused(data) => advance_chain(chain, stage_idx, data, false),
                     RemoteOutcome::Failed(code) => fail_chain(chain, code),
                 }),
             );
             if accepted {
-                Metrics::bump(&bump_metrics.fwd_sent);
+                Metrics::bump(&model.metrics.fwd_sent);
             }
             return;
         }
-        data = run_stage_local(&chain, &stage, data);
+        // Admission (`KeyUnavailable`) keeps keyed groups off vault-less
+        // plans, so the refusal below never fires in a correct build.
+        let view = match chain.mode {
+            InferMode::Keyed => model.plan.keyed(),
+            InferMode::Keyless => Some(model.plan.keyless()),
+        };
+        let Some(view) = view else {
+            return fail_chain(chain, ErrorCode::Internal);
+        };
+        let x = Tensor::from_vec(Shape::d2(rows, stage.in_features), data)
+            .expect("admission and the partition fix rows * stage in_features");
+        let y = {
+            let _span = if model.partition.is_some() {
+                hpnn_trace::span!("stage.forward", rows)
+            } else {
+                hpnn_trace::span!("batch.forward", rows)
+            };
+            view.run(&x, stage.layers.clone())
+        };
+        debug_assert_eq!(y.shape().dims(), &[rows, stage.out_features]);
+        data = y.into_vec();
         stage_idx += 1;
+        offer = true;
     }
 }
 
@@ -1364,6 +1267,21 @@ mod tests {
         let mut reg = ServeRegistry::new();
         reg.add("mlp", model, Some(KeyVault::provision(key, "dev")));
         reg
+    }
+
+    /// What `deploy_trusted` computes for `input` on the registry's model 0.
+    fn trusted_bits(reg: &ServeRegistry, input: &[f32]) -> Vec<u32> {
+        let entry = reg.get(0).unwrap();
+        let mut net = entry
+            .model
+            .deploy_trusted(entry.vault.as_ref().unwrap())
+            .unwrap();
+        let x = Tensor::from_vec(Shape::d2(1, input.len()), input.to_vec()).unwrap();
+        net.forward(&x, false)
+            .data()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
     }
 
     fn quick_cfg() -> ServeConfig {
@@ -1740,6 +1658,9 @@ mod tests {
                 }
             })
             .collect();
+        for (x, got) in inputs.iter().zip(&serial) {
+            assert_eq!(got, &trusted_bits(&reg, x), "served bits != deploy_trusted");
+        }
         // Coalesced: submit all six before the fill window closes.
         let rxs: Vec<_> = inputs
             .iter()
@@ -1891,6 +1812,63 @@ mod tests {
         let s = metrics.snapshot();
         assert_eq!(s.worker_panics, 1);
         assert_eq!(s.inflight, 0, "every completion resolved");
+    }
+
+    #[test]
+    fn shards_share_one_deployment_and_survive_a_peer_shard_panic() {
+        let input = vec![0.25, -0.5, 1.0, 2.0];
+        for n in 1..=4 {
+            let reg = registry_with_mlp(16);
+            let want = trusted_bits(&reg, &input);
+            let metrics = Arc::new(Metrics::new());
+            let cfg = ServeConfig::builder()
+                .max_batch(1)
+                .max_wait(Duration::from_millis(1))
+                .queue_cap(64)
+                .max_rows_per_request(32)
+                .shards(n..=n)
+                .build()
+                .unwrap();
+            let sched = Scheduler::start(&reg, cfg, Arc::clone(&metrics)).unwrap();
+            // One allocation per model: the set's handle plus one per
+            // worker, whatever the shard count.
+            assert_eq!(Arc::strong_count(&sched.sets[0].model), 1 + n);
+            if n == 1 {
+                continue; // the lone-shard panic is the test above
+            }
+            // Kill shard 0 under a request. The plan is only ever read, so
+            // nothing the dead worker held can wedge the survivors.
+            assert!(sched.fail_next_batch(0));
+            let rx = sched
+                .submit(0, InferMode::Keyed, 1, 4, input.clone(), None)
+                .unwrap();
+            assert_eq!(rx.recv().unwrap(), ReplyPayload::Aborted);
+            let mut served = 0;
+            for _ in 0..200 {
+                let rx = sched
+                    .submit(0, InferMode::Keyed, 1, 4, input.clone(), None)
+                    .expect("live shards remain");
+                match rx.recv().unwrap() {
+                    ReplyPayload::Logits { data, .. } => {
+                        let got: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, want, "survivor bits != deploy_trusted ({n} shards)");
+                        served += 1;
+                    }
+                    // Raced into the dying shard's queue before it was
+                    // marked dead.
+                    ReplyPayload::Failed {
+                        code: ErrorCode::Internal,
+                    } => thread::sleep(Duration::from_millis(1)),
+                    other => panic!("unexpected reply {other:?}"),
+                }
+                if served == 8 {
+                    break;
+                }
+            }
+            assert_eq!(served, 8, "survivors must keep answering keyed requests");
+            sched.drain();
+            assert_eq!(metrics.snapshot().worker_panics, 1);
+        }
     }
 
     #[test]

@@ -71,13 +71,6 @@ pub struct Server {
     loop_threads: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
-/// Former name of [`Server`].
-#[deprecated(
-    since = "0.9.0",
-    note = "renamed to Server; start one with Server::start"
-)]
-pub type ServerHandle = Server;
-
 /// A freshly accepted socket on its way to an event loop.
 struct Incoming {
     stream: TcpStream,
@@ -163,30 +156,9 @@ fn resolve_event_threads(cfg: &ServeConfig) -> usize {
     }
 }
 
-/// Binds a listener, deploys every registry model, and starts serving.
-///
-/// Former free-function entry point; [`Server::start`] with a
-/// [`ServeConfig`] is the single configuration surface now.
-///
-/// # Errors
-///
-/// See [`Server::start`].
-#[deprecated(
-    since = "0.9.0",
-    note = "use Server::start with ServeConfig::builder() — BatchConfig is a one-release shim"
-)]
-#[allow(deprecated)]
-pub fn serve(
-    registry: ServeRegistry,
-    cfg: crate::config::BatchConfig,
-    addr: impl ToSocketAddrs,
-) -> io::Result<Server> {
-    Server::start(registry, ServeConfig::from(cfg), addr)
-}
-
 impl Server {
-    /// Binds a listener, deploys every registry model (each shard gets its
-    /// own bit-identical deployment), and starts serving.
+    /// Binds a listener, deploys every registry model (once; all of its
+    /// shards share the deployment), and starts serving.
     ///
     /// # Errors
     ///

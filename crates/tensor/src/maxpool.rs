@@ -75,18 +75,24 @@ pub fn maxpool_plane(plane: &[f32], geom: &PoolGeom) -> (Vec<f32>, Vec<u32>) {
     let n = geom.out_h * geom.out_w;
     let mut vals = vec![0.0f32; n];
     let mut idxs = vec![0u32; n];
-    maxpool_plane_into(plane, geom, &mut vals, &mut idxs);
+    maxpool_plane_into(plane, geom, &mut vals, Some(&mut idxs));
     (vals, idxs)
 }
 
-/// Allocation-free form of [`maxpool_plane`]: writes pooled values and
-/// winning input indices into caller-provided buffers (used by the pooling
-/// layer so its per-plane loop allocates nothing).
+/// Allocation-free form of [`maxpool_plane`]: writes pooled values and —
+/// when the caller wants them for backprop — winning input indices into
+/// caller-provided buffers (used by the pooling layer so its per-plane loop
+/// allocates nothing, and its inference path needs no index storage).
 ///
 /// # Panics
 ///
 /// Panics if any buffer length disagrees with `geom`.
-pub fn maxpool_plane_into(plane: &[f32], geom: &PoolGeom, vals: &mut [f32], idxs: &mut [u32]) {
+pub fn maxpool_plane_into(
+    plane: &[f32],
+    geom: &PoolGeom,
+    vals: &mut [f32],
+    mut idxs: Option<&mut [u32]>,
+) {
     assert_eq!(
         plane.len(),
         geom.in_h * geom.in_w,
@@ -94,7 +100,9 @@ pub fn maxpool_plane_into(plane: &[f32], geom: &PoolGeom, vals: &mut [f32], idxs
     );
     let n = geom.out_h * geom.out_w;
     assert_eq!(vals.len(), n, "maxpool vals buffer mismatch");
-    assert_eq!(idxs.len(), n, "maxpool idxs buffer mismatch");
+    if let Some(idxs) = idxs.as_deref() {
+        assert_eq!(idxs.len(), n, "maxpool idxs buffer mismatch");
+    }
     let mut o = 0;
     for oy in 0..geom.out_h {
         for ox in 0..geom.out_w {
@@ -112,7 +120,9 @@ pub fn maxpool_plane_into(plane: &[f32], geom: &PoolGeom, vals: &mut [f32], idxs
                 }
             }
             vals[o] = best_v;
-            idxs[o] = best_i;
+            if let Some(idxs) = idxs.as_deref_mut() {
+                idxs[o] = best_i;
+            }
             o += 1;
         }
     }
