@@ -274,7 +274,11 @@ fn main() {
     reconcile("micro-batched", &batched_report, &batched_stats);
 
     let speedup = batched_report.throughput_rps() / batch1_report.throughput_rps();
-    println!("\nmicro-batching speedup at {CLIENTS} clients: {speedup:.2}x\n");
+    println!(
+        "\nmicro-batching speedup at {CLIENTS} clients: {speedup:.2}x ({:.0} -> {:.0} req/s)\n",
+        batch1_report.throughput_rps(),
+        batched_report.throughput_rps()
+    );
 
     // Pipelining comparison: one connection, identical scheduler config; the
     // only variable is how many requests the client keeps in flight. The
@@ -306,7 +310,9 @@ fn main() {
     let deep_mean_depth = deep_stats.depth.sum_ns as f64 / deep_stats.depth.count.max(1) as f64;
     println!(
         "\npipelining speedup at depth {pipeline_depth} on one connection: {pipeline_speedup:.2}x \
-         (mean admission depth {deep_mean_depth:.2})"
+         ({:.0} -> {:.0} req/s, mean admission depth {deep_mean_depth:.2})",
+        depth1_report.throughput_rps(),
+        deep_report.throughput_rps()
     );
 
     let results = vec![

@@ -455,6 +455,44 @@ mod tests {
     }
 
     #[test]
+    fn batched_infer_bit_identical_to_row_by_row_on_the_served_fc_head() {
+        // The fc head of the served conv + fc2048 model: whatever batch the
+        // scheduler forms — one row, a few (streaming GEMM), or enough for
+        // the register-tiled kernel and its row tail — every row's logits
+        // are the bits a single-row forward produces.
+        let mut rng = Rng::new(14);
+        let mut net = Network::new(256);
+        net.push(Box::new(Dense::new(256, 2048, &mut rng)));
+        net.push(Box::new(Activation::new(ActKind::Relu, 2048)));
+        net.push(Box::new(Dense::new(2048, 2048, &mut rng)));
+        net.push(Box::new(Activation::new(ActKind::Relu, 2048)));
+        net.push(Box::new(Dense::new(2048, 10, &mut rng)));
+        let lock: Vec<f32> = (0..net.lockable_neurons())
+            .map(|j| if j % 3 == 0 { -1.0 } else { 1.0 })
+            .collect();
+        let rows = 21;
+        let x = Tensor::randn([rows, 256], 1.0, &mut rng);
+        let single: Vec<Tensor> = (0..rows)
+            .map(|i| {
+                let row = x.data()[i * 256..(i + 1) * 256].to_vec();
+                let row = Tensor::from_vec([1, 256], row).unwrap();
+                net.infer_range(&row, 0..net.len(), Some(&lock))
+            })
+            .collect();
+        for m in (1..=9).chain([16, 17, rows]) {
+            let batch = Tensor::from_vec([m, 256], x.data()[..m * 256].to_vec()).unwrap();
+            let out = net.infer_range(&batch, 0..net.len(), Some(&lock));
+            for (i, want) in single[..m].iter().enumerate() {
+                assert_eq!(
+                    &out.data()[i * 10..(i + 1) * 10],
+                    want.data(),
+                    "row {i} of a {m}-row batch"
+                );
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "stage input features")]
     fn forward_range_rejects_wrong_width() {
         let mut rng = Rng::new(13);

@@ -216,7 +216,8 @@ impl std::error::Error for ConfigError {}
 pub struct ServeConfig {
     /// Target rows per coalesced forward.
     pub max_batch: usize,
-    /// Longest the oldest queued request may wait for co-riders.
+    /// Longest an idle worker holds the oldest queued request back for
+    /// co-riders.
     pub max_wait: Duration,
     /// Row capacity of **each shard's** queue; admissions beyond it get
     /// `BUSY`.
@@ -250,7 +251,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 64,
-            max_wait: Duration::from_micros(200),
+            max_wait: Duration::ZERO,
             queue_cap: 1024,
             max_rows_per_request: 4096,
             max_inflight_per_conn: 64,
@@ -304,8 +305,9 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Longest the oldest queued request may wait for co-riders
-    /// (default 200 µs).
+    /// Longest an idle worker holds the oldest queued request back for
+    /// co-riders (default zero: the worker takes what is queued, and
+    /// requests coalesce only while it is busy with the previous batch).
     pub fn max_wait(mut self, wait: Duration) -> Self {
         self.cfg.max_wait = wait;
         self

@@ -17,8 +17,9 @@
 //!   [`ObsRole`] is plain data here; the `hpnn-obs` crate above this one
 //!   turns it into a collector, exposition listener, and SLO watchdog).
 //! - [`scheduler`] — adaptive micro-batching over N-way worker shards:
-//!   per-shard bounded queues coalesce concurrent requests into one
-//!   batched forward (`max_batch` rows or `max_wait`, whichever first),
+//!   per-shard bounded queues coalesce the requests that arrive while a
+//!   worker is busy into one batched forward (up to `max_batch` rows; an
+//!   idle worker waits for co-riders only if `max_wait` is raised from zero),
 //!   with least-loaded/round-robin dispatch, an adaptive controller that
 //!   scales active shards from queue-depth EWMA, `BUSY` backpressure,
 //!   per-request deadlines, and graceful drain.

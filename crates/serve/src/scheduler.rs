@@ -5,10 +5,12 @@
 //! bounded queues, each drained by a dedicated batch worker. Connection
 //! handlers [`submit`](Scheduler::submit) requests; a dispatch policy
 //! ([`DispatchPolicy`], default least-loaded by queued rows) picks the
-//! shard, and the worker coalesces queued requests into one batched run of
-//! the plan whenever `max_batch` rows are waiting **or** the oldest request
-//! has waited `max_wait` — classic adaptive micro-batching: full batches
-//! under load, bounded added latency when idle.
+//! shard, and the worker coalesces what queued up while it ran the previous
+//! batch — up to `max_batch` rows — into one batched run of the plan: full
+//! batches under load, no added latency when idle. It is work-conserving by
+//! default; a non-zero `max_wait` makes an idle worker hold a short batch
+//! back until the oldest request has waited that long, trading latency for
+//! fuller batches.
 //!
 //! Keyed and keyless requests run the same weights: the mode only selects
 //! the plan's lock view (the paper's `L_j`, or all `+1`). The plan is read
@@ -333,7 +335,7 @@ impl BatchQueue {
                 st = self.cv.wait(st).unwrap();
             }
             // Fill wait: give co-riders `max_wait` to arrive, measured from
-            // the oldest request's enqueue time.
+            // the oldest request's enqueue time (none at the default of zero).
             loop {
                 if st.rows_queued >= cfg.max_batch || st.draining {
                     break;
@@ -1877,7 +1879,7 @@ mod tests {
         // machine: the controller must scale up under the flood, scale back
         // down when it clears, and every single request must be answered.
         let mut rng = Rng::new(15);
-        let spec = mlp(32, &[512, 512], 4);
+        let spec = mlp(32, &[2048, 2048], 4);
         let key = HpnnKey::random(&mut rng);
         let schedule = Schedule::new(spec.lockable_neurons(), ScheduleKind::RoundRobin, 0);
         let mut net = spec.build(&mut rng).unwrap();

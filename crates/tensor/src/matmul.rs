@@ -19,20 +19,38 @@
 //! accumulating into the same buffer perform the exact same additions in the
 //! exact same order.
 //!
-//! All kernels are cache-blocked (over `k` and `n`) with inner loops written
-//! so the autovectorizer can keep the accumulation in vector registers, and
-//! all dispatch output-row chunks through the persistent worker pool
-//! ([`crate::pool`]) under one flops-based cost model. Per-element
-//! accumulation order is fixed by the blocking constants alone, so results
-//! are bit-identical between the serial and pooled paths and across machines.
+//! `A·B` and `Aᵀ·B` choose between two kernels by how many output rows a
+//! chunk has, because the two regimes are bound by different things:
+//!
+//! * **Few rows** (`stream_rows`, up to `SM` = 16): the product is bound by
+//!   how fast `B` arrives, so `B` is read exactly once, in address order, in
+//!   long contiguous runs, never copied, while the few output rows stay in
+//!   cache. One to three rows is every batch a lightly loaded server forms,
+//!   and a single row costs one pass over the weights at the speed the
+//!   memory system delivers them.
+//! * **Many rows** (`mr_block`): arithmetic dominates, so `B` is repacked
+//!   into `NR`-wide micro-panels and `MR × NR` accumulator tiles stay in
+//!   registers for a whole `k`-block. The repacking is a second pass over
+//!   `B` that only enough rows repay; the row and column tails of a tiled
+//!   chunk go back through `stream_rows`.
+//!
+//! `A·Bᵀ` is one long dot product per output element. All kernels dispatch
+//! output-row chunks through the persistent worker pool ([`crate::pool`])
+//! under one flops-based cost model. Every output element sees the same
+//! operation sequence on every path — ascending `p`, one multiply then one
+//! add, nothing fused, nothing skipped — so results are bit-identical
+//! between kernels, batch sizes, SIMD levels, the serial and pooled paths,
+//! and across machines.
 //!
 //! The kernels never skip zero multiplicands: IEEE semantics such as
 //! `0 · NaN = NaN` and `0 · ∞ = NaN` propagate into the output exactly as a
 //! naive triple loop would.
 
-use crate::pool::for_chunks_mut;
+use std::cell::RefCell;
+
+use crate::pool::{for_chunks_mut, for_grouped_chunks_mut};
 use crate::shape::Shape;
-use crate::simd::{self, SimdLevel};
+use crate::simd::{self, SimdLevel, SimdOp};
 use crate::tensor::Tensor;
 
 /// Rows of `k`-dimension processed per cache block.
@@ -52,6 +70,13 @@ const MR: usize = 4;
 /// Output columns per register tile of the multi-row `A·B` micro-kernel.
 const NR: usize = 16;
 
+/// Minimum rows in a chunk for the multi-row micro-kernel: a chunk that one
+/// pass of [`stream_rows`] covers stays there. On dense 2048 × 2048 the two
+/// kernels cost the same at 16 rows, streaming is ahead below (16 % at 8)
+/// and a second streaming pass loses to the tiles (DESIGN.md §5c has the
+/// measurements).
+const TILED_MIN_ROWS: usize = SM + 1;
+
 /// Minimum inner dimension for the multi-row micro-kernel; below this the
 /// per-tile accumulator setup costs more than the register reuse saves.
 const QUAD_MIN_K: usize = 16;
@@ -64,7 +89,7 @@ const QUAD_MIN_K: usize = 16;
 /// multiply-then-add per element in the same ascending-`p` order as the
 /// scalar tile — vector width changes how many elements advance per
 /// instruction, not any element's operation sequence — so results are
-/// bit-identical to the scalar fallback and the single-row path. Which
+/// bit-identical to the scalar fallback and the streaming path. Which
 /// build runs is decided by [`crate::simd::current`], hoisted once per
 /// output-row chunk.
 #[cfg(target_arch = "x86_64")]
@@ -261,23 +286,23 @@ fn store_tile(chunk: &mut [f32], off: usize, n: usize, acc: &[[f32; NR]; MR]) {
 ///
 /// `a` holds the chunk's `rcount` left-operand rows for this `k`-block at
 /// row stride `astride` (`k` for `matmul_into`'s direct view of `A`, [`KC`]
-/// for `matmul_at_b_into`'s packed `Aᵀ` panel); `bd` is the full `[k × n]`
-/// right operand with the block starting at row `kb`.
+/// for `matmul_at_b_into`'s packed `Aᵀ` panel); `b` is the `[kw × n]` block
+/// of the right operand.
 ///
 /// Rows are processed [`MR`] at a time against a `B` panel packed into
 /// contiguous [`NR`]-wide micro-panels, so each packed load of `B` is reused
 /// across `MR` output rows and each `MR`×`NR` accumulator tile stays in
-/// registers for a whole `k`-block. This is where batching pays: a
-/// single-row product (`m = 1`) must stream the entire `B` operand from
-/// cache with no reuse, while `m ≥ MR` rows amortize that traffic — the
-/// per-row speedup of the batched inference path comes from this kernel.
+/// registers for a whole `k`-block. Packing copies the whole of `B` once per
+/// chunk, a cost that only enough rows repay ([`TILED_MIN_ROWS`]); chunks
+/// with fewer rows, the `rcount % MR` row tail and the `n % NR` column tail
+/// go through [`stream_rows`], which reads `B` in place.
 /// Under AVX-512 adjacent tiles advance in 32-wide strips
 /// ([`tile::mul_add_tile_pair_avx512`]) so row broadcasts are shared.
 ///
 /// Per-element arithmetic order is unchanged: contributions arrive in
-/// ascending-`p` order with one multiply-add rounding per step, exactly as
-/// in the [`axpy`] path, so results are bit-identical to the single-row
-/// path and to the naive loop's per-element order — at every [`SimdLevel`].
+/// ascending-`p` order with one multiply and one add rounding per step,
+/// exactly as in [`stream_rows`] and the naive loop — at every
+/// [`SimdLevel`].
 #[allow(clippy::too_many_arguments)]
 fn mr_block(
     level: SimdLevel,
@@ -285,79 +310,263 @@ fn mr_block(
     astride: usize,
     rcount: usize,
     kw: usize,
-    bd: &[f32],
-    kb: usize,
+    b: &[f32],
     n: usize,
     chunk: &mut [f32],
-    panel: &mut [f32],
 ) {
-    for nb in (0..n).step_by(NC) {
-        let nw = (nb + NC).min(n) - nb;
-        let tiles = nw / NR;
-        // Pack the B block as [tile][p][NR] so the inner loop reads one
-        // contiguous NR-wide strip per p instead of striding by n.
-        for jt in 0..tiles {
+    let full = rcount - rcount % MR;
+    PANEL.with_borrow_mut(|panel| {
+        // Line-aligned, so no tile load straddles two cache lines.
+        let panel = at_least(panel, KC * NC + LINE);
+        let skew = (LINE - lane(panel.as_ptr())) % LINE;
+        let panel = &mut panel[skew..];
+        for nb in (0..n).step_by(NC) {
+            let nw = (nb + NC).min(n) - nb;
+            let tiles = nw / NR;
+            // Pack the B block as [tile][p][NR] so the inner loop reads one
+            // contiguous NR-wide strip per p instead of striding by n. The
+            // source is walked in row order, each row once.
             for p in 0..kw {
-                let src = (kb + p) * n + nb + jt * NR;
-                panel[(jt * KC + p) * NR..(jt * KC + p) * NR + NR]
-                    .copy_from_slice(&bd[src..src + NR]);
-            }
-        }
-        let mut r0 = 0;
-        while r0 + MR <= rcount {
-            let a_rows = &a[r0 * astride..];
-            let mut jt = 0;
-            #[cfg(target_arch = "x86_64")]
-            if level == SimdLevel::Avx512 {
-                while jt + 2 <= tiles {
-                    let off0 = r0 * n + nb + jt * NR;
-                    let mut acc0 = load_tile(chunk, off0, n);
-                    let mut acc1 = load_tile(chunk, off0 + NR, n);
-                    let p0 = &panel[jt * KC * NR..(jt * KC + kw) * NR];
-                    let p1 = &panel[(jt + 1) * KC * NR..((jt + 1) * KC + kw) * NR];
-                    // SAFETY: level clamped to detection; slices cover
-                    // kw * NR (panels) and (MR - 1) * astride + kw (a).
-                    unsafe {
-                        tile::mul_add_tile_pair_avx512(
-                            kw, a_rows, astride, p0, p1, &mut acc0, &mut acc1,
-                        )
-                    };
-                    store_tile(chunk, off0, n, &acc0);
-                    store_tile(chunk, off0 + NR, n, &acc1);
-                    jt += 2;
+                let src = &b[p * n + nb..][..tiles * NR];
+                for (jt, strip) in src.chunks_exact(NR).enumerate() {
+                    panel[(jt * KC + p) * NR..][..NR].copy_from_slice(strip);
                 }
             }
-            while jt < tiles {
-                let off = r0 * n + nb + jt * NR;
-                let mut acc = load_tile(chunk, off, n);
-                let tp = &panel[jt * KC * NR..(jt * KC + kw) * NR];
-                mul_add_tile(level, kw, a_rows, astride, tp, &mut acc);
-                store_tile(chunk, off, n, &acc);
-                jt += 1;
-            }
-            // Column tail of the block: same ascending-p axpy order.
-            if tiles * NR < nw {
-                for r in 0..MR {
-                    let row = r0 + r;
-                    let c_row = &mut chunk[row * n + nb + tiles * NR..row * n + nb + nw];
-                    for p in 0..kw {
-                        let a_rp = a[row * astride + p];
-                        let b_row = &bd[(kb + p) * n + nb + tiles * NR..(kb + p) * n + nb + nw];
-                        axpy(a_rp, b_row, c_row);
+            for r0 in (0..full).step_by(MR) {
+                let a_rows = &a[r0 * astride..];
+                let mut jt = 0;
+                #[cfg(target_arch = "x86_64")]
+                if level == SimdLevel::Avx512 {
+                    while jt + 2 <= tiles {
+                        let off0 = r0 * n + nb + jt * NR;
+                        let mut acc0 = load_tile(chunk, off0, n);
+                        let mut acc1 = load_tile(chunk, off0 + NR, n);
+                        let p0 = &panel[jt * KC * NR..(jt * KC + kw) * NR];
+                        let p1 = &panel[(jt + 1) * KC * NR..((jt + 1) * KC + kw) * NR];
+                        // SAFETY: level clamped to detection; slices cover
+                        // kw * NR (panels) and (MR - 1) * astride + kw (a).
+                        unsafe {
+                            tile::mul_add_tile_pair_avx512(
+                                kw, a_rows, astride, p0, p1, &mut acc0, &mut acc1,
+                            )
+                        };
+                        store_tile(chunk, off0, n, &acc0);
+                        store_tile(chunk, off0 + NR, n, &acc1);
+                        jt += 2;
                     }
                 }
+                while jt < tiles {
+                    let off = r0 * n + nb + jt * NR;
+                    let mut acc = load_tile(chunk, off, n);
+                    let tp = &panel[jt * KC * NR..(jt * KC + kw) * NR];
+                    mul_add_tile(level, kw, a_rows, astride, tp, &mut acc);
+                    store_tile(chunk, off, n, &acc);
+                    jt += 1;
+                }
             }
-            r0 += MR;
+            if tiles * NR < nw {
+                let cols = (nb + tiles * NR, nb + nw);
+                stream_rows(a, astride, full, kw, b, n, cols, chunk);
+            }
         }
-        // Row tail of the chunk.
-        for row in r0..rcount {
-            let c_row = &mut chunk[row * n + nb..row * n + nb + nw];
-            let a_blk = &a[row * astride..row * astride + kw];
-            for (p, &a_rp) in a_blk.iter().enumerate() {
-                axpy(a_rp, &bd[(kb + p) * n + nb..(kb + p) * n + nb + nw], c_row);
+    });
+    if full < rcount {
+        let a_tail = &a[full * astride..];
+        let c_tail = &mut chunk[full * n..];
+        let rows = rcount - full;
+        stream_rows(a_tail, astride, rows, kw, b, n, (0, n), c_tail);
+    }
+}
+
+/// Output columns per pass of the streaming kernel: each `B` row is read in
+/// contiguous runs of up to `SB` floats (8 KiB), long enough for the
+/// hardware prefetchers to follow the weight stream.
+const SB: usize = 2048;
+
+/// Output rows per pass of the streaming kernel; the `SM × SB` output tile
+/// (128 KiB) stays cache-resident while `B` streams past it once.
+const SM: usize = 16;
+
+/// `B` rows folded into one sweep over an output row, so each output
+/// element is loaded and stored once per `SP` multiply-adds.
+const SP: usize = 4;
+
+/// Floats per cache line.
+const LINE: usize = 16;
+
+/// Narrowest column block whose sweeps are split at a line boundary.
+const SPLIT_MIN: usize = 32 * LINE;
+
+/// Position of `p` within its cache line, in floats.
+fn lane(p: *const f32) -> usize {
+    (p as usize / std::mem::size_of::<f32>()) % LINE
+}
+
+/// Streaming small-`m` GEMM: `chunk[r][j] += Σ_p a[r][p] · b[p][j]` for
+/// `r < m`, `j ∈ cols`, `p < kw` ascending.
+///
+/// `p` is the outer loop: `B` is read once per [`SM`] output rows, in
+/// address order, in runs of up to [`SB`] floats, and never copied; the
+/// output rows are gathered into a compact `tile` for the pass. A product
+/// with few rows is bound by how fast the weights arrive, not by
+/// arithmetic, and this is the access pattern that lets them arrive at
+/// memory speed; the register-tiled [`mr_block`] has to repack all of `B`
+/// first, which only enough rows repay ([`TILED_MIN_ROWS`]).
+///
+/// Where the caller's buffers sit must not show in the time (the keyed and
+/// the keyless deployment of one model are separate weight copies, and a
+/// forward that favoured one of them would read as a lock cost):
+///
+/// * Tile rows are one cache line further apart than a multiple of the
+///   line. Output rows `n` floats apart — and the `B` rows in flight —
+///   compete for the same L1 sets when `n` is a power of two (±9 %
+///   measured at 16 rows, depending on the output buffer's address).
+/// * The tile is shifted to the phase of the `B` rows within a cache line
+///   and each sweep is split where `B` reaches a line boundary, so the
+///   vector body of the sweep touches whole lines only. An allocator
+///   aligns a weight matrix to 16 bytes, not 64, and vector accesses that
+///   straddle lines cost 13 % at 3 rows and 28 % at 16.
+///
+/// `a` has row stride `astride`; `b` and `chunk` have row stride `n`;
+/// `tile` holds at least [`TILE_LEN`] floats.
+struct StreamRows<'a> {
+    a: &'a [f32],
+    astride: usize,
+    m: usize,
+    kw: usize,
+    b: &'a [f32],
+    n: usize,
+    cols: (usize, usize),
+    chunk: &'a mut [f32],
+    tile: &'a mut [f32],
+}
+
+/// Floats of tile a full `SM × SB` pass needs: rows one line apart more
+/// than `SB`, after a shift of less than a line.
+const TILE_LEN: usize = SM * (SB + LINE) + LINE;
+
+impl SimdOp for StreamRows<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn eval(self) {
+        let StreamRows {
+            a,
+            astride,
+            m,
+            kw,
+            b,
+            n,
+            cols,
+            chunk,
+            tile,
+        } = self;
+        for r0 in (0..m).step_by(SM) {
+            let a = &a[r0 * astride..];
+            let chunk = &mut chunk[r0 * n..];
+            let mg = SM.min(m - r0);
+            for cb in (cols.0..cols.1).step_by(SB) {
+                let cw = SB.min(cols.1 - cb);
+                // Every `B` row of the block has this phase when `n` is a
+                // multiple of the line; otherwise no split aligns them all
+                // and the first row's is as good as any.
+                let phase = lane(b.as_ptr().wrapping_add(cb));
+                // A narrow block is not worth a scalar head of up to 15
+                // floats per sweep.
+                let head = if cw >= SPLIT_MIN {
+                    (LINE - phase) % LINE
+                } else {
+                    0
+                };
+                let shift = (LINE + phase - lane(tile.as_ptr())) % LINE;
+                let stride = cw.next_multiple_of(LINE) + LINE;
+                let tile = &mut tile[shift..shift + mg * stride];
+                for (t, c) in tile.chunks_exact_mut(stride).zip(chunk.chunks(n)) {
+                    t[..cw].copy_from_slice(&c[cb..cb + cw]);
+                }
+                let mut p = 0;
+                while p + SP <= kw {
+                    let b0 = &b[p * n + cb..][..cw];
+                    let b1 = &b[(p + 1) * n + cb..][..cw];
+                    let b2 = &b[(p + 2) * n + cb..][..cw];
+                    let b3 = &b[(p + 3) * n + cb..][..cw];
+                    for (r, t) in tile.chunks_exact_mut(stride).enumerate() {
+                        let ar = &a[r * astride + p..][..SP];
+                        let (a0, a1, a2, a3) = (ar[0], ar[1], ar[2], ar[3]);
+                        for (lo, hi) in [(0, head), (head, cw)] {
+                            for ((((c, &x0), &x1), &x2), &x3) in t[lo..hi]
+                                .iter_mut()
+                                .zip(&b0[lo..hi])
+                                .zip(&b1[lo..hi])
+                                .zip(&b2[lo..hi])
+                                .zip(&b3[lo..hi])
+                            {
+                                *c = (((*c + a0 * x0) + a1 * x1) + a2 * x2) + a3 * x3;
+                            }
+                        }
+                    }
+                    p += SP;
+                }
+                while p < kw {
+                    let bp = &b[p * n + cb..][..cw];
+                    for (r, t) in tile.chunks_exact_mut(stride).enumerate() {
+                        axpy(a[r * astride + p], bp, &mut t[..cw]);
+                    }
+                    p += 1;
+                }
+                for (t, c) in tile.chunks_exact(stride).zip(chunk.chunks_mut(n)) {
+                    c[cb..cb + cw].copy_from_slice(&t[..cw]);
+                }
             }
         }
     }
+}
+
+/// Runs [`StreamRows`] at the current [`SimdLevel`] over columns `cols` of
+/// an `m`-row chunk.
+#[allow(clippy::too_many_arguments)]
+fn stream_rows(
+    a: &[f32],
+    astride: usize,
+    m: usize,
+    kw: usize,
+    b: &[f32],
+    n: usize,
+    cols: (usize, usize),
+    chunk: &mut [f32],
+) {
+    TILE.with_borrow_mut(|tile| {
+        let tile = at_least(tile, TILE_LEN);
+        simd::dispatch(StreamRows {
+            a,
+            astride,
+            m,
+            kw,
+            b,
+            n,
+            cols,
+            chunk,
+            tile,
+        });
+    });
+}
+
+thread_local! {
+    /// Per-thread kernel scratch, kept across calls so no path allocates:
+    /// the `B` panel of [`mr_block`], the `Aᵀ` panel of
+    /// [`matmul_at_b_into`] and the output tile of [`stream_rows`].
+    static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static A_PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    static TILE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `buf` grown (never shrunk) to at least `len` elements; contents are
+/// scratch and every user overwrites what it reads.
+fn at_least(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
 }
 
 /// Dot product with eight independent accumulator lanes (vectorizes to wide
@@ -432,50 +641,20 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let ad = a.data();
     let bd = b.data();
 
-    // Blocked ikj: for each (k-block, n-block) the B panel stays cache-hot
-    // while every row of the chunk streams over it. Contributions to any
-    // C[i][j] arrive in ascending-p order exactly as in the naive loop.
-    for_chunks_mut(m, n, 2 * n * k, out, |rows, chunk| {
+    // Contributions to any C[i][j] arrive in ascending-p order on every
+    // path, exactly as in the naive loop.
+    for_grouped_chunks_mut(m, SM, n, 2 * n * k, out, |rows, chunk| {
         let rcount = rows.1 - rows.0;
-        if rcount >= MR && k >= QUAD_MIN_K {
-            // Multi-row register-tiled path; bit-identical per-element op
-            // order, several times the per-row throughput of the row-at-a-
-            // time paths below once B-panel loads are shared across rows.
+        let a_rows = &ad[rows.0 * k..rows.1 * k];
+        if rcount >= TILED_MIN_ROWS && k >= QUAD_MIN_K {
             let level = simd::current();
-            let mut panel = vec![0.0f32; KC * NC];
             for kb in (0..k).step_by(KC) {
                 let kw = (kb + KC).min(k) - kb;
-                let a_blk = &ad[rows.0 * k + kb..];
-                mr_block(level, a_blk, k, rcount, kw, bd, kb, n, chunk, &mut panel);
+                let b_blk = &bd[kb * n..(kb + kw) * n];
+                mr_block(level, &a_rows[kb..], k, rcount, kw, b_blk, n, chunk);
             }
-            return;
-        }
-        if k <= KC && n <= NC {
-            // Single-block fast path (the conv lowering's common case, where
-            // k and n are both small): exact row chunking lets the compiler
-            // drop the per-row index arithmetic and bounds checks. The op
-            // order per element is unchanged — ascending p, same as below.
-            let a_rows = &ad[rows.0 * k..rows.1 * k];
-            for (a_row, c_row) in a_rows.chunks_exact(k).zip(chunk.chunks_exact_mut(n)) {
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    axpy(a_ip, &bd[p * n..(p + 1) * n], c_row);
-                }
-            }
-            return;
-        }
-        for kb in (0..k).step_by(KC) {
-            let kmax = (kb + KC).min(k);
-            for nb in (0..n).step_by(NC) {
-                let nmax = (nb + NC).min(n);
-                for i in rows.0..rows.1 {
-                    let a_blk = &ad[i * k + kb..i * k + kmax];
-                    let c_row = &mut chunk[(i - rows.0) * n + nb..(i - rows.0) * n + nmax];
-                    for (p, &a_ip) in a_blk.iter().enumerate() {
-                        let b_row = &bd[(kb + p) * n + nb..(kb + p) * n + nmax];
-                        axpy(a_ip, b_row, c_row);
-                    }
-                }
-            }
+        } else {
+            stream_rows(a_rows, k, rcount, k, bd, n, (0, n), chunk);
         }
     });
 }
@@ -571,39 +750,31 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     // A is walked down columns (stride m); pack the chunk's A panel into a
     // contiguous [rows × KC] buffer once per k-block so the inner loops see
     // unit-stride data. Contribution order per element stays ascending in p.
-    // Once packed, the panel has exactly the layout `mr_block` wants (row
-    // stride KC), so big chunks get the same multi-row register tiling as
-    // the forward path — this is the training backward `dW = Aᵀ·B` GEMM.
-    for_chunks_mut(m, n, 2 * n * k, out, |rows, chunk| {
+    // Once packed, the panel has exactly the layout `mr_block` and
+    // `stream_rows` want (row stride KC), so big chunks get the same
+    // multi-row register tiling as the forward path — this is the training
+    // backward `dW = Aᵀ·B` GEMM.
+    for_grouped_chunks_mut(m, SM, n, 2 * n * k, out, |rows, chunk| {
         let rcount = rows.1 - rows.0;
-        let tiled = rcount >= MR && k >= QUAD_MIN_K;
+        let tiled = rcount >= TILED_MIN_ROWS && k >= QUAD_MIN_K;
         let level = simd::current();
-        let mut a_pack = vec![0.0f32; rcount * KC];
-        let mut panel = vec![0.0f32; if tiled { KC * NC } else { 0 }];
-        for kb in (0..k).step_by(KC) {
-            let kw = (kb + KC).min(k) - kb;
-            for i in rows.0..rows.1 {
-                let dst = &mut a_pack[(i - rows.0) * KC..(i - rows.0) * KC + kw];
-                for (p, d) in dst.iter_mut().enumerate() {
-                    *d = ad[(kb + p) * m + i];
-                }
-            }
-            if tiled {
-                mr_block(level, &a_pack, KC, rcount, kw, bd, kb, n, chunk, &mut panel);
-                continue;
-            }
-            for nb in (0..n).step_by(NC) {
-                let nmax = (nb + NC).min(n);
-                for i in rows.0..rows.1 {
-                    let a_blk = &a_pack[(i - rows.0) * KC..(i - rows.0) * KC + kw];
-                    let c_row = &mut chunk[(i - rows.0) * n + nb..(i - rows.0) * n + nmax];
-                    for (p, &a_pi) in a_blk.iter().enumerate() {
-                        let b_row = &bd[(kb + p) * n + nb..(kb + p) * n + nmax];
-                        axpy(a_pi, b_row, c_row);
+        A_PACK.with_borrow_mut(|a_pack| {
+            let a_blk = at_least(a_pack, rcount * KC);
+            for kb in (0..k).step_by(KC) {
+                let kw = (kb + KC).min(k) - kb;
+                for (i, dst) in (rows.0..rows.1).zip(a_blk.chunks_exact_mut(KC)) {
+                    for (p, d) in dst[..kw].iter_mut().enumerate() {
+                        *d = ad[(kb + p) * m + i];
                     }
                 }
+                let b_blk = &bd[kb * n..(kb + kw) * n];
+                if tiled {
+                    mr_block(level, a_blk, KC, rcount, kw, b_blk, n, chunk);
+                } else {
+                    stream_rows(a_blk, KC, rcount, kw, b_blk, n, (0, n), chunk);
+                }
             }
-        }
+        });
     });
 }
 
@@ -613,19 +784,26 @@ mod tests {
     use crate::pool::serial_scope;
     use crate::rng::Rng;
 
+    /// `out[i][j] += Σ_p a[i][p]·b[p][j]`, one multiply then one add per
+    /// step in ascending `p`: the reference every kernel must match bit for
+    /// bit.
+    fn naive_into(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize), out: &mut [f32]) {
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = out[i * n + j];
+                for p in 0..k {
+                    acc += a[i * k + p] * b[p * n + j];
+                }
+                out[i * n + j] = acc;
+            }
+        }
+    }
+
     fn naive(a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k) = (a.shape().rows(), a.shape().cols());
         let n = b.shape().cols();
         let mut out = Tensor::zeros([m, n]);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for p in 0..k {
-                    acc += a.at(&[i, p]) * b.at(&[p, j]);
-                }
-                out.set(&[i, j], acc);
-            }
-        }
+        naive_into(a.data(), b.data(), (m, k, n), out.data_mut());
         out
     }
 
@@ -750,6 +928,29 @@ mod tests {
             matmul_a_bt(&a, &bt).data()[0].is_nan(),
             "matmul_a_bt must propagate 0·NaN"
         );
+
+        // Every row of a small batch (streaming kernel), and the tiled
+        // path with a row tail and a column tail: A's column 0 is all
+        // zeros and B's row 0 all NaN / ∞, so every output is poisoned.
+        for poison in [f32::NAN, f32::INFINITY] {
+            for m in [2, 3, TILED_MIN_ROWS + 1] {
+                let (k, n) = (QUAD_MIN_K, NR + 1);
+                let mut a = Tensor::ones([m, k]);
+                for i in 0..m {
+                    a.set(&[i, 0], 0.0);
+                }
+                let mut b = Tensor::ones([k, n]);
+                for j in 0..n {
+                    b.set(&[0, j], poison);
+                }
+                let ab = matmul(&a, &b);
+                let atb = matmul_at_b(&a.transpose(), &b);
+                for (i, (x, y)) in ab.data().iter().zip(atb.data()).enumerate() {
+                    assert!(x.is_nan(), "matmul m={m} lost 0·{poison} at {i}");
+                    assert!(y.is_nan(), "matmul_at_b m={m} lost 0·{poison} at {i}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -834,15 +1035,15 @@ mod tests {
     fn multi_row_path_bit_identical_to_single_row() {
         // The serving guarantee: a batched forward over m rows must produce
         // exactly the bits a per-request (one-row) forward produces, so the
-        // register-tiled multi-row path has to match the m = 1 axpy path.
-        // Sizes straddle MR/NR/KC/NC so quad, row-tail, and column-tail
-        // paths are all exercised.
+        // register-tiled multi-row path has to match the m = 1 streaming
+        // path. Sizes straddle MR/NR/KC/NC so quad, row-tail, and
+        // column-tail paths are all exercised.
         let mut rng = Rng::new(10);
         for &(m, k, n) in &[
             (32usize, QUAD_MIN_K, NR),
-            (MR + 1, KC + 9, NC + NR + 3),
+            (TILED_MIN_ROWS + 1, KC + 9, NC + NR + 3),
             (2 * MR, 40, NR - 1),
-            (MR, 2 * KC + 5, 2 * NC + 7),
+            (TILED_MIN_ROWS, 2 * KC + 5, 2 * NC + 7),
         ] {
             let a = Tensor::randn([m, k], 1.0, &mut rng);
             let b = Tensor::randn([k, n], 1.0, &mut rng);
@@ -885,13 +1086,14 @@ mod tests {
     #[test]
     fn at_b_multi_row_path_bit_identical_to_single_column() {
         // The dW-tiling guarantee: the register-tiled Aᵀ·B path (rcount ≥
-        // MR) must produce per-output-row bits identical to computing each
-        // output row from a single A column (rcount = 1, axpy path).
+        // TILED_MIN_ROWS) must produce per-output-row bits identical to
+        // computing each output row from a single A column (rcount = 1,
+        // streaming path).
         let mut rng = Rng::new(11);
         for &(k, m, n) in &[
-            (QUAD_MIN_K, 2 * MR, NR + 3),
-            (KC + 9, MR + 2, NC + NR + 1),
-            (2 * KC + 5, MR, 2 * NR),
+            (QUAD_MIN_K, 2 * TILED_MIN_ROWS, NR + 3),
+            (KC + 9, TILED_MIN_ROWS + 2, NC + NR + 1),
+            (2 * KC + 5, TILED_MIN_ROWS, 2 * NR),
         ] {
             let a = Tensor::randn([k, m], 1.0, &mut rng);
             let b = Tensor::randn([k, n], 1.0, &mut rng);
@@ -909,6 +1111,71 @@ mod tests {
     }
 
     #[test]
+    fn small_batches_and_tails_bit_identical_to_naive_at_every_level() {
+        // The serving contract behind the streaming kernel: whatever batch
+        // the server forms, whichever kernel it lands on (streaming below
+        // TILED_MIN_ROWS, register tiles above, streaming again for their
+        // row and column tails) and whichever ISA build runs, every output
+        // element sees the naive loop's operation sequence. `out` starts
+        // non-zero: both entry points accumulate.
+        use crate::simd::{self, SimdLevel};
+        let ks = [1, QUAD_MIN_K - 1, KC, KC + 9, 2048];
+        let ns = [1, NR - 1, NC, NC + 5, 2048];
+        let ms: Vec<usize> = (1..=2 * MR + 1)
+            .chain([TILED_MIN_ROWS - 1, TILED_MIN_ROWS, TILED_MIN_ROWS + MR + 1])
+            .collect();
+        let m_max = *ms.last().unwrap();
+        let mut rng = Rng::new(13);
+        for &k in &ks {
+            for &n in &ns {
+                let a = Tensor::randn([m_max, k], 1.0, &mut rng);
+                let b = Tensor::randn([k, n], 1.0, &mut rng);
+                let seed: Vec<f32> = (0..m_max * n).map(|i| (i as f32 * 0.37).sin()).collect();
+                // Rows are independent, so one reference serves every m.
+                let mut want = seed.clone();
+                naive_into(a.data(), b.data(), (m_max, k, n), &mut want);
+                for &m in &ms {
+                    let a_m =
+                        Tensor::from_vec(Shape::d2(m, k), a.data()[..m * k].to_vec()).unwrap();
+                    let at_m = a_m.transpose();
+                    for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                        if level > simd::probe() {
+                            continue;
+                        }
+                        let _g = simd::force(level);
+                        let mut got = seed[..m * n].to_vec();
+                        matmul_into(&a_m, &b, &mut got);
+                        assert_eq!(got, want[..m * n], "A·B ({m},{k},{n}) at {level:?}");
+                        let mut got = seed[..m * n].to_vec();
+                        matmul_at_b_into(&at_m, &b, &mut got);
+                        assert_eq!(got, want[..m * n], "Aᵀ·B ({m},{k},{n}) at {level:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_small_batch_bit_identical_to_serial() {
+        // Fewer rows than a register tile, enough flops to be split across
+        // the pool (one row per chunk): same bits as the inline path.
+        let mut rng = Rng::new(14);
+        let (k, n) = (2 * KC + 3, 2 * NC + 5);
+        assert!(2 * k * n >= crate::pool::PAR_MIN_FLOPS);
+        for m in 1..MR {
+            let a = Tensor::randn([m, k], 1.0, &mut rng);
+            let b = Tensor::randn([k, n], 1.0, &mut rng);
+            let at = a.transpose();
+            let mut want = vec![0.0f32; m * n];
+            naive_into(a.data(), b.data(), (m, k, n), &mut want);
+            assert_eq!(matmul(&a, &b).data(), want, "pooled A·B m={m}");
+            assert_eq!(serial_scope(|| matmul(&a, &b)).data(), want);
+            assert_eq!(matmul_at_b(&at, &b).data(), want, "pooled Aᵀ·B m={m}");
+            assert_eq!(serial_scope(|| matmul_at_b(&at, &b)).data(), want);
+        }
+    }
+
+    #[test]
     fn gemm_bit_identical_across_simd_levels() {
         // The cross-ISA determinism gate: every dispatch level the machine
         // supports must produce the same bits for all three product forms,
@@ -917,7 +1184,7 @@ mod tests {
         let mut rng = Rng::new(12);
         // n spans 2+ NR tiles so the AVX-512 pair kernel runs; odd sizes
         // exercise the tail paths at every level.
-        let (m, k, n) = (2 * MR + 1, KC + 9, 2 * NR + 5);
+        let (m, k, n) = (TILED_MIN_ROWS + MR + 1, KC + 9, 2 * NR + 5);
         let a = Tensor::randn([m, k], 1.0, &mut rng);
         let b = Tensor::randn([k, n], 1.0, &mut rng);
         let bt = b.transpose();

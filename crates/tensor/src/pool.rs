@@ -403,12 +403,36 @@ pub fn for_chunks_mut<F>(
 ) where
     F: Fn((usize, usize), &mut [f32]) + Sync,
 {
+    for_grouped_chunks_mut(items, 1, width, flops_per_item, out, kernel);
+}
+
+/// [`for_chunks_mut`] for kernels that pay a cost per chunk which up to
+/// `group` items share — a GEMM chunk reads all of `B` however few rows it
+/// has. Chunks hold at least `group` items, except that the job is still
+/// split one chunk per pool thread: splitting finer would repeat the shared
+/// cost without putting another thread to work.
+///
+/// # Panics
+///
+/// Panics if `out.len() != items * width`.
+pub fn for_grouped_chunks_mut<F>(
+    items: usize,
+    group: usize,
+    width: usize,
+    flops_per_item: usize,
+    out: &mut [f32],
+    kernel: F,
+) where
+    F: Fn((usize, usize), &mut [f32]) + Sync,
+{
     assert_eq!(out.len(), items * width, "output buffer volume mismatch");
     let threads = global().threads();
     let cap = if threads <= 1 {
         1
     } else {
-        (threads * 4).min(MAX_CHUNKS)
+        (threads * 4)
+            .min(MAX_CHUNKS)
+            .min(threads.max(items / group.max(1)))
     };
     let ranges = split_ranges(items, chunks_for_cost(items, flops_per_item).min(cap));
     if ranges.len() <= 1 {
@@ -614,6 +638,27 @@ mod tests {
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i as f32);
         }
+    }
+
+    #[test]
+    fn grouped_chunks_hold_a_group_or_one_chunk_per_thread() {
+        let (items, group, width) = (40usize, 16usize, 2usize);
+        let mut out = vec![0.0f32; items * width];
+        let sizes = Mutex::new(Vec::new());
+        // Large per-item cost: the cost model alone would cut 40 chunks.
+        for_grouped_chunks_mut(items, group, width, 1 << 20, &mut out, |range, chunk| {
+            sizes.lock().unwrap().push(range.1 - range.0);
+            chunk.fill((range.1 - range.0) as f32);
+        });
+        let sizes = sizes.into_inner().unwrap();
+        assert_eq!(sizes.iter().sum::<usize>(), items);
+        assert!(
+            sizes.len() <= global().threads().max(items / group),
+            "{} chunks of {sizes:?} on {} threads",
+            sizes.len(),
+            global().threads()
+        );
+        assert!(out.iter().all(|&v| v > 0.0), "every item written");
     }
 
     #[test]

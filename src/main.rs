@@ -81,7 +81,9 @@ fn print_usage() {
          \x20 attack  --model FILE --dataset D --alpha F  fine-tuning attack with a thief dataset\n\
          \x20         [--init stolen|random] [--epochs N] [--lr F]\n\
          \x20 serve   --model FILE [--model FILE ...]     batched TCP inference server (SHUTDOWN frame stops it)\n\
-         \x20         [--key HEX] [--addr HOST:PORT] [--max-batch N] [--max-wait-us N] [--queue-cap N]\n\
+         \x20         [--key HEX] [--addr HOST:PORT] [--max-batch N] [--queue-cap N]\n\
+         \x20         [--max-wait-us N]                   hold a short batch back for co-riders (default 0:\n\
+         \x20                                             an idle worker takes what is queued)\n\
          \x20         [--max-inflight N]                  per-connection pipelining window (protocol v2)\n\
          \x20         [--event-threads N]                 socket event-loop threads (0 = auto, default)\n\
          \x20         [--shards MIN..MAX]                 worker shards per model; a single N pins the count,\n\

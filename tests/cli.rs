@@ -273,7 +273,7 @@ fn serve_with_metrics_feeds_stats_and_top() {
         "--clients",
         "2",
         "--requests",
-        "400",
+        "4000",
         "--depth",
         "4",
         "--sample-interval-ms",
