@@ -122,15 +122,19 @@ fn main() {
         let w = int_vec(&mut rng, n);
         let a = int_vec(&mut rng, n);
 
+        // One dot product: a `1 x n` weight tile against one column.
+        let mut out = [0i32];
         let mut keyed = Mmu::build(KeySource::Key(&key), DatapathMode::Behavioral);
         bench(&format!("keyed/{n}"), || {
-            black_box(keyed.dot_product(black_box(&w), black_box(&a), 17))
+            keyed.matmul_tile(black_box(&w), black_box(&a), n, Some(&[17]), &mut out);
+            black_box(out[0])
         })
         .report();
 
         let mut baseline = Mmu::build(KeySource::None, DatapathMode::Behavioral);
         bench(&format!("baseline/{n}"), || {
-            black_box(baseline.dot_product(black_box(&w), black_box(&a), 17))
+            baseline.matmul_tile(black_box(&w), black_box(&a), n, Some(&[17]), &mut out);
+            black_box(out[0])
         })
         .report();
     }

@@ -106,9 +106,11 @@ fn main() {
         .collect();
     let mut locked = Mmu::build(KeySource::Key(&key), DatapathMode::Behavioral);
     let mut unlocked = Mmu::build(KeySource::None, DatapathMode::Behavioral);
+    // The same weight row against one column, collected by 64 units in turn.
+    let mut out = [0i32];
     for acc in 0..64 {
-        let _ = locked.dot_product(&w, &a, acc);
-        let _ = unlocked.dot_product(&w, &a, acc);
+        locked.matmul_tile(&w, &a, w.len(), Some(&[acc]), &mut out);
+        unlocked.matmul_tile(&w, &a, w.len(), Some(&[acc]), &mut out);
     }
     print_table(
         &["datapath", "dot products", "MACs", "cycles"],

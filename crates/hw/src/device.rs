@@ -1,15 +1,28 @@
 //! The trusted accelerator device: end-to-end locked-model inference on the
 //! integer datapath (paper Fig. 1, the authorized end-user's path).
+//!
+//! The sequencer checks a model against its own architecture once, before
+//! the first MAC, and then does each piece of work once per layer: weights
+//! and the batch's activations are quantized once, each output's accumulator
+//! unit and key bit are resolved once, and every multiply–accumulate goes
+//! through [`Mmu::matmul_tile`] — a dense layer as one tile over the batch,
+//! a convolution as one tile per sample over its int8 `im2col` columns.
+//! Working buffers live in the device and are reused across layers and runs.
+//!
+//! Activation scales are per **batch**: a row's device logits depend on the
+//! rows it shares a chunk with (the largest magnitude in the batch sets the
+//! int8 grid), unlike the float path, whose logits are bit-identical at any
+//! batch size.
 
 use std::error::Error;
 use std::fmt;
 
 use hpnn_core::{KeyVault, LockedModel, Schedule};
 use hpnn_nn::{ActKind, LayerSpec};
-use hpnn_tensor::{im2col, maxpool_plane, Shape, Tensor, TensorError};
+use hpnn_tensor::{maxpool_plane_into, Conv2dGeom, PoolGeom, Tensor, TensorError};
 
 use crate::mmu::{DatapathMode, KeySource, Mmu, MmuStats};
-use crate::quant::{quantize_with_scale, scale_for, QuantTensor};
+use crate::quant::{max_abs, quantize_into, quantize_transposed_into, scale_for};
 
 /// Error running a model on the device.
 #[derive(Debug)]
@@ -18,8 +31,15 @@ pub enum DeviceError {
     UnsupportedLayer(&'static str),
     /// The stored architecture is invalid.
     Arch(TensorError),
-    /// Model weights are inconsistent with the architecture.
+    /// Model weights or schedule are inconsistent with the architecture.
     WeightMismatch(String),
+    /// The input batch is not `[rows x in_features]` for this model.
+    InputShape {
+        /// Features per row the model's first layer takes.
+        expected: usize,
+        /// Dimensions of the tensor passed in.
+        got: Vec<usize>,
+    },
 }
 
 impl fmt::Display for DeviceError {
@@ -30,6 +50,9 @@ impl fmt::Display for DeviceError {
             }
             DeviceError::Arch(e) => write!(f, "invalid architecture: {e}"),
             DeviceError::WeightMismatch(msg) => write!(f, "weight mismatch: {msg}"),
+            DeviceError::InputShape { expected, got } => {
+                write!(f, "input must be [rows x {expected}], got {got:?}")
+            }
         }
     }
 }
@@ -60,6 +83,80 @@ pub struct DeviceStats {
     pub unlocked_layers: u64,
 }
 
+/// Working memory of the sequencer, kept across layers and runs. Every
+/// buffer is sized once, up front, for the largest layer of the run's
+/// [`Footprint`], so a run allocates nothing per layer, sample or patch and
+/// never regrows a buffer half-way (regrowth leaves holes in the heap that
+/// outlive the device).
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Float activations: the current layer's input, its output, and a
+    /// residual block's skip branch.
+    acts: [Vec<f32>; 3],
+    /// The layer's weights, int8, `[outputs x depth]`.
+    wq: Vec<i8>,
+    /// The layer's input activations, int8 (dense: transposed to
+    /// `[in x batch]`, which is already the tile's column matrix).
+    xq: Vec<i8>,
+    /// One sample's int8 `im2col` columns (convolutions).
+    cols: Vec<i8>,
+    /// Accumulator unit of each output of the layer's tile (`[neurons x
+    /// batch]` for a dense layer, `[neurons]` for a convolution).
+    units: Vec<u8>,
+    /// Lock factor `(−1)^key[unit]` of each output neuron (all `+1` on an
+    /// unlocked layer).
+    signs: Vec<f32>,
+    /// One tile's accumulator read-out.
+    macs: Vec<i32>,
+}
+
+/// The largest buffers one run needs, in elements.
+#[derive(Debug, Clone, Copy, Default)]
+struct Footprint {
+    /// Widest activation row, input included.
+    width: usize,
+    /// Largest weight tensor.
+    weights: usize,
+    /// Largest per-sample `im2col` matrix.
+    cols: usize,
+    /// Most output neurons of one MAC layer.
+    neurons: usize,
+    /// Most outputs of one MMU tile.
+    tile: usize,
+    /// Whether a residual block needs the skip buffer.
+    skip: bool,
+}
+
+impl Footprint {
+    fn cover_conv(&mut self, conv: &ConvLayer<'_>) {
+        let out = conv.geom.out_volume();
+        self.width = self.width.max(out);
+        self.weights = self.weights.max(conv.layer.w.len());
+        self.cols = self.cols.max(conv.geom.col_rows() * conv.geom.col_cols());
+        self.neurons = self.neurons.max(out);
+        self.tile = self.tile.max(out);
+    }
+}
+
+impl Scratch {
+    /// Grows every buffer to what `batch` rows of `need` take.
+    fn reserve(&mut self, need: &Footprint, batch: usize) {
+        fn fit<T>(buf: &mut Vec<T>, len: usize) {
+            buf.reserve_exact(len.saturating_sub(buf.len()));
+        }
+        let acts = if need.skip { 3 } else { 2 };
+        for act in &mut self.acts[..acts] {
+            fit(act, batch * need.width);
+        }
+        fit(&mut self.wq, need.weights);
+        fit(&mut self.xq, batch * need.width);
+        fit(&mut self.cols, need.cols);
+        fit(&mut self.units, need.tile);
+        fit(&mut self.signs, need.neurons);
+        fit(&mut self.macs, need.tile);
+    }
+}
+
 /// A TPU-like accelerator with (optionally) a sealed HPNN key on chip.
 ///
 /// The device executes [`LockedModel`]s layer by layer: dense and
@@ -87,33 +184,33 @@ pub struct DeviceStats {
 pub struct TrustedAccelerator {
     mmu: Mmu,
     stats: DeviceStats,
+    scratch: Scratch,
 }
 
 impl TrustedAccelerator {
+    fn build(source: KeySource<'_>, mode: DatapathMode) -> Self {
+        TrustedAccelerator {
+            mmu: Mmu::build(source, mode),
+            stats: DeviceStats::default(),
+            scratch: Scratch::default(),
+        }
+    }
+
     /// A trusted device provisioned with a sealed key (behavioral datapath).
     pub fn new(vault: &KeyVault) -> Self {
-        TrustedAccelerator {
-            mmu: Mmu::build(KeySource::Vault(vault), DatapathMode::Behavioral),
-            stats: DeviceStats::default(),
-        }
+        Self::build(KeySource::Vault(vault), DatapathMode::Behavioral)
     }
 
     /// A trusted device with an explicit datapath mode (gate-level is
     /// orders of magnitude slower; use for validation only).
     pub fn with_mode(vault: &KeyVault, mode: DatapathMode) -> Self {
-        TrustedAccelerator {
-            mmu: Mmu::build(KeySource::Vault(vault), mode),
-            stats: DeviceStats::default(),
-        }
+        Self::build(KeySource::Vault(vault), mode)
     }
 
     /// An accelerator with **no key** — the commodity device an attacker
     /// would run stolen weights on. (Key register reads as all zeros.)
     pub fn untrusted() -> Self {
-        TrustedAccelerator {
-            mmu: Mmu::build(KeySource::None, DatapathMode::Behavioral),
-            stats: DeviceStats::default(),
-        }
+        Self::build(KeySource::None, DatapathMode::Behavioral)
     }
 
     /// Statistics of all runs so far.
@@ -126,74 +223,61 @@ impl TrustedAccelerator {
     /// Runs a batch of flattened samples through the model, returning
     /// logits.
     ///
+    /// The model and the input are checked against the stored architecture
+    /// before any arithmetic, so a run either fails up front or completes.
+    ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::WeightMismatch`] for corrupt containers and
-    /// [`DeviceError::Arch`] for invalid geometry.
+    /// Returns [`DeviceError::WeightMismatch`] for containers whose weights
+    /// or schedule do not fit their architecture, [`DeviceError::Arch`] for
+    /// invalid geometry or layers that do not chain,
+    /// [`DeviceError::InputShape`] for an input of the wrong width, and
+    /// [`DeviceError::UnsupportedLayer`] for batch normalization.
     pub fn run(&mut self, model: &LockedModel, inputs: &Tensor) -> Result<Tensor, DeviceError> {
-        let spec = model.spec();
+        let (steps, footprint) = plan(model, inputs)?;
         let schedule = model.schedule();
-        let weights = model.weights();
-        let mut widx = 0usize;
-        let mut neuron_base = 0usize;
-        let mut x = inputs.clone();
-
-        let layers = &spec.layers;
-        for (i, layer) in layers.iter().enumerate() {
-            match layer {
-                LayerSpec::Dense {
-                    in_features,
-                    out_features,
-                } => {
-                    let (w, b) = take_params(weights, &mut widx)?;
-                    expect_shape(w, &[*in_features, *out_features])?;
-                    let locked = next_is_activation(layers, i);
-                    x = self.dense(&x, w, b, locked.then_some((neuron_base, schedule)));
+        self.scratch.reserve(&footprint, inputs.shape().rows());
+        let [mut x, mut y, mut skip] = std::mem::take(&mut self.scratch.acts);
+        x.clear();
+        x.extend_from_slice(inputs.data());
+        for step in &steps {
+            match step {
+                Step::Dense(layer) => {
+                    self.dense(layer, schedule, &x, &mut y);
+                    std::mem::swap(&mut x, &mut y);
                 }
-                LayerSpec::Conv2d { geom } => {
-                    let (w, b) = take_params(weights, &mut widx)?;
-                    expect_shape(w, &[geom.out_c, geom.col_rows()])?;
-                    let locked = next_is_activation(layers, i);
-                    x = self.conv(&x, w, b, geom, locked.then_some((neuron_base, schedule)));
+                Step::Conv(conv) => {
+                    self.conv_with_skip(conv, schedule, &x, None, &mut y);
+                    std::mem::swap(&mut x, &mut y);
                 }
-                LayerSpec::Activation { kind, features } => {
-                    // Lock factors were already applied inside the MACs;
-                    // the activation module applies the plain nonlinearity.
-                    x = apply_activation(&x, *kind);
-                    neuron_base += features;
+                // Lock factors were already applied inside the MACs; the
+                // activation module applies the plain nonlinearity.
+                Step::Activation(kind) => apply_activation(&mut x, *kind),
+                Step::Pool(geom) => {
+                    pool_planes(&x, geom, &mut y);
+                    std::mem::swap(&mut x, &mut y);
                 }
-                LayerSpec::MaxPool2d { channels, geom } => {
-                    x = pool_batch(&x, *channels, geom);
-                }
-                LayerSpec::BatchNorm { .. } => {
-                    // Inference-time BN folding into the preceding locked MAC
-                    // is not implemented; run BN models on the float path.
-                    return Err(DeviceError::UnsupportedLayer("batchnorm"));
-                }
-                LayerSpec::Residual {
-                    in_c,
-                    h,
-                    w,
-                    out_c,
-                    stride,
-                } => {
-                    x = self.residual(
-                        &x,
-                        weights,
-                        &mut widx,
-                        *in_c,
-                        *h,
-                        *w,
-                        *out_c,
-                        *stride,
-                        neuron_base,
-                        schedule,
-                    )?;
-                    neuron_base += layer.lockable_neurons();
+                // Both internal ReLUs use key-locked accumulation; the skip
+                // joins inside the second lock.
+                Step::Residual(block) => {
+                    self.conv_with_skip(&block.conv1, schedule, &x, None, &mut y);
+                    apply_activation(&mut y, ActKind::Relu);
+                    match &block.projection {
+                        // The projection runs unlocked — it feeds no
+                        // nonlinearity of its own; its output joins relu2's
+                        // pre-activation.
+                        Some(p) => self.conv_with_skip(p, schedule, &x, None, &mut skip),
+                        None => skip.clone_from(&x),
+                    }
+                    self.conv_with_skip(&block.conv2, schedule, &y, Some(&skip), &mut x);
+                    apply_activation(&mut x, ActKind::Relu);
                 }
             }
         }
-        Ok(x)
+        let shape = [inputs.shape().rows(), model.spec().out_features()];
+        let logits = Tensor::from_vec(shape, x.clone()).expect("one row of logits per input row");
+        self.scratch.acts = [x, y, skip];
+        Ok(logits)
     }
 
     /// Argmax predictions for a batch.
@@ -230,215 +314,211 @@ impl TrustedAccelerator {
         Ok(correct as f32 / preds.len().max(1) as f32)
     }
 
-    #[allow(clippy::needless_range_loop)] // indices couple quantized buffers and weight rows
-    fn dense(
-        &mut self,
-        x: &Tensor,
-        w: &Tensor,
-        b: &Tensor,
-        lock: Option<(usize, &Schedule)>,
-    ) -> Tensor {
-        let batch = x.shape().rows();
-        let (in_f, out_f) = (w.shape().rows(), w.shape().cols());
-        if lock.is_some() {
-            self.stats.locked_layers += 1;
-        } else {
-            self.stats.unlocked_layers += 1;
-        }
-
-        // Quantize the weight matrix per-layer and activations per-batch.
-        let wq = QuantTensor::quantize(w);
-        let xq = QuantTensor::quantize(x);
-        let out_scale = wq.scale * xq.scale;
-
-        // Weight rows per output neuron: column j of W.
-        let mut neuron_rows: Vec<Vec<i8>> = vec![vec![0i8; in_f]; out_f];
-        for i in 0..in_f {
-            for j in 0..out_f {
-                neuron_rows[j][i] = wq.values[i * out_f + j];
+    /// Resolves, once per layer, which accumulator unit collects each of the
+    /// layer's `neurons` outputs and the lock factor its key bit selects.
+    /// A neuron's unit is listed `columns` times in a row: once per tile
+    /// output it owns.
+    fn route(&mut self, lock: Option<usize>, schedule: &Schedule, neurons: usize, columns: usize) {
+        let Scratch { units, signs, .. } = &mut self.scratch;
+        units.clear();
+        signs.clear();
+        match lock {
+            Some(base) => {
+                self.stats.locked_layers += 1;
+                for j in base..base + neurons {
+                    let unit = u8::try_from(schedule.accumulator_of(j))
+                        .expect("schedules map neurons onto the 256 accumulator units");
+                    units.extend(std::iter::repeat_n(unit, columns));
+                    signs.push(if self.mmu.key_bit(unit) { -1.0 } else { 1.0 });
+                }
+            }
+            None => {
+                self.stats.unlocked_layers += 1;
+                signs.resize(neurons, 1.0);
             }
         }
-        let row_refs: Vec<&[i8]> = neuron_rows.iter().map(|r| r.as_slice()).collect();
-
-        let mut out = Tensor::zeros([batch, out_f]);
-        for s in 0..batch {
-            let act_q = &xq.values[s * in_f..(s + 1) * in_f];
-            let accs: Vec<Option<usize>> = (0..out_f)
-                .map(|j| lock.map(|(base, schedule)| schedule.accumulator_of(base + j)))
-                .collect();
-            let macs = self.mmu.dot_products(&row_refs, act_q, &accs);
-            let row = out.row_mut(s);
-            for j in 0..out_f {
-                let mac = macs[j] as f32 * out_scale;
-                // The lock factor covers the whole pre-activation, bias
-                // included: f(L·(Wx + b)) ⇒ add L·b after the locked MAC.
-                let sign = match lock {
-                    Some((base, schedule)) => {
-                        let acc = schedule.accumulator_of(base + j);
-                        if self.mmu_key_bit(acc) {
-                            -1.0
-                        } else {
-                            1.0
-                        }
-                    }
-                    None => 1.0,
-                };
-                row[j] = mac + sign * b.data()[j];
-            }
-        }
-        out
     }
 
-    fn conv(
-        &mut self,
-        x: &Tensor,
-        w: &Tensor,
-        b: &Tensor,
-        geom: &hpnn_tensor::Conv2dGeom,
-        lock: Option<(usize, &Schedule)>,
-    ) -> Tensor {
-        self.conv_with_skip(x, w, b, geom, lock, None)
+    /// `out = L·(x·W + b)` for a `[batch x in]` input: one MMU tile with the
+    /// `[out x in]` weights stationary and the batch streamed as columns.
+    fn dense(&mut self, layer: &MacLayer<'_>, schedule: &Schedule, x: &[f32], out: &mut Vec<f32>) {
+        let (in_f, out_f) = (layer.w.shape().rows(), layer.w.shape().cols());
+        let batch = x.len() / in_f;
+        self.route(layer.lock, schedule, out_f, batch);
+        let Scratch {
+            wq,
+            xq,
+            units,
+            signs,
+            macs,
+            ..
+        } = &mut self.scratch;
+
+        // Quantize the weight matrix per-layer and activations per-batch,
+        // each straight into the transposed layout the tile reads.
+        let w_scale = scale_for(max_abs(layer.w.data()));
+        wq.resize(in_f * out_f, 0);
+        quantize_transposed_into(layer.w.data(), in_f, out_f, w_scale, wq);
+        let x_scale = scale_for(max_abs(x));
+        xq.resize(x.len(), 0);
+        quantize_transposed_into(x, batch, in_f, x_scale, xq);
+        let out_scale = w_scale * x_scale;
+
+        macs.resize(out_f * batch, 0);
+        let accs = layer.lock.map(|_| units.as_slice());
+        self.mmu.matmul_tile(wq, xq, in_f, accs, macs);
+
+        out.resize(batch * out_f, 0.0);
+        if out_f == 0 {
+            return;
+        }
+        let bias = layer.b.data();
+        for (s, row) in out.chunks_exact_mut(out_f).enumerate() {
+            for (j, v) in row.iter_mut().enumerate() {
+                let mac = macs[j * batch + s] as f32 * out_scale;
+                // The lock factor covers the whole pre-activation, bias
+                // included: f(L·(Wx + b)) ⇒ add L·b after the locked MAC.
+                *v = mac + signs[j] * bias[j];
+            }
+        }
     }
 
     /// Convolution with an optional per-sample skip addend (`[batch x
     /// out_volume]`) that joins the pre-activation *inside* the lock: the
     /// output is `L·(conv(x) + b + skip)`, matching a residual block's
-    /// second ReLU `f(L·(main + skip))`.
+    /// second ReLU `f(L·(main + skip))`. One MMU tile per sample: the
+    /// filter bank stationary, the sample's receptive fields as columns.
     fn conv_with_skip(
         &mut self,
-        x: &Tensor,
-        w: &Tensor,
-        b: &Tensor,
-        geom: &hpnn_tensor::Conv2dGeom,
-        lock: Option<(usize, &Schedule)>,
-        skip: Option<&Tensor>,
-    ) -> Tensor {
-        let batch = x.shape().rows();
-        let out_c = geom.out_c;
-        let ncols = geom.col_cols();
-        if lock.is_some() {
-            self.stats.locked_layers += 1;
-        } else {
-            self.stats.unlocked_layers += 1;
-        }
+        conv: &ConvLayer<'_>,
+        schedule: &Schedule,
+        x: &[f32],
+        skip: Option<&[f32]>,
+        out: &mut Vec<f32>,
+    ) {
+        let ConvLayer { layer, geom } = conv;
+        let (depth, ncols) = (geom.col_rows(), geom.col_cols());
+        let (in_vol, out_vol) = (geom.in_volume(), geom.out_volume());
+        self.route(layer.lock, schedule, out_vol, 1);
+        let Scratch {
+            wq,
+            xq,
+            cols,
+            units,
+            signs,
+            macs,
+            ..
+        } = &mut self.scratch;
 
-        let wq = QuantTensor::quantize(w);
-        let filt_len = geom.col_rows();
-        let filter_rows: Vec<&[i8]> = (0..out_c)
-            .map(|f| &wq.values[f * filt_len..(f + 1) * filt_len])
-            .collect();
-
+        // The filter bank is stored `[out_c x depth]`, the tile's layout.
+        let w_scale = scale_for(max_abs(layer.w.data()));
+        wq.resize(layer.w.len(), 0);
+        quantize_into(layer.w.data(), w_scale, wq);
         // One activation scale per batch (shared by all patches).
-        let act_scale = scale_for(x.data().iter().fold(0.0f32, |m, &v| m.max(v.abs())));
-        let out_scale = wq.scale * act_scale;
+        // Quantization is elementwise and padding quantizes to zero, so
+        // quantizing the image and unrolling int8 gives the values that
+        // unrolling floats and quantizing every patch would.
+        let x_scale = scale_for(max_abs(x));
+        xq.resize(x.len(), 0);
+        quantize_into(x, x_scale, xq);
+        let out_scale = w_scale * x_scale;
 
-        let mut out = Tensor::zeros([batch, geom.out_volume()]);
-        for s in 0..batch {
-            let cols = im2col(x.row(s), geom);
-            for p in 0..ncols {
-                // Column p of the im2col matrix (one receptive field).
-                let patch: Vec<f32> = (0..filt_len).map(|r| cols.data()[r * ncols + p]).collect();
-                let patch_q = quantize_with_scale(&patch, act_scale);
-                let accs: Vec<Option<usize>> = (0..out_c)
-                    .map(|f| {
-                        lock.map(|(base, schedule)| schedule.accumulator_of(base + f * ncols + p))
-                    })
-                    .collect();
-                let macs = self.mmu.dot_products(&filter_rows, &patch_q, &accs);
-                let row = out.row_mut(s);
-                for (f, &mac) in macs.iter().enumerate() {
-                    let sign = match lock {
-                        Some((base, schedule)) => {
-                            let acc = schedule.accumulator_of(base + f * ncols + p);
-                            if self.mmu_key_bit(acc) {
-                                -1.0
-                            } else {
-                                1.0
-                            }
-                        }
-                        None => 1.0,
-                    };
-                    let idx = f * ncols + p;
-                    let skip_v = skip.map(|t| t.row(s)[idx]).unwrap_or(0.0);
-                    row[idx] = mac as f32 * out_scale + sign * (b.data()[f] + skip_v);
+        cols.resize(depth * ncols, 0);
+        macs.resize(out_vol, 0);
+        out.resize(x.len() / in_vol * out_vol, 0.0);
+        let accs = layer.lock.map(|_| units.as_slice());
+        let bias = layer.b.data();
+        for (s, (sample, out_row)) in xq
+            .chunks_exact(in_vol)
+            .zip(out.chunks_exact_mut(out_vol))
+            .enumerate()
+        {
+            im2col_i8(sample, geom, cols);
+            self.mmu.matmul_tile(wq, cols, depth, accs, macs);
+            let skip_row = skip.map(|t| &t[s * out_vol..(s + 1) * out_vol]);
+            let planes = out_row
+                .chunks_exact_mut(ncols)
+                .zip(macs.chunks_exact(ncols))
+                .zip(signs.chunks_exact(ncols))
+                .zip(bias);
+            for (f, (((plane, macs), signs), &b)) in planes.enumerate() {
+                for (p, ((v, &mac), &sign)) in plane.iter_mut().zip(macs).zip(signs).enumerate() {
+                    let skip_v = skip_row.map_or(0.0, |t| t[f * ncols + p]);
+                    *v = mac as f32 * out_scale + sign * (b + skip_v);
                 }
             }
         }
-        out
     }
+}
 
-    /// Executes one residual block on the device: both internal ReLUs use
-    /// key-locked accumulation, the skip joins inside the second lock.
-    #[allow(clippy::too_many_arguments)]
-    fn residual(
+/// A dense or convolution layer's parameters, checked against the
+/// architecture.
+#[derive(Debug)]
+struct MacLayer<'m> {
+    w: &'m Tensor,
+    b: &'m Tensor,
+    /// Schedule index of the layer's first output neuron when a lockable
+    /// nonlinearity consumes the outputs; `None` runs unlocked.
+    lock: Option<usize>,
+}
+
+#[derive(Debug)]
+struct ConvLayer<'m> {
+    layer: MacLayer<'m>,
+    geom: Conv2dGeom,
+}
+
+/// One checked layer of a run: every index the sequencer will form has been
+/// shown to be in range.
+#[derive(Debug)]
+enum Step<'m> {
+    Dense(MacLayer<'m>),
+    Conv(ConvLayer<'m>),
+    Activation(ActKind),
+    Pool(PoolGeom),
+    Residual(Box<ResidualBlock<'m>>),
+}
+
+/// Two 3×3 convolutions feeding locked ReLUs, and the 1×1 projection of the
+/// skip branch when the block changes shape.
+#[derive(Debug)]
+struct ResidualBlock<'m> {
+    conv1: ConvLayer<'m>,
+    projection: Option<ConvLayer<'m>>,
+    conv2: ConvLayer<'m>,
+}
+
+/// Walks the container's weight list in architecture order.
+struct Params<'m> {
+    weights: std::slice::Iter<'m, Tensor>,
+}
+
+impl<'m> Params<'m> {
+    /// The next `(weight, bias)` pair, which must be `[w_dims]` and `[out]`.
+    fn take(
         &mut self,
-        x: &Tensor,
-        weights: &[Tensor],
-        widx: &mut usize,
-        in_c: usize,
-        h: usize,
-        w_dim: usize,
-        out_c: usize,
-        stride: usize,
-        neuron_base: usize,
-        schedule: &Schedule,
-    ) -> Result<Tensor, DeviceError> {
-        let g1 = hpnn_tensor::Conv2dGeom::new(in_c, h, w_dim, out_c, 3, stride, 1)?;
-        let g2 = hpnn_tensor::Conv2dGeom::new(out_c, g1.out_h, g1.out_w, out_c, 3, 1, 1)?;
-        let needs_projection = in_c != out_c || stride != 1;
-
-        let (w1, b1) = take_params(weights, widx)?;
-        expect_shape(w1, &[g1.out_c, g1.col_rows()])?;
-        let (w2, b2) = take_params(weights, widx)?;
-        expect_shape(w2, &[g2.out_c, g2.col_rows()])?;
-
-        // Main branch, first convolution + locked ReLU.
-        let main = self.conv(x, w1, b1, &g1, Some((neuron_base, schedule)));
-        let main = apply_activation(&main, ActKind::Relu);
-        let base2 = neuron_base + g1.out_volume();
-
-        // Skip branch (projection runs unlocked — it feeds no nonlinearity
-        // of its own; its output joins relu2's pre-activation).
-        let skip = if needs_projection {
-            let gp = hpnn_tensor::Conv2dGeom::new(in_c, h, w_dim, out_c, 1, stride, 0)?;
-            let (wp, bp) = take_params(weights, widx)?;
-            expect_shape(wp, &[gp.out_c, gp.col_rows()])?;
-            self.conv(x, wp, bp, &gp, None)
-        } else {
-            x.clone()
+        w_dims: [usize; 2],
+        out: usize,
+        lock: Option<usize>,
+    ) -> Result<MacLayer<'m>, DeviceError> {
+        let (Some(w), Some(b)) = (self.weights.next(), self.weights.next()) else {
+            return Err(DeviceError::WeightMismatch(
+                "container has fewer weight tensors than the architecture needs".into(),
+            ));
         };
-
-        // Second convolution with the skip folded into the locked
-        // pre-activation, then the second locked ReLU.
-        let z = self.conv_with_skip(&main, w2, b2, &g2, Some((base2, schedule)), Some(&skip));
-        Ok(apply_activation(&z, ActKind::Relu))
+        expect_shape(w, &w_dims)?;
+        expect_shape(b, &[out])?;
+        Ok(MacLayer { w, b, lock })
     }
 
-    fn mmu_key_bit(&self, acc: usize) -> bool {
-        self.mmu.key_bit(acc)
+    fn take_conv(
+        &mut self,
+        geom: Conv2dGeom,
+        lock: Option<usize>,
+    ) -> Result<ConvLayer<'m>, DeviceError> {
+        let layer = self.take([geom.out_c, geom.col_rows()], geom.out_c, lock)?;
+        Ok(ConvLayer { layer, geom })
     }
-}
-
-fn next_is_activation(layers: &[LayerSpec], i: usize) -> bool {
-    matches!(layers.get(i + 1), Some(LayerSpec::Activation { .. }))
-}
-
-fn take_params<'a>(
-    weights: &'a [Tensor],
-    widx: &mut usize,
-) -> Result<(&'a Tensor, &'a Tensor), DeviceError> {
-    if weights.len() < *widx + 2 {
-        return Err(DeviceError::WeightMismatch(format!(
-            "need weights {} and {} but container has {}",
-            *widx,
-            *widx + 1,
-            weights.len()
-        )));
-    }
-    let w = &weights[*widx];
-    let b = &weights[*widx + 1];
-    *widx += 2;
-    Ok((w, b))
 }
 
 fn expect_shape(t: &Tensor, dims: &[usize]) -> Result<(), DeviceError> {
@@ -451,33 +531,217 @@ fn expect_shape(t: &Tensor, dims: &[usize]) -> Result<(), DeviceError> {
     Ok(())
 }
 
-fn apply_activation(x: &Tensor, kind: ActKind) -> Tensor {
-    x.map(|v| kind.eval(v))
+/// Checks input, weights and schedule against the stored architecture and
+/// returns the run as a list of steps the sequencer can execute without
+/// further checks, with the buffer sizes they need.
+fn plan<'m>(
+    model: &'m LockedModel,
+    inputs: &Tensor,
+) -> Result<(Vec<Step<'m>>, Footprint), DeviceError> {
+    let spec = model.spec();
+    let dims = inputs.shape().dims();
+    if dims.len() != 2 || dims[1] != spec.in_features {
+        return Err(DeviceError::InputShape {
+            expected: spec.in_features,
+            got: dims.to_vec(),
+        });
+    }
+    let mut params = Params {
+        weights: model.weights().iter(),
+    };
+    let mut steps = Vec::with_capacity(spec.layers.len());
+    let mut width = spec.in_features;
+    let mut need = Footprint {
+        width,
+        ..Footprint::default()
+    };
+    // Lockable neurons seen so far: the schedule index of the next one.
+    let mut neurons = 0usize;
+    for (i, layer) in spec.layers.iter().enumerate() {
+        // The layer must take what the previous one produced. Checked first:
+        // every size formed below is then bounded by tensors that exist.
+        let takes = match *layer {
+            LayerSpec::Dense { in_features, .. } => Some(in_features),
+            LayerSpec::Conv2d { geom } => volume([geom.in_c, geom.in_h, geom.in_w]),
+            LayerSpec::Activation { features, .. } => Some(features),
+            LayerSpec::MaxPool2d { channels, geom } => volume([channels, geom.in_h, geom.in_w]),
+            LayerSpec::Residual { in_c, h, w, .. } => volume([in_c, h, w]),
+            LayerSpec::BatchNorm { channels, plane } => volume([channels, plane, 1]),
+        };
+        if takes != Some(width) || width == 0 {
+            return Err(invalid(format!(
+                "layer {i} does not take the {width} features it is fed"
+            )));
+        }
+        let lock =
+            matches!(spec.layers.get(i + 1), Some(LayerSpec::Activation { .. })).then_some(neurons);
+        let step = match *layer {
+            LayerSpec::Dense {
+                in_features,
+                out_features,
+            } => {
+                let layer = params.take([in_features, out_features], out_features, lock)?;
+                need.weights = need.weights.max(layer.w.len());
+                need.neurons = need.neurons.max(out_features);
+                need.tile = need.tile.max(out_features * dims[0]);
+                Step::Dense(layer)
+            }
+            LayerSpec::Conv2d { geom } => {
+                // Padding is the one size no tensor in the container bounds.
+                if volume([geom.out_c, geom.out_h, geom.out_w]).is_none() {
+                    return Err(invalid(format!("conv layer {i} output volume overflows")));
+                }
+                let conv = params.take_conv(geom, lock)?;
+                need.cover_conv(&conv);
+                Step::Conv(conv)
+            }
+            LayerSpec::Activation { kind, features } => {
+                neurons += features;
+                Step::Activation(kind)
+            }
+            LayerSpec::MaxPool2d { geom, .. } => Step::Pool(geom),
+            LayerSpec::Residual {
+                in_c,
+                h,
+                w,
+                out_c,
+                stride,
+            } => {
+                let g1 = Conv2dGeom::new(in_c, h, w, out_c, 3, stride, 1)?;
+                let g2 = Conv2dGeom::new(out_c, g1.out_h, g1.out_w, out_c, 3, 1, 1)?;
+                let conv1 = params.take_conv(g1, Some(neurons))?;
+                let conv2 = params.take_conv(g2, Some(neurons + g1.out_volume()))?;
+                let projection = if in_c != out_c || stride != 1 {
+                    let gp = Conv2dGeom::new(in_c, h, w, out_c, 1, stride, 0)?;
+                    Some(params.take_conv(gp, None)?)
+                } else {
+                    None
+                };
+                neurons += 2 * g1.out_volume();
+                need.skip = true;
+                for conv in [Some(&conv1), projection.as_ref(), Some(&conv2)]
+                    .into_iter()
+                    .flatten()
+                {
+                    need.cover_conv(conv);
+                }
+                Step::Residual(Box::new(ResidualBlock {
+                    conv1,
+                    projection,
+                    conv2,
+                }))
+            }
+            LayerSpec::BatchNorm { .. } => {
+                // Inference-time BN folding into the preceding locked MAC
+                // is not implemented; run BN models on the float path.
+                return Err(DeviceError::UnsupportedLayer("batchnorm"));
+            }
+        };
+        width = layer.out_features(width);
+        need.width = need.width.max(width);
+        steps.push(step);
+    }
+    if model.schedule().num_neurons() < neurons {
+        return Err(DeviceError::WeightMismatch(format!(
+            "schedule covers {} neurons but the architecture locks {neurons}",
+            model.schedule().num_neurons()
+        )));
+    }
+    Ok((steps, need))
 }
 
-fn pool_batch(x: &Tensor, channels: usize, geom: &hpnn_tensor::PoolGeom) -> Tensor {
-    let batch = x.shape().rows();
-    let in_plane = geom.in_h * geom.in_w;
-    let out_plane = geom.out_h * geom.out_w;
-    let mut out = Vec::with_capacity(batch * channels * out_plane);
-    for s in 0..batch {
-        let sample = x.row(s);
-        for c in 0..channels {
-            let plane = &sample[c * in_plane..(c + 1) * in_plane];
-            let (vals, _) = maxpool_plane(plane, geom);
-            out.extend_from_slice(&vals);
+/// Product of layer dimensions read from a container, `None` on overflow.
+fn volume(dims: [usize; 3]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |v, &d| v.checked_mul(d))
+}
+
+fn invalid(msg: String) -> DeviceError {
+    DeviceError::Arch(TensorError::InvalidGeometry(msg))
+}
+
+fn apply_activation(x: &mut [f32], kind: ActKind) {
+    for v in x {
+        *v = kind.eval(*v);
+    }
+}
+
+/// Max-pools every channel plane of a `[batch x channels·plane]` buffer.
+fn pool_planes(x: &[f32], geom: &PoolGeom, out: &mut Vec<f32>) {
+    let (in_plane, out_plane) = (geom.in_h * geom.in_w, geom.out_h * geom.out_w);
+    out.resize(x.len() / in_plane * out_plane, 0.0);
+    for (plane, vals) in x
+        .chunks_exact(in_plane)
+        .zip(out.chunks_exact_mut(out_plane))
+    {
+        maxpool_plane_into(plane, geom, vals, None);
+    }
+}
+
+/// [`hpnn_tensor::im2col`] on a quantized sample: unrolls `[C x H x W]` into
+/// the column matrix `[C·K·K x OH·OW]`, padding with the quantized zero.
+/// Every element of `out` is written.
+fn im2col_i8(sample: &[i8], geom: &Conv2dGeom, out: &mut [i8]) {
+    let (k, stride, pad) = (geom.kernel, geom.stride, geom.pad);
+    let (h, w, ow) = (geom.in_h, geom.in_w, geom.out_w);
+    let ncols = geom.col_cols();
+    let rows = out.chunks_exact_mut(ncols);
+    let taps = sample
+        .chunks_exact(h * w)
+        .flat_map(|plane| (0..k * k).map(move |tap| (plane, tap / k, tap % k)));
+    for (out_row, (plane, ky, kx)) in rows.zip(taps) {
+        // Output columns whose tap `ox·stride + kx − pad` lands in the image.
+        let lo = pad.saturating_sub(kx).div_ceil(stride).min(ow);
+        let hi = (w + pad).saturating_sub(kx).div_ceil(stride).clamp(lo, ow);
+        if stride == 1 && ow == w {
+            // Output and input rows have one pitch, so the whole row of the
+            // column matrix is the plane shifted by a constant: one copy of
+            // the part that stays inside the plane, instead of one per
+            // image row. What the shift wraps round a row end lands in the
+            // edge columns, which are padding and zeroed below.
+            let (to, from) = (pad * w + pad, ky * w + kx);
+            let skip = to.saturating_sub(from).min(ncols);
+            let shift = from.saturating_sub(to).min(h * w);
+            let len = (ncols - skip).min(h * w - shift);
+            let (above, rest) = out_row.split_at_mut(skip);
+            let (inside, below) = rest.split_at_mut(len);
+            above.fill(0);
+            inside.copy_from_slice(&plane[shift..shift + len]);
+            below.fill(0);
+            for edge in (0..lo).chain(hi..ow) {
+                out_row[edge..].iter_mut().step_by(ow).for_each(|d| *d = 0);
+            }
+            continue;
+        }
+        for (oy, dst) in out_row.chunks_exact_mut(ow).enumerate() {
+            let iy = oy * stride + ky;
+            if iy < pad || iy - pad >= h {
+                dst.fill(0);
+                continue;
+            }
+            let src = &plane[(iy - pad) * w..(iy - pad + 1) * w];
+            dst[..lo].fill(0);
+            dst[hi..].fill(0);
+            if lo < hi {
+                let first = lo * stride + kx - pad;
+                for (d, &v) in dst[lo..hi]
+                    .iter_mut()
+                    .zip(src[first..].iter().step_by(stride))
+                {
+                    *d = v;
+                }
+            }
         }
     }
-    Tensor::from_vec(Shape::d2(batch, channels * out_plane), out).expect("pool volume")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::quantize_with_scale;
     use hpnn_core::{HpnnKey, HpnnTrainer, ScheduleKind};
     use hpnn_data::{Benchmark, DatasetScale};
-    use hpnn_nn::{cnn1, mlp, ImageDims, TrainConfig};
-    use hpnn_tensor::Rng;
+    use hpnn_nn::{cnn1, mlp, ImageDims, NetworkSpec, TrainConfig};
+    use hpnn_tensor::{im2col, Rng};
 
     fn trained_mlp_model() -> (LockedModel, HpnnKey, hpnn_data::Dataset) {
         let ds = Benchmark::FashionMnist.synthetic(DatasetScale::TINY);
@@ -632,5 +896,168 @@ mod tests {
         assert!(stats.mmu.macs > 0);
         assert_eq!(stats.locked_layers, 1);
         assert_eq!(stats.unlocked_layers, 1);
+    }
+
+    /// A published model with freshly initialized (untrained) weights.
+    fn untrained_model(spec: NetworkSpec, seed: u64) -> (LockedModel, HpnnKey) {
+        let mut rng = Rng::new(seed);
+        let key = HpnnKey::random(&mut rng);
+        let trainer = HpnnTrainer::new(spec.clone(), key).with_schedule(ScheduleKind::Permuted, 3);
+        let mut net = trainer.build_locked_network(&mut rng).unwrap();
+        let model =
+            LockedModel::from_network(spec, &mut net, trainer.schedule(), Default::default());
+        (model, key)
+    }
+
+    #[test]
+    fn cnn1_row_statistics_are_pinned() {
+        // What the simulator reports for one 28x28 CNN1 row is a property of
+        // the modeled hardware: conv 8·9·784 + conv 16·72·196 + dense 10·784
+        // MACs over 6272 + 3136 + 10 dot products, one fill cycle each. A
+        // faster simulator must not move any of it.
+        let spec = cnn1(ImageDims::new(1, 28, 28), 10, 1.0).unwrap();
+        let (model, key) = untrained_model(spec, 5);
+        let vault = KeyVault::provision(key, "tpu");
+        let row = Tensor::randn([1, 784], 1.0, &mut Rng::new(6));
+        for mode in [DatapathMode::Behavioral, DatapathMode::GateLevel] {
+            let mut device = TrustedAccelerator::with_mode(&vault, mode);
+            device.run(&model, &row).unwrap();
+            let want = DeviceStats {
+                mmu: MmuStats {
+                    macs: 290_080,
+                    dot_products: 9_418,
+                    cycles: 299_498,
+                },
+                locked_layers: 2,
+                unlocked_layers: 1,
+            };
+            assert_eq!(device.stats(), want, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn footprint_covers_every_buffer_of_a_run() {
+        // A buffer the footprint undersizes regrows mid-run: still correct,
+        // but it leaves the hole in the heap that sizing up front avoids.
+        let dims = ImageDims::new(1, 12, 12);
+        let specs = [
+            mlp(144, &[20], 5),
+            cnn1(dims, 5, 0.5).unwrap(),
+            hpnn_nn::resnet(dims, 5, 0.25).unwrap(),
+        ];
+        for (i, spec) in specs.into_iter().enumerate() {
+            let (model, key) = untrained_model(spec, 20 + i as u64);
+            let vault = KeyVault::provision(key, "tpu");
+            let mut device = TrustedAccelerator::new(&vault);
+            let x = Tensor::randn([3, 144], 1.0, &mut Rng::new(30));
+            let (_, need) = plan(&model, &x).unwrap();
+            device.scratch.reserve(&need, 3);
+            let capacities = |s: &Scratch| {
+                let mut acts = s.acts.each_ref().map(Vec::capacity);
+                acts.sort_unstable();
+                let bytes = [s.wq.capacity(), s.xq.capacity(), s.cols.capacity()];
+                (
+                    acts,
+                    bytes,
+                    s.units.capacity(),
+                    s.signs.capacity(),
+                    s.macs.capacity(),
+                )
+            };
+            let sized = capacities(&device.scratch);
+            device.run(&model, &x).unwrap();
+            assert_eq!(capacities(&device.scratch), sized, "model {i}");
+        }
+    }
+
+    /// Bytes of the weight list at the end of `model`'s container.
+    fn weights_section_len(model: &LockedModel) -> usize {
+        let tensor = |t: &Tensor| 8 + 8 * t.shape().rank() + 8 + 4 * t.len();
+        8 + model.weights().iter().map(tensor).sum::<usize>()
+    }
+
+    #[test]
+    fn hostile_containers_and_inputs_are_errors_not_panics() {
+        let (model, key) = untrained_model(mlp(8, &[6], 3), 7);
+        let vault = KeyVault::provision(key, "tpu");
+        let mut device = TrustedAccelerator::new(&vault);
+        let x = Tensor::randn([2, 8], 1.0, &mut Rng::new(8));
+        assert!(device.run(&model, &x).is_ok());
+        let honest = model.to_bytes().to_vec();
+
+        // The last tensor is the 3-entry output bias: `rank, dim, len, data`.
+        // Re-encode it with two entries.
+        let mut bytes = honest.clone();
+        let end = bytes.len();
+        bytes[end - 28..end - 20].copy_from_slice(&2u64.to_le_bytes());
+        bytes[end - 20..end - 12].copy_from_slice(&2u64.to_le_bytes());
+        bytes.truncate(end - 4);
+        let short_bias = LockedModel::from_bytes(&bytes[..]).unwrap();
+        assert_eq!(short_bias.weights()[3].len(), 2);
+        let err = device.run(&short_bias, &x).unwrap_err();
+        assert!(matches!(err, DeviceError::WeightMismatch(_)), "{err}");
+
+        // The schedule (`kind, neurons, seed`) sits just before the weights;
+        // make it cover five of the six locked neurons.
+        let mut bytes = honest.clone();
+        let neurons_at = end - weights_section_len(&model) - 16;
+        assert_eq!(bytes[neurons_at..neurons_at + 8], 6u64.to_le_bytes());
+        bytes[neurons_at..neurons_at + 8].copy_from_slice(&5u64.to_le_bytes());
+        let short_schedule = LockedModel::from_bytes(&bytes[..]).unwrap();
+        assert_eq!(short_schedule.schedule().num_neurons(), 5);
+        let err = device.run(&short_schedule, &x).unwrap_err();
+        assert!(matches!(err, DeviceError::WeightMismatch(_)), "{err}");
+
+        // Inputs narrower and wider than the first layer, dense and conv,
+        // and one that is not a batch of rows at all.
+        let spec = cnn1(ImageDims::new(1, 8, 8), 3, 0.5).unwrap();
+        let (conv_model, _) = untrained_model(spec, 9);
+        for (model, width) in [(&model, 8usize), (&conv_model, 64)] {
+            for got in [width - 1, width + 1, 2 * width] {
+                let err = device.run(model, &Tensor::zeros([2, got])).unwrap_err();
+                assert!(
+                    matches!(err, DeviceError::InputShape { expected, .. } if expected == width),
+                    "{err}"
+                );
+            }
+            let err = device.run(model, &Tensor::zeros([width])).unwrap_err();
+            assert!(matches!(err, DeviceError::InputShape { .. }), "{err}");
+        }
+        // None of the rejected runs reached the MMU.
+        let mut fresh = TrustedAccelerator::new(&vault);
+        fresh.run(&model, &x).unwrap();
+        assert_eq!(device.stats(), fresh.stats());
+        // An empty batch is a valid input with an empty answer.
+        let none = device.run(&model, &Tensor::zeros([0, 8])).unwrap();
+        assert_eq!(none.shape().dims(), &[0, 3]);
+        assert_eq!(device.stats().mmu, fresh.stats().mmu);
+    }
+
+    #[test]
+    fn quantize_then_int8_im2col_equals_im2col_then_quantize() {
+        // Padded and strided, with a kernel wider than the stride and one
+        // that is not: every column the MMU streams must hold the values the
+        // per-patch quantizer produced.
+        let mut rng = Rng::new(10);
+        for (c, h, w, kernel, stride, pad) in [
+            (2, 7, 6, 3, 2, 1),
+            (2, 5, 6, 3, 1, 1),
+            (1, 6, 4, 5, 1, 2),
+            (1, 3, 3, 7, 1, 3),
+            (3, 6, 6, 1, 2, 0),
+            (2, 4, 4, 1, 1, 0),
+            (1, 4, 5, 2, 3, 2),
+            (1, 5, 5, 3, 1, 0),
+        ] {
+            let geom = Conv2dGeom::new(c, h, w, 1, kernel, stride, pad).unwrap();
+            let sample: Vec<f32> = (0..geom.in_volume())
+                .map(|_| rng.uniform(-2.0, 2.0))
+                .collect();
+            let scale = scale_for(max_abs(&sample));
+            let want = quantize_with_scale(im2col(&sample, &geom).data(), scale);
+            let mut got = vec![i8::MIN; geom.col_rows() * geom.col_cols()];
+            im2col_i8(&quantize_with_scale(&sample, scale), &geom, &mut got);
+            assert_eq!(got, want, "c={c} {h}x{w} k={kernel} s={stride} p={pad}");
+        }
     }
 }

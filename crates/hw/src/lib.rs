@@ -12,10 +12,26 @@
 //! * [`KeyedAccumulator`] — Fig. 4(b): XOR layer + carry-in = two's-complement
 //!   negation selected by the key bit, realizing `(−1)^k·MAC` in hardware.
 //! * [`Mmu`] — the 256×256 matrix-multiply unit with keyed accumulators,
-//!   performance counters, and a systolic cycle model.
+//!   performance counters, and a systolic cycle model. One arithmetic entry
+//!   point, [`Mmu::matmul_tile`] (int8 weights `[rows × k]` times int8
+//!   columns `[k × n]`, each output negated by its accumulator's key bit),
+//!   computed either gate by gate or with vectorized integer arithmetic.
 //! * [`TrustedAccelerator`] — end-to-end locked-model inference on the int8
-//!   datapath, driven by the schedule embedded in a published model.
+//!   datapath, driven by the schedule embedded in a published model: checks
+//!   the container once, quantizes each layer once, and issues tiles.
 //! * [`OverheadReport`] — the Sec. III-D3 area/timing overhead numbers.
+//!
+//! ## Simulated numbers versus host time
+//!
+//! The crate reports two kinds of number and keeps them apart. What the
+//! *modeled hardware* does — [`MmuStats`] (`macs`, `cycles`,
+//! `dot_products`), logits, argmax — is fixed by the model and the input; a
+//! change that makes the simulator faster must leave all of it identical,
+//! in both datapath modes and at every SIMD level (pinned by tests as
+//! constants for CNN1). How long the *host* takes to produce them is the
+//! only thing an optimization may move; DESIGN.md §5 records it per layer.
+//! A free lock (Sec. III-D: no cycle overhead) only reads as free next to a
+//! datapath that runs at machine speed.
 //!
 //! ## Example
 //!

@@ -6,16 +6,34 @@
 //! simple weight-stationary systolic cycle model accounts for time; gate
 //! accounting covers area.
 //!
-//! Two datapath modes are provided: [`DatapathMode::GateLevel`] pushes every
-//! product through the bit-level XOR/FA-chain (slow, used to validate the
-//! design), while [`DatapathMode::Behavioral`] computes the provably
-//! identical `(−1)^k·Σ p` with native integer arithmetic (used for whole-
-//! network inference). Unit tests assert the two modes agree bit-for-bit.
+//! The MMU has one arithmetic entry point, [`Mmu::matmul_tile`]: stationary
+//! int8 weights `[rows × k]` times a streamed int8 column matrix `[k × n]`,
+//! every output routed to one accumulator unit. Two datapath modes implement
+//! it: [`DatapathMode::GateLevel`] pushes every product through the
+//! bit-level XOR/FA-chain (slow, used to validate the design), while
+//! [`DatapathMode::Behavioral`] computes the provably identical
+//! `(−1)^k·Σ p` with native integer arithmetic, vectorized through
+//! [`hpnn_tensor::simd::dispatch`] (used for whole-network inference).
+//! Integer sums do not depend on the order they are taken in, so the two
+//! modes, and every SIMD level, agree bit for bit; tests assert it.
+//!
+//! # What a simulator speed-up may change
+//!
+//! [`MmuStats`] describes the *modeled* hardware and is advanced in closed
+//! form per tile (`macs += rows·n·k`, `dot_products += rows·n`,
+//! `cycles += rows·n·(k+1)`). Making the simulator faster must leave
+//! `macs`, `cycles`, `dot_products`, every logit and every argmax exactly as
+//! they were; host time is the only thing allowed to move. The constants are
+//! pinned by `device::tests::cnn1_row_statistics_are_pinned`.
 
 use hpnn_core::{HpnnKey, KeyVault, KEY_BITS};
+use hpnn_tensor::simd::{dispatch, SimdOp};
 
 use crate::accumulator::KeyedAccumulator;
 use crate::gates::GateCount;
+
+// Accumulator ids travel as `u8`: every value names one of the 256 units.
+const _: () = assert!(KEY_BITS == 1 << u8::BITS);
 
 /// Systolic array side (the TPU's 256).
 pub const MMU_SIZE: usize = 256;
@@ -85,9 +103,11 @@ impl<'a> KeySource<'a> {
 ///
 /// let vault = KeyVault::provision(HpnnKey::ZERO, "tpu-0");
 /// let mut mmu = Mmu::build(KeySource::Vault(&vault), DatapathMode::Behavioral);
-/// // One dot product routed to accumulator 0 (key bit 0 ⇒ identity).
-/// let out = mmu.dot_product(&[1, 2, 3], &[4, 5, 6], 0);
-/// assert_eq!(out, 32);
+/// // One weight row times one activation column, routed to accumulator 0
+/// // (key bit 0 ⇒ identity).
+/// let mut out = [0i32];
+/// mmu.matmul_tile(&[1, 2, 3], &[4, 5, 6], 3, Some(&[0]), &mut out);
+/// assert_eq!(out, [32]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mmu {
@@ -114,13 +134,8 @@ impl Mmu {
     /// Key bit of accumulator `acc` — visible only inside the hardware
     /// crate, modelling the sequencer's on-chip access to its own key
     /// register (the key never crosses the crate's public API).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acc >= 256`.
-    pub(crate) fn key_bit(&self, acc: usize) -> bool {
-        assert!(acc < KEY_BITS, "accumulator index {acc} out of range");
-        self.key_bits[acc]
+    pub(crate) fn key_bit(&self, acc: u8) -> bool {
+        self.key_bits[usize::from(acc)]
     }
 
     /// Performance counters so far.
@@ -133,86 +148,76 @@ impl Mmu {
         self.stats = MmuStats::default();
     }
 
-    /// Computes one key-locked dot product
-    /// `(−1)^{key[acc]} · Σᵢ weights[i]·activations[i]` on the accumulator
-    /// unit `acc`.
+    /// Multiplies the stationary weight tile `weights` (`[rows × k]`,
+    /// row-major) by the streamed activation columns `cols` (`[k × n]`,
+    /// row-major) into `out` (`[rows × n]`):
+    /// `out[r·n + p] = (−1)^{key[accs[r·n + p]]} · Σᵢ weights[r·k + i]·cols[i·n + p]`.
+    ///
+    /// `accs` names the accumulator unit each output is collected by;
+    /// `None` routes the whole tile through unlocked units (layers that feed
+    /// no nonlinearity). Sums wrap in 32 bits, as the accumulator register
+    /// does. The counters advance by what the modeled array spends on
+    /// `rows·n` dot products of length `k`, whichever mode computes them.
     ///
     /// # Panics
     ///
-    /// Panics if the slices differ in length or `acc >= 256`.
-    pub fn dot_product(&mut self, weights: &[i8], activations: &[i8], acc: usize) -> i32 {
-        assert_eq!(
-            weights.len(),
-            activations.len(),
-            "dot product length mismatch"
+    /// Panics if `k` is zero or does not divide both operand lengths, or if
+    /// `out` (and `accs`, when given) is not `rows·n` long.
+    pub fn matmul_tile(
+        &mut self,
+        weights: &[i8],
+        cols: &[i8],
+        k: usize,
+        accs: Option<&[u8]>,
+        out: &mut [i32],
+    ) {
+        assert!(k > 0, "tile depth must be positive");
+        assert!(
+            weights.len().is_multiple_of(k) && cols.len().is_multiple_of(k),
+            "tile operands must be whole multiples of the depth {k}"
         );
-        assert!(acc < KEY_BITS, "accumulator index {acc} out of range");
-        let key_bit = self.key_bits[acc];
-        self.stats.macs += weights.len() as u64;
-        self.stats.dot_products += 1;
+        let (rows, n) = (weights.len() / k, cols.len() / k);
+        assert_eq!(out.len(), rows * n, "tile output size mismatch");
+        if let Some(accs) = accs {
+            assert_eq!(accs.len(), rows * n, "one accumulator id per output");
+        }
+        let dots = (rows * n) as u64;
+        self.stats.macs += dots * k as u64;
+        self.stats.dot_products += dots;
         // Weight-stationary cycle model: one product per cycle per unit plus
         // pipeline fill across the array diagonal, amortized per dot product.
-        self.stats.cycles += weights.len() as u64 + 1;
+        self.stats.cycles += dots * (k as u64 + 1);
         match self.mode {
             DatapathMode::GateLevel => {
-                let mut unit = KeyedAccumulator::new(key_bit);
-                for (&w, &a) in weights.iter().zip(activations) {
-                    unit.accumulate((w as i16) * (a as i16));
+                for (o, slot) in out.iter_mut().enumerate() {
+                    let (r, p) = (o / n, o % n);
+                    let key_bit = accs.is_some_and(|a| self.key_bit(a[o]));
+                    let mut unit = KeyedAccumulator::new(key_bit);
+                    for (i, &w) in weights[r * k..(r + 1) * k].iter().enumerate() {
+                        unit.accumulate(i16::from(w) * i16::from(cols[i * n + p]));
+                    }
+                    *slot = unit.value();
                 }
-                unit.value()
             }
             DatapathMode::Behavioral => {
-                let sum: i32 = weights
-                    .iter()
-                    .zip(activations)
-                    .map(|(&w, &a)| (w as i32) * (a as i32))
-                    .sum();
-                if key_bit {
-                    -sum
-                } else {
-                    sum
+                dispatch(TileSums {
+                    weights,
+                    cols,
+                    k,
+                    n,
+                    out: &mut *out,
+                });
+                if let Some(accs) = accs {
+                    // Fig. 4(b) on the finished sum: XOR with the key bit on
+                    // every line, key bit as carry-in. Branch-free, because
+                    // key bits are coin flips to a branch predictor.
+                    for (v, &acc) in out.iter_mut().zip(accs) {
+                        let mask = -i32::from(self.key_bit(acc));
+                        *v = (*v ^ mask).wrapping_sub(mask);
+                    }
                 }
             }
         }
-    }
-
-    /// Computes a batch of locked dot products: row `j` of `weight_rows`
-    /// against the shared `activations`, routed to accumulator
-    /// `acc_indices[j]` (`None` routes through an unlocked unit — used for
-    /// output layers that are not followed by a nonlinearity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths are inconsistent.
-    pub fn dot_products(
-        &mut self,
-        weight_rows: &[&[i8]],
-        activations: &[i8],
-        acc_indices: &[Option<usize>],
-    ) -> Vec<i32> {
-        assert_eq!(
-            weight_rows.len(),
-            acc_indices.len(),
-            "rows/indices mismatch"
-        );
-        weight_rows
-            .iter()
-            .zip(acc_indices)
-            .map(|(row, acc)| match acc {
-                Some(a) => self.dot_product(row, activations, *a),
-                None => {
-                    // Unlocked path: any accumulator with key bit 0 would do;
-                    // model it directly.
-                    self.stats.macs += row.len() as u64;
-                    self.stats.dot_products += 1;
-                    self.stats.cycles += row.len() as u64 + 1;
-                    row.iter()
-                        .zip(activations)
-                        .map(|(&w, &a)| (w as i32) * (a as i32))
-                        .sum()
-                }
-            })
-            .collect()
     }
 
     /// Total extra gates of the key-dependent design over the baseline MMU:
@@ -233,9 +238,55 @@ impl Mmu {
     }
 }
 
+/// The behavioral datapath's plain sums `out[r][p] = Σᵢ w[r][i]·cols[i][p]`.
+struct TileSums<'a> {
+    weights: &'a [i8],
+    cols: &'a [i8],
+    k: usize,
+    n: usize,
+    out: &'a mut [i32],
+}
+
+impl SimdOp for TileSums<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn eval(self) {
+        let (k, n) = (self.k, self.n);
+        if n == 0 {
+            return;
+        }
+        if n == 1 {
+            // A single column (one sample through a dense layer): each
+            // output is a dot product of two contiguous vectors, which the
+            // column-wise loop below would walk one lane at a time.
+            for (w_row, out) in self.weights.chunks_exact(k).zip(self.out.iter_mut()) {
+                *out = w_row.iter().zip(self.cols).fold(0i32, |sum, (&w, &c)| {
+                    sum.wrapping_add(i32::from(w) * i32::from(c))
+                });
+            }
+            return;
+        }
+        for (w_row, out_row) in self
+            .weights
+            .chunks_exact(k)
+            .zip(self.out.chunks_exact_mut(n))
+        {
+            out_row.fill(0);
+            for (&w, col) in w_row.iter().zip(self.cols.chunks_exact(n)) {
+                let w = i32::from(w);
+                for (acc, &c) in out_row.iter_mut().zip(col) {
+                    *acc = acc.wrapping_add(w * i32::from(c));
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpnn_tensor::simd::{self, SimdLevel};
     use hpnn_tensor::Rng;
 
     fn random_vec(rng: &mut Rng, n: usize) -> Vec<i8> {
@@ -244,61 +295,120 @@ mod tests {
             .collect()
     }
 
+    /// One dot product: a `1 × k` tile against one column.
+    fn dot(mmu: &mut Mmu, weights: &[i8], activations: &[i8], acc: u8) -> i32 {
+        let mut out = [0i32];
+        mmu.matmul_tile(weights, activations, weights.len(), Some(&[acc]), &mut out);
+        out[0]
+    }
+
     #[test]
     fn zero_key_is_plain_matmul() {
         let vault = KeyVault::provision(HpnnKey::ZERO, "t");
         let mut mmu = Mmu::build(KeySource::Vault(&vault), DatapathMode::Behavioral);
-        assert_eq!(mmu.dot_product(&[2, -3], &[5, 7], 42), 2 * 5 - 3 * 7);
+        assert_eq!(dot(&mut mmu, &[2, -3], &[5, 7], 42), 2 * 5 - 3 * 7);
     }
 
     #[test]
     fn set_key_bit_negates() {
         let key = HpnnKey::from_words([0b100, 0, 0, 0]); // bit 2 set
         let mut mmu = Mmu::build(KeySource::Key(&key), DatapathMode::Behavioral);
-        assert_eq!(mmu.dot_product(&[1, 1], &[3, 4], 2), -7);
-        assert_eq!(mmu.dot_product(&[1, 1], &[3, 4], 3), 7);
+        assert_eq!(dot(&mut mmu, &[1, 1], &[3, 4], 2), -7);
+        assert_eq!(dot(&mut mmu, &[1, 1], &[3, 4], 3), 7);
     }
 
     #[test]
-    fn gate_level_matches_behavioral() {
-        let mut rng = Rng::new(1);
+    fn tile_routes_each_output_to_its_accumulator() {
+        let key = HpnnKey::from_words([1, 0, 0, 0]); // bit 0 set
+        let mut mmu = Mmu::build(KeySource::Key(&key), DatapathMode::Behavioral);
+        // Weight rows [1 2] and [3 4]; activation columns (10, 10) and (1, 0).
+        let (weights, cols) = ([1i8, 2, 3, 4], [10i8, 1, 10, 0]);
+        let mut out = [0i32; 4];
+        mmu.matmul_tile(&weights, &cols, 2, Some(&[0, 1, 1, 0]), &mut out);
+        assert_eq!(out, [-30, 1, 70, -3]);
+        // Unlocked units ignore the key.
+        mmu.matmul_tile(&weights, &cols, 2, None, &mut out);
+        assert_eq!(out, [30, 1, 70, 3]);
+    }
+
+    /// `(−1)^{key[acc]} · Σ w·c` by the definition, one output at a time.
+    fn naive_tile(
+        key: &HpnnKey,
+        weights: &[i8],
+        cols: &[i8],
+        k: usize,
+        accs: Option<&[u8]>,
+    ) -> Vec<i32> {
+        let (rows, n) = (weights.len() / k, cols.len() / k);
+        let mut out = vec![0i32; rows * n];
+        for r in 0..rows {
+            for p in 0..n {
+                let sum: i32 = (0..k)
+                    .map(|i| i32::from(weights[r * k + i]) * i32::from(cols[i * n + p]))
+                    .sum();
+                let negate = accs.is_some_and(|a| key.bit(usize::from(a[r * n + p])));
+                out[r * n + p] = if negate { -sum } else { sum };
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn tile_matches_naive_loop_at_every_simd_level_and_mode() {
+        let mut rng = Rng::new(11);
         let key = HpnnKey::random(&mut rng);
-        let mut gate = Mmu::build(KeySource::Key(&key), DatapathMode::GateLevel);
-        let mut fast = Mmu::build(KeySource::Key(&key), DatapathMode::Behavioral);
-        for _ in 0..25 {
-            let n = 1 + rng.below(64);
-            let w = random_vec(&mut rng, n);
-            let a = random_vec(&mut rng, n);
-            let acc = rng.below(KEY_BITS);
-            assert_eq!(
-                gate.dot_product(&w, &a, acc),
-                fast.dot_product(&w, &a, acc),
-                "acc={acc} n={n}"
-            );
+        // Depths of the layers the device runs (a 1x1 and a 3x3 filter, a
+        // 3x3 over 8 channels, the array edge, a 28x28 dense input); widths
+        // that no lane count divides; operands pinned at the int8 extremes.
+        for &k in &[1usize, 9, 72, 255, 784] {
+            for &(rows, n) in &[(1usize, 1usize), (5, 1), (3, 13), (2, 67)] {
+                let mut weights = random_vec(&mut rng, rows * k);
+                let mut cols = random_vec(&mut rng, k * n);
+                if k > 1 {
+                    weights[..k].fill(127);
+                    for i in 0..k {
+                        cols[i * n] = if i % 2 == 0 { -127 } else { 127 };
+                        cols[i * n + n - 1] = 127;
+                    }
+                }
+                let accs: Vec<u8> = (0..rows * n).map(|_| rng.below(256) as u8).collect();
+                for accs in [Some(accs.as_slice()), None] {
+                    let want = naive_tile(&key, &weights, &cols, k, accs);
+                    for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                        let _guard = simd::force(level);
+                        let mut fast = Mmu::build(KeySource::Key(&key), DatapathMode::Behavioral);
+                        let mut got = vec![i32::MIN; rows * n];
+                        fast.matmul_tile(&weights, &cols, k, accs, &mut got);
+                        assert_eq!(got, want, "behavioral {level:?} k={k} rows={rows} n={n}");
+                    }
+                    let mut gate = Mmu::build(KeySource::Key(&key), DatapathMode::GateLevel);
+                    let mut got = vec![i32::MIN; rows * n];
+                    gate.matmul_tile(&weights, &cols, k, accs, &mut got);
+                    assert_eq!(got, want, "gate level k={k} rows={rows} n={n}");
+                }
+            }
         }
     }
 
     #[test]
-    fn batch_dot_products_with_unlocked_rows() {
-        let key = HpnnKey::from_words([1, 0, 0, 0]); // bit 0 set
-        let mut mmu = Mmu::build(KeySource::Key(&key), DatapathMode::Behavioral);
-        let w1 = [1i8, 2];
-        let w2 = [3i8, 4];
-        let rows: Vec<&[i8]> = vec![&w1, &w2];
-        let out = mmu.dot_products(&rows, &[10, 10], &[Some(0), None]);
-        assert_eq!(out, vec![-30, 70]);
-    }
-
-    #[test]
-    fn stats_count_macs_and_cycles() {
-        let mut mmu = Mmu::build(KeySource::None, DatapathMode::Behavioral);
-        mmu.dot_product(&[1, 2, 3], &[1, 1, 1], 0);
-        let s = mmu.stats();
-        assert_eq!(s.macs, 3);
-        assert_eq!(s.dot_products, 1);
-        assert_eq!(s.cycles, 4);
-        mmu.reset_stats();
-        assert_eq!(mmu.stats(), MmuStats::default());
+    fn stats_advance_in_closed_form_in_both_modes() {
+        for mode in [DatapathMode::Behavioral, DatapathMode::GateLevel] {
+            let mut mmu = Mmu::build(KeySource::None, mode);
+            dot(&mut mmu, &[1, 2, 3], &[1, 1, 1], 0);
+            let one = MmuStats {
+                macs: 3,
+                cycles: 4,
+                dot_products: 1,
+            };
+            assert_eq!(mmu.stats(), one);
+            // A 2 x 5 tile of depth 3 is ten such dot products.
+            let mut out = [0i32; 10];
+            mmu.matmul_tile(&[1; 6], &[1; 15], 3, None, &mut out);
+            let s = mmu.stats();
+            assert_eq!((s.macs, s.cycles, s.dot_products), (33, 44, 11));
+            mmu.reset_stats();
+            assert_eq!(mmu.stats(), MmuStats::default());
+        }
     }
 
     #[test]
@@ -324,13 +434,13 @@ mod tests {
         let mut b = Mmu::build(KeySource::Key(&key), DatapathMode::Behavioral);
         let w = random_vec(&mut rng, 32);
         let x = random_vec(&mut rng, 32);
-        assert_eq!(a.dot_product(&w, &x, 99), b.dot_product(&w, &x, 99));
+        assert_eq!(dot(&mut a, &w, &x, 99), dot(&mut b, &w, &x, 99));
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn accumulator_index_validated() {
+    #[should_panic(expected = "tile output size mismatch")]
+    fn tile_shape_validated() {
         let mut mmu = Mmu::build(KeySource::None, DatapathMode::Behavioral);
-        let _ = mmu.dot_product(&[1], &[1], 256);
+        mmu.matmul_tile(&[1, 2], &[1, 2], 2, None, &mut [0, 0]);
     }
 }

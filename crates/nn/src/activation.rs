@@ -33,6 +33,7 @@ pub enum ActKind {
 
 impl ActKind {
     /// Evaluates the activation.
+    #[inline]
     pub fn eval(self, z: f32) -> f32 {
         match self {
             ActKind::Relu => z.max(0.0),

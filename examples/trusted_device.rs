@@ -46,8 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = Rng::new(1);
     let key = HpnnKey::random(&mut rng);
     let mut mmu = Mmu::build(KeySource::Key(&key), DatapathMode::GateLevel);
-    let out = mmu.dot_product(&[1, 2, 3], &[10, 20, 30], 0);
-    println!("\nMMU gate-level dot product on accumulator 0: {out}");
+    let mut out = [0i32];
+    mmu.matmul_tile(&[1, 2, 3], &[10, 20, 30], 3, Some(&[0]), &mut out);
+    println!("\nMMU gate-level dot product on accumulator 0: {}", out[0]);
     println!("\n{}", OverheadReport::compute());
 
     // ── Level 4: end-to-end locked inference ────────────────────────────

@@ -83,23 +83,50 @@ fn resnet_device_agrees_with_float() {
 
 #[test]
 fn gate_level_device_matches_behavioral_device() {
-    // The bit-level datapath and the fast behavioral datapath are the same
-    // function; a handful of samples through both must predict identically.
-    let ds_probe = Benchmark::FashionMnist.synthetic(DatasetScale::TINY);
-    let spec = mlp(ds_probe.shape.volume(), &[16], ds_probe.classes);
-    let (model, key, ds) = train_model(spec, 5);
-    let vault = KeyVault::provision(key, "tpu");
-    let mut behavioral = TrustedAccelerator::new(&vault);
-    let mut gate_level = TrustedAccelerator::with_mode(&vault, DatapathMode::GateLevel);
-    let idx: Vec<usize> = (0..4).collect();
-    let probe = ds.test_inputs.gather_rows(&idx);
-    let a = behavioral.run(&model, &probe).expect("behavioral");
-    let b = gate_level.run(&model, &probe).expect("gate level");
-    assert!(
-        a.max_abs_diff(&b) < 1e-5,
-        "datapaths diverged by {}",
-        a.max_abs_diff(&b)
-    );
+    // The two datapaths differ only inside the MMU tile, where both form
+    // exact integer sums: logits must be equal bit for bit and the simulated
+    // statistics equal, on a dense stack, a convolutional one (secret
+    // accumulator permutation) and a residual one (skip inside the lock,
+    // unlocked projections), with the key and with the zeroed key register
+    // of a commodity device.
+    let ds = Benchmark::FashionMnist.synthetic(DatasetScale::TINY);
+    let dims = ImageDims::new(ds.shape.c, ds.shape.h, ds.shape.w);
+    let specs = [
+        ("mlp", mlp(ds.shape.volume(), &[16], ds.classes)),
+        ("cnn1", cnn1(dims, ds.classes, 0.5).expect("cnn1")),
+        ("resnet", resnet(dims, ds.classes, 0.25).expect("resnet")),
+    ];
+    let probe = ds.test_inputs.gather_rows(&[0, 1, 2]);
+    for (name, spec) in specs {
+        let (model, key, _) = train_model(spec, 5);
+        let vault = KeyVault::provision(key, "tpu");
+        let no_key = KeyVault::provision(HpnnKey::ZERO, "commodity");
+        let pairs = [
+            (
+                "trusted",
+                TrustedAccelerator::new(&vault),
+                TrustedAccelerator::with_mode(&vault, DatapathMode::GateLevel),
+            ),
+            (
+                "untrusted",
+                TrustedAccelerator::untrusted(),
+                TrustedAccelerator::with_mode(&no_key, DatapathMode::GateLevel),
+            ),
+        ];
+        for (who, mut behavioral, mut gate_level) in pairs {
+            let a = behavioral.run(&model, &probe).expect("behavioral");
+            let b = gate_level.run(&model, &probe).expect("gate level");
+            let bits = |t: &hpnn::tensor::Tensor| -> Vec<u32> {
+                t.data().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&a), bits(&b), "{name} {who}: logits diverged");
+            assert_eq!(
+                behavioral.stats(),
+                gate_level.stats(),
+                "{name} {who}: simulated statistics diverged"
+            );
+        }
+    }
 }
 
 #[test]
