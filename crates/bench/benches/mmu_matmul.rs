@@ -15,10 +15,11 @@ use std::hint::black_box;
 use std::process::Command;
 use std::time::Instant;
 
-use hpnn_bench::timing::{bench, bench_output_path, group, json_escape};
+use hpnn_bench::timing::{bench, bench_output_path, group};
 use hpnn_core::HpnnKey;
 use hpnn_hw::{DatapathMode, KeySource, Mmu};
 use hpnn_tensor::{matmul_into, pool, simd, Rng, Tensor};
+use hpnn_trace::json_escape_into;
 
 /// Batch sizes: below, at and above the streaming/tiled kernel crossover.
 const ROWS: [usize; 8] = [1, 2, 3, 4, 7, 8, 16, 64];
@@ -102,14 +103,17 @@ fn host_json() -> String {
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
-    format!(
-        "{{\"cores\":{},\"simd\":\"{}\",\"pool_threads\":{},\"hpnn_threads_env\":\"{}\",\"commit\":\"{}\"}}",
+    let mut out = format!(
+        "{{\"cores\":{},\"simd\":\"{}\",\"pool_threads\":{},\"hpnn_threads_env\":\"",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         simd::probe().name(),
         pool::global().threads(),
-        json_escape(&std::env::var("HPNN_THREADS").unwrap_or_default()),
-        json_escape(&commit),
-    )
+    );
+    json_escape_into(&mut out, &std::env::var("HPNN_THREADS").unwrap_or_default());
+    out.push_str("\",\"commit\":\"");
+    json_escape_into(&mut out, &commit);
+    out.push_str("\"}");
+    out
 }
 
 fn main() {

@@ -14,6 +14,8 @@ use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use hpnn_trace::json_escape_into;
+
 /// Target wall-clock length of one measurement batch.
 const BATCH_TARGET: Duration = Duration::from_millis(60);
 
@@ -53,30 +55,14 @@ impl BenchResult {
     /// Serializes the result as a JSON object (hand-rolled; the workspace
     /// carries no serde dependency).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"iters_per_batch\":{},\"mean_ns\":{:.3},\"best_ns\":{:.3}}}",
-            json_escape(&self.name),
-            self.iters_per_batch,
-            self.mean_ns,
-            self.best_ns
-        )
+        let mut out = String::from("{\"name\":\"");
+        json_escape_into(&mut out, &self.name);
+        out.push_str(&format!(
+            "\",\"iters_per_batch\":{},\"mean_ns\":{:.3},\"best_ns\":{:.3}}}",
+            self.iters_per_batch, self.mean_ns, self.best_ns
+        ));
+        out
     }
-}
-
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Writes benchmark results plus scalar summary metrics (speedups,
@@ -98,15 +84,16 @@ pub fn write_json(
     metrics: &[(&str, f64)],
     results: &[BenchResult],
 ) -> std::io::Result<()> {
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    doc.push_str(&format!("  \"bench\": \"{}\",\n", json_escape(bench_name)));
-    doc.push_str("  \"metrics\": {");
+    let mut doc = String::from("{\n  \"bench\": \"");
+    json_escape_into(&mut doc, bench_name);
+    doc.push_str("\",\n  \"metrics\": {");
     for (i, (k, v)) in metrics.iter().enumerate() {
         if i > 0 {
             doc.push(',');
         }
-        doc.push_str(&format!("\n    \"{}\": {v:.4}", json_escape(k)));
+        doc.push_str("\n    \"");
+        json_escape_into(&mut doc, k);
+        doc.push_str(&format!("\": {v:.4}"));
     }
     doc.push_str(if metrics.is_empty() {
         "},\n"
@@ -262,12 +249,6 @@ mod tests {
             "setup leaked into timing: {} ns",
             r.mean_ns
         );
-    }
-
-    #[test]
-    fn json_escape_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
-        assert_eq!(json_escape("plain"), "plain");
     }
 
     #[test]

@@ -425,29 +425,27 @@ fn try_get_frame_inner(
 /// (see [`put_frame`]) laid out as:
 ///
 /// ```text
-/// [u8 version][u8 opcode][u32 correlation, little-endian]?[body ...]
+/// [u8 version][u8 opcode][u32 correlation, little-endian][body ...]
 /// ```
 ///
-/// The correlation field is present exactly when `version >= 2` — protocol
-/// v1 frames are lock-step (one request in flight, replies in order), so
-/// they carry no correlation and [`Frame::parse`] reports `0` for it.
-/// Both the v1 and v2 serve codecs are ports onto this struct; the length
-/// prefix itself is handled by [`Frame::write`]/[`FrameReader`].
+/// The header is these six bytes whatever the version byte holds: the byte
+/// is carried, not interpreted, and the serve codec decides which value it
+/// answers. The length prefix itself is handled by
+/// [`Frame::write`]/[`FrameReader`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Protocol version byte leading the payload.
     pub version: u8,
     /// Opcode byte selecting the body layout.
     pub opcode: u8,
-    /// Correlation ID echoed by replies; `0` on v1 frames (not serialized).
+    /// Correlation ID echoed by replies.
     pub correlation: u32,
     /// Opcode-specific body bytes.
     pub payload: Vec<u8>,
 }
 
-/// Error from [`Frame::parse`]: the framed payload ended before its header
-/// was complete (fewer than 2 bytes, or a `version >= 2` frame shorter than
-/// the 6-byte correlated header).
+/// Error from [`Frame::parse`]: the framed payload ended before its
+/// [`Frame::HEADER_LEN`]-byte header was complete.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShortFrame {
     /// The truncated payload's length in bytes.
@@ -467,6 +465,9 @@ impl std::fmt::Display for ShortFrame {
 impl std::error::Error for ShortFrame {}
 
 impl Frame {
+    /// Serialized header length: version, opcode, correlation.
+    pub const HEADER_LEN: usize = 6;
+
     /// A frame with an empty body.
     pub fn new(version: u8, opcode: u8, correlation: u32) -> Frame {
         Frame {
@@ -477,27 +478,15 @@ impl Frame {
         }
     }
 
-    /// Serialized header length for this frame's version.
-    fn header_len(version: u8) -> usize {
-        if version >= 2 {
-            6
-        } else {
-            2
-        }
-    }
-
     /// Appends the frame as one `u32`-length-prefixed wire message
     /// (header + body behind a single length prefix).
     pub fn write(&self, out: &mut impl BufMut) {
-        let header = Self::header_len(self.version);
-        let len = u32::try_from(header + self.payload.len())
+        let len = u32::try_from(Self::HEADER_LEN + self.payload.len())
             .expect("frame payload exceeds u32::MAX bytes");
         out.put_slice(&len.to_le_bytes());
         out.put_u8(self.version);
         out.put_u8(self.opcode);
-        if self.version >= 2 {
-            out.put_slice(&self.correlation.to_le_bytes());
-        }
+        out.put_slice(&self.correlation.to_le_bytes());
         out.put_slice(&self.payload);
     }
 
@@ -506,27 +495,16 @@ impl Frame {
     ///
     /// # Errors
     ///
-    /// [`ShortFrame`] when the payload is shorter than its header demands.
+    /// [`ShortFrame`] when the payload is shorter than the header.
     pub fn parse(payload: &[u8]) -> Result<Frame, ShortFrame> {
-        if payload.len() < 2 {
+        if payload.len() < Self::HEADER_LEN {
             return Err(ShortFrame { len: payload.len() });
         }
-        let version = payload[0];
-        let opcode = payload[1];
-        let header = Self::header_len(version);
-        if payload.len() < header {
-            return Err(ShortFrame { len: payload.len() });
-        }
-        let correlation = if version >= 2 {
-            u32::from_le_bytes(payload[2..6].try_into().expect("4-byte correlation"))
-        } else {
-            0
-        };
         Ok(Frame {
-            version,
-            opcode,
-            correlation,
-            payload: payload[header..].to_vec(),
+            version: payload[0],
+            opcode: payload[1],
+            correlation: u32::from_le_bytes(payload[2..6].try_into().expect("4-byte correlation")),
+            payload: payload[Self::HEADER_LEN..].to_vec(),
         })
     }
 }
@@ -845,68 +823,50 @@ mod tests {
     }
 
     #[test]
-    fn frame_header_layouts() {
-        // v1: no correlation field.
-        let f1 = Frame {
-            version: 1,
-            opcode: 0x42,
-            correlation: 0,
-            payload: vec![9, 8, 7],
-        };
-        let mut out = BytesMut::new();
-        f1.write(&mut out);
-        assert_eq!(&out[..], &[5, 0, 0, 0, 1, 0x42, 9, 8, 7]);
-        assert_eq!(Frame::parse(&out[4..]).unwrap(), f1);
-
-        // v2: 4-byte little-endian correlation after the opcode.
-        let f2 = Frame {
+    fn frame_header_layout() {
+        // 4-byte little-endian correlation after the opcode.
+        let f = Frame {
             version: 2,
             opcode: 0x42,
             correlation: 0x0102_0304,
             payload: vec![9],
         };
         let mut out = BytesMut::new();
-        f2.write(&mut out);
+        f.write(&mut out);
         assert_eq!(&out[..], &[7, 0, 0, 0, 2, 0x42, 4, 3, 2, 1, 9]);
-        assert_eq!(Frame::parse(&out[4..]).unwrap(), f2);
+        assert_eq!(Frame::parse(&out[4..]).unwrap(), f);
     }
 
     #[test]
     fn frame_parse_rejects_short_headers() {
         assert_eq!(Frame::parse(&[]), Err(ShortFrame { len: 0 }));
-        assert_eq!(Frame::parse(&[1]), Err(ShortFrame { len: 1 }));
-        // A v2 frame needs the 4 correlation bytes.
+        assert_eq!(Frame::parse(&[2]), Err(ShortFrame { len: 1 }));
+        // The header needs all four correlation bytes, whatever the
+        // version byte claims.
         assert_eq!(Frame::parse(&[2, 0x42]), Err(ShortFrame { len: 2 }));
+        assert_eq!(Frame::parse(&[1, 0x42]), Err(ShortFrame { len: 2 }));
         assert_eq!(
             Frame::parse(&[2, 0x42, 0, 0, 0]),
             Err(ShortFrame { len: 5 })
         );
         assert!(Frame::parse(&[2, 0x42, 0, 0, 0, 0]).is_ok());
-        // v1 headers are complete at two bytes.
-        assert!(Frame::parse(&[1, 0x42]).is_ok());
     }
 
-    /// Property: any v2 frame (random opcode, correlation, body) survives a
-    /// write→reassemble→parse round trip, including streams of many frames
-    /// delivered through the [`FrameReader`] in partial chunks.
+    /// Property: any frame (random version byte, opcode, correlation, body)
+    /// survives a write→reassemble→parse round trip, including streams of
+    /// many frames delivered through the [`FrameReader`] in partial chunks.
     #[test]
-    fn v2_frame_roundtrip_property() {
+    fn frame_roundtrip_property() {
         use hpnn_tensor::Rng;
         for seed in 0..48u64 {
             let mut rng = Rng::new(0xF2A5 + seed);
             let n_frames = 1 + rng.below(6);
             let frames: Vec<Frame> = (0..n_frames)
                 .map(|_| Frame {
-                    version: if rng.bit() { 2 } else { 1 },
+                    version: rng.next_u32() as u8,
                     opcode: rng.next_u32() as u8,
                     correlation: rng.next_u32(),
                     payload: (0..rng.below(150)).map(|_| rng.next_u32() as u8).collect(),
-                })
-                .map(|mut f| {
-                    if f.version < 2 {
-                        f.correlation = 0; // v1 never carries one
-                    }
-                    f
                 })
                 .collect();
             let mut wire = BytesMut::new();

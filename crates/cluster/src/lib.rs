@@ -9,16 +9,17 @@
 //! so a [`LayerPartition`](hpnn_core::LayerPartition) can pin the
 //! trusted-required stages to the head node (the one holding the
 //! [`KeyVault`](hpnn_core::KeyVault)) and stream the rest to cheap
-//! keyless workers as `FWD_ACT` activation frames over protocol v2.
+//! keyless workers as `FWD_ACT` activation frames.
 //!
 //! This crate is the head node's side of that pipeline:
 //!
 //! - [`CostModel`] — static per-stage offload decision: estimated compute
 //!   time against link transfer time.
 //! - [`RouteTable`] — which peer serves each offloadable stage.
-//! - [`PeerClient`] — one persistent v2 connection to a worker: HELLO
-//!   handshake (v2 required), pipelined in-flight window, a reply thread
-//!   matching correlations to parked continuations.
+//! - [`PeerClient`] — one persistent connection to a worker: HELLO
+//!   handshake (a peer announcing another protocol version is refused),
+//!   pipelined in-flight window, a reply thread matching correlations to
+//!   parked continuations.
 //! - [`ClusterBackend`] — the [`RemoteStageBackend`] plugged into
 //!   `hpnn-serve`'s scheduler: routing, lazy dials, per-peer health with
 //!   exponential backoff, and graceful drain.

@@ -1,4 +1,4 @@
-//! One persistent protocol-v2 link to a cluster worker.
+//! One persistent link to a cluster worker.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -52,9 +52,7 @@ impl PeerClient {
     /// # Errors
     ///
     /// Connection/handshake I/O failures, or `InvalidData` when the peer
-    /// negotiates below protocol v2 — activation forwarding needs
-    /// correlation IDs, so a v1-only peer is refused outright rather than
-    /// degraded to lock-step.
+    /// announces a protocol version other than ours.
     pub fn connect(addr: SocketAddr, window: usize, timeout: Duration) -> io::Result<PeerClient> {
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_nodelay(true)?;
@@ -73,7 +71,7 @@ impl PeerClient {
         })?;
         let (_, _, reply) = Reply::decode(&payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let negotiated = match reply {
+        let announced = match reply {
             Reply::HelloOk { version, .. } => version,
             other => {
                 return Err(io::Error::new(
@@ -82,12 +80,11 @@ impl PeerClient {
                 ))
             }
         };
-        if negotiated < 2 {
+        if announced != PROTOCOL_VERSION {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "peer negotiated protocol v{negotiated}; \
-                     cluster links require v2 correlation IDs"
+                    "peer speaks protocol v{announced}; cluster links speak v{PROTOCOL_VERSION}"
                 ),
             ));
         }

@@ -16,7 +16,7 @@ use hpnn_core::{
 use hpnn_nn::mlp;
 use hpnn_serve::{
     ClusterPlan, ErrorCode, InferMode, Reply, Request, ServeConfig, ServeError, ServeRegistry,
-    Server, Session, MAX_FRAME_PAYLOAD,
+    Server, Session, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
 };
 use hpnn_tensor::{Rng, Shape, Tensor};
 
@@ -267,15 +267,15 @@ fn dead_peer_degrades_to_local_with_backoff() {
     solo.shutdown();
 }
 
-/// A stub worker that handshakes at `hello_version`, then handles `n`
-/// further frames by dropping the connection (mid-flight death).
+/// A stub worker that announces `hello_version` in its `HELLO_OK`, then
+/// handles one further frame by dropping the connection (mid-flight death).
 fn stub_peer(hello_version: u8) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
         let mut reader = FrameReader::new(stream.try_clone().unwrap(), MAX_FRAME_PAYLOAD);
-        // HELLO → HELLO_OK at the configured version.
+        // HELLO → HELLO_OK announcing the configured version.
         let payload = reader.next_frame().unwrap().unwrap();
         let (_, correlation, _) = Request::decode(&payload).unwrap();
         let mut out = BytesMut::new();
@@ -283,7 +283,7 @@ fn stub_peer(hello_version: u8) -> SocketAddr {
             version: hello_version,
             models: Vec::new(),
         }
-        .encode(&mut out, hello_version, correlation);
+        .encode(&mut out, PROTOCOL_VERSION, correlation);
         (&stream).write_all(&out).unwrap();
         // First real frame: read it, then vanish without replying.
         let _ = reader.next_frame();

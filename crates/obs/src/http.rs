@@ -24,7 +24,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hpnn_serve::event::{fd_of, Poller, Ready};
-use hpnn_serve::HistogramSnapshot;
+use hpnn_serve::{HistogramSnapshot, RowKind};
 
 use crate::{ObsState, ReadyCheck};
 
@@ -249,124 +249,34 @@ fn http_response(status: u16, content_type: &str, body: &str) -> Vec<u8> {
     .into_bytes()
 }
 
-/// Renders the Prometheus text format: every cumulative counter and gauge
-/// from a fresh snapshot, windowed stage quantiles from the newest ring
-/// point, and the watchdog counters. Rule metrics are labelled by index
-/// (`rule="0"`) with the rule text in a comment, keeping label values free
-/// of spaces and quoting hazards.
+/// Renders the Prometheus text format: every row of the stats table from a
+/// fresh snapshot (a counter as `hpnn_<name>_total`, a gauge as
+/// `hpnn_<name>`, `HELP` from the row's description), windowed stage
+/// quantiles from the newest ring point, and the watchdog counters. Rule
+/// metrics are labelled by index (`rule="0"`) with the rule text in a
+/// comment, keeping label values free of spaces and quoting hazards.
 pub fn render_prometheus(state: &ObsState) -> String {
     let snap = state.current();
     let mut out = String::with_capacity(4096);
-    let mut counter = |name: &str, help: &str, v: u64| {
+    let mut sample = |name: &str, kind: &str, help: &str, v: String| {
         out.push_str(&format!(
-            "# HELP hpnn_{name} {help}\n# TYPE hpnn_{name} counter\nhpnn_{name} {v}\n"
+            "# HELP hpnn_{name} {help}\n# TYPE hpnn_{name} {kind}\nhpnn_{name} {v}\n"
         ));
     };
-    counter(
-        "connections_total",
-        "Connections accepted.",
-        snap.connections,
-    );
-    counter(
-        "requests_total",
-        "Inference requests admitted.",
-        snap.requests,
-    );
-    counter("rows_total", "Input rows admitted.", snap.rows);
-    counter(
-        "replies_ok_total",
-        "Requests answered with logits.",
-        snap.replies_ok,
-    );
-    counter("busy_total", "Requests rejected with BUSY.", snap.busy);
-    counter(
-        "expired_total",
-        "Requests expired while queued.",
-        snap.expired,
-    );
-    counter(
-        "protocol_errors_total",
-        "Undecodable frames.",
-        snap.protocol_errors,
-    );
-    counter(
-        "batches_total",
-        "Batched forward calls executed.",
-        snap.batches,
-    );
-    counter(
-        "accept_errors_total",
-        "Failed accept() calls.",
-        snap.accept_errors,
-    );
-    counter(
-        "wakeups_total",
-        "Wake-pipe signals delivered.",
-        snap.wakeups,
-    );
-    counter(
-        "loop_events_total",
-        "Event-loop readiness events.",
-        snap.loop_events,
-    );
-    counter(
-        "fwd_sent_total",
-        "FWD_ACT activations sent to peers.",
-        snap.fwd_sent,
-    );
-    counter(
-        "fwd_recv_total",
-        "FWD_ACT activations answered for peers.",
-        snap.fwd_recv,
-    );
-    counter(
-        "shard_scale_ups_total",
-        "Adaptive shard scale-up events.",
-        snap.shard_scale_ups,
-    );
-    counter(
-        "shard_scale_downs_total",
-        "Adaptive shard scale-down events.",
-        snap.shard_scale_downs,
-    );
-    counter(
-        "worker_panics_total",
-        "Batch workers lost to a panic.",
-        snap.worker_panics,
-    );
-    counter(
-        "keyed_requests_total",
-        "Requests admitted in keyed mode.",
-        snap.keyed_requests,
-    );
-    counter(
-        "keyless_requests_total",
-        "Requests admitted in keyless mode.",
-        snap.keyless_requests,
-    );
-    counter(
-        "trusted_stage_refused_total",
-        "Keyless requests refused at a trusted stage.",
-        snap.trusted_stage_refused,
-    );
-
-    let mut gauge = |name: &str, help: &str, v: String| {
-        out.push_str(&format!(
-            "# HELP hpnn_{name} {help}\n# TYPE hpnn_{name} gauge\nhpnn_{name} {v}\n"
-        ));
-    };
-    gauge(
-        "inflight",
-        "Requests admitted but not yet answered.",
-        snap.inflight.to_string(),
-    );
-    gauge(
-        "open_connections",
-        "Connections registered in an event loop.",
-        snap.open_connections.to_string(),
-    );
-    gauge(
+    for row in snap.rows() {
+        match row.kind {
+            RowKind::Counter => sample(
+                &format!("{}_total", row.name),
+                "counter",
+                row.description,
+                row.value.to_string(),
+            ),
+            RowKind::Gauge => sample(row.name, "gauge", row.description, row.value.to_string()),
+        }
+    }
+    sample(
         "uptime_seconds",
+        "gauge",
         "Server uptime.",
         format!("{:.3}", snap.uptime_ns as f64 / 1e9),
     );
@@ -437,22 +347,6 @@ pub fn render_prometheus(state: &ObsState) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn quantiles_json(h: &HistogramSnapshot, qs: &[(&str, f64)]) -> String {
     let fields: Vec<String> = qs
         .iter()
@@ -462,7 +356,9 @@ fn quantiles_json(h: &HistogramSnapshot, qs: &[(&str, f64)]) -> String {
 }
 
 /// Renders the `/series` JSON: header (tick, breach totals, rules) plus one
-/// object per ring point, oldest first.
+/// object per ring point, oldest first. A point carries every row of the
+/// stats table under the row's name (counters as the interval's increment,
+/// gauges as the level at its end) beside the derived rates and quantiles.
 pub fn render_series(state: &ObsState) -> String {
     let uptime_ns = state
         .last_snapshot()
@@ -475,21 +371,17 @@ pub fn render_series(state: &ObsState) -> String {
         state.breaches_total(),
         state.dumps_written(),
     ));
-    let rules: Vec<String> = state
-        .rules()
-        .iter()
-        .enumerate()
-        .map(|(idx, r)| {
-            format!(
-                "{{\"rule\":\"{}\",\"breaches\":{}}}",
-                json_escape(&r.text()),
-                state.rule_breaches(idx)
-            )
-        })
-        .collect();
-    out.push_str(&format!("\"slo\":[{}],", rules.join(",")));
+    out.push_str("\"slo\":[");
+    for (idx, r) in state.rules().iter().enumerate() {
+        if idx > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"rule\":\"");
+        hpnn_trace::json_escape_into(&mut out, &r.text());
+        out.push_str(&format!("\",\"breaches\":{}}}", state.rule_breaches(idx)));
+    }
     out.push_str(&format!(
-        "\"history\":{},",
+        "],\"history\":{},",
         state.with_points(|r| r.capacity())
     ));
     out.push_str("\"points\":[");
@@ -516,27 +408,19 @@ pub fn render_series(state: &ObsState) -> String {
                 })
                 .collect();
             out.push_str(&format!(
-                "{{\"seq\":{},\"at_ns\":{},\"interval_ns\":{},\"rps\":{:.3},\"rows_ps\":{:.3},\
-                 \"requests\":{},\"busy\":{},\"expired\":{},\"protocol_errors\":{},\
-                 \"batches\":{},\"inflight\":{},\"open_connections\":{},\
-                 \"keyed\":{},\"keyless\":{},\"trusted_refused\":{},\"worker_panics\":{},\
-                 \"breaches\":{},\"e2e_us\":{},\"queue_us\":{},\"shards\":[{}]}}",
+                "{{\"seq\":{},\"at_ns\":{},\"interval_ns\":{},\"rps\":{:.3},\"rows_ps\":{:.3},",
                 p.seq,
                 p.at_ns,
                 d.interval_ns,
                 d.rps(),
                 d.rate(d.rows),
-                d.requests,
-                d.busy,
-                d.expired,
-                d.protocol_errors,
-                d.batches,
-                d.inflight,
-                d.open_connections,
-                d.keyed_requests,
-                d.keyless_requests,
-                d.trusted_stage_refused,
-                d.worker_panics,
+            ));
+            // Every row of the stats table under its own name.
+            for row in d.rows() {
+                out.push_str(&format!("\"{}\":{},", row.name, row.value));
+            }
+            out.push_str(&format!(
+                "\"breaches\":{},\"e2e_us\":{},\"queue_us\":{},\"shards\":[{}]}}",
                 p.breaches,
                 quantiles_json(&d.e2e, &[("p50", 0.50), ("p95", 0.95), ("p99", 0.99)]),
                 quantiles_json(&d.queue_wait, &[("p50", 0.50), ("p99", 0.99)]),
@@ -553,7 +437,7 @@ mod tests {
     use super::*;
     use crate::json::Json;
     use crate::slo::SloRule;
-    use hpnn_serve::Metrics;
+    use hpnn_serve::{Metrics, Reply, StatsSnapshot, PROTOCOL_VERSION, STATS_ROWS};
 
     fn test_state(rules: Vec<SloRule>) -> (Arc<Metrics>, ObsState) {
         let m = Arc::new(Metrics::new());
@@ -644,6 +528,80 @@ mod tests {
                 .unwrap()
                 > 0.0
         );
+    }
+
+    /// Walks the stats table instead of naming rows: whatever is declared
+    /// there — today's rows or one added tomorrow — reaches the `STATS`
+    /// wire, `/metrics`, `/series` and `delta_since` with no other edit.
+    #[test]
+    fn every_table_row_reaches_every_surface() {
+        // Row `i` reads `tick * (100 + i)`: distinct per row and per tick.
+        let snapshot_at = |tick: u64| {
+            let mut s = StatsSnapshot {
+                uptime_ns: tick * 1_000_000,
+                snapshot_seq: tick,
+                ..StatsSnapshot::default()
+            };
+            for (i, slot) in s.rows_mut().enumerate() {
+                *slot = tick * (100 + i as u64);
+            }
+            s
+        };
+        let (earlier, later) = (snapshot_at(1), snapshot_at(3));
+
+        let mut frame = hpnn_bytes::BytesMut::new();
+        Reply::StatsOk(Box::new(later.clone())).encode(&mut frame, PROTOCOL_VERSION, 1);
+        let Ok((_, _, Reply::StatsOk(decoded))) = Reply::decode(&frame[4..]) else {
+            panic!("STATS_OK must decode");
+        };
+
+        let current = later.clone();
+        let state = ObsState::new(
+            Duration::from_millis(10),
+            8,
+            Vec::new(),
+            None,
+            Arc::new(move || current.clone()),
+        )
+        .unwrap();
+        state.observe(earlier.clone());
+        state.observe(later.clone());
+        let metrics = render_prometheus(&state);
+        let series = Json::parse(&render_series(&state)).expect("series must be valid JSON");
+        let point = &series.get("points").unwrap().as_arr().unwrap()[0];
+        let delta = later.delta_since(&earlier).unwrap();
+
+        assert_eq!(later.rows().count(), STATS_ROWS);
+        let surfaces = later.rows().zip(decoded.rows()).zip(delta.rows());
+        for (i, ((row, wire), diffed)) in surfaces.enumerate() {
+            let (then, now) = (100 + i as u64, 3 * (100 + i as u64));
+            assert_eq!(row.value, now, "{}", row.name);
+            assert_eq!(wire, row, "wire round trip");
+            let (metric, kind, interval) = match row.kind {
+                RowKind::Counter => (format!("hpnn_{}_total", row.name), "counter", now - then),
+                RowKind::Gauge => (format!("hpnn_{}", row.name), "gauge", now),
+            };
+            assert_eq!(diffed.value, interval, "{} over the interval", row.name);
+            assert_eq!((diffed.name, diffed.kind), (row.name, row.kind));
+            let sample = format!(
+                "# HELP {metric} {}\n# TYPE {metric} {kind}\n{metric} {now}\n",
+                row.description
+            );
+            assert!(
+                metrics.contains(&sample),
+                "missing:\n{sample}in:\n{metrics}"
+            );
+            for comment in ["HELP", "TYPE"] {
+                let line = format!("# {comment} {metric} ");
+                assert_eq!(metrics.matches(&line).count(), 1, "one {line}");
+            }
+            assert_eq!(
+                point.get(row.name).and_then(Json::as_u64),
+                Some(interval),
+                "/series key {}",
+                row.name
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, Schedul
 use hpnn_nn::mlp;
 use hpnn_obs::json::Json;
 use hpnn_obs::{FlightConfig, ObsOptions, Observer};
-use hpnn_serve::{Client, InferMode, ServeConfig, ServeRegistry, Server};
+use hpnn_serve::{InferMode, ServeConfig, ServeRegistry, Server, Session};
 use hpnn_tensor::Rng;
 
 const IN_FEATURES: usize = 6;
@@ -54,7 +54,7 @@ fn wait_for_baseline(obs: &Observer) {
 }
 
 fn drive_load(server: &Server, requests: usize) {
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Session::connect(server.local_addr()).unwrap();
     client.hello("obs-test").unwrap();
     for i in 0..requests {
         let x = vec![0.25f32 + i as f32 * 0.01; IN_FEATURES];
@@ -121,7 +121,7 @@ fn slo_breach_fires_counters_and_flight_dump() {
 
     // Inject the fault: the next batch the model's worker pops panics.
     assert!(server.fail_next_batch(0));
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Session::connect(server.local_addr()).unwrap();
     client.hello("obs-fault").unwrap();
     let x = vec![0.5f32; IN_FEATURES];
     // The panicked worker drains this request with an Internal error.
@@ -235,7 +235,7 @@ fn metrics_endpoints_reflect_real_traffic() {
     assert!(replied >= 25, "series missed traffic: {replied}");
     let keyed: u64 = points
         .iter()
-        .map(|p| p.get("keyed").unwrap().as_u64().unwrap())
+        .map(|p| p.get("keyed_requests").unwrap().as_u64().unwrap())
         .sum();
     assert_eq!(keyed, replied, "all test traffic was keyed");
     assert!(points

@@ -1,17 +1,15 @@
 //! Blocking client for the `hpnn-serve` wire protocol.
 //!
-//! [`Session`] is the primary surface: [`submit`](Session::submit) writes a
+//! [`Session`] is the one client type: [`submit`](Session::submit) writes a
 //! correlation-tagged request and returns a [`Ticket`] immediately, so many
-//! requests ride one connection concurrently (protocol v2 pipelining);
-//! [`wait`](Session::wait) blocks until that ticket's reply arrives —
-//! stashing any other tickets' replies that land first — and
-//! [`drain`](Session::drain) collects everything outstanding. Against a v1
-//! (lock-step) negotiation the same API works with FIFO reply matching, one
-//! request in flight at a time on the wire.
+//! requests ride one connection concurrently; [`wait`](Session::wait)
+//! blocks until that ticket's reply arrives — stashing any other tickets'
+//! replies that land first — [`drain`](Session::drain) collects everything
+//! outstanding, and [`infer`](Session::infer) is submit-then-wait for
+//! callers that want one answer at a time.
 //!
 //! Every fallible call reports a typed [`ServeError`]; a successful
-//! inference yields [`Logits`]. [`Client`] keeps the original one-shot call
-//! surface as thin submit-then-wait wrappers.
+//! inference yields [`Logits`].
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write as IoWrite};
@@ -21,11 +19,10 @@ use hpnn_bytes::{BytesMut, FrameReader};
 
 use crate::metrics::StatsSnapshot;
 use crate::protocol::{
-    ErrorCode, InferMode, ModelInfo, Reply, Request, WireError, MAX_FRAME_PAYLOAD, PROTOCOL_V1,
-    PROTOCOL_VERSION,
+    ErrorCode, InferMode, ModelInfo, Reply, Request, WireError, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
 };
 
-/// Typed error for every [`Session`] / [`Client`] call.
+/// Typed error for every [`Session`] call.
 ///
 /// The first four variants are *server verdicts* — the connection is intact
 /// and the request was understood, but it was not served. The remaining
@@ -56,9 +53,6 @@ pub enum ServeError {
     Io(io::Error),
     /// The server closed the connection while a reply was expected.
     Disconnected,
-    /// A lock-step (v1) control call was attempted with tickets still in
-    /// flight; wait for them (or [`Session::drain`]) first.
-    OutstandingTickets(usize),
 }
 
 impl ServeError {
@@ -98,9 +92,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Protocol(e) => write!(f, "protocol error: {e}"),
             ServeError::Io(e) => write!(f, "i/o error: {e}"),
             ServeError::Disconnected => write!(f, "server closed the connection"),
-            ServeError::OutstandingTickets(n) => {
-                write!(f, "{n} tickets still in flight on a lock-step session")
-            }
         }
     }
 }
@@ -145,7 +136,7 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// The correlation ID carried on the wire (v2 connections).
+    /// The correlation ID carried on the wire.
     pub fn correlation(&self) -> u32 {
         self.correlation
     }
@@ -155,12 +146,9 @@ impl Ticket {
 pub struct Session {
     stream: TcpStream,
     reader: FrameReader<TcpStream>,
-    /// Version used for outgoing frames; updated by HELLO negotiation.
-    version: u8,
     helloed: bool,
     next_correlation: u32,
-    /// Outstanding infer correlations in submission order (the FIFO order
-    /// doubles as the reply order on v1 connections).
+    /// Outstanding infer correlations in submission order.
     pending: VecDeque<u32>,
     /// Replies that arrived while waiting for a different ticket.
     stash: HashMap<u32, Reply>,
@@ -172,43 +160,24 @@ pub struct Session {
 pub type DrainedTicket = (Ticket, Result<Logits, ServeError>);
 
 impl Session {
-    /// Connects with `TCP_NODELAY` (small latency-sensitive frames) at the
-    /// newest protocol version. The first [`hello`](Session::hello) — or
-    /// the implicit one before the first submit — negotiates downward if
-    /// the server is older.
+    /// Connects with `TCP_NODELAY` (small latency-sensitive frames).
     ///
     /// # Errors
     ///
     /// Propagates connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Session> {
-        Session::connect_with_version(addr, PROTOCOL_VERSION)
-    }
-
-    /// Connects speaking a specific protocol version (clamped to the
-    /// supported range) — `PROTOCOL_V1` gives a lock-step session.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    pub fn connect_with_version(addr: impl ToSocketAddrs, version: u8) -> io::Result<Session> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let reader = FrameReader::new(stream.try_clone()?, MAX_FRAME_PAYLOAD);
         Ok(Session {
             stream,
             reader,
-            version: version.clamp(PROTOCOL_V1, PROTOCOL_VERSION),
             helloed: false,
             next_correlation: 1,
             pending: VecDeque::new(),
             stash: HashMap::new(),
             models: Vec::new(),
         })
-    }
-
-    /// The protocol version currently in force (post-negotiation).
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// Model list from the last HELLO (empty before any handshake).
@@ -250,8 +219,8 @@ impl Session {
         c
     }
 
-    /// Sends one request frame at the session version with a fresh
-    /// correlation ID, returning that ID.
+    /// Sends one request frame with a fresh correlation ID, returning that
+    /// ID.
     ///
     /// # Errors
     ///
@@ -259,7 +228,7 @@ impl Session {
     pub fn send(&mut self, req: &Request) -> io::Result<u32> {
         let correlation = self.fresh_correlation();
         let mut out = BytesMut::new();
-        req.encode(&mut out, self.version, correlation);
+        req.encode(&mut out, PROTOCOL_VERSION, correlation);
         self.stream.write_all(&out)?;
         Ok(correlation)
     }
@@ -274,8 +243,7 @@ impl Session {
         self.stream.write_all(bytes)
     }
 
-    /// Receives and decodes one reply frame as `(correlation, reply)`
-    /// (correlation is 0 on v1 connections).
+    /// Receives and decodes one reply frame as `(correlation, reply)`.
     ///
     /// # Errors
     ///
@@ -287,20 +255,22 @@ impl Session {
         Ok((correlation, reply))
     }
 
-    /// Handshakes, negotiates the connection version downward if needed,
-    /// and returns the server's model list. Must not race outstanding
-    /// tickets on a lock-step (v1) session.
+    /// Handshakes and returns the server's model list.
     ///
     /// # Errors
     ///
-    /// Transport, decode, or unexpected-reply failures.
+    /// Transport, decode, or unexpected-reply failures, and
+    /// [`WireError::BadVersion`] when the server announces a version other
+    /// than [`PROTOCOL_VERSION`].
     pub fn hello(&mut self, client_name: &str) -> Result<Vec<ModelInfo>, ServeError> {
         let reply = self.control(&Request::Hello {
             client: client_name.to_string(),
         })?;
         match reply {
             Reply::HelloOk { version, models } => {
-                self.version = version.clamp(PROTOCOL_V1, self.version);
+                if version != PROTOCOL_VERSION {
+                    return Err(ServeError::Protocol(WireError::BadVersion(version)));
+                }
                 self.helloed = true;
                 self.models = models.clone();
                 Ok(models)
@@ -312,7 +282,7 @@ impl Session {
 
     /// Submits an inference request and returns its ticket without waiting
     /// for the reply. The first submit on a fresh session performs an
-    /// implicit HELLO so the version is negotiated before pipelining.
+    /// implicit HELLO so the server's version is checked before pipelining.
     ///
     /// # Errors
     ///
@@ -361,19 +331,33 @@ impl Session {
                     tag: 0,
                 }));
             }
-            let (wire_corr, reply) = self.recv()?;
-            // v1 carries no correlation: replies arrive in FIFO order.
-            let correlation = if self.version >= 2 {
-                wire_corr
-            } else {
-                *self.pending.front().expect("pending checked above")
-            };
+            let (correlation, reply) = self.recv()?;
             self.pending.retain(|&c| c != correlation);
             if correlation == ticket.correlation {
                 return outcome(reply);
             }
             self.stash.insert(correlation, reply);
         }
+    }
+
+    /// Runs `rows` samples through a model and waits for the logits:
+    /// [`submit`](Session::submit) then [`wait`](Session::wait).
+    ///
+    /// # Errors
+    ///
+    /// Any [`ServeError`]: server verdicts (`Busy`, `Expired`, `Refused`,
+    /// `PeerUnavailable`) or transport/decode failures.
+    pub fn infer(
+        &mut self,
+        model: u16,
+        mode: InferMode,
+        deadline_us: u32,
+        rows: usize,
+        cols: usize,
+        data: Vec<f32>,
+    ) -> Result<Logits, ServeError> {
+        let ticket = self.submit(model, mode, deadline_us, rows, cols, data)?;
+        self.wait(ticket)
     }
 
     /// Waits for every outstanding ticket and returns `(ticket, result)`
@@ -426,15 +410,12 @@ impl Session {
     }
 
     /// Sends a control request and returns its own reply, stashing infer
-    /// replies that arrive ahead of it on a pipelined connection.
+    /// replies that arrive ahead of it.
     fn control(&mut self, req: &Request) -> Result<Reply, ServeError> {
-        if self.version < 2 && !self.pending.is_empty() {
-            return Err(ServeError::OutstandingTickets(self.pending.len()));
-        }
         let correlation = self.send(req)?;
         loop {
             let (wire_corr, reply) = self.recv()?;
-            if self.version < 2 || wire_corr == correlation {
+            if wire_corr == correlation {
                 return Ok(reply);
             }
             self.pending.retain(|&c| c != wire_corr);
@@ -475,115 +456,5 @@ fn reply_discriminant(r: &Reply) -> u8 {
         Reply::ShutdownOk => 0x84,
         Reply::Busy => 0x90,
         Reply::Error { .. } => 0xEE,
-    }
-}
-
-/// A blocking one-shot connection to an `hpnn-serve` server: every call is
-/// a [`Session::submit`] immediately followed by [`Session::wait`].
-pub struct Client {
-    session: Session,
-}
-
-impl Client {
-    /// Connects a pipeline-capable (v2) session used lock-step.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Ok(Client {
-            session: Session::connect(addr)?,
-        })
-    }
-
-    /// Connects speaking protocol v1 (lock-step on the wire too).
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures.
-    pub fn connect_v1(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Ok(Client {
-            session: Session::connect_with_version(addr, PROTOCOL_V1)?,
-        })
-    }
-
-    /// The underlying session, for mixing one-shot and pipelined calls.
-    pub fn session(&mut self) -> &mut Session {
-        &mut self.session
-    }
-
-    /// Sends one request frame (see [`Session::send`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    pub fn send(&mut self, req: &Request) -> io::Result<()> {
-        self.session.send(req).map(|_| ())
-    }
-
-    /// Sends raw bytes, bypassing the protocol encoder.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.session.send_raw(bytes)
-    }
-
-    /// Receives and decodes one reply frame.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::recv`].
-    pub fn recv(&mut self) -> Result<Reply, ServeError> {
-        self.session.recv().map(|(_, reply)| reply)
-    }
-
-    /// Handshakes and returns the server's model list.
-    ///
-    /// # Errors
-    ///
-    /// Transport, decode, or unexpected-reply failures.
-    pub fn hello(&mut self, client_name: &str) -> Result<Vec<ModelInfo>, ServeError> {
-        self.session.hello(client_name)
-    }
-
-    /// Runs `rows` samples through a model and waits for the logits.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError`]: server verdicts (`Busy`, `Expired`, `Refused`,
-    /// `PeerUnavailable`) or transport/decode failures.
-    pub fn infer(
-        &mut self,
-        model: u16,
-        mode: InferMode,
-        deadline_us: u32,
-        rows: usize,
-        cols: usize,
-        data: Vec<f32>,
-    ) -> Result<Logits, ServeError> {
-        let ticket = self
-            .session
-            .submit(model, mode, deadline_us, rows, cols, data)?;
-        self.session.wait(ticket)
-    }
-
-    /// Fetches the server's metrics snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Transport, decode, or unexpected-reply failures.
-    pub fn stats(&mut self) -> Result<StatsSnapshot, ServeError> {
-        self.session.stats()
-    }
-
-    /// Asks the server to drain and exit; returns once `SHUTDOWN_OK` lands.
-    ///
-    /// # Errors
-    ///
-    /// Transport, decode, or unexpected-reply failures.
-    pub fn shutdown(&mut self) -> Result<(), ServeError> {
-        self.session.shutdown()
     }
 }

@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use hpnn_bytes::{FrameBuffer, FrameTooLong};
 
-use crate::protocol::{MAX_FRAME_PAYLOAD, PROTOCOL_V1};
+use crate::protocol::MAX_FRAME_PAYLOAD;
 
 /// Ceiling on undecoded bytes buffered per connection. Must admit one
 /// maximum-size frame (header + payload) so decode can always make
@@ -40,17 +40,13 @@ pub struct Outbound {
     /// this stamp when the reply transfers to the outbound queue, and the
     /// trace span closes when the bytes hit the socket.
     pub reply_ready: Option<(Instant, u32)>,
-    /// For v2 completion replies: the correlation to remove from the
+    /// For completion replies: the correlation to remove from the
     /// connection's in-flight window when this reply transfers to the
     /// outbound queue. Retiring on the loop thread (not on the worker that
     /// fired the completion) keeps `ConnWindow::depth` nonzero until the
     /// reply is queued, so a half-closed connection can never be reclaimed
     /// with its reply still in the mailbox.
     pub retire_correlation: Option<u32>,
-    /// This is the reply to a v1 lock-step inference: its transfer — and
-    /// only its transfer, never an interleaved v2 completion's — resumes
-    /// the connection's paused decode.
-    pub unblocks_v1: bool,
 }
 
 /// The cross-thread face of a connection: completions push encoded replies
@@ -120,7 +116,7 @@ impl ConnHandle {
     }
 }
 
-/// Correlation IDs currently in flight on one v2 connection, shared
+/// Correlation IDs currently in flight on one connection, shared
 /// between admission (event loop) and the completions that clear them
 /// (batch workers).
 #[derive(Debug, Default)]
@@ -186,19 +182,10 @@ pub struct Conn {
     out_frames: VecDeque<FrameMark>,
     /// Bytes of the front frame already sent.
     front_sent: usize,
-    /// The protocol version of the last well-formed frame this connection
-    /// sent (clamped to what we speak). Error replies to frames too broken
-    /// to carry a version answer in this, so a pipelined v2 session never
-    /// receives a v1-framed error it would misparse.
-    pub version: u8,
     /// Cross-thread reply mailbox for this slot.
     pub handle: std::sync::Arc<ConnHandle>,
-    /// In-flight correlation window (v2 pipelining).
+    /// In-flight correlation window.
     pub window: std::sync::Arc<ConnWindow>,
-    /// A v1 lock-step inference is in flight: frame decoding is paused
-    /// until its completion delivers, preserving v1's strict
-    /// one-request-one-reply ordering without blocking the loop.
-    pub v1_blocked: bool,
     /// The peer sent EOF; no more frames will arrive but queued replies
     /// still flush.
     pub read_closed: bool,
@@ -228,10 +215,8 @@ impl Conn {
             out_written: 0,
             out_frames: VecDeque::new(),
             front_sent: 0,
-            version: PROTOCOL_V1,
             handle,
             window: std::sync::Arc::new(ConnWindow::new()),
-            v1_blocked: false,
             read_closed: false,
             closing: false,
             counted: true,
@@ -241,14 +226,13 @@ impl Conn {
     /// Whether the event loop should read this socket at all: not while
     /// the peer is gone or the connection is closing, and — the
     /// backpressure half — not while decode is stalled (outbound queue at
-    /// `outbound_cap` or a v1 lock-step reply pending) or the frame buffer
-    /// already holds a full frame's worth of undecoded bytes. Pausing the
+    /// `outbound_cap`) or the frame buffer already holds a full frame's
+    /// worth of undecoded bytes. Pausing the
     /// read is what lets the kernel receive buffer fill and TCP push back
     /// on a flooding client.
     pub fn wants_read(&self, outbound_cap: usize) -> bool {
         !self.read_closed
             && !self.closing
-            && !self.v1_blocked
             && self.queued_frames() < outbound_cap
             && self.frames.buffered_len() < READ_BUFFER_CAP
     }
@@ -271,15 +255,15 @@ impl Conn {
         }
     }
 
-    /// Pops the next buffered frame payload if decoding is allowed (not
-    /// closing, not v1-blocked).
+    /// Pops the next buffered frame payload unless the connection is
+    /// closing.
     ///
     /// # Errors
     ///
     /// [`FrameTooLong`] on a lying length prefix; the caller replies and
     /// sets [`closing`](Conn::closing).
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameTooLong> {
-        if self.closing || self.v1_blocked {
+        if self.closing {
             return Ok(None);
         }
         self.frames.next_frame()
@@ -306,16 +290,12 @@ impl Conn {
     }
 
     /// Transfers one mailboxed completion reply into the outbound queue,
-    /// applying its state effects on the loop thread: the in-flight
-    /// correlation retires only now (so [`retired`](Conn::retired) cannot
-    /// observe an empty window with the reply still in a mailbox), and a
-    /// v1 lock-step decode resumes only on its own reply's transfer.
+    /// applying its state effect on the loop thread: the in-flight
+    /// correlation retires only now, so [`retired`](Conn::retired) cannot
+    /// observe an empty window with the reply still in a mailbox.
     pub fn absorb(&mut self, out: Outbound) {
         if let Some(corr) = out.retire_correlation {
             self.window.inflight.lock().unwrap().remove(&corr);
-        }
-        if out.unblocks_v1 {
-            self.v1_blocked = false;
         }
         self.enqueue(out);
     }
@@ -371,11 +351,10 @@ impl Conn {
 
     /// True once the connection has nothing left to do: the peer stopped
     /// sending, every in-flight request resolved, and all replies are on
-    /// the wire. A pending v1 lock-step reply counts as in flight — a v1
-    /// client that half-closes after its request (send, `shutdown(WR)`,
-    /// read) must still receive the reply.
+    /// the wire — a client that half-closes after its requests (send,
+    /// `shutdown(WR)`, read) must still receive every reply.
     pub fn retired(&self) -> bool {
-        self.read_closed && self.flushed() && self.window.depth() == 0 && !self.v1_blocked
+        self.read_closed && self.flushed() && self.window.depth() == 0
     }
 }
 
@@ -396,7 +375,6 @@ mod tests {
             buf,
             reply_ready: None,
             retire_correlation: None,
-            unblocks_v1: false,
         }
     }
 
@@ -565,51 +543,49 @@ mod tests {
     }
 
     #[test]
-    fn retired_waits_for_v1_lockstep_reply() {
+    fn retired_waits_for_the_window_to_empty() {
         let (_client, server) = pair();
         let handle = std::sync::Arc::new(ConnHandle::new(0));
         let mut conn = Conn::new(server, handle).unwrap();
-        // Half-closed peer, nothing queued, empty window — but a v1
-        // lock-step reply is still owed: the slot must not be reclaimed.
+        // Half-closed peer, nothing queued — but a reply is still owed:
+        // the slot must not be reclaimed.
         conn.read_closed = true;
-        conn.v1_blocked = true;
-        assert!(!conn.retired(), "v1 reply in flight, cannot retire");
-        conn.v1_blocked = false;
+        conn.window.inflight.lock().unwrap().insert(7);
+        assert!(!conn.retired(), "reply in flight, cannot retire");
+
+        let mut reply = plain(vec![1]);
+        reply.retire_correlation = Some(7);
+        conn.absorb(reply);
+        assert_eq!(conn.window.depth(), 0, "correlation retired at transfer");
+        assert!(!conn.retired(), "reply queued but not yet written");
+        conn.mark_sent(1);
         assert!(conn.retired());
     }
 
     #[test]
-    fn absorb_retires_correlation_and_unblocks_v1_selectively() {
+    fn absorb_retires_only_its_own_correlation() {
         let (_client, server) = pair();
         let handle = std::sync::Arc::new(ConnHandle::new(0));
         let mut conn = Conn::new(server, handle).unwrap();
-        conn.v1_blocked = true;
-        conn.window.inflight.lock().unwrap().insert(7);
+        conn.window.inflight.lock().unwrap().extend([7, 8]);
 
-        // A v2 completion transferring must NOT resume a paused v1 decode.
-        let mut v2 = plain(vec![1]);
-        v2.retire_correlation = Some(7);
-        conn.absorb(v2);
-        assert_eq!(conn.window.depth(), 0, "correlation retired at transfer");
-        assert!(conn.v1_blocked, "v2 reply must not unblock v1 decode");
-
-        let mut v1 = plain(vec![2]);
-        v1.unblocks_v1 = true;
-        conn.absorb(v1);
-        assert!(!conn.v1_blocked, "the v1 reply itself resumes decode");
+        let mut reply = plain(vec![1]);
+        reply.retire_correlation = Some(7);
+        conn.absorb(reply);
+        assert_eq!(conn.window.depth(), 1, "correlation 8 is still in flight");
+        // A control reply carries no correlation to retire.
+        conn.absorb(plain(vec![2]));
+        assert_eq!(conn.window.depth(), 1);
         assert_eq!(conn.queued_frames(), 2);
     }
 
     #[test]
-    fn wants_read_gates_on_backlog_and_lockstep() {
+    fn wants_read_gates_on_backlog_and_buffer_cap() {
         let (_client, server) = pair();
         let handle = std::sync::Arc::new(ConnHandle::new(0));
         let mut conn = Conn::new(server, handle).unwrap();
         let cap = 4;
         assert!(conn.wants_read(cap));
-        conn.v1_blocked = true;
-        assert!(!conn.wants_read(cap), "lock-step pause also pauses reads");
-        conn.v1_blocked = false;
         for _ in 0..cap {
             conn.enqueue(plain(vec![0]));
         }

@@ -8,9 +8,8 @@
 //!
 //! - [`protocol`] — a versioned, length-prefixed binary wire protocol on
 //!   [`hpnn_bytes`] framing; `f32`s travel as raw bits so logits are
-//!   bit-identical across the wire. Protocol v2 multiplexes many requests
-//!   per connection with correlation IDs (replies may arrive out of
-//!   order); v1 clients negotiate down via `HELLO` and stay lock-step.
+//!   bit-identical across the wire. Many requests ride one connection,
+//!   matched by correlation IDs (replies may arrive out of order).
 //! - [`config`] — the one serve configuration surface:
 //!   [`ServeConfig::builder`] validates batching, sharding, event-loop,
 //!   cluster, and observability knobs together at build time (the
@@ -26,11 +25,12 @@
 //! - [`registry`] — the set of locked models a server exposes, keyed
 //!   and/or keyless.
 //! - [`metrics`] — atomic counters plus power-of-two latency histograms
-//!   (per-shard included), served over the `STATS` frame.
+//!   (per-shard included), every one declared once in a table that the
+//!   `STATS` frame and the exposition formats are derived from.
 //! - [`server`] / [`client`] — TCP front end (a fixed pool of event-loop
 //!   threads multiplexing nonblocking sockets, see [`event`] / [`conn`])
-//!   and the [`Session`] client (`submit → Ticket`, `wait`, `drain`) with
-//!   typed [`ServeError`] results.
+//!   and the [`Session`] client (`submit → Ticket`, `wait`, `drain`,
+//!   `infer`) with typed [`ServeError`] results.
 //! - [`loadgen`] — a reproducible closed-loop load generator, with an
 //!   optional hot-model skew for multi-tenant workloads.
 //!
@@ -93,7 +93,7 @@ pub mod registry;
 pub mod scheduler;
 pub mod server;
 
-pub use client::{Client, DrainedTicket, Logits, ServeError, Session, Ticket};
+pub use client::{DrainedTicket, Logits, ServeError, Session, Ticket};
 pub use cluster::{ClusterPlan, RemoteDone, RemoteOutcome, RemoteStageBackend};
 pub use config::{
     ClusterRole, ConfigError, DispatchPolicy, ObsRole, ServeConfig, ServeConfigBuilder, SHARD_CAP,
@@ -101,12 +101,11 @@ pub use config::{
 pub use hpnn_bytes::FrameReader;
 pub use loadgen::{LoadPattern, LoadgenConfig, LoadgenReport};
 pub use metrics::{
-    Histogram, HistogramSnapshot, Metrics, ShardStatsSnapshot, StatsDelta, StatsSnapshot,
-    HISTOGRAM_BUCKETS,
+    Histogram, HistogramSnapshot, Metrics, RowKind, ShardStatsSnapshot, StatsDelta, StatsRow,
+    StatsSnapshot, HISTOGRAM_BUCKETS, STATS_ROWS,
 };
 pub use protocol::{
-    negotiate_version, ErrorCode, InferMode, ModelInfo, Reply, Request, WireError,
-    MAX_FRAME_PAYLOAD, PROTOCOL_V1, PROTOCOL_VERSION,
+    ErrorCode, InferMode, ModelInfo, Reply, Request, WireError, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
 };
 pub use registry::{ServeEntry, ServeRegistry};
 pub use scheduler::{Completion, ReplyPayload, Scheduler, SubmitError};

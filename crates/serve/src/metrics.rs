@@ -1,6 +1,13 @@
 //! Lock-free serving metrics: atomic counters plus fixed-bucket latency
 //! histograms, snapshotted into the `STATS` wire reply.
 //!
+//! Every number is declared once, as a row of the `stats_table!` invocation
+//! in this file: a scalar row is `kind name "description"` with kind
+//! `counter` or `gauge`, a histogram row is `name "description"`. The
+//! structs, the snapshot, the interval difference, the `STATS` codec, the
+//! Prometheus exposition and the `/series` JSON are all derived from those
+//! rows, so adding a number is one new row plus its increment site.
+//!
 //! Five latencies are tracked per answered request: **enqueue-to-reply**
 //! (`e2e`: from scheduler admission to the moment the worker hands the
 //! logits back), **queue wait** (`queue_wait`: admission to batch pop),
@@ -13,6 +20,14 @@
 //! reply, so their totals reconcile against each other and against
 //! load-generator request counts: `queue_wait.count == batch_fill.count ==
 //! forward.count == writeback.count == e2e.count == replies_ok`.
+//!
+//! Two more identities hold on a drained server. `keyed_requests +
+//! keyless_requests == requests`: the two modes partition admissions, so
+//! the keyed/keyless traffic mix — the paper's threat model as a number —
+//! is observable per interval, and a rise in refused trusted stages means
+//! keyless traffic is probing the trusted partition. Across a healthy
+//! two-node run the head's `fwd_sent`, the worker's `fwd_recv` and the
+//! head's `remote_wait.count` agree exactly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -183,124 +198,222 @@ impl HistogramSnapshot {
     }
 }
 
-/// Process-wide serving metrics, shared by handlers and batch workers.
-#[derive(Debug)]
-pub struct Metrics {
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Inference requests admitted to a queue.
-    pub requests: AtomicU64,
-    /// Input rows admitted to a queue.
-    pub rows: AtomicU64,
-    /// Requests answered with logits.
-    pub replies_ok: AtomicU64,
-    /// Requests rejected with `BUSY` (queue full).
-    pub busy: AtomicU64,
-    /// Requests dropped because their deadline passed while queued.
-    pub expired: AtomicU64,
-    /// Frames that failed to decode (connection kept alive).
-    pub protocol_errors: AtomicU64,
-    /// Batched forward calls executed.
-    pub batches: AtomicU64,
-    /// Requests currently admitted but not yet answered (gauge: rises on
-    /// scheduler admission, falls when the reply is handed to the writer).
-    pub inflight: AtomicU64,
-    /// `accept()` calls that returned an error (each backs off the accept
-    /// loop; persistent errors such as fd exhaustion grow the delay).
-    pub accept_errors: AtomicU64,
-    /// Wake-pipe signals delivered to event loops (completion hand-offs,
-    /// shutdown pokes) — one per byte drained from a wake pipe.
-    pub wakeups: AtomicU64,
-    /// Readiness events handled by the event loops (readable/writable
-    /// socket transitions, including wake-pipe reads).
-    pub loop_events: AtomicU64,
-    /// Connections currently registered in an event-loop slab (gauge:
-    /// rises at registration, falls when the slot is reclaimed).
-    pub open_connections: AtomicU64,
-    /// `FWD_ACT` activations this node sent to cluster peers (head role).
-    pub fwd_sent: AtomicU64,
-    /// `FWD_ACT` activations this node answered with a stage output
-    /// (worker role). Across a healthy two-node run the head's `fwd_sent`,
-    /// the worker's `fwd_recv`, and the head's `remote_wait.count` agree
-    /// exactly.
-    pub fwd_recv: AtomicU64,
-    /// Times the adaptive controller raised a model's active shard count.
-    pub shard_scale_ups: AtomicU64,
-    /// Times the adaptive controller lowered a model's active shard count.
-    pub shard_scale_downs: AtomicU64,
-    /// Batch workers lost to a panic. Each dead worker drained its queue
-    /// with `Internal` replies before exiting, so this counting up never
-    /// means clients hung.
-    pub worker_panics: AtomicU64,
-    /// Requests admitted in keyed mode (hardware-key path). Together with
-    /// `keyless_requests` this partitions `requests`, so the keyed/keyless
-    /// traffic mix — a security signal under the paper's threat model — is
-    /// observable per interval.
-    pub keyed_requests: AtomicU64,
-    /// Requests admitted in keyless mode (obfuscated-weight path).
-    pub keyless_requests: AtomicU64,
-    /// Requests refused because they addressed a trusted stage on a node
-    /// holding no key. A spike means keyless traffic is probing the
-    /// trusted partition.
-    pub trusted_stage_refused: AtomicU64,
-    /// Enqueue-to-reply latency per answered request.
-    pub e2e: Histogram,
-    /// Batched-forward wall time, recorded once per answered request.
-    pub forward: Histogram,
-    /// Per-connection in-flight depth sampled at each request admission
-    /// (dimensionless; recorded via [`Histogram::record_value`]).
-    pub depth: Histogram,
-    /// Admission-to-batch-pop wait per answered request.
-    pub queue_wait: Histogram,
-    /// Coalescing-window duration of the serving batch, recorded once per
-    /// answered request (requests in one batch share the sample).
-    pub batch_fill: Histogram,
-    /// Completion-to-socket-write latency per answered request.
-    pub writeback: Histogram,
-    /// Round-trip wait for a remote stage (FWD_ACT submit to reply),
-    /// recorded once per successful remote hop on the head node.
-    pub remote_wait: Histogram,
-    /// When this metrics block was created (serves as server start time).
-    started: Instant,
-    /// Monotonic snapshot counter; each [`Metrics::snapshot`] call gets the
-    /// next value, so two snapshots can be ordered and diffed into rates.
-    snapshot_seq: AtomicU64,
+/// Whether a scalar row of the stats table only ever rises or follows a
+/// level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowKind {
+    /// Monotonic count; an interval reports the increment.
+    Counter,
+    /// Instantaneous level; an interval reports the later value.
+    Gauge,
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            connections: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            rows: AtomicU64::new(0),
-            replies_ok: AtomicU64::new(0),
-            busy: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
-            loop_events: AtomicU64::new(0),
-            open_connections: AtomicU64::new(0),
-            fwd_sent: AtomicU64::new(0),
-            fwd_recv: AtomicU64::new(0),
-            shard_scale_ups: AtomicU64::new(0),
-            shard_scale_downs: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            keyed_requests: AtomicU64::new(0),
-            keyless_requests: AtomicU64::new(0),
-            trusted_stage_refused: AtomicU64::new(0),
-            e2e: Histogram::new(),
-            forward: Histogram::new(),
-            depth: Histogram::new(),
-            queue_wait: Histogram::new(),
-            batch_fill: Histogram::new(),
-            writeback: Histogram::new(),
-            remote_wait: Histogram::new(),
-            started: Instant::now(),
-            snapshot_seq: AtomicU64::new(0),
+/// One scalar row of the stats table as read from a [`StatsSnapshot`] or a
+/// [`StatsDelta`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StatsRow {
+    /// Field name; also the `/series` key and the stem of the Prometheus
+    /// metric name.
+    pub name: &'static str,
+    /// The row's one description: field doc and Prometheus `HELP`.
+    pub description: &'static str,
+    /// Counter or gauge.
+    pub kind: RowKind,
+    /// The value read from the snapshot or delta.
+    pub value: u64,
+}
+
+/// Declares every number the server counts exactly once. From the rows come
+/// [`Metrics`] and its zeroed default, [`Metrics::snapshot`],
+/// [`StatsSnapshot`], [`StatsDelta`], the per-row half of
+/// [`StatsSnapshot::delta_since`] and the row iterators that the `STATS`
+/// codec, the Prometheus exposition and the `/series` JSON walk. The
+/// fields are plain named `pub` fields, so an increment is one relaxed
+/// `fetch_add` with no lookup.
+macro_rules! stats_table {
+    (@kind counter) => { RowKind::Counter };
+    (@kind gauge) => { RowKind::Gauge };
+    (@delta counter $now:expr, $then:expr) => { $now.saturating_sub($then) };
+    (@delta gauge $now:expr, $then:expr) => { $now };
+    (
+        scalars { $($kind:ident $name:ident $desc:literal;)* }
+        histograms { $($hist:ident $hdesc:literal;)* }
+    ) => {
+        /// How many scalar rows the table declares; `STATS_OK` carries
+        /// this many values plus `uptime_ns` and `snapshot_seq`.
+        pub const STATS_ROWS: usize = [$(stringify!($name)),*].len();
+
+        /// Process-wide serving metrics, shared by handlers and batch
+        /// workers.
+        #[derive(Debug)]
+        pub struct Metrics {
+            $(#[doc = $desc] pub $name: AtomicU64,)*
+            $(#[doc = $hdesc] pub $hist: Histogram,)*
+            /// When this metrics block was created (the server start time).
+            started: Instant,
+            /// Monotonic snapshot counter; each [`Metrics::snapshot`] call
+            /// gets the next value, so two snapshots can be ordered and
+            /// diffed into rates.
+            snapshot_seq: AtomicU64,
         }
+
+        impl Default for Metrics {
+            fn default() -> Self {
+                Metrics {
+                    $($name: AtomicU64::new(0),)*
+                    $($hist: Histogram::new(),)*
+                    started: Instant::now(),
+                    snapshot_seq: AtomicU64::new(0),
+                }
+            }
+        }
+
+        impl Metrics {
+            /// Copies every counter and histogram, stamping the snapshot
+            /// with the server uptime and the next monotonic sequence
+            /// number.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    uptime_ns: self.started.elapsed().as_nanos() as u64,
+                    snapshot_seq: self.snapshot_seq.fetch_add(1, Ordering::Relaxed) + 1,
+                    $($hist: self.$hist.snapshot(),)*
+                    // The scheduler owns the per-shard histograms; the
+                    // server layer fills this in afterwards.
+                    shards: Vec::new(),
+                }
+            }
+        }
+
+        /// Plain-data copy of [`Metrics`], the body of a `STATS_OK` reply.
+        #[derive(Debug, Clone, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot {
+            $(#[doc = $desc] pub $name: u64,)*
+            /// Server uptime at snapshot time, in nanoseconds.
+            pub uptime_ns: u64,
+            /// Monotonic snapshot sequence number (1 for the first
+            /// snapshot). Two snapshots with increasing `snapshot_seq` came
+            /// from the same server run and can be diffed into rates.
+            pub snapshot_seq: u64,
+            $(#[doc = $hdesc] pub $hist: HistogramSnapshot,)*
+            /// Per-shard stats, ordered by (model, shard). Empty on
+            /// snapshots taken below the server layer (bare
+            /// [`Metrics::snapshot`]).
+            pub shards: Vec<ShardStatsSnapshot>,
+        }
+
+        impl StatsSnapshot {
+            /// Every scalar row in table (= wire) order.
+            pub fn rows(&self) -> impl Iterator<Item = StatsRow> {
+                [$(StatsRow {
+                    name: stringify!($name),
+                    description: $desc,
+                    kind: stats_table!(@kind $kind),
+                    value: self.$name,
+                },)*]
+                .into_iter()
+            }
+
+            /// Every scalar row's slot in table order, for decoders and
+            /// builders.
+            pub fn rows_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+                [$(&mut self.$name,)*].into_iter()
+            }
+
+            /// Every histogram in table (= wire) order.
+            pub fn histograms(&self) -> impl Iterator<Item = &HistogramSnapshot> {
+                [$(&self.$hist,)*].into_iter()
+            }
+
+            /// Every histogram's slot in table order.
+            pub fn histograms_mut(&mut self) -> impl Iterator<Item = &mut HistogramSnapshot> {
+                [$(&mut self.$hist,)*].into_iter()
+            }
+
+            /// The table's half of [`delta_since`](Self::delta_since):
+            /// counters differenced (saturating), gauges copied from the
+            /// later side, histograms windowed.
+            fn table_delta(
+                &self,
+                earlier: &StatsSnapshot,
+                shards: Vec<ShardStatsSnapshot>,
+            ) -> StatsDelta {
+                StatsDelta {
+                    interval_ns: self.uptime_ns - earlier.uptime_ns,
+                    $($name: stats_table!(@delta $kind self.$name, earlier.$name),)*
+                    $($hist: self.$hist.delta_since(&earlier.$hist),)*
+                    shards,
+                }
+            }
+        }
+
+        /// Interval difference between two [`StatsSnapshot`]s of one server
+        /// run, produced by [`StatsSnapshot::delta_since`]. Counters hold
+        /// the interval increment, gauges hold the value at the *later*
+        /// snapshot, and histograms hold only samples recorded during the
+        /// interval — so their quantiles are windowed, not since-start.
+        #[derive(Debug, Clone, PartialEq, Eq, Default)]
+        pub struct StatsDelta {
+            /// Interval length in nanoseconds, measured on the server's
+            /// uptime clock (always > 0).
+            pub interval_ns: u64,
+            $(#[doc = $desc] pub $name: u64,)*
+            $(#[doc = $hdesc] pub $hist: HistogramSnapshot,)*
+            /// Per-shard interval stats, matched by `(model, shard)`; a
+            /// shard first seen in this interval carries its full (young)
+            /// totals.
+            pub shards: Vec<ShardStatsSnapshot>,
+        }
+
+        impl StatsDelta {
+            /// Every scalar row in table order, as this interval saw it.
+            pub fn rows(&self) -> impl Iterator<Item = StatsRow> {
+                [$(StatsRow {
+                    name: stringify!($name),
+                    description: $desc,
+                    kind: stats_table!(@kind $kind),
+                    value: self.$name,
+                },)*]
+                .into_iter()
+            }
+        }
+    };
+}
+
+// Row order is the `STATS_OK` wire order: append, never reorder. Adding a
+// number is one row here plus its `Metrics::bump` site.
+stats_table! {
+    scalars {
+        counter connections "Connections accepted.";
+        counter requests "Inference requests admitted to a queue.";
+        counter rows "Input rows admitted to a queue.";
+        counter replies_ok "Requests answered with logits.";
+        counter busy "Requests rejected with `BUSY` (queue or connection window full).";
+        counter expired "Requests dropped because their deadline passed while queued.";
+        counter protocol_errors "Frames that failed to decode (the connection stays open).";
+        counter batches "Batched forward calls executed.";
+        gauge inflight "Requests admitted but not yet answered.";
+        counter accept_errors "`accept()` calls that returned an error (each backs off the accept loop).";
+        counter wakeups "Wake-pipe signals delivered to event loops.";
+        counter loop_events "Readiness events handled by the event loops, wake-pipe reads included.";
+        gauge open_connections "Connections registered in an event-loop slab.";
+        counter fwd_sent "`FWD_ACT` activations sent to cluster peers (head role).";
+        counter fwd_recv "`FWD_ACT` activations answered for cluster peers (worker role).";
+        counter shard_scale_ups "Times the adaptive controller raised a model's active shard count.";
+        counter shard_scale_downs "Times the adaptive controller lowered a model's active shard count.";
+        counter worker_panics "Batch workers lost to a panic (each failed its queue with `Internal` replies first).";
+        counter keyed_requests "Requests admitted in keyed mode (trusted-device path).";
+        counter keyless_requests "Requests admitted in keyless mode (stolen-weights path).";
+        counter trusted_stage_refused "Requests refused for addressing a trusted stage on a node holding no key.";
+    }
+    histograms {
+        e2e "Enqueue-to-reply latency per answered request.";
+        forward "Batched-forward wall time, recorded once per answered request.";
+        depth "Per-connection in-flight depth sampled at each admission (dimensionless).";
+        queue_wait "Admission-to-batch-pop wait per answered request.";
+        batch_fill "Coalescing-window duration of the serving batch, once per answered request.";
+        writeback "Completion-to-socket-write latency per answered request.";
+        remote_wait "Round-trip wait for a remote stage, once per successful `FWD_ACT` hop (head role).";
     }
 }
 
@@ -324,47 +437,6 @@ impl Metrics {
     pub fn drop_one(counter: &AtomicU64) {
         counter.fetch_sub(1, Ordering::Relaxed);
     }
-
-    /// Copies every counter and histogram, stamping the snapshot with the
-    /// server uptime and the next monotonic sequence number.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        StatsSnapshot {
-            connections: load(&self.connections),
-            requests: load(&self.requests),
-            rows: load(&self.rows),
-            replies_ok: load(&self.replies_ok),
-            busy: load(&self.busy),
-            expired: load(&self.expired),
-            protocol_errors: load(&self.protocol_errors),
-            batches: load(&self.batches),
-            inflight: load(&self.inflight),
-            accept_errors: load(&self.accept_errors),
-            wakeups: load(&self.wakeups),
-            loop_events: load(&self.loop_events),
-            open_connections: load(&self.open_connections),
-            fwd_sent: load(&self.fwd_sent),
-            fwd_recv: load(&self.fwd_recv),
-            shard_scale_ups: load(&self.shard_scale_ups),
-            shard_scale_downs: load(&self.shard_scale_downs),
-            worker_panics: load(&self.worker_panics),
-            keyed_requests: load(&self.keyed_requests),
-            keyless_requests: load(&self.keyless_requests),
-            trusted_stage_refused: load(&self.trusted_stage_refused),
-            uptime_ns: self.started.elapsed().as_nanos() as u64,
-            snapshot_seq: self.snapshot_seq.fetch_add(1, Ordering::Relaxed) + 1,
-            e2e: self.e2e.snapshot(),
-            forward: self.forward.snapshot(),
-            depth: self.depth.snapshot(),
-            queue_wait: self.queue_wait.snapshot(),
-            batch_fill: self.batch_fill.snapshot(),
-            writeback: self.writeback.snapshot(),
-            remote_wait: self.remote_wait.snapshot(),
-            // The scheduler owns the per-shard histograms; the server layer
-            // fills this in after taking the counter snapshot.
-            shards: Vec::new(),
-        }
-    }
 }
 
 /// One shard's slice of the stats: which model it serves, whether the
@@ -385,77 +457,6 @@ pub struct ShardStatsSnapshot {
     pub forward: HistogramSnapshot,
     /// Admission-to-batch-pop wait for replies served by this shard.
     pub queue_wait: HistogramSnapshot,
-}
-
-/// Plain-data copy of [`Metrics`], the body of a `STATS_OK` reply.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Connections accepted.
-    pub connections: u64,
-    /// Inference requests admitted to a queue.
-    pub requests: u64,
-    /// Input rows admitted to a queue.
-    pub rows: u64,
-    /// Requests answered with logits.
-    pub replies_ok: u64,
-    /// Requests rejected with `BUSY`.
-    pub busy: u64,
-    /// Requests expired while queued.
-    pub expired: u64,
-    /// Undecodable frames.
-    pub protocol_errors: u64,
-    /// Batched forward calls executed.
-    pub batches: u64,
-    /// Requests admitted but not yet answered at snapshot time.
-    pub inflight: u64,
-    /// `accept()` calls that returned an error.
-    pub accept_errors: u64,
-    /// Wake-pipe signals delivered to event loops.
-    pub wakeups: u64,
-    /// Readiness events handled by the event loops.
-    pub loop_events: u64,
-    /// Connections registered in an event-loop slab at snapshot time.
-    pub open_connections: u64,
-    /// `FWD_ACT` activations sent to peers (head role).
-    pub fwd_sent: u64,
-    /// `FWD_ACT` activations answered for peers (worker role).
-    pub fwd_recv: u64,
-    /// Adaptive-controller scale-up events.
-    pub shard_scale_ups: u64,
-    /// Adaptive-controller scale-down events.
-    pub shard_scale_downs: u64,
-    /// Batch workers lost to a panic.
-    pub worker_panics: u64,
-    /// Requests admitted in keyed mode.
-    pub keyed_requests: u64,
-    /// Requests admitted in keyless mode.
-    pub keyless_requests: u64,
-    /// Requests refused for addressing a trusted stage without a key.
-    pub trusted_stage_refused: u64,
-    /// Server uptime at snapshot time, in nanoseconds.
-    pub uptime_ns: u64,
-    /// Monotonic snapshot sequence number (1 for the first snapshot). Two
-    /// snapshots with increasing `snapshot_seq` came from the same server
-    /// run and can be diffed into rates.
-    pub snapshot_seq: u64,
-    /// Enqueue-to-reply latency histogram.
-    pub e2e: HistogramSnapshot,
-    /// Forward-only latency histogram.
-    pub forward: HistogramSnapshot,
-    /// Per-connection in-flight depth at admission (dimensionless).
-    pub depth: HistogramSnapshot,
-    /// Admission-to-batch-pop wait histogram.
-    pub queue_wait: HistogramSnapshot,
-    /// Batch coalescing-window duration histogram.
-    pub batch_fill: HistogramSnapshot,
-    /// Completion-to-socket-write latency histogram.
-    pub writeback: HistogramSnapshot,
-    /// Remote-stage round-trip wait histogram (head role; one sample per
-    /// successful FWD_ACT reply).
-    pub remote_wait: HistogramSnapshot,
-    /// Per-shard stats, ordered by (model, shard). Empty on snapshots taken
-    /// below the server layer (bare [`Metrics::snapshot`]).
-    pub shards: Vec<ShardStatsSnapshot>,
 }
 
 impl StatsSnapshot {
@@ -511,116 +512,8 @@ impl StatsSnapshot {
                 }
             })
             .collect();
-        Some(StatsDelta {
-            interval_ns: self.uptime_ns - earlier.uptime_ns,
-            connections: self.connections.saturating_sub(earlier.connections),
-            requests: self.requests.saturating_sub(earlier.requests),
-            rows: self.rows.saturating_sub(earlier.rows),
-            replies_ok: self.replies_ok.saturating_sub(earlier.replies_ok),
-            busy: self.busy.saturating_sub(earlier.busy),
-            expired: self.expired.saturating_sub(earlier.expired),
-            protocol_errors: self.protocol_errors.saturating_sub(earlier.protocol_errors),
-            batches: self.batches.saturating_sub(earlier.batches),
-            accept_errors: self.accept_errors.saturating_sub(earlier.accept_errors),
-            wakeups: self.wakeups.saturating_sub(earlier.wakeups),
-            loop_events: self.loop_events.saturating_sub(earlier.loop_events),
-            fwd_sent: self.fwd_sent.saturating_sub(earlier.fwd_sent),
-            fwd_recv: self.fwd_recv.saturating_sub(earlier.fwd_recv),
-            shard_scale_ups: self.shard_scale_ups.saturating_sub(earlier.shard_scale_ups),
-            shard_scale_downs: self
-                .shard_scale_downs
-                .saturating_sub(earlier.shard_scale_downs),
-            worker_panics: self.worker_panics.saturating_sub(earlier.worker_panics),
-            keyed_requests: self.keyed_requests.saturating_sub(earlier.keyed_requests),
-            keyless_requests: self
-                .keyless_requests
-                .saturating_sub(earlier.keyless_requests),
-            trusted_stage_refused: self
-                .trusted_stage_refused
-                .saturating_sub(earlier.trusted_stage_refused),
-            inflight: self.inflight,
-            open_connections: self.open_connections,
-            e2e: self.e2e.delta_since(&earlier.e2e),
-            forward: self.forward.delta_since(&earlier.forward),
-            depth: self.depth.delta_since(&earlier.depth),
-            queue_wait: self.queue_wait.delta_since(&earlier.queue_wait),
-            batch_fill: self.batch_fill.delta_since(&earlier.batch_fill),
-            writeback: self.writeback.delta_since(&earlier.writeback),
-            remote_wait: self.remote_wait.delta_since(&earlier.remote_wait),
-            shards,
-        })
+        Some(self.table_delta(earlier, shards))
     }
-}
-
-/// Interval difference between two [`StatsSnapshot`]s of one server run,
-/// produced by [`StatsSnapshot::delta_since`]. Counters hold the interval
-/// increment, gauges (`inflight`, `open_connections`) hold the value at the
-/// *later* snapshot, and histograms hold only samples recorded during the
-/// interval — so their quantiles are windowed, not since-start.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsDelta {
-    /// Interval length in nanoseconds, measured on the server's uptime
-    /// clock (always > 0).
-    pub interval_ns: u64,
-    /// Connections accepted during the interval.
-    pub connections: u64,
-    /// Requests admitted during the interval.
-    pub requests: u64,
-    /// Rows admitted during the interval.
-    pub rows: u64,
-    /// Requests answered with logits during the interval.
-    pub replies_ok: u64,
-    /// `BUSY` rejections during the interval.
-    pub busy: u64,
-    /// Deadline expiries during the interval.
-    pub expired: u64,
-    /// Undecodable frames during the interval.
-    pub protocol_errors: u64,
-    /// Batched forward calls during the interval.
-    pub batches: u64,
-    /// `accept()` errors during the interval.
-    pub accept_errors: u64,
-    /// Wake-pipe signals during the interval.
-    pub wakeups: u64,
-    /// Event-loop readiness events during the interval.
-    pub loop_events: u64,
-    /// `FWD_ACT` activations sent during the interval.
-    pub fwd_sent: u64,
-    /// `FWD_ACT` activations answered during the interval.
-    pub fwd_recv: u64,
-    /// Scale-up events during the interval.
-    pub shard_scale_ups: u64,
-    /// Scale-down events during the interval.
-    pub shard_scale_downs: u64,
-    /// Worker panics during the interval.
-    pub worker_panics: u64,
-    /// Keyed-mode admissions during the interval.
-    pub keyed_requests: u64,
-    /// Keyless-mode admissions during the interval.
-    pub keyless_requests: u64,
-    /// Trusted-stage refusals during the interval.
-    pub trusted_stage_refused: u64,
-    /// In-flight requests at the end of the interval (gauge, not a delta).
-    pub inflight: u64,
-    /// Open connections at the end of the interval (gauge, not a delta).
-    pub open_connections: u64,
-    /// Enqueue-to-reply latency over the interval only.
-    pub e2e: HistogramSnapshot,
-    /// Forward-only latency over the interval only.
-    pub forward: HistogramSnapshot,
-    /// In-flight depth samples over the interval only.
-    pub depth: HistogramSnapshot,
-    /// Queue-wait latency over the interval only.
-    pub queue_wait: HistogramSnapshot,
-    /// Batch-fill duration over the interval only.
-    pub batch_fill: HistogramSnapshot,
-    /// Writeback latency over the interval only.
-    pub writeback: HistogramSnapshot,
-    /// Remote-stage wait over the interval only.
-    pub remote_wait: HistogramSnapshot,
-    /// Per-shard interval stats, matched by `(model, shard)`; a shard first
-    /// seen in this interval carries its full (young) totals.
-    pub shards: Vec<ShardStatsSnapshot>,
 }
 
 impl StatsDelta {

@@ -2,24 +2,21 @@
 //!
 //! Every message is one length-prefixed frame ([`hpnn_bytes::Frame`]: a
 //! little-endian `u32` payload length, then a version byte, an opcode byte,
-//! a little-endian `u32` correlation ID when the version is ≥ 2, and an
-//! opcode-specific body). All multi-byte integers are little-endian and
-//! inference inputs/outputs travel as raw `f32` bits, so a logit row is
-//! bit-identical on both ends of the wire.
+//! a little-endian `u32` correlation ID, and an opcode-specific body). All
+//! multi-byte integers are little-endian and inference inputs/outputs
+//! travel as raw `f32` bits, so a logit row is bit-identical on both ends
+//! of the wire.
 //!
-//! Two versions share the listener:
-//!
-//! * **v1** is lock-step: no correlation field, one request in flight per
-//!   connection, replies in request order.
-//! * **v2** is pipelined: every request after `HELLO` carries a `u32`
-//!   correlation ID chosen by the client; replies echo it and may arrive
-//!   out of order. `HELLO` negotiates the version — the server answers
-//!   with `min(requested, PROTOCOL_VERSION)` in `HELLO_OK` and the client
-//!   uses that version for the rest of the connection.
+//! There is one version, [`PROTOCOL_VERSION`]. It is pipelined: every
+//! request carries a correlation ID chosen by the client; replies echo it
+//! and may arrive out of order. A frame whose first byte is anything else
+//! is answered with `ERROR{BadVersion}` at correlation 0 — its header
+//! layout is unknown, so no correlation is read out of it — and the
+//! connection stays open.
 //!
 //! Requests: `HELLO`, `INFER` (one sample), `INFER_BATCH` (client-side
-//! batch), `STATS`, `SHUTDOWN`, and `FWD_ACT` (v2 only: an intermediate
-//! activation forwarded node-to-node in a layer-partitioned cluster — see
+//! batch), `STATS`, `SHUTDOWN`, and `FWD_ACT` (an intermediate activation
+//! forwarded node-to-node in a layer-partitioned cluster — see
 //! [`Request::Forward`]). Replies: `HELLO_OK`, `LOGITS`, `STATS_OK`,
 //! `SHUTDOWN_OK`, `BUSY` (backpressure), and `ERROR` (with a machine
 //! [`ErrorCode`], the offending request opcode, plus a human message). A
@@ -32,15 +29,12 @@ use std::fmt;
 
 use hpnn_bytes::{put_frame, Buf, BufMut, BytesMut, Frame};
 
-use crate::metrics::{HistogramSnapshot, ShardStatsSnapshot, StatsSnapshot, HISTOGRAM_BUCKETS};
+use crate::metrics::{
+    HistogramSnapshot, ShardStatsSnapshot, StatsSnapshot, HISTOGRAM_BUCKETS, STATS_ROWS,
+};
 
-/// Highest protocol version this build speaks (and the default for new
-/// [`crate::Session`]s).
+/// The protocol version this build speaks; the first byte of every frame.
 pub const PROTOCOL_VERSION: u8 = 2;
-
-/// The original lock-step protocol version, still accepted on every
-/// connection for backwards compatibility.
-pub const PROTOCOL_V1: u8 = 1;
 
 /// Hard cap on a frame payload; anything larger is a protocol violation.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 24;
@@ -58,11 +52,6 @@ pub(crate) const OP_STATS_OK: u8 = 0x83;
 pub(crate) const OP_SHUTDOWN_OK: u8 = 0x84;
 pub(crate) const OP_BUSY: u8 = 0x90;
 pub(crate) const OP_ERROR: u8 = 0xEE;
-
-/// Picks the connection version from the version byte on a `HELLO` frame.
-pub fn negotiate_version(requested: u8) -> u8 {
-    requested.clamp(PROTOCOL_V1, PROTOCOL_VERSION)
-}
 
 /// Which deployment of a locked model a request runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +96,7 @@ impl fmt::Display for InferMode {
 pub enum ErrorCode {
     /// Frame payload did not decode as a request.
     Malformed,
-    /// Request version byte is outside the supported range.
+    /// Request version byte is not [`PROTOCOL_VERSION`].
     BadVersion,
     /// Unknown opcode byte.
     BadOpcode,
@@ -125,8 +114,8 @@ pub enum ErrorCode {
     TooManyRows,
     /// Internal failure (e.g. a worker died under the request).
     Internal,
-    /// A v2 request reused a correlation ID that is still in flight on
-    /// the same connection.
+    /// A request reused a correlation ID that is still in flight on the
+    /// same connection.
     DuplicateCorrelation,
     /// A cluster peer holding part of the request's layer pipeline was
     /// unreachable (or dropped mid-request) and no local fallback existed.
@@ -211,7 +200,7 @@ pub enum WireError {
         /// What was being decoded.
         context: &'static str,
     },
-    /// Version byte is outside `PROTOCOL_V1..=PROTOCOL_VERSION`.
+    /// Version byte is not [`PROTOCOL_VERSION`].
     BadVersion(u8),
     /// Opcode byte is not a known request/reply.
     BadOpcode(u8),
@@ -272,8 +261,7 @@ pub struct ModelInfo {
 /// A client→server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Handshake; the version byte on this frame is the client's highest
-    /// supported version, and the server answers with the negotiated one.
+    /// Handshake; the server answers with its version and model list.
     Hello {
         /// Free-form client identifier (logged, never parsed).
         client: String,
@@ -294,7 +282,7 @@ pub enum Request {
         /// Row-major input values, `rows * cols` long.
         data: Vec<f32>,
     },
-    /// `FWD_ACT` (v2 only): an intermediate activation forwarded from a
+    /// `FWD_ACT`: an intermediate activation forwarded from a
     /// cluster head to the peer hosting `stage` of a layer-partitioned
     /// model. The body is the activation entering that stage; the reply is
     /// a `LOGITS` frame carrying the activation leaving it, matched back
@@ -327,7 +315,8 @@ pub enum Request {
 pub enum Reply {
     /// Handshake answer.
     HelloOk {
-        /// Protocol version negotiated for the rest of the connection.
+        /// The server's protocol version; clients refuse anything but
+        /// [`PROTOCOL_VERSION`].
         version: u8,
         /// Models available on this server, in id order.
         models: Vec<ModelInfo>,
@@ -392,18 +381,21 @@ fn put_f32s(buf: &mut BytesMut, data: &[f32]) {
     }
 }
 
-/// Splits a frame payload into `(version, opcode, correlation, body)`,
-/// rejecting versions outside the supported range.
+/// Splits a frame payload into `(version, opcode, correlation, body)`.
+/// The version byte is judged before the header length: a peer speaking
+/// another version lays its header out differently (v1's was two bytes)
+/// and must hear `BadVersion`, not `Truncated`.
 ///
 /// # Errors
 ///
-/// [`WireError::Truncated`] when the header is incomplete for its version,
-/// [`WireError::BadVersion`] outside `PROTOCOL_V1..=PROTOCOL_VERSION`.
+/// [`WireError::BadVersion`] when the first byte is not
+/// [`PROTOCOL_VERSION`], [`WireError::Truncated`] when the header is
+/// incomplete.
 pub fn split_frame(payload: &[u8]) -> Result<(u8, u8, u32, Vec<u8>), WireError> {
-    let frame = Frame::parse(payload).map_err(|_| WireError::Truncated { context: "header" })?;
-    if frame.version < PROTOCOL_V1 || frame.version > PROTOCOL_VERSION {
-        return Err(WireError::BadVersion(frame.version));
+    if let Some(&version) = payload.first().filter(|&&v| v != PROTOCOL_VERSION) {
+        return Err(WireError::BadVersion(version));
     }
+    let frame = Frame::parse(payload).map_err(|_| WireError::Truncated { context: "header" })?;
     Ok((
         frame.version,
         frame.opcode,
@@ -442,8 +434,8 @@ impl Request {
     }
 
     /// Encodes the request as one framed wire message (length prefix
-    /// included), appended to `out`. `correlation` is carried on the wire
-    /// only when `version >= 2`.
+    /// included), appended to `out`. `version` is written to the header as
+    /// given; every caller passes [`PROTOCOL_VERSION`].
     pub fn encode(&self, out: &mut BytesMut, version: u8, correlation: u32) {
         let mut p = BytesMut::new();
         match self {
@@ -593,7 +585,8 @@ impl Reply {
     }
 
     /// Encodes the reply as one framed wire message appended to `out`,
-    /// echoing `correlation` when `version >= 2`.
+    /// echoing `correlation`. `version` is written to the header as given;
+    /// every caller passes [`PROTOCOL_VERSION`].
     pub fn encode(&self, out: &mut BytesMut, version: u8, correlation: u32) {
         let mut p = BytesMut::new();
         match self {
@@ -717,10 +710,18 @@ impl Reply {
     }
 }
 
+/// Writes exactly [`HISTOGRAM_BUCKETS`] bucket values. A bucket-less
+/// (default) snapshot is the all-zero histogram, as `merge` and
+/// `delta_since` already read it.
 fn put_histogram(buf: &mut BytesMut, h: &HistogramSnapshot) {
+    assert!(
+        h.buckets.is_empty() || h.buckets.len() == HISTOGRAM_BUCKETS,
+        "histogram snapshot with {} buckets",
+        h.buckets.len()
+    );
     buf.put_u8(HISTOGRAM_BUCKETS as u8);
-    for &b in &h.buckets {
-        buf.put_u64_le(b);
+    for i in 0..HISTOGRAM_BUCKETS {
+        buf.put_u64_le(h.buckets.get(i).copied().unwrap_or(0));
     }
     buf.put_u64_le(h.count);
     buf.put_u64_le(h.sum_ns);
@@ -746,43 +747,21 @@ fn get_histogram(buf: &mut impl Buf) -> Result<HistogramSnapshot, WireError> {
     })
 }
 
+/// Scalar values a `STATS_OK` body carries: every table row, then
+/// `uptime_ns` and `snapshot_seq`.
+const STATS_SCALARS: usize = STATS_ROWS + 2;
+const _: () = assert!(STATS_SCALARS <= u8::MAX as usize);
+
 fn put_stats(buf: &mut BytesMut, s: &StatsSnapshot) {
-    let counters = [
-        s.connections,
-        s.requests,
-        s.rows,
-        s.replies_ok,
-        s.busy,
-        s.expired,
-        s.protocol_errors,
-        s.batches,
-        s.inflight,
-        s.accept_errors,
-        s.wakeups,
-        s.loop_events,
-        s.open_connections,
-        s.fwd_sent,
-        s.fwd_recv,
-        s.shard_scale_ups,
-        s.shard_scale_downs,
-        s.worker_panics,
-        s.keyed_requests,
-        s.keyless_requests,
-        s.trusted_stage_refused,
-        s.uptime_ns,
-        s.snapshot_seq,
-    ];
-    buf.put_u8(counters.len() as u8);
-    for c in counters {
-        buf.put_u64_le(c);
+    buf.put_u8(STATS_SCALARS as u8);
+    for row in s.rows() {
+        buf.put_u64_le(row.value);
     }
-    put_histogram(buf, &s.e2e);
-    put_histogram(buf, &s.forward);
-    put_histogram(buf, &s.depth);
-    put_histogram(buf, &s.queue_wait);
-    put_histogram(buf, &s.batch_fill);
-    put_histogram(buf, &s.writeback);
-    put_histogram(buf, &s.remote_wait);
+    buf.put_u64_le(s.uptime_ns);
+    buf.put_u64_le(s.snapshot_seq);
+    for h in s.histograms() {
+        put_histogram(buf, h);
+    }
     buf.put_u16_le(s.shards.len() as u16);
     for sh in &s.shards {
         buf.put_u16_le(sh.model);
@@ -797,26 +776,24 @@ fn get_stats(buf: &mut impl Buf) -> Result<StatsSnapshot, WireError> {
     need(buf, 1, "counter count")?;
     let n = buf.get_u8() as usize;
     need(buf, n.saturating_mul(8), "counters")?;
-    if n != 23 {
+    if n != STATS_SCALARS {
         return Err(WireError::BadTag {
             context: "counter count",
             tag: n as u8,
         });
     }
-    let mut c = [0u64; 23];
-    for v in &mut c {
-        *v = buf.get_u64_le();
+    let mut s = StatsSnapshot::default();
+    for slot in s.rows_mut() {
+        *slot = buf.get_u64_le();
     }
-    let e2e = get_histogram(buf)?;
-    let forward = get_histogram(buf)?;
-    let depth = get_histogram(buf)?;
-    let queue_wait = get_histogram(buf)?;
-    let batch_fill = get_histogram(buf)?;
-    let writeback = get_histogram(buf)?;
-    let remote_wait = get_histogram(buf)?;
+    s.uptime_ns = buf.get_u64_le();
+    s.snapshot_seq = buf.get_u64_le();
+    for h in s.histograms_mut() {
+        *h = get_histogram(buf)?;
+    }
     need(buf, 2, "shard count")?;
     let shard_count = buf.get_u16_le() as usize;
-    let mut shards = Vec::with_capacity(shard_count.min(256));
+    s.shards = Vec::with_capacity(shard_count.min(256));
     for _ in 0..shard_count {
         need(buf, 5, "shard header")?;
         let model = buf.get_u16_le();
@@ -824,7 +801,7 @@ fn get_stats(buf: &mut impl Buf) -> Result<StatsSnapshot, WireError> {
         let active = buf.get_u8() != 0;
         let forward = get_histogram(buf)?;
         let queue_wait = get_histogram(buf)?;
-        shards.push(ShardStatsSnapshot {
+        s.shards.push(ShardStatsSnapshot {
             model,
             shard,
             active,
@@ -832,39 +809,7 @@ fn get_stats(buf: &mut impl Buf) -> Result<StatsSnapshot, WireError> {
             queue_wait,
         });
     }
-    Ok(StatsSnapshot {
-        connections: c[0],
-        requests: c[1],
-        rows: c[2],
-        replies_ok: c[3],
-        busy: c[4],
-        expired: c[5],
-        protocol_errors: c[6],
-        batches: c[7],
-        inflight: c[8],
-        accept_errors: c[9],
-        wakeups: c[10],
-        loop_events: c[11],
-        open_connections: c[12],
-        fwd_sent: c[13],
-        fwd_recv: c[14],
-        shard_scale_ups: c[15],
-        shard_scale_downs: c[16],
-        worker_panics: c[17],
-        keyed_requests: c[18],
-        keyless_requests: c[19],
-        trusted_stage_refused: c[20],
-        uptime_ns: c[21],
-        snapshot_seq: c[22],
-        e2e,
-        forward,
-        depth,
-        queue_wait,
-        batch_fill,
-        writeback,
-        remote_wait,
-        shards,
-    })
+    Ok(s)
 }
 
 #[cfg(test)]
@@ -873,37 +818,37 @@ mod tests {
     use hpnn_bytes::try_get_frame;
 
     fn roundtrip_request(req: Request) {
-        for (version, correlation) in [(PROTOCOL_V1, 0u32), (PROTOCOL_VERSION, 0xDEAD_0001)] {
-            let mut out = BytesMut::new();
-            req.encode(&mut out, version, correlation);
-            let mut view = out.freeze();
-            let payload = try_get_frame(&mut view, MAX_FRAME_PAYLOAD)
-                .unwrap()
-                .expect("complete frame");
-            assert_eq!(view.remaining(), 0);
-            let (got_version, got_corr, got) = Request::decode(&payload).unwrap();
-            assert_eq!(got_version, version);
-            let want_corr = if version >= 2 { correlation } else { 0 };
-            assert_eq!(got_corr, want_corr);
-            assert_eq!(got, req);
-        }
+        let correlation = 0xDEAD_0001;
+        let mut out = BytesMut::new();
+        req.encode(&mut out, PROTOCOL_VERSION, correlation);
+        let mut view = out.freeze();
+        let payload = try_get_frame(&mut view, MAX_FRAME_PAYLOAD)
+            .unwrap()
+            .expect("complete frame");
+        assert_eq!(view.remaining(), 0);
+        let (got_version, got_corr, got) = Request::decode(&payload).unwrap();
+        assert_eq!(got_version, PROTOCOL_VERSION);
+        assert_eq!(got_corr, correlation);
+        assert_eq!(got, req);
+    }
+
+    /// Encodes `rep` and decodes it back, returning what came out.
+    fn reply_through_the_wire(rep: &Reply) -> Reply {
+        let mut out = BytesMut::new();
+        rep.encode(&mut out, PROTOCOL_VERSION, 7);
+        let mut view = out.freeze();
+        let payload = try_get_frame(&mut view, MAX_FRAME_PAYLOAD)
+            .unwrap()
+            .expect("complete frame");
+        assert_eq!(view.remaining(), 0);
+        let (got_version, got_corr, got) = Reply::decode(&payload).unwrap();
+        assert_eq!(got_version, PROTOCOL_VERSION);
+        assert_eq!(got_corr, 7);
+        got
     }
 
     fn roundtrip_reply(rep: Reply) {
-        for (version, correlation) in [(PROTOCOL_V1, 0u32), (PROTOCOL_VERSION, 7)] {
-            let mut out = BytesMut::new();
-            rep.encode(&mut out, version, correlation);
-            let mut view = out.freeze();
-            let payload = try_get_frame(&mut view, MAX_FRAME_PAYLOAD)
-                .unwrap()
-                .expect("complete frame");
-            assert_eq!(view.remaining(), 0);
-            let (got_version, got_corr, got) = Reply::decode(&payload).unwrap();
-            assert_eq!(got_version, version);
-            let want_corr = if version >= 2 { correlation } else { 0 };
-            assert_eq!(got_corr, want_corr);
-            assert_eq!(got, rep);
-        }
+        assert_eq!(reply_through_the_wire(&rep), rep);
     }
 
     #[test]
@@ -966,61 +911,90 @@ mod tests {
         });
     }
 
-    #[test]
-    fn stats_reply_roundtrips() {
-        let h = |seed: u64| HistogramSnapshot {
+    fn histogram(seed: u64) -> HistogramSnapshot {
+        HistogramSnapshot {
             buckets: (0..HISTOGRAM_BUCKETS as u64).map(|i| i * seed).collect(),
             count: 42 * seed,
             sum_ns: 1_000_000 * seed,
+        }
+    }
+
+    /// A snapshot with a distinct value everywhere, built by walking the
+    /// table: the scalar rows count up from 1, `uptime_ns` and
+    /// `snapshot_seq` continue the count, the histograms and then two
+    /// shards take the odd seeds 1, 3, 5, ...
+    fn fixed_snapshot() -> StatsSnapshot {
+        let mut s = StatsSnapshot::default();
+        let mut next = 0;
+        for slot in s.rows_mut() {
+            next += 1;
+            *slot = next;
+        }
+        s.uptime_ns = next + 1;
+        s.snapshot_seq = next + 2;
+        let mut seeds = (1..).step_by(2);
+        let mut odd = || histogram(seeds.next().expect("endless"));
+        for h in s.histograms_mut() {
+            *h = odd();
+        }
+        s.shards = [true, false]
+            .into_iter()
+            .enumerate()
+            .map(|(shard, active)| ShardStatsSnapshot {
+                model: 0,
+                shard: shard as u16,
+                active,
+                forward: odd(),
+                queue_wait: odd(),
+            })
+            .collect();
+        s
+    }
+
+    #[test]
+    fn stats_reply_roundtrips() {
+        roundtrip_reply(Reply::StatsOk(Box::new(fixed_snapshot())));
+    }
+
+    /// The `STATS_OK` body is a wire contract: row order, the 23-value
+    /// scalar block and the histogram layout are pinned to the bytes the
+    /// hand-written codec produced for this snapshot before the table
+    /// existed (length and FNV-1a computed at commit 2ed4bb6).
+    #[test]
+    fn stats_ok_wire_bytes_are_pinned() {
+        let mut out = BytesMut::new();
+        Reply::StatsOk(Box::new(fixed_snapshot())).encode(&mut out, PROTOCOL_VERSION, 7);
+        let fnv1a = out.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(out.len(), 2506);
+        assert_eq!(fnv1a, 0x001e_8cc6_224d_0c67);
+        // Frame length, version, STATS_OK, correlation 7, 23 scalars.
+        assert_eq!(&out[..11], &[198, 9, 0, 0, 2, 0x83, 7, 0, 0, 0, 23]);
+    }
+
+    /// A bucket-less (default) histogram is the all-zero histogram on the
+    /// wire: the encoder used to write the bucket count and then no
+    /// buckets, a frame its own decoder rejected as truncated.
+    #[test]
+    fn bucketless_histograms_roundtrip_as_all_zero() {
+        let zero = HistogramSnapshot {
+            buckets: vec![0; HISTOGRAM_BUCKETS],
+            ..HistogramSnapshot::default()
         };
-        roundtrip_reply(Reply::StatsOk(Box::new(StatsSnapshot {
-            connections: 1,
-            requests: 2,
-            rows: 3,
-            replies_ok: 4,
-            busy: 5,
-            expired: 6,
-            protocol_errors: 7,
-            batches: 8,
-            inflight: 9,
-            accept_errors: 10,
-            wakeups: 11,
-            loop_events: 12,
-            open_connections: 13,
-            fwd_sent: 14,
-            fwd_recv: 15,
-            shard_scale_ups: 16,
-            shard_scale_downs: 17,
-            worker_panics: 18,
-            keyed_requests: 19,
-            keyless_requests: 20,
-            trusted_stage_refused: 21,
-            uptime_ns: 22,
-            snapshot_seq: 23,
-            e2e: h(1),
-            forward: h(3),
-            depth: h(5),
-            queue_wait: h(7),
-            batch_fill: h(9),
-            writeback: h(11),
-            remote_wait: h(13),
-            shards: vec![
-                ShardStatsSnapshot {
-                    model: 0,
-                    shard: 0,
-                    active: true,
-                    forward: h(15),
-                    queue_wait: h(17),
-                },
-                ShardStatsSnapshot {
-                    model: 0,
-                    shard: 1,
-                    active: false,
-                    forward: h(19),
-                    queue_wait: h(21),
-                },
-            ],
-        })));
+        let mut want = StatsSnapshot::default();
+        for h in want.histograms_mut() {
+            *h = zero.clone();
+        }
+        let got = reply_through_the_wire(&Reply::StatsOk(Box::default()));
+        assert_eq!(got, Reply::StatsOk(Box::new(want)));
+
+        let mut sent = fixed_snapshot();
+        sent.shards[0].queue_wait = HistogramSnapshot::default();
+        let mut want = sent.clone();
+        want.shards[0].queue_wait = zero;
+        let got = reply_through_the_wire(&Reply::StatsOk(Box::new(sent)));
+        assert_eq!(got, Reply::StatsOk(Box::new(want)));
     }
 
     #[test]
@@ -1034,73 +1008,69 @@ mod tests {
             cols: 2,
             data: vec![1.0, 2.0],
         }
-        .encode(&mut out, PROTOCOL_V1, 0);
+        .encode(&mut out, PROTOCOL_VERSION, 0);
         // frame: 4-byte length, version, opcode.
         assert_eq!(out[5], OP_INFER);
     }
 
     #[test]
-    fn v2_frames_carry_the_correlation_id() {
+    fn frames_carry_the_correlation_id() {
         let mut out = BytesMut::new();
         Request::Stats.encode(&mut out, PROTOCOL_VERSION, 0x0403_0201);
         // frame: len(2+4), version, opcode, correlation LE.
         assert_eq!(&out[..], &[6, 0, 0, 0, 2, OP_STATS, 1, 2, 3, 4]);
-        let mut out = BytesMut::new();
-        Request::Stats.encode(&mut out, PROTOCOL_V1, 0x0403_0201);
-        assert_eq!(&out[..], &[2, 0, 0, 0, 1, OP_STATS]);
     }
 
     #[test]
     fn bad_version_rejected() {
-        // Version 9 is ≥ 2, so its header carries a correlation field.
         let payload = [9u8, OP_STATS, 0, 0, 0, 0];
         assert_eq!(Request::decode(&payload), Err(WireError::BadVersion(9)));
-        let payload = [0u8, OP_STATS];
-        assert_eq!(Request::decode(&payload), Err(WireError::BadVersion(0)));
+        // A v1 frame's header was two bytes: the version byte is judged
+        // before the header length, so it is refused, not "truncated".
+        let payload = [1u8, OP_STATS];
+        assert_eq!(Request::decode(&payload), Err(WireError::BadVersion(1)));
+        assert_eq!(Request::decode(&[0u8]), Err(WireError::BadVersion(0)));
+        // Short but ours: truncated.
+        for payload in [&[][..], &[PROTOCOL_VERSION, OP_STATS, 0]] {
+            assert_eq!(
+                Request::decode(payload),
+                Err(WireError::Truncated { context: "header" })
+            );
+        }
     }
 
     #[test]
     fn bad_opcode_rejected() {
-        let payload = [PROTOCOL_V1, 0x7F];
+        let payload = [PROTOCOL_VERSION, 0x7F, 0, 0, 0, 0];
         assert_eq!(Request::decode(&payload), Err(WireError::BadOpcode(0x7F)));
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let payload = [PROTOCOL_V1, OP_STATS, 0xAA];
+        let payload = [PROTOCOL_VERSION, OP_STATS, 0, 0, 0, 0, 0xAA];
         assert_eq!(Request::decode(&payload), Err(WireError::TrailingBytes(1)));
     }
 
     #[test]
     fn truncation_rejected_everywhere() {
-        for version in [PROTOCOL_V1, PROTOCOL_VERSION] {
-            let mut out = BytesMut::new();
-            Request::Infer {
-                model: 1,
-                mode: InferMode::Keyless,
-                deadline_us: 77,
-                rows: 2,
-                cols: 3,
-                data: vec![0.5; 6],
-            }
-            .encode(&mut out, version, 11);
-            let full = out.freeze();
-            let payload = full.slice(4..).to_vec(); // drop the frame length prefix
-            for cut in 0..payload.len() {
-                assert!(
-                    Request::decode(&payload[..cut]).is_err(),
-                    "v{version} prefix {cut} decoded"
-                );
-            }
+        let mut out = BytesMut::new();
+        Request::Infer {
+            model: 1,
+            mode: InferMode::Keyless,
+            deadline_us: 77,
+            rows: 2,
+            cols: 3,
+            data: vec![0.5; 6],
         }
-    }
-
-    #[test]
-    fn version_negotiation_clamps_to_supported_range() {
-        assert_eq!(negotiate_version(1), 1);
-        assert_eq!(negotiate_version(2), 2);
-        assert_eq!(negotiate_version(0), 1);
-        assert_eq!(negotiate_version(250), PROTOCOL_VERSION);
+        .encode(&mut out, PROTOCOL_VERSION, 11);
+        let full = out.freeze();
+        let payload = full.slice(4..).to_vec(); // drop the frame length prefix
+        for cut in 0..payload.len() {
+            assert!(
+                Request::decode(&payload[..cut]).is_err(),
+                "prefix {cut} decoded"
+            );
+        }
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //! rebuild the poll set (wake pipe + every live socket, write interest only
 //! when a connection has queued output), poll, then for each ready
 //! connection read-and-decode frames ([`hpnn_bytes::FrameBuffer`]) and
-//! flush the outbound queue. Request dispatch is unchanged in substance
-//! from the thread-per-connection design: v2 `INFER` frames are admitted
-//! into the scheduler with a per-connection in-flight window, v1 frames run
-//! lock-step (the connection's decode is paused — never the loop — until
-//! the completion lands), control frames are answered inline.
+//! flush the outbound queue. `INFER` and `FWD_ACT` frames are admitted into
+//! the scheduler with a per-connection in-flight window; control frames
+//! are answered inline.
 //!
 //! Batch-worker completions never touch a socket: they encode the reply,
 //! push it into the connection's [`ConnHandle`] mailbox and register the
@@ -45,7 +43,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hpnn_bytes::{BytesMut, Frame, FrameTooLong};
+use hpnn_bytes::{BytesMut, FrameTooLong};
 use hpnn_tensor::TensorError;
 
 use crate::config::ServeConfig;
@@ -53,7 +51,7 @@ use crate::conn::{Conn, ConnHandle, FillOutcome, FlushOutcome, Outbound};
 use crate::event::{fd_of, AcceptBackoff, Poller, Ready, WakePipe, Waker};
 use crate::metrics::{Metrics, StatsSnapshot};
 use crate::protocol::{
-    negotiate_version, ErrorCode, InferMode, Reply, Request, PROTOCOL_V1, PROTOCOL_VERSION,
+    split_frame, ErrorCode, InferMode, Reply, Request, WireError, PROTOCOL_VERSION,
 };
 use crate::registry::ServeRegistry;
 use crate::scheduler::{Completion, ReplyPayload, Scheduler, SubmitError};
@@ -334,29 +332,42 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 
 /// Encodes a reply into a wire frame, stamping `LOGITS` replies for
 /// writeback accounting.
-fn encode_outbound(reply: &Reply, version: u8, correlation: u32) -> Outbound {
+fn encode_outbound(reply: &Reply, correlation: u32) -> Outbound {
     let mut out = BytesMut::new();
-    reply.encode(&mut out, version, correlation);
+    reply.encode(&mut out, PROTOCOL_VERSION, correlation);
     let reply_ready = matches!(reply, Reply::Logits { .. }).then(|| (Instant::now(), correlation));
     Outbound {
         buf: out.into_vec(),
         reply_ready,
         retire_correlation: None,
-        unblocks_v1: false,
     }
 }
 
 /// Queues a reply directly on a connection owned by the current loop
 /// thread (control replies, admission errors).
-fn push_reply(conn: &mut Conn, reply: &Reply, version: u8, correlation: u32) {
-    conn.enqueue(encode_outbound(reply, version, correlation));
+fn push_reply(conn: &mut Conn, reply: &Reply, correlation: u32) {
+    conn.enqueue(encode_outbound(reply, correlation));
+}
+
+/// Counts a frame that failed to decode and answers it with the error's
+/// typed code; the framing is intact, so the connection stays usable.
+fn refuse_frame(shared: &Shared, conn: &mut Conn, e: &WireError, opcode: u8, correlation: u32) {
+    Metrics::bump(&shared.metrics.protocol_errors);
+    push_reply(
+        conn,
+        &Reply::Error {
+            code: e.error_code(),
+            request_opcode: opcode,
+            message: e.to_string(),
+        },
+        correlation,
+    );
 }
 
 /// Delivers an encoded reply from *outside* the owning loop thread
 /// (batch-worker completions): mailbox the frame and register the handle
-/// dirty. Connection-state effects (correlation retirement, v1 unblock)
-/// ride on the [`Outbound`]'s tags and are applied by the loop thread at
-/// mailbox transfer.
+/// dirty. The correlation's retirement rides on the [`Outbound`]'s tag and
+/// is applied by the loop thread at mailbox transfer.
 ///
 /// Returns the wake the caller now owes the loop — every delivering
 /// thread wakes for its own replies, so none waits on another thread's
@@ -399,8 +410,8 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
                     fd_of(&c.stream),
                     Ready {
                         // Read interest drops while decode is stalled
-                        // (outbound backlog, v1 lock-step, full frame
-                        // buffer) so TCP backpressure reaches the client;
+                        // (outbound backlog, full frame buffer) so TCP
+                        // backpressure reaches the client;
                         // POLLERR/POLLHUP still surface regardless.
                         readable: c.wants_read(outbound_cap),
                         writable: !c.flushed(),
@@ -470,9 +481,6 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
                         .record(ready.elapsed().as_nanos() as u64);
                 }
                 if alive {
-                    // `absorb` retires the reply's correlation and — for
-                    // the v1 lock-step reply only, never an interleaved v2
-                    // completion — resumes the paused decode.
                     let conn = slab[handle.token].as_mut().expect("alive slot");
                     conn.absorb(out);
                 }
@@ -578,8 +586,7 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
 }
 
 /// Decodes and dispatches every complete frame a connection has buffered,
-/// honoring lock-step pauses, fatal-error closes, and the outbound-queue
-/// backpressure cap.
+/// honoring fatal-error closes and the outbound-queue backpressure cap.
 fn dispatch_frames(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, cap: usize) {
     loop {
         if conn.queued_frames() >= cap {
@@ -593,10 +600,8 @@ fn dispatch_frames(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, 
             Ok(None) => return,
             Err(FrameTooLong { declared, max }) => {
                 // Lying length prefix: the stream cannot be resynchronized.
-                // Reply in the connection's negotiated version — a v2
-                // session would misparse a v1-framed error — then close.
+                // Say so, then close.
                 Metrics::bump(&shared.metrics.protocol_errors);
-                let version = conn.version;
                 push_reply(
                     conn,
                     &Reply::Error {
@@ -604,7 +609,6 @@ fn dispatch_frames(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, 
                         request_opcode: 0,
                         message: format!("frame declares {declared} bytes, cap is {max}"),
                     },
-                    version,
                     0,
                 );
                 conn.closing = true;
@@ -620,63 +624,19 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
     // Frame parse + header checks + body decode; dropped before the
     // request is dispatched so admission time is not charged to decode.
     let decode_span = hpnn_trace::span!("conn.decode", payload.len());
-    let frame = match Frame::parse(payload) {
-        Ok(f) => f,
+    let (_, opcode, correlation, body) = match split_frame(payload) {
+        Ok(parts) => parts,
         Err(e) => {
-            // Too short to even carry an opcode; connection stays open.
-            // Reply in the last version the peer spoke (not hardcoded v1).
-            Metrics::bump(&shared.metrics.protocol_errors);
-            let version = conn.version;
-            push_reply(
-                conn,
-                &Reply::Error {
-                    code: ErrorCode::Malformed,
-                    request_opcode: payload.get(1).copied().unwrap_or(0),
-                    message: e.to_string(),
-                },
-                version,
-                0,
-            );
+            // Another version's frame or one too short for a header:
+            // where its correlation would sit is unknown, so answer at 0.
+            refuse_frame(shared, conn, &e, payload.get(1).copied().unwrap_or(0), 0);
             return;
         }
     };
-    if frame.version < PROTOCOL_V1 || frame.version > PROTOCOL_VERSION {
-        Metrics::bump(&shared.metrics.protocol_errors);
-        // Reply in the nearest version we both might speak so the client
-        // can at least decode the rejection.
-        let reply_version = negotiate_version(frame.version);
-        push_reply(
-            conn,
-            &Reply::Error {
-                code: ErrorCode::BadVersion,
-                request_opcode: frame.opcode,
-                message: format!("protocol version {} unsupported", frame.version),
-            },
-            reply_version,
-            frame.correlation,
-        );
-        return;
-    }
-    let version = frame.version;
-    let correlation = frame.correlation;
-    // Remember the negotiated version for error replies to frames too
-    // broken to carry one themselves.
-    conn.version = version;
-    let request = match Request::decode_body(frame.opcode, &frame.payload) {
+    let request = match Request::decode_body(opcode, &body) {
         Ok(r) => r,
         Err(e) => {
-            // Framing is intact, so the connection stays usable.
-            Metrics::bump(&shared.metrics.protocol_errors);
-            push_reply(
-                conn,
-                &Reply::Error {
-                    code: e.error_code(),
-                    request_opcode: frame.opcode,
-                    message: e.to_string(),
-                },
-                version,
-                correlation,
-            );
+            refuse_frame(shared, conn, &e, opcode, correlation);
             return;
         }
     };
@@ -686,10 +646,9 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
             push_reply(
                 conn,
                 &Reply::HelloOk {
-                    version: negotiate_version(version),
+                    version: PROTOCOL_VERSION,
                     models: shared.scheduler.models(),
                 },
-                version,
                 correlation,
             );
         }
@@ -709,13 +668,9 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
                 rows,
                 cols,
                 data,
-                opcode: frame.opcode,
+                opcode,
             };
-            if version >= 2 {
-                infer_pipelined(shared, lp, conn, correlation, args);
-            } else {
-                infer_lockstep(shared, lp, conn, args);
-            }
+            admit(shared, lp, conn, correlation, args);
         }
         Request::Forward {
             model,
@@ -726,23 +681,6 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
             cols,
             data,
         } => {
-            // Activation forwarding is inherently pipelined: a v1 peer link
-            // has no correlation IDs to match replies on, so the frame is
-            // refused rather than guessed at.
-            if version < 2 {
-                Metrics::bump(&shared.metrics.protocol_errors);
-                push_reply(
-                    conn,
-                    &Reply::Error {
-                        code: ErrorCode::BadVersion,
-                        request_opcode: frame.opcode,
-                        message: "FWD_ACT requires protocol v2".into(),
-                    },
-                    version,
-                    correlation,
-                );
-                return;
-            }
             let args = InferArgs {
                 model,
                 stage: Some(stage),
@@ -751,17 +689,12 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
                 rows,
                 cols,
                 data,
-                opcode: frame.opcode,
+                opcode,
             };
-            infer_pipelined(shared, lp, conn, correlation, args);
+            admit(shared, lp, conn, correlation, args);
         }
         Request::Stats => {
-            push_reply(
-                conn,
-                &Reply::StatsOk(Box::new(shared.stats())),
-                version,
-                correlation,
-            );
+            push_reply(conn, &Reply::StatsOk(Box::new(shared.stats())), correlation);
         }
         Request::Shutdown => {
             // Drain first: every outstanding completion (this connection's
@@ -776,12 +709,9 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
                         .writeback
                         .record(ready.elapsed().as_nanos() as u64);
                 }
-                // drain() guarantees every outstanding completion (any
-                // pending v1 lock-step reply included) is in the mailbox,
-                // so absorb also clears `v1_blocked` where due.
                 conn.absorb(out);
             }
-            push_reply(conn, &Reply::ShutdownOk, version, correlation);
+            push_reply(conn, &Reply::ShutdownOk, correlation);
             conn.closing = true;
         }
     }
@@ -848,66 +778,10 @@ fn deadline_from_us(deadline_us: u32) -> Option<Instant> {
     }
 }
 
-/// v1 path: submit, pause the connection's decode (never the loop), reply
-/// in order when the completion lands.
-fn infer_lockstep(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, args: InferArgs) {
-    if args.data.len() != args.rows.saturating_mul(args.cols) {
-        push_reply(
-            conn,
-            &Reply::Error {
-                code: ErrorCode::Malformed,
-                request_opcode: args.opcode,
-                message: format!(
-                    "{} values for {}x{} input",
-                    args.data.len(),
-                    args.rows,
-                    args.cols
-                ),
-            },
-            PROTOCOL_V1,
-            0,
-        );
-        return;
-    }
-    let deadline = deadline_from_us(args.deadline_us);
-    let admit_span = hpnn_trace::span!("conn.admit", args.rows);
-    let opcode = args.opcode;
-    let completion_lp = Arc::clone(lp);
-    let completion_handle = Arc::clone(&conn.handle);
-    let done = Completion::new(move |payload| {
-        let reply = payload_reply(payload, opcode);
-        let mut out = encode_outbound(&reply, PROTOCOL_V1, 0);
-        // Tagged so the loop resumes this connection's decode exactly when
-        // *this* reply transfers — an interleaved v2 completion must not.
-        out.unblocks_v1 = true;
-        Some(deliver(&completion_lp, &completion_handle, out))
-    });
-    let submitted = shared.scheduler.submit_with(
-        args.model, args.mode, args.rows, args.cols, args.data, deadline, done,
-    );
-    drop(admit_span);
-    match submitted {
-        Ok(()) => {
-            shared.metrics.depth.record_value(1); // lock-step depth
-            conn.v1_blocked = true;
-        }
-        Err((e, done)) => {
-            done.dismiss();
-            let reply = if matches!(e, SubmitError::Busy) {
-                Metrics::bump(&shared.metrics.busy);
-                Reply::Busy
-            } else {
-                submit_error_reply(&e, opcode)
-            };
-            push_reply(conn, &reply, PROTOCOL_V1, 0);
-        }
-    }
-}
-
-/// v2 path: admit without blocking; the completion (fired by a batch
+/// Admits one inference without blocking; the completion (fired by a batch
 /// worker) encodes the reply into the connection's mailbox, echoing the
 /// correlation ID.
-fn infer_pipelined(
+fn admit(
     shared: &Arc<Shared>,
     lp: &Arc<LoopShared>,
     conn: &mut Conn,
@@ -928,7 +802,6 @@ fn infer_pipelined(
                     args.cols
                 ),
             },
-            PROTOCOL_VERSION,
             correlation,
         );
         return;
@@ -945,7 +818,6 @@ fn infer_pipelined(
                     request_opcode: args.opcode,
                     message: format!("correlation {correlation} is already in flight"),
                 },
-                PROTOCOL_VERSION,
                 correlation,
             );
             return;
@@ -954,7 +826,7 @@ fn infer_pipelined(
             Metrics::bump(&shared.metrics.busy);
             drop(inflight);
             hpnn_trace::instant!("conn.busy", correlation);
-            push_reply(conn, &Reply::Busy, PROTOCOL_VERSION, correlation);
+            push_reply(conn, &Reply::Busy, correlation);
             return;
         }
         // Reserve the slot before submitting so the completion — which may
@@ -969,7 +841,7 @@ fn infer_pipelined(
     let completion_handle = Arc::clone(&conn.handle);
     let mut done = Completion::new(move |payload| {
         let reply = payload_reply(payload, opcode);
-        let mut out = encode_outbound(&reply, PROTOCOL_VERSION, correlation);
+        let mut out = encode_outbound(&reply, correlation);
         // The correlation retires on the loop thread when this reply
         // transfers to the outbound queue — not here. Retiring early would
         // let the loop observe a half-closed connection with window depth
@@ -1003,7 +875,7 @@ fn infer_pipelined(
             } else {
                 submit_error_reply(&e, opcode)
             };
-            push_reply(conn, &reply, PROTOCOL_VERSION, correlation);
+            push_reply(conn, &reply, correlation);
         }
     }
 }

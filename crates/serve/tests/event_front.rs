@@ -10,8 +10,8 @@ use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, Schedul
 use hpnn_nn::{mlp, NetworkSpec};
 use hpnn_serve::loadgen::{self, LoadPattern};
 use hpnn_serve::{
-    Client, ErrorCode, InferMode, LoadgenConfig, Reply, Request, ServeConfig, ServeError,
-    ServeRegistry, Server, Session, PROTOCOL_V1,
+    ErrorCode, InferMode, LoadgenConfig, Reply, Request, ServeConfig, ServeRegistry, Server,
+    Session,
 };
 use hpnn_tensor::Rng;
 
@@ -68,18 +68,17 @@ fn thread_count() -> Option<usize> {
         .and_then(|v| v.trim().parse().ok())
 }
 
-/// Regression (version tracking): framing-level error replies — frames too
-/// broken to carry their own version — must come back in the connection's
-/// *negotiated* version. The old front end hardcoded v1, so a v2 session
-/// misparsed the reply (v1 error frames have no correlation word).
+/// Framing-level error replies — to frames too broken to carry a header —
+/// are framed like every other reply, with the correlation word, so a
+/// pipelined session decodes them.
 #[test]
-fn framing_errors_reply_in_negotiated_version() {
+fn framing_errors_get_decodable_replies() {
     let server = mlp_server(11, small_cfg(1));
     let mut session = Session::connect(server.local_addr()).unwrap();
     session.hello("v2-err").unwrap();
 
-    // One-byte payload: too short for any header, unparseable, but the
-    // connection survives. The reply must be v2-framed or recv() misreads.
+    // One-byte payload: too short for a header, unparseable, but the
+    // connection survives.
     session.send_raw(&[1, 0, 0, 0, 2]).unwrap();
     let (corr, reply) = session.recv().unwrap();
     assert_eq!(corr, 0, "framing errors carry correlation 0");
@@ -88,14 +87,14 @@ fn framing_errors_reply_in_negotiated_version() {
         other => panic!("expected MALFORMED, got {other:?}"),
     }
 
-    // The session is intact and still speaks v2.
+    // The session is intact.
     let t = session
         .submit(0, InferMode::Keyed, 0, 1, 6, vec![0.5; 6])
         .unwrap();
     assert_eq!(session.wait(t).unwrap().rows, 1);
 
-    // Lying length prefix: fatal, but the final error frame must still be
-    // v2-framed for this session to decode it before the close.
+    // Lying length prefix: fatal, but the final error frame still reaches
+    // this session, decodable, before the close.
     session.send_raw(&u32::MAX.to_le_bytes()).unwrap();
     let (corr, reply) = session.recv().unwrap();
     assert_eq!(corr, 0);
@@ -118,7 +117,7 @@ fn shutdown_completes_on_wildcard_bind() {
     let server = mlp_server_at(12, small_cfg(1), "0.0.0.0:0");
     let port = server.local_addr().port();
 
-    let mut client = Client::connect(("127.0.0.1", port)).unwrap();
+    let mut client = Session::connect(("127.0.0.1", port)).unwrap();
     client.hello("wildcard").unwrap();
     assert_eq!(
         client
@@ -145,7 +144,7 @@ fn shutdown_completes_on_wildcard_bind() {
     assert_eq!(stats.accept_errors, 0);
 }
 
-/// The headline property: a thousand concurrent idle v2 sessions are held
+/// The headline property: a thousand concurrent idle sessions are held
 /// by the fixed event-loop pool — no thread per connection anywhere.
 #[test]
 fn thousand_idle_sessions_on_fixed_thread_pool() {
@@ -265,93 +264,9 @@ fn stalled_peers_do_not_block_the_loop() {
     server.shutdown();
 }
 
-/// v1 lock-step and v2 pipelined clients interleave on one event loop: the
-/// v1 connection's paused decode must never pause anyone else.
-#[test]
-fn v1_and_v2_share_an_event_loop() {
-    let server = mlp_server(16, small_cfg(1));
-    let addr = server.local_addr();
-
-    let mut v1 = Client::connect_v1(addr).unwrap();
-    assert_eq!(v1.hello("v1").unwrap().len(), 1);
-    let mut v2 = Session::connect(addr).unwrap();
-    v2.hello("v2").unwrap();
-
-    for round in 0..8 {
-        // Pipeline a pair on v2, then a lock-step v1 round trip, then
-        // collect the v2 replies out of order.
-        let a = v2
-            .submit(0, InferMode::Keyed, 0, 1, 6, vec![0.1 * round as f32; 6])
-            .unwrap();
-        let b = v2
-            .submit(0, InferMode::Keyed, 0, 1, 6, vec![0.2 * round as f32; 6])
-            .unwrap();
-        assert_eq!(
-            v1.infer(0, InferMode::Keyed, 0, 1, 6, vec![0.3; 6])
-                .unwrap()
-                .rows,
-            1
-        );
-        assert!(v2.wait(b).is_ok());
-        assert!(v2.wait(a).is_ok());
-    }
-
-    let stats = server.metrics();
-    assert_eq!(stats.replies_ok, 8 * 3);
-    // Histogram reconciliation holds across mixed versions.
-    assert_eq!(stats.writeback.count, stats.replies_ok);
-    assert_eq!(stats.queue_wait.count, stats.replies_ok);
-    server.shutdown();
-}
-
-/// Regression (retirement vs lock-step): a v1 client that sends its
-/// request and immediately half-closes the write side (send →
-/// `shutdown(WR)` → read — a valid client pattern) must still receive the
-/// reply. When the EOF lands in the same read burst as the request, the
-/// event loop sees `read_closed` with an empty outbound queue and an empty
-/// window while the batch still runs; `retired()` ignoring `v1_blocked`
-/// reclaimed the slot and the reply was drained into metrics, never sent.
-#[test]
-fn half_closed_v1_client_still_gets_its_reply() {
-    let server = mlp_server(18, small_cfg(1));
-    // No HELLO: the request and the FIN are both on the wire before the
-    // event loop has even adopted the socket, so its first read burst
-    // observes the INFER *and* the EOF together — the exact interleaving
-    // where the old retirement check dropped the reply.
-    let mut s = Session::connect_with_version(server.local_addr(), PROTOCOL_V1).unwrap();
-    s.send(&Request::Infer {
-        model: 0,
-        mode: InferMode::Keyed,
-        deadline_us: 0,
-        rows: 1,
-        cols: 6,
-        data: vec![0.5; 6],
-    })
-    .unwrap();
-    s.shutdown_write().unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-
-    let (corr, reply) = s.recv().expect("reply lost on half-closed v1 connection");
-    assert_eq!(corr, 0, "v1 replies carry no correlation");
-    assert!(
-        matches!(reply, Reply::Logits { rows: 1, .. }),
-        "expected logits, got {reply:?}"
-    );
-    // After the reply the server retires the connection: clean EOF.
-    assert!(matches!(s.recv(), Err(ServeError::Disconnected)));
-
-    wait_for("half-closed v1 slot to retire", || {
-        server.metrics().open_connections == 0
-    });
-    let stats = server.metrics();
-    assert_eq!(stats.replies_ok, 1);
-    assert_eq!(stats.writeback.count, 1);
-    server.shutdown();
-}
-
-/// The v2 flavor of the half-close pattern: pipeline a window of requests,
-/// shut the write side, and collect every reply. Correlations retire at
-/// mailbox transfer (on the loop thread), so the window depth keeps the
+/// The half-close pattern (send → `shutdown(WR)` → read): pipeline a
+/// window of requests, shut the write side, and collect every reply.
+/// Correlations retire at mailbox transfer (on the loop thread), so the window depth keeps the
 /// slot alive until each reply is queued — the event loop interleaving
 /// between a worker's window-removal and mailbox-push used to leave a gap
 /// where `retired()` reclaimed the slot with replies still undelivered.
@@ -469,7 +384,7 @@ fn shutdown_completes_on_specific_address_bind() {
     };
     assert_eq!(server.local_addr().ip().to_string(), "127.0.0.2");
 
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Session::connect(server.local_addr()).unwrap();
     client.hello("alias").unwrap();
     assert_eq!(
         client
@@ -607,36 +522,6 @@ fn forward_stage0(rows: usize) -> Request {
         cols: 6,
         data: vec![0.25; rows * 6],
     }
-}
-
-/// FWD_ACT needs correlation IDs to route replies; on a v1 link it must be
-/// refused with a typed BAD_VERSION error — and the connection survives.
-#[test]
-fn fwd_act_on_v1_link_is_bad_version() {
-    let server = partitioned_worker(30, small_cfg(1));
-    let mut s = Session::connect_with_version(server.local_addr(), PROTOCOL_V1).unwrap();
-    s.send(&forward_stage0(1)).unwrap();
-    let (corr, reply) = s.recv().unwrap();
-    assert_eq!(corr, 0, "v1 replies carry no correlation");
-    match reply {
-        Reply::Error { code, .. } => assert_eq!(code, ErrorCode::BadVersion),
-        other => panic!("expected BAD_VERSION, got {other:?}"),
-    }
-
-    // Same connection, still lock-step v1: a full keyless inference works.
-    s.send(&Request::Infer {
-        model: 0,
-        mode: InferMode::Keyless,
-        deadline_us: 0,
-        rows: 1,
-        cols: 6,
-        data: vec![0.5; 6],
-    })
-    .unwrap();
-    let (_, reply) = s.recv().unwrap();
-    assert!(matches!(reply, Reply::Logits { rows: 1, .. }));
-    assert_eq!(server.metrics().protocol_errors, 1);
-    server.shutdown();
 }
 
 /// A peer that dies mid-FWD_ACT-frame (length prefix on the wire, body cut

@@ -7,8 +7,8 @@ use std::time::Duration;
 use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
 use hpnn_nn::{cnn1, mlp, ImageDims, NetworkSpec};
 use hpnn_serve::{
-    Client, ErrorCode, InferMode, Reply, Request, ServeConfig, ServeError, ServeRegistry, Server,
-    Session,
+    ErrorCode, InferMode, Reply, Request, ServeConfig, ServeError, ServeRegistry, Server, Session,
+    WireError, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
 };
 use hpnn_tensor::Rng;
 
@@ -37,7 +37,7 @@ fn mlp_server(seed: u64, cfg: ServeConfig) -> Server {
 #[test]
 fn hello_advertises_models() {
     let server = mlp_server(1, ServeConfig::default());
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Session::connect(server.local_addr()).unwrap();
     let models = client.hello("test").unwrap();
     assert_eq!(models.len(), 1);
     assert_eq!(models[0].id, 0);
@@ -79,7 +79,7 @@ fn concurrent_clients_get_bitwise_serial_results() {
     // Reference pass: serial, one request at a time on one connection, so
     // every forward runs with batch size 1.
     let serial: Vec<Vec<u32>> = {
-        let mut client = Client::connect(addr).unwrap();
+        let mut client = Session::connect(addr).unwrap();
         inputs
             .iter()
             .map(|x| {
@@ -103,7 +103,7 @@ fn concurrent_clients_get_bitwise_serial_results() {
         .map(|x| {
             let barrier = Arc::clone(&barrier);
             thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
+                let mut client = Session::connect(addr).unwrap();
                 barrier.wait();
                 client
                     .infer(0, InferMode::Keyed, 0, 1, x.len(), x)
@@ -283,35 +283,84 @@ fn duplicate_correlation_is_rejected_without_killing_the_original() {
     server.shutdown();
 }
 
+/// Protocol v1 is retired: its frames — a two-byte `[version][opcode]`
+/// header, no correlation word — are answered like any other foreign
+/// version, with a typed `BadVersion` error framed the one way this server
+/// frames anything, and the connection stays usable.
 #[test]
-fn v1_client_interops_with_v2_server() {
+fn v1_frame_is_refused_typed_and_connection_survives() {
+    const OP_HELLO: u8 = 0x01;
+    const OP_STATS: u8 = 0x04;
     let server = mlp_server(23, ServeConfig::default());
-    let mut client = Client::connect_v1(server.local_addr()).unwrap();
-    let models = client.hello("legacy").unwrap();
-    assert_eq!(models.len(), 1);
-    assert_eq!(client.session().version(), 1, "negotiation must stay at v1");
-    let logits = client
+    let mut session = Session::connect(server.local_addr()).unwrap();
+
+    // A v1 HELLO (body: u32-prefixed client name), then a bare v1 STATS.
+    let mut hello = vec![1, OP_HELLO];
+    hello.extend_from_slice(&6u32.to_le_bytes());
+    hello.extend_from_slice(b"legacy");
+    let mut wire = (hello.len() as u32).to_le_bytes().to_vec();
+    wire.extend_from_slice(&hello);
+    wire.extend_from_slice(&[2, 0, 0, 0, 1, OP_STATS]);
+    session.send_raw(&wire).unwrap();
+
+    for opcode in [OP_HELLO, OP_STATS] {
+        // `recv` decodes with the one header layout: a reply framed any
+        // other way would not parse.
+        let (corr, reply) = session.recv().unwrap();
+        assert_eq!(corr, 0, "a v1 frame has no correlation to echo");
+        match reply {
+            Reply::Error {
+                code,
+                request_opcode,
+                ..
+            } => {
+                assert_eq!(code, ErrorCode::BadVersion);
+                assert_eq!(request_opcode, opcode);
+            }
+            other => panic!("expected BAD_VERSION, got {other:?}"),
+        }
+    }
+
+    // Same socket, current protocol: handshake and inference both work.
+    assert_eq!(session.hello("current").unwrap().len(), 1);
+    let logits = session
         .infer(0, InferMode::Keyed, 0, 1, 6, vec![0.5; 6])
         .unwrap();
     assert_eq!((logits.rows, logits.cols), (1, 4));
 
-    // The session API works lock-step on v1 too: FIFO reply matching, and
-    // control frames refuse to race outstanding tickets.
-    let session = client.session();
-    let t = session
-        .submit(0, InferMode::Keyed, 0, 1, 6, vec![0.25; 6])
-        .unwrap();
-    match session.stats() {
-        Err(ServeError::OutstandingTickets(1)) => {}
-        other => panic!("expected outstanding-tickets error, got {other:?}"),
-    }
-    assert_eq!(session.wait(t).unwrap().rows, 1);
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.replies_ok, 2);
-    // Lock-step admissions record depth 1.
-    assert_eq!(stats.depth.count, 2);
-    assert_eq!(stats.depth.sum_ns, 2);
+    let stats = server.metrics();
+    assert_eq!(stats.protocol_errors, 2);
+    assert_eq!(stats.replies_ok, 1);
     server.shutdown();
+}
+
+/// The client's half of "one version": a peer whose `HELLO_OK` announces
+/// anything but ours is refused at the handshake, before any pipelining.
+#[test]
+fn hello_ok_announcing_another_version_is_refused() {
+    use std::io::Write;
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stub = thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader =
+            hpnn_serve::FrameReader::new(stream.try_clone().unwrap(), MAX_FRAME_PAYLOAD);
+        let payload = reader.next_frame().unwrap().unwrap();
+        let (_, correlation, _) = Request::decode(&payload).unwrap();
+        let mut out = hpnn_bytes::BytesMut::new();
+        Reply::HelloOk {
+            version: 1,
+            models: Vec::new(),
+        }
+        .encode(&mut out, PROTOCOL_VERSION, correlation);
+        (&stream).write_all(&out).unwrap();
+    });
+    let mut session = Session::connect(addr).unwrap();
+    match session.hello("strict") {
+        Err(ServeError::Protocol(WireError::BadVersion(1))) => {}
+        other => panic!("expected BadVersion(1), got {other:?}"),
+    }
+    stub.join().unwrap();
 }
 
 #[test]
@@ -353,21 +402,20 @@ fn deep_pipelining_sheds_busy_at_the_connection_window() {
 #[test]
 fn malformed_frames_get_error_replies_and_connection_survives() {
     let server = mlp_server(4, ServeConfig::default());
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Session::connect(server.local_addr()).unwrap();
 
-    // Bad version byte inside a well-formed frame (v99 headers carry a
-    // correlation word, so the payload is 6 bytes).
+    // Bad version byte inside a well-formed frame.
     client
         .send_raw(&[6, 0, 0, 0, 99, 0x04, 0, 0, 0, 0])
         .unwrap();
-    match client.recv().unwrap() {
+    match client.recv().unwrap().1 {
         Reply::Error { code, .. } => assert_eq!(code, ErrorCode::BadVersion),
         other => panic!("expected error reply, got {other:?}"),
     }
 
     // Unknown opcode.
-    client.send_raw(&[2, 0, 0, 0, 1, 0x7F]).unwrap();
-    match client.recv().unwrap() {
+    client.send_raw(&[6, 0, 0, 0, 2, 0x7F, 0, 0, 0, 0]).unwrap();
+    match client.recv().unwrap().1 {
         Reply::Error {
             code,
             request_opcode,
@@ -380,8 +428,10 @@ fn malformed_frames_get_error_replies_and_connection_survives() {
     }
 
     // Garbage body after a valid header.
-    client.send_raw(&[3, 0, 0, 0, 1, 0x02, 0xFF]).unwrap();
-    match client.recv().unwrap() {
+    client
+        .send_raw(&[7, 0, 0, 0, 2, 0x02, 0, 0, 0, 0, 0xFF])
+        .unwrap();
+    match client.recv().unwrap().1 {
         Reply::Error {
             code,
             request_opcode,
@@ -405,16 +455,16 @@ fn malformed_frames_get_error_replies_and_connection_survives() {
 #[test]
 fn lying_length_prefix_closes_connection_but_not_server() {
     let server = mlp_server(5, ServeConfig::default());
-    let mut bad = Client::connect(server.local_addr()).unwrap();
+    let mut bad = Session::connect(server.local_addr()).unwrap();
     // Declares a payload beyond MAX_FRAME_PAYLOAD: unsyncable.
     bad.send_raw(&u32::MAX.to_le_bytes()).unwrap();
     match bad.recv() {
-        Ok(Reply::Error { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
-        Ok(other) => panic!("expected error reply, got {other:?}"),
+        Ok((_, Reply::Error { code, .. })) => assert_eq!(code, ErrorCode::Malformed),
+        Ok((_, other)) => panic!("expected error reply, got {other:?}"),
         Err(_) => {} // server may cut before the reply lands; both are valid
     }
     // A fresh connection works: the server survived.
-    let mut good = Client::connect(server.local_addr()).unwrap();
+    let mut good = Session::connect(server.local_addr()).unwrap();
     assert_eq!(good.hello("survivor").unwrap().len(), 1);
     server.shutdown();
 }
@@ -434,12 +484,12 @@ fn full_queue_yields_busy() {
         .unwrap();
     let server = mlp_server(6, cfg);
     let addr = server.local_addr();
-    let mut client = Client::connect(addr).unwrap();
+    let mut client = Session::connect(addr).unwrap();
 
     // Park 3 rows (< max_batch, so the worker sits in its fill wait) from
     // a second connection.
     let filler = thread::spawn(move || {
-        let mut c = Client::connect(addr).unwrap();
+        let mut c = Session::connect(addr).unwrap();
         c.infer(0, InferMode::Keyed, 0, 3, 6, vec![0.0; 18])
             .unwrap()
     });
@@ -484,7 +534,7 @@ fn shutdown_drains_queued_requests() {
         .map(|i| {
             let started = Arc::clone(&started);
             thread::spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
+                let mut c = Session::connect(addr).unwrap();
                 started.wait();
                 c.infer(0, InferMode::Keyed, 0, 1, 6, vec![i as f32; 6])
                     .unwrap()
@@ -502,7 +552,7 @@ fn shutdown_drains_queued_requests() {
         thread::sleep(Duration::from_millis(1));
     }
 
-    let mut admin = Client::connect(addr).unwrap();
+    let mut admin = Session::connect(addr).unwrap();
     admin.shutdown().unwrap();
 
     for handle in handles {
@@ -513,7 +563,7 @@ fn shutdown_drains_queued_requests() {
     assert_eq!(stats.inflight, 0);
 
     // New work is refused after the drain.
-    let mut late = Client::connect(addr);
+    let mut late = Session::connect(addr);
     if let Ok(ref mut c) = late {
         // Refused, disconnected, or connection failure are all fine; only a
         // served reply is a drain violation.
@@ -535,7 +585,7 @@ fn deadline_expires_in_queue() {
         .build()
         .unwrap();
     let server = mlp_server(8, cfg);
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Session::connect(server.local_addr()).unwrap();
     // 1ms deadline against a 200ms fill wait: expires before the batch runs.
     match client.infer(0, InferMode::Keyed, 1_000, 1, 6, vec![0.0; 6]) {
         Err(ServeError::Expired) => {}
@@ -556,7 +606,7 @@ fn stats_frame_matches_observed_traffic() {
         .build()
         .unwrap();
     let server = mlp_server(9, cfg);
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Session::connect(server.local_addr()).unwrap();
     const N: usize = 10;
     for i in 0..N {
         let x = vec![i as f32 / N as f32; 6];
@@ -599,7 +649,7 @@ fn stats_frame_matches_observed_traffic() {
 #[test]
 fn keyed_and_keyless_paths_differ_over_the_wire() {
     let server = mlp_server(10, ServeConfig::default());
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Session::connect(server.local_addr()).unwrap();
     let x: Vec<f32> = (0..6).map(|i| (i as f32 - 3.0) / 3.0).collect();
     let keyed = client
         .infer(0, InferMode::Keyed, 0, 1, 6, x.clone())
@@ -621,7 +671,7 @@ fn keyed_and_keyless_paths_differ_over_the_wire() {
 #[test]
 fn client_batch_request_roundtrips() {
     let server = mlp_server(11, ServeConfig::default());
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Session::connect(server.local_addr()).unwrap();
     let rows = 5;
     let x = vec![0.25f32; rows * 6];
     let logits = client.infer(0, InferMode::Keyed, 0, rows, 6, x).unwrap();
@@ -639,7 +689,7 @@ fn client_batch_request_roundtrips() {
 #[test]
 fn submit_validation_surfaces_as_wire_errors() {
     let server = mlp_server(12, ServeConfig::default());
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Session::connect(server.local_addr()).unwrap();
     // Unknown model.
     client
         .send(&Request::Infer {
@@ -651,7 +701,7 @@ fn submit_validation_surfaces_as_wire_errors() {
             data: vec![0.0; 6],
         })
         .unwrap();
-    match client.recv().unwrap() {
+    match client.recv().unwrap().1 {
         Reply::Error {
             code,
             request_opcode,
@@ -673,7 +723,7 @@ fn submit_validation_surfaces_as_wire_errors() {
             data: vec![0.0; 5],
         })
         .unwrap();
-    match client.recv().unwrap() {
+    match client.recv().unwrap().1 {
         Reply::Error { code, .. } => assert_eq!(code, ErrorCode::BadWidth),
         other => panic!("expected error, got {other:?}"),
     }
@@ -689,7 +739,7 @@ fn submit_validation_surfaces_as_wire_errors() {
             data: vec![0.0; too_many * 6],
         })
         .unwrap();
-    match client.recv().unwrap() {
+    match client.recv().unwrap().1 {
         Reply::Error { code, .. } => assert_eq!(code, ErrorCode::TooManyRows),
         other => panic!("expected error, got {other:?}"),
     }
@@ -711,7 +761,7 @@ fn worker_panic_surfaces_typed_internal_errors_and_server_survives() {
         .build()
         .unwrap();
     let server = mlp_server(25, cfg);
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Session::connect(server.local_addr()).unwrap();
     client.hello("panic").unwrap();
     assert!(server.fail_next_batch(0), "one live shard to arm");
 
@@ -725,7 +775,7 @@ fn worker_panic_surfaces_typed_internal_errors_and_server_survives() {
         other => panic!("expected internal error, got {other:?}"),
     }
     // The panic is counted and the front end is alive for new connections.
-    let mut other = Client::connect(server.local_addr()).unwrap();
+    let mut other = Session::connect(server.local_addr()).unwrap();
     let stats = other.stats().unwrap();
     assert_eq!(stats.worker_panics, 1);
     assert_eq!(stats.inflight, 0, "failed requests must release the gauge");

@@ -519,7 +519,11 @@ pub fn take() -> Trace {
 // Chrome trace-event JSON
 // ---------------------------------------------------------------------------
 
-fn json_escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` escaped for the inside of a JSON string literal:
+/// quotes, backslashes and every control character below U+0020. The one
+/// escaper in the workspace — the trace export, the `/series` endpoint and
+/// the bench result files all write their strings through it.
+pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -882,6 +886,22 @@ mod tests {
                 .count(),
             "every span serializes as exactly one X event"
         );
+    }
+
+    /// Everything a JSON string literal must escape — quotes, backslashes,
+    /// every control byte — and a multi-byte character it must not, read
+    /// back by the workspace's JSON parser.
+    #[test]
+    fn json_escape_roundtrips_through_the_parser() {
+        let mut raw: String = (0u8..0x20).map(char::from).collect();
+        raw.push_str("say \"hi\" \\ back\\slash / é → 🔑");
+        let mut doc = String::from("{\"s\":\"");
+        json_escape_into(&mut doc, &raw);
+        doc.push_str("\"}");
+        assert!(json_parses(&doc), "invalid JSON: {doc}");
+        assert!(doc.bytes().all(|b| b >= 0x20), "raw control byte in: {doc}");
+        let parsed = hpnn_obs::json::Json::parse(&doc).expect("escaped string must parse");
+        assert_eq!(parsed.get("s").and_then(|s| s.as_str()), Some(raw.as_str()));
     }
 
     #[test]

@@ -84,7 +84,7 @@ fn print_usage() {
          \x20         [--key HEX] [--addr HOST:PORT] [--max-batch N] [--queue-cap N]\n\
          \x20         [--max-wait-us N]                   hold a short batch back for co-riders (default 0:\n\
          \x20                                             an idle worker takes what is queued)\n\
-         \x20         [--max-inflight N]                  per-connection pipelining window (protocol v2)\n\
+         \x20         [--max-inflight N]                  per-connection pipelining window\n\
          \x20         [--event-threads N]                 socket event-loop threads (0 = auto, default)\n\
          \x20         [--shards MIN..MAX]                 worker shards per model; a single N pins the count,\n\
          \x20                                             a range lets the controller scale adaptively\n\
@@ -673,7 +673,7 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
     }
     if switch(args, "--shutdown") {
         let mut admin =
-            hpnn::serve::Client::connect(cfg.addr.as_str()).map_err(|e| e.to_string())?;
+            hpnn::serve::Session::connect(cfg.addr.as_str()).map_err(|e| e.to_string())?;
         admin.shutdown().map_err(|e| e.to_string())?;
         println!("server shut down");
     }
@@ -743,7 +743,7 @@ fn positional_addr(args: &[String], default: &str) -> String {
 
 fn cmd_stats(args: &[String]) -> CliResult {
     let addr = positional_addr(args, "127.0.0.1:7433");
-    let mut client = hpnn::serve::Client::connect(addr.as_str()).map_err(|e| e.to_string())?;
+    let mut client = hpnn::serve::Session::connect(addr.as_str()).map_err(|e| e.to_string())?;
     let stats = client.stats().map_err(|e| e.to_string())?;
     let uptime = stats.uptime_ns as f64 / 1e9;
     println!(
