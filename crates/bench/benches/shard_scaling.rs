@@ -3,19 +3,15 @@
 //! One GEMM-heavy "hot" model shares a server with three small "cold"
 //! tenants. 32 closed-loop clients send 70% of their traffic to the hot
 //! model (the load generator's `hot_fraction` skew spreads the rest over
-//! the cold ones), and the same workload runs against three scheduler
-//! configurations:
+//! the cold ones), and the same workload runs against two shard counts:
 //!
-//! 1. **1 shard** — the pre-sharding baseline: one worker thread owns the
-//!    hot model's queue.
-//! 2. **4 shards, pinned** — `shards(4..=4)` with least-loaded dispatch;
-//!    on a multi-core host the hot model's throughput must reach at least
-//!    **2x** the single-shard run (the gate is skipped, loudly, when the
-//!    host has fewer than 4 cores — there is nothing to parallelise).
-//! 3. **adaptive 1..=4** — the controller starts at one active shard and
-//!    must scale up under the sustained queue (`shard_scale_ups >= 1`).
+//! 1. **1 shard** — one worker thread owns the hot model's queue.
+//! 2. **4 shards** — `shards(4..=4)`; on a multi-core host the hot
+//!    model's throughput must reach at least **2x** the single-shard run
+//!    (the gate is skipped, loudly, when the host has fewer than 4 cores —
+//!    there is nothing to parallelise).
 //!
-//! Every scenario reconciles the per-shard `STATS` section exactly:
+//! Both scenarios reconcile the per-shard `STATS` section exactly:
 //! summed per-shard forward and queue-wait histogram counts equal the
 //! server's OK-reply count, and bucket totals equal sample counts. A
 //! separate pass proves sharding never changes numerics: the same rows
@@ -30,8 +26,8 @@ use hpnn_bench::timing::{bench_output_path, fmt_ns, group, write_json, BenchResu
 use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
 use hpnn_nn::{mlp, ActKind, LayerSpec, NetworkSpec};
 use hpnn_serve::{
-    DispatchPolicy, InferMode, LoadgenConfig, LoadgenReport, ServeConfig, ServeRegistry, Server,
-    Session, StatsSnapshot,
+    InferMode, LoadgenConfig, LoadgenReport, ServeConfig, ServeRegistry, Server, Session,
+    StatsSnapshot,
 };
 use hpnn_tensor::Rng;
 
@@ -240,17 +236,7 @@ fn main() {
         .max_rows_per_request(16)
         .max_inflight_per_conn(64);
     let one_cfg = base.clone().shards(1..=1).build().expect("1-shard config");
-    let four_cfg = base
-        .clone()
-        .shards(4..=4)
-        .dispatch(DispatchPolicy::LeastLoaded)
-        .build()
-        .expect("4-shard config");
-    let adaptive_cfg = base
-        .shards(1..=4)
-        .controller_interval(Duration::from_millis(2))
-        .build()
-        .expect("adaptive config");
+    let four_cfg = base.shards(4..=4).build().expect("4-shard config");
 
     assert_bit_identical(&one_cfg, &four_cfg);
 
@@ -268,21 +254,11 @@ fn main() {
     assert_eq!(hot_shards.len(), 4, "pinned run must expose 4 hot shards");
     assert!(
         hot_shards.iter().all(|s| s.active),
-        "shards(4..=4) pins every shard active"
+        "every shard's worker is alive"
     );
     assert!(
         hot_shards.iter().filter(|s| s.forward.count > 0).count() >= 2,
-        "least-loaded dispatch must spread the hot queue over multiple shards"
-    );
-
-    let (adaptive_report, adaptive_stats) =
-        run_scenario("shards=1..4", adaptive_cfg, requests_per_client);
-    reconcile("adaptive", &adaptive_report, &adaptive_stats);
-    assert!(
-        adaptive_stats.shard_scale_ups >= 1,
-        "the controller must scale up at least once under sustained queue \
-         pressure, got {} scale-ups",
-        adaptive_stats.shard_scale_ups
+        "placement must spread the hot queue over multiple shards"
     );
 
     println!("\nper-shard forward samples (shards=4 run):");
@@ -291,7 +267,7 @@ fn main() {
             "  model {} shard {} [{}]: {:>6} forwards, mean {:>10}, queue wait mean {:>10}",
             s.model,
             s.shard,
-            if s.active { "active" } else { "idle" },
+            if s.active { "active" } else { "dead" },
             s.forward.count,
             fmt_ns(s.forward.mean_ns()),
             fmt_ns(s.queue_wait.mean_ns()),
@@ -299,13 +275,7 @@ fn main() {
     }
 
     let speedup = four_report.throughput_rps_for(0) / one_report.throughput_rps_for(0).max(1e-9);
-    println!(
-        "\nhot-model speedup at 4 shards over 1: {speedup:.2}x \
-         (adaptive run: {:.1} hot req/s, {} scale-ups, {} scale-downs)",
-        adaptive_report.throughput_rps_for(0),
-        adaptive_stats.shard_scale_ups,
-        adaptive_stats.shard_scale_downs,
-    );
+    println!("\nhot-model speedup at 4 shards over 1: {speedup:.2}x");
 
     let results = vec![
         BenchResult {
@@ -320,12 +290,6 @@ fn main() {
             mean_ns: four_report.latency.mean_ns(),
             best_ns: four_report.latency.quantile_upper_ns(0.5) as f64,
         },
-        BenchResult {
-            name: format!("shard/adaptive_1to4/c{CLIENTS}"),
-            iters_per_batch: adaptive_report.ok,
-            mean_ns: adaptive_report.latency.mean_ns(),
-            best_ns: adaptive_report.latency.quantile_upper_ns(0.5) as f64,
-        },
     ];
     let metrics = [
         ("clients", CLIENTS as f64),
@@ -333,12 +297,9 @@ fn main() {
         ("hot_fraction", HOT_FRACTION),
         ("hot_rps_1shard", one_report.throughput_rps_for(0)),
         ("hot_rps_4shard", four_report.throughput_rps_for(0)),
-        ("hot_rps_adaptive", adaptive_report.throughput_rps_for(0)),
         ("hot_speedup_4_over_1", speedup),
         ("total_rps_1shard", one_report.throughput_rps()),
         ("total_rps_4shard", four_report.throughput_rps()),
-        ("scale_ups", adaptive_stats.shard_scale_ups as f64),
-        ("scale_downs", adaptive_stats.shard_scale_downs as f64),
     ];
     let out = bench_output_path("BENCH_shard.json");
     write_json(&out, "shard_scaling", &metrics, &results).expect("write BENCH_shard.json");

@@ -12,30 +12,9 @@ use std::net::SocketAddr;
 use std::ops::RangeInclusive;
 use std::time::Duration;
 
-/// Hard ceiling on `max_shards`: a shard is a queue plus a worker thread,
-/// so an absurd range is a config bug, not a tuning choice.
+/// Hard ceiling on `shards`: a shard is a queue plus a worker thread, so an
+/// absurd count is a config bug, not a tuning choice.
 pub const SHARD_CAP: usize = 64;
-
-/// How the scheduler picks a shard for an admitted request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchPolicy {
-    /// Rotate through the active shards in order.
-    RoundRobin,
-    /// Pick the active shard with the fewest queued rows at submit time
-    /// (ties break toward the lowest shard index). The default: under skewed
-    /// load it keeps every queue shallow without coordination.
-    #[default]
-    LeastLoaded,
-}
-
-impl fmt::Display for DispatchPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DispatchPolicy::RoundRobin => write!(f, "round-robin"),
-            DispatchPolicy::LeastLoaded => write!(f, "least-loaded"),
-        }
-    }
-}
 
 /// Cluster role carried inside a [`ServeConfig`].
 ///
@@ -121,22 +100,21 @@ pub enum ConfigError {
         /// Row capacity of each shard queue.
         queue_cap: usize,
     },
-    /// The shard range is empty (`min == 0` or `min > max`).
-    EmptyShardRange {
-        /// Requested minimum active shards.
+    /// The shard range does not name one count: its ends differ, or it is
+    /// zero or inverted. The shard count is fixed at start.
+    ShardRange {
+        /// Start of the requested range.
         min: usize,
-        /// Requested maximum shards.
+        /// End of the requested range.
         max: usize,
     },
-    /// `max_shards` exceeds [`SHARD_CAP`].
+    /// `shards` exceeds [`SHARD_CAP`].
     TooManyShards {
-        /// Requested maximum shards.
-        max: usize,
+        /// Requested shards per model.
+        shards: usize,
         /// The hard ceiling.
         cap: usize,
     },
-    /// The controller interval is zero — the scaler would spin.
-    ZeroControllerInterval,
     /// Peers were given without stage cuts to route by.
     PeersWithoutStage,
     /// `offload_all` was set with no peers to offload to.
@@ -170,17 +148,14 @@ impl fmt::Display for ConfigError {
                 f,
                 "max_batch {max_batch} exceeds queue_cap {queue_cap}; such a batch could never fill"
             ),
-            ConfigError::EmptyShardRange { min, max } => {
+            ConfigError::ShardRange { min, max } => {
                 write!(
                     f,
-                    "shard range {min}..={max} is empty (need 1 <= min <= max)"
+                    "shard range {min}..={max} does not name one count (need N..=N with N >= 1)"
                 )
             }
-            ConfigError::TooManyShards { max, cap } => {
-                write!(f, "max_shards {max} exceeds the shard cap {cap}")
-            }
-            ConfigError::ZeroControllerInterval => {
-                write!(f, "controller_interval must be non-zero")
+            ConfigError::TooManyShards { shards, cap } => {
+                write!(f, "shards {shards} exceeds the shard cap {cap}")
             }
             ConfigError::PeersWithoutStage => {
                 write!(f, "peers given without stage cuts (set stage_cuts)")
@@ -211,7 +186,7 @@ impl std::error::Error for ConfigError {}
 ///
 /// Construct through [`ServeConfig::builder`]; the field documentation
 /// lives on the builder methods. A `Default` config is one shard per
-/// model, least-loaded dispatch (trivial at one shard), no cluster role.
+/// model, no cluster role.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Target rows per coalesced forward.
@@ -231,16 +206,9 @@ pub struct ServeConfig {
     /// default) sizes the pool automatically from the machine's available
     /// parallelism, capped at 4.
     pub event_threads: usize,
-    /// Fewest shards the adaptive controller may dispatch to per model.
-    pub min_shards: usize,
-    /// Most shards per model. All `max_shards` workers are spawned at
-    /// start; the controller only moves the *active* bound, so scale-down
-    /// never strands queued work.
-    pub max_shards: usize,
-    /// How admitted requests choose among active shards.
-    pub dispatch: DispatchPolicy,
-    /// Sampling tick of the adaptive shard controller (queue-depth EWMA).
-    pub controller_interval: Duration,
+    /// Shards per model, fixed at start: each is a queue plus a worker
+    /// thread over the model's one shared deployment.
+    pub shards: usize,
     /// Cluster role (stage cuts, peers, offload policy).
     pub cluster: ClusterRole,
     /// Observability role (metrics exposition, collector, SLO watchdog).
@@ -256,10 +224,7 @@ impl Default for ServeConfig {
             max_rows_per_request: 4096,
             max_inflight_per_conn: 64,
             event_threads: 0,
-            min_shards: 1,
-            max_shards: 1,
-            dispatch: DispatchPolicy::LeastLoaded,
-            controller_interval: Duration::from_millis(10),
+            shards: 1,
             cluster: ClusterRole::default(),
             obs: ObsRole::default(),
         }
@@ -271,31 +236,29 @@ impl ServeConfig {
     pub fn builder() -> ServeConfigBuilder {
         ServeConfigBuilder {
             cfg: ServeConfig::default(),
+            shards: 1..=1,
         }
-    }
-
-    /// The shard range as configured, `min_shards..=max_shards`.
-    pub fn shard_range(&self) -> RangeInclusive<usize> {
-        self.min_shards..=self.max_shards
     }
 }
 
 /// Fluent builder for [`ServeConfig`].
 ///
 /// ```
-/// use hpnn_serve::{DispatchPolicy, ServeConfig};
+/// use hpnn_serve::ServeConfig;
 ///
 /// let cfg = ServeConfig::builder()
 ///     .max_batch(32)
-///     .shards(1..=8)
-///     .dispatch(DispatchPolicy::LeastLoaded)
+///     .shards(8..=8)
 ///     .build()?;
-/// assert_eq!(cfg.max_shards, 8);
+/// assert_eq!(cfg.shards, 8);
 /// # Ok::<(), hpnn_serve::ConfigError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServeConfigBuilder {
     cfg: ServeConfig,
+    /// As given to [`shards`](Self::shards); `build` checks it names one
+    /// count.
+    shards: RangeInclusive<usize>,
 }
 
 impl ServeConfigBuilder {
@@ -337,24 +300,10 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Shard range per model (default `1..=1`). The adaptive controller
-    /// scales the active count within this range; `shards(4..=4)` pins it.
+    /// Shards per model, written `N..=N` (default `1..=1`). The count is
+    /// fixed at start, so a range whose ends differ is refused by `build`.
     pub fn shards(mut self, range: RangeInclusive<usize>) -> Self {
-        self.cfg.min_shards = *range.start();
-        self.cfg.max_shards = *range.end();
-        self
-    }
-
-    /// Dispatch policy among active shards (default
-    /// [`DispatchPolicy::LeastLoaded`]).
-    pub fn dispatch(mut self, policy: DispatchPolicy) -> Self {
-        self.cfg.dispatch = policy;
-        self
-    }
-
-    /// Sampling tick of the adaptive shard controller (default 10 ms).
-    pub fn controller_interval(mut self, tick: Duration) -> Self {
-        self.cfg.controller_interval = tick;
+        self.shards = range;
         self
     }
 
@@ -425,7 +374,7 @@ impl ServeConfigBuilder {
     ///
     /// Returns the first violated invariant as a [`ConfigError`].
     pub fn build(self) -> Result<ServeConfig, ConfigError> {
-        let cfg = self.cfg;
+        let mut cfg = self.cfg;
         if cfg.max_batch == 0 {
             return Err(ConfigError::ZeroMaxBatch);
         }
@@ -444,21 +393,17 @@ impl ServeConfigBuilder {
                 queue_cap: cfg.queue_cap,
             });
         }
-        if cfg.min_shards == 0 || cfg.min_shards > cfg.max_shards {
-            return Err(ConfigError::EmptyShardRange {
-                min: cfg.min_shards,
-                max: cfg.max_shards,
-            });
+        let (min, max) = self.shards.into_inner();
+        if min == 0 || min != max {
+            return Err(ConfigError::ShardRange { min, max });
         }
-        if cfg.max_shards > SHARD_CAP {
+        if max > SHARD_CAP {
             return Err(ConfigError::TooManyShards {
-                max: cfg.max_shards,
+                shards: max,
                 cap: SHARD_CAP,
             });
         }
-        if cfg.controller_interval.is_zero() {
-            return Err(ConfigError::ZeroControllerInterval);
-        }
+        cfg.shards = max;
         if !cfg.cluster.peers.is_empty() && cfg.cluster.stage_cuts.is_none() {
             return Err(ConfigError::PeersWithoutStage);
         }
@@ -490,8 +435,7 @@ mod tests {
     fn default_builds_clean() {
         let cfg = ServeConfig::builder().build().unwrap();
         assert_eq!(cfg, ServeConfig::default());
-        assert_eq!(cfg.shard_range(), 1..=1);
-        assert_eq!(cfg.dispatch, DispatchPolicy::LeastLoaded);
+        assert_eq!(cfg.shards, 1);
     }
 
     #[test]
@@ -504,9 +448,7 @@ mod tests {
             .max_rows_per_request(16)
             .max_inflight_per_conn(7)
             .event_threads(2)
-            .shards(2..=5)
-            .dispatch(DispatchPolicy::RoundRobin)
-            .controller_interval(Duration::from_millis(1))
+            .shards(5..=5)
             .stage_cuts("3,7")
             .peers(vec![peer])
             .offload_all(true)
@@ -518,8 +460,7 @@ mod tests {
         assert_eq!(cfg.max_rows_per_request, 16);
         assert_eq!(cfg.max_inflight_per_conn, 7);
         assert_eq!(cfg.event_threads, 2);
-        assert_eq!(cfg.shard_range(), 2..=5);
-        assert_eq!(cfg.dispatch, DispatchPolicy::RoundRobin);
+        assert_eq!(cfg.shards, 5);
         assert_eq!(cfg.cluster.stage_cuts.as_deref(), Some("3,7"));
         assert_eq!(cfg.cluster.peers, vec![peer]);
         assert!(cfg.cluster.offload_all);
@@ -549,13 +490,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroMaxInflight
         );
-        assert_eq!(
-            ServeConfig::builder()
-                .controller_interval(Duration::ZERO)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroControllerInterval
-        );
     }
 
     #[test]
@@ -580,26 +514,37 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_shard_ranges() {
+    fn a_real_shard_range_is_refused() {
+        // The count is fixed at start: a range that leaves it open is an
+        // error, never silently collapsed to one of its ends.
         assert_eq!(
-            ServeConfig::builder().shards(0..=4).build().unwrap_err(),
-            ConfigError::EmptyShardRange { min: 0, max: 4 }
+            ServeConfig::builder().shards(1..=4).build().unwrap_err(),
+            ConfigError::ShardRange { min: 1, max: 4 }
+        );
+        assert_eq!(
+            ServeConfig::builder().shards(0..=0).build().unwrap_err(),
+            ConfigError::ShardRange { min: 0, max: 0 }
         );
         // An inverted range is exactly what this test feeds the validator.
         #[allow(clippy::reversed_empty_ranges)]
         let inverted = ServeConfig::builder().shards(5..=4).build().unwrap_err();
-        assert_eq!(inverted, ConfigError::EmptyShardRange { min: 5, max: 4 });
+        assert_eq!(inverted, ConfigError::ShardRange { min: 5, max: 4 });
+    }
+
+    #[test]
+    fn shard_count_is_capped() {
         assert_eq!(
             ServeConfig::builder()
-                .shards(1..=SHARD_CAP + 1)
+                .shards(SHARD_CAP + 1..=SHARD_CAP + 1)
                 .build()
                 .unwrap_err(),
             ConfigError::TooManyShards {
-                max: SHARD_CAP + 1,
+                shards: SHARD_CAP + 1,
                 cap: SHARD_CAP
             }
         );
-        assert!(ServeConfig::builder().shards(1..=SHARD_CAP).build().is_ok());
+        let cfg = ServeConfig::builder().shards(SHARD_CAP..=SHARD_CAP).build();
+        assert_eq!(cfg.unwrap().shards, SHARD_CAP);
     }
 
     #[test]
@@ -684,7 +629,7 @@ mod tests {
             queue_cap: 4,
         };
         assert!(e.to_string().contains("max_batch 9"));
-        assert!(ConfigError::EmptyShardRange { min: 0, max: 3 }
+        assert!(ConfigError::ShardRange { min: 0, max: 3 }
             .to_string()
             .contains("0..=3"));
     }

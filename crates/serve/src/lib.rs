@@ -15,13 +15,12 @@
 //!   cluster, and observability knobs together at build time (the
 //!   [`ObsRole`] is plain data here; the `hpnn-obs` crate above this one
 //!   turns it into a collector, exposition listener, and SLO watchdog).
-//! - [`scheduler`] — adaptive micro-batching over N-way worker shards:
+//! - [`scheduler`] — micro-batching over a fixed set of worker shards:
 //!   per-shard bounded queues coalesce the requests that arrive while a
 //!   worker is busy into one batched forward (up to `max_batch` rows; an
 //!   idle worker waits for co-riders only if `max_wait` is raised from zero),
-//!   with least-loaded/round-robin dispatch, an adaptive controller that
-//!   scales active shards from queue-depth EWMA, `BUSY` backpressure,
-//!   per-request deadlines, and graceful drain.
+//!   with each admission placed on the shallowest live queue, `BUSY`
+//!   backpressure, per-request deadlines, and graceful drain.
 //! - [`registry`] — the set of locked models a server exposes, keyed
 //!   and/or keyless.
 //! - [`metrics`] — atomic counters plus power-of-two latency histograms
@@ -44,7 +43,7 @@
 //! ```
 //! use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
 //! use hpnn_nn::mlp;
-//! use hpnn_serve::{DispatchPolicy, InferMode, ServeConfig, ServeRegistry, Server, Session};
+//! use hpnn_serve::{InferMode, ServeConfig, ServeRegistry, Server, Session};
 //! use hpnn_tensor::Rng;
 //!
 //! let mut rng = Rng::new(7);
@@ -57,10 +56,7 @@
 //!
 //! let mut registry = ServeRegistry::new();
 //! registry.add("mlp", model, Some(KeyVault::provision(key, "tpu-0")));
-//! let cfg = ServeConfig::builder()
-//!     .shards(1..=2)
-//!     .dispatch(DispatchPolicy::LeastLoaded)
-//!     .build()?;
+//! let cfg = ServeConfig::builder().shards(2..=2).build()?;
 //! let server = Server::start(registry, cfg, "127.0.0.1:0")?;
 //!
 //! let mut session = Session::connect(server.local_addr())?;
@@ -95,9 +91,7 @@ pub mod server;
 
 pub use client::{DrainedTicket, Logits, ServeError, Session, Ticket};
 pub use cluster::{ClusterPlan, RemoteDone, RemoteOutcome, RemoteStageBackend};
-pub use config::{
-    ClusterRole, ConfigError, DispatchPolicy, ObsRole, ServeConfig, ServeConfigBuilder, SHARD_CAP,
-};
+pub use config::{ClusterRole, ConfigError, ObsRole, ServeConfig, ServeConfigBuilder, SHARD_CAP};
 pub use hpnn_bytes::FrameReader;
 pub use loadgen::{LoadPattern, LoadgenConfig, LoadgenReport};
 pub use metrics::{

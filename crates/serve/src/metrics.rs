@@ -381,7 +381,9 @@ macro_rules! stats_table {
 }
 
 // Row order is the `STATS_OK` wire order: append, never reorder. Adding a
-// number is one row here plus its `Metrics::bump` site.
+// number is one row here plus its `Metrics::bump` site. The block's first
+// byte is the row count, so after any change to the table a peer built
+// before it is refused with a typed `BadTag` rather than misread.
 stats_table! {
     scalars {
         counter connections "Connections accepted.";
@@ -399,8 +401,6 @@ stats_table! {
         gauge open_connections "Connections registered in an event-loop slab.";
         counter fwd_sent "`FWD_ACT` activations sent to cluster peers (head role).";
         counter fwd_recv "`FWD_ACT` activations answered for cluster peers (worker role).";
-        counter shard_scale_ups "Times the adaptive controller raised a model's active shard count.";
-        counter shard_scale_downs "Times the adaptive controller lowered a model's active shard count.";
         counter worker_panics "Batch workers lost to a panic (each failed its queue with `Internal` replies first).";
         counter keyed_requests "Requests admitted in keyed mode (trusted-device path).";
         counter keyless_requests "Requests admitted in keyless mode (stolen-weights path).";
@@ -439,19 +439,18 @@ impl Metrics {
     }
 }
 
-/// One shard's slice of the stats: which model it serves, whether the
-/// dispatcher currently considers it, and its per-shard latency
-/// distributions. `Σ shards[·].forward.count == replies_ok` holds exactly
-/// on a drained single-node server — every OK reply was produced by
-/// exactly one shard.
+/// One shard's slice of the stats: which model it serves, whether its
+/// worker is alive, and its per-shard latency distributions.
+/// `Σ shards[·].forward.count == replies_ok` holds exactly on a drained
+/// single-node server — every OK reply was produced by exactly one shard.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardStatsSnapshot {
     /// Wire id of the model this shard serves.
     pub model: u16,
     /// Shard index within the model's shard set.
     pub shard: u16,
-    /// Whether the dispatcher may currently pick this shard (inactive
-    /// shards still drain what they already queued).
+    /// Whether the shard's worker is alive. It turns false when the worker
+    /// is lost to a panic; admission then skips the shard.
     pub active: bool,
     /// Batched-forward wall time for replies served by this shard.
     pub forward: HistogramSnapshot,
@@ -499,8 +498,8 @@ impl StatsSnapshot {
                     model: now.model,
                     shard: now.shard,
                     active: now.active,
-                    // A shard that first appears in this interval (scale-up
-                    // spawned it) diffs against an implicit empty history.
+                    // A shard with no earlier twin diffs against an implicit
+                    // empty history.
                     forward: match then {
                         Some(t) => now.forward.delta_since(&t.forward),
                         None => now.forward.clone(),

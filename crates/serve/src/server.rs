@@ -854,14 +854,9 @@ fn admit(
         Some(deliver(&completion_lp, &completion_handle, out))
     });
     done.set_trace_id(u64::from(correlation));
-    let submitted = match args.stage {
-        Some(stage) => shared.scheduler.submit_stage_with(
-            args.model, stage, args.mode, args.rows, args.cols, args.data, deadline, done,
-        ),
-        None => shared.scheduler.submit_with(
-            args.model, args.mode, args.rows, args.cols, args.data, deadline, done,
-        ),
-    };
+    let submitted = shared.scheduler.submit_with(
+        args.model, args.stage, args.mode, args.rows, args.cols, args.data, deadline, done,
+    );
     match submitted {
         Ok(()) => {
             shared.metrics.depth.record_value(depth);

@@ -1,23 +1,24 @@
-//! STATS wire round-trip under shard churn.
+//! STATS wire round-trip over the per-shard section.
 //!
-//! The per-shard section of a `STATS` reply is the only variable-shape part
-//! of the stats wire format: shards appear as the adaptive controller
-//! scales up and flip `active` as it scales down. This test floods a slow
-//! model so the controller churns mid-run, snapshots the live (moving)
-//! stats repeatedly, and proves every snapshot — whatever shard shape it
-//! caught — encodes to a frame and decodes back bit-identically. It then
-//! reconciles the drained totals: every OK reply ran on exactly one shard.
+//! The shard set is fixed at start, so the per-shard section of a `STATS`
+//! reply has one shape for the whole run; the only thing that still changes
+//! in it, besides the histograms, is a shard's `active` flag falling when
+//! its worker is lost to a panic. This test floods a four-shard model while
+//! snapshotting the live (moving) stats, proves every snapshot encodes to a
+//! frame and decodes back bit-identically, then kills one shard and checks
+//! the section shows exactly that, still round-trips, and still reconciles:
+//! every OK reply ran on exactly one shard.
 
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use hpnn_bytes::{try_get_frame, Buf, BytesMut};
 use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
 use hpnn_nn::mlp;
 use hpnn_serve::{
-    InferMode, Reply, ServeConfig, ServeRegistry, Server, Session, StatsSnapshot,
-    MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
+    ErrorCode, InferMode, Reply, ServeConfig, ServeError, ServeRegistry, Server, Session,
+    StatsSnapshot, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,
 };
 use hpnn_tensor::Rng;
 
@@ -41,9 +42,9 @@ fn assert_wire_roundtrip(snap: &StatsSnapshot) {
 }
 
 #[test]
-fn stats_roundtrip_survives_shard_churn() {
-    // A model slow enough that the flood visibly backs up the queue, and a
-    // 1 ms controller tick so scale transitions happen *during* the run.
+fn stats_roundtrip_survives_a_flood_and_a_dead_shard() {
+    // A model slow enough that the flood backs up the queues, so placement
+    // spreads it over all four shards.
     let mut rng = Rng::new(29);
     let spec = mlp(IN_FEATURES, &[512, 512], 4);
     let key = HpnnKey::random(&mut rng);
@@ -58,15 +59,21 @@ fn stats_roundtrip_survives_shard_churn() {
         .max_batch(1)
         .max_wait(Duration::from_micros(100))
         .queue_cap(4096)
-        .shards(1..=4)
-        .controller_interval(Duration::from_millis(1))
+        .shards(4..=4)
         .build()
         .unwrap();
     let server = Arc::new(Server::start(registry, cfg, "127.0.0.1:0").unwrap());
     let addr = server.local_addr().to_string();
 
-    // Flood: two pipelined sessions, each with a deep in-flight window, so
-    // the queue depth EWMA trips the controller's scale-up.
+    // The whole set is there, alive, before any request has run.
+    let mut stats_session = Session::connect(addr.as_str()).unwrap();
+    stats_session.hello("churn-sampler").unwrap();
+    let first = stats_session.stats().unwrap();
+    assert_eq!(first.shards.len(), 4);
+    assert!(first.shards.iter().all(|s| s.active));
+    assert_wire_roundtrip(&first);
+
+    // Flood: two pipelined sessions, each with a deep in-flight window.
     const CLIENTS: usize = 2;
     const PER_CLIENT: usize = 64;
     let mut floods = Vec::new();
@@ -94,17 +101,15 @@ fn stats_roundtrip_survives_shard_churn() {
         }));
     }
 
-    // Mid-churn sampling: snapshot the moving stats as fast as the server
-    // answers, round-tripping every single shape we catch. The wire path
-    // itself (`Session::stats`) already decodes a server-encoded frame, so
-    // each iteration exercises the codec twice on live churn data.
-    let mut stats_session = Session::connect(addr.as_str()).unwrap();
-    stats_session.hello("churn-sampler").unwrap();
-    let mut max_shards_seen = 0usize;
+    // Mid-flood sampling: snapshot the moving stats as fast as the server
+    // answers, round-tripping every one. The wire path itself
+    // (`Session::stats`) already decodes a server-encoded frame, so each
+    // iteration exercises the codec twice on live data.
     let mut sampled = 0usize;
     while floods.iter().any(|f| !f.is_finished()) {
         let snap = stats_session.stats().unwrap();
-        max_shards_seen = max_shards_seen.max(snap.shards.len());
+        assert_eq!(snap.shards.len(), 4);
+        assert!(snap.shards.iter().all(|s| s.active));
         assert_wire_roundtrip(&snap);
         sampled += 1;
     }
@@ -112,36 +117,55 @@ fn stats_roundtrip_survives_shard_churn() {
     assert_eq!(replied, (CLIENTS * PER_CLIENT) as u64);
     assert!(sampled >= 1, "sampler never caught the run in flight");
 
-    // The flood must actually have churned the shard set — otherwise this
-    // test silently stops covering the variable-shape section.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let final_snap = loop {
-        let snap = stats_session.stats().unwrap();
-        if snap.shard_scale_ups >= 1 && snap.inflight == 0 {
-            break snap;
+    // Kill one shard under a request. The queues are empty, so placement
+    // sends the request to the armed shard 0, and its reply is the typed
+    // `Internal` error. The worker marks its shard dead before it answers
+    // anything else from that queue, so once a second request has been
+    // answered — by a survivor or by the dying shard — the flag is down.
+    assert!(server.fail_next_batch(0), "a live shard to arm");
+    let input = vec![0.25; IN_FEATURES];
+    match stats_session.infer(0, InferMode::Keyed, 0, 1, IN_FEATURES, input.clone()) {
+        Err(ServeError::Refused { code, .. }) => assert_eq!(code, ErrorCode::Internal),
+        other => panic!("expected internal error, got {other:?}"),
+    }
+    let survivor_ok = match stats_session.infer(0, InferMode::Keyed, 0, 1, IN_FEATURES, input) {
+        Ok(_) => 1,
+        Err(ServeError::Refused { code, .. }) => {
+            assert_eq!(code, ErrorCode::Internal);
+            0
         }
-        assert!(
-            Instant::now() < deadline,
-            "controller never scaled up: ups {} inflight {}",
-            snap.shard_scale_ups,
-            snap.inflight
-        );
-        thread::sleep(Duration::from_millis(2));
+        Err(other) => panic!("unexpected failure {other:?}"),
     };
-    assert!(
-        max_shards_seen >= 1,
-        "per-shard section never appeared in a sample"
-    );
-    assert!(final_snap.shards.len() >= 2, "scale-up must add shard rows");
-    assert_wire_roundtrip(&final_snap);
+    let after = stats_session.stats().unwrap();
+    assert_eq!(after.shards.len(), 4);
+    let dead: Vec<u16> = after
+        .shards
+        .iter()
+        .filter(|s| !s.active)
+        .map(|s| s.shard)
+        .collect();
+    assert_eq!(dead, vec![0], "exactly the armed shard is down");
+    assert_eq!(after.worker_panics, 1);
+    assert_wire_roundtrip(&after);
 
-    // Exact reconciliation across the churn: every OK reply was forwarded
-    // by exactly one shard, and the per-shard section accounts for all of
-    // them (max_batch is 1 and every request is a single row, so shard
-    // forward counts are directly comparable to replies).
-    let shard_forwards: u64 = final_snap.shards.iter().map(|s| s.forward.count).sum();
-    assert_eq!(shard_forwards, final_snap.replies_ok);
-    assert_eq!(final_snap.replies_ok, replied);
-
+    // Exact reconciliation: every OK reply was forwarded by exactly one
+    // shard, and the per-shard section accounts for all of them (max_batch
+    // is 1 and every request is a single row, so shard forward counts are
+    // directly comparable to replies). Each stage histogram holds one
+    // sample per OK reply.
     server.shutdown();
+    let drained = server.metrics();
+    assert_eq!(drained.replies_ok, replied + survivor_ok);
+    assert_eq!(drained.inflight, 0);
+    let shard_forwards: u64 = drained.shards.iter().map(|s| s.forward.count).sum();
+    assert_eq!(shard_forwards, drained.replies_ok);
+    for stage in [
+        &drained.queue_wait,
+        &drained.batch_fill,
+        &drained.forward,
+        &drained.writeback,
+        &drained.e2e,
+    ] {
+        assert_eq!(stage.count, drained.replies_ok);
+    }
 }

@@ -32,6 +32,7 @@
 //! submitted while another thread holds the pool — run inline on the calling
 //! thread instead of deadlocking on the single job slot.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, OnceLock};
@@ -74,7 +75,8 @@ struct ActiveJob {
     total: usize,
     next: usize,
     completed: usize,
-    panicked: bool,
+    /// Payload of the first chunk panic caught on a worker thread.
+    worker_panic: Option<Box<dyn Any + Send>>,
 }
 
 #[derive(Default)]
@@ -180,7 +182,7 @@ impl ThreadPool {
                 total: nchunks,
                 next: 0,
                 completed: 0,
-                panicked: false,
+                worker_panic: None,
             });
         }
         self.shared.work_cv.notify_all();
@@ -222,13 +224,10 @@ impl ThreadPool {
             }
             let job = st.job.take().expect("job present");
             drop(st);
-            if let Some(payload) = first_panic {
+            // The submitter's own payload wins when both sides caught one.
+            if let Some(payload) = first_panic.or(job.worker_panic) {
                 resume_unwind(payload);
             }
-            assert!(
-                !job.panicked,
-                "pool worker panicked while executing a chunk"
-            );
             return;
         }
     }
@@ -270,16 +269,15 @@ fn worker_loop(shared: &'static Shared) {
         };
         // SAFETY: `run` keeps the closure alive until `completed == total`;
         // this chunk is counted below only after the call finishes.
-        let ok = catch_unwind(AssertUnwindSafe(|| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
             let _chunk_span = hpnn_trace::span!("pool.chunk", idx);
             unsafe { (*task.0)(idx) }
-        }))
-        .is_ok();
+        }));
         let mut st = shared.state.lock().expect("pool lock");
         let job = st.job.as_mut().expect("job outlives its chunks");
         job.completed += 1;
-        if !ok {
-            job.panicked = true;
+        if let Err(payload) = outcome {
+            job.worker_panic.get_or_insert(payload);
         }
         if job.completed == job.total {
             shared.done_cv.notify_all();
@@ -496,7 +494,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     #[test]
     fn run_executes_every_index_once() {
@@ -559,6 +558,41 @@ mod tests {
                 panic!("chunk 3");
             }
         });
+    }
+
+    #[test]
+    fn worker_chunk_panic_keeps_its_message() {
+        let pool = ThreadPool::with_threads(4);
+        let submitter = thread::current().id();
+        let worker_ran = AtomicBool::new(false);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(8, |i| {
+                if thread::current().id() != submitter {
+                    worker_ran.store(true, Ordering::SeqCst);
+                    panic!("worker chunk {i}");
+                }
+                // The submitter holds its chunk open until a worker has
+                // claimed one, so the only payload there is comes from a
+                // worker thread.
+                let patience = Instant::now() + Duration::from_secs(10);
+                while !worker_ran.load(Ordering::SeqCst) && Instant::now() < patience {
+                    thread::yield_now();
+                }
+            })
+        }));
+        assert!(
+            worker_ran.load(Ordering::SeqCst),
+            "no worker claimed a chunk"
+        );
+        let payload = result.expect_err("the worker's panic must reach the submitter");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert!(
+            message.is_some_and(|m| m.starts_with("worker chunk ")),
+            "the worker's payload was replaced by {message:?}"
+        );
     }
 
     #[test]

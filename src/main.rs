@@ -9,7 +9,7 @@
 //! hpnn attack  --model FILE --dataset fashion|cifar10|svhn --alpha F [--init stolen|random]
 //! hpnn serve   --model FILE [--model FILE ...] [--key HEX] [--addr HOST:PORT]
 //!              [--max-batch N] [--max-wait-us N] [--queue-cap N] [--max-inflight N]
-//!              [--event-threads N] [--shards MIN..MAX] [--dispatch POLICY]
+//!              [--event-threads N] [--shards N]
 //!              [--trace-out FILE]
 //!              [--metrics-addr HOST:PORT] [--obs-tick-ms N] [--obs-history N]
 //!              [--slo RULE ...] [--flight-dir DIR] [--flight-max-dumps N]
@@ -35,8 +35,7 @@ use hpnn::core::{HpnnKey, HpnnTrainer, KeyVault, LayerPartition, LockedModel};
 use hpnn::data::{Benchmark, Dataset, DatasetScale};
 use hpnn::nn::{mlp, ArchKind, ImageDims, TrainConfig};
 use hpnn::serve::{
-    ClusterPlan, DispatchPolicy, InferMode, LoadPattern, LoadgenConfig, ServeConfig, ServeRegistry,
-    Server,
+    ClusterPlan, InferMode, LoadPattern, LoadgenConfig, ServeConfig, ServeRegistry, Server,
 };
 use hpnn::tensor::Rng;
 
@@ -86,9 +85,7 @@ fn print_usage() {
          \x20                                             an idle worker takes what is queued)\n\
          \x20         [--max-inflight N]                  per-connection pipelining window\n\
          \x20         [--event-threads N]                 socket event-loop threads (0 = auto, default)\n\
-         \x20         [--shards MIN..MAX]                 worker shards per model; a single N pins the count,\n\
-         \x20                                             a range lets the controller scale adaptively\n\
-         \x20         [--dispatch POLICY]                 least-loaded (default) | round-robin\n\
+         \x20         [--shards N]                        worker shards per model, fixed at start (default 1)\n\
          \x20         [--trace-out FILE]                  write a Chrome/Perfetto trace on shutdown\n\
          \x20         [--metrics-addr HOST:PORT]          HTTP exposition: /metrics /healthz /readyz /series\n\
          \x20         [--obs-tick-ms N] [--obs-history N] collector tick (default 1000) and ring depth (120)\n\
@@ -326,22 +323,6 @@ fn cmd_attack(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// Parses `--shards` as a pinned `N` or an adaptive `MIN..MAX` /
-/// `MIN..=MAX` range (both forms inclusive).
-fn parse_shards(spec: &str) -> Result<std::ops::RangeInclusive<usize>, Box<dyn std::error::Error>> {
-    let bad = || format!("bad --shards `{spec}` (expected N or MIN..MAX)");
-    match spec.split_once("..") {
-        None => {
-            let n: usize = spec.parse().map_err(|_| bad())?;
-            Ok(n..=n)
-        }
-        Some((lo, hi)) => {
-            let hi = hi.strip_prefix('=').unwrap_or(hi);
-            Ok(lo.parse().map_err(|_| bad())?..=hi.parse().map_err(|_| bad())?)
-        }
-    }
-}
-
 fn cmd_serve(args: &[String]) -> CliResult {
     let paths = flag_all(args, "--model");
     if paths.is_empty() {
@@ -372,18 +353,10 @@ fn cmd_serve(args: &[String]) -> CliResult {
         builder = builder.event_threads(v.parse()?);
     }
     if let Some(v) = flag(args, "--shards") {
-        builder = builder.shards(parse_shards(&v)?);
-    }
-    if let Some(v) = flag(args, "--dispatch") {
-        builder = builder.dispatch(match v.as_str() {
-            "least-loaded" => DispatchPolicy::LeastLoaded,
-            "round-robin" => DispatchPolicy::RoundRobin,
-            other => {
-                return Err(
-                    format!("unknown --dispatch `{other}` (least-loaded | round-robin)").into(),
-                )
-            }
-        });
+        let n: usize = v
+            .parse()
+            .map_err(|_| format!("bad --shards `{v}` (expected one count N)"))?;
+        builder = builder.shards(n..=n);
     }
     if let Some(cuts) = flag(args, "--stage") {
         builder = builder.stage_cuts(cuts);
@@ -477,11 +450,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
         hpnn::trace::set_enabled(true);
     }
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7433".to_string());
-    let shard_note = if cfg.max_shards > 1 {
-        format!(
-            ", {}..={} shards per model ({})",
-            cfg.min_shards, cfg.max_shards, cfg.dispatch
-        )
+    let shard_note = if cfg.shards > 1 {
+        format!(", {} shards per model", cfg.shards)
     } else {
         String::new()
     };
@@ -549,12 +519,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         eprintln!(
             "cluster: {} stage forwards sent, {} received",
             stats.fwd_sent, stats.fwd_recv
-        );
-    }
-    if stats.shard_scale_ups > 0 || stats.shard_scale_downs > 0 {
-        eprintln!(
-            "shards: {} scale-ups, {} scale-downs",
-            stats.shard_scale_ups, stats.shard_scale_downs
         );
     }
     if let Some(path) = trace_out {
@@ -717,16 +681,10 @@ fn print_server_stats(stats: &hpnn::serve::StatsSnapshot) {
                 "  {:<6} {:<6} {:<7} {:>10} {:>14.1} {:>16.1}",
                 s.model,
                 s.shard,
-                if s.active { "active" } else { "idle" },
+                if s.active { "active" } else { "dead" },
                 s.forward.count,
                 s.forward.quantile_upper_ns(0.50) as f64 / 1_000.0,
                 s.queue_wait.quantile_upper_ns(0.50) as f64 / 1_000.0
-            );
-        }
-        if stats.shard_scale_ups > 0 || stats.shard_scale_downs > 0 {
-            println!(
-                "  adaptive controller: {} scale-ups, {} scale-downs",
-                stats.shard_scale_ups, stats.shard_scale_downs
             );
         }
     }

@@ -63,6 +63,19 @@ fn serve_without_model_fails() {
 }
 
 #[test]
+fn serve_rejects_a_shard_range() {
+    // The shard count is fixed at start; the flag is judged before any
+    // model file is opened, so the bogus path is never read.
+    let out = hpnn(&["serve", "--model", "none.hpnn", "--shards", "1..4"]);
+    assert!(!out.status.success(), "a range must exit non-zero");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("--shards"),
+        "message names the bad flag, got: {err}"
+    );
+}
+
+#[test]
 fn loadgen_rejects_zero_pipelining_depth() {
     // Depth is validated before any connection is opened, so the bogus
     // address is never dialed.
