@@ -8,6 +8,8 @@
 //! * [`run_sweep`] — attacker-side hyperparameter sweeps (Fig. 6).
 //! * [`keyguess`] — key brute-forcing, key-distance profiles, and greedy
 //!   bit-climbing (extension: quantifies the 2²⁵⁶-keyspace argument).
+//! * [`transcript`] — what an untrusted worker on both sides of a locked
+//!   layer reads off its own exchanges: the key, in two requests.
 //!
 //! ## Example
 //!
@@ -30,6 +32,7 @@ mod finetune;
 pub mod keyguess;
 pub mod signflip;
 mod sweep;
+pub mod transcript;
 mod transform;
 
 pub use finetune::{leakage_experiment, AttackInit, FineTuneAttack, FineTuneResult};

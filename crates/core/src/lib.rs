@@ -48,7 +48,6 @@ mod codec;
 mod digest;
 mod key;
 mod model;
-mod partition;
 mod plan;
 mod registry;
 mod schedule;
@@ -59,7 +58,6 @@ pub use codec::{DecodeError, MAGIC, VERSION};
 pub use digest::{sha256, Digest};
 pub use key::{HpnnKey, KeyVault, ParseKeyError, KEY_BITS};
 pub use model::{LockedModel, ModelMetadata};
-pub use partition::{LayerPartition, PartitionError, Stage};
 pub use plan::{InferencePlan, PlanView};
 pub use registry::{ModelRegistry, RegistryError};
 pub use schedule::{Schedule, ScheduleKind};

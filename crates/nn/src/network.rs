@@ -109,10 +109,6 @@ impl Network {
     /// [`forward`](Network::forward): it is the same per-layer loop, and
     /// no layer's arithmetic depends on its neighbours.
     ///
-    /// This is the execution primitive behind distributed layer
-    /// partitioning: each cluster stage runs one contiguous range and
-    /// streams the resulting activation to the node owning the next.
-    ///
     /// # Panics
     ///
     /// Panics if `range` is out of bounds or, for a non-empty range,

@@ -474,7 +474,6 @@ mod tests {
             "hpnn_replies_ok_total",
             "hpnn_worker_panics_total",
             "hpnn_keyed_requests_total",
-            "hpnn_trusted_stage_refused_total",
             "hpnn_inflight",
             "hpnn_uptime_seconds",
             "hpnn_slo_breaches_total",

@@ -30,9 +30,6 @@ pub enum SloMetric {
     /// `keyless / (keyed + keyless)` admissions over the tick — the
     /// stolen-traffic share under the paper's threat model.
     KeylessShare,
-    /// Trusted-stage refusals during the tick (keyless probes of the
-    /// trusted partition).
-    TrustedRefused,
     /// Answered requests per second over the tick.
     Rps,
 }
@@ -49,7 +46,6 @@ impl SloMetric {
             SloMetric::BusyRate => "busy_rate",
             SloMetric::WorkerPanics => "worker_panics",
             SloMetric::KeylessShare => "keyless_share",
-            SloMetric::TrustedRefused => "trusted_refused",
             SloMetric::Rps => "rps",
         }
     }
@@ -64,7 +60,6 @@ impl SloMetric {
             "busy_rate" => SloMetric::BusyRate,
             "worker_panics" => SloMetric::WorkerPanics,
             "keyless_share" => SloMetric::KeylessShare,
-            "trusted_refused" => SloMetric::TrustedRefused,
             "rps" => SloMetric::Rps,
             _ => return None,
         })
@@ -94,7 +89,6 @@ impl SloMetric {
                 let admitted = d.keyed_requests + d.keyless_requests;
                 (admitted > 0).then(|| d.keyless_requests as f64 / admitted as f64)
             }
-            SloMetric::TrustedRefused => Some(d.trusted_stage_refused as f64),
             SloMetric::Rps => Some(d.rps()),
         }
     }
@@ -164,7 +158,7 @@ impl SloRule {
         let metric = SloMetric::from_name(tokens[0]).ok_or_else(|| {
             format!(
                 "rule \"{s}\": unknown metric \"{}\" (one of p50_ms p95_ms p99_ms queue_p99_ms \
-                 error_rate busy_rate worker_panics keyless_share trusted_refused rps)",
+                 error_rate busy_rate worker_panics keyless_share rps)",
                 tokens[0]
             )
         })?;
@@ -253,6 +247,12 @@ mod tests {
         assert!(SloRule::parse("nope > 1")
             .unwrap_err()
             .contains("unknown metric"));
+        // The cluster split's metric went with it: typed, naming the metric.
+        let retired = SloRule::parse("trusted_refused > 0").unwrap_err();
+        assert!(
+            retired.contains("unknown metric \"trusted_refused\""),
+            "{retired}"
+        );
         assert!(SloRule::parse("p99_ms ! 1")
             .unwrap_err()
             .contains("bad operator"));
@@ -279,7 +279,6 @@ mod tests {
             worker_panics: 2,
             keyed_requests: 75,
             keyless_requests: 25,
-            trusted_stage_refused: 7,
             ..StatsDelta::default()
         };
         assert_eq!(SloMetric::Rps.value(&d), Some(90.0));
@@ -287,7 +286,6 @@ mod tests {
         assert!((SloMetric::BusyRate.value(&d).unwrap() - 10.0 / 110.0).abs() < 1e-12);
         assert_eq!(SloMetric::WorkerPanics.value(&d), Some(2.0));
         assert_eq!(SloMetric::KeylessShare.value(&d), Some(0.25));
-        assert_eq!(SloMetric::TrustedRefused.value(&d), Some(7.0));
         // Quantiles are undefined without samples, so latency rules cannot
         // breach on an idle tick.
         assert_eq!(SloMetric::P99Ms.value(&d), None);

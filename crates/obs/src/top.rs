@@ -120,10 +120,9 @@ pub fn render(addr: &str, doc: &Json) -> String {
             u(last.get("protocol_errors")),
         ));
         out.push_str(&format!(
-            "  keyed {}  keyless {}  trusted-refused {}  worker-panics {}\n",
+            "  keyed {}  keyless {}  worker-panics {}\n",
             u(last.get("keyed_requests")),
             u(last.get("keyless_requests")),
-            u(last.get("trusted_stage_refused")),
             u(last.get("worker_panics")),
         ));
         let e2e = last.get("e2e_us");
@@ -233,7 +232,6 @@ mod tests {
                 "points":[{"seq":1,"at_ns":1,"interval_ns":1000000000,"rps":123.4,"rows_ps":123.4,
                  "requests":124,"busy":0,"expired":0,"protocol_errors":0,"batches":10,
                  "inflight":3,"open_connections":4,"keyed_requests":100,"keyless_requests":24,
-                 "trusted_stage_refused":0,
                  "worker_panics":0,"breaches":0,
                  "e2e_us":{"p50":900.0,"p95":1500.0,"p99":2000.0},"queue_us":{"p50":100.0,"p99":300.0},
                  "shards":[{"model":0,"shard":0,"active":true,"rps":123.4,"fwd_p50_us":800.0,"queue_p50_us":90.0}]}]}"#,

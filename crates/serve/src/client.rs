@@ -24,7 +24,7 @@ use crate::protocol::{
 
 /// Typed error for every [`Session`] call.
 ///
-/// The first four variants are *server verdicts* — the connection is intact
+/// The first three variants are *server verdicts* — the connection is intact
 /// and the request was understood, but it was not served. The remaining
 /// variants are transport or protocol failures, after which the session
 /// should be discarded.
@@ -34,12 +34,6 @@ pub enum ServeError {
     Busy,
     /// The request expired in queue (`ErrorCode::DeadlineExceeded`).
     Expired,
-    /// A cluster peer needed for this request is down
-    /// (`ErrorCode::PeerUnavailable`).
-    PeerUnavailable {
-        /// Human-readable detail.
-        message: String,
-    },
     /// The server answered with any other typed `ERROR` reply.
     Refused {
         /// Machine-readable category.
@@ -58,7 +52,7 @@ pub enum ServeError {
 impl ServeError {
     /// True for failures of the connection itself (I/O, framing, EOF) —
     /// after these the session is unusable. Server verdicts (`Busy`,
-    /// `Expired`, `Refused`, `PeerUnavailable`) leave it healthy.
+    /// `Expired`, `Refused`) leave it healthy.
     pub fn is_transport(&self) -> bool {
         matches!(
             self,
@@ -71,7 +65,6 @@ impl ServeError {
     pub fn code(&self) -> Option<ErrorCode> {
         match self {
             ServeError::Expired => Some(ErrorCode::DeadlineExceeded),
-            ServeError::PeerUnavailable { .. } => Some(ErrorCode::PeerUnavailable),
             ServeError::Refused { code, .. } => Some(*code),
             _ => None,
         }
@@ -83,9 +76,6 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Busy => write!(f, "server busy; retry later"),
             ServeError::Expired => write!(f, "request deadline passed while queued"),
-            ServeError::PeerUnavailable { message } => {
-                write!(f, "cluster peer unavailable: {message}")
-            }
             ServeError::Refused { code, message } => {
                 write!(f, "server refused ({code}): {message}")
             }
@@ -317,8 +307,8 @@ impl Session {
     /// # Errors
     ///
     /// A server verdict ([`ServeError::Busy`], [`ServeError::Expired`],
-    /// [`ServeError::Refused`], [`ServeError::PeerUnavailable`]) leaves the
-    /// session usable; transport/decode failures do not.
+    /// [`ServeError::Refused`]) leaves the session usable; transport/decode
+    /// failures do not.
     pub fn wait(&mut self, ticket: Ticket) -> Result<Logits, ServeError> {
         loop {
             if let Some(reply) = self.stash.remove(&ticket.correlation) {
@@ -345,8 +335,8 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Any [`ServeError`]: server verdicts (`Busy`, `Expired`, `Refused`,
-    /// `PeerUnavailable`) or transport/decode failures.
+    /// Any [`ServeError`]: server verdicts (`Busy`, `Expired`, `Refused`)
+    /// or transport/decode failures.
     pub fn infer(
         &mut self,
         model: u16,
@@ -436,7 +426,6 @@ fn outcome(reply: Reply) -> Result<Logits, ServeError> {
 fn server_error(code: ErrorCode, message: String) -> ServeError {
     match code {
         ErrorCode::DeadlineExceeded => ServeError::Expired,
-        ErrorCode::PeerUnavailable => ServeError::PeerUnavailable { message },
         code => ServeError::Refused { code, message },
     }
 }

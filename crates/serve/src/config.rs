@@ -1,14 +1,13 @@
 //! The consolidated serve configuration surface.
 //!
 //! Every knob the server takes — batching, admission control, the
-//! connection front end, worker sharding, and the cluster role — lives in
+//! connection front end, worker sharding, and observability — lives in
 //! one [`ServeConfig`], built through a fluent [`ServeConfigBuilder`] that
 //! validates cross-field invariants once, at build time, with typed
 //! [`ConfigError`]s. [`Server::start`](crate::server::Server::start) is the
 //! single entry point consuming it.
 
 use std::fmt;
-use std::net::SocketAddr;
 use std::ops::RangeInclusive;
 use std::time::Duration;
 
@@ -16,28 +15,11 @@ use std::time::Duration;
 /// absurd count is a config bug, not a tuning choice.
 pub const SHARD_CAP: usize = 64;
 
-/// Cluster role carried inside a [`ServeConfig`].
-///
-/// Plain data: the serve crate validates the combination, while the caller
-/// (the CLI, or `hpnn-cluster` itself) turns it into partitions and peer
-/// backends — the cluster crate sits *above* this one in the dependency
-/// graph.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ClusterRole {
-    /// Layer cut indices, e.g. `"3,7"`; `None` leaves models unpartitioned.
-    pub stage_cuts: Option<String>,
-    /// Peer worker addresses (head role). Requires `stage_cuts`.
-    pub peers: Vec<SocketAddr>,
-    /// Ignore the cost model and ship every offloadable stage. Requires
-    /// at least one peer.
-    pub offload_all: bool,
-}
-
 /// Observability role carried inside a [`ServeConfig`].
 ///
-/// Plain data, mirroring [`ClusterRole`]: the serve crate validates the
-/// combination, while the caller (the CLI, a test, or a bench) hands it to
-/// `hpnn-obs` — which sits *above* this crate — to actually spawn the
+/// Plain data: the serve crate validates the combination, while the caller
+/// (the CLI, a test, or a bench) hands it to `hpnn-obs` — which sits *above*
+/// this crate — to actually spawn the
 /// collector, the exposition listener, and the SLO watchdog. SLO rules stay
 /// strings here; the obs crate owns the grammar and parses them at start.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,10 +97,6 @@ pub enum ConfigError {
         /// The hard ceiling.
         cap: usize,
     },
-    /// Peers were given without stage cuts to route by.
-    PeersWithoutStage,
-    /// `offload_all` was set with no peers to offload to.
-    OffloadAllWithoutPeers,
     /// The obs collector tick is zero — the sampler would spin.
     ZeroObsTick,
     /// The obs history ring holds fewer than two ticks — no interval could
@@ -157,12 +135,6 @@ impl fmt::Display for ConfigError {
             ConfigError::TooManyShards { shards, cap } => {
                 write!(f, "shards {shards} exceeds the shard cap {cap}")
             }
-            ConfigError::PeersWithoutStage => {
-                write!(f, "peers given without stage cuts (set stage_cuts)")
-            }
-            ConfigError::OffloadAllWithoutPeers => {
-                write!(f, "offload_all set without any peers")
-            }
             ConfigError::ZeroObsTick => write!(f, "obs_tick must be non-zero"),
             ConfigError::ObsHistoryTooShort { history } => {
                 write!(
@@ -186,7 +158,7 @@ impl std::error::Error for ConfigError {}
 ///
 /// Construct through [`ServeConfig::builder`]; the field documentation
 /// lives on the builder methods. A `Default` config is one shard per
-/// model, no cluster role.
+/// model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Target rows per coalesced forward.
@@ -209,8 +181,6 @@ pub struct ServeConfig {
     /// Shards per model, fixed at start: each is a queue plus a worker
     /// thread over the model's one shared deployment.
     pub shards: usize,
-    /// Cluster role (stage cuts, peers, offload policy).
-    pub cluster: ClusterRole,
     /// Observability role (metrics exposition, collector, SLO watchdog).
     pub obs: ObsRole,
 }
@@ -225,7 +195,6 @@ impl Default for ServeConfig {
             max_inflight_per_conn: 64,
             event_threads: 0,
             shards: 1,
-            cluster: ClusterRole::default(),
             obs: ObsRole::default(),
         }
     }
@@ -304,24 +273,6 @@ impl ServeConfigBuilder {
     /// fixed at start, so a range whose ends differ is refused by `build`.
     pub fn shards(mut self, range: RangeInclusive<usize>) -> Self {
         self.shards = range;
-        self
-    }
-
-    /// Partition every model at these layer cut indices (e.g. `"3,7"`).
-    pub fn stage_cuts(mut self, cuts: impl Into<String>) -> Self {
-        self.cfg.cluster.stage_cuts = Some(cuts.into());
-        self
-    }
-
-    /// Peer worker addresses for the cluster head role.
-    pub fn peers(mut self, peers: Vec<SocketAddr>) -> Self {
-        self.cfg.cluster.peers = peers;
-        self
-    }
-
-    /// Ship every offloadable stage to peers, ignoring the cost model.
-    pub fn offload_all(mut self, yes: bool) -> Self {
-        self.cfg.cluster.offload_all = yes;
         self
     }
 
@@ -404,12 +355,6 @@ impl ServeConfigBuilder {
             });
         }
         cfg.shards = max;
-        if !cfg.cluster.peers.is_empty() && cfg.cluster.stage_cuts.is_none() {
-            return Err(ConfigError::PeersWithoutStage);
-        }
-        if cfg.cluster.offload_all && cfg.cluster.peers.is_empty() {
-            return Err(ConfigError::OffloadAllWithoutPeers);
-        }
         if cfg.obs.tick.is_zero() {
             return Err(ConfigError::ZeroObsTick);
         }
@@ -440,7 +385,6 @@ mod tests {
 
     #[test]
     fn builder_sets_every_knob() {
-        let peer: SocketAddr = "127.0.0.1:9000".parse().unwrap();
         let cfg = ServeConfig::builder()
             .max_batch(8)
             .max_wait(Duration::from_millis(3))
@@ -449,9 +393,6 @@ mod tests {
             .max_inflight_per_conn(7)
             .event_threads(2)
             .shards(5..=5)
-            .stage_cuts("3,7")
-            .peers(vec![peer])
-            .offload_all(true)
             .build()
             .unwrap();
         assert_eq!(cfg.max_batch, 8);
@@ -461,9 +402,6 @@ mod tests {
         assert_eq!(cfg.max_inflight_per_conn, 7);
         assert_eq!(cfg.event_threads, 2);
         assert_eq!(cfg.shards, 5);
-        assert_eq!(cfg.cluster.stage_cuts.as_deref(), Some("3,7"));
-        assert_eq!(cfg.cluster.peers, vec![peer]);
-        assert!(cfg.cluster.offload_all);
     }
 
     #[test]
@@ -545,26 +483,6 @@ mod tests {
         );
         let cfg = ServeConfig::builder().shards(SHARD_CAP..=SHARD_CAP).build();
         assert_eq!(cfg.unwrap().shards, SHARD_CAP);
-    }
-
-    #[test]
-    fn rejects_inconsistent_cluster_roles() {
-        let peer: SocketAddr = "127.0.0.1:9000".parse().unwrap();
-        assert_eq!(
-            ServeConfig::builder()
-                .peers(vec![peer])
-                .build()
-                .unwrap_err(),
-            ConfigError::PeersWithoutStage
-        );
-        assert_eq!(
-            ServeConfig::builder()
-                .stage_cuts("2")
-                .offload_all(true)
-                .build()
-                .unwrap_err(),
-            ConfigError::OffloadAllWithoutPeers
-        );
     }
 
     #[test]

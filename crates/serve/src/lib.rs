@@ -11,8 +11,8 @@
 //!   bit-identical across the wire. Many requests ride one connection,
 //!   matched by correlation IDs (replies may arrive out of order).
 //! - [`config`] — the one serve configuration surface:
-//!   [`ServeConfig::builder`] validates batching, sharding, event-loop,
-//!   cluster, and observability knobs together at build time (the
+//!   [`ServeConfig::builder`] validates batching, sharding, event-loop
+//!   and observability knobs together at build time (the
 //!   [`ObsRole`] is plain data here; the `hpnn-obs` crate above this one
 //!   turns it into a collector, exposition listener, and SLO watchdog).
 //! - [`scheduler`] — micro-batching over a fixed set of worker shards:
@@ -78,7 +78,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod cluster;
 pub mod config;
 pub mod conn;
 pub mod event;
@@ -90,8 +89,7 @@ pub mod scheduler;
 pub mod server;
 
 pub use client::{DrainedTicket, Logits, ServeError, Session, Ticket};
-pub use cluster::{ClusterPlan, RemoteDone, RemoteOutcome, RemoteStageBackend};
-pub use config::{ClusterRole, ConfigError, ObsRole, ServeConfig, ServeConfigBuilder, SHARD_CAP};
+pub use config::{ConfigError, ObsRole, ServeConfig, ServeConfigBuilder, SHARD_CAP};
 pub use hpnn_bytes::FrameReader;
 pub use loadgen::{LoadPattern, LoadgenConfig, LoadgenReport};
 pub use metrics::{

@@ -21,13 +21,10 @@
 //! load-generator request counts: `queue_wait.count == batch_fill.count ==
 //! forward.count == writeback.count == e2e.count == replies_ok`.
 //!
-//! Two more identities hold on a drained server. `keyed_requests +
+//! One more identity holds on a drained server. `keyed_requests +
 //! keyless_requests == requests`: the two modes partition admissions, so
 //! the keyed/keyless traffic mix — the paper's threat model as a number —
-//! is observable per interval, and a rise in refused trusted stages means
-//! keyless traffic is probing the trusted partition. Across a healthy
-//! two-node run the head's `fwd_sent`, the worker's `fwd_recv` and the
-//! head's `remote_wait.count` agree exactly.
+//! is observable per interval.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -399,12 +396,9 @@ stats_table! {
         counter wakeups "Wake-pipe signals delivered to event loops.";
         counter loop_events "Readiness events handled by the event loops, wake-pipe reads included.";
         gauge open_connections "Connections registered in an event-loop slab.";
-        counter fwd_sent "`FWD_ACT` activations sent to cluster peers (head role).";
-        counter fwd_recv "`FWD_ACT` activations answered for cluster peers (worker role).";
         counter worker_panics "Batch workers lost to a panic (each failed its queue with `Internal` replies first).";
         counter keyed_requests "Requests admitted in keyed mode (trusted-device path).";
         counter keyless_requests "Requests admitted in keyless mode (stolen-weights path).";
-        counter trusted_stage_refused "Requests refused for addressing a trusted stage on a node holding no key.";
     }
     histograms {
         e2e "Enqueue-to-reply latency per answered request.";
@@ -413,7 +407,6 @@ stats_table! {
         queue_wait "Admission-to-batch-pop wait per answered request.";
         batch_fill "Coalescing-window duration of the serving batch, once per answered request.";
         writeback "Completion-to-socket-write latency per answered request.";
-        remote_wait "Round-trip wait for a remote stage, once per successful `FWD_ACT` hop (head role).";
     }
 }
 
@@ -635,13 +628,11 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(2));
         Metrics::add(&m.requests, 3);
         Metrics::bump(&m.keyed_requests);
-        Metrics::bump(&m.trusted_stage_refused);
         m.e2e.record(10_000);
         let s2 = m.snapshot();
         let d = s2.delta_since(&s1).expect("ordered snapshots diff");
         assert_eq!(d.requests, 3);
         assert_eq!(d.keyed_requests, 1);
-        assert_eq!(d.trusted_stage_refused, 1);
         assert_eq!(d.inflight, 1); // gauge copied, not diffed
         assert_eq!(d.e2e.count, 1);
         assert!(d.interval_ns > 0);

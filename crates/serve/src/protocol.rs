@@ -15,9 +15,7 @@
 //! connection stays open.
 //!
 //! Requests: `HELLO`, `INFER` (one sample), `INFER_BATCH` (client-side
-//! batch), `STATS`, `SHUTDOWN`, and `FWD_ACT` (an intermediate activation
-//! forwarded node-to-node in a layer-partitioned cluster — see
-//! [`Request::Forward`]). Replies: `HELLO_OK`, `LOGITS`, `STATS_OK`,
+//! batch), `STATS` and `SHUTDOWN`. Replies: `HELLO_OK`, `LOGITS`, `STATS_OK`,
 //! `SHUTDOWN_OK`, `BUSY` (backpressure), and `ERROR` (with a machine
 //! [`ErrorCode`], the offending request opcode, plus a human message). A
 //! malformed payload gets an `ERROR` reply and the connection stays open;
@@ -44,7 +42,6 @@ pub(crate) const OP_INFER: u8 = 0x02;
 pub(crate) const OP_INFER_BATCH: u8 = 0x03;
 pub(crate) const OP_STATS: u8 = 0x04;
 pub(crate) const OP_SHUTDOWN: u8 = 0x05;
-pub(crate) const OP_FWD_ACT: u8 = 0x06;
 
 pub(crate) const OP_HELLO_OK: u8 = 0x81;
 pub(crate) const OP_LOGITS: u8 = 0x82;
@@ -117,13 +114,6 @@ pub enum ErrorCode {
     /// A request reused a correlation ID that is still in flight on the
     /// same connection.
     DuplicateCorrelation,
-    /// A cluster peer holding part of the request's layer pipeline was
-    /// unreachable (or dropped mid-request) and no local fallback existed.
-    PeerUnavailable,
-    /// A `FWD_ACT` asked this node to run a trusted-required (locked)
-    /// stage, but the node holds no `KeyVault` — locked layers never
-    /// execute outside the trusted boundary.
-    TrustedStageRefused,
 }
 
 impl ErrorCode {
@@ -141,8 +131,6 @@ impl ErrorCode {
             ErrorCode::TooManyRows => 9,
             ErrorCode::Internal => 10,
             ErrorCode::DuplicateCorrelation => 11,
-            ErrorCode::PeerUnavailable => 12,
-            ErrorCode::TrustedStageRefused => 13,
         }
     }
 
@@ -159,8 +147,6 @@ impl ErrorCode {
             9 => ErrorCode::TooManyRows,
             10 => ErrorCode::Internal,
             11 => ErrorCode::DuplicateCorrelation,
-            12 => ErrorCode::PeerUnavailable,
-            13 => ErrorCode::TrustedStageRefused,
             tag => {
                 return Err(WireError::BadTag {
                     context: "error code",
@@ -185,8 +171,6 @@ impl fmt::Display for ErrorCode {
             ErrorCode::TooManyRows => "too many rows in one request",
             ErrorCode::Internal => "internal server error",
             ErrorCode::DuplicateCorrelation => "correlation id already in flight",
-            ErrorCode::PeerUnavailable => "cluster peer unavailable",
-            ErrorCode::TrustedStageRefused => "trusted stage refused on keyless node",
         };
         f.write_str(s)
     }
@@ -280,28 +264,6 @@ pub enum Request {
         /// Features per sample; must equal the model's `in_features`.
         cols: usize,
         /// Row-major input values, `rows * cols` long.
-        data: Vec<f32>,
-    },
-    /// `FWD_ACT`: an intermediate activation forwarded from a
-    /// cluster head to the peer hosting `stage` of a layer-partitioned
-    /// model. The body is the activation entering that stage; the reply is
-    /// a `LOGITS` frame carrying the activation leaving it, matched back
-    /// by correlation ID exactly like any pipelined request.
-    Forward {
-        /// Registry id of the target model.
-        model: u16,
-        /// Stage index into the partition both nodes built from the same
-        /// cut list.
-        stage: u16,
-        /// Keyed (trusted) or keyless (adversary) deployment.
-        mode: InferMode,
-        /// Per-request deadline in microseconds from enqueue; 0 = none.
-        deadline_us: u32,
-        /// Samples in this activation batch.
-        rows: usize,
-        /// Features per sample; must equal the stage's `in_features`.
-        cols: usize,
-        /// Row-major activation values, `rows * cols` long.
         data: Vec<f32>,
     },
     /// Fetch the server's counters and latency histograms.
@@ -427,7 +389,6 @@ impl Request {
             Request::Hello { .. } => OP_HELLO,
             Request::Infer { rows: 1, .. } => OP_INFER,
             Request::Infer { .. } => OP_INFER_BATCH,
-            Request::Forward { .. } => OP_FWD_ACT,
             Request::Stats => OP_STATS,
             Request::Shutdown => OP_SHUTDOWN,
         }
@@ -457,24 +418,6 @@ impl Request {
                 if *rows != 1 {
                     p.put_slice(&(*rows as u32).to_le_bytes());
                 }
-                p.put_slice(&(*cols as u32).to_le_bytes());
-                put_f32s(&mut p, data);
-            }
-            Request::Forward {
-                model,
-                stage,
-                mode,
-                deadline_us,
-                rows,
-                cols,
-                data,
-            } => {
-                debug_assert_eq!(rows * cols, data.len(), "row-major payload");
-                p.put_u16_le(*model);
-                p.put_u16_le(*stage);
-                p.put_u8(mode.to_u8());
-                p.put_slice(&deadline_us.to_le_bytes());
-                p.put_slice(&(*rows as u32).to_le_bytes());
                 p.put_slice(&(*cols as u32).to_le_bytes());
                 put_f32s(&mut p, data);
             }
@@ -520,32 +463,6 @@ impl Request {
                     buf,
                     Request::Infer {
                         model,
-                        mode,
-                        deadline_us,
-                        rows,
-                        cols,
-                        data,
-                    },
-                )
-            }
-            OP_FWD_ACT => {
-                need(buf, 17, "fwd_act header")?;
-                let model = buf.get_u16_le();
-                let stage = buf.get_u16_le();
-                let mode = InferMode::from_u8(buf.get_u8())?;
-                let mut u32b = [0u8; 4];
-                buf.copy_to_slice(&mut u32b);
-                let deadline_us = u32::from_le_bytes(u32b);
-                buf.copy_to_slice(&mut u32b);
-                let rows = u32::from_le_bytes(u32b) as usize;
-                buf.copy_to_slice(&mut u32b);
-                let cols = u32::from_le_bytes(u32b) as usize;
-                let data = get_f32s(buf, rows.saturating_mul(cols), "fwd_act data")?;
-                finish(
-                    buf,
-                    Request::Forward {
-                        model,
-                        stage,
                         mode,
                         deadline_us,
                         rows,
@@ -872,15 +789,6 @@ mod tests {
             cols: 2,
             data: vec![0.5; 6],
         });
-        roundtrip_request(Request::Forward {
-            model: 1,
-            stage: 2,
-            mode: InferMode::Keyed,
-            deadline_us: 250,
-            rows: 2,
-            cols: 3,
-            data: vec![1.5, -0.5, 0.0, 2.0, -2.0, 4.25],
-        });
         roundtrip_request(Request::Stats);
         roundtrip_request(Request::Shutdown);
     }
@@ -956,7 +864,7 @@ mod tests {
         roundtrip_reply(Reply::StatsOk(Box::new(fixed_snapshot())));
     }
 
-    /// The `STATS_OK` body is a wire contract: row order, the 21-value
+    /// The `STATS_OK` body is a wire contract: row order, the 18-value
     /// scalar block and the histogram layout are pinned for this snapshot.
     ///
     /// Derivation: with 23 scalars the same walk encoded to 2506 bytes,
@@ -969,6 +877,14 @@ mod tests {
     /// the layout — count byte, `u64` LE scalars, 7 + 2 x 2 histograms of
     /// 1 + 24 x 8 + 16 bytes, `u16` shard count, 5-byte shard headers —
     /// that reproduces the old hash when given 23 scalars.
+    ///
+    /// Retiring the cluster split's three scalar rows and its one histogram
+    /// removes three 8-byte slots and one 209-byte histogram
+    /// (2490 - 24 - 209 = 2257, frame length 2253 = [205, 8]), lowers the
+    /// count byte to 18 and renumbers the walk (rows 1..=16, uptime 17,
+    /// seq 18; 6 + 2 x 2 histograms on seeds 1, 3, ..., 19). The same
+    /// model gives the hash below, and still gives 0x8a60c7d4fbd7059e for
+    /// 21 scalars and 7 histograms.
     #[test]
     fn stats_ok_wire_bytes_are_pinned() {
         let mut out = BytesMut::new();
@@ -976,14 +892,14 @@ mod tests {
         let fnv1a = out.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!(out.len(), 2490);
-        assert_eq!(fnv1a, 0x8a60_c7d4_fbd7_059e);
-        // Frame length, version, STATS_OK, correlation 7, 21 scalars.
-        assert_eq!(&out[..11], &[182, 9, 0, 0, 2, 0x83, 7, 0, 0, 0, 21]);
+        assert_eq!(out.len(), 2257);
+        assert_eq!(fnv1a, 0x6d2f_3afa_9b05_a5bd);
+        // Frame length, version, STATS_OK, correlation 7, 18 scalars.
+        assert_eq!(&out[..11], &[205, 8, 0, 0, 2, 0x83, 7, 0, 0, 0, 18]);
     }
 
-    /// A server built before the two shard-controller rows were retired
-    /// announces 23 scalars. The decoder judges the block by its count
+    /// A server built before the cluster split's three rows were retired
+    /// announces 21 scalars. The decoder judges the block by its count
     /// byte and refuses it typed, before any value lands in a wrong slot.
     #[test]
     fn stats_ok_with_the_parents_row_count_is_refused_typed() {
@@ -992,14 +908,14 @@ mod tests {
         // Past the frame length: header (6), count byte, scalar block.
         let (head, rest) = out[4..].split_at(6 + 1 + STATS_SCALARS * 8);
         let mut payload = head.to_vec();
-        payload[6] = 23;
-        payload.extend_from_slice(&[0u8; 2 * 8]);
+        payload[6] = 21;
+        payload.extend_from_slice(&[0u8; 3 * 8]);
         payload.extend_from_slice(rest);
         assert_eq!(
             Reply::decode(&payload),
             Err(WireError::BadTag {
                 context: "counter count",
-                tag: 23
+                tag: 21
             })
         );
     }
@@ -1118,50 +1034,34 @@ mod tests {
             ErrorCode::TooManyRows,
             ErrorCode::Internal,
             ErrorCode::DuplicateCorrelation,
-            ErrorCode::PeerUnavailable,
-            ErrorCode::TrustedStageRefused,
         ] {
             assert_eq!(ErrorCode::from_u8(code.to_u8()).unwrap(), code);
+        }
+        // 12 and 13 were the cluster split's codes; retired, not reused.
+        for tag in [12, 13] {
+            assert_eq!(
+                ErrorCode::from_u8(tag),
+                Err(WireError::BadTag {
+                    context: "error code",
+                    tag
+                })
+            );
         }
         assert!(ErrorCode::from_u8(0).is_err());
         assert!(ErrorCode::from_u8(200).is_err());
     }
 
     #[test]
-    fn fwd_act_truncation_rejected_everywhere() {
-        let mut out = BytesMut::new();
-        Request::Forward {
-            model: 1,
-            stage: 1,
-            mode: InferMode::Keyed,
-            deadline_us: 0,
-            rows: 2,
-            cols: 4,
-            data: vec![0.25; 8],
-        }
-        .encode(&mut out, PROTOCOL_VERSION, 9);
-        let full = out.freeze();
-        let payload = full.slice(4..).to_vec(); // drop the frame length prefix
-        for cut in 0..payload.len() {
-            assert!(
-                Request::decode(&payload[..cut]).is_err(),
-                "fwd_act prefix {cut} decoded"
-            );
-        }
-    }
-
-    #[test]
-    fn fwd_act_oversized_length_rejected() {
-        // A FWD_ACT header whose rows*cols claims far more f32s than the
+    fn infer_batch_oversized_length_rejected() {
+        // An INFER_BATCH header whose rows*cols claims far more f32s than the
         // body carries must fail as truncated, not panic or over-read —
         // including the u32::MAX * u32::MAX overflow corner.
         for (rows, cols) in [(u32::MAX, u32::MAX), (1 << 20, 1 << 12), (2, 1 << 30)] {
             let mut p = BytesMut::new();
             p.put_u8(PROTOCOL_VERSION);
-            p.put_u8(OP_FWD_ACT);
+            p.put_u8(OP_INFER_BATCH);
             p.put_slice(&7u32.to_le_bytes()); // correlation
             p.put_u16_le(0); // model
-            p.put_u16_le(1); // stage
             p.put_u8(0); // mode
             p.put_slice(&0u32.to_le_bytes()); // deadline
             p.put_slice(&rows.to_le_bytes());
@@ -1170,7 +1070,7 @@ mod tests {
             assert_eq!(
                 Request::decode(&p[..]),
                 Err(WireError::Truncated {
-                    context: "fwd_act data"
+                    context: "infer data"
                 }),
                 "rows={rows} cols={cols}"
             );

@@ -8,7 +8,6 @@
 
 use hpnn_core::{KeyVault, LockedModel};
 
-use crate::cluster::ClusterPlan;
 use crate::protocol::ModelInfo;
 
 /// One servable model.
@@ -20,9 +19,6 @@ pub struct ServeEntry {
     pub model: LockedModel,
     /// Sealed key, when this server is an authorized deployment.
     pub vault: Option<KeyVault>,
-    /// How this model is split across the cluster, if at all. `None`
-    /// serves the whole network locally and rejects `FWD_ACT` frames.
-    pub plan: Option<ClusterPlan>,
 }
 
 /// An ordered collection of servable models; a model's index is its wire id.
@@ -57,28 +53,8 @@ impl ServeRegistry {
             name: name.into(),
             model,
             vault,
-            plan: None,
         });
         id
-    }
-
-    /// Attaches a cluster plan to an already-registered model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is unknown or the plan's partition was built from a
-    /// different architecture than the entry's model.
-    pub fn set_plan(&mut self, id: u16, plan: ClusterPlan) {
-        let entry = self
-            .entries
-            .get_mut(id as usize)
-            .unwrap_or_else(|| panic!("no model with id {id}"));
-        assert!(
-            plan.partition.matches(entry.model.spec()),
-            "partition does not match model {id} ({})",
-            entry.name
-        );
-        entry.plan = Some(plan);
     }
 
     /// Entry for a wire id.

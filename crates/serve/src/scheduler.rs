@@ -26,10 +26,9 @@
 //!
 //! This module is the front door — [`Scheduler`], [`SubmitError`],
 //! admission and `drain`. Behind it, `queue` holds the bounded queue and
-//! the completion types, `shard` the placement rule and the batch worker,
-//! and `chain` the stage walk a popped group takes.
+//! the completion types, and `shard` the placement rule, the batch worker
+//! and the forward a popped group takes.
 
-mod chain;
 mod queue;
 mod shard;
 
@@ -39,13 +38,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use hpnn_core::{InferencePlan, Stage};
+use hpnn_core::InferencePlan;
 use hpnn_tensor::TensorError;
 
-use self::chain::ModelCtx;
 use self::queue::Pending;
-use self::shard::{batch_worker, Shard, ShardSet};
-use crate::cluster::RemoteStageBackend;
+use self::shard::{batch_worker, ModelCtx, Shard, ShardSet};
 use crate::config::ServeConfig;
 use crate::metrics::{Metrics, ShardStatsSnapshot};
 use crate::protocol::{InferMode, ModelInfo};
@@ -74,21 +71,14 @@ pub enum SubmitError {
         /// Rows the client sent.
         got: usize,
     },
-    /// `FWD_ACT` named a stage outside the model's partition (or the
-    /// model has no partition at all).
-    BadStage {
-        /// Stages the partition has; 0 when the model is unpartitioned.
-        stages: u16,
-        /// Stage the client named.
-        got: u16,
-    },
-    /// `FWD_ACT` targeted a trusted-required stage, but this node holds
-    /// no key vault — locked layers never run on untrusted hardware.
-    TrustedStageRefused {
-        /// Model the stage belongs to.
-        model: u16,
-        /// The refused stage.
-        stage: u16,
+    /// The data is not `rows * cols` values. The wire decoder sizes the
+    /// body itself, so only an embedder can send this; it maps to
+    /// [`ErrorCode::Malformed`](crate::protocol::ErrorCode::Malformed).
+    BadLength {
+        /// `rows * cols`.
+        expected: usize,
+        /// Values the caller passed.
+        got: usize,
     },
     /// Queue full — retry later.
     Busy,
@@ -117,18 +107,8 @@ impl fmt::Display for SubmitError {
             SubmitError::BadRows { max, got } => {
                 write!(f, "request rows {got} outside 1..={max}")
             }
-            SubmitError::BadStage { stages, got } => {
-                write!(
-                    f,
-                    "stage {got} outside the model's partition ({stages} stages)"
-                )
-            }
-            SubmitError::TrustedStageRefused { model, stage } => {
-                write!(
-                    f,
-                    "stage {stage} of model {model} requires the trusted node; \
-                     this node holds no key vault"
-                )
+            SubmitError::BadLength { expected, got } => {
+                write!(f, "request carries {got} values, rows * cols is {expected}")
             }
             SubmitError::Busy => write!(f, "queue full"),
             SubmitError::WorkerFailed => {
@@ -147,9 +127,6 @@ pub struct Scheduler {
     cfg: ServeConfig,
     metrics: Arc<Metrics>,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
-    /// Remote backends attached via cluster plans; drained after the
-    /// workers so chains parked on peer reply threads resolve too.
-    remotes: Vec<Arc<dyn RemoteStageBackend>>,
     draining: AtomicBool,
 }
 
@@ -168,34 +145,11 @@ impl Scheduler {
     ) -> Result<Scheduler, TensorError> {
         let mut sets = Vec::with_capacity(registry.len());
         let mut workers = Vec::new();
-        let mut remotes: Vec<Arc<dyn RemoteStageBackend>> = Vec::new();
         for (entry, info) in registry.iter().zip(registry.model_infos()) {
-            let (partition, remote) = match &entry.plan {
-                Some(plan) => (Some(Arc::clone(&plan.partition)), plan.remote.clone()),
-                None => (None, None),
-            };
-            if let Some(r) = &remote {
-                remotes.push(Arc::clone(r));
-            }
-            let stages = match &partition {
-                Some(p) => p.stages().to_vec(),
-                // Unpartitioned: one stage spanning every layer, with no
-                // remote to leave this node for.
-                None => vec![Stage {
-                    index: 0,
-                    layers: 0..entry.model.spec().layers.len(),
-                    in_features: info.in_features,
-                    out_features: info.out_features,
-                    trusted_required: true,
-                    flops_per_row: 0,
-                }],
-            };
             let model = Arc::new(ModelCtx {
-                id: info.id,
                 plan: InferencePlan::new(&entry.model, entry.vault.as_ref())?,
-                partition,
-                stages,
-                remote,
+                layers: entry.model.spec().layers.len(),
+                info,
                 metrics: Arc::clone(&metrics),
             });
             let mut shards = Vec::with_capacity(cfg.shards);
@@ -211,25 +165,20 @@ impl Scheduler {
                 );
                 shards.push(shard);
             }
-            sets.push(ShardSet {
-                shards,
-                info,
-                model,
-            });
+            sets.push(ShardSet { shards, model });
         }
         Ok(Scheduler {
             sets,
             cfg,
             metrics,
             workers: Mutex::new(workers),
-            remotes,
             draining: AtomicBool::new(false),
         })
     }
 
     /// Wire-facing model descriptions, in id order.
     pub fn models(&self) -> Vec<ModelInfo> {
-        self.sets.iter().map(|s| s.info.clone()).collect()
+        self.sets.iter().map(|s| s.model.info.clone()).collect()
     }
 
     /// The active serve configuration.
@@ -243,7 +192,7 @@ impl Scheduler {
         for set in self.sets.iter() {
             for (i, shard) in set.shards.iter().enumerate() {
                 out.push(ShardStatsSnapshot {
-                    model: set.info.id,
+                    model: set.model.info.id,
                     shard: i as u16,
                     active: !shard.dead.load(Ordering::Acquire),
                     forward: shard.forward.snapshot(),
@@ -273,15 +222,6 @@ impl Scheduler {
     /// Validates and enqueues a request; `done` fires exactly once with
     /// the outcome after a batch containing the request has run.
     ///
-    /// `stage` is `None` for a whole-network inference and `Some(s)` for a
-    /// `FWD_ACT` request executing exactly partition stage `s` (the worker
-    /// role of a cluster pipeline). A staged request is checked further:
-    /// the model must carry a partition containing `s`, the input width
-    /// must match **the stage's** entry width, and — the keyless-worker
-    /// guard — a trusted-required stage on a vault-less node is refused
-    /// with [`SubmitError::TrustedStageRefused`] no matter the requested
-    /// mode.
-    ///
     /// On admission the global in-flight gauge rises; it falls when `done`
     /// fires (including the [`ReplyPayload::Aborted`] drop path), so
     /// `STATS.inflight` always returns to zero on a drained server.
@@ -296,7 +236,6 @@ impl Scheduler {
     pub fn submit_with(
         &self,
         model: u16,
-        stage: Option<u16>,
         mode: InferMode,
         rows: usize,
         cols: usize,
@@ -312,40 +251,13 @@ impl Scheduler {
             Some(set) => set,
             None => return err(SubmitError::UnknownModel(model), done),
         };
-        let expected = match stage {
-            Some(s) => {
-                let Some(partition) = &set.model.partition else {
-                    return err(SubmitError::BadStage { stages: 0, got: s }, done);
-                };
-                let Some(st) = partition.get(s as usize) else {
-                    return err(
-                        SubmitError::BadStage {
-                            stages: partition.len() as u16,
-                            got: s,
-                        },
-                        done,
-                    );
-                };
-                // The keyless-worker guard: locked layers only ever run
-                // where the vault lives, whatever mode the frame claims.
-                if st.trusted_required && !set.info.has_key {
-                    // A spike here is a security signal (keyless traffic
-                    // probing the trusted partition), so it gets its own
-                    // counter for the SLO watchdog.
-                    Metrics::bump(&self.metrics.trusted_stage_refused);
-                    return err(SubmitError::TrustedStageRefused { model, stage: s }, done);
-                }
-                st.in_features
-            }
-            None => set.info.in_features,
-        };
-        if mode == InferMode::Keyed && !set.info.has_key {
+        if mode == InferMode::Keyed && !set.model.info.has_key {
             return err(SubmitError::KeyUnavailable(model), done);
         }
-        if cols != expected {
+        if cols != set.model.info.in_features {
             return err(
                 SubmitError::BadWidth {
-                    expected,
+                    expected: set.model.info.in_features,
                     got: cols,
                 },
                 done,
@@ -360,7 +272,15 @@ impl Scheduler {
                 done,
             );
         }
-        debug_assert_eq!(data.len(), rows * cols);
+        if data.len() != rows * cols {
+            return err(
+                SubmitError::BadLength {
+                    expected: rows * cols,
+                    got: data.len(),
+                },
+                done,
+            );
+        }
         // Pick the shard before arming anything: with no live shard the
         // request is rejected without touching a queue.
         let dispatch_start = Instant::now();
@@ -381,7 +301,6 @@ impl Scheduler {
         done.gauge = Some(Arc::clone(&self.metrics));
         let pending = Pending {
             mode,
-            stage,
             rows,
             data,
             enqueued: Instant::now(),
@@ -397,9 +316,6 @@ impl Scheduler {
                 } else {
                     &self.metrics.keyless_requests
                 });
-                if stage.is_some() {
-                    Metrics::bump(&self.metrics.fwd_recv);
-                }
                 Ok(())
             }
             Err(rejected) => {
@@ -414,8 +330,7 @@ impl Scheduler {
 
     /// Validates and enqueues a request; the reply arrives on the returned
     /// channel once a batch containing it has run. Thin wrapper over
-    /// [`submit_with`](Scheduler::submit_with) (whole-network, no stage)
-    /// for lock-step callers.
+    /// [`submit_with`](Scheduler::submit_with) for lock-step callers.
     ///
     /// # Errors
     ///
@@ -435,7 +350,7 @@ impl Scheduler {
             let _ = tx.send(payload);
             None
         });
-        match self.submit_with(model, None, mode, rows, cols, data, deadline, done) {
+        match self.submit_with(model, mode, rows, cols, data, deadline, done) {
             Ok(()) => Ok(rx),
             Err((e, done)) => {
                 done.dismiss();
@@ -457,13 +372,6 @@ impl Scheduler {
         for handle in workers.drain(..) {
             let _ = handle.join();
         }
-        // Workers may have handed whole chains to a remote backend and
-        // exited; draining the backends resolves those continuations (with
-        // `PeerUnavailable` where the reply can no longer arrive), so every
-        // completion has fired by the time drain() returns.
-        for remote in &self.remotes {
-            remote.drain();
-        }
     }
 }
 
@@ -481,7 +389,7 @@ mod tests {
     use hpnn_tensor::{Rng, Shape, Tensor};
     use std::time::Duration;
 
-    // The helpers below also serve the `queue`, `shard` and `chain` tests.
+    // The helpers below also serve the `queue` and `shard` tests.
 
     pub(super) fn registry_with_mlp(seed: u64) -> ServeRegistry {
         let mut rng = Rng::new(seed);
@@ -618,6 +526,39 @@ mod tests {
         );
     }
 
+    /// The wire decoder sizes a request's body from its header, but an
+    /// embedder can hand `submit` any vector. A short one used to reach the
+    /// worker, panic there and leave the model's only shard dead.
+    #[test]
+    fn length_mismatch_is_refused_at_admission_and_the_shard_lives() {
+        let reg = registry_with_mlp(17);
+        let metrics = Arc::new(Metrics::new());
+        let sched = Scheduler::start(&reg, quick_cfg(), Arc::clone(&metrics)).unwrap();
+        assert_eq!(
+            sched
+                .submit(0, InferMode::Keyed, 2, 4, vec![0.0; 4], None)
+                .err(),
+            Some(SubmitError::BadLength {
+                expected: 8,
+                got: 4
+            })
+        );
+        let input = vec![0.25, -0.5, 1.0, 2.0];
+        let rx = sched
+            .submit(0, InferMode::Keyed, 1, 4, input.clone(), None)
+            .expect("the shard must still be live");
+        match rx.recv().unwrap() {
+            ReplyPayload::Logits { data, .. } => {
+                let got: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, trusted_bits(&reg, &input));
+            }
+            other => panic!("expected logits, got {other:?}"),
+        }
+        sched.drain();
+        let s = metrics.snapshot();
+        assert_eq!((s.worker_panics, s.inflight, s.requests), (0, 0, 1));
+    }
+
     #[test]
     fn keyless_only_model_rejects_keyed_mode() {
         let mut rng = Rng::new(4);
@@ -685,7 +626,7 @@ mod tests {
             None
         });
         let (e, done) = sched
-            .submit_with(9, None, InferMode::Keyed, 1, 4, vec![0.0; 4], None, done)
+            .submit_with(9, InferMode::Keyed, 1, 4, vec![0.0; 4], None, done)
             .expect_err("unknown model must be rejected");
         assert_eq!(e, SubmitError::UnknownModel(9));
         assert!(

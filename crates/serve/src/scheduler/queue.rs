@@ -29,11 +29,10 @@ pub enum ReplyPayload {
     },
     /// The deadline passed before the batch ran.
     Expired,
-    /// The request cannot be answered with logits — a cluster hop failed
-    /// after admission, or the shard worker died with the request queued.
+    /// The request cannot be answered with logits — the shard worker died
+    /// with the request queued.
     Failed {
-        /// Why — e.g. [`ErrorCode::PeerUnavailable`] or
-        /// [`ErrorCode::Internal`].
+        /// Why — [`ErrorCode::Internal`] today.
         code: ErrorCode,
     },
     /// The request was dropped without running (e.g. its worker died, or
@@ -136,10 +135,6 @@ impl fmt::Debug for Completion {
 
 pub(super) struct Pending {
     pub(super) mode: InferMode,
-    /// `Some(s)` for a `FWD_ACT` worker request executing only stage `s`;
-    /// `None` for a whole-network inference (which a cluster head walks
-    /// stage by stage itself).
-    pub(super) stage: Option<u16>,
     pub(super) rows: usize,
     pub(super) data: Vec<f32>,
     pub(super) enqueued: Instant,

@@ -1,18 +1,23 @@
-//! Placement and panic containment: a model's fixed [`ShardSet`], the one
-//! dispatch rule (the shallowest live queue), and the [`batch_worker`] each
-//! [`Shard`] runs — pop a batch, expire and group it, start each group's
-//! chain — which marks its shard dead instead of taking the server down.
+//! Placement, panic containment and the forward: a model's fixed
+//! [`ShardSet`], the one dispatch rule (the shallowest live queue), and the
+//! [`batch_worker`] each [`Shard`] runs — pop a batch, expire and group it
+//! by mode, run each group through the model's shared plan and split the
+//! output back into replies — which marks its shard dead instead of taking
+//! the server down.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use super::chain::{advance_chain, concat_rows, ChainGroup, ModelCtx};
+use hpnn_core::InferencePlan;
+use hpnn_tensor::{Shape, Tensor};
+
 use super::queue::{BatchQueue, Pending, ReplyPayload};
 use crate::config::ServeConfig;
+use crate::event::WakeSet;
 use crate::metrics::{Histogram, Metrics};
-use crate::protocol::{InferMode, ModelInfo};
+use crate::protocol::{ErrorCode, InferMode, ModelInfo};
 
 /// One shard: a bounded queue drained by a dedicated worker, plus the
 /// shard-local latency histograms.
@@ -40,10 +45,21 @@ fn pick_least_loaded(depths: impl IntoIterator<Item = Option<usize>>) -> Option<
         .map(|(_, i)| i)
 }
 
+/// Everything about one model that its shard workers share: built once at
+/// start, immutable after.
+pub(super) struct ModelCtx {
+    /// The model's one deployment; a group's mode picks the lock view.
+    pub(super) plan: InferencePlan,
+    /// Layers in the plan; a forward runs all of them.
+    pub(super) layers: usize,
+    /// Wire-facing description: id, input / output widths, `has_key`.
+    pub(super) info: ModelInfo,
+    pub(super) metrics: Arc<Metrics>,
+}
+
 /// One model's shards, fixed at start.
 pub(super) struct ShardSet {
     pub(super) shards: Vec<Arc<Shard>>,
-    pub(super) info: ModelInfo,
     pub(super) model: Arc<ModelCtx>,
 }
 
@@ -56,9 +72,6 @@ impl ShardSet {
         }))
     }
 }
-
-/// One popped batch regrouped by (mode, stage), arrival order preserved.
-type BatchGroups = Vec<((InferMode, Option<u16>), Vec<Pending>)>;
 
 /// Runs one shard's coalescing loop until the queue drains dry — or a
 /// batch panics, in which case the shard is marked dead, its queue is
@@ -82,8 +95,18 @@ pub(super) fn batch_worker(shard: Arc<Shard>, cfg: ServeConfig, model: Arc<Model
     }
 }
 
+/// Concatenates a group's rows into one contiguous buffer.
+fn concat_rows(group: &[Pending]) -> (usize, Vec<f32>) {
+    let total_rows: usize = group.iter().map(|p| p.rows).sum();
+    let mut data = Vec::with_capacity(group.iter().map(|p| p.data.len()).sum());
+    for p in group {
+        data.extend_from_slice(&p.data);
+    }
+    (total_rows, data)
+}
+
 /// Expires, groups, and runs one popped batch.
-fn process_batch(shard: &Arc<Shard>, model: &Arc<ModelCtx>, batch: Vec<Pending>) {
+fn process_batch(shard: &Shard, model: &ModelCtx, batch: Vec<Pending>) {
     if shard.panic_next.swap(false, Ordering::AcqRel) {
         panic!("injected batch-worker panic (fail_next_batch)");
     }
@@ -98,57 +121,111 @@ fn process_batch(shard: &Arc<Shard>, model: &Arc<ModelCtx>, batch: Vec<Pending>)
     let fill_ns = popped.saturating_duration_since(oldest).as_nanos() as u64;
     let batch_rows: usize = batch.iter().map(|p| p.rows).sum();
     hpnn_trace::span_between("batch.fill", oldest, popped, Some(batch_rows as u64));
-    // Group by (mode, stage), preserving arrival order within each
-    // group, and expire requests whose deadline already passed.
-    let mut groups: BatchGroups = Vec::new();
+    // Group by mode, preserving arrival order within each group, and
+    // expire requests whose deadline already passed.
+    let mut groups: Vec<(InferMode, Vec<Pending>)> = Vec::new();
     for p in batch {
         if p.deadline.is_some_and(|d| d < popped) {
             Metrics::bump(&model.metrics.expired);
             p.done.complete(ReplyPayload::Expired);
             continue;
         }
-        let key = (p.mode, p.stage);
-        match groups.iter_mut().find(|(k, _)| *k == key) {
+        match groups.iter_mut().find(|(mode, _)| *mode == p.mode) {
             Some((_, g)) => g.push(p),
-            None => groups.push((key, vec![p])),
+            None => groups.push((p.mode, vec![p])),
         }
     }
-    for ((mode, stage), group) in groups {
-        // A `FWD_ACT` group runs exactly its one stage, always here —
-        // forwarded work is never forwarded again, so a misconfigured ring
-        // cannot loop activations forever. A whole-network group walks
-        // every stage, offloading where its cluster plan allows.
-        let (stages, may_offload) = match stage {
-            Some(s) => (usize::from(s)..usize::from(s) + 1, false),
-            None => (0..model.stages.len(), true),
+    for (mode, group) in groups {
+        let (rows, data) = concat_rows(&group);
+        let fwd_start = Instant::now();
+        // Admission (`KeyUnavailable`) keeps keyed groups off vault-less
+        // plans, so the refusal below never fires in a correct build.
+        let view = match mode {
+            InferMode::Keyed => model.plan.keyed(),
+            InferMode::Keyless => Some(model.plan.keyless()),
         };
-        let (total_rows, data) = concat_rows(&group);
-        let chain = ChainGroup {
-            model: Arc::clone(model),
-            shard: Arc::clone(shard),
-            mode,
-            end: stages.end,
-            may_offload,
-            group,
-            fill_ns,
-            popped,
-            fwd_start: Instant::now(),
-            total_rows,
+        let Some(view) = view else {
+            for p in group {
+                p.done.complete(ReplyPayload::Failed {
+                    code: ErrorCode::Internal,
+                });
+            }
+            continue;
         };
-        advance_chain(chain, stages.start, data, true);
+        let x = Tensor::from_vec(Shape::d2(rows, model.info.in_features), data)
+            .expect("admission fixes data.len() == rows * in_features");
+        let y = {
+            let _span = hpnn_trace::span!("batch.forward", rows);
+            view.run(&x, 0..model.layers)
+        };
+        debug_assert_eq!(y.shape().dims(), &[rows, model.info.out_features]);
+        let fwd_ns = fwd_start.elapsed().as_nanos() as u64;
+        Metrics::bump(&model.metrics.batches);
+        finish_group(model, shard, group, y.data(), fwd_ns, fill_ns, popped);
+    }
+}
+
+/// Splits a finished group's output back into per-request replies,
+/// recording the per-reply metrics (global and shard-local).
+///
+/// Metrics land before the reply is released, so a STATS issued right
+/// after a reply always sees it counted. Every stage histogram records
+/// exactly one sample per OK reply, keeping their counts reconciled with
+/// `replies_ok` — and because each OK reply runs on exactly one shard,
+/// `Σ shard.forward.count == replies_ok` holds too.
+///
+/// Hand-off is per batch: every reply is parked first, then each event
+/// loop that received any is woken once (when `wakes` drops), so the loop
+/// finds the whole group on its one pass and flushes it in one write.
+fn finish_group(
+    model: &ModelCtx,
+    shard: &Shard,
+    group: Vec<Pending>,
+    out: &[f32],
+    fwd_ns: u64,
+    fill_ns: u64,
+    popped: Instant,
+) {
+    let (metrics, out_features) = (&*model.metrics, model.info.out_features);
+    let mut wakes = WakeSet::default();
+    let mut row = 0usize;
+    for p in group {
+        let chunk = out[row * out_features..(row + p.rows) * out_features].to_vec();
+        row += p.rows;
+        let wait_ns = popped.saturating_duration_since(p.enqueued).as_nanos() as u64;
+        Metrics::bump(&metrics.replies_ok);
+        metrics.e2e.record(p.enqueued.elapsed().as_nanos() as u64);
+        metrics.forward.record(fwd_ns);
+        metrics.queue_wait.record(wait_ns);
+        metrics.batch_fill.record(fill_ns);
+        shard.forward.record(fwd_ns);
+        shard.queue_wait.record(wait_ns);
+        hpnn_trace::span_between("queue.wait", p.enqueued, popped, Some(p.done.trace_id()));
+        // The callback may be a no-op by now (client disconnected
+        // mid-flight); the work still counts.
+        p.done.complete_in_batch(
+            ReplyPayload::Logits {
+                rows: p.rows,
+                cols: out_features,
+                data: chunk,
+            },
+            &mut wakes,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ErrorCode;
+    use crate::event::WakePipe;
     use crate::registry::ServeRegistry;
-    use crate::scheduler::tests::{quick_cfg, registry_with_mlp, trusted_bits};
+    use crate::scheduler::queue::Completion;
+    use crate::scheduler::tests::{quick_cfg, registry_with_mlp, trusted_bits, PATIENT};
     use crate::scheduler::{Scheduler, SubmitError};
     use hpnn_core::{HpnnKey, KeyVault, LockedModel, ModelMetadata, Schedule, ScheduleKind};
     use hpnn_nn::mlp;
     use hpnn_tensor::Rng;
+    use std::sync::Mutex;
     use std::thread;
     use std::time::Duration;
 
@@ -407,5 +484,94 @@ mod tests {
             served.iter().filter(|&&n| n > 0).count() >= 2,
             "the flood stayed on one shard: {served:?}"
         );
+    }
+
+    #[test]
+    fn batch_parks_every_reply_then_wakes_its_loop_once() {
+        let reg = registry_with_mlp(13);
+        let metrics = Arc::new(Metrics::new());
+        let cfg = ServeConfig {
+            max_wait: Duration::from_millis(200),
+            ..quick_cfg()
+        };
+        let sched = Scheduler::start(&reg, cfg, Arc::clone(&metrics)).unwrap();
+        let pipe = WakePipe::new().unwrap();
+        let parked = Arc::new(Mutex::new(Vec::new()));
+        let n = 4;
+        for _ in 0..n {
+            let (parked, waker) = (Arc::clone(&parked), pipe.waker());
+            let done = Completion::new(move |p| {
+                parked.lock().unwrap().push(p);
+                Some(waker)
+            });
+            sched
+                .submit_with(0, InferMode::Keyed, 1, 4, vec![0.5; 4], None, done)
+                .unwrap();
+        }
+        assert!(
+            pipe.readable_within(PATIENT),
+            "the batch never woke its loop"
+        );
+        // One coalesced batch: by the time the wake is visible, all of its
+        // replies are parked, and they cost one wake byte between them.
+        assert_eq!(metrics.snapshot().batches, 1, "requests did not coalesce");
+        assert_eq!(parked.lock().unwrap().len(), n);
+        assert_eq!(pipe.drain(), 1);
+        sched.drain();
+        assert!(
+            !pipe.readable_within(Duration::ZERO),
+            "no further wake after the batch's one"
+        );
+    }
+
+    #[test]
+    fn batched_equals_serial_bitwise() {
+        let reg = registry_with_mlp(9);
+        let cfg = ServeConfig::builder()
+            .max_batch(64)
+            .max_wait(Duration::from_millis(100))
+            .queue_cap(256)
+            .max_rows_per_request(64)
+            .build()
+            .unwrap();
+        let sched = Scheduler::start(&reg, cfg, Arc::new(Metrics::new())).unwrap();
+        let mut rng = Rng::new(10);
+        let inputs: Vec<Vec<f32>> = (0..6)
+            .map(|_| (0..4).map(|_| rng.next_f32() * 2.0 - 1.0).collect())
+            .collect();
+        // Serial: one at a time, waiting for each reply (batch size 1).
+        let serial: Vec<Vec<u32>> = inputs
+            .iter()
+            .map(|x| {
+                let rx = sched
+                    .submit(0, InferMode::Keyed, 1, 4, x.clone(), None)
+                    .unwrap();
+                match rx.recv().unwrap() {
+                    ReplyPayload::Logits { data, .. } => data.iter().map(|v| v.to_bits()).collect(),
+                    other => panic!("expected logits, got {other:?}"),
+                }
+            })
+            .collect();
+        for (x, got) in inputs.iter().zip(&serial) {
+            assert_eq!(got, &trusted_bits(&reg, x), "served bits != deploy_trusted");
+        }
+        // Coalesced: submit all six before the fill window closes.
+        let rxs: Vec<_> = inputs
+            .iter()
+            .map(|x| {
+                sched
+                    .submit(0, InferMode::Keyed, 1, 4, x.clone(), None)
+                    .unwrap()
+            })
+            .collect();
+        for (rx, want) in rxs.into_iter().zip(&serial) {
+            match rx.recv().unwrap() {
+                ReplyPayload::Logits { data, .. } => {
+                    let got: Vec<u32> = data.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(&got, want, "batched forward must be bitwise serial");
+                }
+                other => panic!("expected logits, got {other:?}"),
+            }
+        }
     }
 }

@@ -7,9 +7,9 @@
 //! rebuild the poll set (wake pipe + every live socket, write interest only
 //! when a connection has queued output), poll, then for each ready
 //! connection read-and-decode frames ([`hpnn_bytes::FrameBuffer`]) and
-//! flush the outbound queue. `INFER` and `FWD_ACT` frames are admitted into
-//! the scheduler with a per-connection in-flight window; control frames
-//! are answered inline.
+//! flush the outbound queue. `INFER` and `INFER_BATCH` frames are admitted
+//! into the scheduler with a per-connection in-flight window; control
+//! frames are answered inline.
 //!
 //! Batch-worker completions never touch a socket: they encode the reply,
 //! push it into the connection's [`ConnHandle`] mailbox and register the
@@ -662,28 +662,6 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
         } => {
             let args = InferArgs {
                 model,
-                stage: None,
-                mode,
-                deadline_us,
-                rows,
-                cols,
-                data,
-                opcode,
-            };
-            admit(shared, lp, conn, correlation, args);
-        }
-        Request::Forward {
-            model,
-            stage,
-            mode,
-            deadline_us,
-            rows,
-            cols,
-            data,
-        } => {
-            let args = InferArgs {
-                model,
-                stage: Some(stage),
                 mode,
                 deadline_us,
                 rows,
@@ -719,9 +697,6 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
 
 struct InferArgs {
     model: u16,
-    /// `Some` for `FWD_ACT` (execute one partition stage), `None` for a
-    /// whole-network `INFER`.
-    stage: Option<u16>,
     mode: InferMode,
     deadline_us: u32,
     rows: usize,
@@ -736,8 +711,7 @@ fn submit_error_reply(e: &SubmitError, opcode: u8) -> Reply {
         SubmitError::KeyUnavailable(_) => ErrorCode::KeyUnavailable,
         SubmitError::BadWidth { .. } => ErrorCode::BadWidth,
         SubmitError::BadRows { .. } => ErrorCode::TooManyRows,
-        SubmitError::BadStage { .. } => ErrorCode::Malformed,
-        SubmitError::TrustedStageRefused { .. } => ErrorCode::TrustedStageRefused,
+        SubmitError::BadLength { .. } => ErrorCode::Malformed,
         SubmitError::ShuttingDown => ErrorCode::ShuttingDown,
         SubmitError::WorkerFailed => ErrorCode::Internal,
         SubmitError::Busy => unreachable!("Busy maps to Reply::Busy, not ERROR"),
@@ -855,7 +829,7 @@ fn admit(
     });
     done.set_trace_id(u64::from(correlation));
     let submitted = shared.scheduler.submit_with(
-        args.model, args.stage, args.mode, args.rows, args.cols, args.data, deadline, done,
+        args.model, args.mode, args.rows, args.cols, args.data, deadline, done,
     );
     match submitted {
         Ok(()) => {

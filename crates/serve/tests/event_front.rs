@@ -500,23 +500,10 @@ fn idle_pattern_holds_then_serves() {
     server.shutdown();
 }
 
-/// Builds a vault-less worker serving the stages of a partitioned mlp:
-/// Dense(6->10) | Activation(10) locked | Dense(10->4).
-fn partitioned_worker(seed: u64, cfg: ServeConfig) -> Server {
-    let (model, _key) = lock_spec(mlp(6, &[10], 4), seed);
-    let partition =
-        std::sync::Arc::new(hpnn_core::LayerPartition::from_cuts(model.spec(), &[1, 2]).unwrap());
-    let mut registry = ServeRegistry::new();
-    registry.add("mlp", model, None);
-    registry.set_plan(0, hpnn_serve::ClusterPlan::worker(partition));
-    Server::start(registry, cfg, "127.0.0.1:0").unwrap()
-}
-
-fn forward_stage0(rows: usize) -> Request {
-    Request::Forward {
+fn infer_batch(rows: usize) -> Request {
+    Request::Infer {
         model: 0,
-        stage: 0,
-        mode: InferMode::Keyless,
+        mode: InferMode::Keyed,
         deadline_us: 0,
         rows,
         cols: 6,
@@ -524,17 +511,17 @@ fn forward_stage0(rows: usize) -> Request {
     }
 }
 
-/// A peer that dies mid-FWD_ACT-frame (length prefix on the wire, body cut
-/// short by EOF) retires cleanly: no reply, no wedged slot, and the next
-/// connection's forwards are served normally.
+/// A peer that dies mid-INFER_BATCH-frame (length prefix on the wire, body
+/// cut short by EOF) retires cleanly: no reply, no wedged slot, and the next
+/// connection's batches are served normally.
 #[test]
-fn fwd_act_mid_frame_eof_retires_cleanly() {
-    let server = partitioned_worker(31, small_cfg(1));
+fn infer_batch_mid_frame_eof_retires_cleanly() {
+    let server = mlp_server(31, small_cfg(1));
     let addr = server.local_addr();
 
     let mut dying = Session::connect(addr).unwrap();
     dying.send_raw(&64u32.to_le_bytes()).unwrap();
-    dying.send_raw(&[2, 6, 0, 0, 0, 7, 0, 0]).unwrap(); // v2, FWD_ACT, partial
+    dying.send_raw(&[2, 3, 0, 0, 0, 7, 0, 0]).unwrap(); // v2, INFER_BATCH, partial
     drop(dying);
     wait_for("mid-frame EOF slot to retire", || {
         server.metrics().open_connections == 0
@@ -542,39 +529,39 @@ fn fwd_act_mid_frame_eof_retires_cleanly() {
 
     let mut s = Session::connect(addr).unwrap();
     s.hello("after-eof").unwrap();
-    let corr = s.send(&forward_stage0(2)).unwrap();
+    let corr = s.send(&infer_batch(2)).unwrap();
     let (reply_corr, reply) = s.recv().unwrap();
     assert_eq!(reply_corr, corr);
     assert!(matches!(
         reply,
         Reply::Logits {
             rows: 2,
-            cols: 10,
+            cols: 4,
             ..
         }
     ));
     let stats = server.metrics();
-    assert_eq!(stats.fwd_recv, 1);
+    assert_eq!(stats.requests, 1);
     assert_eq!(stats.replies_ok, 1);
     server.shutdown();
 }
 
-/// A FWD_ACT frame whose declared rows x cols dwarfs the activation data it
+/// An INFER_BATCH frame whose declared rows x cols dwarfs the data it
 /// actually carries is malformed, not fatal: typed error, connection stays
 /// usable, nothing is admitted to the scheduler.
 #[test]
-fn oversized_fwd_act_length_is_malformed_not_fatal() {
-    let server = partitioned_worker(32, small_cfg(1));
+fn oversized_infer_batch_length_is_malformed_not_fatal() {
+    let server = mlp_server(32, small_cfg(1));
     let mut s = Session::connect(server.local_addr()).unwrap();
     s.hello("oversized").unwrap();
 
-    // Encode a well-formed 1x6 forward, then patch its rows field (body
-    // offset 9 → frame offset 19 behind the 4-byte length prefix and the
-    // 6-byte v2 header) to claim a million rows the payload doesn't carry.
+    // Encode a well-formed 2x6 batch, then patch its rows field (body
+    // offset 7 → frame offset 17 behind the 4-byte length prefix and the
+    // 6-byte header) to claim a million rows the payload doesn't carry.
     let mut frame = hpnn_bytes::BytesMut::new();
-    forward_stage0(1).encode(&mut frame, 2, 9);
+    infer_batch(2).encode(&mut frame, 2, 9);
     let mut raw = frame.to_vec();
-    raw[19..23].copy_from_slice(&(1u32 << 20).to_le_bytes());
+    raw[17..21].copy_from_slice(&(1u32 << 20).to_le_bytes());
     s.send_raw(&raw).unwrap();
     let (corr, reply) = s.recv().unwrap();
     assert_eq!(corr, 9, "the error must echo the frame's correlation");
@@ -583,55 +570,65 @@ fn oversized_fwd_act_length_is_malformed_not_fatal() {
         other => panic!("expected MALFORMED, got {other:?}"),
     }
 
-    // The framing layer is intact: a well-formed forward still lands.
-    let corr = s.send(&forward_stage0(1)).unwrap();
+    // The framing layer is intact: a well-formed batch still lands.
+    let corr = s.send(&infer_batch(2)).unwrap();
     let (reply_corr, reply) = s.recv().unwrap();
     assert_eq!(reply_corr, corr);
-    assert!(matches!(reply, Reply::Logits { rows: 1, .. }));
+    assert!(matches!(reply, Reply::Logits { rows: 2, .. }));
     let stats = server.metrics();
     assert_eq!(
-        stats.fwd_recv, 1,
+        stats.requests, 1,
         "the oversized frame must not be admitted"
     );
     server.shutdown();
 }
 
-/// Two FWD_ACT frames reusing one correlation on the same link: the second
-/// is refused with DUPLICATE_CORRELATION while the first — parked in the
-/// batch window at the time — still completes with its logits.
+/// Opcode 0x06 carried a cluster head's activations to a worker until the
+/// split was deleted. A well-formed frame from such a build is refused
+/// typed on its own correlation, and the socket goes on serving.
 #[test]
-fn duplicate_correlation_on_forwarded_hop() {
-    let mut cfg = small_cfg(1);
-    cfg.max_wait = Duration::from_millis(300); // park the first forward
-    let server = partitioned_worker(33, cfg);
+fn retired_fwd_act_opcode_is_refused_and_the_socket_stays_usable() {
+    let server = mlp_server(33, small_cfg(1));
     let mut s = Session::connect(server.local_addr()).unwrap();
-    s.hello("dup-corr").unwrap();
+    s.hello("parent-build-head").unwrap();
 
-    let mut frame = hpnn_bytes::BytesMut::new();
-    forward_stage0(1).encode(&mut frame, 2, 42);
-    s.send_raw(&frame).unwrap();
-    s.send_raw(&frame).unwrap();
-
-    // The duplicate is rejected immediately, while the original waits out
-    // the batch window; its logits arrive afterwards on the same ID.
+    // The parent build's layout: [model u16][stage u16][mode u8]
+    // [deadline u32][rows u32][cols u32][rows * cols f32].
+    let mut body = vec![2, 0x06];
+    body.extend_from_slice(&42u32.to_le_bytes()); // correlation
+    body.extend_from_slice(&0u16.to_le_bytes()); // model
+    body.extend_from_slice(&0u16.to_le_bytes()); // stage
+    body.push(1); // keyless
+    body.extend_from_slice(&0u32.to_le_bytes()); // deadline
+    body.extend_from_slice(&1u32.to_le_bytes()); // rows
+    body.extend_from_slice(&6u32.to_le_bytes()); // cols
+    for _ in 0..6 {
+        body.extend_from_slice(&0.25f32.to_le_bytes());
+    }
+    s.send_raw(&(body.len() as u32).to_le_bytes()).unwrap();
+    s.send_raw(&body).unwrap();
     let (corr, reply) = s.recv().unwrap();
     assert_eq!(corr, 42);
     match reply {
-        Reply::Error { code, .. } => assert_eq!(code, ErrorCode::DuplicateCorrelation),
-        other => panic!("expected DUPLICATE_CORRELATION first, got {other:?}"),
+        Reply::Error {
+            code,
+            request_opcode,
+            ..
+        } => assert_eq!((code, request_opcode), (ErrorCode::BadOpcode, 0x06)),
+        other => panic!("expected BAD_OPCODE, got {other:?}"),
     }
-    let (corr, reply) = s.recv().unwrap();
-    assert_eq!(corr, 42);
+    assert_eq!(server.metrics().protocol_errors, 1);
+
+    let corr = s.send(&infer_batch(1)).unwrap();
+    let (reply_corr, reply) = s.recv().unwrap();
+    assert_eq!(reply_corr, corr);
     assert!(matches!(
         reply,
         Reply::Logits {
             rows: 1,
-            cols: 10,
+            cols: 4,
             ..
         }
     ));
-    let stats = server.metrics();
-    assert_eq!(stats.fwd_recv, 1, "only the first forward is admitted");
-    assert_eq!(stats.protocol_errors, 1);
     server.shutdown();
 }

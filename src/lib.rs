@@ -14,7 +14,6 @@
 //! * [`attacks`] — fine-tuning and key-guessing attacks.
 //! * [`baselines`] — weight-encryption and watermarking comparison baselines.
 //! * [`serve`] — batched TCP inference server for locked models.
-//! * [`cluster`] — layer-partitioned multi-node serving (trusted/untrusted split).
 //! * [`trace`] — span tracing with Chrome/Perfetto trace export.
 //! * [`obs`] — live telemetry: series rings, metrics exposition, SLO
 //!   watchdog with flight-recorder dumps, and the `hpnn top` dashboard.
@@ -42,7 +41,6 @@
 
 pub use hpnn_attacks as attacks;
 pub use hpnn_baselines as baselines;
-pub use hpnn_cluster as cluster;
 pub use hpnn_core as core;
 pub use hpnn_data as data;
 pub use hpnn_hw as hw;

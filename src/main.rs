@@ -13,7 +13,6 @@
 //!              [--trace-out FILE]
 //!              [--metrics-addr HOST:PORT] [--obs-tick-ms N] [--obs-history N]
 //!              [--slo RULE ...] [--flight-dir DIR] [--flight-max-dumps N]
-//!              [--stage CUTS] [--peer HOST:PORT ...] [--offload-all]
 //! hpnn loadgen [--addr HOST:PORT] [--clients N] [--requests N] [--model ID]
 //!              [--mode keyed|keyless] [--rows N] [--depth N] [--deadline-us N]
 //!              [--idle-hold-ms N] [--churn-every N] [--skew F]
@@ -30,13 +29,10 @@ use std::fs;
 use std::process::ExitCode;
 
 use hpnn::attacks::{AttackInit, FineTuneAttack};
-use hpnn::cluster::{ClusterBackend, CostModel};
-use hpnn::core::{HpnnKey, HpnnTrainer, KeyVault, LayerPartition, LockedModel};
+use hpnn::core::{HpnnKey, HpnnTrainer, KeyVault, LockedModel};
 use hpnn::data::{Benchmark, Dataset, DatasetScale};
 use hpnn::nn::{mlp, ArchKind, ImageDims, TrainConfig};
-use hpnn::serve::{
-    ClusterPlan, InferMode, LoadPattern, LoadgenConfig, ServeConfig, ServeRegistry, Server,
-};
+use hpnn::serve::{InferMode, LoadPattern, LoadgenConfig, ServeConfig, ServeRegistry, Server};
 use hpnn::tensor::Rng;
 
 fn main() -> ExitCode {
@@ -91,13 +87,9 @@ fn print_usage() {
          \x20         [--obs-tick-ms N] [--obs-history N] collector tick (default 1000) and ring depth (120)\n\
          \x20         [--slo RULE]                        SLO watchdog rule, repeatable, e.g. \"p99_ms > 50 for 3\"\n\
          \x20                                             (metrics: p50_ms p95_ms p99_ms queue_p99_ms error_rate\n\
-         \x20                                             busy_rate worker_panics keyless_share trusted_refused rps)\n\
+         \x20                                             busy_rate worker_panics keyless_share rps)\n\
          \x20         [--flight-dir DIR]                  dump the trace rings there on SLO breach\n\
          \x20         [--flight-max-dumps N]              breach-dump budget per run (default 4)\n\
-         \x20         [--stage CUTS]                      partition at layer indices, e.g. `--stage 3,7`\n\
-         \x20                                             (without --peer: serve stages as a worker node)\n\
-         \x20         [--peer HOST:PORT]                  head role: offload stages to workers (repeatable)\n\
-         \x20         [--offload-all]                     ignore the cost model; ship every offloadable stage\n\
          \x20 loadgen [--addr HOST:PORT] [--clients N]    closed-loop load generator against a running server\n\
          \x20         [--requests N] [--model ID] [--mode keyed|keyless] [--rows N] [--seed N] [--shutdown]\n\
          \x20         [--depth N]                         requests kept in flight per connection (default 1)\n\
@@ -334,7 +326,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
         .map(|key| KeyVault::provision(key, "hpnn-serve"));
 
     // One builder carries every serve knob — batching, sharding, event
-    // loop, and cluster role — so cross-field mistakes fail here, before
+    // loop, and observability — so cross-field mistakes fail here, before
     // any socket is bound.
     let mut builder = ServeConfig::builder();
     if let Some(v) = flag(args, "--max-batch") {
@@ -358,9 +350,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
             .map_err(|_| format!("bad --shards `{v}` (expected one count N)"))?;
         builder = builder.shards(n..=n);
     }
-    if let Some(cuts) = flag(args, "--stage") {
-        builder = builder.stage_cuts(cuts);
-    }
     if let Some(addr) = flag(args, "--metrics-addr") {
         builder = builder.metrics_addr(addr);
     }
@@ -379,23 +368,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if let Some(v) = flag(args, "--flight-max-dumps") {
         builder = builder.flight_max_dumps(v.parse()?);
     }
-    let mut peers = Vec::new();
-    for p in flag_all(args, "--peer") {
-        peers.push(
-            p.parse::<std::net::SocketAddr>()
-                .map_err(|e| format!("bad --peer `{p}`: {e}"))?,
-        );
-    }
-    if !peers.is_empty() {
-        builder = builder.peers(peers);
-    }
-    let cfg = builder.offload_all(switch(args, "--offload-all")).build()?;
+    let cfg = builder.build()?;
 
-    let cost = if cfg.cluster.offload_all {
-        CostModel::offload_everything()
-    } else {
-        CostModel::default()
-    };
     let mut registry = ServeRegistry::new();
     for path in &paths {
         let bytes = fs::read(path)?;
@@ -405,43 +379,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
         } else {
             model.metadata().name.clone()
         };
-        let partition = cfg
-            .cluster
-            .stage_cuts
-            .as_deref()
-            .map(|cuts| LayerPartition::parse_cuts(model.spec(), cuts))
-            .transpose()?
-            .map(std::sync::Arc::new);
         let id = registry.add(name.clone(), model, vault.clone());
         eprintln!("model {id}: {name} ({path})");
-        if let Some(partition) = partition {
-            let trusted = partition
-                .stages()
-                .iter()
-                .filter(|s| s.trusted_required)
-                .count();
-            if cfg.cluster.peers.is_empty() {
-                // Worker role: serve individual stages, never forward.
-                eprintln!(
-                    "  worker: {} stages ({trusted} trusted-only)",
-                    partition.len()
-                );
-                registry.set_plan(id, ClusterPlan::worker(partition));
-            } else {
-                let backend = std::sync::Arc::new(ClusterBackend::new(
-                    &partition,
-                    cfg.cluster.peers.clone(),
-                    &cost,
-                ));
-                eprintln!(
-                    "  head: {} stages ({trusted} trusted-only), {} offloaded to {} peer(s)",
-                    partition.len(),
-                    backend.route().offloaded(),
-                    cfg.cluster.peers.len()
-                );
-                registry.set_plan(id, ClusterPlan::head(partition, backend));
-            }
-        }
     }
     let trace_out = flag(args, "--trace-out");
     if trace_out.is_some() {
@@ -515,12 +454,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         stats.expired,
         stats.protocol_errors
     );
-    if stats.fwd_sent > 0 || stats.fwd_recv > 0 {
-        eprintln!(
-            "cluster: {} stage forwards sent, {} received",
-            stats.fwd_sent, stats.fwd_recv
-        );
-    }
     if let Some(path) = trace_out {
         let trace = hpnn::trace::take();
         let (events, dropped) = (trace.events.len(), trace.dropped);
@@ -625,14 +558,6 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
         println!("server:  {rps:.1} replies/s over the server's own uptime clock");
     }
     if let Some(stats) = &report.server_after {
-        if stats.fwd_sent > 0 || stats.fwd_recv > 0 {
-            println!(
-                "cluster: {} stage forwards sent, {} received",
-                stats.fwd_sent, stats.fwd_recv
-            );
-        }
-    }
-    if let Some(stats) = &report.server_after {
         print_server_stats(stats);
     }
     if switch(args, "--shutdown") {
@@ -656,7 +581,6 @@ fn print_server_stats(stats: &hpnn::serve::StatsSnapshot) {
         ("queue_wait", &stats.queue_wait),
         ("batch_fill", &stats.batch_fill),
         ("forward", &stats.forward),
-        ("remote_wait", &stats.remote_wait),
         ("writeback", &stats.writeback),
         ("e2e", &stats.e2e),
     ];
@@ -719,13 +643,12 @@ fn cmd_stats(args: &[String]) -> CliResult {
         stats.protocol_errors
     );
     println!(
-        "work: {} rows in {} batches ({:.1} rows/batch), {} inflight, {} worker panics, {} trusted-stage refusals",
+        "work: {} rows in {} batches ({:.1} rows/batch), {} inflight, {} worker panics",
         stats.rows,
         stats.batches,
         stats.mean_batch_rows(),
         stats.inflight,
-        stats.worker_panics,
-        stats.trusted_stage_refused
+        stats.worker_panics
     );
     if uptime > 0.0 {
         println!(
