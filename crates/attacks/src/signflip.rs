@@ -6,7 +6,7 @@
 //! The search space is one bit per locked neuron — far larger than the
 //! 256-bit key — but a greedy, accuracy-oracle-guided search over *neuron
 //! groups* is the natural attack to try. This module implements it for
-//! networks whose first trainable layer is dense (MLPs), where column
+//! networks whose first weighted layer is dense (MLPs), where column
 //! negation is well-defined, plus a group-flip variant that exploits
 //! knowledge of the scheduling policy (if leaked) to flip all neurons
 //! sharing an accumulator at once.

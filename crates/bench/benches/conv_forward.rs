@@ -3,8 +3,8 @@
 //! Before this change, `Conv2d::forward` lowered and convolved each sample
 //! independently — one im2col allocation and one tiny GEMM per sample, with
 //! partial outputs merged through an extra copy. The batched path lowers the
-//! whole batch into a single patch-major column matrix held in the scratch
-//! arena and runs one GEMM per layer call. This bench reproduces the old
+//! whole batch into a single patch-major column matrix, allocated once per
+//! call, and runs one GEMM per layer call. This bench reproduces the old
 //! path faithfully (allocations included), measures both on conv shapes
 //! from the paper's MNIST CNN, asserts the ≥2x training-forward speedup for
 //! batches ≥ 32, and records everything to `BENCH_conv.json`.

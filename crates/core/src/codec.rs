@@ -243,11 +243,6 @@ fn put_layer_spec(buf: &mut BytesMut, layer: &LayerSpec) {
                 buf.put_u64_le(*v as u64);
             }
         }
-        LayerSpec::BatchNorm { channels, plane } => {
-            buf.put_u8(5);
-            buf.put_u64_le(*channels as u64);
-            buf.put_u64_le(*plane as u64);
-        }
     }
 }
 
@@ -292,13 +287,6 @@ fn get_layer_spec(buf: &mut impl Buf) -> Result<LayerSpec, DecodeError> {
                 w: v[2],
                 out_c: v[3],
                 stride: v[4],
-            })
-        }
-        5 => {
-            need(buf, 16, "batchnorm spec")?;
-            Ok(LayerSpec::BatchNorm {
-                channels: buf.get_u64_le() as usize,
-                plane: buf.get_u64_le() as usize,
             })
         }
         tag => Err(DecodeError::BadTag {
@@ -450,29 +438,42 @@ mod tests {
     }
 
     #[test]
-    fn batchnorm_spec_roundtrip() {
-        use hpnn_nn::{ActKind, LayerSpec, NetworkSpec};
-        let spec = NetworkSpec::new(
-            8,
-            vec![
-                LayerSpec::Dense {
-                    in_features: 8,
-                    out_features: 4,
-                },
-                LayerSpec::BatchNorm {
-                    channels: 4,
-                    plane: 1,
-                },
-                LayerSpec::Activation {
-                    kind: ActKind::Relu,
-                    features: 4,
-                },
-            ],
+    fn retired_batchnorm_tag_is_refused() {
+        // Layer tag 5 once carried a batch-norm layer (`channels`, `plane`).
+        // A stream that still holds one is refused, typed, not panicked on.
+        let mut spec = BytesMut::new();
+        spec.put_u64_le(8); // in_features
+        spec.put_u64_le(2); // two layers
+        spec.put_u8(0); // dense 8 -> 4
+        spec.put_u64_le(8);
+        spec.put_u64_le(4);
+        spec.put_u8(5); // the retired tag and its old payload
+        spec.put_u64_le(4);
+        spec.put_u64_le(1);
+        let refused = DecodeError::BadTag {
+            context: "layer spec",
+            tag: 5,
+        };
+        assert_eq!(
+            get_network_spec(&mut freeze(spec.clone())).err(),
+            Some(refused.clone())
         );
-        let mut buf = BytesMut::new();
-        put_network_spec(&mut buf, &spec);
-        let mut b = freeze(buf);
-        assert_eq!(get_network_spec(&mut b).unwrap(), spec);
+
+        let mut container = BytesMut::new();
+        put_header(&mut container);
+        for field in ["name", "dataset", "notes"] {
+            put_string(&mut container, field);
+        }
+        container.put_slice(&spec);
+        put_schedule(
+            &mut container,
+            &Schedule::new(4, ScheduleKind::RoundRobin, 1),
+        );
+        put_tensors(&mut container, &[]);
+        assert_eq!(
+            crate::LockedModel::from_bytes(freeze(container)).err(),
+            Some(refused)
+        );
     }
 
     #[test]

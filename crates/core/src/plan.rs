@@ -99,7 +99,6 @@ mod tests {
         let mut net = spec.build(&mut rng).unwrap();
         net.visit_params(&mut |p| {
             for v in p.value.data_mut() {
-                // Positive, so a running variance stays one.
                 *v = 0.25 + rng.next_f32();
             }
         });
@@ -107,7 +106,7 @@ mod tests {
         (model, KeyVault::provision(key, "dev"))
     }
 
-    fn residual_bn_spec() -> NetworkSpec {
+    fn residual_spec() -> NetworkSpec {
         NetworkSpec::new(
             2 * 8 * 8,
             vec![
@@ -117,10 +116,6 @@ mod tests {
                     w: 8,
                     out_c: 4,
                     stride: 2,
-                },
-                LayerSpec::BatchNorm {
-                    channels: 4,
-                    plane: 16,
                 },
                 LayerSpec::Activation {
                     kind: hpnn_nn::ActKind::Relu,
@@ -138,7 +133,7 @@ mod tests {
         vec![
             mlp(12, &[16, 8], 3),
             cnn1(ImageDims::new(1, 8, 8), 4, 0.5).unwrap(),
-            residual_bn_spec(),
+            residual_spec(),
         ]
     }
 

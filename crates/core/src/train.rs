@@ -239,6 +239,25 @@ mod tests {
         assert_eq!(a.model, b.model);
     }
 
+    /// Pins the exact bytes a short CNN1 training run publishes, so any
+    /// change to the forward/backward memory path that moves a single bit
+    /// of the trained weights fails here.
+    #[test]
+    fn trained_cnn1_container_bytes_are_pinned() {
+        let ds = tiny_dataset();
+        let dims = hpnn_nn::ImageDims::new(ds.shape.c, ds.shape.h, ds.shape.w);
+        let spec = hpnn_nn::cnn1(dims, ds.classes, 0.5).unwrap();
+        let artifacts = HpnnTrainer::new(spec, HpnnKey::from_words([9, 8, 7, 6]))
+            .with_config(TrainConfig::default().with_epochs(2).with_lr(0.03))
+            .with_seed(5)
+            .train(&ds)
+            .unwrap();
+        assert_eq!(
+            crate::sha256(&artifacts.model.to_bytes()).to_string(),
+            "7261908c7ae92d4cbd05cde3ca556fdf1e36a756957c6421d9d5f0c8980a7374"
+        );
+    }
+
     #[test]
     fn schedule_embedded_in_model() {
         let ds = tiny_dataset();

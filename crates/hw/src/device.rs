@@ -27,8 +27,6 @@ use crate::quant::{max_abs, quantize_into, quantize_transposed_into, scale_for};
 /// Error running a model on the device.
 #[derive(Debug)]
 pub enum DeviceError {
-    /// The model uses a layer the accelerator's sequencer does not support.
-    UnsupportedLayer(&'static str),
     /// The stored architecture is invalid.
     Arch(TensorError),
     /// Model weights or schedule are inconsistent with the architecture.
@@ -45,9 +43,6 @@ pub enum DeviceError {
 impl fmt::Display for DeviceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DeviceError::UnsupportedLayer(name) => {
-                write!(f, "accelerator does not support layer kind `{name}`")
-            }
             DeviceError::Arch(e) => write!(f, "invalid architecture: {e}"),
             DeviceError::WeightMismatch(msg) => write!(f, "weight mismatch: {msg}"),
             DeviceError::InputShape { expected, got } => {
@@ -230,9 +225,8 @@ impl TrustedAccelerator {
     ///
     /// Returns [`DeviceError::WeightMismatch`] for containers whose weights
     /// or schedule do not fit their architecture, [`DeviceError::Arch`] for
-    /// invalid geometry or layers that do not chain,
-    /// [`DeviceError::InputShape`] for an input of the wrong width, and
-    /// [`DeviceError::UnsupportedLayer`] for batch normalization.
+    /// invalid geometry or layers that do not chain, and
+    /// [`DeviceError::InputShape`] for an input of the wrong width.
     pub fn run(&mut self, model: &LockedModel, inputs: &Tensor) -> Result<Tensor, DeviceError> {
         let (steps, footprint) = plan(model, inputs)?;
         let schedule = model.schedule();
@@ -566,7 +560,6 @@ fn plan<'m>(
             LayerSpec::Activation { features, .. } => Some(features),
             LayerSpec::MaxPool2d { channels, geom } => volume([channels, geom.in_h, geom.in_w]),
             LayerSpec::Residual { in_c, h, w, .. } => volume([in_c, h, w]),
-            LayerSpec::BatchNorm { channels, plane } => volume([channels, plane, 1]),
         };
         if takes != Some(width) || width == 0 {
             return Err(invalid(format!(
@@ -630,11 +623,6 @@ fn plan<'m>(
                     projection,
                     conv2,
                 }))
-            }
-            LayerSpec::BatchNorm { .. } => {
-                // Inference-time BN folding into the preceding locked MAC
-                // is not implemented; run BN models on the float path.
-                return Err(DeviceError::UnsupportedLayer("batchnorm"));
             }
         };
         width = layer.out_features(width);

@@ -236,34 +236,6 @@ pub fn mlp(in_features: usize, hidden: &[usize], classes: usize) -> NetworkSpec 
     NetworkSpec::new(in_features, layers)
 }
 
-/// An MLP with batch normalization before every hidden activation
-/// (`Dense → BN → ReLU`), still fully lockable — BN output is the ReLU
-/// pre-activation the lock factor multiplies.
-pub fn mlp_bn(in_features: usize, hidden: &[usize], classes: usize) -> NetworkSpec {
-    let mut layers = Vec::new();
-    let mut width = in_features;
-    for &h in hidden {
-        layers.push(LayerSpec::Dense {
-            in_features: width,
-            out_features: h,
-        });
-        layers.push(LayerSpec::BatchNorm {
-            channels: h,
-            plane: 1,
-        });
-        layers.push(LayerSpec::Activation {
-            kind: ActKind::Relu,
-            features: h,
-        });
-        width = h;
-    }
-    layers.push(LayerSpec::Dense {
-        in_features: width,
-        out_features: classes,
-    });
-    NetworkSpec::new(in_features, layers)
-}
-
 /// Identifier for the four reference architectures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArchKind {
@@ -402,38 +374,6 @@ mod tests {
         let spec = mlp(10, &[16, 8], 3);
         assert_eq!(spec.out_features(), 3);
         assert_eq!(spec.lockable_neurons(), 24);
-    }
-
-    #[test]
-    fn mlp_bn_trains_and_locks() {
-        use crate::trainer::{train, LabeledBatch, TrainConfig};
-        use hpnn_tensor::Tensor;
-        let spec = mlp_bn(4, &[8], 2);
-        assert_eq!(spec.layer_census().batchnorm, 1);
-        assert_eq!(spec.lockable_neurons(), 8);
-        let mut rng = Rng::new(1);
-        let mut net = spec.build(&mut rng).unwrap();
-        // Lock and train a tiny separable problem.
-        net.install_lock_factors(&[1., -1., 1., -1., 1., -1., 1., -1.]);
-        let mut data = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..64 {
-            let c = i % 2;
-            let center = if c == 0 { -1.5 } else { 1.5 };
-            for _ in 0..4 {
-                data.push(center + 0.4 * rng.normal());
-            }
-            labels.push(c);
-        }
-        let x = Tensor::from_vec([64usize, 4], data).unwrap();
-        let history = train(
-            &mut net,
-            LabeledBatch::new(&x, &labels),
-            None,
-            &TrainConfig::default().with_epochs(12).with_lr(0.05),
-            &mut rng,
-        );
-        assert!(history.epochs.last().unwrap().train_accuracy > 0.9);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! 2-D convolution layer (batched im2col + one GEMM per layer).
 
-use hpnn_tensor::scratch::{self, ScratchTensor};
 use hpnn_tensor::{
     col2im_batch_into, conv2d_forward_batch_into, im2col_batch_into, matmul_at_b_into, matmul_into,
     simd, Conv2dGeom, Rng, Shape, Tensor,
@@ -17,9 +16,9 @@ use crate::param::Param;
 /// lowered at once into a patch-major column matrix `[B·OH·OW x C·K·K]`
 /// ([`hpnn_tensor::im2col_batch_into`]) and convolved as a **single GEMM per
 /// layer call** — forward output, `dW`, and `dcols` are each one large
-/// matrix product instead of `batch` tiny ones. All temporaries live in the
-/// process-wide scratch arena ([`hpnn_tensor::scratch`]), so steady-state
-/// training allocates nothing on this path.
+/// matrix product instead of `batch` tiny ones. Each call allocates the
+/// temporaries it uses and frees them on return; only the column matrix of
+/// a training forward outlives the call, until backward consumes it.
 ///
 /// Because the GEMM kernels accumulate with a fixed per-element reduction
 /// order, a batch-`N` call is bit-identical to `N` batch-1 calls, and the
@@ -47,9 +46,8 @@ pub struct Conv2d {
     /// Per-filter bias `[out_c]`.
     bias: Param,
     /// Batched patch-major column matrix `[batch·OH·OW x C·K·K]` from the
-    /// last training forward, held in arena storage until backward consumes
-    /// it (the guard recycles the buffer either way).
-    cached_cols: Option<ScratchTensor>,
+    /// last training forward, held until backward consumes it.
+    cached_cols: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -104,8 +102,8 @@ impl Conv2d {
     /// Lowers the batch and convolves it — the one body behind both
     /// [`Layer::infer`] and [`Layer::forward`]. Returns the output and the
     /// column matrix, which training keeps for backward and inference
-    /// drops straight back into the arena.
-    fn convolve(&self, input: &Tensor) -> (Tensor, ScratchTensor) {
+    /// drops.
+    fn convolve(&self, input: &Tensor) -> (Tensor, Tensor) {
         let batch = input.shape().rows();
         assert_eq!(
             input.shape().cols(),
@@ -119,7 +117,7 @@ impl Conv2d {
         let out_vol = self.geom.out_volume();
 
         // Lower the whole batch at once: patch-major [batch·L x C·K·K].
-        let mut cols = scratch::take_guard([batch * l, self.geom.col_rows()]);
+        let mut cols = Tensor::zeros([batch * l, self.geom.col_rows()]);
         im2col_batch_into(input, &self.geom, cols.data_mut());
 
         // One fused GEMM+scatter for the whole batch: the weight is
@@ -130,7 +128,7 @@ impl Conv2d {
         // channel-major rows [batch x (out_c·L)] directly, bias included,
         // without materialising the intermediate [batch·L x out_c] product.
         let cr = self.geom.col_rows();
-        let mut w_t = scratch::take_guard([cr, out_c]);
+        let mut w_t = Tensor::zeros([cr, out_c]);
         {
             let wd = self.weight.value.data();
             let wt = w_t.data_mut();
@@ -140,7 +138,7 @@ impl Conv2d {
                 }
             }
         }
-        let mut out = scratch::take_vec(batch * out_vol);
+        let mut out = vec![0.0; batch * out_vol];
         conv2d_forward_batch_into(&cols, &w_t, self.bias.value.data(), &self.geom, &mut out);
         let out = Tensor::from_vec(Shape::d2(batch, out_vol), out).expect("conv output volume");
         (out, cols)
@@ -181,7 +179,7 @@ impl Layer for Conv2d {
 
         // G': transpose-scatter each borrowed grad row [out_c·L] into the
         // patch-major layout [batch·L x out_c] (no per-row copies).
-        let mut g = scratch::take_guard([batch * l, out_c]);
+        let mut g = Tensor::zeros([batch * l, out_c]);
         for_sample_chunks(batch, l * out_c, g.data_mut(), l * out_c, |range, chunk| {
             for i in range.0..range.1 {
                 let src = grad_out.row(i);
@@ -231,7 +229,7 @@ impl Layer for Conv2d {
         matmul_into(&g, &self.weight.value, cols.data_mut());
 
         // dx: fold the column gradients back onto the input grid.
-        let mut grad_in = scratch::take_vec(batch * in_vol);
+        let mut grad_in = vec![0.0; batch * in_vol];
         col2im_batch_into(&cols, &self.geom, &mut grad_in);
         Tensor::from_vec(Shape::d2(batch, in_vol), grad_in).expect("conv grad_in volume")
     }

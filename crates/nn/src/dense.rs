@@ -1,6 +1,5 @@
 //! Fully-connected (dense) layer.
 
-use hpnn_tensor::scratch::{self, ScratchTensor};
 use hpnn_tensor::{matmul_a_bt_into, matmul_at_b_into, matmul_into, simd, Rng, Shape, Tensor};
 
 use crate::layer::Layer;
@@ -29,9 +28,9 @@ pub struct Dense {
     out_features: usize,
     weight: Param,
     bias: Param,
-    /// Copy of the last training-forward input, held in arena storage until
-    /// backward consumes it.
-    cached_input: Option<ScratchTensor>,
+    /// Copy of the last training-forward input, held until backward
+    /// consumes it.
+    cached_input: Option<Tensor>,
 }
 
 impl Dense {
@@ -109,7 +108,7 @@ impl Layer for Dense {
             self.in_features
         );
         let batch = input.shape().rows();
-        let mut out = scratch::take_vec(batch * self.out_features);
+        let mut out = vec![0.0; batch * self.out_features];
         matmul_into(input, &self.weight.value, &mut out);
         let mut out = Tensor::from_vec(Shape::d2(batch, self.out_features), out)
             .expect("dense output volume");
@@ -119,11 +118,7 @@ impl Layer for Dense {
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let out = self.infer(input, None);
-        self.cached_input = train.then(|| {
-            let mut cache = scratch::take_guard(input.shape().clone());
-            cache.data_mut().copy_from_slice(input.data());
-            cache
-        });
+        self.cached_input = train.then(|| input.clone());
         out
     }
 
@@ -138,9 +133,9 @@ impl Layer for Dense {
         // db += column sums of g (vectorized accumulate; a += b performs
         // the same additions as the old a += 1.0·b).
         simd::add_assign(self.bias.grad.data_mut(), grad_out.sum_rows().data());
-        // dx = g · Wᵀ; the input cache guard recycles itself on return.
+        // dx = g · Wᵀ.
         let batch = grad_out.shape().rows();
-        let mut dx = scratch::take_vec(batch * self.in_features);
+        let mut dx = vec![0.0; batch * self.in_features];
         matmul_a_bt_into(grad_out, &self.weight.value, &mut dx);
         Tensor::from_vec(Shape::d2(batch, self.in_features), dx).expect("dense grad_in volume")
     }

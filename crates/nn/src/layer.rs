@@ -54,7 +54,7 @@ pub trait Layer: Send + Sync {
     /// `forward`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
-    /// Visits every trainable parameter (weights first, then biases, in a
+    /// Visits every learnable parameter (weights first, then biases, in a
     /// stable order). The default is a no-op for parameterless layers.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
@@ -87,7 +87,7 @@ pub trait Layer: Send + Sync {
         None
     }
 
-    /// Total number of trainable scalars.
+    /// Total number of learnable scalars.
     fn param_count(&mut self) -> usize {
         let mut n = 0;
         self.visit_params(&mut |p| n += p.len());

@@ -38,12 +38,9 @@
 #![warn(missing_docs)]
 
 mod activation;
-mod adam;
 mod arch;
-mod batchnorm;
 mod conv2d;
 mod dense;
-mod dropout;
 mod layer;
 mod loss;
 mod metrics;
@@ -57,12 +54,9 @@ mod spec;
 mod trainer;
 
 pub use activation::{ActKind, Activation};
-pub use adam::Adam;
-pub use arch::{cnn1, cnn2, cnn3, mlp, mlp_bn, resnet, ArchKind, ImageDims};
-pub use batchnorm::BatchNorm;
+pub use arch::{cnn1, cnn2, cnn3, mlp, resnet, ArchKind, ImageDims};
 pub use conv2d::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use layer::Layer;
 pub use loss::{mse_one_hot, softmax, softmax_cross_entropy, LossOutput};
 pub use metrics::{accuracy, ConfusionMatrix};

@@ -2,7 +2,7 @@
 
 use std::ops::{Deref, Range};
 
-use hpnn_tensor::{scratch, Tensor};
+use hpnn_tensor::Tensor;
 
 use crate::layer::Layer;
 use crate::param::Param;
@@ -173,15 +173,10 @@ impl Network {
     /// returns the gradient with respect to the network input.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let mut layers = self.layers.iter_mut().rev();
-        let mut g = match layers.next() {
-            Some(last) => last.backward(grad_out),
-            None => return grad_out.clone(),
+        let Some(last) = layers.next() else {
+            return grad_out.clone();
         };
-        for layer in layers {
-            let h = layer.backward(&g);
-            scratch::recycle_tensor(std::mem::replace(&mut g, h));
-        }
-        g
+        layers.fold(last.backward(grad_out), |g, layer| layer.backward(&g))
     }
 
     /// Visits every parameter in a stable (layer, weight-then-bias) order.
@@ -196,7 +191,7 @@ impl Network {
         self.visit_params(&mut |p| p.zero_grad());
     }
 
-    /// Total number of trainable scalars.
+    /// Total number of learnable scalars.
     pub fn param_count(&mut self) -> usize {
         let mut n = 0;
         self.visit_params(&mut |p| n += p.len());
@@ -308,9 +303,8 @@ impl Network {
 }
 
 /// The one per-layer loop: a span per layer, and each intermediate
-/// activation goes back to the scratch arena as soon as the next layer has
-/// consumed it (layers copy anything they need to cache), so steady-state
-/// training and serving reuse the same storage every pass.
+/// activation is freed as soon as the next layer has consumed it (layers
+/// copy anything they need to cache).
 fn run_layers<L: Deref<Target = Box<dyn Layer>>>(
     layers: impl Iterator<Item = L>,
     input: &Tensor,
@@ -323,9 +317,7 @@ fn run_layers<L: Deref<Target = Box<dyn Layer>>>(
             let _span = hpnn_trace::span_dyn(layer.name(), Some(rows));
             step(layer, x.as_ref().unwrap_or(input))
         };
-        if let Some(consumed) = x.replace(y) {
-            scratch::recycle_tensor(consumed);
-        }
+        x = Some(y);
     }
     x.unwrap_or_else(|| input.clone())
 }

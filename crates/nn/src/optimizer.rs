@@ -93,11 +93,6 @@ impl Sgd {
             if velocity.len() == idx {
                 velocity.push(Tensor::zeros(p.value.shape().clone()));
             }
-            if !p.trainable {
-                p.zero_grad();
-                idx += 1;
-                return;
-            }
             let v = &mut velocity[idx];
             assert_eq!(
                 v.shape(),

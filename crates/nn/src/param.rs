@@ -1,8 +1,8 @@
-//! Trainable parameters.
+//! Learnable parameters.
 
 use hpnn_tensor::{Shape, Tensor};
 
-/// A trainable parameter: a value tensor plus its accumulated gradient.
+/// A learnable parameter: a value tensor plus its accumulated gradient.
 ///
 /// Layers own their `Param`s; the optimizer visits them through
 /// [`Layer::visit_params`](crate::Layer::visit_params).
@@ -24,35 +24,18 @@ pub struct Param {
     pub value: Tensor,
     /// Gradient accumulated by the most recent backward pass.
     pub grad: Tensor,
-    /// `false` for state buffers (e.g. batch-norm running statistics) that
-    /// are serialized with the model but must not be touched by optimizers.
-    pub trainable: bool,
 }
 
 impl Param {
     /// Wraps a value tensor with a zeroed gradient of the same shape.
     pub fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape().clone());
-        Param {
-            value,
-            grad,
-            trainable: true,
-        }
+        Param { value, grad }
     }
 
     /// Creates a zero-initialized parameter.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         Param::new(Tensor::zeros(shape))
-    }
-
-    /// Wraps a value tensor as a non-trainable state buffer.
-    pub fn buffer(value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.shape().clone());
-        Param {
-            value,
-            grad,
-            trainable: false,
-        }
     }
 
     /// Clears the accumulated gradient.

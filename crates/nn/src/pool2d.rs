@@ -1,6 +1,6 @@
 //! 2-D max-pooling layer.
 
-use hpnn_tensor::{maxpool_plane_backward, maxpool_plane_into, scratch, PoolGeom, Shape, Tensor};
+use hpnn_tensor::{maxpool_plane_backward, maxpool_plane_into, PoolGeom, Shape, Tensor};
 
 use crate::layer::Layer;
 
@@ -26,10 +26,6 @@ pub struct MaxPool2d {
     /// Winning input index per (sample, channel, output cell).
     cached_argmax: Option<Vec<u32>>,
     cached_batch: usize,
-    /// Retired argmax storage, reused by the next training forward (the
-    /// scratch arena only pools `f32` buffers). Inference records no
-    /// indices and never touches it.
-    argmax_spare: Vec<u32>,
 }
 
 impl MaxPool2d {
@@ -40,7 +36,6 @@ impl MaxPool2d {
             geom,
             cached_argmax: None,
             cached_batch: 0,
-            argmax_spare: Vec::new(),
         }
     }
 
@@ -78,7 +73,7 @@ impl MaxPool2d {
             "pool input volume {} != {in_vol}",
             input.shape().cols()
         );
-        let mut out = scratch::take_vec(batch * out_vol);
+        let mut out = vec![0.0; batch * out_vol];
         for i in 0..batch {
             let sample = input.row(i);
             for c in 0..self.channels {
@@ -111,10 +106,7 @@ impl Layer for MaxPool2d {
             self.cached_argmax = None;
             return self.infer(input, None);
         }
-        // Argmax storage is recycled from the previous step.
-        let mut argmax = std::mem::take(&mut self.argmax_spare);
-        argmax.clear();
-        argmax.resize(self.cached_batch * self.channels * self.out_plane(), 0);
+        let mut argmax = vec![0; self.cached_batch * self.channels * self.out_plane()];
         let out = self.pool(input, Some(&mut argmax));
         self.cached_argmax = Some(argmax);
         out
@@ -133,7 +125,7 @@ impl Layer for MaxPool2d {
         );
         let in_vol = self.channels * self.in_plane();
         let out_plane = self.out_plane();
-        let mut grad_in = scratch::take_vec(batch * in_vol);
+        let mut grad_in = vec![0.0; batch * in_vol];
         for i in 0..batch {
             let g_sample = grad_out.row(i);
             for c in 0..self.channels {
@@ -145,10 +137,6 @@ impl Layer for MaxPool2d {
                 maxpool_plane_backward(g_plane, a_plane, &self.geom, dst);
             }
         }
-        // Hand the emptied argmax buffer back to the next forward.
-        let mut argmax = argmax;
-        argmax.clear();
-        self.argmax_spare = argmax;
         Tensor::from_vec(Shape::d2(batch, in_vol), grad_in).expect("pool grad_in volume")
     }
 

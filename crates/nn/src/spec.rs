@@ -57,13 +57,6 @@ pub enum LayerSpec {
         /// Spatial stride of the first convolution.
         stride: usize,
     },
-    /// Per-channel batch normalization.
-    BatchNorm {
-        /// Channel count.
-        channels: usize,
-        /// Spatial positions per channel (1 after dense layers).
-        plane: usize,
-    },
 }
 
 /// Output spatial side of a residual block's 3×3/stride-`s`/pad-1 first
@@ -93,10 +86,6 @@ impl LayerSpec {
                 stride,
                 ..
             } => out_c * residual_out_side(*h, *stride) * residual_out_side(*w, *stride),
-            LayerSpec::BatchNorm { channels, plane } => {
-                debug_assert_eq!(in_features, channels * plane);
-                channels * plane
-            }
         }
     }
 
@@ -134,9 +123,6 @@ impl LayerSpec {
                 out_c,
                 stride,
             } => Box::new(ResidualBlock::new(*in_c, *h, *w, *out_c, *stride, rng)?),
-            LayerSpec::BatchNorm { channels, plane } => {
-                Box::new(crate::batchnorm::BatchNorm::new(*channels, *plane))
-            }
         })
     }
 }
@@ -215,7 +201,6 @@ impl NetworkSpec {
                 LayerSpec::Activation { .. } => census.relu += 1,
                 LayerSpec::Dense { .. } => census.fc += 1,
                 LayerSpec::Residual { .. } => census.residual += 1,
-                LayerSpec::BatchNorm { .. } => census.batchnorm += 1,
             }
         }
         census
@@ -235,8 +220,6 @@ pub struct LayerCensus {
     pub fc: usize,
     /// Residual blocks.
     pub residual: usize,
-    /// Batch-normalization layers.
-    pub batchnorm: usize,
 }
 
 #[cfg(test)]

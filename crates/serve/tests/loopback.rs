@@ -130,9 +130,10 @@ fn concurrent_clients_get_bitwise_serial_results() {
 
 #[test]
 fn replies_arrive_out_of_order_on_one_connection() {
-    // A heavyweight model and a featherweight one share a server; both
-    // scheduler queues fire immediately (tiny max_wait), so reply order is
-    // set by forward cost, not submission order.
+    // A heavyweight model and a featherweight one share a server. A
+    // one-row request waits out the long fill window, while a request of
+    // `max_batch` rows fills its batch and fires at once, so reply order is
+    // set by the queues, not by submission order or thread scheduling.
     let (slow_model, slow_key) = lock_spec(mlp(64, &[1024, 1024], 8), 20);
     let (fast_model, fast_key) = lock_spec(mlp(4, &[4], 2), 21);
     let mut registry = ServeRegistry::new();
@@ -140,7 +141,7 @@ fn replies_arrive_out_of_order_on_one_connection() {
     registry.add("fast", fast_model, Some(KeyVault::provision(fast_key, "b")));
     let cfg = ServeConfig::builder()
         .max_batch(8)
-        .max_wait(Duration::from_micros(50))
+        .max_wait(Duration::from_millis(300))
         .queue_cap(64)
         .max_rows_per_request(8)
         .max_inflight_per_conn(64)
@@ -150,8 +151,8 @@ fn replies_arrive_out_of_order_on_one_connection() {
 
     // Round 1: observe the raw wire on a throwaway session (reading a reply
     // with `recv` bypasses ticket bookkeeping, so the session is not reused
-    // afterwards). The fast model's reply must overtake the slow one
-    // submitted before it.
+    // afterwards). The fast model's full batch must overtake the slow
+    // single row submitted before it.
     {
         let mut wire_session = Session::connect(server.local_addr()).unwrap();
         wire_session.hello("ooo-wire").unwrap();
@@ -159,7 +160,7 @@ fn replies_arrive_out_of_order_on_one_connection() {
             .submit(0, InferMode::Keyed, 0, 1, 64, vec![0.1; 64])
             .unwrap();
         let fast = wire_session
-            .submit(1, InferMode::Keyed, 0, 1, 4, vec![0.2; 4])
+            .submit(1, InferMode::Keyed, 0, 8, 4, vec![0.2; 8 * 4])
             .unwrap();
         let (first_corr, first_reply) = wire_session.recv().unwrap();
         assert_eq!(
@@ -170,7 +171,7 @@ fn replies_arrive_out_of_order_on_one_connection() {
         assert!(matches!(
             first_reply,
             Reply::Logits {
-                rows: 1,
+                rows: 8,
                 cols: 2,
                 ..
             }

@@ -550,7 +550,7 @@ fn fused_sample_block_dyn(
     out_c: usize,
     dst: &mut [f32],
 ) {
-    let mut acc = crate::scratch::take_vec(out_c);
+    let mut acc = vec![0.0; out_c];
     for (j, crow) in scols.chunks_exact(cr).enumerate() {
         acc.fill(0.0);
         for (p, &a) in crow.iter().enumerate() {
@@ -560,7 +560,6 @@ fn fused_sample_block_dyn(
             dst[f * l + j] = v + b;
         }
     }
-    crate::scratch::recycle_vec(acc);
 }
 
 /// Adjoint of [`im2col_batch`]: scatters a patch-major column-gradient

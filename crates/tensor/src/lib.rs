@@ -28,7 +28,6 @@ mod matmul;
 mod maxpool;
 pub mod pool;
 mod rng;
-pub mod scratch;
 mod shape;
 pub mod simd;
 mod tensor;

@@ -11,13 +11,13 @@
 //! [`matmul_a_bt_into`], [`matmul_at_b_into`]) that **accumulates** the
 //! product into a caller-provided buffer (`C += A·B`, BLAS `beta = 1`
 //! semantics). The allocating functions are thin wrappers that pass a
-//! zero-filled buffer; hot paths (conv/dense layers, the scratch arena in
-//! [`crate::scratch`]) call the `*_into` kernels directly so steady-state
-//! training performs no heap allocation here. Accumulate semantics is also
-//! what makes batched and per-sample convolution lowering bit-identical: a
-//! gradient GEMM over the whole batch and a sequence of per-sample GEMMs
-//! accumulating into the same buffer perform the exact same additions in the
-//! exact same order.
+//! zero-filled buffer; the conv and dense layers call the `*_into` kernels
+//! directly, so gradients accumulate straight into the parameter buffers
+//! and each output is written into the one buffer the layer returns.
+//! Accumulate semantics is also what makes batched and per-sample
+//! convolution lowering bit-identical: a gradient GEMM over the whole batch
+//! and a sequence of per-sample GEMMs accumulating into the same buffer
+//! perform the exact same additions in the exact same order.
 //!
 //! `A·B` and `Aᵀ·B` choose between two kernels by how many output rows a
 //! chunk has, because the two regimes are bound by different things:
