@@ -1,11 +1,12 @@
 //! The consolidated serve configuration surface.
 //!
 //! Every knob the server takes — batching, admission control, the
-//! connection front end, worker sharding, and observability — lives in
-//! one [`ServeConfig`], built through a fluent [`ServeConfigBuilder`] that
-//! validates cross-field invariants once, at build time, with typed
-//! [`ConfigError`]s. [`Server::start`](crate::server::Server::start) is the
-//! single entry point consuming it.
+//! connection front end, worker sharding, and the metrics scrape address —
+//! lives in one [`ServeConfig`], built through a fluent
+//! [`ServeConfigBuilder`] that validates cross-field invariants once, at
+//! build time, with typed [`ConfigError`]s.
+//! [`Server::start`](crate::server::Server::start) is the single entry
+//! point consuming it.
 
 use std::fmt;
 use std::ops::RangeInclusive;
@@ -14,55 +15,6 @@ use std::time::Duration;
 /// Hard ceiling on `shards`: a shard is a queue plus a worker thread, so an
 /// absurd count is a config bug, not a tuning choice.
 pub const SHARD_CAP: usize = 64;
-
-/// Observability role carried inside a [`ServeConfig`].
-///
-/// Plain data: the serve crate validates the combination, while the caller
-/// (the CLI, a test, or a bench) hands it to `hpnn-obs` — which sits *above*
-/// this crate — to actually spawn the
-/// collector, the exposition listener, and the SLO watchdog. SLO rules stay
-/// strings here; the obs crate owns the grammar and parses them at start.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObsRole {
-    /// Bind address for the metrics exposition listener (`host:port`);
-    /// `None` disables exposition.
-    pub metrics_addr: Option<String>,
-    /// Collector sampling tick.
-    pub tick: Duration,
-    /// Ring capacity: how many ticks of time-series history to keep.
-    pub history: usize,
-    /// SLO watchdog rules, e.g. `"p99_ms > 50 for 3"`. Empty disables the
-    /// watchdog.
-    pub slo_rules: Vec<String>,
-    /// Directory for flight-recorder trace dumps on SLO breach; `None`
-    /// disables dumping.
-    pub flight_dir: Option<String>,
-    /// Most flight-recorder dumps one server run may write.
-    pub flight_max_dumps: usize,
-    /// Most trace events one flight-recorder dump may carry.
-    pub flight_max_events: usize,
-}
-
-impl Default for ObsRole {
-    fn default() -> Self {
-        ObsRole {
-            metrics_addr: None,
-            tick: Duration::from_secs(1),
-            history: 120,
-            slo_rules: Vec::new(),
-            flight_dir: None,
-            flight_max_dumps: 4,
-            flight_max_events: 65_536,
-        }
-    }
-}
-
-impl ObsRole {
-    /// Whether any observability component would run under this role.
-    pub fn enabled(&self) -> bool {
-        self.metrics_addr.is_some() || !self.slo_rules.is_empty()
-    }
-}
 
 /// Why a [`ServeConfigBuilder`] refused to build.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,17 +49,6 @@ pub enum ConfigError {
         /// The hard ceiling.
         cap: usize,
     },
-    /// The obs collector tick is zero — the sampler would spin.
-    ZeroObsTick,
-    /// The obs history ring holds fewer than two ticks — no interval could
-    /// ever be formed.
-    ObsHistoryTooShort {
-        /// Requested ring capacity, in ticks.
-        history: usize,
-    },
-    /// A flight-recorder directory was set with a zero dump or event
-    /// budget, so no dump could ever be written.
-    ZeroFlightBudget,
 }
 
 impl fmt::Display for ConfigError {
@@ -134,19 +75,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::TooManyShards { shards, cap } => {
                 write!(f, "shards {shards} exceeds the shard cap {cap}")
-            }
-            ConfigError::ZeroObsTick => write!(f, "obs_tick must be non-zero"),
-            ConfigError::ObsHistoryTooShort { history } => {
-                write!(
-                    f,
-                    "obs_history {history} is too short (need at least 2 ticks to form an interval)"
-                )
-            }
-            ConfigError::ZeroFlightBudget => {
-                write!(
-                    f,
-                    "flight_dir set with a zero dump or event budget; no dump could ever be written"
-                )
             }
         }
     }
@@ -181,8 +109,9 @@ pub struct ServeConfig {
     /// Shards per model, fixed at start: each is a queue plus a worker
     /// thread over the model's one shared deployment.
     pub shards: usize,
-    /// Observability role (metrics exposition, collector, SLO watchdog).
-    pub obs: ObsRole,
+    /// Bind address (`host:port`) of the Prometheus scrape endpoint;
+    /// `None` (the default) runs none.
+    pub metrics_addr: Option<String>,
 }
 
 impl Default for ServeConfig {
@@ -195,7 +124,7 @@ impl Default for ServeConfig {
             max_inflight_per_conn: 64,
             event_threads: 0,
             shards: 1,
-            obs: ObsRole::default(),
+            metrics_addr: None,
         }
     }
 }
@@ -276,46 +205,12 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Bind address for the metrics exposition listener (default: none).
+    /// Bind address of the Prometheus scrape endpoint (default: none).
+    /// Port 0 picks a free port; [`Server::metrics_addr`] reports it.
+    ///
+    /// [`Server::metrics_addr`]: crate::server::Server::metrics_addr
     pub fn metrics_addr(mut self, addr: impl Into<String>) -> Self {
-        self.cfg.obs.metrics_addr = Some(addr.into());
-        self
-    }
-
-    /// Obs collector sampling tick (default 1 s).
-    pub fn obs_tick(mut self, tick: Duration) -> Self {
-        self.cfg.obs.tick = tick;
-        self
-    }
-
-    /// Obs time-series ring capacity, in ticks (default 120).
-    pub fn obs_history(mut self, ticks: usize) -> Self {
-        self.cfg.obs.history = ticks;
-        self
-    }
-
-    /// Adds one SLO watchdog rule, e.g. `"p99_ms > 50 for 3"` (default:
-    /// none). Repeatable; rules are parsed by the obs crate at start.
-    pub fn slo_rule(mut self, rule: impl Into<String>) -> Self {
-        self.cfg.obs.slo_rules.push(rule.into());
-        self
-    }
-
-    /// Directory for flight-recorder dumps on SLO breach (default: none).
-    pub fn flight_dir(mut self, dir: impl Into<String>) -> Self {
-        self.cfg.obs.flight_dir = Some(dir.into());
-        self
-    }
-
-    /// Most flight-recorder dumps one run may write (default 4).
-    pub fn flight_max_dumps(mut self, n: usize) -> Self {
-        self.cfg.obs.flight_max_dumps = n;
-        self
-    }
-
-    /// Most trace events one flight-recorder dump may carry (default 65536).
-    pub fn flight_max_events(mut self, n: usize) -> Self {
-        self.cfg.obs.flight_max_events = n;
+        self.cfg.metrics_addr = Some(addr.into());
         self
     }
 
@@ -355,19 +250,6 @@ impl ServeConfigBuilder {
             });
         }
         cfg.shards = max;
-        if cfg.obs.tick.is_zero() {
-            return Err(ConfigError::ZeroObsTick);
-        }
-        if cfg.obs.history < 2 {
-            return Err(ConfigError::ObsHistoryTooShort {
-                history: cfg.obs.history,
-            });
-        }
-        if cfg.obs.flight_dir.is_some()
-            && (cfg.obs.flight_max_dumps == 0 || cfg.obs.flight_max_events == 0)
-        {
-            return Err(ConfigError::ZeroFlightBudget);
-        }
         Ok(cfg)
     }
 }
@@ -393,6 +275,7 @@ mod tests {
             .max_inflight_per_conn(7)
             .event_threads(2)
             .shards(5..=5)
+            .metrics_addr("127.0.0.1:9100")
             .build()
             .unwrap();
         assert_eq!(cfg.max_batch, 8);
@@ -402,6 +285,7 @@ mod tests {
         assert_eq!(cfg.max_inflight_per_conn, 7);
         assert_eq!(cfg.event_threads, 2);
         assert_eq!(cfg.shards, 5);
+        assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:9100"));
     }
 
     #[test]
@@ -487,57 +371,20 @@ mod tests {
 
     #[test]
     fn builder_sets_obs_knobs() {
+        // The scrape address is the one observability knob: off by default,
+        // and port 0 (a free port, picked at start) is a valid setting.
+        assert_eq!(ServeConfig::default().metrics_addr, None);
+        assert_eq!(ServeConfig::builder().build().unwrap().metrics_addr, None);
         let cfg = ServeConfig::builder()
-            .metrics_addr("127.0.0.1:9100")
-            .obs_tick(Duration::from_millis(250))
-            .obs_history(60)
-            .slo_rule("p99_ms > 50 for 3")
-            .slo_rule("worker_panics > 0")
-            .flight_dir("/tmp/flight")
-            .flight_max_dumps(2)
-            .flight_max_events(1000)
+            .metrics_addr("127.0.0.1:0")
             .build()
             .unwrap();
-        assert_eq!(cfg.obs.metrics_addr.as_deref(), Some("127.0.0.1:9100"));
-        assert_eq!(cfg.obs.tick, Duration::from_millis(250));
-        assert_eq!(cfg.obs.history, 60);
-        assert_eq!(cfg.obs.slo_rules.len(), 2);
-        assert_eq!(cfg.obs.flight_dir.as_deref(), Some("/tmp/flight"));
-        assert_eq!(cfg.obs.flight_max_dumps, 2);
-        assert_eq!(cfg.obs.flight_max_events, 1000);
-        assert!(cfg.obs.enabled());
-        assert!(!ObsRole::default().enabled());
-    }
-
-    #[test]
-    fn rejects_bad_obs_knobs() {
-        assert_eq!(
-            ServeConfig::builder()
-                .obs_tick(Duration::ZERO)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroObsTick
-        );
-        assert_eq!(
-            ServeConfig::builder().obs_history(1).build().unwrap_err(),
-            ConfigError::ObsHistoryTooShort { history: 1 }
-        );
-        assert_eq!(
-            ServeConfig::builder()
-                .flight_dir("/tmp/flight")
-                .flight_max_dumps(0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroFlightBudget
-        );
-        assert_eq!(
-            ServeConfig::builder()
-                .flight_dir("/tmp/flight")
-                .flight_max_events(0)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroFlightBudget
-        );
+        assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
+        let other = ServeConfig {
+            metrics_addr: None,
+            ..cfg
+        };
+        assert_eq!(other, ServeConfig::default());
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //!   matched by correlation IDs (replies may arrive out of order).
 //! - [`config`] — the one serve configuration surface:
 //!   [`ServeConfig::builder`] validates batching, sharding, event-loop
-//!   and observability knobs together at build time (the
-//!   [`ObsRole`] is plain data here; the `hpnn-obs` crate above this one
-//!   turns it into a collector, exposition listener, and SLO watchdog).
+//!   knobs and the metrics scrape address together at build time.
 //! - [`scheduler`] — micro-batching over a fixed set of worker shards:
 //!   per-shard bounded queues coalesce the requests that arrive while a
 //!   worker is busy into one batched forward (up to `max_batch` rows; an
@@ -25,11 +23,13 @@
 //!   and/or keyless.
 //! - [`metrics`] — atomic counters plus power-of-two latency histograms
 //!   (per-shard included), every one declared once in a table that the
-//!   `STATS` frame and the exposition formats are derived from.
+//!   `STATS` frame and the Prometheus scrape endpoint (`expose`, started
+//!   by [`Server::start`] when [`ServeConfig::metrics_addr`] is set) are
+//!   derived from.
 //! - [`server`] / [`client`] — TCP front end (a fixed pool of event-loop
-//!   threads multiplexing nonblocking sockets, see [`event`] / [`conn`])
-//!   and the [`Session`] client (`submit → Ticket`, `wait`, `drain`,
-//!   `infer`) with typed [`ServeError`] results.
+//!   threads multiplexing nonblocking sockets over a `poll(2)` readiness
+//!   loop, see [`conn`]) and the [`Session`] client (`submit → Ticket`,
+//!   `wait`, `drain`, `infer`) with typed [`ServeError`] results.
 //! - [`loadgen`] — a reproducible closed-loop load generator, with an
 //!   optional hot-model skew for multi-tenant workloads.
 //!
@@ -80,7 +80,8 @@
 pub mod client;
 pub mod config;
 pub mod conn;
-pub mod event;
+pub(crate) mod event;
+mod expose;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
@@ -89,12 +90,12 @@ pub mod scheduler;
 pub mod server;
 
 pub use client::{DrainedTicket, Logits, ServeError, Session, Ticket};
-pub use config::{ConfigError, ObsRole, ServeConfig, ServeConfigBuilder, SHARD_CAP};
+pub use config::{ConfigError, ServeConfig, ServeConfigBuilder, SHARD_CAP};
 pub use hpnn_bytes::FrameReader;
 pub use loadgen::{LoadPattern, LoadgenConfig, LoadgenReport};
 pub use metrics::{
-    Histogram, HistogramSnapshot, Metrics, RowKind, ShardStatsSnapshot, StatsDelta, StatsRow,
-    StatsSnapshot, HISTOGRAM_BUCKETS, STATS_ROWS,
+    Histogram, HistogramRow, HistogramSnapshot, HistogramUnit, Metrics, RowKind,
+    ShardStatsSnapshot, StatsDelta, StatsRow, StatsSnapshot, HISTOGRAM_BUCKETS, STATS_ROWS,
 };
 pub use protocol::{
     ErrorCode, InferMode, ModelInfo, Reply, Request, WireError, MAX_FRAME_PAYLOAD, PROTOCOL_VERSION,

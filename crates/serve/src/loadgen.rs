@@ -83,8 +83,7 @@ pub struct LoadgenConfig {
     /// Sampling interval for per-interval server throughput: a sampler
     /// connection takes `STATS` on this tick during the measurement window
     /// and the report diffs consecutive snapshots into
-    /// [`LoadgenReport::intervals`] — the same
-    /// [`StatsSnapshot::delta_since`] helper the obs collector runs on.
+    /// [`LoadgenReport::intervals`] with [`StatsSnapshot::delta_since`].
     /// `Duration::ZERO` disables sampling.
     pub sample_interval: Duration,
 }

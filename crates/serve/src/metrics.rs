@@ -3,10 +3,11 @@
 //!
 //! Every number is declared once, as a row of the `stats_table!` invocation
 //! in this file: a scalar row is `kind name "description"` with kind
-//! `counter` or `gauge`, a histogram row is `name "description"`. The
-//! structs, the snapshot, the interval difference, the `STATS` codec, the
-//! Prometheus exposition and the `/series` JSON are all derived from those
-//! rows, so adding a number is one new row plus its increment site.
+//! `counter` or `gauge`, a histogram row is `unit name "description"` with
+//! unit `seconds` or `unitless`. The structs, the snapshot, the interval
+//! difference, the `STATS` codec and the Prometheus exposition are all
+//! derived from those rows, so adding a number is one new row plus its
+//! increment site.
 //!
 //! Five latencies are tracked per answered request: **enqueue-to-reply**
 //! (`e2e`: from scheduler admission to the moment the worker hands the
@@ -209,8 +210,7 @@ pub enum RowKind {
 /// [`StatsDelta`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsRow {
-    /// Field name; also the `/series` key and the stem of the Prometheus
-    /// metric name.
+    /// Field name; also the stem of the Prometheus metric name.
     pub name: &'static str,
     /// The row's one description: field doc and Prometheus `HELP`.
     pub description: &'static str,
@@ -220,21 +220,46 @@ pub struct StatsRow {
     pub value: u64,
 }
 
+/// What a histogram's samples measure, which fixes its bucket bounds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HistogramUnit {
+    /// Latencies recorded with [`Histogram::record`]: nanosecond samples in
+    /// microsecond power-of-two buckets.
+    Seconds,
+    /// Dimensionless values recorded with [`Histogram::record_value`],
+    /// bucketed by their own power of two.
+    Unitless,
+}
+
+/// One histogram row of the stats table as read from a [`StatsSnapshot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramRow<'a> {
+    /// Field name; also the stem of the Prometheus metric name.
+    pub name: &'static str,
+    /// The row's one description: field doc and Prometheus `HELP`.
+    pub description: &'static str,
+    /// What the samples measure.
+    pub unit: HistogramUnit,
+    /// The histogram read from the snapshot.
+    pub hist: &'a HistogramSnapshot,
+}
+
 /// Declares every number the server counts exactly once. From the rows come
 /// [`Metrics`] and its zeroed default, [`Metrics::snapshot`],
 /// [`StatsSnapshot`], [`StatsDelta`], the per-row half of
 /// [`StatsSnapshot::delta_since`] and the row iterators that the `STATS`
-/// codec, the Prometheus exposition and the `/series` JSON walk. The
-/// fields are plain named `pub` fields, so an increment is one relaxed
-/// `fetch_add` with no lookup.
+/// codec and the Prometheus exposition walk. The fields are plain named
+/// `pub` fields, so an increment is one relaxed `fetch_add` with no lookup.
 macro_rules! stats_table {
     (@kind counter) => { RowKind::Counter };
     (@kind gauge) => { RowKind::Gauge };
+    (@unit seconds) => { HistogramUnit::Seconds };
+    (@unit unitless) => { HistogramUnit::Unitless };
     (@delta counter $now:expr, $then:expr) => { $now.saturating_sub($then) };
     (@delta gauge $now:expr, $then:expr) => { $now };
     (
         scalars { $($kind:ident $name:ident $desc:literal;)* }
-        histograms { $($hist:ident $hdesc:literal;)* }
+        histograms { $($unit:ident $hist:ident $hdesc:literal;)* }
     ) => {
         /// How many scalar rows the table declares; `STATS_OK` carries
         /// this many values plus `uptime_ns` and `snapshot_seq`.
@@ -317,9 +342,15 @@ macro_rules! stats_table {
                 [$(&mut self.$name,)*].into_iter()
             }
 
-            /// Every histogram in table (= wire) order.
-            pub fn histograms(&self) -> impl Iterator<Item = &HistogramSnapshot> {
-                [$(&self.$hist,)*].into_iter()
+            /// Every histogram row in table (= wire) order.
+            pub fn histograms(&self) -> impl Iterator<Item = HistogramRow<'_>> {
+                [$(HistogramRow {
+                    name: stringify!($hist),
+                    description: $hdesc,
+                    unit: stats_table!(@unit $unit),
+                    hist: &self.$hist,
+                },)*]
+                .into_iter()
             }
 
             /// Every histogram's slot in table order.
@@ -401,12 +432,12 @@ stats_table! {
         counter keyless_requests "Requests admitted in keyless mode (stolen-weights path).";
     }
     histograms {
-        e2e "Enqueue-to-reply latency per answered request.";
-        forward "Batched-forward wall time, recorded once per answered request.";
-        depth "Per-connection in-flight depth sampled at each admission (dimensionless).";
-        queue_wait "Admission-to-batch-pop wait per answered request.";
-        batch_fill "Coalescing-window duration of the serving batch, once per answered request.";
-        writeback "Completion-to-socket-write latency per answered request.";
+        seconds e2e "Enqueue-to-reply latency per answered request.";
+        seconds forward "Batched-forward wall time, recorded once per answered request.";
+        unitless depth "Per-connection in-flight depth sampled at each admission (dimensionless).";
+        seconds queue_wait "Admission-to-batch-pop wait per answered request.";
+        seconds batch_fill "Coalescing-window duration of the serving batch, once per answered request.";
+        seconds writeback "Completion-to-socket-write latency per answered request.";
     }
 }
 
@@ -472,9 +503,10 @@ impl StatsSnapshot {
     /// snapshots from different runs (or taken out of order) can never be
     /// diffed into nonsense.
     ///
-    /// This is the one interval helper in the tree: the obs collector's
-    /// time-series rings and loadgen's per-interval throughput report are
-    /// both built from it.
+    /// This is the one interval helper in the tree: loadgen's per-interval
+    /// throughput report and the benchmark's phase windows are built from
+    /// it. A Prometheus scraper windows the cumulative `/metrics` counters
+    /// itself, with `rate()`.
     pub fn delta_since(&self, earlier: &StatsSnapshot) -> Option<StatsDelta> {
         if self.snapshot_seq <= earlier.snapshot_seq || self.uptime_ns <= earlier.uptime_ns {
             return None;

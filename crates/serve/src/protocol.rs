@@ -676,8 +676,8 @@ fn put_stats(buf: &mut BytesMut, s: &StatsSnapshot) {
     }
     buf.put_u64_le(s.uptime_ns);
     buf.put_u64_le(s.snapshot_seq);
-    for h in s.histograms() {
-        put_histogram(buf, h);
+    for row in s.histograms() {
+        put_histogram(buf, row.hist);
     }
     buf.put_u16_le(s.shards.len() as u16);
     for sh in &s.shards {

@@ -48,7 +48,7 @@ pub enum ReplyPayload {
 /// with [`ReplyPayload::Aborted`] so no caller waits forever.
 ///
 /// The callback parks the reply wherever its consumer will look and hands
-/// back the [`Waker`] of the event loop that must be told, if any. A batch
+/// back the `Waker` of the event loop that must be told, if any. A batch
 /// collects those and wakes each loop once after the whole group is
 /// parked; a completion resolved on its own wakes at once.
 pub struct Completion {

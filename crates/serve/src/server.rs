@@ -49,6 +49,7 @@ use hpnn_tensor::TensorError;
 use crate::config::ServeConfig;
 use crate::conn::{Conn, ConnHandle, FillOutcome, FlushOutcome, Outbound};
 use crate::event::{fd_of, AcceptBackoff, Poller, Ready, WakePipe, Waker};
+use crate::expose::Endpoint;
 use crate::metrics::{Metrics, StatsSnapshot};
 use crate::protocol::{
     split_frame, ErrorCode, InferMode, Reply, Request, WireError, PROTOCOL_VERSION,
@@ -67,6 +68,8 @@ pub struct Server {
     shared: Arc<Shared>,
     accept_thread: Mutex<Option<thread::JoinHandle<()>>>,
     loop_threads: Mutex<Vec<thread::JoinHandle<()>>>,
+    /// The scrape endpoint, when `ServeConfig::metrics_addr` is set.
+    endpoint: Option<Endpoint>,
 }
 
 /// A freshly accepted socket on its way to an event loop.
@@ -108,7 +111,7 @@ impl LoopShared {
     }
 }
 
-struct Shared {
+pub(crate) struct Shared {
     scheduler: Scheduler,
     metrics: Arc<Metrics>,
     stopping: AtomicBool,
@@ -133,11 +136,17 @@ impl Shared {
     }
 
     /// Counter snapshot merged with the scheduler's per-shard histograms —
-    /// the one shape STATS replies and [`Server::metrics`] both serve.
-    fn stats(&self) -> StatsSnapshot {
+    /// the one shape STATS replies, [`Server::metrics`] and `/metrics` all
+    /// serve.
+    pub(crate) fn stats(&self) -> StatsSnapshot {
         let mut s = self.metrics.snapshot();
         s.shards = self.scheduler.shard_stats();
         s
+    }
+
+    /// False once a drain began.
+    pub(crate) fn serving(&self) -> bool {
+        !self.stopping.load(Ordering::Acquire)
     }
 }
 
@@ -155,8 +164,9 @@ fn resolve_event_threads(cfg: &ServeConfig) -> usize {
 }
 
 impl Server {
-    /// Binds a listener, deploys every registry model (once; all of its
-    /// shards share the deployment), and starts serving.
+    /// Binds a listener (and the scrape endpoint's, when
+    /// [`ServeConfig::metrics_addr`] is set), deploys every registry model
+    /// (once; all of its shards share the deployment), and starts serving.
     ///
     /// # Errors
     ///
@@ -169,6 +179,8 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
+        let metrics_listener = cfg.metrics_addr.as_deref().map(TcpListener::bind);
+        let metrics_listener = metrics_listener.transpose()?;
         let metrics = Arc::new(Metrics::new());
         let n_loops = resolve_event_threads(&cfg);
         let scheduler = Scheduler::start(&registry, cfg, Arc::clone(&metrics))
@@ -185,6 +197,10 @@ impl Server {
             drain_done: Mutex::new(false),
             loops,
         });
+        // Before any serving thread, so a failure here leaves none running.
+        let endpoint = metrics_listener
+            .map(|l| Endpoint::start(l, Arc::clone(&shared)))
+            .transpose()?;
         let mut loop_threads = Vec::with_capacity(n_loops);
         for (i, lp) in shared.loops.iter().enumerate() {
             let shared = Arc::clone(&shared);
@@ -206,6 +222,7 @@ impl Server {
             shared,
             accept_thread: Mutex::new(Some(accept_thread)),
             loop_threads: Mutex::new(loop_threads),
+            endpoint,
         })
     }
 
@@ -214,16 +231,22 @@ impl Server {
         self.addr
     }
 
+    /// Where the scrape endpoint (`/metrics`, `/healthz`, `/readyz`) is
+    /// bound; `None` without [`ServeConfig::metrics_addr`].
+    pub fn metrics_addr(&self) -> Option<SocketAddr> {
+        self.endpoint.as_ref().map(Endpoint::addr)
+    }
+
     /// A snapshot of the server's metrics, per-shard histograms included.
     pub fn metrics(&self) -> StatsSnapshot {
         self.shared.stats()
     }
 
     /// Whether the server is still admitting new work — false once a drain
-    /// began. The obs layer's `/readyz` endpoint keys off this, so load
-    /// balancers stop routing to a draining node before its socket closes.
+    /// began. `/readyz` answers 503 from then on, so load balancers stop
+    /// routing to a draining node before its socket closes.
     pub fn is_serving(&self) -> bool {
-        !self.shared.stopping.load(Ordering::Acquire)
+        self.shared.serving()
     }
 
     /// Arms an injected panic on the next batch the named model's first
@@ -240,8 +263,10 @@ impl Server {
     }
 
     /// Drains queued work, stops the accept and event-loop threads, and
-    /// waits for them to exit. Idempotent; also reached via a client
-    /// `SHUTDOWN` frame.
+    /// waits for them to exit; the scrape endpoint goes last, so `/readyz`
+    /// answers 503 for the whole drain and its port is released on return.
+    /// Idempotent; a client `SHUTDOWN` frame starts the drain, and
+    /// [`join`](Server::join) finishes it.
     pub fn shutdown(&self) {
         self.shared.drain();
         // Unblock accept() with a throwaway connection aimed at the bound
@@ -268,6 +293,9 @@ impl Server {
         }
         for handle in self.loop_threads.lock().unwrap().drain(..) {
             let _ = handle.join();
+        }
+        if let Some(endpoint) = &self.endpoint {
+            endpoint.stop();
         }
     }
 

@@ -23,8 +23,8 @@
 //!   environment or [`set_enabled`]`(true)`. While disabled, every
 //!   recording entry point is a single relaxed atomic load.
 //!
-//! [`snapshot`] / [`take`] collect every thread's ring into a [`Trace`],
-//! and [`Trace::to_chrome_json`] serializes it in the Chrome trace-event
+//! [`take`] collects every thread's ring into a [`Trace`], and
+//! [`Trace::to_chrome_json`] serializes it in the Chrome trace-event
 //! format, loadable in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
 //! ## Example
@@ -477,7 +477,10 @@ fn collect_ring(ring: &Ring, events: &mut Vec<TraceEvent>, names: &[&'static str
     (start - floor, head)
 }
 
-fn collect_all(advance_floor: bool) -> Trace {
+/// Collects every thread's events and marks them consumed, so the next
+/// drain starts fresh. Events recorded concurrently with the drain are kept
+/// for the next one.
+pub fn take() -> Trace {
     let names: Vec<&'static str> = NAMES.lock().unwrap().clone();
     let rings: Vec<Arc<Ring>> = RINGS.lock().unwrap().clone();
     let mut events = Vec::new();
@@ -486,9 +489,7 @@ fn collect_all(advance_floor: bool) -> Trace {
     for ring in &rings {
         let (ring_dropped, head) = collect_ring(ring, &mut events, &names);
         dropped += ring_dropped;
-        if advance_floor {
-            ring.floor.store(head, Ordering::Release);
-        }
+        ring.floor.store(head, Ordering::Release);
         threads.push(ThreadInfo {
             tid: ring.tid,
             name: ring.thread_name.clone(),
@@ -502,27 +503,14 @@ fn collect_all(advance_floor: bool) -> Trace {
     }
 }
 
-/// Collects every thread's events without consuming them; a later
-/// [`snapshot`] or [`take`] sees them again.
-pub fn snapshot() -> Trace {
-    collect_all(false)
-}
-
-/// Collects every thread's events and marks them consumed, so the next
-/// drain starts fresh. Events recorded concurrently with the drain are kept
-/// for the next one.
-pub fn take() -> Trace {
-    collect_all(true)
-}
-
 // ---------------------------------------------------------------------------
 // Chrome trace-event JSON
 // ---------------------------------------------------------------------------
 
 /// Appends `s` to `out` escaped for the inside of a JSON string literal:
 /// quotes, backslashes and every control character below U+0020. The one
-/// escaper in the workspace — the trace export, the `/series` endpoint and
-/// the bench result files all write their strings through it.
+/// escaper in the workspace — the trace export and the bench result files
+/// both write their strings through it.
 pub fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
@@ -537,19 +525,6 @@ pub fn json_escape_into(out: &mut String, s: &str) {
 }
 
 impl Trace {
-    /// Keeps only the `max_events` most recent events (events are sorted by
-    /// start time, so this trims the oldest prefix), counting everything
-    /// discarded in [`dropped`](Trace::dropped). This is the flight-recorder
-    /// bound: a watchdog draining long-running rings on an SLO breach caps
-    /// the dump size without touching the rings themselves.
-    pub fn keep_recent(&mut self, max_events: usize) {
-        if self.events.len() > max_events {
-            let cut = self.events.len() - max_events;
-            self.dropped += cut as u64;
-            self.events.drain(..cut);
-        }
-    }
-
     /// Serializes the trace in the Chrome trace-event JSON format (an
     /// object with a `traceEvents` array of `X`/`i`/`M` events; timestamps
     /// in microseconds with nanosecond precision). Load the result in
@@ -724,7 +699,7 @@ mod tests {
             instant!("test.disabled_instant");
         }
         span_since("test.disabled_since", Instant::now(), None);
-        let t = snapshot();
+        let t = take();
         assert!(!t.events.iter().any(|e| e.name.starts_with("test.disabled")));
     }
 
@@ -827,28 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_recent_trims_oldest_and_counts_them_dropped() {
-        let _g = lock();
-        set_enabled(true);
-        let _ = take();
-        for i in 0..10u64 {
-            instant!("test.keep_recent", i);
-        }
-        let mut t = take();
-        set_enabled(false);
-        t.events.retain(|e| e.name == "test.keep_recent");
-        t.dropped = 0;
-        t.keep_recent(3);
-        assert_eq!(t.events.len(), 3);
-        assert_eq!(t.dropped, 7);
-        // Events are ts-sorted, so the newest three survive.
-        assert_eq!(t.events[2].arg, Some(9));
-        // A budget at or above the length is a no-op.
-        t.keep_recent(3);
-        assert_eq!((t.events.len(), t.dropped), (3, 7));
-    }
-
-    #[test]
     fn chrome_json_is_valid_monotonic_and_paired() {
         let _g = lock();
         set_enabled(true);
@@ -888,35 +841,37 @@ mod tests {
         );
     }
 
-    /// Everything a JSON string literal must escape — quotes, backslashes,
-    /// every control byte — and a multi-byte character it must not, read
-    /// back by the workspace's JSON parser.
+    /// Everything a JSON string literal must escape, byte for byte: every
+    /// control character as `\u00XX`, quotes and backslashes with a
+    /// backslash, and everything else — multi-byte characters included —
+    /// passed through unchanged.
     #[test]
-    fn json_escape_roundtrips_through_the_parser() {
-        let mut raw: String = (0u8..0x20).map(char::from).collect();
-        raw.push_str("say \"hi\" \\ back\\slash / é → 🔑");
-        let mut doc = String::from("{\"s\":\"");
-        json_escape_into(&mut doc, &raw);
-        doc.push_str("\"}");
-        assert!(json_parses(&doc), "invalid JSON: {doc}");
-        assert!(doc.bytes().all(|b| b >= 0x20), "raw control byte in: {doc}");
-        let parsed = hpnn_obs::json::Json::parse(&doc).expect("escaped string must parse");
-        assert_eq!(parsed.get("s").and_then(|s| s.as_str()), Some(raw.as_str()));
-    }
-
-    #[test]
-    fn snapshot_does_not_consume() {
-        let _g = lock();
-        set_enabled(true);
-        let _ = take();
-        {
-            let _s = span!("test.snap");
+    fn json_escape_writes_exact_output() {
+        let escaped = |s: &str| {
+            let mut out = String::from("prefix:");
+            json_escape_into(&mut out, s);
+            out
+        };
+        for byte in 0u8..0x20 {
+            let raw = char::from(byte).to_string();
+            assert_eq!(
+                escaped(&raw),
+                format!("prefix:\\u{byte:04x}"),
+                "byte {byte:#04x}"
+            );
         }
-        let a = snapshot();
-        let b = take();
-        set_enabled(false);
-        assert!(a.events.iter().any(|e| e.name == "test.snap"));
-        assert!(b.events.iter().any(|e| e.name == "test.snap"));
+        let table = [
+            ("", "prefix:"),
+            ("\"", "prefix:\\\""),
+            ("\\", "prefix:\\\\"),
+            ("\n\t\r", "prefix:\\u000a\\u0009\\u000d"),
+            ("say \"hi\"", "prefix:say \\\"hi\\\""),
+            ("back\\slash / é → 🔑", "prefix:back\\\\slash / é → 🔑"),
+            ("\u{7f}", "prefix:\u{7f}"),
+        ];
+        for (raw, want) in table {
+            assert_eq!(escaped(raw), want, "escaping {raw:?}");
+        }
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //! * [`hw`] — the gate/cycle-level trusted accelerator model.
 //! * [`attacks`] — fine-tuning and key-guessing attacks.
 //! * [`baselines`] — weight-encryption and watermarking comparison baselines.
-//! * [`serve`] — batched TCP inference server for locked models.
+//! * [`serve`] — batched TCP inference server for locked models, with an
+//!   optional Prometheus scrape endpoint.
 //! * [`trace`] — span tracing with Chrome/Perfetto trace export.
-//! * [`obs`] — live telemetry: series rings, metrics exposition, SLO
-//!   watchdog with flight-recorder dumps, and the `hpnn top` dashboard.
 //!
 //! ## Quickstart
 //!
@@ -45,7 +44,6 @@ pub use hpnn_core as core;
 pub use hpnn_data as data;
 pub use hpnn_hw as hw;
 pub use hpnn_nn as nn;
-pub use hpnn_obs as obs;
 pub use hpnn_serve as serve;
 pub use hpnn_tensor as tensor;
 pub use hpnn_trace as trace;

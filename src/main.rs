@@ -3,27 +3,26 @@
 //! ```text
 //! hpnn keygen [--seed N]
 //! hpnn train   --key HEX --arch cnn1|cnn2|cnn3|resnet|mlp --dataset fashion|cifar10|svhn
-//!              [--scale tiny|small|medium] [--epochs N] [--lr F] [--out FILE]
+//!              [--scale tiny|small|medium] [--epochs N] [--lr F] [--seed N] [--out FILE]
 //! hpnn inspect --model FILE
 //! hpnn eval    --model FILE --dataset fashion|cifar10|svhn [--key HEX] [--scale S]
 //! hpnn attack  --model FILE --dataset fashion|cifar10|svhn --alpha F [--init stolen|random]
+//!              [--scale S] [--epochs N] [--lr F] [--seed N]
 //! hpnn serve   --model FILE [--model FILE ...] [--key HEX] [--addr HOST:PORT]
 //!              [--max-batch N] [--max-wait-us N] [--queue-cap N] [--max-inflight N]
 //!              [--event-threads N] [--shards N]
-//!              [--trace-out FILE]
-//!              [--metrics-addr HOST:PORT] [--obs-tick-ms N] [--obs-history N]
-//!              [--slo RULE ...] [--flight-dir DIR] [--flight-max-dumps N]
+//!              [--trace-out FILE] [--metrics-addr HOST:PORT]
 //! hpnn loadgen [--addr HOST:PORT] [--clients N] [--requests N] [--model ID]
 //!              [--mode keyed|keyless] [--rows N] [--depth N] [--deadline-us N]
 //!              [--idle-hold-ms N] [--churn-every N] [--skew F]
-//!              [--seed N] [--no-retry-busy] [--shutdown]
+//!              [--sample-interval-ms N] [--seed N] [--no-retry-busy] [--shutdown]
 //! hpnn stats   [ADDR]                          one-shot STATS against a running server
-//! hpnn top     [ADDR] [--once] [--interval-ms N]  live dashboard over a --metrics-addr listener
 //! ```
 //!
 //! The tool drives the same library code as the experiment harness; it
 //! exists so the locked-model life-cycle (generate key → train → publish →
-//! deploy/eval → attack) can be exercised from a shell.
+//! deploy/eval → attack) can be exercised from a shell. Each subcommand
+//! refuses any `--flag` it does not take before it opens a file or socket.
 
 use std::fs;
 use std::process::ExitCode;
@@ -35,23 +34,49 @@ use hpnn::nn::{mlp, ArchKind, ImageDims, TrainConfig};
 use hpnn::serve::{InferMode, LoadPattern, LoadgenConfig, ServeConfig, ServeRegistry, Server};
 use hpnn::tensor::Rng;
 
+type Command = fn(&[String]) -> CliResult;
+
+/// Every subcommand with the flags it accepts, space-separated.
+const COMMANDS: &[(&str, Command, &str)] = &[
+    ("keygen", cmd_keygen, "--seed"),
+    (
+        "train",
+        cmd_train,
+        "--key --arch --dataset --scale --epochs --lr --seed --out",
+    ),
+    ("inspect", cmd_inspect, "--model"),
+    ("eval", cmd_eval, "--model --dataset --scale --key"),
+    (
+        "attack",
+        cmd_attack,
+        "--model --dataset --scale --alpha --init --epochs --lr --seed",
+    ),
+    (
+        "serve",
+        cmd_serve,
+        "--model --key --addr --max-batch --max-wait-us --queue-cap --max-inflight \
+         --event-threads --shards --trace-out --metrics-addr",
+    ),
+    (
+        "loadgen",
+        cmd_loadgen,
+        "--addr --clients --requests --model --mode --rows --depth --deadline-us --seed --skew \
+         --sample-interval-ms --no-retry-busy --idle-hold-ms --churn-every --shutdown",
+    ),
+    ("stats", cmd_stats, "--addr"),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
-        Some("keygen") => cmd_keygen(&args),
-        Some("train") => cmd_train(&args),
-        Some("inspect") => cmd_inspect(&args),
-        Some("eval") => cmd_eval(&args),
-        Some("attack") => cmd_attack(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("loadgen") => cmd_loadgen(&args),
-        Some("stats") => cmd_stats(&args),
-        Some("top") => cmd_top(&args),
         Some("help") | None => {
             print_usage();
             Ok(())
         }
-        Some(other) => Err(format!("unknown command `{other}` (try `hpnn help`)").into()),
+        Some(name) => match COMMANDS.iter().find(|(n, ..)| *n == name) {
+            Some((_, run, accepted)) => check_flags(&args, accepted).and_then(|()| run(&args)),
+            None => Err(format!("unknown command `{name}` (try `hpnn help`)").into()),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -70,11 +95,12 @@ fn print_usage() {
          commands:\n\
          \x20 keygen  [--seed N]                          generate a random 256-bit HPNN key\n\
          \x20 train   --key HEX --arch A --dataset D      key-dependent training, writes a .hpnn container\n\
-         \x20         [--scale S] [--epochs N] [--lr F] [--out FILE]\n\
+         \x20         [--scale S] [--epochs N] [--lr F] [--seed N] [--out FILE]\n\
          \x20 inspect --model FILE                        print a published container's metadata\n\
          \x20 eval    --model FILE --dataset D [--key HEX] evaluate with or without the key\n\
+         \x20         [--scale S]\n\
          \x20 attack  --model FILE --dataset D --alpha F  fine-tuning attack with a thief dataset\n\
-         \x20         [--init stolen|random] [--epochs N] [--lr F]\n\
+         \x20         [--init stolen|random] [--scale S] [--epochs N] [--lr F] [--seed N]\n\
          \x20 serve   --model FILE [--model FILE ...]     batched TCP inference server (SHUTDOWN frame stops it)\n\
          \x20         [--key HEX] [--addr HOST:PORT] [--max-batch N] [--queue-cap N]\n\
          \x20         [--max-wait-us N]                   hold a short batch back for co-riders (default 0:\n\
@@ -83,24 +109,18 @@ fn print_usage() {
          \x20         [--event-threads N]                 socket event-loop threads (0 = auto, default)\n\
          \x20         [--shards N]                        worker shards per model, fixed at start (default 1)\n\
          \x20         [--trace-out FILE]                  write a Chrome/Perfetto trace on shutdown\n\
-         \x20         [--metrics-addr HOST:PORT]          HTTP exposition: /metrics /healthz /readyz /series\n\
-         \x20         [--obs-tick-ms N] [--obs-history N] collector tick (default 1000) and ring depth (120)\n\
-         \x20         [--slo RULE]                        SLO watchdog rule, repeatable, e.g. \"p99_ms > 50 for 3\"\n\
-         \x20                                             (metrics: p50_ms p95_ms p99_ms queue_p99_ms error_rate\n\
-         \x20                                             busy_rate worker_panics keyless_share rps)\n\
-         \x20         [--flight-dir DIR]                  dump the trace rings there on SLO breach\n\
-         \x20         [--flight-max-dumps N]              breach-dump budget per run (default 4)\n\
+         \x20         [--metrics-addr HOST:PORT]          Prometheus scrape endpoint: /metrics /healthz /readyz\n\
          \x20 loadgen [--addr HOST:PORT] [--clients N]    closed-loop load generator against a running server\n\
          \x20         [--requests N] [--model ID] [--mode keyed|keyless] [--rows N] [--seed N] [--shutdown]\n\
          \x20         [--depth N]                         requests kept in flight per connection (default 1)\n\
+         \x20         [--deadline-us N]                   per-request deadline (default 0: none)\n\
+         \x20         [--no-retry-busy]                   count a BUSY reply as final instead of retrying\n\
          \x20         [--idle-hold-ms N]                  hold every connection idle for N ms before the run\n\
          \x20         [--churn-every N]                   reconnect each client after every N requests\n\
          \x20         [--skew F]                          send fraction F to --model, the rest to cold tenants\n\
          \x20         [--sample-interval-ms N]            server-side stats sampling bucket (default 1000, 0 off)\n\
          \x20 stats   [ADDR]                              one-shot STATS snapshot of a running server (default\n\
-         \x20                                             127.0.0.1:7433), printed as loadgen's stage tables\n\
-         \x20 top     [ADDR] [--once] [--interval-ms N]   live dashboard over a server's --metrics-addr listener\n\
-         \x20                                             (default 127.0.0.1:9434); --once prints a single frame\n\n\
+         \x20                                             127.0.0.1:7433), printed as loadgen's stage tables\n\n\
          datasets: fashion | cifar10 | svhn   architectures: cnn1 | cnn2 | cnn3 | resnet | mlp\n\
          scales:   tiny | small | medium      (HPNN_DATA_DIR selects real data files)"
     );
@@ -110,6 +130,20 @@ fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|p| args.get(p + 1).cloned())
+}
+
+/// Refuses the first `--flag` the subcommand does not take, before it
+/// opens any file or socket.
+fn check_flags(args: &[String], accepted: &str) -> CliResult {
+    match args[1..]
+        .iter()
+        .find(|a| a.starts_with("--") && !accepted.split_whitespace().any(|f| f == *a))
+    {
+        Some(bad) => {
+            Err(format!("`hpnn {}` does not take `{bad}` (try `hpnn help`)", args[0]).into())
+        }
+        None => Ok(()),
+    }
 }
 
 /// Every value of a repeatable flag, in order.
@@ -326,8 +360,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
         .map(|key| KeyVault::provision(key, "hpnn-serve"));
 
     // One builder carries every serve knob — batching, sharding, event
-    // loop, and observability — so cross-field mistakes fail here, before
-    // any socket is bound.
+    // loop, and the scrape address — so cross-field mistakes fail here,
+    // before any socket is bound.
     let mut builder = ServeConfig::builder();
     if let Some(v) = flag(args, "--max-batch") {
         builder = builder.max_batch(v.parse()?);
@@ -352,21 +386,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
     }
     if let Some(addr) = flag(args, "--metrics-addr") {
         builder = builder.metrics_addr(addr);
-    }
-    if let Some(v) = flag(args, "--obs-tick-ms") {
-        builder = builder.obs_tick(std::time::Duration::from_millis(v.parse()?));
-    }
-    if let Some(v) = flag(args, "--obs-history") {
-        builder = builder.obs_history(v.parse()?);
-    }
-    for rule in flag_all(args, "--slo") {
-        builder = builder.slo_rule(rule);
-    }
-    if let Some(dir) = flag(args, "--flight-dir") {
-        builder = builder.flight_dir(dir);
-    }
-    if let Some(v) = flag(args, "--flight-max-dumps") {
-        builder = builder.flight_max_dumps(v.parse()?);
     }
     let cfg = builder.build()?;
 
@@ -394,56 +413,15 @@ fn cmd_serve(args: &[String]) -> CliResult {
     } else {
         String::new()
     };
-    // The observer needs shared handles into the server (stats source and
-    // readiness), so the server lives behind an Arc from here on.
-    let obs_role = cfg.obs.clone();
-    let server = std::sync::Arc::new(Server::start(registry, cfg, addr.as_str())?);
+    let server = Server::start(registry, cfg, addr.as_str())?;
     println!(
         "listening on {}{shard_note} (send a SHUTDOWN frame to stop)",
         server.local_addr()
     );
-    let observer = if obs_role.enabled() {
-        let opts = hpnn::obs::ObsOptions::from_role(&obs_role)?;
-        let source = {
-            let s = std::sync::Arc::clone(&server);
-            std::sync::Arc::new(move || s.metrics())
-        };
-        let ready = {
-            let s = std::sync::Arc::clone(&server);
-            std::sync::Arc::new(move || s.is_serving())
-        };
-        let obs = hpnn::obs::Observer::start(opts, source, ready)?;
-        if let Some(maddr) = obs.metrics_addr() {
-            println!("metrics on {maddr} (GET /metrics /healthz /readyz /series)");
-        }
-        if !obs_role.slo_rules.is_empty() {
-            eprintln!(
-                "slo watchdog: {} rule(s), tick {} ms{}",
-                obs_role.slo_rules.len(),
-                obs_role.tick.as_millis(),
-                obs_role
-                    .flight_dir
-                    .as_deref()
-                    .map(|d| format!(", flight dumps to {d}"))
-                    .unwrap_or_default()
-            );
-        }
-        Some(obs)
-    } else {
-        None
-    };
-    server.join();
-    if let Some(mut obs) = observer {
-        let state = std::sync::Arc::clone(obs.state());
-        obs.shutdown();
-        if state.breaches_total() > 0 {
-            eprintln!(
-                "slo: {} breach(es), {} flight dump(s) written",
-                state.breaches_total(),
-                state.dumps_written()
-            );
-        }
+    if let Some(maddr) = server.metrics_addr() {
+        println!("metrics on {maddr} (GET /metrics /healthz /readyz)");
     }
+    server.join();
     let stats = server.metrics();
     eprintln!(
         "served {} requests ({} rows) in {} batches; {} busy, {} expired, {} protocol errors",
@@ -614,17 +592,14 @@ fn print_server_stats(stats: &hpnn::serve::StatsSnapshot) {
     }
 }
 
-/// Optional positional address: `hpnn stats 127.0.0.1:7433`. Anything
-/// starting with `--` is a flag, not an address.
-fn positional_addr(args: &[String], default: &str) -> String {
-    args.get(1)
+fn cmd_stats(args: &[String]) -> CliResult {
+    // Optional positional address: `hpnn stats 127.0.0.1:7433`. Anything
+    // starting with `--` is a flag, not an address.
+    let addr = args
+        .get(1)
         .filter(|a| !a.starts_with("--"))
         .cloned()
-        .unwrap_or_else(|| flag(args, "--addr").unwrap_or_else(|| default.to_string()))
-}
-
-fn cmd_stats(args: &[String]) -> CliResult {
-    let addr = positional_addr(args, "127.0.0.1:7433");
+        .unwrap_or_else(|| flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7433".to_string()));
     let mut client = hpnn::serve::Session::connect(addr.as_str()).map_err(|e| e.to_string())?;
     let stats = client.stats().map_err(|e| e.to_string())?;
     let uptime = stats.uptime_ns as f64 / 1e9;
@@ -659,18 +634,4 @@ fn cmd_stats(args: &[String]) -> CliResult {
     }
     print_server_stats(&stats);
     Ok(())
-}
-
-fn cmd_top(args: &[String]) -> CliResult {
-    let cfg = hpnn::obs::top::TopConfig {
-        addr: positional_addr(args, "127.0.0.1:9434"),
-        once: switch(args, "--once"),
-        interval: std::time::Duration::from_millis(
-            flag(args, "--interval-ms")
-                .map(|v| v.parse())
-                .transpose()?
-                .unwrap_or(2000),
-        ),
-    };
-    hpnn::obs::top::run(&cfg).map_err(|e| e.into())
 }
