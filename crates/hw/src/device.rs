@@ -657,12 +657,7 @@ fn apply_activation(x: &mut [f32], kind: ActKind) {
 fn pool_planes(x: &[f32], geom: &PoolGeom, out: &mut Vec<f32>) {
     let (in_plane, out_plane) = (geom.in_h * geom.in_w, geom.out_h * geom.out_w);
     out.resize(x.len() / in_plane * out_plane, 0.0);
-    for (plane, vals) in x
-        .chunks_exact(in_plane)
-        .zip(out.chunks_exact_mut(out_plane))
-    {
-        maxpool_plane_into(plane, geom, vals, None);
-    }
+    maxpool_plane_into(x, geom, out, None);
 }
 
 /// [`hpnn_tensor::im2col`] on a quantized sample: unrolls `[C x H x W]` into

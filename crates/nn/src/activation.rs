@@ -185,13 +185,18 @@ impl Layer for Activation {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let dmask = self
+        // The mask is consumed: its buffer becomes the returned gradient.
+        let mut grad_in = self
             .cached_dmask
-            .as_ref()
+            .take()
             .expect("activation backward without training forward");
-        let mut out = grad_out.clone();
-        simd::mul_assign(out.data_mut(), dmask.data());
-        out
+        assert_eq!(
+            grad_in.shape(),
+            grad_out.shape(),
+            "activation backward shape mismatch"
+        );
+        simd::mul_assign(grad_in.data_mut(), grad_out.data());
+        grad_in
     }
 
     fn out_features(&self, in_features: usize) -> usize {
@@ -354,6 +359,23 @@ mod tests {
         assert_eq!(y.data(), &want[..]);
         let dx = act.backward(&row(&[1.0; 4]));
         assert_eq!(dx.data(), &[0.0, -1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "without training forward")]
+    fn backward_without_forward_panics() {
+        let mut act = Activation::new(ActKind::Relu, 2);
+        let _ = act.backward(&row(&[1.0, 1.0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "without training forward")]
+    fn second_backward_finds_no_stale_mask() {
+        // The mask belongs to one forward: backward consumes it.
+        let mut act = Activation::new(ActKind::Relu, 2);
+        act.forward(&row(&[1.0, -1.0]), true);
+        let _ = act.backward(&row(&[1.0, 1.0]));
+        let _ = act.backward(&row(&[1.0, 1.0]));
     }
 
     #[test]

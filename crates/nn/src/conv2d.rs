@@ -1,12 +1,12 @@
 //! 2-D convolution layer (batched im2col + one GEMM per layer).
 
 use hpnn_tensor::{
-    col2im_batch_into, conv2d_forward_batch_into, im2col_batch_into, matmul_at_b_into, matmul_into,
-    simd, Conv2dGeom, Rng, Shape, Tensor,
+    conv2d_forward_batch_into, conv2d_input_grad_batch_into, conv2d_weight_grad_batch_into,
+    im2col_batch_into, simd, Conv2dGeom, Rng, Shape, Tensor,
 };
 
 use crate::layer::Layer;
-use crate::par::{for_sample_chunks, map_reduce_chunks};
+use crate::par::map_reduce_chunks;
 use crate::param::Param;
 
 /// A 2-D convolution over `[batch x (C·H·W)]` activations.
@@ -14,15 +14,19 @@ use crate::param::Param;
 /// The layer knows its spatial geometry; activations stay rank-2 between
 /// layers (one flattened sample per row). Internally the whole batch is
 /// lowered at once into a patch-major column matrix `[B·OH·OW x C·K·K]`
-/// ([`hpnn_tensor::im2col_batch_into`]) and convolved as a **single GEMM per
-/// layer call** — forward output, `dW`, and `dcols` are each one large
-/// matrix product instead of `batch` tiny ones. Each call allocates the
+/// ([`hpnn_tensor::im2col_batch_into`]) and convolved by one fused kernel
+/// call over the whole batch. Backward reads the channel-major `grad_out`
+/// where it lies: `dW` sums each sample's `G_i·cols_i` in sample order
+/// ([`hpnn_tensor::conv2d_weight_grad_batch_into`]), and the input
+/// gradient — skipped by [`Layer::backward_params`] — computes each
+/// sample's column gradient `Wᵀ·G_i` and folds it onto the image
+/// ([`hpnn_tensor::conv2d_input_grad_batch_into`]). Each call allocates the
 /// temporaries it uses and frees them on return; only the column matrix of
 /// a training forward outlives the call, until backward consumes it.
 ///
-/// Because the GEMM kernels accumulate with a fixed per-element reduction
-/// order, a batch-`N` call is bit-identical to `N` batch-1 calls, and the
-/// pooled path is bit-identical to the serial one.
+/// Because every kernel accumulates with a fixed per-element order, a
+/// batch-`N` call is bit-identical to `N` batch-1 calls, and the pooled
+/// path is bit-identical to the serial one.
 ///
 /// # Examples
 ///
@@ -113,62 +117,56 @@ impl Conv2d {
             self.geom.in_volume()
         );
         let l = self.geom.col_cols();
-        let out_c = self.geom.out_c;
         let out_vol = self.geom.out_volume();
 
         // Lower the whole batch at once: patch-major [batch·L x C·K·K].
         let mut cols = Tensor::zeros([batch * l, self.geom.col_rows()]);
         im2col_batch_into(input, &self.geom, cols.data_mut());
 
-        // One fused GEMM+scatter for the whole batch: the weight is
-        // transposed once per call (out_c·cr floats) so the kernel runs
-        // through axpy, which vectorizes over out_c even when the patch
-        // dimension is tiny (1-channel 3×3 gives cr = 9, far too short for
-        // a dot-product formulation). The fused kernel writes the
-        // channel-major rows [batch x (out_c·L)] directly, bias included,
-        // without materialising the intermediate [batch·L x out_c] product.
-        let cr = self.geom.col_rows();
-        let mut w_t = Tensor::zeros([cr, out_c]);
-        {
-            let wd = self.weight.value.data();
-            let wt = w_t.data_mut();
-            for (f, w_row) in wd.chunks_exact(cr).enumerate() {
-                for (r, &w) in w_row.iter().enumerate() {
-                    wt[r * out_c + f] = w;
-                }
-            }
-        }
+        // One fused GEMM+scatter for the whole batch, through the
+        // transposed weight so the kernel runs through axpy, which
+        // vectorizes over out_c even when the patch dimension is tiny
+        // (1-channel 3×3 gives cr = 9, far too short for a dot-product
+        // formulation). The fused kernel writes the channel-major rows
+        // [batch x (out_c·L)] directly, bias included, without
+        // materialising the intermediate [batch·L x out_c] product.
         let mut out = vec![0.0; batch * out_vol];
-        conv2d_forward_batch_into(&cols, &w_t, self.bias.value.data(), &self.geom, &mut out);
+        conv2d_forward_batch_into(
+            &cols,
+            &self.weight_t(),
+            self.bias.value.data(),
+            &self.geom,
+            &mut out,
+        );
         let out = Tensor::from_vec(Shape::d2(batch, out_vol), out).expect("conv output volume");
         (out, cols)
     }
-}
 
-impl Layer for Conv2d {
-    fn name(&self) -> &'static str {
-        "conv2d"
+    /// The filter bank transposed to `[C·K·K x out_c]` (out_c·cr floats,
+    /// built per call).
+    fn weight_t(&self) -> Tensor {
+        let (cr, out_c) = (self.geom.col_rows(), self.geom.out_c);
+        let mut w_t = Tensor::zeros([cr, out_c]);
+        let wt = w_t.data_mut();
+        for (f, w_row) in self.weight.value.data().chunks_exact(cr).enumerate() {
+            for (r, &w) in w_row.iter().enumerate() {
+                wt[r * out_c + f] = w;
+            }
+        }
+        w_t
     }
 
-    fn infer(&self, input: &Tensor, _lock: Option<&[f32]>) -> Tensor {
-        self.convolve(input).0
-    }
-
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let (out, cols) = self.convolve(input);
-        self.cached_cols = train.then_some(cols);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut cols = self
+    /// The one body behind [`Layer::backward`] and
+    /// [`Layer::backward_params`]: accumulates `db` and `dW`, and with
+    /// `input_grad` also returns the input gradient.
+    fn backprop(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let cols = self
             .cached_cols
             .take()
             .expect("conv backward without training forward");
         let l = self.geom.col_cols();
         let out_c = self.geom.out_c;
         let out_vol = self.geom.out_volume();
-        let in_vol = self.geom.in_volume();
         let batch = cols.shape().rows() / l;
         assert_eq!(
             grad_out.shape().rows(),
@@ -176,21 +174,6 @@ impl Layer for Conv2d {
             "conv backward batch mismatch"
         );
         assert_eq!(grad_out.shape().cols(), out_vol, "conv grad volume");
-
-        // G': transpose-scatter each borrowed grad row [out_c·L] into the
-        // patch-major layout [batch·L x out_c] (no per-row copies).
-        let mut g = Tensor::zeros([batch * l, out_c]);
-        for_sample_chunks(batch, l * out_c, g.data_mut(), l * out_c, |range, chunk| {
-            for i in range.0..range.1 {
-                let src = grad_out.row(i);
-                let dst = &mut chunk[(i - range.0) * l * out_c..(i - range.0 + 1) * l * out_c];
-                for (f, srow) in src.chunks_exact(l).enumerate() {
-                    for (j, &v) in srow.iter().enumerate() {
-                        dst[j * out_c + f] = v;
-                    }
-                }
-            }
-        });
 
         // db: per-sample subtotals computed in parallel, merged in sample
         // order — the same additions a sequence of batch-1 calls performs.
@@ -218,20 +201,44 @@ impl Layer for Conv2d {
             },
         );
 
-        // dW += G'ᵀ · cols: one GEMM accumulating straight into the weight
-        // gradient (ascending-sample reduction order, so batched == stacked
-        // per-sample GEMMs bit for bit).
-        matmul_at_b_into(&g, &cols, self.weight.grad.data_mut());
+        // dW += Σ_i G_i·cols_i, read straight from the channel-major
+        // grad_out, samples in ascending order (so batched == stacked
+        // per-sample calls bit for bit).
+        conv2d_weight_grad_batch_into(grad_out, &cols, &self.geom, self.weight.grad.data_mut());
+        drop(cols);
 
-        // dcolsᵀ = G' · W, reusing the cols buffer in place now that the dW
-        // GEMM has consumed it (the kernel accumulates, so zero it first).
-        cols.data_mut().fill(0.0);
-        matmul_into(&g, &self.weight.value, cols.data_mut());
+        // dx: each sample's column gradient Wᵀ·G_i folded onto its image.
+        input_grad.then(|| {
+            let mut grad_in = vec![0.0; batch * self.geom.in_volume()];
+            conv2d_input_grad_batch_into(grad_out, &self.weight_t(), &self.geom, &mut grad_in);
+            Tensor::from_vec(Shape::d2(batch, self.geom.in_volume()), grad_in)
+                .expect("conv grad_in volume")
+        })
+    }
+}
 
-        // dx: fold the column gradients back onto the input grid.
-        let mut grad_in = vec![0.0; batch * in_vol];
-        col2im_batch_into(&cols, &self.geom, &mut grad_in);
-        Tensor::from_vec(Shape::d2(batch, in_vol), grad_in).expect("conv grad_in volume")
+impl Layer for Conv2d {
+    fn name(&self) -> &'static str {
+        "conv2d"
+    }
+
+    fn infer(&self, input: &Tensor, _lock: Option<&[f32]>) -> Tensor {
+        self.convolve(input).0
+    }
+
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let (out, cols) = self.convolve(input);
+        self.cached_cols = train.then_some(cols);
+        out
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backprop(grad_out, true)
+            .expect("input gradient requested")
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backprop(grad_out, false);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -437,5 +444,13 @@ mod tests {
         let mut rng = Rng::new(5);
         let mut conv = Conv2d::new(small_geom(), &mut rng);
         let _ = conv.backward(&Tensor::ones([1, 32]));
+    }
+
+    #[test]
+    #[should_panic(expected = "without training forward")]
+    fn backward_params_without_forward_panics() {
+        let mut rng = Rng::new(5);
+        let mut conv = Conv2d::new(small_geom(), &mut rng);
+        conv.backward_params(&Tensor::ones([1, 32]));
     }
 }

@@ -92,6 +92,29 @@ impl Dense {
     pub fn bias(&self) -> &Param {
         &self.bias
     }
+
+    /// The one body behind [`Layer::backward`] and
+    /// [`Layer::backward_params`]: accumulates `dW` and `db`, and with
+    /// `input_grad` also returns the input gradient.
+    fn backprop(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let input = self
+            .cached_input
+            .take()
+            .expect("dense backward without training forward");
+        // dW += xᵀ · g, accumulated straight into the parameter gradient
+        // (the kernel adds, so no intermediate dW tensor is needed).
+        matmul_at_b_into(&input, grad_out, self.weight.grad.data_mut());
+        // db += column sums of g (vectorized accumulate; a += b performs
+        // the same additions as the old a += 1.0·b).
+        simd::add_assign(self.bias.grad.data_mut(), grad_out.sum_rows().data());
+        // dx = g · Wᵀ.
+        input_grad.then(|| {
+            let batch = grad_out.shape().rows();
+            let mut dx = vec![0.0; batch * self.in_features];
+            matmul_a_bt_into(grad_out, &self.weight.value, &mut dx);
+            Tensor::from_vec(Shape::d2(batch, self.in_features), dx).expect("dense grad_in volume")
+        })
+    }
 }
 
 impl Layer for Dense {
@@ -123,21 +146,12 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("dense backward without training forward");
-        // dW += xᵀ · g, accumulated straight into the parameter gradient
-        // (the kernel adds, so no intermediate dW tensor is needed).
-        matmul_at_b_into(&input, grad_out, self.weight.grad.data_mut());
-        // db += column sums of g (vectorized accumulate; a += b performs
-        // the same additions as the old a += 1.0·b).
-        simd::add_assign(self.bias.grad.data_mut(), grad_out.sum_rows().data());
-        // dx = g · Wᵀ.
-        let batch = grad_out.shape().rows();
-        let mut dx = vec![0.0; batch * self.in_features];
-        matmul_a_bt_into(grad_out, &self.weight.value, &mut dx);
-        Tensor::from_vec(Shape::d2(batch, self.in_features), dx).expect("dense grad_in volume")
+        self.backprop(grad_out, true)
+            .expect("input gradient requested")
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backprop(grad_out, false);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -231,6 +245,14 @@ mod tests {
         let mut rng = Rng::new(6);
         let mut fc = Dense::new(2, 2, &mut rng);
         let _ = fc.backward(&Tensor::ones([1, 2]));
+    }
+
+    #[test]
+    #[should_panic(expected = "without training forward")]
+    fn backward_params_without_forward_panics() {
+        let mut rng = Rng::new(6);
+        let mut fc = Dense::new(2, 2, &mut rng);
+        fc.backward_params(&Tensor::ones([1, 2]));
     }
 
     #[test]

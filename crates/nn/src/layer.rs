@@ -54,6 +54,19 @@ pub trait Layer: Send + Sync {
     /// `forward`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// [`backward`](Layer::backward) without the input gradient: accumulates
+    /// the same parameter gradients, bit for bit, and skips the work only
+    /// the returned tensor needs. A network's first layer runs this, since
+    /// nothing reads the gradient with respect to the network input. The
+    /// default runs `backward` and drops the result.
+    ///
+    /// # Panics
+    ///
+    /// As [`backward`](Layer::backward).
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Visits every learnable parameter (weights first, then biases, in a
     /// stable order). The default is a no-op for parameterless layers.
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}

@@ -169,14 +169,19 @@ impl Network {
         lockable
     }
 
-    /// Backpropagates a loss gradient, accumulating parameter gradients, and
-    /// returns the gradient with respect to the network input.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut layers = self.layers.iter_mut().rev();
-        let Some(last) = layers.next() else {
-            return grad_out.clone();
+    /// Backpropagates a loss gradient, accumulating every layer's parameter
+    /// gradients. The first layer runs [`Layer::backward_params`]: the
+    /// gradient with respect to the network input is never computed,
+    /// because the delta rule does not read it.
+    pub fn backward(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
         };
-        layers.fold(last.backward(grad_out), |g, layer| layer.backward(&g))
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_out)));
+        }
+        first.backward_params(g.as_ref().unwrap_or(grad_out));
     }
 
     /// Visits every parameter in a stable (layer, weight-then-bias) order.
@@ -360,8 +365,55 @@ mod tests {
         let x = Tensor::randn([4, 3], 1.0, &mut rng);
         let y = net.forward(&x, true);
         assert_eq!(y.shape().dims(), &[4, 2]);
-        let dx = net.backward(&Tensor::ones([4, 2]));
-        assert_eq!(dx.shape().dims(), &[4, 3]);
+        net.backward(&Tensor::ones([4, 2]));
+    }
+
+    #[test]
+    fn backward_keeps_every_parameter_gradient() {
+        // Network::backward skips the first layer's input gradient; every
+        // parameter gradient must still be the bits of chaining
+        // Layer::backward through all layers, on a locked CNN1 (conv
+        // first) and a locked MLP (dense first), at every SIMD level.
+        use crate::arch::{cnn1, mlp, ImageDims};
+        use crate::loss::softmax_cross_entropy;
+        use hpnn_tensor::simd::{self, SimdLevel};
+        let specs = [
+            cnn1(ImageDims::new(1, 12, 12), 10, 1.0).unwrap(),
+            mlp(20, &[16, 12], 10),
+        ];
+        for spec in specs {
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                if level > simd::probe() {
+                    continue;
+                }
+                let _g = simd::force(level);
+                let mut grads: Vec<Vec<Vec<f32>>> = Vec::new();
+                for whole in [true, false] {
+                    let mut rng = Rng::new(21);
+                    let mut net = spec.build(&mut rng).unwrap();
+                    let lock: Vec<f32> = (0..net.lockable_neurons())
+                        .map(|j| if j % 3 == 1 { -1.0 } else { 1.0 })
+                        .collect();
+                    net.install_lock_factors(&lock);
+                    let x = Tensor::randn([6, net.in_features()], 1.0, &mut rng);
+                    let labels: Vec<usize> = (0..6).map(|i| i * 7 % 10).collect();
+                    let logits = net.forward(&x, true);
+                    let g = softmax_cross_entropy(&logits, &labels).grad;
+                    if whole {
+                        net.backward(&g);
+                    } else {
+                        let mut g = g;
+                        for i in (0..net.len()).rev() {
+                            g = net.layer_mut(i).backward(&g);
+                        }
+                    }
+                    let mut these = Vec::new();
+                    net.visit_params(&mut |p| these.push(p.grad.data().to_vec()));
+                    grads.push(these);
+                }
+                assert_eq!(grads[0], grads[1], "{spec:?} at {level:?}");
+            }
+        }
     }
 
     #[test]

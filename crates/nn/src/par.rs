@@ -9,23 +9,6 @@
 
 use hpnn_tensor::pool;
 
-/// Runs `kernel(sample_range, out_chunk)` over `batch` samples, where `out`
-/// is a buffer of `batch * sample_len` floats split into disjoint per-range
-/// chunks. `flops_per_sample` feeds the pool's cost model. `kernel` must be
-/// `Sync`; each invocation writes only its own chunk, so the output is
-/// bit-identical to a single-threaded run.
-pub(crate) fn for_sample_chunks<F>(
-    batch: usize,
-    sample_len: usize,
-    out: &mut [f32],
-    flops_per_sample: usize,
-    kernel: F,
-) where
-    F: Fn((usize, usize), &mut [f32]) + Sync,
-{
-    pool::for_chunks_mut(batch, sample_len, flops_per_sample, out, kernel);
-}
-
 /// Runs `kernel(sample_range) -> R` over chunks of the batch and reduces the
 /// per-chunk results with `merge` in chunk index order. Used for
 /// parameter-gradient accumulation where each worker keeps a private
@@ -42,50 +25,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpnn_tensor::pool::serial_scope;
 
     /// Cost high enough to force a multi-chunk grid for any realistic batch.
     const BIG_COST: usize = 1 << 16;
-
-    #[test]
-    fn for_sample_chunks_writes_all() {
-        let batch = 13;
-        let sample_len = 3;
-        let mut out = vec![0.0f32; batch * sample_len];
-        for_sample_chunks(batch, sample_len, &mut out, BIG_COST, |range, chunk| {
-            for i in range.0..range.1 {
-                for j in 0..sample_len {
-                    chunk[(i - range.0) * sample_len + j] = (i * sample_len + j) as f32;
-                }
-            }
-        });
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i as f32);
-        }
-    }
-
-    #[test]
-    fn for_sample_chunks_bit_identical_to_serial() {
-        // The batch-parallel path must produce the same bits as the forced
-        // single-threaded path: fixed chunk boundaries, disjoint writes.
-        let batch = 97;
-        let sample_len = 5;
-        let fill = |out: &mut [f32]| {
-            for_sample_chunks(batch, sample_len, out, BIG_COST, |range, chunk| {
-                for i in range.0..range.1 {
-                    for j in 0..sample_len {
-                        // Value depends on the global sample index only.
-                        chunk[(i - range.0) * sample_len + j] = ((i * 31 + j * 7) as f32).sin();
-                    }
-                }
-            });
-        };
-        let mut pooled = vec![0.0f32; batch * sample_len];
-        fill(&mut pooled);
-        let mut serial = vec![0.0f32; batch * sample_len];
-        serial_scope(|| fill(&mut serial));
-        assert_eq!(pooled, serial);
-    }
 
     #[test]
     fn small_work_stays_single_chunk() {

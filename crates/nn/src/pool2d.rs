@@ -23,9 +23,8 @@ use crate::layer::Layer;
 pub struct MaxPool2d {
     channels: usize,
     geom: PoolGeom,
-    /// Winning input index per (sample, channel, output cell).
+    /// Winning within-plane input index per (sample, channel, output cell).
     cached_argmax: Option<Vec<u32>>,
-    cached_batch: usize,
 }
 
 impl MaxPool2d {
@@ -35,7 +34,6 @@ impl MaxPool2d {
             channels,
             geom,
             cached_argmax: None,
-            cached_batch: 0,
         }
     }
 
@@ -57,16 +55,14 @@ impl MaxPool2d {
         self.geom.out_h * self.geom.out_w
     }
 
-    /// Pools every channel plane of every sample — the one body behind
-    /// both [`Layer::infer`] and [`Layer::forward`]. With `argmax`
-    /// (`batch · out_volume` long) it also records each winner's input
-    /// index for backward.
-    fn pool(&self, input: &Tensor, mut argmax: Option<&mut [u32]>) -> Tensor {
+    /// Pools every channel plane of every sample in one kernel call — the
+    /// one body behind both [`Layer::infer`] and [`Layer::forward`]. With
+    /// `argmax` (`batch · out_volume` long) it also records each winner's
+    /// within-plane index for backward.
+    fn pool(&self, input: &Tensor, argmax: Option<&mut [u32]>) -> Tensor {
         let batch = input.shape().rows();
-        let in_plane = self.in_plane();
-        let out_plane = self.out_plane();
-        let in_vol = self.channels * in_plane;
-        let out_vol = self.channels * out_plane;
+        let in_vol = self.channels * self.in_plane();
+        let out_vol = self.channels * self.out_plane();
         assert_eq!(
             input.shape().cols(),
             in_vol,
@@ -74,19 +70,7 @@ impl MaxPool2d {
             input.shape().cols()
         );
         let mut out = vec![0.0; batch * out_vol];
-        for i in 0..batch {
-            let sample = input.row(i);
-            for c in 0..self.channels {
-                let plane = &sample[c * in_plane..(c + 1) * in_plane];
-                let o = (i * self.channels + c) * out_plane;
-                maxpool_plane_into(
-                    plane,
-                    &self.geom,
-                    &mut out[o..o + out_plane],
-                    argmax.as_deref_mut().map(|a| &mut a[o..o + out_plane]),
-                );
-            }
-        }
+        maxpool_plane_into(input.data(), &self.geom, &mut out, argmax);
         Tensor::from_vec(Shape::d2(batch, out_vol), out).expect("pool output volume")
     }
 }
@@ -101,12 +85,11 @@ impl Layer for MaxPool2d {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        self.cached_batch = input.shape().rows();
         if !train {
             self.cached_argmax = None;
             return self.infer(input, None);
         }
-        let mut argmax = vec![0; self.cached_batch * self.channels * self.out_plane()];
+        let mut argmax = vec![0; input.shape().rows() * self.channels * self.out_plane()];
         let out = self.pool(input, Some(&mut argmax));
         self.cached_argmax = Some(argmax);
         out
@@ -117,26 +100,16 @@ impl Layer for MaxPool2d {
             .cached_argmax
             .take()
             .expect("pool backward without training forward");
-        let batch = self.cached_batch;
+        let out_vol = self.channels * self.out_plane();
+        let batch = argmax.len() / out_vol;
         assert_eq!(
-            grad_out.shape().rows(),
-            batch,
+            grad_out.shape().dims(),
+            &[batch, out_vol],
             "pool backward batch mismatch"
         );
         let in_vol = self.channels * self.in_plane();
-        let out_plane = self.out_plane();
         let mut grad_in = vec![0.0; batch * in_vol];
-        for i in 0..batch {
-            let g_sample = grad_out.row(i);
-            for c in 0..self.channels {
-                let g_plane = &g_sample[c * out_plane..(c + 1) * out_plane];
-                let a_plane = &argmax
-                    [(i * self.channels + c) * out_plane..(i * self.channels + c + 1) * out_plane];
-                let dst = &mut grad_in
-                    [i * in_vol + c * self.in_plane()..i * in_vol + (c + 1) * self.in_plane()];
-                maxpool_plane_backward(g_plane, a_plane, &self.geom, dst);
-            }
-        }
+        maxpool_plane_backward(grad_out.data(), &argmax, &self.geom, &mut grad_in);
         Tensor::from_vec(Shape::d2(batch, in_vol), grad_in).expect("pool grad_in volume")
     }
 
@@ -189,6 +162,34 @@ mod tests {
         let yboth = pool.forward(&Tensor::from_vec([2usize, 16], both).unwrap(), false);
         assert_eq!(yboth.row(0), ya.row(0));
         assert_eq!(yboth.row(1), yb.row(0));
+    }
+
+    #[test]
+    fn batch_walk_equals_per_plane_reference_bitwise() {
+        // One kernel call over the batch, forward and backward, against a
+        // call per (sample, channel) plane. ReLU-like input: many zero ties.
+        let (batch, channels) = (4, 3);
+        let geom = PoolGeom::new(6, 6, 2, 2).unwrap();
+        let mut pool = MaxPool2d::new(channels, geom);
+        let mut rng = Rng::new(2);
+        let x = Tensor::randn([batch, channels * 36], 1.0, &mut rng).map(|v| v.max(0.0));
+        let g = Tensor::randn([batch, channels * 9], 1.0, &mut rng);
+        let y = pool.forward(&x, true);
+        let dx = pool.backward(&g);
+        let (mut want_y, mut want_dx) = (vec![0.0f32; batch * channels * 9], vec![0.0f32; x.len()]);
+        for p in 0..batch * channels {
+            let (plane, cells) = (p * 36..(p + 1) * 36, p * 9..(p + 1) * 9);
+            let mut idx = [0u32; 9];
+            maxpool_plane_into(
+                &x.data()[plane.clone()],
+                &geom,
+                &mut want_y[cells.clone()],
+                Some(&mut idx),
+            );
+            maxpool_plane_backward(&g.data()[cells], &idx, &geom, &mut want_dx[plane]);
+        }
+        assert_eq!(y.data(), want_y);
+        assert_eq!(dx.data(), want_dx);
     }
 
     #[test]

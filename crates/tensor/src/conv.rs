@@ -4,9 +4,11 @@
 //! is unrolled into a column matrix ([`im2col`] for one sample,
 //! [`im2col_batch`] for a whole batch); the filter bank `[F x C*KH*KW]`
 //! then produces the output feature map with one GEMM. The adjoint
-//! ([`col2im`] / [`col2im_batch`]) scatters column gradients back into
-//! image layout, which is exactly the input-gradient computation of the
-//! convolution.
+//! ([`col2im`] / [`col2im_batch`]) folds column gradients back into image
+//! layout, which is exactly the input-gradient computation of the
+//! convolution. Training runs the two gradients as batched kernels that
+//! read the channel-major output gradient where it lies:
+//! [`conv2d_weight_grad_batch_into`] and [`conv2d_input_grad_batch_into`].
 //!
 //! # Batched layout
 //!
@@ -24,6 +26,7 @@
 //! kernels without copying.
 
 use crate::error::TensorError;
+use crate::matmul::{gemm_rows, matmul_parts_into};
 use crate::pool::for_chunks_mut;
 use crate::shape::Shape;
 use crate::simd::{self, SimdOp};
@@ -175,8 +178,9 @@ pub fn im2col(sample: &[f32], geom: &Conv2dGeom) -> Tensor {
         .expect("im2col output volume")
 }
 
-/// Adjoint of [`im2col`]: scatters a column-matrix gradient back into a
-/// sample-shaped buffer (accumulating where patches overlap).
+/// Adjoint of [`im2col`]: folds a column-matrix gradient back into a
+/// sample-shaped buffer (accumulating where patches overlap, in the order
+/// [`col2im_batch_into`] documents, so the two agree bit for bit).
 ///
 /// # Panics
 ///
@@ -184,36 +188,100 @@ pub fn im2col(sample: &[f32], geom: &Conv2dGeom) -> Tensor {
 pub fn col2im(cols: &Tensor, geom: &Conv2dGeom) -> Vec<f32> {
     assert_eq!(cols.shape().rows(), geom.col_rows(), "col2im row mismatch");
     assert_eq!(cols.shape().cols(), geom.col_cols(), "col2im col mismatch");
-    let k = geom.kernel;
-    let (h, w) = (geom.in_h, geom.in_w);
-    let (oh, ow) = (geom.out_h, geom.out_w);
-    let ncols = geom.col_cols();
-    let data = cols.data();
+    let mut taps = cols.data().to_vec();
     let mut out = vec![0.0f32; geom.in_volume()];
-    for c in 0..geom.in_c {
-        let plane = &mut out[c * h * w..(c + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let row_idx = (c * k + ky) * k + kx;
-                let col_row = &data[row_idx * ncols..(row_idx + 1) * ncols];
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
+    let kkl = geom.kernel * geom.kernel * geom.col_cols();
+    for (taps, plane) in taps
+        .chunks_exact_mut(kkl)
+        .zip(out.chunks_exact_mut(geom.in_h * geom.in_w))
+    {
+        fold_taps(taps, geom, plane);
+    }
+    out
+}
+
+/// Folds one channel's column gradient in the classical channel-major
+/// layout (`taps`: `[K·K × OH·OW]`, row `ky·K + kx` holding tap `(ky, kx)`
+/// for every patch) onto its input plane (`[H × W]`), overwriting it.
+/// `taps` is scratch: the entries that fall on padding are zeroed.
+///
+/// Every input element starts from `0.0` and adds its contributions in
+/// patch-raster order — ascending `(oy, ox)`, which for one element is
+/// descending `(ky, kx)`. Walking the taps from last to first and adding
+/// each tap's row whole keeps that order while every add runs along
+/// contiguous memory, with no bounds test inside the run.
+fn fold_taps(taps: &mut [f32], geom: &Conv2dGeom, plane: &mut [f32]) {
+    simd::dispatch(FoldTaps { taps, geom, plane });
+}
+
+/// [`SimdOp`] wrapper for [`fold_taps`].
+struct FoldTaps<'a> {
+    taps: &'a mut [f32],
+    geom: &'a Conv2dGeom,
+    plane: &'a mut [f32],
+}
+
+impl SimdOp for FoldTaps<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn eval(self) {
+        let FoldTaps { taps, geom, plane } = self;
+        let (k, stride, pad) = (geom.kernel, geom.stride, geom.pad);
+        let (h, w) = (geom.in_h, geom.in_w);
+        let (oh, ow) = (geom.out_h, geom.out_w);
+        let l = oh * ow;
+        assert_eq!(taps.len(), k * k * l, "col2im taps volume");
+        assert_eq!(plane.len(), h * w, "col2im plane volume");
+        plane.fill(0.0);
+        for ky in (0..k).rev() {
+            // Output rows whose tap row `oy·stride + ky − pad` is inside.
+            let oy_lo = pad.saturating_sub(ky).div_ceil(stride).min(oh);
+            let oy_hi = (h + pad)
+                .saturating_sub(ky)
+                .div_ceil(stride)
+                .clamp(oy_lo, oh);
+            for kx in (0..k).rev() {
+                let row = &mut taps[(ky * k + kx) * l..][..l];
+                let ox_lo = pad.saturating_sub(kx).div_ceil(stride).min(ow);
+                let ox_hi = (w + pad)
+                    .saturating_sub(kx)
+                    .div_ceil(stride)
+                    .clamp(ox_lo, ow);
+                if ox_lo == ox_hi || oy_lo == oy_hi {
+                    continue;
+                }
+                let ix_lo = ox_lo * stride + kx - pad;
+                if stride == 1 && ow == w {
+                    // Image rows and patch rows share one pitch, so the
+                    // tap's row lands on the plane shifted by a constant
+                    // and folds in one run. The patches whose tap falls on
+                    // padding would wrap round a row end: they add +0.0
+                    // instead, which leaves every sum unchanged (a sum that
+                    // starts from +0.0 is never -0.0).
+                    for patches in row.chunks_exact_mut(ow) {
+                        patches[..ox_lo].fill(0.0);
+                        patches[ox_hi..].fill(0.0);
                     }
-                    let iy = iy as usize;
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        plane[iy * w + ix as usize] += col_row[oy * ow + ox];
+                    let (j0, j1) = (oy_lo * ow + ox_lo, (oy_hi - 1) * ow + ox_hi);
+                    let iy_lo = oy_lo + ky - pad;
+                    let dst = &mut plane[iy_lo * w + ix_lo..][..j1 - j0];
+                    for (d, &v) in dst.iter_mut().zip(&row[j0..j1]) {
+                        *d += v;
+                    }
+                    continue;
+                }
+                for oy in oy_lo..oy_hi {
+                    let iy = oy * stride + ky - pad;
+                    let src = &row[oy * ow + ox_lo..oy * ow + ox_hi];
+                    let dst = plane[iy * w + ix_lo..(iy + 1) * w].iter_mut();
+                    for (d, &v) in dst.step_by(stride).zip(src) {
+                        *d += v;
                     }
                 }
             }
         }
     }
-    out
 }
 
 /// Fills sample `i`'s patch-major block (`[OH*OW x C*K*K]`, row-major) of a
@@ -562,12 +630,16 @@ fn fused_sample_block_dyn(
     }
 }
 
-/// Adjoint of [`im2col_batch`]: scatters a patch-major column-gradient
-/// matrix `[B*OH*OW x C*K*K]` back into batch image layout `[B x C*H*W]`,
+/// Adjoint of [`im2col_batch`]: folds a patch-major column-gradient matrix
+/// `[B*OH*OW x C*K*K]` back into batch image layout `[B x C*H*W]`,
 /// overwriting `out` (overlapping patches accumulate within a sample).
-/// Sample blocks scatter in parallel on the worker pool; per-element
-/// accumulation order is the fixed patch-scan order, so the result is
-/// bit-identical at any thread count.
+///
+/// Every input element starts from `0.0` and adds its patch contributions
+/// in patch-raster order (ascending `(oy, ox)`), the order a scatter over
+/// the patches produces. Each sample's block is transposed to the
+/// channel-major layout and folded tap by tap (see [`col2im`]). Samples
+/// run in parallel on the worker pool, so the result is bit-identical at
+/// any thread count.
 ///
 /// # Panics
 ///
@@ -584,51 +656,222 @@ pub fn col2im_batch_into(cols: &Tensor, geom: &Conv2dGeom, out: &mut [f32]) {
         cols.shape().rows()
     );
     let batch = cols.shape().rows() / l;
-    let k = geom.kernel;
-    let (h, w) = (geom.in_h, geom.in_w);
     let in_vol = geom.in_volume();
+    let (kk, hw) = (geom.kernel * geom.kernel, geom.in_h * geom.in_w);
     let data = cols.data();
     for_chunks_mut(batch, in_vol, l * cr, out, |range, chunk| {
-        for i in range.0..range.1 {
-            let block = &mut chunk[(i - range.0) * in_vol..(i - range.0 + 1) * in_vol];
-            block.fill(0.0);
-            let mut patches = data[i * l * cr..(i + 1) * l * cr].chunks_exact(cr);
-            for oy in 0..geom.out_h {
-                for ox in 0..geom.out_w {
-                    let src = patches.next().expect("block holds OH*OW rows");
-                    let mut d = 0;
-                    for c in 0..geom.in_c {
-                        let plane_start = c * h * w;
-                        for ky in 0..k {
-                            let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                            if iy < 0 || iy >= h as isize {
-                                d += k;
-                                continue;
-                            }
-                            let row_start = plane_start + iy as usize * w;
-                            let ix0 = (ox * geom.stride) as isize - geom.pad as isize;
-                            if ix0 >= 0 && ix0 as usize + k <= w {
-                                let dst = &mut block
-                                    [row_start + ix0 as usize..row_start + ix0 as usize + k];
-                                for (o, &v) in dst.iter_mut().zip(&src[d..d + k]) {
-                                    *o += v;
-                                }
-                                d += k;
-                            } else {
-                                for kx in 0..k {
-                                    let ix = ix0 + kx as isize;
-                                    if ix >= 0 && (ix as usize) < w {
-                                        block[row_start + ix as usize] += src[d];
-                                    }
-                                    d += 1;
-                                }
-                            }
-                        }
-                    }
+        let mut rows = vec![0.0f32; cr * l];
+        for (i, image) in (range.0..range.1).zip(chunk.chunks_exact_mut(in_vol)) {
+            for (j, patch) in data[i * l * cr..(i + 1) * l * cr]
+                .chunks_exact(cr)
+                .enumerate()
+            {
+                for (r, &v) in patch.iter().enumerate() {
+                    rows[r * l + j] = v;
                 }
+            }
+            let channels = rows
+                .chunks_exact_mut(kk * l)
+                .zip(image.chunks_exact_mut(hw));
+            for (taps, plane) in channels {
+                fold_taps(taps, geom, plane);
             }
         }
     });
+}
+
+/// Batched convolution weight gradient: `dw += Σ_i G_i·cols_i`, samples in
+/// ascending order, where `G_i` is sample `i`'s row of the channel-major
+/// `grad_out` (`[B x F*OH*OW]`) read in place as an `[F x OH*OW]` matrix
+/// and `cols_i` its `[OH*OW x C*K*K]` block of the patch-major column
+/// matrix from [`im2col_batch_into`].
+///
+/// Every element of `dw` (`[F x C*K*K]`) adds its `B*OH*OW` products in
+/// ascending (sample, patch) order — the sequence of one `Gᵀ·cols` GEMM
+/// over the whole batch with `G` transposed to patch-major first, without
+/// building that transpose.
+///
+/// # Panics
+///
+/// Panics unless `cols` is `[B*OH*OW x C*K*K]`, `grad_out` is
+/// `[B x F*OH*OW]` for the same `B`, and `dw` is `F * C*K*K` long.
+pub fn conv2d_weight_grad_batch_into(
+    grad_out: &Tensor,
+    cols: &Tensor,
+    geom: &Conv2dGeom,
+    dw: &mut [f32],
+) {
+    let (l, cr, out_c) = (geom.col_cols(), geom.col_rows(), geom.out_c);
+    let batch = grad_out.shape().rows();
+    assert_eq!(
+        grad_out.shape().cols(),
+        geom.out_volume(),
+        "conv weight-grad gradient volume"
+    );
+    assert_eq!(
+        cols.shape().dims(),
+        &[batch * l, cr],
+        "conv weight-grad column matrix shape"
+    );
+    assert_eq!(dw.len(), out_c * cr, "conv weight-grad buffer volume");
+    let (gd, cd) = (grad_out.data(), cols.data());
+    // Few filters leave the GEMM kernels output rows too few (and, for a
+    // first layer's 1-channel 3×3 patch, too short) to keep the vector
+    // units busy; a register accumulator per filter does instead.
+    match out_c {
+        4 => return weight_grad_in_registers::<4>(gd, cd, geom, dw),
+        8 => return weight_grad_in_registers::<8>(gd, cd, geom, dw),
+        16 => return weight_grad_in_registers::<16>(gd, cd, geom, dw),
+        _ => {}
+    }
+    matmul_parts_into(gd, geom.out_volume(), cd, l * cr, batch, (out_c, l, cr), dw);
+}
+
+/// Lanes per filter row of [`weight_grad_in_registers`]'s accumulator.
+const WG_LANES: usize = 16;
+
+/// [`conv2d_weight_grad_batch_into`] for `F` filters: `dW`'s columns are
+/// taken [`WG_LANES`] at a time (a slab), and a slab's `F × WG_LANES`
+/// accumulator — one vector per filter — stays in registers while the
+/// sample's patches stream past; each patch's column row is read as one
+/// `WG_LANES`-wide window, whose lanes past `C*K*K` belong to the next
+/// patch and are never stored. Between samples the accumulator waits in
+/// memory. Every element still adds its products in ascending (sample,
+/// patch) order.
+fn weight_grad_in_registers<const F: usize>(
+    grad: &[f32],
+    cols: &[f32],
+    geom: &Conv2dGeom,
+    dw: &mut [f32],
+) {
+    simd::dispatch(WeightGradInRegisters::<F> {
+        grad,
+        cols,
+        geom,
+        dw,
+    });
+}
+
+/// [`SimdOp`] wrapper for [`weight_grad_in_registers`].
+struct WeightGradInRegisters<'a, const F: usize> {
+    grad: &'a [f32],
+    cols: &'a [f32],
+    geom: &'a Conv2dGeom,
+    dw: &'a mut [f32],
+}
+
+impl<const F: usize> SimdOp for WeightGradInRegisters<'_, F> {
+    type Output = ();
+
+    #[inline(always)]
+    fn eval(self) {
+        let (l, cr, out_vol) = (
+            self.geom.col_cols(),
+            self.geom.col_rows(),
+            self.geom.out_volume(),
+        );
+        // A slab's accumulator is only ever read and written whole, so it
+        // can live in registers; values move in and out through padded
+        // copies.
+        let slabs: Vec<usize> = (0..cr).step_by(WG_LANES).collect();
+        let mut saved = vec![[[0.0f32; WG_LANES]; F]; slabs.len()];
+        for (acc, &s) in saved.iter_mut().zip(&slabs) {
+            let width = (cr - s).min(WG_LANES);
+            for (a, w) in acc.iter_mut().zip(self.dw.chunks_exact(cr)) {
+                a[..width].copy_from_slice(&w[s..s + width]);
+            }
+        }
+        let samples = self.grad.chunks_exact(out_vol);
+        for (i, (g, patches)) in samples.zip(self.cols.chunks_exact(l * cr)).enumerate() {
+            for (acc_slot, &s) in saved.iter_mut().zip(&slabs) {
+                let width = (cr - s).min(WG_LANES);
+                let mut acc = *acc_slot;
+                for (j, patch) in patches.chunks_exact(cr).enumerate() {
+                    let at = (i * l + j) * cr + s;
+                    let x: [f32; WG_LANES] = match self.cols.get(at..at + WG_LANES) {
+                        Some(window) => window.try_into().expect("window width"),
+                        None => {
+                            let mut window = [0.0f32; WG_LANES];
+                            window[..width].copy_from_slice(&patch[s..s + width]);
+                            window
+                        }
+                    };
+                    for (f, a) in acc.iter_mut().enumerate() {
+                        let gf = g[f * l + j];
+                        for (a, x) in a.iter_mut().zip(x) {
+                            *a += gf * x;
+                        }
+                    }
+                }
+                *acc_slot = acc;
+            }
+        }
+        for (acc, &s) in saved.iter().zip(&slabs) {
+            let width = (cr - s).min(WG_LANES);
+            for (a, w) in acc.iter().zip(self.dw.chunks_exact_mut(cr)) {
+                w[s..s + width].copy_from_slice(&a[..width]);
+            }
+        }
+    }
+}
+
+/// Batched convolution input gradient: `dx = col2im(G·W)` per sample,
+/// overwriting `dx` (`[B x C*H*W]`).
+///
+/// Sample `i`'s column gradient is computed channel-major, one input
+/// channel's `K*K` tap rows of `Wᵀ·G_i` at a time (`w_t` is the transposed
+/// filter bank `[C*K*K x F]`, `G_i` the sample's row of `grad_out` read in
+/// place as `[F x OH*OW]`), into a buffer that stays in L1, and folded
+/// onto that channel's plane as in [`col2im`]. Each column-gradient
+/// element is `0.0` plus its `F` products in ascending filter order, and
+/// each input element `0.0` plus its patch contributions in patch-raster
+/// order: the same sequences as a patch-major `G′·W` GEMM followed by
+/// [`col2im_batch_into`]. Samples run in parallel on the worker pool, so
+/// the result is bit-identical at any thread count.
+///
+/// # Panics
+///
+/// Panics unless `grad_out` is `[B x F*OH*OW]`, `w_t` is `[C*K*K x F]` and
+/// `dx` is `B * C*H*W` long.
+pub fn conv2d_input_grad_batch_into(
+    grad_out: &Tensor,
+    w_t: &Tensor,
+    geom: &Conv2dGeom,
+    dx: &mut [f32],
+) {
+    let (l, cr, out_c) = (geom.col_cols(), geom.col_rows(), geom.out_c);
+    let batch = grad_out.shape().rows();
+    assert_eq!(
+        grad_out.shape().cols(),
+        geom.out_volume(),
+        "conv input-grad gradient volume"
+    );
+    assert_eq!(
+        w_t.shape().dims(),
+        &[cr, out_c],
+        "conv input-grad transposed-weight shape"
+    );
+    let in_vol = geom.in_volume();
+    let (kk, hw) = (geom.kernel * geom.kernel, geom.in_h * geom.in_w);
+    assert_eq!(dx.len(), batch * in_vol, "conv input-grad buffer volume");
+    let wtd = w_t.data();
+    for_chunks_mut(
+        batch,
+        in_vol,
+        2 * geom.macs_per_sample(),
+        dx,
+        |range, chunk| {
+            let mut taps = vec![0.0f32; kk * l];
+            for (i, image) in (range.0..range.1).zip(chunk.chunks_exact_mut(in_vol)) {
+                for (c, plane) in image.chunks_exact_mut(hw).enumerate() {
+                    taps.fill(0.0);
+                    let w_c = &wtd[c * kk * out_c..(c + 1) * kk * out_c];
+                    gemm_rows(w_c, out_c, kk, out_c, grad_out.row(i), l, &mut taps);
+                    fold_taps(&mut taps, geom, plane);
+                }
+            }
+        },
+    );
 }
 
 /// Allocating wrapper over [`col2im_batch_into`].
@@ -643,6 +886,7 @@ pub fn col2im_batch(cols: &Tensor, geom: &Conv2dGeom) -> Tensor {
 mod tests {
     use super::*;
     use crate::rng::Rng;
+    use crate::simd::SimdLevel;
 
     #[test]
     fn geom_same_padding() {
@@ -822,28 +1066,172 @@ mod tests {
 
     #[test]
     fn col2im_batch_matches_per_sample() {
-        // Scattering a batch at once equals scattering each sample's block
-        // through the classical col2im. Overlap accumulation runs in patch
-        // order here vs kernel-position order there, so agreement is
-        // numerical (tight tolerance), not bitwise.
+        // Folding a batch at once equals folding each sample's block
+        // through the classical col2im, bit for bit: both accumulate in
+        // patch-raster order.
         let mut rng = Rng::new(23);
-        let g = Conv2dGeom::new(2, 5, 5, 3, 3, 2, 1).unwrap();
-        let batch = 5;
-        let y = Tensor::randn([batch * g.col_cols(), g.col_rows()], 1.0, &mut rng);
-        let batched = col2im_batch(&y, &g);
-        for i in 0..batch {
-            // Transpose sample i's patch-major block into classical layout.
-            let mut classic = Tensor::zeros([g.col_rows(), g.col_cols()]);
-            for j in 0..g.col_cols() {
-                for r in 0..g.col_rows() {
-                    classic.set(&[r, j], y.at(&[i * g.col_cols() + j, r]));
+        for g in batch_geoms() {
+            let batch = 5;
+            let y = Tensor::randn([batch * g.col_cols(), g.col_rows()], 1.0, &mut rng);
+            let batched = col2im_batch(&y, &g);
+            for i in 0..batch {
+                // Transpose sample i's patch-major block into classical layout.
+                let mut classic = Tensor::zeros([g.col_rows(), g.col_cols()]);
+                for j in 0..g.col_cols() {
+                    for r in 0..g.col_rows() {
+                        classic.set(&[r, j], y.at(&[i * g.col_cols() + j, r]));
+                    }
                 }
-            }
-            let reference = col2im(&classic, &g);
-            for (a, b) in batched.row(i).iter().zip(&reference) {
-                assert!((a - b).abs() < 1e-5 * b.abs().max(1.0), "sample {i}");
+                assert_eq!(batched.row(i), col2im(&classic, &g), "{g:?} sample {i}");
             }
         }
+    }
+
+    /// CNN1's two convolutions (28² and 14², 3×3, same padding).
+    fn cnn1_geoms() -> [Conv2dGeom; 2] {
+        [
+            Conv2dGeom::new(1, 28, 28, 8, 3, 1, 1).unwrap(),
+            Conv2dGeom::new(8, 14, 14, 16, 3, 1, 1).unwrap(),
+        ]
+    }
+
+    /// The patch-raster scatter: every image element starts from `0.0`
+    /// and adds its patch contributions as the patches come, `(oy, ox)`
+    /// ascending — the summation order `col2im_batch_into` is pinned to.
+    fn scatter_reference(cols: &[f32], g: &Conv2dGeom) -> Vec<f32> {
+        let (l, cr, k) = (g.col_cols(), g.col_rows(), g.kernel);
+        let batch = cols.len() / (l * cr);
+        let mut out = vec![0.0f32; batch * g.in_volume()];
+        for (patches, image) in cols
+            .chunks_exact(l * cr)
+            .zip(out.chunks_exact_mut(g.in_volume()))
+        {
+            for (j, patch) in patches.chunks_exact(cr).enumerate() {
+                let (oy, ox) = (j / g.out_w, j % g.out_w);
+                for (r, &v) in patch.iter().enumerate() {
+                    let (c, ky, kx) = (r / (k * k), r / k % k, r % k);
+                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                    let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                    if (0..g.in_h as isize).contains(&iy) && (0..g.in_w as isize).contains(&ix) {
+                        image[(c * g.in_h + iy as usize) * g.in_w + ix as usize] += v;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn col2im_batch_sums_in_patch_raster_order_bitwise() {
+        // Pins the summation order: per element, `0.0` then each patch's
+        // contribution in patch-raster order. Values spanning many
+        // magnitudes make any other order round differently.
+        let mut rng = Rng::new(28);
+        for g in batch_geoms().into_iter().chain(cnn1_geoms()) {
+            let batch = 3;
+            let n = batch * g.col_cols() * g.col_rows();
+            let cols: Vec<f32> = (0..n)
+                .map(|i| rng.normal() * [1e-3, 1.0, 1e3][i % 3])
+                .collect();
+            let y = Tensor::from_vec([batch * g.col_cols(), g.col_rows()], cols).unwrap();
+            let want = scatter_reference(y.data(), &g);
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                if level > simd::probe() {
+                    continue;
+                }
+                let _g = simd::force(level);
+                assert_eq!(col2im_batch(&y, &g).data(), want, "{g:?} at {level:?}");
+            }
+        }
+    }
+
+    /// `G′`: each sample's channel-major gradient row transposed to the
+    /// patch-major `[B·OH·OW x F]` layout.
+    fn patch_major(grad: &Tensor, g: &Conv2dGeom) -> Tensor {
+        let (l, f) = (g.col_cols(), g.out_c);
+        let batch = grad.shape().rows();
+        let mut out = Tensor::zeros([batch * l, f]);
+        for i in 0..batch {
+            for (c, row) in grad.row(i).chunks_exact(l).enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    out.set(&[i * l + j, c], v);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn weight_grad_matches_one_gemm_over_the_batch_bitwise() {
+        // dW += G′ᵀ·cols as one Aᵀ·B GEMM over the whole batch is the
+        // reference sequence; the kernel reads grad_out in place (register
+        // accumulators for 4 / 8 / 16 filters, across one, several and a
+        // partial 16-lane slab; the GEMM for other counts). dW starts
+        // non-zero: the kernel accumulates.
+        let mut rng = Rng::new(29);
+        let geoms = [
+            Conv2dGeom::new(1, 6, 6, 4, 3, 1, 1).unwrap(),
+            Conv2dGeom::new(2, 5, 5, 8, 3, 2, 1).unwrap(),
+            Conv2dGeom::new(3, 4, 4, 16, 3, 1, 0).unwrap(),
+            Conv2dGeom::new(2, 6, 6, 3, 1, 1, 0).unwrap(),
+            Conv2dGeom::new(1, 7, 7, 32, 5, 1, 2).unwrap(),
+        ];
+        for g in geoms.into_iter().chain(cnn1_geoms()) {
+            let batch = 3;
+            let x = Tensor::randn([batch, g.in_volume()], 1.0, &mut rng);
+            let cols = im2col_batch(&x, &g);
+            let grad = Tensor::randn([batch, g.out_volume()], 1.0, &mut rng);
+            let seed = Tensor::randn([g.out_c, g.col_rows()], 1.0, &mut rng);
+            let mut want = seed.data().to_vec();
+            crate::matmul::matmul_at_b_into(&patch_major(&grad, &g), &cols, &mut want);
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                if level > simd::probe() {
+                    continue;
+                }
+                let _g = simd::force(level);
+                let mut got = seed.data().to_vec();
+                conv2d_weight_grad_batch_into(&grad, &cols, &g, &mut got);
+                assert_eq!(got, want, "{g:?} at {level:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn input_grad_matches_gemm_then_patch_raster_scatter_bitwise() {
+        // The reference sequence: dcols = G′·W into zeros (one GEMM over
+        // the batch), then the patch-raster scatter. The kernel computes
+        // each channel's column gradient Wᵀ·G_i and folds it tap by tap.
+        let mut rng = Rng::new(30);
+        for g in batch_geoms().into_iter().chain(cnn1_geoms()) {
+            let batch = 3;
+            let grad = Tensor::randn([batch, g.out_volume()], 1.0, &mut rng);
+            let w = Tensor::randn([g.out_c, g.col_rows()], 1.0, &mut rng);
+            let dcols = crate::matmul::matmul(&patch_major(&grad, &g), &w);
+            let want = scatter_reference(dcols.data(), &g);
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                if level > simd::probe() {
+                    continue;
+                }
+                let _g = simd::force(level);
+                let mut got = vec![f32::NAN; batch * g.in_volume()];
+                conv2d_input_grad_batch_into(&grad, &w.transpose(), &g, &mut got);
+                assert_eq!(got, want, "{g:?} at {level:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn input_grad_serial_scope_bit_identical() {
+        let mut rng = Rng::new(31);
+        let g = cnn1_geoms()[1];
+        let batch = 64;
+        let grad = Tensor::randn([batch, g.out_volume()], 1.0, &mut rng);
+        let w_t = Tensor::randn([g.col_rows(), g.out_c], 1.0, &mut rng);
+        let mut pooled = vec![0.0f32; batch * g.in_volume()];
+        conv2d_input_grad_batch_into(&grad, &w_t, &g, &mut pooled);
+        let mut serial = vec![0.0f32; batch * g.in_volume()];
+        crate::pool::serial_scope(|| conv2d_input_grad_batch_into(&grad, &w_t, &g, &mut serial));
+        assert_eq!(pooled, serial);
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub mod simd;
 mod tensor;
 
 pub use conv::{
-    col2im, col2im_batch, col2im_batch_into, conv2d_forward_batch_into, im2col, im2col_batch,
+    col2im, col2im_batch, col2im_batch_into, conv2d_forward_batch_into,
+    conv2d_input_grad_batch_into, conv2d_weight_grad_batch_into, im2col, im2col_batch,
     im2col_batch_into, Conv2dGeom,
 };
 pub use error::TensorError;

@@ -11,13 +11,14 @@
 //! [`matmul_a_bt_into`], [`matmul_at_b_into`]) that **accumulates** the
 //! product into a caller-provided buffer (`C += A·B`, BLAS `beta = 1`
 //! semantics). The allocating functions are thin wrappers that pass a
-//! zero-filled buffer; the conv and dense layers call the `*_into` kernels
-//! directly, so gradients accumulate straight into the parameter buffers
-//! and each output is written into the one buffer the layer returns.
-//! Accumulate semantics is also what makes batched and per-sample
-//! convolution lowering bit-identical: a gradient GEMM over the whole batch
-//! and a sequence of per-sample GEMMs accumulating into the same buffer
-//! perform the exact same additions in the exact same order.
+//! zero-filled buffer; the dense layer calls the `*_into` kernels directly
+//! and the convolution kernels their per-chunk body, so gradients
+//! accumulate straight into the parameter buffers and each output is
+//! written into the one buffer the layer returns. Accumulate semantics is
+//! also what makes batched and per-sample convolution lowering
+//! bit-identical: a gradient GEMM over the whole batch and a sequence of
+//! per-sample GEMMs accumulating into the same buffer perform the exact
+//! same additions in the exact same order.
 //!
 //! `A·B` and `Aᵀ·B` choose between two kernels by how many output rows a
 //! chunk has, because the two regimes are bound by different things:
@@ -33,6 +34,12 @@
 //!   registers for a whole `k`-block. The repacking is a second pass over
 //!   `B` that only enough rows repay; the row and column tails of a tiled
 //!   chunk go back through `stream_rows`.
+//!
+//! Two training shapes leave these layouts a partial vector per element,
+//! and both are turned around instead: `Aᵀ·B` with fewer than `NR` output
+//! columns (a classifier's `dW`) accumulates `Cᵀ += Bᵀ·A`, and `A·Bᵀ` with
+//! a dot shorter than two lane chunks (its input gradient) carries the dot
+//! product's lanes across 16 output columns at once.
 //!
 //! `A·Bᵀ` is one long dot product per output element. All kernels dispatch
 //! output-row chunks through the persistent worker pool ([`crate::pool`])
@@ -569,14 +576,17 @@ fn at_least(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     &mut buf[..len]
 }
 
+/// Accumulator lanes of [`dot_lanes`].
+const DOT_LANES: usize = 8;
+
 /// Dot product with eight independent accumulator lanes (vectorizes to wide
 /// FMAs) and a fixed lane-reduction order, so the result is deterministic.
 #[inline]
 fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
     debug_assert_eq!(x.len(), y.len());
-    let mut lanes = [0.0f32; 8];
-    let xc = x.chunks_exact(8);
-    let yc = y.chunks_exact(8);
+    let mut lanes = [0.0f32; DOT_LANES];
+    let xc = x.chunks_exact(DOT_LANES);
+    let yc = y.chunks_exact(DOT_LANES);
     let xr = xc.remainder();
     let yr = yc.remainder();
     for (xv, yv) in xc.zip(yc) {
@@ -638,25 +648,67 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (k2, n) = (b.shape().rows(), b.shape().cols());
     assert_eq!(k, k2, "matmul inner dims: {} vs {}", a.shape(), b.shape());
     assert_eq!(out.len(), m * n, "matmul output buffer volume");
-    let ad = a.data();
-    let bd = b.data();
+    matmul_parts_into(a.data(), 0, b.data(), 0, 1, (m, k, n), out);
+}
 
-    // Contributions to any C[i][j] arrive in ascending-p order on every
-    // path, exactly as in the naive loop.
-    for_grouped_chunks_mut(m, SM, n, 2 * n * k, out, |rows, chunk| {
-        let rcount = rows.1 - rows.0;
-        let a_rows = &ad[rows.0 * k..rows.1 * k];
-        if rcount >= TILED_MIN_ROWS && k >= QUAD_MIN_K {
-            let level = simd::current();
-            for kb in (0..k).step_by(KC) {
-                let kw = (kb + KC).min(k) - kb;
-                let b_blk = &bd[kb * n..(kb + kw) * n];
-                mr_block(level, &a_rows[kb..], k, rcount, kw, b_blk, n, chunk);
-            }
-        } else {
-            stream_rows(a_rows, k, rcount, k, bd, n, (0, n), chunk);
+/// `out += Σ_s A_s·B_s` for `s` in `0..parts`, ascending: `A_s` is the
+/// row-major `[m × k]` block at `a[s * a_step..]` and `B_s` the `[k × n]`
+/// block at `b[s * b_step..]`.
+///
+/// Each output element sees exactly the sequence of one product over the
+/// concatenated inner dimension — `A_0`'s `k` contributions, then `A_1`'s,
+/// and so on — so a sum over the samples of a batch, each sample's blocks
+/// read where they lie, is bit-identical to one GEMM over a gathered
+/// operand. Output rows are split across the worker pool; every chunk
+/// walks all parts in order.
+///
+/// # Panics
+///
+/// Panics if `out` is not `m * n` long or a block lies outside `a` / `b`.
+pub(crate) fn matmul_parts_into(
+    a: &[f32],
+    a_step: usize,
+    b: &[f32],
+    b_step: usize,
+    parts: usize,
+    (m, k, n): (usize, usize, usize),
+    out: &mut [f32],
+) {
+    assert_eq!(out.len(), m * n, "matmul output buffer volume");
+    for_grouped_chunks_mut(m, SM, n, 2 * n * k * parts, out, |rows, chunk| {
+        for s in 0..parts {
+            let a_rows = &a[s * a_step + rows.0 * k..s * a_step + rows.1 * k];
+            let b_blk = &b[s * b_step..s * b_step + k * n];
+            gemm_rows(a_rows, k, rows.1 - rows.0, k, b_blk, n, chunk);
         }
     });
+}
+
+/// `chunk += A·B` on the calling thread: `a` holds `m` rows of `A` at row
+/// stride `astride`, `b` is `[k × n]` and `chunk` is `[m × n]`.
+///
+/// Contributions to any element arrive in ascending-`p` order whichever
+/// kernel runs ([`mr_block`] for enough rows, [`stream_rows`] otherwise),
+/// exactly as in the naive loop.
+pub(crate) fn gemm_rows(
+    a: &[f32],
+    astride: usize,
+    m: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    chunk: &mut [f32],
+) {
+    if m >= TILED_MIN_ROWS && k >= QUAD_MIN_K {
+        let level = simd::current();
+        for kb in (0..k).step_by(KC) {
+            let kw = (kb + KC).min(k) - kb;
+            let b_blk = &b[kb * n..(kb + kw) * n];
+            mr_block(level, &a[kb..], astride, m, kw, b_blk, n, chunk);
+        }
+    } else {
+        stream_rows(a, astride, m, k, b, n, (0, n), chunk);
+    }
 }
 
 /// `C = A·Bᵀ` for rank-2 tensors (`A: [m x k]`, `B: [n x k]`, `C: [m x n]`).
@@ -693,6 +745,32 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let ad = a.data();
     let bd = b.data();
 
+    if (1..2 * DOT_LANES).contains(&k) && n >= DOT_COLS {
+        // A dot this short (a classifier's input gradient has k = classes)
+        // leaves `dot_lanes` one partial vector per element; run its exact
+        // sequence across DOT_COLS output columns at once over a transposed
+        // copy of B instead.
+        let mut bt = vec![0.0f32; k * n];
+        for (j, b_row) in bd.chunks_exact(k).enumerate() {
+            for (p, &v) in b_row.iter().enumerate() {
+                bt[p * n + j] = v;
+            }
+        }
+        for_chunks_mut(m, n, 2 * n * k, out, |rows, chunk| {
+            for (a_row, c_row) in ad[rows.0 * k..rows.1 * k]
+                .chunks_exact(k)
+                .zip(chunk.chunks_exact_mut(n))
+            {
+                simd::dispatch(DotColumns {
+                    a_row,
+                    bt: &bt,
+                    c_row,
+                });
+            }
+        });
+        return;
+    }
+
     // Both operands are contiguous along k, so each C[i][j] is one long dot
     // product; blocking j keeps a JB×k panel of B resident across the
     // chunk's rows.
@@ -708,6 +786,68 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
             }
         }
     });
+}
+
+/// Output columns [`DotColumns`] advances together.
+const DOT_COLS: usize = 16;
+
+/// `c_row[j] += dot_lanes(a_row, B row j)` for every column `j`, with B
+/// given transposed (`bt`: `[k × n]`): [`dot_lanes`]' lane sums, tail and
+/// reduction tree, each carried for [`DOT_COLS`] columns in one vector.
+/// The last `n % DOT_COLS` columns take [`dot_lanes`] itself on a gathered
+/// B row.
+struct DotColumns<'a> {
+    a_row: &'a [f32],
+    bt: &'a [f32],
+    c_row: &'a mut [f32],
+}
+
+impl SimdOp for DotColumns<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn eval(self) {
+        let DotColumns { a_row, bt, c_row } = self;
+        let (k, n) = (a_row.len(), c_row.len());
+        let body = k - k % DOT_LANES;
+        let mut blocks = c_row.chunks_exact_mut(DOT_COLS);
+        for (jb, c) in (&mut blocks).enumerate() {
+            let col = |p: usize| -> [f32; DOT_COLS] {
+                bt[p * n + jb * DOT_COLS..][..DOT_COLS]
+                    .try_into()
+                    .expect("column block")
+            };
+            let mut lanes = [[0.0f32; DOT_COLS]; DOT_LANES];
+            for p0 in (0..body).step_by(DOT_LANES) {
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    let (x, y) = (a_row[p0 + l], col(p0 + l));
+                    for (s, y) in lane.iter_mut().zip(y) {
+                        *s += x * y;
+                    }
+                }
+            }
+            let mut tail = [0.0f32; DOT_COLS];
+            for (p, &x) in a_row.iter().enumerate().skip(body) {
+                for (s, y) in tail.iter_mut().zip(col(p)) {
+                    *s += x * y;
+                }
+            }
+            for (t, c) in c.iter_mut().enumerate() {
+                let l = |i: usize| lanes[i][t];
+                let head = ((l(0) + l(1)) + (l(2) + l(3))) + ((l(4) + l(5)) + (l(6) + l(7)));
+                *c += head + tail[t];
+            }
+        }
+        let done = n - blocks.into_remainder().len();
+        let mut b_row = [0.0f32; 2 * DOT_LANES];
+        let b_row = &mut b_row[..k];
+        for j in done..n {
+            for (p, v) in b_row.iter_mut().enumerate() {
+                *v = bt[p * n + j];
+            }
+            c_row[j] += dot_lanes(a_row, b_row);
+        }
+    }
 }
 
 /// `C = Aᵀ·B` for rank-2 tensors (`A: [k x m]`, `B: [k x n]`, `C: [m x n]`).
@@ -727,8 +867,8 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
 /// Pass a zero-filled buffer for a plain product. Per-element contributions
 /// arrive in ascending-`k` order, so accumulating one whole-batch product
 /// performs the same additions as accumulating per-sample row-block
-/// products in sample order — the property the batched convolution
-/// backward's `dW` GEMM relies on.
+/// products in sample order — the sequence the batched weight gradients
+/// are pinned to.
 ///
 /// # Panics
 ///
@@ -744,9 +884,32 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
         b.shape()
     );
     assert_eq!(out.len(), m * n, "matmul_at_b output buffer volume");
-    let ad = a.data();
-    let bd = b.data();
+    if (1..NR).contains(&n) && m >= NR {
+        // Output rows this short (a classifier's dW has n = classes) do not
+        // fill a vector; accumulate `outᵀ += Bᵀ·A` instead, whose few rows
+        // run the whole width m, transposing in and out. A product is the
+        // same number either way round, so every element sees the same
+        // sequence.
+        let mut out_t = vec![0.0f32; n * m];
+        for (i, row) in out.chunks_exact(n).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                out_t[j * m + i] = v;
+            }
+        }
+        at_b_into(b.data(), n, a.data(), m, k, &mut out_t);
+        for (j, row) in out_t.chunks_exact(m).enumerate() {
+            for (i, &v) in row.iter().enumerate() {
+                out[i * n + j] = v;
+            }
+        }
+        return;
+    }
+    at_b_into(a.data(), m, b.data(), n, k, out);
+}
 
+/// The body of [`matmul_at_b_into`]: `out += Aᵀ·B` for `A` `[k × m]` and
+/// `B` `[k × n]` given as slices.
+fn at_b_into(ad: &[f32], m: usize, bd: &[f32], n: usize, k: usize, out: &mut [f32]) {
     // A is walked down columns (stride m); pack the chunk's A panel into a
     // contiguous [rows × KC] buffer once per k-block so the inner loops see
     // unit-stride data. Contribution order per element stays ascending in p.
@@ -1062,7 +1225,7 @@ mod tests {
 
     #[test]
     fn at_b_whole_batch_equals_per_block_accumulation() {
-        // The batched-conv dW property: one Aᵀ·B GEMM over the full k range
+        // The batched dW property: one Aᵀ·B GEMM over the full k range
         // is bit-identical to accumulating per-row-block GEMMs in order.
         let mut rng = Rng::new(9);
         let (k, m, n, blocks) = (4 * KC + 9, 6, 10, 7);
@@ -1173,6 +1336,52 @@ mod tests {
             assert_eq!(matmul_at_b(&at, &b).data(), want, "pooled Aᵀ·B m={m}");
             assert_eq!(serial_scope(|| matmul_at_b(&at, &b)).data(), want);
         }
+    }
+
+    #[test]
+    fn a_bt_short_dots_bit_identical_to_dot_lanes_at_every_level() {
+        // Short dots (k below two lane chunks) run dot_lanes' sequence
+        // across 16 output columns at once; every element must still be
+        // exactly `out + dot_lanes(a_row, b_row)`, column tail included.
+        use crate::simd::{self, SimdLevel};
+        let mut rng = Rng::new(15);
+        for k in 1..2 * DOT_LANES {
+            for &(m, n) in &[
+                (1usize, DOT_COLS),
+                (3, DOT_COLS + 1),
+                (21, 3 * DOT_COLS + 7),
+            ] {
+                let a = Tensor::randn([m, k], 1.0, &mut rng);
+                let b = Tensor::randn([n, k], 1.0, &mut rng);
+                let seed: Vec<f32> = (0..m * n).map(|i| (i as f32 * 0.37).sin()).collect();
+                let mut want = seed.clone();
+                for (i, w) in want.iter_mut().enumerate() {
+                    let (r, c) = (i / n, i % n);
+                    *w += dot_lanes(&a.data()[r * k..(r + 1) * k], &b.data()[c * k..(c + 1) * k]);
+                }
+                for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                    if level > simd::probe() {
+                        continue;
+                    }
+                    let _g = simd::force(level);
+                    let mut got = seed.clone();
+                    matmul_a_bt_into(&a, &b, &mut got);
+                    assert_eq!(got, want, "A·Bᵀ ({m},{k},{n}) at {level:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_dimensions_leave_the_output_alone() {
+        // k = 0 is a zero product and n = 0 an empty output, on the shapes
+        // that take the short-dot and narrow-output paths too.
+        let (m, n) = (NR + 1, DOT_COLS + 1);
+        let mut out = vec![1.0f32; m * n];
+        matmul_a_bt_into(&Tensor::zeros([m, 0]), &Tensor::zeros([n, 0]), &mut out);
+        matmul_at_b_into(&Tensor::zeros([0, m]), &Tensor::zeros([0, n]), &mut out);
+        assert!(out.iter().all(|&v| v == 1.0));
+        matmul_at_b_into(&Tensor::zeros([3, m]), &Tensor::zeros([3, 0]), &mut []);
     }
 
     #[test]

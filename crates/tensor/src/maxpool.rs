@@ -1,6 +1,7 @@
 //! Max-pooling primitives (see [`crate::pool`] for the worker pool).
 
 use crate::error::TensorError;
+use crate::simd::{self, SimdOp};
 
 /// Validated geometry of a 2-D max-pool over one channel plane.
 ///
@@ -79,80 +80,168 @@ pub fn maxpool_plane(plane: &[f32], geom: &PoolGeom) -> (Vec<f32>, Vec<u32>) {
     (vals, idxs)
 }
 
-/// Allocation-free form of [`maxpool_plane`]: writes pooled values and —
-/// when the caller wants them for backprop — winning input indices into
-/// caller-provided buffers (used by the pooling layer so its per-plane loop
-/// allocates nothing, and its inference path needs no index storage).
+/// Allocation-free form of [`maxpool_plane`] over any whole number of
+/// planes laid end to end (one plane, or a `[batch x C·H·W]` activation
+/// in one call): writes each plane's pooled values and — when the caller
+/// wants them for backprop — winning within-plane indices into
+/// caller-provided buffers.
+///
+/// Each cell starts from `-∞` at index 0 and takes a window element only
+/// if it is strictly greater, visiting the window in raster order: the
+/// first of equal maxima wins, NaN never wins, and a window holding only
+/// NaN and `-∞` reports `-∞` at index 0. The common window = stride = 2
+/// runs a branch-free body with that same rule.
 ///
 /// # Panics
 ///
-/// Panics if any buffer length disagrees with `geom`.
+/// Panics if `planes` is not a whole number of `in_h × in_w` planes or a
+/// buffer disagrees with that count.
 pub fn maxpool_plane_into(
-    plane: &[f32],
+    planes: &[f32],
     geom: &PoolGeom,
     vals: &mut [f32],
-    mut idxs: Option<&mut [u32]>,
+    idxs: Option<&mut [u32]>,
 ) {
-    assert_eq!(
-        plane.len(),
-        geom.in_h * geom.in_w,
+    let in_plane = geom.in_h * geom.in_w;
+    assert!(
+        planes.len().is_multiple_of(in_plane),
         "maxpool plane volume mismatch"
     );
-    let n = geom.out_h * geom.out_w;
+    let n = planes.len() / in_plane * geom.out_h * geom.out_w;
     assert_eq!(vals.len(), n, "maxpool vals buffer mismatch");
     if let Some(idxs) = idxs.as_deref() {
         assert_eq!(idxs.len(), n, "maxpool idxs buffer mismatch");
     }
-    let mut o = 0;
-    for oy in 0..geom.out_h {
-        for ox in 0..geom.out_w {
-            let mut best_v = f32::NEG_INFINITY;
-            let mut best_i = 0u32;
-            for ky in 0..geom.window {
-                let iy = oy * geom.stride + ky;
-                for kx in 0..geom.window {
-                    let ix = ox * geom.stride + kx;
-                    let i = iy * geom.in_w + ix;
-                    if plane[i] > best_v {
-                        best_v = plane[i];
-                        best_i = i as u32;
-                    }
+    simd::dispatch(Pool {
+        planes,
+        geom,
+        vals,
+        idxs,
+    });
+}
+
+/// [`SimdOp`] wrapper for [`maxpool_plane_into`].
+struct Pool<'a> {
+    planes: &'a [f32],
+    geom: &'a PoolGeom,
+    vals: &'a mut [f32],
+    idxs: Option<&'a mut [u32]>,
+}
+
+impl SimdOp for Pool<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn eval(self) {
+        let Pool {
+            planes,
+            geom,
+            vals,
+            idxs,
+        } = self;
+        let (w, ow) = (geom.in_w, geom.out_w);
+        let in_plane = geom.in_h * w;
+        let out_plane = geom.out_h * ow;
+        let mut idx_rows = idxs.map(|idxs| idxs.chunks_exact_mut(ow));
+        for (plane, vals) in planes
+            .chunks_exact(in_plane)
+            .zip(vals.chunks_exact_mut(out_plane))
+        {
+            for (oy, vals) in vals.chunks_exact_mut(ow).enumerate() {
+                let idxs = idx_rows.as_mut().map(|rows| rows.next().expect("idx row"));
+                if geom.window == 2 && geom.stride == 2 {
+                    let (top, bottom) = (2 * oy * w, (2 * oy + 1) * w);
+                    let (r0, _) = plane[top..top + 2 * ow].as_chunks::<2>();
+                    let (r1, _) = plane[bottom..bottom + 2 * ow].as_chunks::<2>();
+                    let cells = r0
+                        .iter()
+                        .zip(r1)
+                        .enumerate()
+                        .map(|(ox, (&[a, b], &[c, d]))| {
+                            let (mut v, mut i) = (f32::NEG_INFINITY, 0);
+                            keep(&mut v, &mut i, a, top + 2 * ox);
+                            keep(&mut v, &mut i, b, top + 2 * ox + 1);
+                            keep(&mut v, &mut i, c, bottom + 2 * ox);
+                            keep(&mut v, &mut i, d, bottom + 2 * ox + 1);
+                            (v, i)
+                        });
+                    pool_row(vals, idxs, cells);
+                } else {
+                    let cells = (0..ow).map(|ox| {
+                        let (mut v, mut i) = (f32::NEG_INFINITY, 0);
+                        for ky in 0..geom.window {
+                            let row = (oy * geom.stride + ky) * w + ox * geom.stride;
+                            for (t, &x) in plane[row..row + geom.window].iter().enumerate() {
+                                keep(&mut v, &mut i, x, row + t);
+                            }
+                        }
+                        (v, i)
+                    });
+                    pool_row(vals, idxs, cells);
                 }
             }
-            vals[o] = best_v;
-            if let Some(idxs) = idxs.as_deref_mut() {
-                idxs[o] = best_i;
+        }
+    }
+}
+
+/// The strict-`>` step of a pooling window, written as selects.
+#[inline(always)]
+fn keep(v: &mut f32, i: &mut u32, x: f32, j: usize) {
+    let take = x > *v;
+    *v = if take { x } else { *v };
+    *i = if take { j as u32 } else { *i };
+}
+
+/// Writes one output row of `(value, index)` cells; without an index row
+/// the indices are never stored.
+#[inline(always)]
+fn pool_row(vals: &mut [f32], idxs: Option<&mut [u32]>, cells: impl Iterator<Item = (f32, u32)>) {
+    match idxs {
+        Some(idxs) => {
+            for ((v, i), cell) in vals.iter_mut().zip(idxs).zip(cells) {
+                (*v, *i) = cell;
             }
-            o += 1;
+        }
+        None => {
+            for (v, (cell, _)) in vals.iter_mut().zip(cells) {
+                *v = cell;
+            }
         }
     }
 }
 
 /// Scatters output-cell gradients back to the winning input positions
-/// recorded by [`maxpool_plane`], accumulating into `grad_in`.
+/// recorded by [`maxpool_plane`] / [`maxpool_plane_into`], accumulating into
+/// `grad_in`, over the same whole number of planes, cells in order.
 ///
 /// # Panics
 ///
-/// Panics if the argument lengths are inconsistent with `geom`.
+/// Panics if the argument lengths are inconsistent with `geom` or with
+/// each other.
 pub fn maxpool_plane_backward(
     grad_out: &[f32],
     argmax: &[u32],
     geom: &PoolGeom,
     grad_in: &mut [f32],
 ) {
+    let (in_plane, out_plane) = (geom.in_h * geom.in_w, geom.out_h * geom.out_w);
+    assert!(
+        grad_in.len().is_multiple_of(in_plane),
+        "maxpool grad_in mismatch"
+    );
     assert_eq!(
         grad_out.len(),
-        geom.out_h * geom.out_w,
+        grad_in.len() / in_plane * out_plane,
         "maxpool grad_out mismatch"
     );
     assert_eq!(argmax.len(), grad_out.len(), "maxpool argmax mismatch");
-    assert_eq!(
-        grad_in.len(),
-        geom.in_h * geom.in_w,
-        "maxpool grad_in mismatch"
-    );
-    for (&g, &i) in grad_out.iter().zip(argmax) {
-        grad_in[i as usize] += g;
+    let cells = grad_out
+        .chunks_exact(out_plane)
+        .zip(argmax.chunks_exact(out_plane));
+    for (grad_in, (grad_out, argmax)) in grad_in.chunks_exact_mut(in_plane).zip(cells) {
+        for (&g, &i) in grad_out.iter().zip(argmax) {
+            grad_in[i as usize] += g;
+        }
     }
 }
 
@@ -207,6 +296,101 @@ mod tests {
         let mut grad_in = vec![0.0; 4];
         maxpool_plane_backward(&[2.5], &idxs, &g, &mut grad_in);
         assert_eq!(grad_in, vec![0., 2.5, 0., 0.]);
+    }
+
+    /// The per-window rule written out: start at `-∞` / index 0, take an
+    /// element only if strictly greater, window in raster order.
+    fn reference(plane: &[f32], g: &PoolGeom) -> (Vec<f32>, Vec<u32>) {
+        let (mut vals, mut idxs) = (Vec::new(), Vec::new());
+        for oy in 0..g.out_h {
+            for ox in 0..g.out_w {
+                let (mut v, mut i) = (f32::NEG_INFINITY, 0u32);
+                for ky in 0..g.window {
+                    for kx in 0..g.window {
+                        let j = (oy * g.stride + ky) * g.in_w + ox * g.stride + kx;
+                        if plane[j] > v {
+                            (v, i) = (plane[j], j as u32);
+                        }
+                    }
+                }
+                vals.push(v);
+                idxs.push(i);
+            }
+        }
+        (vals, idxs)
+    }
+
+    #[test]
+    fn edge_cases_match_the_per_window_rule_at_every_level() {
+        use crate::simd::{self, SimdLevel};
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        #[rustfmt::skip]
+        let cases: Vec<(&str, usize, usize, usize, Vec<f32>)> = vec![
+            // All-equal windows: the first element of each window wins.
+            ("all equal", 4, 2, 2, vec![2.0; 16]),
+            // ReLU output that is all zero: ties at 0.0, first wins.
+            ("all zero", 4, 2, 2, vec![0.0; 16]),
+            // Only -inf: nothing beats the start, so -inf at index 0.
+            ("all -inf", 4, 2, 2, vec![ninf; 16]),
+            // NaN never wins; an all-NaN or NaN/-inf window is -inf at 0.
+            ("nan", 4, 2, 2, vec![
+                nan, 1.0, nan, nan,
+                2.0, nan, nan, ninf,
+                nan, nan, -0.0, 0.0,
+                nan, nan, 0.0, -0.0,
+            ]),
+            // Odd side: floor division drops row 6 and column 6.
+            ("odd 7x7", 7, 2, 2, (0..49).map(|i| if i % 7 == 6 || i >= 42 { 1e9 } else { (i * 37 % 11) as f32 }).collect()),
+            // The general body: overlapping and wider windows.
+            ("window 2 stride 1", 5, 2, 1, (0..25).map(|i| (i * 7 % 5) as f32).collect()),
+            ("window 3 stride 2", 7, 3, 2, (0..49).map(|i| (i * 13 % 6) as f32).collect()),
+        ];
+        for (name, side, window, stride, plane) in cases {
+            let g = PoolGeom::new(side, side, window, stride).unwrap();
+            let (want_v, want_i) = reference(&plane, &g);
+            // Three copies of the plane in one call, as a batch would be.
+            let planes = plane.repeat(3);
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                if level > simd::probe() {
+                    continue;
+                }
+                let _g = simd::force(level);
+                let n = want_v.len();
+                let (mut vals, mut idxs) = (vec![0.0f32; 3 * n], vec![0u32; 3 * n]);
+                maxpool_plane_into(&planes, &g, &mut vals, Some(&mut idxs));
+                let mut infer = vec![0.0f32; 3 * n];
+                maxpool_plane_into(&planes, &g, &mut infer, None);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for p in 0..3 {
+                    let (v, i) = (&vals[p * n..(p + 1) * n], &idxs[p * n..(p + 1) * n]);
+                    assert_eq!(bits(v), bits(&want_v), "{name} vals at {level:?}");
+                    assert_eq!(i, want_i, "{name} idxs at {level:?}");
+                }
+                assert_eq!(bits(&infer), bits(&vals), "{name} inference at {level:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn backward_over_many_planes_equals_per_plane() {
+        // A -inf window routes its gradient to index 0, so several cells
+        // can share a destination; they add in cell order either way.
+        let g = PoolGeom::new(4, 4, 2, 2).unwrap();
+        let mut planes = vec![f32::NEG_INFINITY; 16];
+        planes.extend((0..16).map(|i| (i * 5 % 7) as f32));
+        let (mut vals, mut idxs) = (vec![0.0f32; 8], vec![0u32; 8]);
+        maxpool_plane_into(&planes, &g, &mut vals, Some(&mut idxs));
+        let grad: Vec<f32> = (0..8).map(|i| 0.1 * (i + 1) as f32).collect();
+        let mut whole = vec![0.0f32; 32];
+        maxpool_plane_backward(&grad, &idxs, &g, &mut whole);
+        let mut per_plane = vec![0.0f32; 32];
+        for p in 0..2 {
+            let cells = p * 4..(p + 1) * 4;
+            let dst = &mut per_plane[p * 16..(p + 1) * 16];
+            maxpool_plane_backward(&grad[cells.clone()], &idxs[cells], &g, dst);
+        }
+        assert_eq!(whole, per_plane);
+        assert_eq!(whole[0], ((grad[0] + grad[1]) + grad[2]) + grad[3]);
     }
 
     #[test]
