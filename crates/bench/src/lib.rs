@@ -26,8 +26,6 @@ use hpnn_core::{HpnnKey, HpnnTrainer, TrainedArtifacts};
 use hpnn_data::{Benchmark, Dataset, DatasetScale};
 use hpnn_nn::{ArchKind, ImageDims, NetworkSpec, TrainConfig};
 
-pub mod timing;
-
 /// Experiment sizing: dataset split sizes, channel-width multiplier, and
 /// epoch budgets for owner training and attacker fine-tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]

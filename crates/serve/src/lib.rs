@@ -30,8 +30,7 @@
 //!   threads multiplexing nonblocking sockets over a `poll(2)` readiness
 //!   loop, see [`conn`]) and the [`Session`] client (`submit → Ticket`,
 //!   `wait`, `drain`, `infer`) with typed [`ServeError`] results.
-//! - [`loadgen`] — a reproducible closed-loop load generator, with an
-//!   optional hot-model skew for multi-tenant workloads.
+//! - [`loadgen`] — a reproducible closed-loop load generator.
 //!
 //! Batching and sharding never change results: the batched conv/dense
 //! forwards are row-decomposable with a fixed reduction order, and every

@@ -8,11 +8,6 @@
 //! micro-batching window full from far fewer connections. Inputs are
 //! generated from a forked deterministic [`Rng`] stream per client, making
 //! runs reproducible.
-//!
-//! With [`hot_fraction`](LoadgenConfig::hot_fraction) set, the workload is
-//! skewed: each request targets the configured *hot* model with that
-//! probability and otherwise one of the other same-width models — the
-//! multi-tenant shape that exercises per-model worker sharding.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -56,7 +51,7 @@ pub struct LoadgenConfig {
     pub clients: usize,
     /// Requests each client issues.
     pub requests_per_client: usize,
-    /// Target model wire id (the *hot* model under a skewed workload).
+    /// Target model wire id.
     pub model: u16,
     /// Keyed or keyless inference.
     pub mode: InferMode,
@@ -74,12 +69,6 @@ pub struct LoadgenConfig {
     pub depth: usize,
     /// Connection lifecycle: steady, idle-hold, or churn.
     pub pattern: LoadPattern,
-    /// `Some(f)` skews the workload: each request targets
-    /// [`model`](LoadgenConfig::model) with probability `f` and otherwise a
-    /// deterministic pick among the server's other models with the same
-    /// input width (falling back to the hot model when there are none).
-    /// `None` sends every request to `model`.
-    pub hot_fraction: Option<f64>,
     /// Sampling interval for per-interval server throughput: a sampler
     /// connection takes `STATS` on this tick during the measurement window
     /// and the report diffs consecutive snapshots into
@@ -102,7 +91,6 @@ impl Default for LoadgenConfig {
             seed: 42,
             depth: 1,
             pattern: LoadPattern::Steady,
-            hot_fraction: None,
             sample_interval: Duration::from_secs(1),
         }
     }
@@ -126,9 +114,6 @@ pub struct LoadgenReport {
     pub error_codes: BTreeMap<ErrorCode, u64>,
     /// Total logit rows received.
     pub rows_ok: u64,
-    /// Successful requests per target model (one entry under a uniform
-    /// workload; the hot/cold split under a skewed one).
-    pub ok_by_model: BTreeMap<u16, u64>,
     /// Wall-clock of the measurement window.
     pub elapsed: Duration,
     /// Client-observed request latency (send to reply), merged from every
@@ -153,15 +138,6 @@ impl LoadgenReport {
             0.0
         } else {
             self.ok as f64 / self.elapsed.as_secs_f64()
-        }
-    }
-
-    /// Successful requests per second against one target model.
-    pub fn throughput_rps_for(&self, model: u16) -> f64 {
-        if self.elapsed.is_zero() {
-            0.0
-        } else {
-            self.ok_by_model.get(&model).copied().unwrap_or(0) as f64 / self.elapsed.as_secs_f64()
         }
     }
 
@@ -224,9 +200,8 @@ struct Inflight {
 ///
 /// # Errors
 ///
-/// Returns the first connection-phase error (including `depth == 0` or an
-/// out-of-range `hot_fraction`); errors after the run starts are counted
-/// in the report instead.
+/// Returns the first connection-phase error (including `depth == 0`);
+/// errors after the run starts are counted in the report instead.
 pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
     if cfg.depth == 0 {
         return Err(ServeError::Io(io::Error::new(
@@ -240,14 +215,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
             "churn interval must be at least 1 request",
         )));
     }
-    if let Some(f) = cfg.hot_fraction {
-        if !(0.0..=1.0).contains(&f) {
-            return Err(ServeError::Io(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "hot fraction must lie in 0.0..=1.0",
-            )));
-        }
-    }
     // Learn the model's input width from the server itself.
     let mut probe = Session::connect(&cfg.addr)?;
     let models = probe.hello("hpnn-loadgen")?;
@@ -259,17 +226,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
             message: format!("model {} not advertised by server", cfg.model),
         })?;
     let in_features = info.in_features;
-    // Cold-model candidates for the skewed workload: every *other* model
-    // with the same input width (the pre-generated inputs fit them all).
-    let cold_models: Arc<Vec<u16>> = Arc::new(if cfg.hot_fraction.is_some() {
-        models
-            .iter()
-            .filter(|m| m.id != cfg.model && m.in_features == in_features)
-            .map(|m| m.id)
-            .collect()
-    } else {
-        Vec::new()
-    });
     let server_before = probe.stats().ok();
     drop(probe);
 
@@ -336,17 +292,14 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
         let errors = Arc::clone(&errors);
         let rows_ok = Arc::clone(&rows_ok);
         let error_codes = Arc::clone(&error_codes);
-        let cold_models = Arc::clone(&cold_models);
         let mut client_rng = rng.fork(client_idx as u64);
         handles.push(
             thread::Builder::new()
                 .name(format!("hpnn-loadgen-{client_idx}"))
-                .spawn(move || -> (HistogramSnapshot, BTreeMap<u16, u64>) {
-                    // Each client records into its own histogram and
-                    // per-model tally (no shared cache line); the run
-                    // merges them at the end.
+                .spawn(move || -> HistogramSnapshot {
+                    // Each client records into its own histogram (no shared
+                    // cache line); the run merges them at the end.
                     let latency = Histogram::new();
-                    let mut ok_by_model = BTreeMap::<u16, u64>::new();
                     let mut session = match Session::connect(&cfg.addr)
                         .map_err(ServeError::Io)
                         .and_then(|mut s| s.hello("hpnn-loadgen").map(|_| s))
@@ -355,31 +308,17 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
                         Err(_) => {
                             errors.fetch_add(cfg.requests_per_client as u64, Ordering::Relaxed);
                             barrier.wait();
-                            return (latency.snapshot(), ok_by_model);
+                            return latency.snapshot();
                         }
                     };
-                    // Pre-generate inputs — and, under skew, per-request
-                    // target models — so the measurement window holds only
-                    // wire + inference work and the split is deterministic
-                    // per seed.
+                    // Pre-generate inputs so the measurement window holds
+                    // only wire + inference work.
                     let row_len = cfg.rows_per_request * in_features;
                     let inputs: Vec<Vec<f32>> = (0..cfg.requests_per_client)
                         .map(|_| {
                             let mut v = vec![0.0f32; row_len];
                             client_rng.fill_uniform(&mut v, -1.0, 1.0);
                             v
-                        })
-                        .collect();
-                    let targets: Vec<u16> = (0..cfg.requests_per_client)
-                        .map(|_| match cfg.hot_fraction {
-                            Some(f) if !cold_models.is_empty() => {
-                                if client_rng.chance(f as f32) {
-                                    cfg.model
-                                } else {
-                                    cold_models[client_rng.below(cold_models.len())]
-                                }
-                            }
-                            _ => cfg.model,
                         })
                         .collect();
                     barrier.wait();
@@ -401,7 +340,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
                     let submit =
                         |session: &mut Session, input: usize, sent: Instant| -> Option<Inflight> {
                             match session.submit(
-                                targets[input],
+                                cfg.model,
                                 cfg.mode,
                                 cfg.deadline_us,
                                 cfg.rows_per_request,
@@ -459,7 +398,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
                                 latency.record(slot.sent.elapsed().as_nanos() as u64);
                                 ok.fetch_add(1, Ordering::Relaxed);
                                 rows_ok.fetch_add(logits.rows as u64, Ordering::Relaxed);
-                                *ok_by_model.entry(targets[slot.input]).or_insert(0) += 1;
                             }
                             Err(ServeError::Busy) => {
                                 busy.fetch_add(1, Ordering::Relaxed);
@@ -493,7 +431,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
                             }
                         }
                     }
-                    (latency.snapshot(), ok_by_model)
+                    latency.snapshot()
                 })
                 .expect("spawn loadgen client"),
         );
@@ -501,13 +439,9 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
     barrier.wait();
     let start_wall = Instant::now();
     let mut latency = HistogramSnapshot::default();
-    let mut ok_by_model = BTreeMap::<u16, u64>::new();
     for h in handles {
-        if let Ok((client_latency, client_ok)) = h.join() {
+        if let Ok(client_latency) = h.join() {
             latency.merge(&client_latency);
-            for (model, n) in client_ok {
-                *ok_by_model.entry(model).or_insert(0) += n;
-            }
         }
     }
     let elapsed = start_wall.elapsed();
@@ -538,7 +472,6 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, ServeError> {
         errors: errors.load(Ordering::Relaxed),
         error_codes,
         rows_ok: rows_ok.load(Ordering::Relaxed),
-        ok_by_model,
         elapsed,
         latency,
         server_before,

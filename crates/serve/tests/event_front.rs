@@ -187,6 +187,7 @@ fn thousand_idle_sessions_on_fixed_thread_pool() {
 
     let stats = server.metrics();
     assert_eq!(stats.connections, SESSIONS as u64);
+    assert_eq!(stats.accept_errors, 0);
     drop(sessions);
     wait_for("slab to drain after disconnects", || {
         server.metrics().open_connections == 0

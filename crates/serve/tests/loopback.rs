@@ -810,7 +810,6 @@ fn per_shard_histograms_reconcile_under_pipelined_load() {
         seed: 53,
         depth: 8,
         pattern: hpnn_serve::LoadPattern::Steady,
-        hot_fraction: None,
         sample_interval: Duration::ZERO,
     })
     .unwrap();
@@ -827,6 +826,11 @@ fn per_shard_histograms_reconcile_under_pipelined_load() {
     assert_eq!(per_shard_wait, stats.replies_ok);
     // The aggregate forward histogram is the same population.
     assert_eq!(stats.forward.count, per_shard_forward);
+    for s in &stats.shards {
+        assert_eq!(s.forward.buckets.iter().sum::<u64>(), s.forward.count);
+        assert_eq!(s.queue_wait.buckets.iter().sum::<u64>(), s.queue_wait.count);
+    }
+    assert_eq!(stats.worker_panics, 0);
     server.shutdown();
 }
 
@@ -853,7 +857,6 @@ fn loadgen_report_reconciles_with_server_stats() {
         seed: 99,
         depth: 1,
         pattern: hpnn_serve::LoadPattern::Steady,
-        hot_fraction: None,
         sample_interval: Duration::ZERO,
     })
     .unwrap();
@@ -863,12 +866,20 @@ fn loadgen_report_reconciles_with_server_stats() {
     assert!(report.error_codes.is_empty());
     assert_eq!(report.rows_ok, 100);
     assert_eq!(report.latency.count, 100);
-    assert_eq!(report.ok_by_model.get(&0), Some(&100));
     let stats = server.metrics();
     assert_eq!(stats.replies_ok, report.ok);
+    assert_eq!(
+        stats.busy, report.busy,
+        "every BUSY shed must reach a client"
+    );
+    assert_eq!(stats.protocol_errors, 0);
     assert_eq!(stats.e2e.count, report.ok);
+    assert_eq!(stats.e2e.buckets.iter().sum::<u64>(), stats.e2e.count);
     assert_eq!(stats.forward.count, report.ok);
     assert_eq!(stats.rows, report.rows_ok);
+    assert_eq!(stats.depth.count, stats.requests);
+    assert_eq!(stats.depth.buckets.iter().sum::<u64>(), stats.depth.count);
+    assert_eq!(stats.inflight, 0);
     server.shutdown();
 }
 
@@ -895,7 +906,6 @@ fn pipelined_loadgen_reconciles_and_fills_the_window() {
         seed: 7,
         depth: 8,
         pattern: hpnn_serve::LoadPattern::Steady,
-        hot_fraction: None,
         sample_interval: Duration::ZERO,
     })
     .unwrap();
@@ -905,10 +915,17 @@ fn pipelined_loadgen_reconciles_and_fills_the_window() {
     assert!(report.error_codes.is_empty());
     let stats = server.metrics();
     assert_eq!(stats.replies_ok, report.ok);
+    assert_eq!(
+        stats.busy, report.busy,
+        "every BUSY shed must reach a client"
+    );
+    assert_eq!(stats.protocol_errors, 0);
     assert_eq!(stats.rows, report.rows_ok);
+    assert_eq!(stats.e2e.buckets.iter().sum::<u64>(), stats.e2e.count);
     // Exactly one depth sample per admitted request, and with the run over
     // the in-flight gauge is back to zero.
     assert_eq!(stats.depth.count, stats.requests);
+    assert_eq!(stats.depth.buckets.iter().sum::<u64>(), stats.depth.count);
     assert_eq!(stats.inflight, 0);
     // The pipelining window was actually exercised: mean admission depth
     // strictly above lock-step.
@@ -943,7 +960,6 @@ fn stage_histograms_reconcile_under_pipelined_load() {
         seed: 31,
         depth: 8,
         pattern: hpnn_serve::LoadPattern::Steady,
-        hot_fraction: None,
         sample_interval: Duration::ZERO,
     })
     .unwrap();

@@ -508,10 +508,8 @@ pub fn take() -> Trace {
 // ---------------------------------------------------------------------------
 
 /// Appends `s` to `out` escaped for the inside of a JSON string literal:
-/// quotes, backslashes and every control character below U+0020. The one
-/// escaper in the workspace — the trace export and the bench result files
-/// both write their strings through it.
-pub fn json_escape_into(out: &mut String, s: &str) {
+/// quotes, backslashes and every control character below U+0020.
+fn json_escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

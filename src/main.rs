@@ -14,7 +14,7 @@
 //!              [--trace-out FILE] [--metrics-addr HOST:PORT]
 //! hpnn loadgen [--addr HOST:PORT] [--clients N] [--requests N] [--model ID]
 //!              [--mode keyed|keyless] [--rows N] [--depth N] [--deadline-us N]
-//!              [--idle-hold-ms N] [--churn-every N] [--skew F]
+//!              [--idle-hold-ms N] [--churn-every N]
 //!              [--sample-interval-ms N] [--seed N] [--no-retry-busy] [--shutdown]
 //! hpnn stats   [ADDR]                          one-shot STATS against a running server
 //! ```
@@ -60,7 +60,7 @@ const COMMANDS: &[(&str, Command, &str)] = &[
     (
         "loadgen",
         cmd_loadgen,
-        "--addr --clients --requests --model --mode --rows --depth --deadline-us --seed --skew \
+        "--addr --clients --requests --model --mode --rows --depth --deadline-us --seed \
          --sample-interval-ms --no-retry-busy --idle-hold-ms --churn-every --shutdown",
     ),
     ("stats", cmd_stats, "--addr"),
@@ -117,7 +117,6 @@ fn print_usage() {
          \x20         [--no-retry-busy]                   count a BUSY reply as final instead of retrying\n\
          \x20         [--idle-hold-ms N]                  hold every connection idle for N ms before the run\n\
          \x20         [--churn-every N]                   reconnect each client after every N requests\n\
-         \x20         [--skew F]                          send fraction F to --model, the rest to cold tenants\n\
          \x20         [--sample-interval-ms N]            server-side stats sampling bucket (default 1000, 0 off)\n\
          \x20 stats   [ADDR]                              one-shot STATS snapshot of a running server (default\n\
          \x20                                             127.0.0.1:7433), printed as loadgen's stage tables\n\n\
@@ -475,9 +474,6 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
     if let Some(v) = flag(args, "--seed") {
         cfg.seed = v.parse()?;
     }
-    if let Some(v) = flag(args, "--skew") {
-        cfg.hot_fraction = Some(v.parse()?);
-    }
     if let Some(v) = flag(args, "--sample-interval-ms") {
         cfg.sample_interval = std::time::Duration::from_millis(v.parse()?);
     }
@@ -516,15 +512,6 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
             report.intervals.len(),
             cfg.sample_interval.as_millis()
         );
-    }
-    if report.ok_by_model.len() > 1 {
-        println!("per-model breakdown (skewed workload):");
-        for (model, ok) in &report.ok_by_model {
-            println!(
-                "  model {model}: {ok} ok ({:.1} req/s)",
-                report.throughput_rps_for(*model)
-            );
-        }
     }
     println!(
         "latency: mean {:.1} us, p50 <= {:.1} us, p99 <= {:.1} us",

@@ -70,6 +70,18 @@ fn serve_refuses_a_retired_flag_before_reading_the_model() {
     assert!(!err.contains("No such file"), "model was read, got: {err}");
 }
 
+#[test]
+fn loadgen_refuses_the_retired_skew_flag_before_connecting() {
+    let out = hpnn(&["loadgen", "--addr", "127.0.0.1:1", "--skew", "0.5"]);
+    assert_eq!(out.status.code(), Some(1), "unknown flag must exit 1");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("--skew"), "message names the flag, got: {err}");
+    assert!(
+        err.contains("does not take"),
+        "refused by the flag check, got: {err}"
+    );
+}
+
 /// Every flag the usage text documents for `serve` and `loadgen` passes
 /// the flag check: each run then fails on what comes after it (no model
 /// file, nothing listening on port 1), never on an unknown flag.
