@@ -12,7 +12,7 @@ use hpnn_core::{HpnnKey, HpnnTrainer, KeyVault};
 use hpnn_data::Benchmark;
 use hpnn_hw::{
     baseline_mac_gates, keyed_mac_gates, ArrayMultiplier8, DatapathMode, KeySource,
-    KeyedAccumulator, Mmu, OverheadReport, TrustedAccelerator,
+    KeyedAccumulator, Mmu, OverheadReport, Routing, TrustedAccelerator,
 };
 use hpnn_nn::mlp;
 use hpnn_tensor::Rng;
@@ -107,10 +107,13 @@ fn main() {
     let mut locked = Mmu::build(KeySource::Key(&key), DatapathMode::Behavioral);
     let mut unlocked = Mmu::build(KeySource::None, DatapathMode::Behavioral);
     // The same weight row against one column, collected by 64 units in turn.
+    let (mut locked_route, mut unlocked_route) = (Routing::default(), Routing::default());
     let mut out = [0i32];
     for acc in 0..64 {
-        locked.matmul_tile(&w, &a, w.len(), Some(&[acc]), &mut out);
-        unlocked.matmul_tile(&w, &a, w.len(), Some(&[acc]), &mut out);
+        locked.route([acc], &mut locked_route);
+        unlocked.route([acc], &mut unlocked_route);
+        locked.matmul_tile(&w, &a, w.len(), Some(&locked_route), &mut out);
+        unlocked.matmul_tile(&w, &a, w.len(), Some(&unlocked_route), &mut out);
     }
     print_table(
         &["datapath", "dot products", "MACs", "cycles"],

@@ -3,11 +3,18 @@
 //!
 //! The sequencer checks a model against its own architecture once, before
 //! the first MAC, and then does each piece of work once per layer: weights
-//! and the batch's activations are quantized once, each output's accumulator
-//! unit and key bit are resolved once, and every multiply–accumulate goes
-//! through [`Mmu::matmul_tile`] — a dense layer as one tile over the batch,
-//! a convolution as one tile per sample over its int8 `im2col` columns.
-//! Working buffers live in the device and are reused across layers and runs.
+//! and the batch's activations are quantized once, the MMU resolves each
+//! output's accumulator unit into a [`Routing`] once, and every
+//! multiply–accumulate goes through [`Mmu::matmul_tile`] — a dense layer as
+//! one tile over the batch, a convolution as one tile per sample over its
+//! int8 `im2col` columns. The pass that dequantizes a tile's sums also
+//! applies the nonlinearity the layer feeds, so activations cost no pass of
+//! their own. Working buffers live in the device and are reused across
+//! layers and runs.
+//!
+//! The MMU's pair-MAC body groups products two by two before it adds them;
+//! sums wrap modulo 2³² whatever the grouping, so every logit is the one
+//! the product-by-product reference gives, at every SIMD level.
 //!
 //! Activation scales are per **batch**: a row's device logits depend on the
 //! rows it shares a chunk with (the largest magnitude in the batch sets the
@@ -19,9 +26,10 @@ use std::fmt;
 
 use hpnn_core::{KeyVault, LockedModel, Schedule};
 use hpnn_nn::{ActKind, LayerSpec};
+use hpnn_tensor::simd::{dispatch, SimdOp};
 use hpnn_tensor::{maxpool_plane_into, Conv2dGeom, PoolGeom, Tensor, TensorError};
 
-use crate::mmu::{DatapathMode, KeySource, Mmu, MmuStats};
+use crate::mmu::{DatapathMode, KeySource, Mmu, MmuStats, Routing};
 use crate::quant::{max_abs, quantize_into, quantize_transposed_into, scale_for};
 
 /// Error running a model on the device.
@@ -83,7 +91,7 @@ pub struct DeviceStats {
 /// [`Footprint`], so a run allocates nothing per layer, sample or patch and
 /// never regrows a buffer half-way (regrowth leaves holes in the heap that
 /// outlive the device).
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 struct Scratch {
     /// Float activations: the current layer's input, its output, and a
     /// residual block's skip branch.
@@ -96,8 +104,9 @@ struct Scratch {
     /// One sample's int8 `im2col` columns (convolutions).
     cols: Vec<i8>,
     /// Accumulator unit of each output of the layer's tile (`[neurons x
-    /// batch]` for a dense layer, `[neurons]` for a convolution).
-    units: Vec<u8>,
+    /// batch]` for a dense layer, `[neurons]` for a convolution), resolved
+    /// against the key register.
+    routing: Routing,
     /// Lock factor `(−1)^key[unit]` of each output neuron (all `+1` on an
     /// unlocked layer).
     signs: Vec<f32>,
@@ -146,7 +155,7 @@ impl Scratch {
         fit(&mut self.wq, need.weights);
         fit(&mut self.xq, batch * need.width);
         fit(&mut self.cols, need.cols);
-        fit(&mut self.units, need.tile);
+        fit(&mut self.routing.masks, need.tile);
         fit(&mut self.signs, need.neurons);
         fit(&mut self.macs, need.tile);
     }
@@ -175,11 +184,23 @@ impl Scratch {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Its `Debug` shows the datapath mode and statistics: nothing derived from
+/// the key.
+#[derive(Clone)]
 pub struct TrustedAccelerator {
     mmu: Mmu,
     stats: DeviceStats,
     scratch: Scratch,
+}
+
+impl fmt::Debug for TrustedAccelerator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TrustedAccelerator")
+            .field("mode", &self.mmu.mode())
+            .field("stats", &self.stats())
+            .finish_non_exhaustive()
+    }
 }
 
 impl TrustedAccelerator {
@@ -244,8 +265,8 @@ impl TrustedAccelerator {
                     self.conv_with_skip(conv, schedule, &x, None, &mut y);
                     std::mem::swap(&mut x, &mut y);
                 }
-                // Lock factors were already applied inside the MACs; the
-                // activation module applies the plain nonlinearity.
+                // A nonlinearity no MAC layer feeds: the activation module
+                // applies it on its own.
                 Step::Activation(kind) => apply_activation(&mut x, *kind),
                 Step::Pool(geom) => {
                     pool_planes(&x, geom, &mut y);
@@ -255,7 +276,6 @@ impl TrustedAccelerator {
                 // joins inside the second lock.
                 Step::Residual(block) => {
                     self.conv_with_skip(&block.conv1, schedule, &x, None, &mut y);
-                    apply_activation(&mut y, ActKind::Relu);
                     match &block.projection {
                         // The projection runs unlocked — it feeds no
                         // nonlinearity of its own; its output joins relu2's
@@ -264,7 +284,6 @@ impl TrustedAccelerator {
                         None => skip.clone_from(&x),
                     }
                     self.conv_with_skip(&block.conv2, schedule, &y, Some(&skip), &mut x);
-                    apply_activation(&mut x, ActKind::Relu);
                 }
             }
         }
@@ -313,18 +332,22 @@ impl TrustedAccelerator {
     /// A neuron's unit is listed `columns` times in a row: once per tile
     /// output it owns.
     fn route(&mut self, lock: Option<usize>, schedule: &Schedule, neurons: usize, columns: usize) {
-        let Scratch { units, signs, .. } = &mut self.scratch;
-        units.clear();
+        let Scratch { routing, signs, .. } = &mut self.scratch;
         signs.clear();
         match lock {
             Some(base) => {
                 self.stats.locked_layers += 1;
-                for j in base..base + neurons {
-                    let unit = u8::try_from(schedule.accumulator_of(j))
-                        .expect("schedules map neurons onto the 256 accumulator units");
-                    units.extend(std::iter::repeat_n(unit, columns));
-                    signs.push(if self.mmu.key_bit(unit) { -1.0 } else { 1.0 });
-                }
+                let unit = |j| {
+                    u8::try_from(schedule.accumulator_of(j))
+                        .expect("schedules map neurons onto the 256 accumulator units")
+                };
+                let units = (base..base + neurons).map(unit);
+                self.mmu
+                    .route(units.flat_map(|u| std::iter::repeat_n(u, columns)), routing);
+                // A neuron's lock factor is its first output's mask (an
+                // empty batch has no outputs, and nothing to lock).
+                let firsts = routing.masks.iter().step_by(columns.max(1));
+                signs.extend(firsts.map(|&m| if m == 0 { 1.0 } else { -1.0 }));
             }
             None => {
                 self.stats.unlocked_layers += 1;
@@ -338,11 +361,11 @@ impl TrustedAccelerator {
     fn dense(&mut self, layer: &MacLayer<'_>, schedule: &Schedule, x: &[f32], out: &mut Vec<f32>) {
         let (in_f, out_f) = (layer.w.shape().rows(), layer.w.shape().cols());
         let batch = x.len() / in_f;
-        self.route(layer.lock, schedule, out_f, batch);
+        self.route(layer.lock(), schedule, out_f, batch);
         let Scratch {
             wq,
             xq,
-            units,
+            routing,
             signs,
             macs,
             ..
@@ -359,29 +382,29 @@ impl TrustedAccelerator {
         let out_scale = w_scale * x_scale;
 
         macs.resize(out_f * batch, 0);
-        let accs = layer.lock.map(|_| units.as_slice());
-        self.mmu.matmul_tile(wq, xq, in_f, accs, macs);
+        let routing = layer.feeds.map(|_| &*routing);
+        self.mmu.matmul_tile(wq, xq, in_f, routing, macs);
 
         out.resize(batch * out_f, 0.0);
         if out_f == 0 {
             return;
         }
-        let bias = layer.b.data();
-        for (s, row) in out.chunks_exact_mut(out_f).enumerate() {
-            for (j, v) in row.iter_mut().enumerate() {
-                let mac = macs[j * batch + s] as f32 * out_scale;
-                // The lock factor covers the whole pre-activation, bias
-                // included: f(L·(Wx + b)) ⇒ add L·b after the locked MAC.
-                *v = mac + signs[j] * bias[j];
-            }
-        }
+        let pass = DenseOut {
+            macs,
+            signs,
+            bias: layer.b.data(),
+            scale: out_scale,
+            out,
+        };
+        dequantize(layer.act(), pass);
     }
 
     /// Convolution with an optional per-sample skip addend (`[batch x
     /// out_volume]`) that joins the pre-activation *inside* the lock: the
-    /// output is `L·(conv(x) + b + skip)`, matching a residual block's
-    /// second ReLU `f(L·(main + skip))`. One MMU tile per sample: the
-    /// filter bank stationary, the sample's receptive fields as columns.
+    /// output is `f(L·(conv(x) + b + skip))`, matching a residual block's
+    /// second ReLU `f(L·(main + skip))`, with `f` the nonlinearity the layer
+    /// feeds (the identity if none). One MMU tile per sample: the filter
+    /// bank stationary, the sample's receptive fields as columns.
     fn conv_with_skip(
         &mut self,
         conv: &ConvLayer<'_>,
@@ -393,12 +416,12 @@ impl TrustedAccelerator {
         let ConvLayer { layer, geom } = conv;
         let (depth, ncols) = (geom.col_rows(), geom.col_cols());
         let (in_vol, out_vol) = (geom.in_volume(), geom.out_volume());
-        self.route(layer.lock, schedule, out_vol, 1);
+        self.route(layer.lock(), schedule, out_vol, 1);
         let Scratch {
             wq,
             xq,
             cols,
-            units,
+            routing,
             signs,
             macs,
             ..
@@ -420,25 +443,136 @@ impl TrustedAccelerator {
         cols.resize(depth * ncols, 0);
         macs.resize(out_vol, 0);
         out.resize(x.len() / in_vol * out_vol, 0.0);
-        let accs = layer.lock.map(|_| units.as_slice());
-        let bias = layer.b.data();
+        let routing = layer.feeds.map(|_| &*routing);
         for (s, (sample, out_row)) in xq
             .chunks_exact(in_vol)
             .zip(out.chunks_exact_mut(out_vol))
             .enumerate()
         {
             im2col_i8(sample, geom, cols);
-            self.mmu.matmul_tile(wq, cols, depth, accs, macs);
-            let skip_row = skip.map(|t| &t[s * out_vol..(s + 1) * out_vol]);
-            let planes = out_row
-                .chunks_exact_mut(ncols)
-                .zip(macs.chunks_exact(ncols))
-                .zip(signs.chunks_exact(ncols))
-                .zip(bias);
-            for (f, (((plane, macs), signs), &b)) in planes.enumerate() {
-                for (p, ((v, &mac), &sign)) in plane.iter_mut().zip(macs).zip(signs).enumerate() {
-                    let skip_v = skip_row.map_or(0.0, |t| t[f * ncols + p]);
-                    *v = mac as f32 * out_scale + sign * (b + skip_v);
+            self.mmu.matmul_tile(wq, cols, depth, routing, macs);
+            let pass = ConvOut {
+                macs,
+                signs,
+                bias: layer.b.data(),
+                skip: skip.map(|t| &t[s * out_vol..(s + 1) * out_vol]),
+                scale: out_scale,
+                ncols,
+                out: out_row,
+            };
+            dequantize(layer.act(), pass);
+        }
+    }
+}
+
+/// A pass that turns a tile's sums into a layer's outputs,
+/// `f(pre-activation)` each, with `f` the nonlinearity the layer feeds.
+/// [`dequantize`] builds it once per kind of `f` and SIMD level, so its
+/// loop inlines `f`, matches on no kind per element, and vectorizes.
+trait Dequantize {
+    fn run(self, f: impl Fn(f32) -> f32);
+}
+
+/// Runs `pass` with the nonlinearity `act` (the identity if none).
+fn dequantize(act: Option<ActKind>, pass: impl Dequantize) {
+    match act {
+        None => dispatch(Epilogue { pass, f: |z| z }),
+        Some(ActKind::Relu) => dispatch(Epilogue {
+            pass,
+            f: |z| ActKind::Relu.eval(z),
+        }),
+        Some(ActKind::Sigmoid) => dispatch(Epilogue {
+            pass,
+            f: |z| ActKind::Sigmoid.eval(z),
+        }),
+        Some(ActKind::Tanh) => dispatch(Epilogue {
+            pass,
+            f: |z| ActKind::Tanh.eval(z),
+        }),
+    }
+}
+
+/// A [`Dequantize`] pass with its nonlinearity, as one SIMD-dispatched
+/// body: the f32 operations of every element are those of the portable
+/// loop at every level.
+struct Epilogue<P, F> {
+    pass: P,
+    f: F,
+}
+
+impl<P: Dequantize, F: Fn(f32) -> f32> SimdOp for Epilogue<P, F> {
+    type Output = ();
+
+    #[inline(always)]
+    fn eval(self) {
+        self.pass.run(self.f);
+    }
+}
+
+/// A dense layer's `[out x batch]` tile into `[batch x out]` rows.
+struct DenseOut<'a> {
+    macs: &'a [i32],
+    /// Lock factor of each output neuron.
+    signs: &'a [f32],
+    bias: &'a [f32],
+    scale: f32,
+    out: &'a mut [f32],
+}
+
+impl Dequantize for DenseOut<'_> {
+    #[inline(always)]
+    fn run(self, f: impl Fn(f32) -> f32) {
+        let out_f = self.bias.len();
+        let batch = self.macs.len() / out_f;
+        for (s, row) in self.out.chunks_exact_mut(out_f).enumerate() {
+            for (j, v) in row.iter_mut().enumerate() {
+                let mac = self.macs[j * batch + s] as f32 * self.scale;
+                // The lock factor covers the whole pre-activation, bias
+                // included: f(L·(Wx + b)) ⇒ add L·b after the locked MAC.
+                *v = f(mac + self.signs[j] * self.bias[j]);
+            }
+        }
+    }
+}
+
+/// One sample's `[out_c x ncols]` convolution tile, with the sample's skip
+/// addend joining inside the lock.
+struct ConvOut<'a> {
+    macs: &'a [i32],
+    /// Lock factor of each output.
+    signs: &'a [f32],
+    bias: &'a [f32],
+    skip: Option<&'a [f32]>,
+    scale: f32,
+    ncols: usize,
+    out: &'a mut [f32],
+}
+
+impl Dequantize for ConvOut<'_> {
+    #[inline(always)]
+    fn run(self, f: impl Fn(f32) -> f32) {
+        let ncols = self.ncols;
+        let planes = self
+            .out
+            .chunks_exact_mut(ncols)
+            .zip(self.macs.chunks_exact(ncols))
+            .zip(self.signs.chunks_exact(ncols))
+            .zip(self.bias);
+        for (c, (((plane, macs), signs), &b)) in planes.enumerate() {
+            let outs = plane.iter_mut().zip(macs).zip(signs);
+            match self.skip {
+                Some(skip) => {
+                    for (((v, &mac), &sign), &s) in outs.zip(&skip[c * ncols..][..ncols]) {
+                        *v = f(mac as f32 * self.scale + sign * (b + s));
+                    }
+                }
+                None => {
+                    // `b + 0.0` (not `b`: it turns a bias of -0.0 into +0.0)
+                    // is the pre-activation without a skip branch.
+                    let b = b + 0.0;
+                    for ((v, &mac), &sign) in outs {
+                        *v = f(mac as f32 * self.scale + sign * b);
+                    }
                 }
             }
         }
@@ -451,9 +585,28 @@ impl TrustedAccelerator {
 struct MacLayer<'m> {
     w: &'m Tensor,
     b: &'m Tensor,
-    /// Schedule index of the layer's first output neuron when a lockable
-    /// nonlinearity consumes the outputs; `None` runs unlocked.
-    lock: Option<usize>,
+    /// The lockable nonlinearity that consumes the outputs; `None` runs
+    /// unlocked and leaves them linear.
+    feeds: Option<Feeds>,
+}
+
+/// The nonlinearity a MAC layer feeds: its neurons are locked, and the
+/// layer's dequantizing pass applies it.
+#[derive(Debug, Clone, Copy)]
+struct Feeds {
+    /// Schedule index of the layer's first output neuron.
+    first: usize,
+    kind: ActKind,
+}
+
+impl MacLayer<'_> {
+    fn lock(&self) -> Option<usize> {
+        self.feeds.map(|f| f.first)
+    }
+
+    fn act(&self) -> Option<ActKind> {
+        self.feeds.map(|f| f.kind)
+    }
 }
 
 #[derive(Debug)]
@@ -493,7 +646,7 @@ impl<'m> Params<'m> {
         &mut self,
         w_dims: [usize; 2],
         out: usize,
-        lock: Option<usize>,
+        feeds: Option<Feeds>,
     ) -> Result<MacLayer<'m>, DeviceError> {
         let (Some(w), Some(b)) = (self.weights.next(), self.weights.next()) else {
             return Err(DeviceError::WeightMismatch(
@@ -502,15 +655,15 @@ impl<'m> Params<'m> {
         };
         expect_shape(w, &w_dims)?;
         expect_shape(b, &[out])?;
-        Ok(MacLayer { w, b, lock })
+        Ok(MacLayer { w, b, feeds })
     }
 
     fn take_conv(
         &mut self,
         geom: Conv2dGeom,
-        lock: Option<usize>,
+        feeds: Option<Feeds>,
     ) -> Result<ConvLayer<'m>, DeviceError> {
-        let layer = self.take([geom.out_c, geom.col_rows()], geom.out_c, lock)?;
+        let layer = self.take([geom.out_c, geom.col_rows()], geom.out_c, feeds)?;
         Ok(ConvLayer { layer, geom })
     }
 }
@@ -566,14 +719,19 @@ fn plan<'m>(
                 "layer {i} does not take the {width} features it is fed"
             )));
         }
-        let lock =
-            matches!(spec.layers.get(i + 1), Some(LayerSpec::Activation { .. })).then_some(neurons);
+        let feeds = match spec.layers.get(i + 1) {
+            Some(&LayerSpec::Activation { kind, .. }) => Some(Feeds {
+                first: neurons,
+                kind,
+            }),
+            _ => None,
+        };
         let step = match *layer {
             LayerSpec::Dense {
                 in_features,
                 out_features,
             } => {
-                let layer = params.take([in_features, out_features], out_features, lock)?;
+                let layer = params.take([in_features, out_features], out_features, feeds)?;
                 need.weights = need.weights.max(layer.w.len());
                 need.neurons = need.neurons.max(out_features);
                 need.tile = need.tile.max(out_features * dims[0]);
@@ -584,7 +742,7 @@ fn plan<'m>(
                 if volume([geom.out_c, geom.out_h, geom.out_w]).is_none() {
                     return Err(invalid(format!("conv layer {i} output volume overflows")));
                 }
-                let conv = params.take_conv(geom, lock)?;
+                let conv = params.take_conv(geom, feeds)?;
                 need.cover_conv(&conv);
                 Step::Conv(conv)
             }
@@ -602,8 +760,14 @@ fn plan<'m>(
             } => {
                 let g1 = Conv2dGeom::new(in_c, h, w, out_c, 3, stride, 1)?;
                 let g2 = Conv2dGeom::new(out_c, g1.out_h, g1.out_w, out_c, 3, 1, 1)?;
-                let conv1 = params.take_conv(g1, Some(neurons))?;
-                let conv2 = params.take_conv(g2, Some(neurons + g1.out_volume()))?;
+                let relu = |first| {
+                    Some(Feeds {
+                        first,
+                        kind: ActKind::Relu,
+                    })
+                };
+                let conv1 = params.take_conv(g1, relu(neurons))?;
+                let conv2 = params.take_conv(g2, relu(neurons + g1.out_volume()))?;
                 let projection = if in_c != out_c || stride != 1 {
                     let gp = Conv2dGeom::new(in_c, h, w, out_c, 1, stride, 0)?;
                     Some(params.take_conv(gp, None)?)
@@ -627,7 +791,17 @@ fn plan<'m>(
         };
         width = layer.out_features(width);
         need.width = need.width.max(width);
-        steps.push(step);
+        // The MAC layer before an activation applies it as it dequantizes
+        // (the layer, not the last step: a second activation in a row has
+        // no MAC layer to fold into).
+        let applied = matches!(step, Step::Activation(_))
+            && matches!(
+                i.checked_sub(1).map(|j| &spec.layers[j]),
+                Some(LayerSpec::Dense { .. } | LayerSpec::Conv2d { .. })
+            );
+        if !applied {
+            steps.push(step);
+        }
     }
     if model.schedule().num_neurons() < neurons {
         return Err(DeviceError::WeightMismatch(format!(
@@ -721,9 +895,10 @@ fn im2col_i8(sample: &[i8], geom: &Conv2dGeom, out: &mut [i8]) {
 mod tests {
     use super::*;
     use crate::quant::quantize_with_scale;
-    use hpnn_core::{HpnnKey, HpnnTrainer, ScheduleKind};
+    use hpnn_core::{sha256, HpnnKey, HpnnTrainer, ScheduleKind};
     use hpnn_data::{Benchmark, DatasetScale};
     use hpnn_nn::{cnn1, mlp, ImageDims, NetworkSpec, TrainConfig};
+    use hpnn_tensor::simd::{self, SimdLevel};
     use hpnn_tensor::{im2col, Rng};
 
     fn trained_mlp_model() -> (LockedModel, HpnnKey, hpnn_data::Dataset) {
@@ -893,18 +1068,53 @@ mod tests {
     }
 
     #[test]
+    fn an_activation_folds_only_into_the_mac_layer_before_it() {
+        // A MAC layer's dequantizing pass applies the activation it feeds;
+        // a second activation in a row has no MAC layer to fold into and
+        // stays a step of its own.
+        let act = |kind| LayerSpec::Activation { kind, features: 6 };
+        let spec = NetworkSpec::new(
+            4,
+            vec![
+                LayerSpec::Dense {
+                    in_features: 4,
+                    out_features: 6,
+                },
+                act(ActKind::Relu),
+                act(ActKind::Tanh),
+                LayerSpec::Dense {
+                    in_features: 6,
+                    out_features: 3,
+                },
+            ],
+        );
+        let (model, _) = untrained_model(spec, 8);
+        let (steps, _) = plan(&model, &Tensor::zeros([2, 4])).unwrap();
+        let folded = match steps.as_slice() {
+            [Step::Dense(first), Step::Activation(ActKind::Tanh), Step::Dense(last)] => {
+                (first.act(), last.act())
+            }
+            _ => panic!("unexpected steps {steps:?}"),
+        };
+        assert_eq!(folded, (Some(ActKind::Relu), None));
+    }
+
+    #[test]
     fn cnn1_row_statistics_are_pinned() {
         // What the simulator reports for one 28x28 CNN1 row is a property of
         // the modeled hardware: conv 8·9·784 + conv 16·72·196 + dense 10·784
         // MACs over 6272 + 3136 + 10 dot products, one fill cycle each. A
-        // faster simulator must not move any of it.
+        // faster simulator must not move any of it, nor make the two modes'
+        // logits differ in any bit.
         let spec = cnn1(ImageDims::new(1, 28, 28), 10, 1.0).unwrap();
         let (model, key) = untrained_model(spec, 5);
         let vault = KeyVault::provision(key, "tpu");
         let row = Tensor::randn([1, 784], 1.0, &mut Rng::new(6));
+        let mut logits = Vec::new();
         for mode in [DatapathMode::Behavioral, DatapathMode::GateLevel] {
             let mut device = TrustedAccelerator::with_mode(&vault, mode);
-            device.run(&model, &row).unwrap();
+            let out = device.run(&model, &row).unwrap();
+            logits.push(out.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>());
             let want = DeviceStats {
                 mmu: MmuStats {
                     macs: 290_080,
@@ -916,6 +1126,86 @@ mod tests {
             };
             assert_eq!(device.stats(), want, "{mode:?}");
         }
+        assert_eq!(logits[0], logits[1], "gate level and behavioral logits");
+    }
+
+    #[test]
+    fn device_logits_are_pinned() {
+        // SHA-256 of the logits' f32 bits on untrained, seeded models: a
+        // 64-row 28x28 CNN1 chunk (conv tiles at n = 784 and 196, the dense
+        // tile at n = 64), the 12x12 residual stack and a 17-row MLP. Both
+        // datapath modes share the dequantizing epilogue, so comparing them
+        // cannot see a reordered dequantization or a moved activation; this
+        // pin can. It must hold at every SIMD level and thread count.
+        let image = ImageDims::new(1, 28, 28);
+        let small = ImageDims::new(1, 12, 12);
+        let cases = [
+            (
+                "cnn1",
+                cnn1(image, 10, 1.0).unwrap(),
+                64,
+                "4c7541347cb42317dee6fae6258a4dcdde1e68b87c730684c22f331bdf50d819",
+            ),
+            (
+                "resnet",
+                hpnn_nn::resnet(small, 10, 0.25).unwrap(),
+                9,
+                "0a95f860868d807535f153cbac2b1e3fd3c2712910da6b5591ceb0122bf62b02",
+            ),
+            (
+                "mlp",
+                mlp(144, &[20, 13], 10),
+                17,
+                "38e39a449da86fe8b876c11cf6f50cf24ec6f844b68fae0a3cbd108683b84a2d",
+            ),
+        ];
+        for (i, (name, spec, rows, want)) in cases.into_iter().enumerate() {
+            let (model, key) = untrained_model(spec, 40 + i as u64);
+            let vault = KeyVault::provision(key, "tpu");
+            let width = model.spec().in_features;
+            let x = Tensor::randn([rows, width], 1.0, &mut Rng::new(50 + i as u64));
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                let _guard = simd::force(level);
+                let logits = TrustedAccelerator::new(&vault).run(&model, &x).unwrap();
+                let bits: Vec<u8> = logits
+                    .data()
+                    .iter()
+                    .flat_map(|v| v.to_bits().to_le_bytes())
+                    .collect();
+                assert_eq!(sha256(&bits).to_string(), want, "{name} at {level:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn debug_output_does_not_depend_on_the_key() {
+        // `{:?}` of a device, its MMU or a routing shows mode and statistics:
+        // neither the key register nor the masks and lock factors the
+        // sequencer derives from it.
+        let spec = cnn1(ImageDims::new(1, 12, 12), 5, 0.5).unwrap();
+        let (model, key) = untrained_model(spec, 12);
+        let other = HpnnKey::from_words(key.words().map(|w| !w));
+        let (vault, other_vault) = (
+            KeyVault::provision(key, "tpu"),
+            KeyVault::provision(other, "tpu"),
+        );
+        let mut a = TrustedAccelerator::new(&vault);
+        let mut b = TrustedAccelerator::new(&other_vault);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let x = Tensor::randn([3, 144], 1.0, &mut Rng::new(13));
+        a.run(&model, &x).unwrap();
+        b.run(&model, &x).unwrap();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert!(format!("{a:?}").contains("macs"), "{a:?}");
+
+        let mmus = [&key, &other].map(|k| Mmu::build(KeySource::Key(k), DatapathMode::Behavioral));
+        let routings = mmus.each_ref().map(|mmu| {
+            let mut routing = Routing::default();
+            mmu.route(0..=u8::MAX, &mut routing);
+            routing
+        });
+        assert_eq!(format!("{:?}", mmus[0]), format!("{:?}", mmus[1]));
+        assert_eq!(format!("{:?}", routings[0]), format!("{:?}", routings[1]));
     }
 
     #[test]
@@ -942,7 +1232,7 @@ mod tests {
                 (
                     acts,
                     bytes,
-                    s.units.capacity(),
+                    s.routing.masks.capacity(),
                     s.signs.capacity(),
                     s.macs.capacity(),
                 )

@@ -14,11 +14,16 @@
 //! * [`Mmu`] — the 256×256 matrix-multiply unit with keyed accumulators,
 //!   performance counters, and a systolic cycle model. One arithmetic entry
 //!   point, [`Mmu::matmul_tile`] (int8 weights `[rows × k]` times int8
-//!   columns `[k × n]`, each output negated by its accumulator's key bit),
-//!   computed either gate by gate or with vectorized integer arithmetic.
+//!   columns `[k × n]`, each output negated by the key bit of the
+//!   accumulator a [`Routing`] names; [`Mmu::route`] resolves it once per
+//!   layer), computed either gate by gate or with vectorized integer
+//!   arithmetic. The vectorized body sums products two at a time; the pair
+//!   sum is exact and every addition wraps modulo 2³², so it yields the
+//!   integers of the one-product-at-a-time reference.
 //! * [`TrustedAccelerator`] — end-to-end locked-model inference on the int8
 //!   datapath, driven by the schedule embedded in a published model: checks
-//!   the container once, quantizes each layer once, and issues tiles.
+//!   the container once, quantizes each layer once, routes it once, issues
+//!   tiles, and applies each nonlinearity as it dequantizes.
 //! * [`OverheadReport`] — the Sec. III-D3 area/timing overhead numbers.
 //!
 //! ## Simulated numbers versus host time
@@ -63,7 +68,7 @@ pub use adder::RippleCarryAdder;
 pub use area::{OverheadReport, BASELINE_MMU_GATES};
 pub use device::{DeviceError, DeviceStats, TrustedAccelerator};
 pub use gates::{full_adder, xor_gate, GateCount, FULL_ADDER_GATES, XOR_GATES};
-pub use mmu::{DatapathMode, KeySource, Mmu, MmuStats, MMU_SIZE};
+pub use mmu::{DatapathMode, KeySource, Mmu, MmuStats, Routing, MMU_SIZE};
 pub use multiplier::{baseline_mac_gates, keyed_mac_gates, ArrayMultiplier8, MUL_PRODUCT_BITS};
 pub use quant::{product_scale, quantize_with_scale, scale_for, QuantTensor, Q_MAX};
 pub use systolic::SystolicArray;

@@ -184,9 +184,42 @@ pub(crate) fn quantize_transposed_into(
     if cols == 0 {
         return;
     }
-    for (r, row) in data.chunks_exact(cols).enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            out[c * rows + r] = quantize_one(v, scale);
+    dispatch(QuantizeTransposed {
+        data,
+        rows,
+        cols,
+        scale,
+        out,
+    });
+}
+
+struct QuantizeTransposed<'a> {
+    data: &'a [f32],
+    rows: usize,
+    cols: usize,
+    scale: f32,
+    out: &'a mut [i8],
+}
+
+impl SimdOp for QuantizeTransposed<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn eval(self) {
+        // Sixteen contiguous inputs at a time through the vectorized
+        // quantizer, then each to its own row of the transpose.
+        const STRIP: usize = 16;
+        let rows = self.rows;
+        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+            for (s, strip) in row.chunks(STRIP).enumerate() {
+                let mut q = [0i8; STRIP];
+                for (q, &v) in q.iter_mut().zip(strip) {
+                    *q = quantize_one(v, self.scale);
+                }
+                for (i, &q) in q[..strip.len()].iter().enumerate() {
+                    self.out[(s * STRIP + i) * rows + r] = q;
+                }
+            }
         }
     }
 }

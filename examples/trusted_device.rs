@@ -8,7 +8,7 @@
 use hpnn::core::{HpnnKey, HpnnTrainer, KeyVault};
 use hpnn::data::{Benchmark, DatasetScale};
 use hpnn::hw::{
-    DatapathMode, KeySource, KeyedAccumulator, Mmu, OverheadReport, RippleCarryAdder,
+    DatapathMode, KeySource, KeyedAccumulator, Mmu, OverheadReport, RippleCarryAdder, Routing,
     TrustedAccelerator,
 };
 use hpnn::nn::{mlp, TrainConfig};
@@ -46,9 +46,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = Rng::new(1);
     let key = HpnnKey::random(&mut rng);
     let mut mmu = Mmu::build(KeySource::Key(&key), DatapathMode::GateLevel);
+    // The key register is read once, when a layer's outputs are routed to
+    // their accumulator units; every tile of the layer reuses the routing.
+    let mut routing = Routing::default();
+    mmu.route([0], &mut routing);
     let mut out = [0i32];
-    mmu.matmul_tile(&[1, 2, 3], &[10, 20, 30], 3, Some(&[0]), &mut out);
+    mmu.matmul_tile(&[1, 2, 3], &[10, 20, 30], 3, Some(&routing), &mut out);
     println!("\nMMU gate-level dot product on accumulator 0: {}", out[0]);
+    println!("  {mmu:?}"); // mode and counters; the key register stays sealed
     println!("\n{}", OverheadReport::compute());
 
     // ── Level 4: end-to-end locked inference ────────────────────────────
