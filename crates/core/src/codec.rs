@@ -477,6 +477,40 @@ mod tests {
     }
 
     #[test]
+    fn wrapping_conv_geometry_is_refused() {
+        // A padding of 2^63 once wrapped `2·pad` to 0 and decoded as a
+        // 4×4 convolution (and panicked in a debug build). Every field of
+        // the geometry comes from the stream, so the overflow is refused,
+        // typed, before any layer is built.
+        let mut spec = BytesMut::new();
+        spec.put_u64_le(16); // in_features
+        spec.put_u64_le(1); // one layer
+        spec.put_u8(2); // conv: c, h, w, f, k, stride, pad
+        for v in [1, 4, 4, 1, 3, 1, 1u64 << 63] {
+            spec.put_u64_le(v);
+        }
+        let refused = DecodeError::BadTag {
+            context: "conv geometry",
+            tag: 0,
+        };
+        let mut container = BytesMut::new();
+        put_header(&mut container);
+        for field in ["name", "dataset", "notes"] {
+            put_string(&mut container, field);
+        }
+        container.put_slice(&spec);
+        put_schedule(
+            &mut container,
+            &Schedule::new(0, ScheduleKind::RoundRobin, 1),
+        );
+        put_tensors(&mut container, &[]);
+        assert_eq!(
+            crate::LockedModel::from_bytes(freeze(container)).err(),
+            Some(refused)
+        );
+    }
+
+    #[test]
     fn schedule_roundtrip() {
         let s = Schedule::new(500, ScheduleKind::Permuted, 99);
         let mut buf = BytesMut::new();

@@ -258,6 +258,59 @@ mod tests {
         );
     }
 
+    /// Pins the geometries the CNN1 pin does not reach: resnet (stride-2
+    /// 3×3 convolutions and their 1×1 stride-2 projections) and cnn3 (32 and
+    /// 64 filters). Each digest covers the forward logits of the freshly
+    /// built locked network and its parameters after two SGD steps.
+    #[test]
+    fn resnet_and_cnn3_logits_and_trained_parameters_are_pinned() {
+        fn digest(values: &[f32]) -> String {
+            let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+            crate::sha256(&bytes).to_string()
+        }
+        let dims = hpnn_nn::ImageDims::new(3, 16, 16);
+        let cases = [
+            (
+                hpnn_nn::resnet(dims, 10, 1.0).unwrap(),
+                "481d5b7c90595cfd25c5521c374181e785c24956168d39f8a174eebc7b47a94d",
+                "b61ac32260be17f36b11622ab865583d728c8cc028ad68f2a9ba1c4cd86405eb",
+            ),
+            (
+                hpnn_nn::cnn3(dims, 10, 1.0).unwrap(),
+                "f39955a98322a8bbda8dfe238780b90a14c1883358176026e244a4c578bd1c80",
+                "7782de1310d42a58e578114d80cd3c78e80505308813903b3c26162c6735b93f",
+            ),
+        ];
+        for (spec, want_logits, want_params) in cases {
+            let trainer = HpnnTrainer::new(spec, HpnnKey::from_words([3, 1, 4, 1]));
+            let mut rng = Rng::new(17);
+            let mut net = trainer.build_locked_network(&mut rng).unwrap();
+            let x = hpnn_tensor::Tensor::randn([6, dims.volume()], 1.0, &mut rng);
+            let labels: Vec<usize> = (0..6).map(|i| i * 7 % 10).collect();
+            let logits = net.forward(&x, false);
+            let config = TrainConfig::default()
+                .with_epochs(2)
+                .with_batch_size(6)
+                .with_lr(0.05);
+            train(
+                &mut net,
+                LabeledBatch::new(&x, &labels),
+                None,
+                &config,
+                &mut rng,
+            );
+            let params: Vec<f32> = net
+                .export_weights()
+                .iter()
+                .flat_map(|t| t.data().to_vec())
+                .collect();
+            assert_eq!(
+                (digest(logits.data()), digest(&params)),
+                (want_logits.to_string(), want_params.to_string())
+            );
+        }
+    }
+
     #[test]
     fn schedule_embedded_in_model() {
         let ds = tiny_dataset();

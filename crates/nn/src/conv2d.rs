@@ -1,8 +1,8 @@
-//! 2-D convolution layer (batched im2col + one GEMM per layer).
+//! 2-D convolution layer (direct convolution over packed input planes).
 
 use hpnn_tensor::{
-    conv2d_forward_batch_into, conv2d_input_grad_batch_into, conv2d_weight_grad_batch_into,
-    im2col_batch_into, simd, Conv2dGeom, Rng, Shape, Tensor,
+    conv2d_forward_batch_into, conv2d_input_grad_batch_into, conv2d_pack_batch,
+    conv2d_weight_grad_batch_into, simd, Conv2dGeom, Rng, Shape, Tensor,
 };
 
 use crate::layer::Layer;
@@ -12,17 +12,19 @@ use crate::param::Param;
 /// A 2-D convolution over `[batch x (C·H·W)]` activations.
 ///
 /// The layer knows its spatial geometry; activations stay rank-2 between
-/// layers (one flattened sample per row). Internally the whole batch is
-/// lowered at once into a patch-major column matrix `[B·OH·OW x C·K·K]`
-/// ([`hpnn_tensor::im2col_batch_into`]) and convolved by one fused kernel
-/// call over the whole batch. Backward reads the channel-major `grad_out`
-/// where it lies: `dW` sums each sample's `G_i·cols_i` in sample order
+/// layers (one flattened sample per row). Internally each sample's
+/// zero-padded input planes are packed once
+/// ([`hpnn_tensor::conv2d_pack_batch`]) and the whole batch is convolved
+/// directly from them, every tap a contiguous shifted read, by one kernel
+/// call ([`hpnn_tensor::conv2d_forward_batch_into`]). Backward reads the
+/// channel-major `grad_out` where it lies: `dW` sums each sample's
+/// `G_i·cols_i` in sample order over the same packed planes
 /// ([`hpnn_tensor::conv2d_weight_grad_batch_into`]), and the input
 /// gradient — skipped by [`Layer::backward_params`] — computes each
 /// sample's column gradient `Wᵀ·G_i` and folds it onto the image
 /// ([`hpnn_tensor::conv2d_input_grad_batch_into`]). Each call allocates the
-/// temporaries it uses and frees them on return; only the column matrix of
-/// a training forward outlives the call, until backward consumes it.
+/// temporaries it uses and frees them on return; only the packed planes of
+/// a training forward outlive the call, until backward consumes them.
 ///
 /// Because every kernel accumulates with a fixed per-element order, a
 /// batch-`N` call is bit-identical to `N` batch-1 calls, and the pooled
@@ -49,9 +51,9 @@ pub struct Conv2d {
     weight: Param,
     /// Per-filter bias `[out_c]`.
     bias: Param,
-    /// Batched patch-major column matrix `[batch·OH·OW x C·K·K]` from the
-    /// last training forward, held until backward consumes it.
-    cached_cols: Option<Tensor>,
+    /// Packed input planes `[batch x packed_len]` of the last training
+    /// forward, held until backward consumes them.
+    cached_planes: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -64,7 +66,7 @@ impl Conv2d {
             geom,
             weight,
             bias,
-            cached_cols: None,
+            cached_planes: None,
         }
     }
 
@@ -84,7 +86,7 @@ impl Conv2d {
             geom,
             weight: Param::new(weight),
             bias: Param::new(bias),
-            cached_cols: None,
+            cached_planes: None,
         }
     }
 
@@ -103,9 +105,9 @@ impl Conv2d {
         &self.bias
     }
 
-    /// Lowers the batch and convolves it — the one body behind both
+    /// Packs the batch and convolves it — the one body behind both
     /// [`Layer::infer`] and [`Layer::forward`]. Returns the output and the
-    /// column matrix, which training keeps for backward and inference
+    /// packed planes, which training keeps for backward and inference
     /// drops.
     fn convolve(&self, input: &Tensor) -> (Tensor, Tensor) {
         let batch = input.shape().rows();
@@ -116,34 +118,22 @@ impl Conv2d {
             input.shape().cols(),
             self.geom.in_volume()
         );
-        let l = self.geom.col_cols();
         let out_vol = self.geom.out_volume();
-
-        // Lower the whole batch at once: patch-major [batch·L x C·K·K].
-        let mut cols = Tensor::zeros([batch * l, self.geom.col_rows()]);
-        im2col_batch_into(input, &self.geom, cols.data_mut());
-
-        // One fused GEMM+scatter for the whole batch, through the
-        // transposed weight so the kernel runs through axpy, which
-        // vectorizes over out_c even when the patch dimension is tiny
-        // (1-channel 3×3 gives cr = 9, far too short for a dot-product
-        // formulation). The fused kernel writes the channel-major rows
-        // [batch x (out_c·L)] directly, bias included, without
-        // materialising the intermediate [batch·L x out_c] product.
+        let planes = conv2d_pack_batch(input, &self.geom);
         let mut out = vec![0.0; batch * out_vol];
         conv2d_forward_batch_into(
-            &cols,
-            &self.weight_t(),
+            &planes,
+            &self.weight.value,
             self.bias.value.data(),
             &self.geom,
             &mut out,
         );
         let out = Tensor::from_vec(Shape::d2(batch, out_vol), out).expect("conv output volume");
-        (out, cols)
+        (out, planes)
     }
 
-    /// The filter bank transposed to `[C·K·K x out_c]` (out_c·cr floats,
-    /// built per call).
+    /// The filter bank transposed to `[C·K·K x out_c]` for the input
+    /// gradient (out_c·cr floats, built per call).
     fn weight_t(&self) -> Tensor {
         let (cr, out_c) = (self.geom.col_rows(), self.geom.out_c);
         let mut w_t = Tensor::zeros([cr, out_c]);
@@ -160,14 +150,14 @@ impl Conv2d {
     /// [`Layer::backward_params`]: accumulates `db` and `dW`, and with
     /// `input_grad` also returns the input gradient.
     fn backprop(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
-        let cols = self
-            .cached_cols
+        let planes = self
+            .cached_planes
             .take()
             .expect("conv backward without training forward");
         let l = self.geom.col_cols();
         let out_c = self.geom.out_c;
         let out_vol = self.geom.out_volume();
-        let batch = cols.shape().rows() / l;
+        let batch = planes.shape().rows();
         assert_eq!(
             grad_out.shape().rows(),
             batch,
@@ -202,10 +192,10 @@ impl Conv2d {
         );
 
         // dW += Σ_i G_i·cols_i, read straight from the channel-major
-        // grad_out, samples in ascending order (so batched == stacked
-        // per-sample calls bit for bit).
-        conv2d_weight_grad_batch_into(grad_out, &cols, &self.geom, self.weight.grad.data_mut());
-        drop(cols);
+        // grad_out and the packed planes, samples in ascending order (so
+        // batched == stacked per-sample calls bit for bit).
+        conv2d_weight_grad_batch_into(grad_out, &planes, &self.geom, self.weight.grad.data_mut());
+        drop(planes);
 
         // dx: each sample's column gradient Wᵀ·G_i folded onto its image.
         input_grad.then(|| {
@@ -227,8 +217,8 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let (out, cols) = self.convolve(input);
-        self.cached_cols = train.then_some(cols);
+        let (out, planes) = self.convolve(input);
+        self.cached_planes = train.then_some(planes);
         out
     }
 
@@ -321,7 +311,7 @@ mod tests {
         let x = Tensor::randn([5, 16], 1.0, &mut rng);
         let a = conv.forward(&x, true);
         let b = conv.forward(&x, false);
-        // Same code path whether or not the cols cache is retained.
+        // Same code path whether or not the packed planes are retained.
         assert_eq!(a.data(), b.data());
     }
 
@@ -371,10 +361,9 @@ mod tests {
 
     #[test]
     fn batched_matches_per_sample_bitwise() {
-        // Geometry chosen to straddle the GEMM blocking boundaries:
-        // col_rows = 3·7·7 = 147 > KC (128) and batch·L = 600 > NC (256),
-        // so the batched GEMMs genuinely tile while the batch-1 calls may
-        // not — the accumulate kernels must still produce identical bits.
+        // A 7×7 kernel over 3 channels (147 taps in 19 `dW` blocks) and a
+        // partial filter block: a batch-6 call must still equal six
+        // batch-1 calls bit for bit.
         let mut rng = Rng::new(11);
         let geom = Conv2dGeom::new(3, 10, 10, 4, 7, 1, 3).unwrap();
         let mut whole = Conv2d::new(geom, &mut rng);

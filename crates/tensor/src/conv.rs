@@ -1,38 +1,62 @@
-//! Convolution geometry and im2col/col2im lowering.
+//! Convolution geometry and the direct convolution kernels.
 //!
-//! Convolutions are lowered to matrix multiplication: the input patch grid
-//! is unrolled into a column matrix ([`im2col`] for one sample,
-//! [`im2col_batch`] for a whole batch); the filter bank `[F x C*KH*KW]`
-//! then produces the output feature map with one GEMM. The adjoint
-//! ([`col2im`] / [`col2im_batch`]) folds column gradients back into image
-//! layout, which is exactly the input-gradient computation of the
-//! convolution. Training runs the two gradients as batched kernels that
-//! read the channel-major output gradient where it lies:
-//! [`conv2d_weight_grad_batch_into`] and [`conv2d_input_grad_batch_into`].
+//! A convolution is computed where its input lies, without an unrolled
+//! column matrix. Each sample's zero-padded input planes are packed once
+//! ([`conv2d_pack_batch`]); every tap `(c, ky, kx)` of the filter bank is
+//! then a contiguous, shifted read of that buffer. The forward
+//! ([`conv2d_forward_batch_into`]) and the weight gradient
+//! ([`conv2d_weight_grad_batch_into`]) both run over the packed planes, and
+//! the input gradient ([`conv2d_input_grad_batch_into`]) computes each
+//! channel's column gradient and folds it onto the image tap by tap.
+//! [`im2col`] / [`col2im`] keep the classical per-sample unroll and its
+//! adjoint as references.
 //!
-//! # Batched layout
+//! # Packed planes
 //!
-//! The per-sample [`im2col`] keeps the classical `[C*K*K x OH*OW]`
-//! orientation (kernel positions as rows). The batched form is stored
-//! **transposed and patch-major**: `[B*OH*OW x C*K*K]`, where rows
-//! `i*OH*OW .. (i+1)*OH*OW` hold sample `i`'s patches. Mathematically it is
-//! the same column matrix (for the whole batch) — transposing only swaps
-//! which GEMM form consumes it — but this orientation makes each sample's
-//! block *contiguous*, which buys three things at once: the fill
-//! parallelizes over samples through the worker pool with disjoint
-//! contiguous writes (bit-deterministic at any thread count), the forward
-//! GEMM `cols · Wᵀ` parallelizes over `B*OH*OW` rows instead of the handful
-//! of filter rows, and backward can hand per-sample sub-blocks to the GEMM
-//! kernels without copying.
+//! With stride 1 a sample packs to one `Hp × Wp` plane per channel
+//! (`Hp = H + 2·pad`, `Wp = W + 2·pad`). Outputs are computed on a *flat
+//! grid* `q = oy·Wp + ox` of `OH` rows of pitch `Wp`, and tap `(c, ky, kx)`
+//! of output `q` sits at `c·Hp·Wp + ky·Wp + kx + q`, so a run of outputs
+//! reads a run of inputs. The grid's columns `ox ≥ OW` are computed and
+//! dropped. With stride `s > 1` each padded plane is split into `s²` phase
+//! planes — phase `(py, px)` holds the padded pixels `(s·a + py, s·b + px)`
+//! — of pitch `⌈Wp / s⌉`; tap `(ky, kx)` reads phase `(ky mod s, kx mod s)`
+//! shifted by `(ky / s, kx / s)`, again one contiguous run. Stride 1 is the
+//! one-phase case. The buffer's tail is padded so that the dropped lanes of
+//! the last block read inside it; such a lane may hold NaN or Inf computed
+//! from a real input, and it is never stored or added anywhere.
+//!
+//! # Summation order
+//!
+//! The per-element order is the contract every kernel here keeps, at every
+//! [`SimdLevel`](crate::simd::SimdLevel) and thread count:
+//!
+//! * forward: each output is `0.0` plus `x·w` over ascending `C·K·K`, then
+//!   plus the bias — the order of `matmul_into` over an im2col matrix;
+//! * `dW`: each element adds its products in ascending (sample, patch)
+//!   order into the existing gradient — the order of one `Gᵀ·cols` GEMM
+//!   over the whole batch;
+//! * `dx`: each input element is `0.0` plus its patch contributions in
+//!   patch-raster order, each contribution being `0.0` plus its `F`
+//!   products in ascending filter order.
+//!
+//! Products commute exactly in IEEE arithmetic, so a kernel may form `w·x`
+//! for `x·w`. The vector bodies live in `mod direct`: explicit AVX-512F and
+//! AVX builds of the same loops as the portable body, which is the
+//! [`SimdLevel::Scalar`](crate::simd::SimdLevel::Scalar) path.
 
 use crate::error::TensorError;
-use crate::matmul::{gemm_rows, matmul_parts_into};
+use crate::matmul::gemm_rows;
 use crate::pool::for_chunks_mut;
 use crate::shape::Shape;
-use crate::simd::{self, SimdOp};
+use crate::simd::{self, SimdLevel, SimdOp};
 use crate::tensor::Tensor;
 
 /// Validated geometry of a 2-D convolution (single spatial configuration).
+///
+/// Every size the geometry exposes — the volumes, the MAC count and the
+/// packed-plane length — fits in `usize`; [`Conv2dGeom::new`] refuses a
+/// geometry for which one would not.
 ///
 /// # Examples
 ///
@@ -70,8 +94,9 @@ impl Conv2dGeom {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidGeometry`] if the kernel does not fit
-    /// the padded input, or if any dimension/stride is zero.
+    /// Returns [`TensorError::InvalidGeometry`] if any dimension or the
+    /// stride is zero, if the kernel does not fit the padded input, or if
+    /// the padded sides or any size derived from them overflow `usize`.
     pub fn new(
         in_c: usize,
         in_h: usize,
@@ -86,16 +111,21 @@ impl Conv2dGeom {
                 "zero dimension in conv geom c={in_c} h={in_h} w={in_w} f={out_c} k={kernel} s={stride}"
             )));
         }
-        let padded_h = in_h + 2 * pad;
-        let padded_w = in_w + 2 * pad;
+        let overflow = || {
+            TensorError::InvalidGeometry(format!(
+                "conv geom c={in_c} h={in_h} w={in_w} f={out_c} k={kernel} s={stride} \
+                 pad={pad} overflows usize"
+            ))
+        };
+        let padded = |side: usize| pad.checked_mul(2).and_then(|p| side.checked_add(p));
+        let padded_h = padded(in_h).ok_or_else(overflow)?;
+        let padded_w = padded(in_w).ok_or_else(overflow)?;
         if kernel > padded_h || kernel > padded_w {
             return Err(TensorError::InvalidGeometry(format!(
                 "kernel {kernel} larger than padded input {padded_h}x{padded_w}"
             )));
         }
-        let out_h = (padded_h - kernel) / stride + 1;
-        let out_w = (padded_w - kernel) / stride + 1;
-        Ok(Conv2dGeom {
+        let geom = Conv2dGeom {
             in_c,
             in_h,
             in_w,
@@ -103,9 +133,26 @@ impl Conv2dGeom {
             kernel,
             stride,
             pad,
-            out_h,
-            out_w,
-        })
+            out_h: (padded_h - kernel) / stride + 1,
+            out_w: (padded_w - kernel) / stride + 1,
+        };
+        geom.checked_sizes().ok_or_else(overflow)?;
+        Ok(geom)
+    }
+
+    /// Every size below (and twice the MAC count, the flop count the pool
+    /// is handed), computed with checked arithmetic.
+    fn checked_sizes(&self) -> Option<()> {
+        let l = self.out_h.checked_mul(self.out_w)?;
+        self.in_c.checked_mul(self.in_h)?.checked_mul(self.in_w)?;
+        self.out_c.checked_mul(l)?;
+        let cr = self
+            .in_c
+            .checked_mul(self.kernel)?
+            .checked_mul(self.kernel)?;
+        self.out_c.checked_mul(cr)?.checked_mul(l)?.checked_mul(2)?;
+        Packing::checked(self)?;
+        Some(())
     }
 
     /// Rows of the im2col matrix: `C*KH*KW`.
@@ -131,6 +178,86 @@ impl Conv2dGeom {
     /// Number of multiply–accumulate operations for one sample.
     pub fn macs_per_sample(&self) -> usize {
         self.out_c * self.col_rows() * self.col_cols()
+    }
+
+    /// Floats per sample of the packed planes that [`conv2d_pack_batch`]
+    /// builds (see the module docs for the layout).
+    pub fn packed_len(&self) -> usize {
+        Packing::of(self).len
+    }
+}
+
+/// Lanes of the flat output grid one forward block computes; the grid is
+/// rounded up to a whole number of blocks.
+const BLOCK: usize = 32;
+
+/// Filters one forward block computes.
+const FB: usize = 8;
+
+/// Largest number of taps one `dW` block accumulates at once.
+const TAPS: usize = 8;
+
+/// Where a sample's packed planes put each pixel (module docs).
+#[derive(Debug, Clone, Copy)]
+struct Packing {
+    /// Row pitch of a phase plane and of the flat output grid: `⌈Wp / s⌉`.
+    pitch: usize,
+    /// Floats per phase plane: `⌈Hp / s⌉ · pitch`.
+    plane: usize,
+    /// Flat-grid lanes computed per filter: `OH · pitch`, rounded up to
+    /// [`BLOCK`].
+    lanes: usize,
+    /// Floats per packed sample: every phase plane, plus the tail the last
+    /// block reads past the last tap's run.
+    len: usize,
+}
+
+impl Packing {
+    fn checked(g: &Conv2dGeom) -> Option<Packing> {
+        let s = g.stride;
+        let side = |v: usize| v.checked_add(g.pad.checked_mul(2)?);
+        let pitch = side(g.in_w)?.div_ceil(s);
+        let plane = side(g.in_h)?.div_ceil(s).checked_mul(pitch)?;
+        let planes = g.in_c.checked_mul(s.checked_mul(s)?)?;
+        let lanes = g
+            .out_h
+            .checked_mul(pitch)?
+            .checked_next_multiple_of(BLOCK)?;
+        let shift = (g.kernel - 1) / s;
+        let reach = shift
+            .checked_mul(pitch)?
+            .checked_add(shift)?
+            .checked_add(lanes)?;
+        let len = (planes - 1)
+            .checked_mul(plane)?
+            .checked_add(reach)?
+            .max(planes.checked_mul(plane)?);
+        Some(Packing {
+            pitch,
+            plane,
+            lanes,
+            len,
+        })
+    }
+
+    fn of(g: &Conv2dGeom) -> Packing {
+        Packing::checked(g).expect("Conv2dGeom::new checked the packed sizes")
+    }
+
+    /// Offset of tap `(c, ky, kx)` of flat output 0, for every tap in
+    /// ascending `C·K·K` order (the filter bank's column order).
+    fn tap_offsets(&self, g: &Conv2dGeom) -> Vec<usize> {
+        let (k, s) = (g.kernel, g.stride);
+        let mut offs = Vec::with_capacity(g.col_rows());
+        for c in 0..g.in_c {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let phase = (c * s + ky % s) * s + kx % s;
+                    offs.push(phase * self.plane + ky / s * self.pitch + kx / s);
+                }
+            }
+        }
+        offs
     }
 }
 
@@ -179,8 +306,10 @@ pub fn im2col(sample: &[f32], geom: &Conv2dGeom) -> Tensor {
 }
 
 /// Adjoint of [`im2col`]: folds a column-matrix gradient back into a
-/// sample-shaped buffer (accumulating where patches overlap, in the order
-/// [`col2im_batch_into`] documents, so the two agree bit for bit).
+/// sample-shaped buffer, overwriting it. Every input element starts from
+/// `0.0` and adds its patch contributions in patch-raster order (ascending
+/// `(oy, ox)`), the order a scatter over the patches produces — the order
+/// [`conv2d_input_grad_batch_into`] keeps.
 ///
 /// # Panics
 ///
@@ -284,423 +413,204 @@ impl SimdOp for FoldTaps<'_> {
     }
 }
 
-/// Fills sample `i`'s patch-major block (`[OH*OW x C*K*K]`, row-major) of a
-/// batched column matrix. Every element is written (padding becomes
-/// explicit zeros), so the destination does not need to be pre-zeroed.
-fn im2col_sample_block(sample: &[f32], geom: &Conv2dGeom, block: &mut [f32]) {
-    let k = geom.kernel;
-    let (h, w) = (geom.in_h, geom.in_w);
-    let cr = geom.col_rows();
-    let out_w = geom.out_w;
-    // Loop order (oy, c, ky, ox) resolves the input row and its vertical
-    // bounds check once per kernel row instead of once per patch; the inner
-    // ox sweep then only handles horizontal bounds. The write set is the
-    // same as a patch-by-patch fill, just visited in a different order.
-    for oy in 0..geom.out_h {
-        let patch_base = oy * out_w * cr;
-        for c in 0..geom.in_c {
-            let plane = &sample[c * h * w..(c + 1) * h * w];
-            let c_off = c * k * k;
-            for ky in 0..k {
-                let off = c_off + ky * k;
-                let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                if iy < 0 || iy >= h as isize {
-                    for ox in 0..out_w {
-                        let d = patch_base + ox * cr + off;
-                        block[d..d + k].fill(0.0);
-                    }
-                    continue;
-                }
-                let row = &plane[iy as usize * w..(iy as usize + 1) * w];
-                let stride = geom.stride;
-                let pad = geom.pad;
-                // The interior run — every ox whose whole kernel row is in
-                // bounds — is resolved up front, so its loop is a straight
-                // sequence of k-float copies with no per-patch branching.
-                let ox_lo = pad.div_ceil(stride).min(out_w);
-                let ox_hi = if w + pad >= k {
-                    ((w + pad - k) / stride + 1).clamp(ox_lo, out_w)
-                } else {
-                    ox_lo
-                };
-                let edge = |block: &mut [f32], ox: usize| {
-                    let d = patch_base + ox * cr + off;
-                    let dst = &mut block[d..d + k];
-                    let ix0 = (ox * stride) as isize - pad as isize;
-                    for (kx, d) in dst.iter_mut().enumerate() {
-                        let ix = ix0 + kx as isize;
-                        *d = if ix >= 0 && (ix as usize) < w {
-                            row[ix as usize]
-                        } else {
-                            0.0
-                        };
-                    }
-                };
-                for ox in 0..ox_lo {
-                    edge(block, ox);
-                }
-                // A monomorphized copy loop for the common kernel sides: a
-                // fixed-size copy is two register moves, where the
-                // runtime-length `copy_from_slice` is a libc memcpy call
-                // per patch — the dominant cost at k = 3.
-                let run = InteriorRun {
-                    patch_base,
-                    off,
-                    cr,
-                    stride,
-                    pad,
-                    ox_lo,
-                    ox_hi,
-                };
-                match k {
-                    1 => interior_copy::<1>(block, row, &run),
-                    3 => interior_copy::<3>(block, row, &run),
-                    5 => interior_copy::<5>(block, row, &run),
-                    7 => interior_copy::<7>(block, row, &run),
-                    _ => {
-                        for ox in ox_lo..ox_hi {
-                            let d = patch_base + ox * cr + off;
-                            let s = ox * stride - pad;
-                            block[d..d + k].copy_from_slice(&row[s..s + k]);
-                        }
-                    }
-                }
-                for ox in ox_hi..out_w {
-                    edge(block, ox);
-                }
-            }
-        }
-    }
-}
-
-/// Unrolls a whole batch (`[B x C*H*W]`) into a patch-major column matrix
-/// `[B*OH*OW x C*K*K]`, writing into `out` (see the
-/// module docs above for the layout). Samples are filled
-/// in parallel on the worker pool; each sample's block depends only on its
-/// own input row, so the result is bit-identical at any thread count.
+/// Packs a batch (`[B x C*H*W]`) into its zero-padded input planes
+/// `[B x packed_len]` (layout in the module docs), the operand of
+/// [`conv2d_forward_batch_into`] and [`conv2d_weight_grad_batch_into`].
+/// Samples are packed in parallel on the worker pool; each sample's planes
+/// depend only on its own row.
 ///
 /// # Panics
 ///
-/// Panics if `input` is not `[B x in_volume]` or `out` is not
-/// `B * OH*OW * C*K*K` long.
-pub fn im2col_batch_into(input: &Tensor, geom: &Conv2dGeom, out: &mut [f32]) {
+/// Panics if `input` is not `[B x in_volume]`.
+pub fn conv2d_pack_batch(input: &Tensor, geom: &Conv2dGeom) -> Tensor {
     let batch = input.shape().rows();
     assert_eq!(
         input.shape().cols(),
         geom.in_volume(),
-        "im2col_batch input volume mismatch"
+        "conv pack input volume mismatch"
     );
-    let block = geom.col_cols() * geom.col_rows();
-    for_chunks_mut(batch, block, block, out, |range, chunk| {
-        for i in range.0..range.1 {
-            let dst = &mut chunk[(i - range.0) * block..(i - range.0 + 1) * block];
-            im2col_sample_block(input.row(i), geom, dst);
+    let p = Packing::of(geom);
+    let (h, w, s, pad) = (geom.in_h, geom.in_w, geom.stride, geom.pad);
+    // Zeroed here, so only the pixels are written below.
+    let mut out = vec![0.0f32; batch * p.len];
+    for_chunks_mut(batch, p.len, p.len, &mut out, |range, chunk| {
+        for (i, dst) in (range.0..range.1).zip(chunk.chunks_exact_mut(p.len)) {
+            for (c, image) in input.row(i).chunks_exact(h * w).enumerate() {
+                for (iy, row) in image.chunks_exact(w).enumerate() {
+                    let (a, py) = ((iy + pad) / s, (iy + pad) % s);
+                    if s == 1 {
+                        // One phase: the row lands whole, shifted by `pad`.
+                        let at = c * p.plane + a * p.pitch + pad;
+                        dst[at..at + w].copy_from_slice(row);
+                        continue;
+                    }
+                    for px in 0..s {
+                        // The columns on phase `px` start at the first `ix`
+                        // with `(ix + pad) mod s == px` and step by `s`.
+                        let ix0 = (px + s - pad % s) % s;
+                        if ix0 >= w {
+                            continue;
+                        }
+                        let at = ((c * s + py) * s + px) * p.plane + a * p.pitch + (ix0 + pad) / s;
+                        for (d, &v) in dst[at..].iter_mut().zip(row[ix0..].iter().step_by(s)) {
+                            *d = v;
+                        }
+                    }
+                }
+            }
         }
     });
+    Tensor::from_vec(Shape::d2(batch, p.len), out).expect("packed planes volume")
 }
 
-/// Allocating wrapper over [`im2col_batch_into`].
-pub fn im2col_batch(input: &Tensor, geom: &Conv2dGeom) -> Tensor {
-    let batch = input.shape().rows();
-    let mut out = vec![0.0f32; batch * geom.col_cols() * geom.col_rows()];
-    im2col_batch_into(input, geom, &mut out);
-    Tensor::from_vec(Shape::d2(batch * geom.col_cols(), geom.col_rows()), out)
-        .expect("im2col_batch output volume")
-}
-
-/// Fused batched convolution forward: `out = scatter(cols · Wᵀ) + bias` in
-/// one pass over the column matrix.
+/// Batched convolution forward: `out = conv(x, W) + bias`, read from the
+/// packed planes of [`conv2d_pack_batch`] (`[B x packed_len]`) with the
+/// filter bank `weight` (`[F x C*K*K]`) as stored, into the channel-major
+/// feature maps `out` (`[B x F*OH*OW]`).
 ///
-/// `cols` is the patch-major `[B*OH*OW x C*K*K]` matrix from
-/// [`im2col_batch_into`], `w_t` the *transposed* filter bank
-/// `[C*K*K x F]`, and `out` the batched feature-map buffer
-/// `[B x F*OH*OW]`. Compared to a GEMM into an intermediate `[B*OH*OW x F]`
-/// buffer followed by a transposing scatter, the fused kernel keeps each
-/// patch's `F` accumulators in registers/L1 and never materialises the
-/// intermediate — on one core that roughly halves the memory traffic of the
-/// forward pass.
-///
-/// Determinism: every output element accumulates its `C*K*K` contributions
-/// in ascending kernel-position order (identical to [`matmul_into`]'s
-/// per-element order, with the bias added last), each sample depends only
-/// on its own block, and samples are distributed — never split — across
-/// pool workers, so the result is bit-identical at any thread count and
-/// for any batch decomposition.
-///
-/// [`matmul_into`]: crate::matmul_into
+/// Every output element is `0.0` plus its `C*K*K` products `x·w` in
+/// ascending kernel-position order, then plus the bias: the sequence of
+/// `matmul_into` over an im2col matrix, so the result is bit-identical to
+/// that lowering. Samples are distributed — never split — across pool
+/// workers, so it is also bit-identical at any thread count and for any
+/// batch decomposition.
 ///
 /// # Panics
 ///
-/// Panics unless `cols` is `[B*OH*OW x C*K*K]` for an integral batch,
-/// `w_t` is `[C*K*K x F]`, `bias` has `F` entries, and `out` is
-/// `B * F*OH*OW` long.
+/// Panics unless `packed` is `[B x packed_len]`, `weight` is
+/// `[F x C*K*K]`, `bias` has `F` entries, and `out` is `B * F*OH*OW` long.
 pub fn conv2d_forward_batch_into(
-    cols: &Tensor,
-    w_t: &Tensor,
+    packed: &Tensor,
+    weight: &Tensor,
     bias: &[f32],
     geom: &Conv2dGeom,
     out: &mut [f32],
 ) {
-    let l = geom.col_cols();
-    let cr = geom.col_rows();
-    let out_c = geom.out_c;
-    let out_vol = geom.out_volume();
-    assert_eq!(cols.shape().cols(), cr, "conv forward column mismatch");
+    let p = Packing::of(geom);
+    let (cr, out_c, out_vol) = (geom.col_rows(), geom.out_c, geom.out_volume());
+    let (l, ow) = (geom.col_cols(), geom.out_w);
     assert_eq!(
-        cols.shape().rows() % l,
-        0,
-        "conv forward rows {} not a multiple of OH*OW {l}",
-        cols.shape().rows()
+        packed.shape().cols(),
+        p.len,
+        "conv forward packed-plane volume"
     );
     assert_eq!(
-        (w_t.shape().rows(), w_t.shape().cols()),
-        (cr, out_c),
-        "conv forward transposed-weight shape"
+        weight.shape().dims(),
+        &[out_c, cr],
+        "conv forward weight shape"
     );
     assert_eq!(bias.len(), out_c, "conv forward bias length");
-    let batch = cols.shape().rows() / l;
+    let batch = packed.shape().rows();
     assert_eq!(out.len(), batch * out_vol, "conv forward output volume");
-    let cd = cols.data();
-    let wtd = w_t.data();
+    let offs = p.tap_offsets(geom);
+    let level = simd::current();
+    let (x, w) = (packed.data(), weight.data());
     for_chunks_mut(
         batch,
         out_vol,
         2 * geom.macs_per_sample(),
         out,
         |range, chunk| {
-            for i in range.0..range.1 {
-                let scols = &cd[i * l * cr..(i + 1) * l * cr];
-                let dst = &mut chunk[(i - range.0) * out_vol..(i - range.0 + 1) * out_vol];
-                // Monomorphized accumulators for the filter counts of the
-                // paper's models: a fixed-size array keeps the whole
-                // accumulator in registers and lets the axpy unroll fully.
-                match out_c {
-                    8 => fused_sample_block::<8>(scols, wtd, bias, cr, l, dst),
-                    16 => fused_sample_block::<16>(scols, wtd, bias, cr, l, dst),
-                    32 => fused_sample_block::<32>(scols, wtd, bias, cr, l, dst),
-                    64 => fused_sample_block::<64>(scols, wtd, bias, cr, l, dst),
-                    _ => fused_sample_block_dyn(scols, wtd, bias, cr, l, out_c, dst),
+            // One filter block's flat grid, bias not yet added.
+            let mut stage = vec![0.0f32; FB * p.lanes];
+            for (i, dst) in (range.0..range.1).zip(chunk.chunks_exact_mut(out_vol)) {
+                let x = &x[i * p.len..(i + 1) * p.len];
+                for f0 in (0..out_c).step_by(FB) {
+                    // A partial block repeats the last filter in its spare
+                    // rows; they are computed and never read.
+                    let rows = std::array::from_fn(|f| (f0 + f).min(out_c - 1) * cr);
+                    for q0 in (0..p.lanes).step_by(BLOCK) {
+                        forward_block(level, x, q0, &offs, w, &rows, &mut stage, p.lanes);
+                    }
+                    for (f, grid) in (f0..out_c.min(f0 + FB)).zip(stage.chunks_exact(p.lanes)) {
+                        let maps = dst[f * l..(f + 1) * l].chunks_exact_mut(ow);
+                        for (row, src) in maps.zip(grid.chunks(p.pitch)) {
+                            for (d, &a) in row.iter_mut().zip(src) {
+                                *d = a + bias[f];
+                            }
+                        }
+                    }
                 }
             }
         },
     );
 }
 
-/// Parameters of an im2col interior run (every patch whose kernel row is
-/// fully in bounds for a fixed output row / channel / kernel row).
-struct InteriorRun {
-    patch_base: usize,
-    off: usize,
-    cr: usize,
-    stride: usize,
-    pad: usize,
-    ox_lo: usize,
-    ox_hi: usize,
-}
-
-/// Copies the interior run with a compile-time kernel side `K`, so each
-/// patch's kernel row is a fixed-size (register) copy.
-fn interior_copy<const K: usize>(block: &mut [f32], row: &[f32], run: &InteriorRun) {
-    for ox in run.ox_lo..run.ox_hi {
-        let d = run.patch_base + ox * run.cr + run.off;
-        let s = ox * run.stride - run.pad;
-        let src: &[f32; K] = row[s..s + K].try_into().expect("kernel row in bounds");
-        let dst: &mut [f32; K] = (&mut block[d..d + K]).try_into().expect("kernel row fits");
-        *dst = *src;
-    }
-}
-
-/// [`SimdOp`] wrapper for the fused per-sample kernel: one portable body,
-/// re-vectorized per ISA by [`crate::simd::dispatch`].
-struct FusedSample<'a, const F: usize> {
-    scols: &'a [f32],
-    wtd: &'a [f32],
-    bias: &'a [f32],
-    cr: usize,
-    l: usize,
-    dst: &'a mut [f32],
-}
-
-impl<const F: usize> SimdOp for FusedSample<'_, F> {
-    type Output = ();
-
-    #[inline(always)]
-    fn eval(self) {
-        fused_sample_block_body::<F>(self.scols, self.wtd, self.bias, self.cr, self.l, self.dst);
-    }
-}
-
-/// One sample of the fused forward with a compile-time filter count `F`:
-/// routed through [`crate::simd::dispatch`], which monomorphizes the body
-/// under the detected ISA's target features.
-///
-/// Every monomorphization compiles the *same* element-wise loop body, so
-/// they are bit-identical: wider vectors change how many lanes run per
-/// instruction, not the multiply/add each lane performs (Rust never
-/// contracts `a*b + c` into an FMA or reassociates floats on its own).
-fn fused_sample_block<const F: usize>(
-    scols: &[f32],
-    wtd: &[f32],
-    bias: &[f32],
-    cr: usize,
-    l: usize,
-    dst: &mut [f32],
+/// One forward block: `stage[f * lanes + q0 + j] = 0.0 + Σ_t x[offs[t] +
+/// q0 + j] · w[rows[f] + t]`, `t` ascending, for `FB` filters and `j` in
+/// `0..BLOCK`. Dispatches on the hoisted [`SimdLevel`]; the portable body
+/// is the reference and the [`SimdLevel::Scalar`] path.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn forward_block(
+    level: SimdLevel,
+    x: &[f32],
+    q0: usize,
+    offs: &[usize],
+    w: &[f32],
+    rows: &[usize; FB],
+    stage: &mut [f32],
+    lanes: usize,
 ) {
-    simd::dispatch(FusedSample::<F> {
-        scols,
-        wtd,
-        bias,
-        cr,
-        l,
-        dst,
-    });
-}
-
-/// Portable body of the fused per-sample kernel.
-///
-/// Patches are processed in pairs so every transposed-weight row loaded
-/// from L1 feeds two FMA chains — the kernel is load-bound otherwise. Each
-/// output element still accumulates in ascending kernel-position order, so
-/// pairing does not change a single bit of the result.
-#[inline(always)]
-fn fused_sample_block_body<const F: usize>(
-    scols: &[f32],
-    wtd: &[f32],
-    bias: &[f32],
-    cr: usize,
-    l: usize,
-    dst: &mut [f32],
-) {
-    let bias: &[f32; F] = bias.try_into().expect("bias length F");
-    assert_eq!(dst.len(), F * l, "fused output block volume");
-    let wt_rows = wtd.chunks_exact(F);
-    let mut pairs = scols.chunks_exact(2 * cr);
-    let mut j = 0;
-    for pair in &mut pairs {
-        let (c0, c1) = pair.split_at(cr);
-        let mut a0 = [0.0f32; F];
-        let mut a1 = [0.0f32; F];
-        for ((w, &x0), &x1) in wt_rows.clone().zip(c0).zip(c1) {
-            let w: &[f32; F] = w.try_into().expect("wt row F");
-            for f in 0..F {
-                a0[f] += x0 * w[f];
-                a1[f] += x1 * w[f];
-            }
+    assert!(offs.iter().all(|&o| o + q0 + BLOCK <= x.len()));
+    assert!(rows.iter().all(|&r| r + offs.len() <= w.len()));
+    assert!((FB - 1) * lanes + q0 + BLOCK <= stage.len());
+    #[cfg(target_arch = "x86_64")]
+    match level {
+        // SAFETY: `level` comes from `simd::current()`, which is clamped to
+        // the detected features, and the asserts above are the kernels'
+        // bounds preconditions.
+        SimdLevel::Avx512 => {
+            unsafe { direct::forward_block_avx512(x, q0, offs, w, rows, stage, lanes) };
+            return;
         }
-        for (f, &b) in bias.iter().enumerate() {
-            dst[f * l + j] = a0[f] + b;
-            dst[f * l + j + 1] = a1[f] + b;
+        SimdLevel::Avx2 => {
+            unsafe { direct::forward_block_avx2(x, q0, offs, w, rows, stage, lanes) };
+            return;
         }
-        j += 2;
+        SimdLevel::Scalar => {}
     }
-    for crow in pairs.remainder().chunks_exact(cr) {
-        let mut acc = [0.0f32; F];
-        for (w, &x) in wt_rows.clone().zip(crow) {
-            let w: &[f32; F] = w.try_into().expect("wt row F");
-            for f in 0..F {
-                acc[f] += x * w[f];
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = level;
+    let mut acc = [[0.0f32; BLOCK]; FB];
+    for (t, &o) in offs.iter().enumerate() {
+        let xs: &[f32; BLOCK] = x[o + q0..o + q0 + BLOCK].try_into().expect("block");
+        for (acc, &r) in acc.iter_mut().zip(rows) {
+            let wv = w[r + t];
+            for (a, &xv) in acc.iter_mut().zip(xs) {
+                *a += xv * wv;
             }
-        }
-        for (f, &b) in bias.iter().enumerate() {
-            dst[f * l + j] = acc[f] + b;
-        }
-        j += 1;
-    }
-}
-
-/// Fallback for filter counts without a monomorphized kernel.
-fn fused_sample_block_dyn(
-    scols: &[f32],
-    wtd: &[f32],
-    bias: &[f32],
-    cr: usize,
-    l: usize,
-    out_c: usize,
-    dst: &mut [f32],
-) {
-    let mut acc = vec![0.0; out_c];
-    for (j, crow) in scols.chunks_exact(cr).enumerate() {
-        acc.fill(0.0);
-        for (p, &a) in crow.iter().enumerate() {
-            crate::matmul::axpy(a, &wtd[p * out_c..(p + 1) * out_c], &mut acc);
-        }
-        for (f, (&v, &b)) in acc.iter().zip(bias).enumerate() {
-            dst[f * l + j] = v + b;
         }
     }
-}
-
-/// Adjoint of [`im2col_batch`]: folds a patch-major column-gradient matrix
-/// `[B*OH*OW x C*K*K]` back into batch image layout `[B x C*H*W]`,
-/// overwriting `out` (overlapping patches accumulate within a sample).
-///
-/// Every input element starts from `0.0` and adds its patch contributions
-/// in patch-raster order (ascending `(oy, ox)`), the order a scatter over
-/// the patches produces. Each sample's block is transposed to the
-/// channel-major layout and folded tap by tap (see [`col2im`]). Samples
-/// run in parallel on the worker pool, so the result is bit-identical at
-/// any thread count.
-///
-/// # Panics
-///
-/// Panics if `cols` is not `[B*OH*OW x C*K*K]` for an integral batch, or
-/// `out` is not `B * in_volume` long.
-pub fn col2im_batch_into(cols: &Tensor, geom: &Conv2dGeom, out: &mut [f32]) {
-    let l = geom.col_cols();
-    let cr = geom.col_rows();
-    assert_eq!(cols.shape().cols(), cr, "col2im_batch column mismatch");
-    assert_eq!(
-        cols.shape().rows() % l,
-        0,
-        "col2im_batch rows {} not a multiple of OH*OW {l}",
-        cols.shape().rows()
-    );
-    let batch = cols.shape().rows() / l;
-    let in_vol = geom.in_volume();
-    let (kk, hw) = (geom.kernel * geom.kernel, geom.in_h * geom.in_w);
-    let data = cols.data();
-    for_chunks_mut(batch, in_vol, l * cr, out, |range, chunk| {
-        let mut rows = vec![0.0f32; cr * l];
-        for (i, image) in (range.0..range.1).zip(chunk.chunks_exact_mut(in_vol)) {
-            for (j, patch) in data[i * l * cr..(i + 1) * l * cr]
-                .chunks_exact(cr)
-                .enumerate()
-            {
-                for (r, &v) in patch.iter().enumerate() {
-                    rows[r * l + j] = v;
-                }
-            }
-            let channels = rows
-                .chunks_exact_mut(kk * l)
-                .zip(image.chunks_exact_mut(hw));
-            for (taps, plane) in channels {
-                fold_taps(taps, geom, plane);
-            }
-        }
-    });
+    for (f, acc) in acc.iter().enumerate() {
+        stage[f * lanes + q0..f * lanes + q0 + BLOCK].copy_from_slice(acc);
+    }
 }
 
 /// Batched convolution weight gradient: `dw += Σ_i G_i·cols_i`, samples in
 /// ascending order, where `G_i` is sample `i`'s row of the channel-major
-/// `grad_out` (`[B x F*OH*OW]`) read in place as an `[F x OH*OW]` matrix
-/// and `cols_i` its `[OH*OW x C*K*K]` block of the patch-major column
-/// matrix from [`im2col_batch_into`].
+/// `grad_out` (`[B x F*OH*OW]`) read as an `[F x OH*OW]` matrix and
+/// `cols_i` the sample's im2col matrix, read as shifted runs of its packed
+/// planes (`packed` from [`conv2d_pack_batch`]).
 ///
 /// Every element of `dw` (`[F x C*K*K]`) adds its `B*OH*OW` products in
 /// ascending (sample, patch) order — the sequence of one `Gᵀ·cols` GEMM
-/// over the whole batch with `G` transposed to patch-major first, without
-/// building that transpose.
+/// over the whole batch. Each vector lane accumulates one filter: `dw` is
+/// worked on transposed to `[C*K*K x F]`, each sample's `G_i` is transposed
+/// to `[OH*OW x F]`, and up to eight taps share every load of a `G_i`
+/// row. The samples are walked in order on the calling thread.
 ///
 /// # Panics
 ///
-/// Panics unless `cols` is `[B*OH*OW x C*K*K]`, `grad_out` is
-/// `[B x F*OH*OW]` for the same `B`, and `dw` is `F * C*K*K` long.
+/// Panics unless `grad_out` is `[B x F*OH*OW]`, `packed` is
+/// `[B x packed_len]` for the same `B`, and `dw` is `F * C*K*K` long.
 pub fn conv2d_weight_grad_batch_into(
     grad_out: &Tensor,
-    cols: &Tensor,
+    packed: &Tensor,
     geom: &Conv2dGeom,
     dw: &mut [f32],
 ) {
+    let p = Packing::of(geom);
     let (l, cr, out_c) = (geom.col_cols(), geom.col_rows(), geom.out_c);
     let batch = grad_out.shape().rows();
     assert_eq!(
@@ -709,108 +619,374 @@ pub fn conv2d_weight_grad_batch_into(
         "conv weight-grad gradient volume"
     );
     assert_eq!(
-        cols.shape().dims(),
-        &[batch * l, cr],
-        "conv weight-grad column matrix shape"
+        packed.shape().dims(),
+        &[batch, p.len],
+        "conv weight-grad packed-plane shape"
     );
     assert_eq!(dw.len(), out_c * cr, "conv weight-grad buffer volume");
-    let (gd, cd) = (grad_out.data(), cols.data());
-    // Few filters leave the GEMM kernels output rows too few (and, for a
-    // first layer's 1-channel 3×3 patch, too short) to keep the vector
-    // units busy; a register accumulator per filter does instead.
-    match out_c {
-        4 => return weight_grad_in_registers::<4>(gd, cd, geom, dw),
-        8 => return weight_grad_in_registers::<8>(gd, cd, geom, dw),
-        16 => return weight_grad_in_registers::<16>(gd, cd, geom, dw),
+    let level = simd::current();
+    let width = if level == SimdLevel::Avx512 && out_c > 8 {
+        16
+    } else {
+        8
+    };
+    // Lanes past `out_c` in `dwt` and `gt` are scratch: never read back.
+    let fp = out_c.next_multiple_of(width);
+    let mut dwt = vec![0.0f32; cr * fp];
+    for (f, row) in dw.chunks_exact(cr).enumerate() {
+        for (t, &v) in row.iter().enumerate() {
+            dwt[t * fp + f] = v;
+        }
+    }
+    let offs = p.tap_offsets(geom);
+    // Taps in blocks of at most TAPS, as even as possible.
+    let blocks = cr.div_ceil(TAPS);
+    let mut gt = vec![0.0f32; l * fp];
+    let grid = (geom.out_h, geom.out_w, p.pitch);
+    for (g, x) in grad_out
+        .data()
+        .chunks_exact(geom.out_volume())
+        .zip(packed.data().chunks_exact(p.len))
+    {
+        transpose_maps(level, g, l, &mut gt, fp);
+        for f0 in (0..fp).step_by(width) {
+            let mut t0 = 0;
+            for b in 0..blocks {
+                let n = cr / blocks + usize::from(b < cr % blocks);
+                let dst = &mut dwt[t0 * fp + f0..];
+                let taps = &offs[t0..t0 + n];
+                weight_grad_block(level, width, x, taps, &gt[f0..], fp, grid, dst);
+                t0 += n;
+            }
+        }
+    }
+    for (f, row) in dw.chunks_exact_mut(cr).enumerate() {
+        for (t, v) in row.iter_mut().enumerate() {
+            *v = dwt[t * fp + f];
+        }
+    }
+}
+
+/// `gt[q * fp + f] = maps[f * l + q]`: a sample's `[F x L]` gradient maps
+/// transposed to patch-major rows of pitch `fp`, in 8 × 8 tiles where a
+/// vector level is available.
+fn transpose_maps(level: SimdLevel, maps: &[f32], l: usize, gt: &mut [f32], fp: usize) {
+    let out_c = maps.len() / l;
+    assert!(out_c <= fp && l * fp <= gt.len());
+    let f8 = out_c / 8 * 8;
+    let q8 = if cfg!(target_arch = "x86_64") && level >= SimdLevel::Avx2 {
+        l / 8 * 8
+    } else {
+        0
+    };
+    #[cfg(target_arch = "x86_64")]
+    for f0 in (0..f8).step_by(8) {
+        for q0 in (0..q8).step_by(8) {
+            // SAFETY: `level` is clamped to the detected features; the
+            // tile's rows `maps[(f0 + r) * l + q0..][..8]` and
+            // `gt[(q0 + r) * fp + f0..][..8]` lie inside the slices.
+            unsafe {
+                direct::transpose8_avx2(&maps[f0 * l + q0..], l, &mut gt[q0 * fp + f0..], fp)
+            };
+        }
+    }
+    for (f, map) in maps.chunks_exact(l).enumerate() {
+        let from = if f < f8 { q8 } else { 0 };
+        for (q, &v) in map.iter().enumerate().skip(from) {
+            gt[q * fp + f] = v;
+        }
+    }
+}
+
+/// One `dW` block: for `width` filter lanes and the taps `offs` (at most
+/// [`TAPS`]), `dwt[tb * stride + f] += gt[q * stride + f] · x[offs[tb] +
+/// oy * pitch + ox]` over the output grid's patches `q = oy * OW + ox` in
+/// raster order. `grid` is `(OH, OW, pitch)`. Dispatches the tap count to a
+/// compile-time one, so the accumulators stay in registers.
+#[allow(clippy::too_many_arguments)]
+fn weight_grad_block(
+    level: SimdLevel,
+    width: usize,
+    x: &[f32],
+    offs: &[usize],
+    gt: &[f32],
+    stride: usize,
+    grid: (usize, usize, usize),
+    dwt: &mut [f32],
+) {
+    macro_rules! taps {
+        ($($n:literal)*) => {
+            match offs.len() {
+                $($n => weight_grad_taps::<$n>(level, width, x, offs, gt, stride, grid, dwt),)*
+                n => unreachable!("{n} taps in one dW block"),
+            }
+        };
+    }
+    taps!(1 2 3 4 5 6 7 8);
+}
+
+/// [`weight_grad_block`] for `TB` taps.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn weight_grad_taps<const TB: usize>(
+    level: SimdLevel,
+    width: usize,
+    x: &[f32],
+    offs: &[usize],
+    gt: &[f32],
+    stride: usize,
+    grid: (usize, usize, usize),
+    dwt: &mut [f32],
+) {
+    let offs: &[usize; TB] = offs.try_into().expect("TB taps");
+    let (oh, ow, pitch) = grid;
+    assert!(offs.iter().all(|&o| o + (oh - 1) * pitch + ow <= x.len()));
+    assert!((oh * ow - 1) * stride + width <= gt.len());
+    assert!((TB - 1) * stride + width <= dwt.len());
+    #[cfg(target_arch = "x86_64")]
+    match (level, width) {
+        // SAFETY: `level` comes from `simd::current()`, clamped to the
+        // detected features; AVX-512F implies AVX, so the 8-lane body runs
+        // at either vector level. The asserts above are the bounds.
+        (SimdLevel::Avx512, 16) => {
+            unsafe { direct::weight_grad_avx512::<TB>(x, offs, gt, stride, grid, dwt) };
+            return;
+        }
+        (SimdLevel::Avx512 | SimdLevel::Avx2, 8) => {
+            unsafe { direct::weight_grad_avx2::<TB>(x, offs, gt, stride, grid, dwt) };
+            return;
+        }
         _ => {}
     }
-    matmul_parts_into(gd, geom.out_volume(), cd, l * cr, batch, (out_c, l, cr), dw);
-}
-
-/// Lanes per filter row of [`weight_grad_in_registers`]'s accumulator.
-const WG_LANES: usize = 16;
-
-/// [`conv2d_weight_grad_batch_into`] for `F` filters: `dW`'s columns are
-/// taken [`WG_LANES`] at a time (a slab), and a slab's `F × WG_LANES`
-/// accumulator — one vector per filter — stays in registers while the
-/// sample's patches stream past; each patch's column row is read as one
-/// `WG_LANES`-wide window, whose lanes past `C*K*K` belong to the next
-/// patch and are never stored. Between samples the accumulator waits in
-/// memory. Every element still adds its products in ascending (sample,
-/// patch) order.
-fn weight_grad_in_registers<const F: usize>(
-    grad: &[f32],
-    cols: &[f32],
-    geom: &Conv2dGeom,
-    dw: &mut [f32],
-) {
-    simd::dispatch(WeightGradInRegisters::<F> {
-        grad,
-        cols,
-        geom,
-        dw,
-    });
-}
-
-/// [`SimdOp`] wrapper for [`weight_grad_in_registers`].
-struct WeightGradInRegisters<'a, const F: usize> {
-    grad: &'a [f32],
-    cols: &'a [f32],
-    geom: &'a Conv2dGeom,
-    dw: &'a mut [f32],
-}
-
-impl<const F: usize> SimdOp for WeightGradInRegisters<'_, F> {
-    type Output = ();
-
-    #[inline(always)]
-    fn eval(self) {
-        let (l, cr, out_vol) = (
-            self.geom.col_cols(),
-            self.geom.col_rows(),
-            self.geom.out_volume(),
-        );
-        // A slab's accumulator is only ever read and written whole, so it
-        // can live in registers; values move in and out through padded
-        // copies.
-        let slabs: Vec<usize> = (0..cr).step_by(WG_LANES).collect();
-        let mut saved = vec![[[0.0f32; WG_LANES]; F]; slabs.len()];
-        for (acc, &s) in saved.iter_mut().zip(&slabs) {
-            let width = (cr - s).min(WG_LANES);
-            for (a, w) in acc.iter_mut().zip(self.dw.chunks_exact(cr)) {
-                a[..width].copy_from_slice(&w[s..s + width]);
-            }
-        }
-        let samples = self.grad.chunks_exact(out_vol);
-        for (i, (g, patches)) in samples.zip(self.cols.chunks_exact(l * cr)).enumerate() {
-            for (acc_slot, &s) in saved.iter_mut().zip(&slabs) {
-                let width = (cr - s).min(WG_LANES);
-                let mut acc = *acc_slot;
-                for (j, patch) in patches.chunks_exact(cr).enumerate() {
-                    let at = (i * l + j) * cr + s;
-                    let x: [f32; WG_LANES] = match self.cols.get(at..at + WG_LANES) {
-                        Some(window) => window.try_into().expect("window width"),
-                        None => {
-                            let mut window = [0.0f32; WG_LANES];
-                            window[..width].copy_from_slice(&patch[s..s + width]);
-                            window
-                        }
-                    };
-                    for (f, a) in acc.iter_mut().enumerate() {
-                        let gf = g[f * l + j];
-                        for (a, x) in a.iter_mut().zip(x) {
-                            *a += gf * x;
-                        }
-                    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = level;
+    assert_eq!(width, 8, "portable dW body is 8 lanes wide");
+    let mut acc = [[0.0f32; 8]; TB];
+    for (tb, a) in acc.iter_mut().enumerate() {
+        a.copy_from_slice(&dwt[tb * stride..tb * stride + 8]);
+    }
+    for oy in 0..oh {
+        for ox in 0..ow {
+            let q = oy * ow + ox;
+            let gv: &[f32; 8] = gt[q * stride..q * stride + 8].try_into().expect("lanes");
+            for (a, &o) in acc.iter_mut().zip(offs) {
+                let xv = x[o + oy * pitch + ox];
+                for (a, &g) in a.iter_mut().zip(gv) {
+                    *a += g * xv;
                 }
-                *acc_slot = acc;
             }
         }
-        for (acc, &s) in saved.iter().zip(&slabs) {
-            let width = (cr - s).min(WG_LANES);
-            for (a, w) in acc.iter().zip(self.dw.chunks_exact_mut(cr)) {
-                w[s..s + width].copy_from_slice(&a[..width]);
+    }
+    for (tb, a) in acc.iter().enumerate() {
+        dwt[tb * stride..tb * stride + 8].copy_from_slice(a);
+    }
+}
+
+/// Explicit vector builds of the direct kernels. Each is the portable body
+/// of [`forward_block`] / [`weight_grad_taps`] with its lanes in vector
+/// registers: the same multiplies and adds per element, in the same order
+/// (no FMA: a fused multiply-add rounds once and would change bits).
+#[cfg(target_arch = "x86_64")]
+mod direct {
+    use super::{BLOCK, FB};
+    use std::arch::x86_64::*;
+
+    /// AVX-512F forward block: `FB` filters × [`BLOCK`] lanes in 16
+    /// accumulators; each tap loads two vectors of `x` and broadcasts one
+    /// weight per filter.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F is available, `offs[t] + q0 + BLOCK <=
+    /// x.len()` and `rows[f] + offs.len() <= w.len()` for every tap and
+    /// filter, and `(FB - 1) * lanes + q0 + BLOCK <= stage.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn forward_block_avx512(
+        x: &[f32],
+        q0: usize,
+        offs: &[usize],
+        w: &[f32],
+        rows: &[usize; FB],
+        stage: &mut [f32],
+        lanes: usize,
+    ) {
+        debug_assert!(offs.iter().all(|&o| o + q0 + BLOCK <= x.len()));
+        debug_assert!(rows.iter().all(|&r| r + offs.len() <= w.len()));
+        debug_assert!((FB - 1) * lanes + q0 + BLOCK <= stage.len());
+        let xp = x.as_ptr().add(q0);
+        let wp: [*const f32; FB] = std::array::from_fn(|f| w.as_ptr().add(rows[f]));
+        let mut acc = [[_mm512_setzero_ps(); 2]; FB];
+        for (t, &o) in offs.iter().enumerate() {
+            let x0 = _mm512_loadu_ps(xp.add(o));
+            let x1 = _mm512_loadu_ps(xp.add(o + 16));
+            for (a, &wr) in acc.iter_mut().zip(&wp) {
+                let wv = _mm512_set1_ps(*wr.add(t));
+                a[0] = _mm512_add_ps(a[0], _mm512_mul_ps(x0, wv));
+                a[1] = _mm512_add_ps(a[1], _mm512_mul_ps(x1, wv));
             }
+        }
+        for (f, a) in acc.iter().enumerate() {
+            let dst = stage.as_mut_ptr().add(f * lanes + q0);
+            _mm512_storeu_ps(dst, a[0]);
+            _mm512_storeu_ps(dst.add(16), a[1]);
+        }
+    }
+
+    /// AVX forward block: the same block as four 8-lane passes, `FB`
+    /// accumulators each.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX is available, and the bounds of
+    /// [`forward_block_avx512`].
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn forward_block_avx2(
+        x: &[f32],
+        q0: usize,
+        offs: &[usize],
+        w: &[f32],
+        rows: &[usize; FB],
+        stage: &mut [f32],
+        lanes: usize,
+    ) {
+        debug_assert!(offs.iter().all(|&o| o + q0 + BLOCK <= x.len()));
+        debug_assert!(rows.iter().all(|&r| r + offs.len() <= w.len()));
+        debug_assert!((FB - 1) * lanes + q0 + BLOCK <= stage.len());
+        let wp: [*const f32; FB] = std::array::from_fn(|f| w.as_ptr().add(rows[f]));
+        for j in (0..BLOCK).step_by(8) {
+            let xp = x.as_ptr().add(q0 + j);
+            let mut acc = [_mm256_setzero_ps(); FB];
+            for (t, &o) in offs.iter().enumerate() {
+                let xv = _mm256_loadu_ps(xp.add(o));
+                for (a, &wr) in acc.iter_mut().zip(&wp) {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, _mm256_set1_ps(*wr.add(t))));
+                }
+            }
+            for (f, a) in acc.iter().enumerate() {
+                _mm256_storeu_ps(stage.as_mut_ptr().add(f * lanes + q0 + j), *a);
+            }
+        }
+    }
+
+    /// Transposes the 8 × 8 tile `src[r * sstride + c]` into
+    /// `dst[c * dstride + r]`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX is available, `7 * sstride + 8 <= src.len()`
+    /// and `7 * dstride + 8 <= dst.len()`.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn transpose8_avx2(
+        src: &[f32],
+        sstride: usize,
+        dst: &mut [f32],
+        dstride: usize,
+    ) {
+        debug_assert!(7 * sstride + 8 <= src.len() && 7 * dstride + 8 <= dst.len());
+        let r: [__m256; 8] =
+            std::array::from_fn(|i| _mm256_loadu_ps(src.as_ptr().add(i * sstride)));
+        // Pairs of rows interleaved, then quads, then the 128-bit halves.
+        let t: [__m256; 8] = std::array::from_fn(|i| {
+            let (a, b) = (r[i / 2 * 2], r[i / 2 * 2 + 1]);
+            if i % 2 == 0 {
+                _mm256_unpacklo_ps(a, b)
+            } else {
+                _mm256_unpackhi_ps(a, b)
+            }
+        });
+        let u: [__m256; 8] = std::array::from_fn(|i| {
+            let (base, hi) = (i / 4 * 4 + i % 4 / 2, i % 2 == 1);
+            let (a, b) = (t[base], t[base + 2]);
+            if hi {
+                _mm256_shuffle_ps::<0xEE>(a, b)
+            } else {
+                _mm256_shuffle_ps::<0x44>(a, b)
+            }
+        });
+        for c in 0..4 {
+            let lo = _mm256_permute2f128_ps::<0x20>(u[c], u[c + 4]);
+            let hi = _mm256_permute2f128_ps::<0x31>(u[c], u[c + 4]);
+            _mm256_storeu_ps(dst.as_mut_ptr().add(c * dstride), lo);
+            _mm256_storeu_ps(dst.as_mut_ptr().add((c + 4) * dstride), hi);
+        }
+    }
+
+    /// AVX-512F `dW` block: 16 filter lanes × `TB` taps, one accumulator
+    /// per tap; every `gt` row load feeds all `TB` taps.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F is available and, with `grid = (oh, ow,
+    /// pitch)`: `offs[tb] + (oh - 1) * pitch + ow <= x.len()`,
+    /// `(oh * ow - 1) * stride + 16 <= gt.len()` and `(TB - 1) * stride +
+    /// 16 <= dwt.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn weight_grad_avx512<const TB: usize>(
+        x: &[f32],
+        offs: &[usize; TB],
+        gt: &[f32],
+        stride: usize,
+        (oh, ow, pitch): (usize, usize, usize),
+        dwt: &mut [f32],
+    ) {
+        debug_assert!(offs.iter().all(|&o| o + (oh - 1) * pitch + ow <= x.len()));
+        debug_assert!((oh * ow - 1) * stride + 16 <= gt.len());
+        debug_assert!((TB - 1) * stride + 16 <= dwt.len());
+        let mut acc = [_mm512_setzero_ps(); TB];
+        for (tb, a) in acc.iter_mut().enumerate() {
+            *a = _mm512_loadu_ps(dwt.as_ptr().add(tb * stride));
+        }
+        for oy in 0..oh {
+            let xr = x.as_ptr().add(oy * pitch);
+            let gr = gt.as_ptr().add(oy * ow * stride);
+            for ox in 0..ow {
+                let gv = _mm512_loadu_ps(gr.add(ox * stride));
+                for (a, &o) in acc.iter_mut().zip(offs) {
+                    let xv = _mm512_set1_ps(*xr.add(o + ox));
+                    *a = _mm512_add_ps(*a, _mm512_mul_ps(gv, xv));
+                }
+            }
+        }
+        for (tb, a) in acc.iter().enumerate() {
+            _mm512_storeu_ps(dwt.as_mut_ptr().add(tb * stride), *a);
+        }
+    }
+
+    /// AVX `dW` block: [`weight_grad_avx512`] with 8 filter lanes.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX is available and the bounds of
+    /// [`weight_grad_avx512`] with 8 in place of 16.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn weight_grad_avx2<const TB: usize>(
+        x: &[f32],
+        offs: &[usize; TB],
+        gt: &[f32],
+        stride: usize,
+        (oh, ow, pitch): (usize, usize, usize),
+        dwt: &mut [f32],
+    ) {
+        debug_assert!(offs.iter().all(|&o| o + (oh - 1) * pitch + ow <= x.len()));
+        debug_assert!((oh * ow - 1) * stride + 8 <= gt.len());
+        debug_assert!((TB - 1) * stride + 8 <= dwt.len());
+        let mut acc = [_mm256_setzero_ps(); TB];
+        for (tb, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_loadu_ps(dwt.as_ptr().add(tb * stride));
+        }
+        for oy in 0..oh {
+            let xr = x.as_ptr().add(oy * pitch);
+            let gr = gt.as_ptr().add(oy * ow * stride);
+            for ox in 0..ow {
+                let gv = _mm256_loadu_ps(gr.add(ox * stride));
+                for (a, &o) in acc.iter_mut().zip(offs) {
+                    let xv = _mm256_set1_ps(*xr.add(o + ox));
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(gv, xv));
+                }
+            }
+        }
+        for (tb, a) in acc.iter().enumerate() {
+            _mm256_storeu_ps(dwt.as_mut_ptr().add(tb * stride), *a);
         }
     }
 }
@@ -825,8 +1001,8 @@ impl<const F: usize> SimdOp for WeightGradInRegisters<'_, F> {
 /// onto that channel's plane as in [`col2im`]. Each column-gradient
 /// element is `0.0` plus its `F` products in ascending filter order, and
 /// each input element `0.0` plus its patch contributions in patch-raster
-/// order: the same sequences as a patch-major `G′·W` GEMM followed by
-/// [`col2im_batch_into`]. Samples run in parallel on the worker pool, so
+/// order: the same sequences as a patch-major `G′·W` GEMM followed by the
+/// patch-raster scatter of [`col2im`]. Samples run in parallel on the worker pool, so
 /// the result is bit-identical at any thread count.
 ///
 /// # Panics
@@ -874,14 +1050,6 @@ pub fn conv2d_input_grad_batch_into(
     );
 }
 
-/// Allocating wrapper over [`col2im_batch_into`].
-pub fn col2im_batch(cols: &Tensor, geom: &Conv2dGeom) -> Tensor {
-    let batch = cols.shape().rows() / geom.col_cols().max(1);
-    let mut out = vec![0.0f32; batch * geom.in_volume()];
-    col2im_batch_into(cols, geom, &mut out);
-    Tensor::from_vec(Shape::d2(batch, geom.in_volume()), out).expect("col2im_batch output volume")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -913,6 +1081,22 @@ mod tests {
     fn geom_rejects_zeros() {
         assert!(Conv2dGeom::new(0, 4, 4, 1, 3, 1, 0).is_err());
         assert!(Conv2dGeom::new(1, 4, 4, 1, 3, 0, 0).is_err());
+    }
+
+    #[test]
+    fn geom_refuses_sizes_that_overflow() {
+        // `2·pad` wraps to 0 without checked arithmetic.
+        assert!(Conv2dGeom::new(1, 4, 4, 1, 3, 1, 1 << 63).is_err());
+        assert!(Conv2dGeom::new(1, usize::MAX - 1, 4, 1, 3, 1, 1).is_err());
+        // in_volume 2^80.
+        assert!(Conv2dGeom::new(1 << 40, 1 << 20, 1 << 20, 1, 1, 1, 0).is_err());
+        // out_volume and macs.
+        assert!(Conv2dGeom::new(1, 1 << 31, 1 << 31, 1 << 8, 1, 1, 0).is_err());
+        // col_rows: kernel² overflows.
+        assert!(Conv2dGeom::new(1, 1, 1, 1, 1 << 33, 1, 1 << 33).is_err());
+        // packed planes: s² phase planes of a wide input.
+        assert!(Conv2dGeom::new(1 << 20, 4, 4, 1, 1, 1 << 22, 0).is_err());
+        assert!(Conv2dGeom::new(1 << 20, 4, 4, 1, 1, 1 << 20, 0).is_ok());
     }
 
     #[test]
@@ -979,8 +1163,8 @@ mod tests {
         assert_eq!(g.macs_per_sample(), 16 * 27 * 64);
     }
 
-    /// Geometries exercising padding, stride, interior/edge fast paths, and
-    /// (with enough samples) the pool's parallel fill.
+    /// Geometries exercising padding, stride, kernel sides and both pack
+    /// paths (one phase, several phases).
     fn batch_geoms() -> Vec<Conv2dGeom> {
         vec![
             Conv2dGeom::new(2, 5, 5, 3, 3, 2, 1).unwrap(),
@@ -988,103 +1172,8 @@ mod tests {
             Conv2dGeom::new(3, 8, 8, 4, 3, 1, 0).unwrap(),
             Conv2dGeom::new(2, 6, 6, 2, 1, 1, 0).unwrap(),
             Conv2dGeom::new(1, 7, 7, 2, 5, 1, 2).unwrap(),
+            Conv2dGeom::new(2, 7, 6, 3, 1, 2, 0).unwrap(),
         ]
-    }
-
-    #[test]
-    fn im2col_batch_matches_per_sample_transpose() {
-        // Each sample block of the batched patch-major matrix must be
-        // exactly the transpose of the classical per-sample column matrix.
-        let mut rng = Rng::new(21);
-        for g in batch_geoms() {
-            let batch = 3;
-            let x = Tensor::randn([batch, g.in_volume()], 1.0, &mut rng);
-            let cols = im2col_batch(&x, &g);
-            assert_eq!(
-                cols.shape().dims(),
-                &[batch * g.col_cols(), g.col_rows()],
-                "{g:?}"
-            );
-            for i in 0..batch {
-                let classic = im2col(x.row(i), &g);
-                for j in 0..g.col_cols() {
-                    for r in 0..g.col_rows() {
-                        assert_eq!(
-                            cols.at(&[i * g.col_cols() + j, r]),
-                            classic.at(&[r, j]),
-                            "{g:?} sample {i} patch {j} row {r}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn im2col_batch_overwrites_dirty_buffer() {
-        // The _into form must not depend on the destination's contents:
-        // padding positions are written as explicit zeros.
-        let g = Conv2dGeom::new(1, 3, 3, 1, 3, 1, 1).unwrap();
-        let x = Tensor::ones([2, 9]);
-        let n = 2 * g.col_cols() * g.col_rows();
-        let mut dirty = vec![f32::NAN; n];
-        im2col_batch_into(&x, &g, &mut dirty);
-        let mut clean = vec![0.0f32; n];
-        im2col_batch_into(&x, &g, &mut clean);
-        assert_eq!(dirty, clean);
-    }
-
-    #[test]
-    fn col2im_batch_is_adjoint_of_im2col_batch() {
-        // <A x, y> == <x, Aᵀ y> over whole batches, for every geometry.
-        let mut rng = Rng::new(22);
-        for g in batch_geoms() {
-            let batch = 4;
-            let x = Tensor::randn([batch, g.in_volume()], 1.0, &mut rng);
-            let y = Tensor::randn([batch * g.col_cols(), g.col_rows()], 1.0, &mut rng);
-            let ax = im2col_batch(&x, &g);
-            let aty = col2im_batch(&y, &g);
-            assert_eq!(aty.shape().dims(), &[batch, g.in_volume()]);
-            let lhs: f64 = ax
-                .data()
-                .iter()
-                .zip(y.data())
-                .map(|(a, b)| (a * b) as f64)
-                .sum();
-            let rhs: f64 = x
-                .data()
-                .iter()
-                .zip(aty.data())
-                .map(|(a, b)| (a * b) as f64)
-                .sum();
-            assert!(
-                (lhs - rhs).abs() < 1e-3 * lhs.abs().max(1.0),
-                "{g:?}: {lhs} vs {rhs}"
-            );
-        }
-    }
-
-    #[test]
-    fn col2im_batch_matches_per_sample() {
-        // Folding a batch at once equals folding each sample's block
-        // through the classical col2im, bit for bit: both accumulate in
-        // patch-raster order.
-        let mut rng = Rng::new(23);
-        for g in batch_geoms() {
-            let batch = 5;
-            let y = Tensor::randn([batch * g.col_cols(), g.col_rows()], 1.0, &mut rng);
-            let batched = col2im_batch(&y, &g);
-            for i in 0..batch {
-                // Transpose sample i's patch-major block into classical layout.
-                let mut classic = Tensor::zeros([g.col_rows(), g.col_cols()]);
-                for j in 0..g.col_cols() {
-                    for r in 0..g.col_rows() {
-                        classic.set(&[r, j], y.at(&[i * g.col_cols() + j, r]));
-                    }
-                }
-                assert_eq!(batched.row(i), col2im(&classic, &g), "{g:?} sample {i}");
-            }
-        }
     }
 
     /// CNN1's two convolutions (28² and 14², 3×3, same padding).
@@ -1095,9 +1184,55 @@ mod tests {
         ]
     }
 
+    /// The patch-major column matrix `[B·OH·OW x C·K·K]`: each sample's
+    /// classical [`im2col`] transposed.
+    fn patch_major_cols(x: &Tensor, g: &Conv2dGeom) -> Tensor {
+        let (l, cr) = (g.col_cols(), g.col_rows());
+        let batch = x.shape().rows();
+        let mut out = Tensor::zeros([batch * l, cr]);
+        for i in 0..batch {
+            let classic = im2col(x.row(i), g);
+            for j in 0..l {
+                for r in 0..cr {
+                    out.set(&[i * l + j, r], classic.at(&[r, j]));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn packed_planes_hold_every_im2col_tap() {
+        // Tap (c, ky, kx) of patch (oy, ox) lies at its tap offset plus the
+        // patch's flat-grid lane, for every geometry and both pack paths.
+        let mut rng = Rng::new(21);
+        for g in batch_geoms() {
+            let batch = 3;
+            let x = Tensor::randn([batch, g.in_volume()], 1.0, &mut rng);
+            let planes = conv2d_pack_batch(&x, &g);
+            assert_eq!(planes.shape().dims(), &[batch, g.packed_len()], "{g:?}");
+            let p = Packing::of(&g);
+            let offs = p.tap_offsets(&g);
+            for i in 0..batch {
+                let classic = im2col(x.row(i), &g);
+                for (r, &o) in offs.iter().enumerate() {
+                    for j in 0..g.col_cols() {
+                        let q = j / g.out_w * p.pitch + j % g.out_w;
+                        assert_eq!(
+                            planes.row(i)[o + q],
+                            classic.at(&[r, j]),
+                            "{g:?} sample {i} patch {j} tap {r}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// The patch-raster scatter: every image element starts from `0.0`
     /// and adds its patch contributions as the patches come, `(oy, ox)`
-    /// ascending — the summation order `col2im_batch_into` is pinned to.
+    /// ascending — the summation order `col2im` and the input gradient are
+    /// pinned to.
     fn scatter_reference(cols: &[f32], g: &Conv2dGeom) -> Vec<f32> {
         let (l, cr, k) = (g.col_cols(), g.col_rows(), g.kernel);
         let batch = cols.len() / (l * cr);
@@ -1122,25 +1257,25 @@ mod tests {
     }
 
     #[test]
-    fn col2im_batch_sums_in_patch_raster_order_bitwise() {
+    fn col2im_sums_in_patch_raster_order_bitwise() {
         // Pins the summation order: per element, `0.0` then each patch's
         // contribution in patch-raster order. Values spanning many
         // magnitudes make any other order round differently.
         let mut rng = Rng::new(28);
         for g in batch_geoms().into_iter().chain(cnn1_geoms()) {
-            let batch = 3;
-            let n = batch * g.col_cols() * g.col_rows();
+            let n = g.col_rows() * g.col_cols();
             let cols: Vec<f32> = (0..n)
                 .map(|i| rng.normal() * [1e-3, 1.0, 1e3][i % 3])
                 .collect();
-            let y = Tensor::from_vec([batch * g.col_cols(), g.col_rows()], cols).unwrap();
-            let want = scatter_reference(y.data(), &g);
+            let classic = Tensor::from_vec([g.col_rows(), g.col_cols()], cols).unwrap();
+            let patches = classic.transpose();
+            let want = scatter_reference(patches.data(), &g);
             for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
                 if level > simd::probe() {
                     continue;
                 }
                 let _g = simd::force(level);
-                assert_eq!(col2im_batch(&y, &g).data(), want, "{g:?} at {level:?}");
+                assert_eq!(col2im(&classic, &g), want, "{g:?} at {level:?}");
             }
         }
     }
@@ -1163,11 +1298,11 @@ mod tests {
 
     #[test]
     fn weight_grad_matches_one_gemm_over_the_batch_bitwise() {
-        // dW += G′ᵀ·cols as one Aᵀ·B GEMM over the whole batch is the
-        // reference sequence; the kernel reads grad_out in place (register
-        // accumulators for 4 / 8 / 16 filters, across one, several and a
-        // partial 16-lane slab; the GEMM for other counts). dW starts
-        // non-zero: the kernel accumulates.
+        // dW += G′ᵀ·cols as one Aᵀ·B GEMM over the whole batch's im2col
+        // matrix is the reference sequence; the kernel reads grad_out in
+        // place and the taps from the packed planes (filter counts below,
+        // at and above one vector; partial tap blocks). dW starts non-zero:
+        // the kernel accumulates.
         let mut rng = Rng::new(29);
         let geoms = [
             Conv2dGeom::new(1, 6, 6, 4, 3, 1, 1).unwrap(),
@@ -1179,18 +1314,19 @@ mod tests {
         for g in geoms.into_iter().chain(cnn1_geoms()) {
             let batch = 3;
             let x = Tensor::randn([batch, g.in_volume()], 1.0, &mut rng);
-            let cols = im2col_batch(&x, &g);
             let grad = Tensor::randn([batch, g.out_volume()], 1.0, &mut rng);
             let seed = Tensor::randn([g.out_c, g.col_rows()], 1.0, &mut rng);
             let mut want = seed.data().to_vec();
+            let cols = patch_major_cols(&x, &g);
             crate::matmul::matmul_at_b_into(&patch_major(&grad, &g), &cols, &mut want);
+            let planes = conv2d_pack_batch(&x, &g);
             for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
                 if level > simd::probe() {
                     continue;
                 }
                 let _g = simd::force(level);
                 let mut got = seed.data().to_vec();
-                conv2d_weight_grad_batch_into(&grad, &cols, &g, &mut got);
+                conv2d_weight_grad_batch_into(&grad, &planes, &g, &mut got);
                 assert_eq!(got, want, "{g:?} at {level:?}");
             }
         }
@@ -1236,41 +1372,51 @@ mod tests {
 
     #[test]
     fn batched_lowering_serial_scope_bit_identical() {
-        // Pool-parallel fill/scatter must match the forced-serial path
-        // bitwise; batch is large enough to clear the parallel threshold.
+        // The pool-parallel pack and forward must match the forced-serial
+        // path bitwise; batch is large enough to clear the parallel
+        // threshold.
         let mut rng = Rng::new(24);
         let g = Conv2dGeom::new(3, 8, 8, 4, 3, 1, 1).unwrap();
-        let x = Tensor::randn([64, g.in_volume()], 1.0, &mut rng);
-        let y = Tensor::randn([64 * g.col_cols(), g.col_rows()], 1.0, &mut rng);
-        let pooled = im2col_batch(&x, &g);
-        let serial = crate::pool::serial_scope(|| im2col_batch(&x, &g));
-        assert_eq!(pooled.data(), serial.data());
-        let pooled = col2im_batch(&y, &g);
-        let serial = crate::pool::serial_scope(|| col2im_batch(&y, &g));
-        assert_eq!(pooled.data(), serial.data());
+        let (x, w, bias) = forward_fixture(&g, 64, &mut rng);
+        let run = || {
+            let planes = conv2d_pack_batch(&x, &g);
+            let mut out = vec![0.0f32; 64 * g.out_volume()];
+            conv2d_forward_batch_into(&planes, &w, &bias, &g, &mut out);
+            (planes, out)
+        };
+        let (pooled_planes, pooled) = run();
+        let (serial_planes, serial) = crate::pool::serial_scope(run);
+        assert_eq!(pooled_planes.data(), serial_planes.data());
+        assert_eq!(pooled, serial);
     }
 
-    /// Fused-forward fixture: batched cols, transposed weights, bias.
-    fn fused_fixture(g: &Conv2dGeom, batch: usize, rng: &mut Rng) -> (Tensor, Tensor, Vec<f32>) {
+    /// Forward fixture: a batch, a filter bank `[F x C·K·K]`, a bias.
+    fn forward_fixture(g: &Conv2dGeom, batch: usize, rng: &mut Rng) -> (Tensor, Tensor, Vec<f32>) {
         let x = Tensor::randn([batch, g.in_volume()], 1.0, rng);
-        let cols = im2col_batch(&x, g);
-        let w_t = Tensor::randn([g.col_rows(), g.out_c], 0.5, rng);
+        let w = Tensor::randn([g.out_c, g.col_rows()], 0.5, rng);
         let bias: Vec<f32> = (0..g.out_c).map(|f| f as f32 * 0.25 - 1.0).collect();
-        (cols, w_t, bias)
+        (x, w, bias)
+    }
+
+    /// The direct forward at whatever level dispatch picks.
+    fn direct_forward(x: &Tensor, w: &Tensor, bias: &[f32], g: &Conv2dGeom) -> Vec<f32> {
+        let mut out = vec![0.0f32; x.shape().rows() * g.out_volume()];
+        conv2d_forward_batch_into(&conv2d_pack_batch(x, g), w, bias, g, &mut out);
+        out
     }
 
     #[test]
     fn fused_forward_matches_gemm_then_scatter_bitwise() {
-        // The fused kernel must reproduce matmul_into + transpose-scatter
-        // + bias exactly: same per-element ascending-p order, bias last.
-        // Filter counts cover the monomorphized kernels and the dynamic
-        // fallback (out_c = 3).
+        // The forward must reproduce the im2col lowering — matmul_into over
+        // the column matrix, transpose-scatter, bias — exactly: same
+        // per-element ascending-p order, bias last. Filter counts cover
+        // whole and partial filter blocks.
         let mut rng = Rng::new(25);
         for (out_c, batch) in [(3usize, 4usize), (8, 3), (16, 2), (32, 2), (64, 1)] {
             let g = Conv2dGeom::new(2, 6, 6, out_c, 3, 1, 1).unwrap();
-            let (cols, w_t, bias) = fused_fixture(&g, batch, &mut rng);
+            let (x, w, bias) = forward_fixture(&g, batch, &mut rng);
             let l = g.col_cols();
-            let y = crate::matmul::matmul(&cols, &w_t);
+            let y = crate::matmul::matmul(&patch_major_cols(&x, &g), &w.transpose());
             let mut want = vec![0.0f32; batch * g.out_volume()];
             for i in 0..batch {
                 for f in 0..out_c {
@@ -1279,56 +1425,36 @@ mod tests {
                     }
                 }
             }
-            let mut got = vec![0.0f32; batch * g.out_volume()];
-            conv2d_forward_batch_into(&cols, &w_t, &bias, &g, &mut got);
-            assert_eq!(got, want, "out_c={out_c}");
+            assert_eq!(direct_forward(&x, &w, &bias, &g), want, "out_c={out_c}");
         }
     }
 
     #[test]
     fn fused_forward_simd_dispatch_matches_portable_body() {
-        // Whatever SIMD path the CPU dispatches to must be bit-identical
-        // to the portable body: wider vectors change lanes per op, not the
-        // multiply/add each lane performs.
+        // Whatever vector body the CPU dispatches to must be bit-identical
+        // to the portable body, which is the scalar level.
         let mut rng = Rng::new(26);
         let g = Conv2dGeom::new(3, 7, 7, 16, 3, 1, 1).unwrap();
-        let (cols, w_t, bias) = fused_fixture(&g, 3, &mut rng);
-        let l = g.col_cols();
-        let cr = g.col_rows();
-        let mut dispatched = vec![0.0f32; 3 * g.out_volume()];
-        conv2d_forward_batch_into(&cols, &w_t, &bias, &g, &mut dispatched);
-        let mut portable = vec![0.0f32; 3 * g.out_volume()];
-        for i in 0..3 {
-            fused_sample_block_body::<16>(
-                &cols.data()[i * l * cr..(i + 1) * l * cr],
-                w_t.data(),
-                &bias,
-                cr,
-                l,
-                &mut portable[i * g.out_volume()..(i + 1) * g.out_volume()],
-            );
-        }
-        assert_eq!(dispatched, portable);
+        let (x, w, bias) = forward_fixture(&g, 3, &mut rng);
+        let dispatched = direct_forward(&x, &w, &bias, &g);
+        let _scalar = simd::force(SimdLevel::Scalar);
+        assert_eq!(dispatched, direct_forward(&x, &w, &bias, &g));
     }
 
     #[test]
     fn fused_forward_bit_identical_across_simd_levels() {
-        // Forcing each supported dispatch level must not change a bit of
-        // the fused forward output.
-        use crate::simd::SimdLevel;
         let mut rng = Rng::new(31);
-        let g = Conv2dGeom::new(3, 7, 7, 16, 3, 1, 1).unwrap();
-        let (cols, w_t, bias) = fused_fixture(&g, 3, &mut rng);
+        let g = Conv2dGeom::new(3, 7, 7, 16, 3, 2, 1).unwrap();
+        let (x, w, bias) = forward_fixture(&g, 3, &mut rng);
         let mut want: Option<Vec<f32>> = None;
         for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
             if level > simd::probe() {
                 continue;
             }
             let _guard = simd::force(level);
-            let mut out = vec![0.0f32; 3 * g.out_volume()];
-            conv2d_forward_batch_into(&cols, &w_t, &bias, &g, &mut out);
+            let out = direct_forward(&x, &w, &bias, &g);
             match &want {
-                Some(w) => assert_eq!(&out, w, "fused forward differs at {level:?}"),
+                Some(w) => assert_eq!(&out, w, "forward differs at {level:?}"),
                 None => want = Some(out),
             }
         }
@@ -1338,14 +1464,146 @@ mod tests {
     fn fused_forward_serial_scope_bit_identical() {
         let mut rng = Rng::new(27);
         let g = Conv2dGeom::new(2, 8, 8, 16, 3, 1, 1).unwrap();
-        let batch = 64;
-        let (cols, w_t, bias) = fused_fixture(&g, batch, &mut rng);
-        let mut pooled = vec![0.0f32; batch * g.out_volume()];
-        conv2d_forward_batch_into(&cols, &w_t, &bias, &g, &mut pooled);
-        let mut serial = vec![0.0f32; batch * g.out_volume()];
-        crate::pool::serial_scope(|| {
-            conv2d_forward_batch_into(&cols, &w_t, &bias, &g, &mut serial)
-        });
+        let (x, w, bias) = forward_fixture(&g, 64, &mut rng);
+        let pooled = direct_forward(&x, &w, &bias, &g);
+        let serial = crate::pool::serial_scope(|| direct_forward(&x, &w, &bias, &g));
         assert_eq!(pooled, serial);
+    }
+
+    /// Input `(c, iy, ix)` of sample `x` seen through the padding: `0.0`
+    /// outside the image.
+    fn padded(x: &[f32], g: &Conv2dGeom, c: usize, iy: usize, ix: usize) -> f32 {
+        let (iy, ix) = (iy.wrapping_sub(g.pad), ix.wrapping_sub(g.pad));
+        if iy < g.in_h && ix < g.in_w {
+            x[(c * g.in_h + iy) * g.in_w + ix]
+        } else {
+            0.0
+        }
+    }
+
+    /// The forward in the contract order, naively: `0.0`, then `x·w` over
+    /// ascending `(c, ky, kx)`, then the bias.
+    fn forward_contract(x: &Tensor, w: &Tensor, bias: &[f32], g: &Conv2dGeom) -> Vec<f32> {
+        let (k, s, l) = (g.kernel, g.stride, g.col_cols());
+        let mut out = Vec::with_capacity(x.shape().rows() * g.out_volume());
+        for i in 0..x.shape().rows() {
+            for (f, wf) in w.data().chunks_exact(g.col_rows()).enumerate() {
+                for j in 0..l {
+                    let (oy, ox) = (j / g.out_w, j % g.out_w);
+                    let mut acc = 0.0f32;
+                    for (t, &wv) in wf.iter().enumerate() {
+                        let (c, ky, kx) = (t / (k * k), t / k % k, t % k);
+                        acc += padded(x.row(i), g, c, oy * s + ky, ox * s + kx) * wv;
+                    }
+                    out.push(acc + bias[f]);
+                }
+            }
+        }
+        out
+    }
+
+    /// The weight gradient in the contract order, naively: every element
+    /// adds `g·x` over ascending (sample, patch) into `dw`.
+    fn weight_grad_contract(x: &Tensor, grad: &Tensor, g: &Conv2dGeom, dw: &mut [f32]) {
+        let (k, s, l, cr) = (g.kernel, g.stride, g.col_cols(), g.col_rows());
+        for i in 0..x.shape().rows() {
+            for j in 0..l {
+                let (oy, ox) = (j / g.out_w, j % g.out_w);
+                for (f, dwf) in dw.chunks_exact_mut(cr).enumerate() {
+                    let gv = grad.row(i)[f * l + j];
+                    for (t, d) in dwf.iter_mut().enumerate() {
+                        let (c, ky, kx) = (t / (k * k), t / k % k, t % k);
+                        *d += gv * padded(x.row(i), g, c, oy * s + ky, ox * s + kx);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Bitwise equality, except that any NaN equals any NaN (which NaN an
+    /// add of two NaNs returns is the compiler's choice of operand order).
+    fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    #[test]
+    fn direct_kernels_keep_the_contract_order_over_a_geometry_sweep() {
+        // Every kernel side, stride and padding, channel and filter counts
+        // across whole and partial blocks, at every SIMD level and under
+        // serial_scope, against naive loops in the contract order. Inputs
+        // carry NaN, ±Inf and -0.0 (sample 0 stays finite), so a dropped
+        // grid lane that leaks into a stored output shows up.
+        let mut rng = Rng::new(32);
+        let mut case = 0usize;
+        for k in [1usize, 3, 5, 7] {
+            for stride in [1usize, 2, 3] {
+                for pad in 0..=k / 2 {
+                    for in_c in [1usize, 2, 3, 8] {
+                        for out_c in [1usize, 3, 8, 16, 17, 64] {
+                            case += 1;
+                            let batch = [1, 3, 32][case % 3];
+                            let side = k + case % 4;
+                            let g =
+                                Conv2dGeom::new(in_c, side, side + case % 3, out_c, k, stride, pad)
+                                    .unwrap();
+                            sweep_case(&g, batch, &mut rng);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn sweep_case(g: &Conv2dGeom, batch: usize, rng: &mut Rng) {
+        let scale = [1e-3, 1.0, 1e3];
+        let mut x = Tensor::randn([batch, g.in_volume()], 1.0, rng);
+        for (n, v) in x.data_mut().iter_mut().enumerate() {
+            *v *= scale[n % 3];
+            if n % 11 == 0 {
+                *v = -0.0;
+            }
+        }
+        for i in 1..batch {
+            let row = &mut x.data_mut()[i * g.in_volume()..(i + 1) * g.in_volume()];
+            let n = row.len();
+            row[(i * 7) % n] = f32::NAN;
+            row[(i * 13 + 5) % n] = [f32::INFINITY, f32::NEG_INFINITY][i % 2];
+        }
+        let w = Tensor::randn([g.out_c, g.col_rows()], 0.5, rng);
+        let bias: Vec<f32> = (0..g.out_c).map(|f| f as f32 * 0.25 - 1.0).collect();
+        let grad = Tensor::randn([batch, g.out_volume()], 1.0, rng);
+        let seed = Tensor::randn([g.out_c, g.col_rows()], 1.0, rng);
+        let want_y = forward_contract(&x, &w, &bias, g);
+        let mut want_dw = seed.data().to_vec();
+        weight_grad_contract(&x, &grad, g, &mut want_dw);
+        let run = || {
+            let planes = conv2d_pack_batch(&x, g);
+            let mut y = vec![0.0f32; batch * g.out_volume()];
+            conv2d_forward_batch_into(&planes, &w, &bias, g, &mut y);
+            let mut dw = seed.data().to_vec();
+            conv2d_weight_grad_batch_into(&grad, &planes, g, &mut dw);
+            (y, dw)
+        };
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+            if level > simd::probe() {
+                continue;
+            }
+            let _guard = simd::force(level);
+            let (y, dw) = run();
+            assert!(
+                same_bits(&y, &want_y),
+                "forward {g:?} batch {batch} at {level:?}"
+            );
+            assert!(
+                same_bits(&dw, &want_dw),
+                "dW {g:?} batch {batch} at {level:?}"
+            );
+        }
+        let (y, dw) = crate::pool::serial_scope(run);
+        assert!(same_bits(&y, &want_y), "serial forward {g:?} batch {batch}");
+        assert!(same_bits(&dw, &want_dw), "serial dW {g:?} batch {batch}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Dense `f32` tensor library underpinning the HPNN (Hardware Protected
 //! Neural Network) reproduction — shapes, deterministic RNG, matrix
-//! multiplication, im2col convolution lowering, and max-pooling primitives.
+//! multiplication, direct convolution, and max-pooling primitives.
 //!
 //! This crate deliberately implements everything from scratch (no BLAS, no
 //! `ndarray`) so the whole stack — from the key-dependent backpropagation of
@@ -33,9 +33,8 @@ pub mod simd;
 mod tensor;
 
 pub use conv::{
-    col2im, col2im_batch, col2im_batch_into, conv2d_forward_batch_into,
-    conv2d_input_grad_batch_into, conv2d_weight_grad_batch_into, im2col, im2col_batch,
-    im2col_batch_into, Conv2dGeom,
+    col2im, conv2d_forward_batch_into, conv2d_input_grad_batch_into, conv2d_pack_batch,
+    conv2d_weight_grad_batch_into, im2col, Conv2dGeom,
 };
 pub use error::TensorError;
 pub use matmul::{

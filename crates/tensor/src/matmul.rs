@@ -648,39 +648,17 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     let (k2, n) = (b.shape().rows(), b.shape().cols());
     assert_eq!(k, k2, "matmul inner dims: {} vs {}", a.shape(), b.shape());
     assert_eq!(out.len(), m * n, "matmul output buffer volume");
-    matmul_parts_into(a.data(), 0, b.data(), 0, 1, (m, k, n), out);
-}
-
-/// `out += Σ_s A_s·B_s` for `s` in `0..parts`, ascending: `A_s` is the
-/// row-major `[m × k]` block at `a[s * a_step..]` and `B_s` the `[k × n]`
-/// block at `b[s * b_step..]`.
-///
-/// Each output element sees exactly the sequence of one product over the
-/// concatenated inner dimension — `A_0`'s `k` contributions, then `A_1`'s,
-/// and so on — so a sum over the samples of a batch, each sample's blocks
-/// read where they lie, is bit-identical to one GEMM over a gathered
-/// operand. Output rows are split across the worker pool; every chunk
-/// walks all parts in order.
-///
-/// # Panics
-///
-/// Panics if `out` is not `m * n` long or a block lies outside `a` / `b`.
-pub(crate) fn matmul_parts_into(
-    a: &[f32],
-    a_step: usize,
-    b: &[f32],
-    b_step: usize,
-    parts: usize,
-    (m, k, n): (usize, usize, usize),
-    out: &mut [f32],
-) {
-    assert_eq!(out.len(), m * n, "matmul output buffer volume");
-    for_grouped_chunks_mut(m, SM, n, 2 * n * k * parts, out, |rows, chunk| {
-        for s in 0..parts {
-            let a_rows = &a[s * a_step + rows.0 * k..s * a_step + rows.1 * k];
-            let b_blk = &b[s * b_step..s * b_step + k * n];
-            gemm_rows(a_rows, k, rows.1 - rows.0, k, b_blk, n, chunk);
-        }
+    let (ad, bd) = (a.data(), b.data());
+    for_grouped_chunks_mut(m, SM, n, 2 * n * k, out, |rows, chunk| {
+        gemm_rows(
+            &ad[rows.0 * k..rows.1 * k],
+            k,
+            rows.1 - rows.0,
+            k,
+            bd,
+            n,
+            chunk,
+        );
     });
 }
 

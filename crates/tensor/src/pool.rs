@@ -1,7 +1,7 @@
 //! Persistent worker pool for data-parallel kernels.
 //!
 //! Every parallel hot path in the workspace — the three matmul variants, the
-//! im2col convolution, and the batch-parallel layer helpers — dispatches
+//! direct convolution, and the batch-parallel layer helpers — dispatches
 //! through the process-wide pool returned by [`global`]. Workers are spawned
 //! once, parked on a condvar while idle, and handed chunk indices of the
 //! current job; this replaces the previous scheme of spawning fresh scoped OS
