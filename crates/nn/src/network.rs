@@ -1,6 +1,6 @@
 //! Sequential network container.
 
-use std::ops::{Deref, Range};
+use std::ops::Range;
 
 use hpnn_tensor::Tensor;
 
@@ -307,22 +307,16 @@ impl Network {
     }
 }
 
-/// The one per-layer loop: a span per layer, and each intermediate
-/// activation is freed as soon as the next layer has consumed it (layers
-/// copy anything they need to cache).
-fn run_layers<L: Deref<Target = Box<dyn Layer>>>(
+/// The one per-layer loop: each intermediate activation is freed as soon as
+/// the next layer has consumed it (layers copy anything they need to cache).
+fn run_layers<L>(
     layers: impl Iterator<Item = L>,
     input: &Tensor,
     mut step: impl FnMut(L, &Tensor) -> Tensor,
 ) -> Tensor {
-    let rows = input.shape().dims()[0] as u64;
     let mut x: Option<Tensor> = None;
     for layer in layers {
-        let y = {
-            let _span = hpnn_trace::span_dyn(layer.name(), Some(rows));
-            step(layer, x.as_ref().unwrap_or(input))
-        };
-        x = Some(y);
+        x = Some(step(layer, x.as_ref().unwrap_or(input)));
     }
     x.unwrap_or_else(|| input.clone())
 }

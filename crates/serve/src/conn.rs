@@ -35,11 +35,10 @@ pub const READ_BUFFER_CAP: usize = MAX_FRAME_PAYLOAD + 64 * 1024;
 pub struct Outbound {
     /// Fully encoded frame bytes.
     pub buf: Vec<u8>,
-    /// For `LOGITS` replies: when the reply was handed off, plus its
-    /// correlation ID — the `writeback` histogram sample is recorded from
-    /// this stamp when the reply transfers to the outbound queue, and the
-    /// trace span closes when the bytes hit the socket.
-    pub reply_ready: Option<(Instant, u32)>,
+    /// For `LOGITS` replies: when the reply was handed off — the
+    /// `writeback` histogram sample is recorded from this stamp when the
+    /// reply transfers to the outbound queue.
+    pub reply_ready: Option<Instant>,
     /// For completion replies: the correlation to remove from the
     /// connection's in-flight window when this reply transfers to the
     /// outbound queue. Retiring on the loop thread (not on the worker that
@@ -160,13 +159,6 @@ pub enum FlushOutcome {
     Broken,
 }
 
-/// What the outbound queue remembers of one frame once its bytes joined
-/// the contiguous buffer.
-struct FrameMark {
-    len: usize,
-    reply_ready: Option<(Instant, u32)>,
-}
-
 /// One connection's state inside an event loop slab.
 pub struct Conn {
     /// The nonblocking socket.
@@ -177,9 +169,9 @@ pub struct Conn {
     /// the whole queue; the first `out_written` bytes are already sent.
     out_bytes: Vec<u8>,
     out_written: usize,
-    /// One mark per queued frame, in `out_bytes` order. The count is what
-    /// backpressure caps; the stamps close `writeback` spans.
-    out_frames: VecDeque<FrameMark>,
+    /// Each queued frame's length, in `out_bytes` order. The count is what
+    /// backpressure caps.
+    out_frames: VecDeque<usize>,
     /// Bytes of the front frame already sent.
     front_sent: usize,
     /// Cross-thread reply mailbox for this slot.
@@ -271,10 +263,7 @@ impl Conn {
 
     /// Appends an encoded frame to the outbound queue.
     pub fn enqueue(&mut self, out: Outbound) {
-        self.out_frames.push_back(FrameMark {
-            len: out.buf.len(),
-            reply_ready: out.reply_ready,
-        });
+        self.out_frames.push_back(out.buf.len());
         if self.out_bytes.is_empty() {
             // Idle connection: adopt the frame's buffer, no copy.
             self.out_bytes = out.buf;
@@ -302,8 +291,7 @@ impl Conn {
 
     /// Writes as much of the outbound queue as the socket accepts — the
     /// whole queue in one `write` when it fits, so a batch's replies leave
-    /// as one segment — closing each `LOGITS` reply's `writeback` trace
-    /// span as its last byte is handed to the kernel.
+    /// as one segment.
     pub fn flush(&mut self) -> FlushOutcome {
         while self.out_written < self.out_bytes.len() {
             match self.stream.write(&self.out_bytes[self.out_written..]) {
@@ -332,14 +320,11 @@ impl Conn {
     fn mark_sent(&mut self, n: usize) {
         self.out_written += n;
         self.front_sent += n;
-        while let Some(front) = self.out_frames.front() {
-            if self.front_sent < front.len {
+        while let Some(&len) = self.out_frames.front() {
+            if self.front_sent < len {
                 break;
             }
-            self.front_sent -= front.len;
-            if let Some((ready, corr)) = front.reply_ready {
-                hpnn_trace::span_since("writeback", ready, Some(u64::from(corr)));
-            }
+            self.front_sent -= len;
             self.out_frames.pop_front();
         }
     }

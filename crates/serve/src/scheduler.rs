@@ -283,15 +283,7 @@ impl Scheduler {
         }
         // Pick the shard before arming anything: with no live shard the
         // request is rejected without touching a queue.
-        let dispatch_start = Instant::now();
-        let picked = set.dispatch();
-        hpnn_trace::span_between(
-            "shard.dispatch",
-            dispatch_start,
-            Instant::now(),
-            Some(picked.map_or(u64::MAX, |i| i as u64)),
-        );
-        let Some(shard_idx) = picked else {
+        let Some(shard_idx) = set.dispatch() else {
             return err(SubmitError::WorkerFailed, done);
         };
         // Arm the gauge before the push so a completion firing immediately

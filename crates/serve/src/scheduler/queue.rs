@@ -56,10 +56,6 @@ pub struct Completion {
     /// Set at admission; the in-flight gauge falls exactly once when the
     /// completion resolves (fire, dismiss, or drop).
     pub(super) gauge: Option<Arc<Metrics>>,
-    /// Caller-chosen identifier (e.g. the wire correlation ID) attached to
-    /// the request's trace spans so one request can be followed across
-    /// threads. 0 when the caller set none.
-    trace_id: u64,
 }
 
 impl Completion {
@@ -68,18 +64,7 @@ impl Completion {
         Completion {
             inner: Some(Box::new(f)),
             gauge: None,
-            trace_id: 0,
         }
-    }
-
-    /// Attaches an identifier carried into the request's trace spans.
-    pub fn set_trace_id(&mut self, id: u64) {
-        self.trace_id = id;
-    }
-
-    /// The identifier set by [`set_trace_id`](Completion::set_trace_id).
-    pub fn trace_id(&self) -> u64 {
-        self.trace_id
     }
 
     pub(super) fn release_gauge(&mut self) {

@@ -119,8 +119,6 @@ fn process_batch(shard: &Shard, model: &ModelCtx, batch: Vec<Pending>) {
         .expect("pop_batch yields ≥ 1 request")
         .enqueued;
     let fill_ns = popped.saturating_duration_since(oldest).as_nanos() as u64;
-    let batch_rows: usize = batch.iter().map(|p| p.rows).sum();
-    hpnn_trace::span_between("batch.fill", oldest, popped, Some(batch_rows as u64));
     // Group by mode, preserving arrival order within each group, and
     // expire requests whose deadline already passed.
     let mut groups: Vec<(InferMode, Vec<Pending>)> = Vec::new();
@@ -154,10 +152,7 @@ fn process_batch(shard: &Shard, model: &ModelCtx, batch: Vec<Pending>) {
         };
         let x = Tensor::from_vec(Shape::d2(rows, model.info.in_features), data)
             .expect("admission fixes data.len() == rows * in_features");
-        let y = {
-            let _span = hpnn_trace::span!("batch.forward", rows);
-            view.run(&x, 0..model.layers)
-        };
+        let y = view.run(&x, 0..model.layers);
         debug_assert_eq!(y.shape().dims(), &[rows, model.info.out_features]);
         let fwd_ns = fwd_start.elapsed().as_nanos() as u64;
         Metrics::bump(&model.metrics.batches);
@@ -200,7 +195,6 @@ fn finish_group(
         metrics.batch_fill.record(fill_ns);
         shard.forward.record(fwd_ns);
         shard.queue_wait.record(wait_ns);
-        hpnn_trace::span_between("queue.wait", p.enqueued, popped, Some(p.done.trace_id()));
         // The callback may be a no-op by now (client disconnected
         // mid-flight); the work still counts.
         p.done.complete_in_batch(

@@ -363,11 +363,18 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 fn encode_outbound(reply: &Reply, correlation: u32) -> Outbound {
     let mut out = BytesMut::new();
     reply.encode(&mut out, PROTOCOL_VERSION, correlation);
-    let reply_ready = matches!(reply, Reply::Logits { .. }).then(|| (Instant::now(), correlation));
+    let reply_ready = matches!(reply, Reply::Logits { .. }).then(Instant::now);
     Outbound {
         buf: out.into_vec(),
         reply_ready,
         retire_correlation: None,
+    }
+}
+
+/// Records a `LOGITS` reply's `writeback` sample: hand-off to transfer.
+fn record_writeback(metrics: &Metrics, out: &Outbound) {
+    if let Some(ready) = out.reply_ready {
+        metrics.writeback.record(ready.elapsed().as_nanos() as u64);
     }
 }
 
@@ -502,12 +509,7 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
                 .and_then(|s| s.as_ref())
                 .is_some_and(|c| Arc::ptr_eq(&c.handle, &handle));
             for out in replies {
-                if let Some((ready, _)) = out.reply_ready {
-                    shared
-                        .metrics
-                        .writeback
-                        .record(ready.elapsed().as_nanos() as u64);
-                }
+                record_writeback(&shared.metrics, &out);
                 if alive {
                     let conn = slab[handle.token].as_mut().expect("alive slot");
                     conn.absorb(out);
@@ -556,12 +558,7 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
                 conn.handle.set_closed();
                 // Late replies already mailboxed still count (see above).
                 for out in conn.handle.take() {
-                    if let Some((ready, _)) = out.reply_ready {
-                        shared
-                            .metrics
-                            .writeback
-                            .record(ready.elapsed().as_nanos() as u64);
-                    }
+                    record_writeback(&shared.metrics, &out);
                 }
                 Metrics::drop_one(&shared.metrics.open_connections);
                 free.push(slot);
@@ -592,12 +589,7 @@ fn event_loop(shared: Arc<Shared>, lp: Arc<LoopShared>) {
                 for conn in slab.iter().flatten() {
                     conn.handle.set_closed();
                     for out in conn.handle.take() {
-                        if let Some((ready, _)) = out.reply_ready {
-                            shared
-                                .metrics
-                                .writeback
-                                .record(ready.elapsed().as_nanos() as u64);
-                        }
+                        record_writeback(&shared.metrics, &out);
                     }
                 }
                 let open = slab.iter().flatten().count() as u64;
@@ -649,9 +641,6 @@ fn dispatch_frames(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, 
 
 /// Handles one framed request on the loop thread.
 fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, payload: &[u8]) {
-    // Frame parse + header checks + body decode; dropped before the
-    // request is dispatched so admission time is not charged to decode.
-    let decode_span = hpnn_trace::span!("conn.decode", payload.len());
     let (_, opcode, correlation, body) = match split_frame(payload) {
         Ok(parts) => parts,
         Err(e) => {
@@ -668,7 +657,6 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
             return;
         }
     };
-    drop(decode_span);
     match request {
         Request::Hello { .. } => {
             push_reply(
@@ -709,12 +697,7 @@ fn dispatch_one(shared: &Arc<Shared>, lp: &Arc<LoopShared>, conn: &mut Conn, pay
             // ahead of the SHUTDOWN_OK on the wire.
             shared.drain();
             for out in conn.handle.take() {
-                if let Some((ready, _)) = out.reply_ready {
-                    shared
-                        .metrics
-                        .writeback
-                        .record(ready.elapsed().as_nanos() as u64);
-                }
+                record_writeback(&shared.metrics, &out);
                 conn.absorb(out);
             }
             push_reply(conn, &Reply::ShutdownOk, correlation);
@@ -790,7 +773,6 @@ fn admit(
     correlation: u32,
     args: InferArgs,
 ) {
-    let _admit_span = hpnn_trace::span!("conn.admit", correlation);
     if args.data.len() != args.rows.saturating_mul(args.cols) {
         push_reply(
             conn,
@@ -827,7 +809,6 @@ fn admit(
         if inflight.len() >= shared.scheduler.config().max_inflight_per_conn {
             Metrics::bump(&shared.metrics.busy);
             drop(inflight);
-            hpnn_trace::instant!("conn.busy", correlation);
             push_reply(conn, &Reply::Busy, correlation);
             return;
         }
@@ -841,7 +822,7 @@ fn admit(
     let opcode = args.opcode;
     let completion_lp = Arc::clone(lp);
     let completion_handle = Arc::clone(&conn.handle);
-    let mut done = Completion::new(move |payload| {
+    let done = Completion::new(move |payload| {
         let reply = payload_reply(payload, opcode);
         let mut out = encode_outbound(&reply, correlation);
         // The correlation retires on the loop thread when this reply
@@ -855,7 +836,6 @@ fn admit(
         out.retire_correlation = Some(correlation);
         Some(deliver(&completion_lp, &completion_handle, out))
     });
-    done.set_trace_id(u64::from(correlation));
     let submitted = shared.scheduler.submit_with(
         args.model, args.mode, args.rows, args.cols, args.data, deadline, done,
     );

@@ -149,7 +149,6 @@ impl ThreadPool {
     where
         F: Fn(usize) + Sync,
     {
-        let _job_span = hpnn_trace::span!("pool.job", nchunks);
         if nchunks <= 1 || self.workers == 0 || in_pool_context() {
             for i in 0..nchunks {
                 task(i);
@@ -199,10 +198,7 @@ impl ThreadPool {
                 let idx = job.next;
                 job.next += 1;
                 drop(st);
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                    let _chunk_span = hpnn_trace::span!("pool.chunk", idx);
-                    task(idx)
-                })) {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(idx))) {
                     // Keep draining: workers still hold the task pointer.
                     if first_panic.is_none() {
                         first_panic = Some(payload);
@@ -269,10 +265,7 @@ fn worker_loop(shared: &'static Shared) {
         };
         // SAFETY: `run` keeps the closure alive until `completed == total`;
         // this chunk is counted below only after the call finishes.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let _chunk_span = hpnn_trace::span!("pool.chunk", idx);
-            unsafe { (*task.0)(idx) }
-        }));
+        let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (*task.0)(idx) }));
         let mut st = shared.state.lock().expect("pool lock");
         let job = st.job.as_mut().expect("job outlives its chunks");
         job.completed += 1;

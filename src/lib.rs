@@ -15,7 +15,6 @@
 //! * [`baselines`] — weight-encryption and watermarking comparison baselines.
 //! * [`serve`] — batched TCP inference server for locked models, with an
 //!   optional Prometheus scrape endpoint.
-//! * [`trace`] — span tracing with Chrome/Perfetto trace export.
 //!
 //! ## Quickstart
 //!
@@ -46,4 +45,3 @@ pub use hpnn_hw as hw;
 pub use hpnn_nn as nn;
 pub use hpnn_serve as serve;
 pub use hpnn_tensor as tensor;
-pub use hpnn_trace as trace;

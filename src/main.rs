@@ -10,8 +10,7 @@
 //!              [--scale S] [--epochs N] [--lr F] [--seed N]
 //! hpnn serve   --model FILE [--model FILE ...] [--key HEX] [--addr HOST:PORT]
 //!              [--max-batch N] [--max-wait-us N] [--queue-cap N] [--max-inflight N]
-//!              [--event-threads N] [--shards N]
-//!              [--trace-out FILE] [--metrics-addr HOST:PORT]
+//!              [--event-threads N] [--shards N] [--metrics-addr HOST:PORT]
 //! hpnn loadgen [--addr HOST:PORT] [--clients N] [--requests N] [--model ID]
 //!              [--mode keyed|keyless] [--rows N] [--depth N] [--deadline-us N]
 //!              [--idle-hold-ms N] [--churn-every N]
@@ -36,7 +35,8 @@ use hpnn::tensor::Rng;
 
 type Command = fn(&[String]) -> CliResult;
 
-/// Every subcommand with the flags it accepts, space-separated.
+/// Every subcommand with the flags it accepts, space-separated. A trailing
+/// `!` marks a bare switch; every other flag takes a value.
 const COMMANDS: &[(&str, Command, &str)] = &[
     ("keygen", cmd_keygen, "--seed"),
     (
@@ -55,13 +55,13 @@ const COMMANDS: &[(&str, Command, &str)] = &[
         "serve",
         cmd_serve,
         "--model --key --addr --max-batch --max-wait-us --queue-cap --max-inflight \
-         --event-threads --shards --trace-out --metrics-addr",
+         --event-threads --shards --metrics-addr",
     ),
     (
         "loadgen",
         cmd_loadgen,
         "--addr --clients --requests --model --mode --rows --depth --deadline-us --seed \
-         --sample-interval-ms --no-retry-busy --idle-hold-ms --churn-every --shutdown",
+         --sample-interval-ms --no-retry-busy! --idle-hold-ms --churn-every --shutdown!",
     ),
     ("stats", cmd_stats, "--addr"),
 ];
@@ -108,7 +108,6 @@ fn print_usage() {
          \x20         [--max-inflight N]                  per-connection pipelining window\n\
          \x20         [--event-threads N]                 socket event-loop threads (0 = auto, default)\n\
          \x20         [--shards N]                        worker shards per model, fixed at start (default 1)\n\
-         \x20         [--trace-out FILE]                  write a Chrome/Perfetto trace on shutdown\n\
          \x20         [--metrics-addr HOST:PORT]          Prometheus scrape endpoint: /metrics /healthz /readyz\n\
          \x20 loadgen [--addr HOST:PORT] [--clients N]    closed-loop load generator against a running server\n\
          \x20         [--requests N] [--model ID] [--mode keyed|keyless] [--rows N] [--seed N] [--shutdown]\n\
@@ -131,18 +130,26 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|p| args.get(p + 1).cloned())
 }
 
-/// Refuses the first `--flag` the subcommand does not take, before it
-/// opens any file or socket.
+/// Refuses the first `--flag` the subcommand does not take, or that needs
+/// a value and is last or followed by another `--flag`, before it opens
+/// any file or socket.
 fn check_flags(args: &[String], accepted: &str) -> CliResult {
-    match args[1..]
-        .iter()
-        .find(|a| a.starts_with("--") && !accepted.split_whitespace().any(|f| f == *a))
-    {
-        Some(bad) => {
-            Err(format!("`hpnn {}` does not take `{bad}` (try `hpnn help`)", args[0]).into())
+    let cmd = &args[0];
+    for (i, arg) in args.iter().enumerate().skip(1) {
+        if !arg.starts_with("--") {
+            continue;
         }
-        None => Ok(()),
+        let Some(spec) = accepted
+            .split_whitespace()
+            .find(|f| f.trim_end_matches('!') == arg)
+        else {
+            return Err(format!("`hpnn {cmd}` does not take `{arg}` (try `hpnn help`)").into());
+        };
+        if !spec.ends_with('!') && args.get(i + 1).is_none_or(|v| v.starts_with("--")) {
+            return Err(format!("`hpnn {cmd} {arg}` needs a value (try `hpnn help`)").into());
+        }
     }
+    Ok(())
 }
 
 /// Every value of a repeatable flag, in order.
@@ -400,12 +407,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         let id = registry.add(name.clone(), model, vault.clone());
         eprintln!("model {id}: {name} ({path})");
     }
-    let trace_out = flag(args, "--trace-out");
-    if trace_out.is_some() {
-        // The flag implies tracing even without HPNN_TRACE=1 in the
-        // environment; a trace file full of nothing helps nobody.
-        hpnn::trace::set_enabled(true);
-    }
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7433".to_string());
     let shard_note = if cfg.shards > 1 {
         format!(", {} shards per model", cfg.shards)
@@ -431,15 +432,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         stats.expired,
         stats.protocol_errors
     );
-    if let Some(path) = trace_out {
-        let trace = hpnn::trace::take();
-        let (events, dropped) = (trace.events.len(), trace.dropped);
-        fs::write(&path, trace.to_chrome_json())?;
-        eprintln!(
-            "trace: {events} events ({dropped} dropped) written to {path} \
-             (open in Perfetto or chrome://tracing)"
-        );
-    }
     Ok(())
 }
 
