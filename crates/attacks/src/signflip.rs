@@ -33,25 +33,15 @@ pub struct SignFlipReport {
     pub flips_kept: usize,
 }
 
-/// Negates column `j` of the first dense layer's weight matrix and bias
-/// entry `j` — the attacker's guess that neuron `j` was locked.
-fn flip_first_layer_neuron(net: &mut Network, neuron: usize) {
-    let mut param_idx = 0usize;
-    net.visit_params(&mut |p| {
-        // First dense layer: weight is param 0 ([in x out]), bias is param 1.
-        if param_idx == 0 {
-            let (rows, cols) = (p.value.shape().rows(), p.value.shape().cols());
-            assert!(neuron < cols, "neuron index out of range");
-            for i in 0..rows {
-                let v = p.value.at(&[i, neuron]);
-                p.value.set(&[i, neuron], -v);
-            }
-        } else if param_idx == 1 {
-            let v = p.value.data()[neuron];
-            p.value.data_mut()[neuron] = -v;
-        }
-        param_idx += 1;
-    });
+/// The attacker's guess that the first-layer neurons in `group` were
+/// locked: [`Network::flip_signs`] of exactly those neurons. Applying it
+/// twice restores the network.
+fn flip_first_layer(net: &mut Network, group: &[usize]) {
+    let mut factors = vec![1.0; net.lockable_neurons()];
+    for &j in group {
+        factors[j] = -1.0;
+    }
+    net.flip_signs(&factors);
 }
 
 /// Greedy per-neuron sign recovery on the first hidden layer of an
@@ -65,9 +55,8 @@ fn flip_first_layer_neuron(net: &mut Network, neuron: usize) {
 ///
 /// # Panics
 ///
-/// Panics if the model's first layer is not dense (the attack is defined on
-/// MLPs; conv sign recovery is per-output-position and handled by the
-/// schedule-aware variant).
+/// Panics if the model's first layer is not a dense layer feeding an
+/// activation (the attack is defined on MLPs).
 pub fn greedy_neuron_flip(
     model: &LockedModel,
     dataset: &Dataset,
@@ -83,7 +72,7 @@ pub fn greedy_neuron_flip(
 
     let order = rng.sample_indices(hidden, budget.min(hidden));
     for neuron in order {
-        flip_first_layer_neuron(&mut net, neuron);
+        flip_first_layer(&mut net, &[neuron]);
         let acc = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
         queries += 1;
         if acc > best {
@@ -91,7 +80,7 @@ pub fn greedy_neuron_flip(
             flips_kept += 1;
         } else {
             // Revert.
-            flip_first_layer_neuron(&mut net, neuron);
+            flip_first_layer(&mut net, &[neuron]);
         }
     }
     Ok(SignFlipReport {
@@ -132,18 +121,14 @@ pub fn schedule_aware_group_flip(
 
     for _ in 0..passes {
         for group in groups.iter().filter(|g| !g.is_empty()) {
-            for &j in group {
-                flip_first_layer_neuron(&mut net, j);
-            }
+            flip_first_layer(&mut net, group);
             let acc = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
             queries += 1;
             if acc > best {
                 best = acc;
                 flips_kept += 1;
             } else {
-                for &j in group {
-                    flip_first_layer_neuron(&mut net, j);
-                }
+                flip_first_layer(&mut net, group);
             }
         }
     }
@@ -156,11 +141,9 @@ pub fn schedule_aware_group_flip(
 }
 
 fn first_dense_width(net: &Network) -> usize {
-    assert!(!net.is_empty(), "empty network");
-    assert_eq!(
-        net.layer(0).name(),
-        "dense",
-        "sign-flip attack requires a dense first layer"
+    assert!(
+        net.len() > 1 && net.layer(0).name() == "dense" && net.layer(1).lockable_neurons() > 0,
+        "sign-flip attack requires a dense first layer feeding an activation"
     );
     net.layer(0).out_features(net.in_features())
 }
@@ -213,10 +196,10 @@ mod tests {
         let (model, ds, _, _) = trained();
         let mut net = model.deploy_stolen().unwrap();
         let before = net.forward(&ds.test_inputs, false);
-        flip_first_layer_neuron(&mut net, 3);
-        flip_first_layer_neuron(&mut net, 3);
+        flip_first_layer(&mut net, &[3]);
+        flip_first_layer(&mut net, &[3]);
         let after = net.forward(&ds.test_inputs, false);
-        assert!(before.max_abs_diff(&after) < 1e-7);
+        assert_eq!(before.data(), after.data());
     }
 
     #[test]
@@ -224,7 +207,7 @@ mod tests {
         let (model, ds, _, _) = trained();
         let mut net = model.deploy_stolen().unwrap();
         let before = net.forward(&ds.test_inputs, false);
-        flip_first_layer_neuron(&mut net, 0);
+        flip_first_layer(&mut net, &[0]);
         let after = net.forward(&ds.test_inputs, false);
         assert!(before.max_abs_diff(&after) > 1e-6);
     }

@@ -12,7 +12,6 @@
 //! | `fig6` | Fig. 6 (fine-tuning vs learning rate) |
 //! | `fig7` | Fig. 7 (random vs HPNN fine-tuning across α) |
 //! | `hw_overhead` | Fig. 4 / Sec. III-D overhead numbers |
-//! | `theorem1` | Theorem 1 numerical check |
 //!
 //! Scale is controlled by the `HPNN_SCALE` environment variable or a
 //! `--scale tiny|small|medium` argument (default `small`); real data files

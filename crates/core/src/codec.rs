@@ -51,6 +51,35 @@ pub enum DecodeError {
         /// Declared element count.
         declared: u64,
     },
+    /// The architecture does not hold together: a layer's input is not
+    /// the width entering it, or a size overflows.
+    BadSpec {
+        /// Index of the offending layer.
+        layer: usize,
+        /// What is wrong with it.
+        reason: &'static str,
+    },
+    /// A count the container declares is not the one its architecture
+    /// implies.
+    CountMismatch {
+        /// What was being counted.
+        context: &'static str,
+        /// The count the architecture implies.
+        expected: u64,
+        /// The count the container declares.
+        declared: u64,
+    },
+    /// A weight tensor's shape is not the one its layer declares.
+    ShapeMismatch {
+        /// Index of the tensor in the weight list.
+        tensor: usize,
+        /// The shape the architecture implies.
+        expected: Vec<usize>,
+        /// The shape the container declares.
+        declared: Vec<usize>,
+    },
+    /// Bytes follow the last weight tensor.
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for DecodeError {
@@ -71,6 +100,24 @@ impl fmt::Display for DecodeError {
                     "declared length {declared} too large while decoding {context}"
                 )
             }
+            DecodeError::BadSpec { layer, reason } => write!(f, "layer {layer}: {reason}"),
+            DecodeError::CountMismatch {
+                context,
+                expected,
+                declared,
+            } => write!(
+                f,
+                "{declared} {context} declared, the architecture has {expected}"
+            ),
+            DecodeError::ShapeMismatch {
+                tensor,
+                expected,
+                declared,
+            } => write!(
+                f,
+                "weight tensor {tensor} has shape {declared:?}, the architecture says {expected:?}"
+            ),
+            DecodeError::TrailingBytes(n) => write!(f, "{n} bytes after the last weight tensor"),
         }
     }
 }
@@ -139,8 +186,21 @@ pub(crate) fn put_tensor(buf: &mut BytesMut, t: &Tensor) {
     }
 }
 
-pub(crate) fn get_tensor(buf: &mut impl Buf) -> Result<Tensor, DecodeError> {
+/// Decodes one tensor, refusing it before its body is read unless its
+/// shape is `expected` (tensor `index` of the weight list).
+pub(crate) fn get_tensor(
+    buf: &mut impl Buf,
+    expected: &[usize],
+    index: usize,
+) -> Result<Tensor, DecodeError> {
     let dims = get_usize_vec(buf)?;
+    if dims != expected {
+        return Err(DecodeError::ShapeMismatch {
+            tensor: index,
+            expected: expected.to_vec(),
+            declared: dims,
+        });
+    }
     let len = get_len(buf, "tensor")?;
     need(buf, len.saturating_mul(4), "tensor body")?;
     let data: Vec<f32> = (0..len).map(|_| buf.get_f32_le()).collect();
@@ -372,14 +432,98 @@ pub(crate) fn put_tensors(buf: &mut BytesMut, tensors: &[Tensor]) {
     }
 }
 
-/// Decodes a list of weight tensors.
-pub(crate) fn get_tensors(buf: &mut impl Buf) -> Result<Vec<Tensor>, DecodeError> {
+/// Decodes a list of weight tensors whose shapes must be `shapes`.
+pub(crate) fn get_tensors(
+    buf: &mut impl Buf,
+    shapes: &[Vec<usize>],
+) -> Result<Vec<Tensor>, DecodeError> {
     let n = get_len(buf, "tensor list")?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_tensor(buf)?);
+    if n != shapes.len() {
+        return Err(DecodeError::CountMismatch {
+            context: "weight tensors",
+            expected: shapes.len() as u64,
+            declared: n as u64,
+        });
     }
-    Ok(out)
+    (shapes.iter().enumerate())
+        .map(|(index, shape)| get_tensor(buf, shape, index))
+        .collect()
+}
+
+/// Checks that `spec`'s layers chain, with checked arithmetic, and returns
+/// the shape of every weight tensor it declares (in
+/// [`Network::visit_params`](hpnn_nn::Network::visit_params) order) and its
+/// lockable neuron count. Nothing is built: a container whose weights then
+/// match these shapes declares no layer its own bytes do not hold.
+pub(crate) fn check_spec(spec: &NetworkSpec) -> Result<(Vec<Vec<usize>>, usize), DecodeError> {
+    let mut shapes = Vec::new();
+    let (mut width, mut lockable) = (spec.in_features, 0usize);
+    for (index, layer) in spec.layers.iter().enumerate() {
+        let bad = |reason| DecodeError::BadSpec {
+            layer: index,
+            reason,
+        };
+        let overflow = || bad("size overflows");
+        let mut conv = |g: &Conv2dGeom| {
+            shapes.push(vec![g.out_c, g.col_rows()]);
+            shapes.push(vec![g.out_c]);
+        };
+        let (input, output, locks) = match layer {
+            LayerSpec::Dense {
+                in_features,
+                out_features,
+            } => {
+                in_features
+                    .checked_mul(*out_features)
+                    .ok_or_else(overflow)?;
+                shapes.push(vec![*in_features, *out_features]);
+                shapes.push(vec![*out_features]);
+                (*in_features, *out_features, 0)
+            }
+            LayerSpec::Activation { features, .. } => (*features, *features, *features),
+            LayerSpec::Conv2d { geom } => {
+                conv(geom);
+                (geom.in_volume(), geom.out_volume(), 0)
+            }
+            LayerSpec::MaxPool2d { channels, geom } => {
+                let plane = |h: usize, w: usize| channels.checked_mul(h)?.checked_mul(w);
+                let input = plane(geom.in_h, geom.in_w).ok_or_else(overflow)?;
+                (
+                    input,
+                    plane(geom.out_h, geom.out_w).ok_or_else(overflow)?,
+                    0,
+                )
+            }
+            LayerSpec::Residual {
+                in_c,
+                h,
+                w,
+                out_c,
+                stride,
+            } => {
+                // The geometries `ResidualBlock::new` builds, in its
+                // parameter order: conv1, conv2, then the projection.
+                let geom = |c, h, w, k, s, p| {
+                    Conv2dGeom::new(c, h, w, *out_c, k, s, p).map_err(|_| bad("residual geometry"))
+                };
+                let g1 = geom(*in_c, *h, *w, 3, *stride, 1)?;
+                let g2 = geom(*out_c, g1.out_h, g1.out_w, 3, 1, 1)?;
+                conv(&g1);
+                conv(&g2);
+                if in_c != out_c || *stride != 1 {
+                    conv(&geom(*in_c, *h, *w, 1, *stride, 0)?);
+                }
+                let locks = g1.out_volume().checked_mul(2).ok_or_else(overflow)?;
+                (g1.in_volume(), g2.out_volume(), locks)
+            }
+        };
+        if input != width {
+            return Err(bad("input width is not the width entering the layer"));
+        }
+        width = output;
+        lockable = lockable.checked_add(locks).ok_or_else(overflow)?;
+    }
+    Ok((shapes, lockable))
 }
 
 /// Freezes a builder into immutable bytes (convenience for tests).
@@ -407,7 +551,7 @@ mod tests {
         let mut buf = BytesMut::new();
         put_tensor(&mut buf, &t);
         let mut b = freeze(buf);
-        assert_eq!(get_tensor(&mut b).unwrap(), t);
+        assert_eq!(get_tensor(&mut b, &[2, 3], 0).unwrap(), t);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //!   ([`LockedModel::deploy_stolen`]) inference paths.
 //! * [`InferencePlan`] — one immutable deployment a server shares across
 //!   threads, run under a keyed or keyless [`PlanView`] per call.
-//! * [`theory`] — executable Theorem 1 / Lemma 1 checks.
 //!
 //! ## End-to-end example
 //!
@@ -51,7 +50,6 @@ mod model;
 mod plan;
 mod registry;
 mod schedule;
-pub mod theory;
 mod train;
 
 pub use codec::{DecodeError, MAGIC, VERSION};

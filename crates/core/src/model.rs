@@ -183,15 +183,31 @@ impl LockedModel {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] on malformed input.
+    /// Returns [`DecodeError`] on malformed input: besides a truncated or
+    /// mistagged stream, an architecture whose layers do not chain or whose
+    /// sizes overflow, a schedule that does not cover exactly its lockable
+    /// neurons, a weight list whose count or any shape is not the
+    /// architecture's, and bytes after the last tensor. A decoded model
+    /// therefore deploys without panicking.
     pub fn from_bytes(mut bytes: impl Buf) -> Result<Self, DecodeError> {
         codec::check_header(&mut bytes)?;
         let name = codec::get_string(&mut bytes)?;
         let dataset = codec::get_string(&mut bytes)?;
         let notes = codec::get_string(&mut bytes)?;
         let spec = codec::get_network_spec(&mut bytes)?;
+        let (shapes, lockable) = codec::check_spec(&spec)?;
         let schedule = codec::get_schedule(&mut bytes)?;
-        let weights = codec::get_tensors(&mut bytes)?;
+        if schedule.num_neurons() != lockable {
+            return Err(DecodeError::CountMismatch {
+                context: "schedule neurons",
+                expected: lockable as u64,
+                declared: schedule.num_neurons() as u64,
+            });
+        }
+        let weights = codec::get_tensors(&mut bytes, &shapes)?;
+        if bytes.remaining() > 0 {
+            return Err(DecodeError::TrailingBytes(bytes.remaining()));
+        }
         Ok(LockedModel {
             spec,
             weights,
@@ -214,7 +230,7 @@ impl LockedModel {
 mod tests {
     use super::*;
     use crate::schedule::ScheduleKind;
-    use hpnn_nn::mlp;
+    use hpnn_nn::{mlp, LayerSpec};
 
     fn build_model(seed: u64) -> (LockedModel, HpnnKey) {
         let mut rng = Rng::new(seed);
@@ -322,6 +338,107 @@ mod tests {
         let mut net = spec.build(&mut rng).unwrap();
         let bad_schedule = Schedule::new(5, ScheduleKind::RoundRobin, 0);
         let _ = LockedModel::from_network(spec, &mut net, bad_schedule, ModelMetadata::default());
+    }
+
+    /// A container holding exactly `spec`, a schedule over `neurons` and
+    /// `weights`, whatever they say.
+    fn container(spec: &NetworkSpec, neurons: usize, weights: &[Tensor]) -> Bytes {
+        let mut buf = BytesMut::new();
+        codec::put_header(&mut buf);
+        for field in ["name", "dataset", "notes"] {
+            codec::put_string(&mut buf, field);
+        }
+        codec::put_network_spec(&mut buf, spec);
+        let schedule = Schedule::new(neurons, ScheduleKind::RoundRobin, 0);
+        codec::put_schedule(&mut buf, &schedule);
+        codec::put_tensors(&mut buf, weights);
+        buf.freeze()
+    }
+
+    #[test]
+    fn layers_that_do_not_chain_or_overflow_are_refused() {
+        // 3 inputs into a 4-input dense layer once decoded, then panicked
+        // building the network; a 2^33 x 2^33 layer asked for 2^66 floats.
+        let dense = |in_features, out_features| LayerSpec::Dense {
+            in_features,
+            out_features,
+        };
+        let unchained = NetworkSpec::new(3, vec![dense(4, 2)]);
+        let weights = [Tensor::zeros([4, 2]), Tensor::zeros([2])];
+        assert_eq!(
+            LockedModel::from_bytes(container(&unchained, 0, &weights)).err(),
+            Some(DecodeError::BadSpec {
+                layer: 0,
+                reason: "input width is not the width entering the layer",
+            })
+        );
+        let huge = NetworkSpec::new(1 << 33, vec![dense(1 << 33, 1 << 33)]);
+        assert_eq!(
+            LockedModel::from_bytes(container(&huge, 0, &[])).err(),
+            Some(DecodeError::BadSpec {
+                layer: 0,
+                reason: "size overflows",
+            })
+        );
+    }
+
+    #[test]
+    fn a_weight_list_one_short_is_refused() {
+        let (model, _) = build_model(15);
+        let short = &model.weights()[..3];
+        assert_eq!(
+            LockedModel::from_bytes(container(model.spec(), 6, short)).err(),
+            Some(DecodeError::CountMismatch {
+                context: "weight tensors",
+                expected: 4,
+                declared: 3,
+            })
+        );
+    }
+
+    #[test]
+    fn a_weight_tensor_of_the_wrong_shape_is_refused() {
+        let (model, _) = build_model(16);
+        let mut weights = model.weights().to_vec();
+        weights[3] = Tensor::zeros([2]); // the 3-entry output bias
+        assert_eq!(
+            LockedModel::from_bytes(container(model.spec(), 6, &weights)).err(),
+            Some(DecodeError::ShapeMismatch {
+                tensor: 3,
+                expected: vec![3],
+                declared: vec![2],
+            })
+        );
+    }
+
+    #[test]
+    fn a_schedule_not_covering_the_lockable_neurons_is_refused() {
+        // 7 once panicked installing the factors; 2^62 overflowed the
+        // factor vector's capacity, and 2^36 asked for 256 GiB.
+        let (model, _) = build_model(17);
+        for declared in [5, 7, 1 << 36, 1 << 62] {
+            let bytes = container(model.spec(), declared, model.weights());
+            assert_eq!(
+                LockedModel::from_bytes(bytes).err(),
+                Some(DecodeError::CountMismatch {
+                    context: "schedule neurons",
+                    expected: 6,
+                    declared: declared as u64,
+                }),
+                "{declared}"
+            );
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_refused() {
+        let (model, _) = build_model(18);
+        let mut bytes = model.to_bytes().to_vec();
+        bytes.push(0);
+        assert_eq!(
+            LockedModel::from_bytes(bytes.as_slice()).err(),
+            Some(DecodeError::TrailingBytes(1))
+        );
     }
 
     #[test]

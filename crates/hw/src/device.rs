@@ -895,7 +895,7 @@ fn im2col_i8(sample: &[i8], geom: &Conv2dGeom, out: &mut [i8]) {
 mod tests {
     use super::*;
     use crate::quant::quantize_with_scale;
-    use hpnn_core::{sha256, HpnnKey, HpnnTrainer, ScheduleKind};
+    use hpnn_core::{sha256, DecodeError, HpnnKey, HpnnTrainer, ScheduleKind};
     use hpnn_data::{Benchmark, DatasetScale};
     use hpnn_nn::{cnn1, mlp, ImageDims, NetworkSpec, TrainConfig};
     use hpnn_tensor::simd::{self, SimdLevel};
@@ -1259,27 +1259,30 @@ mod tests {
         let honest = model.to_bytes().to_vec();
 
         // The last tensor is the 3-entry output bias: `rank, dim, len, data`.
-        // Re-encode it with two entries.
+        // Re-encoded with two entries, the container no longer decodes, so
+        // no device ever runs it.
         let mut bytes = honest.clone();
         let end = bytes.len();
         bytes[end - 28..end - 20].copy_from_slice(&2u64.to_le_bytes());
         bytes[end - 20..end - 12].copy_from_slice(&2u64.to_le_bytes());
         bytes.truncate(end - 4);
-        let short_bias = LockedModel::from_bytes(&bytes[..]).unwrap();
-        assert_eq!(short_bias.weights()[3].len(), 2);
-        let err = device.run(&short_bias, &x).unwrap_err();
-        assert!(matches!(err, DeviceError::WeightMismatch(_)), "{err}");
+        let err = LockedModel::from_bytes(&bytes[..]).unwrap_err();
+        assert!(
+            matches!(err, DecodeError::ShapeMismatch { tensor: 3, .. }),
+            "{err}"
+        );
 
         // The schedule (`kind, neurons, seed`) sits just before the weights;
-        // make it cover five of the six locked neurons.
+        // one covering five of the six locked neurons does not decode either.
         let mut bytes = honest.clone();
         let neurons_at = end - weights_section_len(&model) - 16;
         assert_eq!(bytes[neurons_at..neurons_at + 8], 6u64.to_le_bytes());
         bytes[neurons_at..neurons_at + 8].copy_from_slice(&5u64.to_le_bytes());
-        let short_schedule = LockedModel::from_bytes(&bytes[..]).unwrap();
-        assert_eq!(short_schedule.schedule().num_neurons(), 5);
-        let err = device.run(&short_schedule, &x).unwrap_err();
-        assert!(matches!(err, DeviceError::WeightMismatch(_)), "{err}");
+        let err = LockedModel::from_bytes(&bytes[..]).unwrap_err();
+        assert!(
+            matches!(err, DecodeError::CountMismatch { declared: 5, .. }),
+            "{err}"
+        );
 
         // Inputs narrower and wider than the first layer, dense and conv,
         // and one that is not a batch of rows at all.

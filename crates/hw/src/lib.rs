@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 
 mod accumulator;
-mod activation_unit;
 mod adder;
 mod area;
 mod device;
@@ -63,7 +62,6 @@ mod quant;
 mod systolic;
 
 pub use accumulator::{KeyedAccumulator, ACC_BITS, PRODUCT_BITS};
-pub use activation_unit::ActivationLut;
 pub use adder::RippleCarryAdder;
 pub use area::{OverheadReport, BASELINE_MMU_GATES};
 pub use device::{DeviceError, DeviceStats, TrustedAccelerator};

@@ -285,17 +285,6 @@ impl Mmu {
     pub fn extra_gates() -> GateCount {
         KeyedAccumulator::extra_gates().times(KEY_BITS)
     }
-
-    /// Modeled cycle count for an `m×k · k×n` matrix multiply on the
-    /// `256×256` array (weight-stationary tiling): each `(256,256)` weight
-    /// tile is loaded (256 cycles) and streams `n` activation columns plus
-    /// array fill/drain.
-    pub fn matmul_cycle_model(m: usize, k: usize, n: usize) -> u64 {
-        let tiles_m = m.div_ceil(MMU_SIZE) as u64;
-        let tiles_k = k.div_ceil(MMU_SIZE) as u64;
-        let per_tile = MMU_SIZE as u64 + n as u64 + 2 * MMU_SIZE as u64;
-        tiles_m * tiles_k * per_tile
-    }
 }
 
 /// Fig. 4(b) on the finished sums: XOR every line with the unit's key bit
@@ -735,13 +724,6 @@ mod tests {
         let g = Mmu::extra_gates();
         assert_eq!(g.xor, 4096);
         assert_eq!(g.total(), 4096);
-    }
-
-    #[test]
-    fn cycle_model_scales_with_tiles() {
-        let small = Mmu::matmul_cycle_model(256, 256, 100);
-        let quad = Mmu::matmul_cycle_model(512, 512, 100);
-        assert_eq!(quad, 4 * small);
     }
 
     #[test]

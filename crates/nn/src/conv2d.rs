@@ -5,7 +5,7 @@ use hpnn_tensor::{
     conv2d_weight_grad_batch_into, simd, Conv2dGeom, Rng, Shape, Tensor,
 };
 
-use crate::layer::Layer;
+use crate::layer::{negated_units, Layer};
 use crate::par::map_reduce_chunks;
 use crate::param::Param;
 
@@ -239,6 +239,18 @@ impl Layer for Conv2d {
     fn out_features(&self, in_features: usize) -> usize {
         assert_eq!(in_features, self.geom.in_volume(), "conv wiring mismatch");
         self.geom.out_volume()
+    }
+
+    fn negate_units(&mut self, factors: &[f32]) {
+        let g = self.geom;
+        let fan_in = g.col_rows();
+        for f in negated_units(factors, g.out_c, g.out_h * g.out_w) {
+            // Row f of the `[out_c x fan_in]` filter bank, and bias f.
+            for w in &mut self.weight.value.data_mut()[f * fan_in..(f + 1) * fan_in] {
+                *w = -*w;
+            }
+            self.bias.value.data_mut()[f] = -self.bias.value.data()[f];
+        }
     }
 }
 

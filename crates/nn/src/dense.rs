@@ -2,7 +2,7 @@
 
 use hpnn_tensor::{matmul_a_bt_into, matmul_at_b_into, matmul_into, simd, Rng, Shape, Tensor};
 
-use crate::layer::Layer;
+use crate::layer::{negated_units, Layer};
 use crate::param::Param;
 
 /// A fully-connected layer: `y = x·W + b`.
@@ -162,6 +162,17 @@ impl Layer for Dense {
     fn out_features(&self, in_features: usize) -> usize {
         assert_eq!(in_features, self.in_features, "dense wiring mismatch");
         self.out_features
+    }
+
+    fn negate_units(&mut self, factors: &[f32]) {
+        let out = self.out_features;
+        for j in negated_units(factors, out, 1) {
+            // Column j of the row-major `[in x out]` weight, and bias j.
+            for w in self.weight.value.data_mut()[j..].iter_mut().step_by(out) {
+                *w = -*w;
+            }
+            self.bias.value.data_mut()[j] = -self.bias.value.data()[j];
+        }
     }
 }
 

@@ -100,10 +100,51 @@ pub trait Layer: Send + Sync {
         None
     }
 
+    /// Negates the incoming weights and bias of every unit (a dense
+    /// neuron, a convolution filter) whose lock factor is −1, so that
+    /// `f(L·MAC)` becomes `f(MAC')` with `MAC' = L·MAC` (Lemma 1).
+    /// `factors` are this layer's own lock factors if it is lockable,
+    /// otherwise those of the activation it feeds; see
+    /// [`Network::flip_signs`](crate::Network::flip_signs).
+    ///
+    /// # Panics
+    ///
+    /// The default panics: the layer has no incoming weights. An
+    /// implementation panics on a wrong length, or when the factors vary
+    /// within one unit, since no sign flip of its weights undoes that.
+    fn negate_units(&mut self, factors: &[f32]) {
+        panic!(
+            "layer {} has no incoming weights to negate for {} lock factors",
+            self.name(),
+            factors.len()
+        );
+    }
+
     /// Total number of learnable scalars.
     fn param_count(&mut self) -> usize {
         let mut n = 0;
         self.visit_params(&mut |p| n += p.len());
         n
     }
+}
+
+/// The units whose lock factors are −1, for `units` consecutive groups of
+/// `per_unit` factors each.
+///
+/// # Panics
+///
+/// Panics if `factors` is not `units · per_unit` long or a group's factors
+/// disagree.
+pub(crate) fn negated_units(factors: &[f32], units: usize, per_unit: usize) -> Vec<usize> {
+    assert_eq!(factors.len(), units * per_unit, "lock factors per unit");
+    (0..units)
+        .filter(|&u| {
+            let group = &factors[u * per_unit..(u + 1) * per_unit];
+            assert!(
+                group.iter().all(|&l| l == group[0]),
+                "lock factors vary within unit {u}: no sign flip undoes them"
+            );
+            group.first() == Some(&-1.0)
+        })
+        .collect()
 }

@@ -51,6 +51,8 @@ mod param;
 mod pool2d;
 mod residual;
 mod spec;
+#[cfg(test)]
+mod theory;
 mod trainer;
 
 pub use activation::{ActKind, Activation};

@@ -233,6 +233,37 @@ impl Network {
         }
     }
 
+    /// The one sign flip: negates the incoming weights and bias of every
+    /// unit whose lock factor is −1 ([`Layer::negate_units`]). An
+    /// activation's units are those of the layer feeding it; a residual
+    /// block negates its own convolutions. Where each unit's factors agree
+    /// and its pre-activation is its own, the flipped network run keyless
+    /// computes, bit for bit, what this one computes under `factors`
+    /// (Lemma 1). Flipping twice restores every bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factors.len() != self.lockable_neurons()`, or as
+    /// [`Layer::negate_units`].
+    pub fn flip_signs(&mut self, factors: &[f32]) {
+        assert_eq!(factors.len(), self.lockable_neurons(), "lock factors");
+        let mut offset = 0;
+        for i in 0..self.layers.len() {
+            let n = self.layers[i].lockable_neurons();
+            if n == 0 {
+                continue;
+            }
+            let owner = if self.layers[i].param_count() == 0 {
+                i.checked_sub(1)
+                    .expect("a lockable first layer has no weights")
+            } else {
+                i
+            };
+            self.layers[owner].negate_units(&factors[offset..offset + n]);
+            offset += n;
+        }
+    }
+
     /// Concatenated lock factors currently installed across lockable layers,
     /// or `None` if no lockable layer has factors installed.
     pub fn lock_factors(&self) -> Option<Vec<f32>> {

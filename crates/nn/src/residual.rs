@@ -180,6 +180,17 @@ impl Layer for ResidualBlock {
         self.relu2.set_lock_factors(&factors[n1..]);
     }
 
+    fn negate_units(&mut self, factors: &[f32]) {
+        let (lock1, lock2) = factors.split_at(self.relu1.lockable_neurons());
+        self.conv1.negate_units(lock1);
+        // Past the add, an identity skip carries the block input unnegated,
+        // so there the flip is no change of basis.
+        self.conv2.negate_units(lock2);
+        if let Some(proj) = &mut self.projection {
+            proj.negate_units(lock2);
+        }
+    }
+
     fn lock_factors(&self) -> Option<&[f32]> {
         // Factors are split across two inner layers; expose via Network::lock_factors
         // which concatenates per-layer vectors. A residual block reports its

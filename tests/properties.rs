@@ -6,10 +6,9 @@
 //! `proptest` dependency is unavailable in the offline build environment and
 //! was never needed for shrinkable inputs here — every case prints its seed).
 
-use hpnn::core::theory::{equivalent_weights, SingleLayerNet};
 use hpnn::core::{sha256, HpnnKey, LockedModel, ModelMetadata, Schedule, ScheduleKind, KEY_BITS};
 use hpnn::hw::{KeyedAccumulator, RippleCarryAdder};
-use hpnn::nn::{mlp, ActKind};
+use hpnn::nn::{mlp, ActKind, LayerSpec, NetworkSpec};
 use hpnn::tensor::{matmul, Rng, Shape, Tensor};
 
 /// Cases per property; tuned so the whole file stays test-suite fast.
@@ -152,30 +151,49 @@ fn keyed_accumulator_is_lock_factor() {
     }
 }
 
-/// Lemma 1 equivalence: negating flipped neurons' weight columns preserves
-/// the network function on random probes.
+/// Lemma 1 equivalence: a network under lock factors `from` and its sign
+/// flip where `from` and `to` differ, run under `to`, give the same logits
+/// bit for bit on random probes.
 #[test]
 fn lemma1_equivalence_preserves_outputs() {
     let mut rng = Rng::new(0x09);
+    let kinds = [ActKind::Relu, ActKind::Sigmoid, ActKind::Tanh];
     for case in 0..CASES {
         let inputs = 1 + rng.below(9);
         let neurons = 1 + rng.below(7);
-        let w = Tensor::randn([inputs, neurons], 1.0, &mut rng);
-        let from: Vec<f32> = (0..neurons)
-            .map(|_| if rng.bit() { 1.0 } else { -1.0 })
-            .collect();
-        let to: Vec<f32> = (0..neurons)
-            .map(|_| if rng.bit() { 1.0 } else { -1.0 })
-            .collect();
-        let w2 = equivalent_weights(&w, &from, &to);
-        let net_a = SingleLayerNet::with_weights(w, from, ActKind::Tanh);
-        let net_b = SingleLayerNet::with_weights(w2, to, ActKind::Tanh);
-        let probe: Vec<f32> = (0..inputs).map(|_| rng.normal()).collect();
-        let ya = net_a.forward(&probe);
-        let yb = net_b.forward(&probe);
-        for (a, b) in ya.iter().zip(&yb) {
-            assert!((a - b).abs() < 1e-5, "case {case}: {a} vs {b}");
-        }
+        let spec = NetworkSpec::new(
+            inputs,
+            vec![
+                LayerSpec::Dense {
+                    in_features: inputs,
+                    out_features: neurons,
+                },
+                LayerSpec::Activation {
+                    kind: kinds[rng.below(3)],
+                    features: neurons,
+                },
+                LayerSpec::Dense {
+                    in_features: neurons,
+                    out_features: 3,
+                },
+            ],
+        );
+        let seed = rng.next_u64();
+        let net = spec.build(&mut Rng::new(seed)).unwrap();
+        let mut flipped = spec.build(&mut Rng::new(seed)).unwrap();
+        let mut signs = || -> Vec<f32> {
+            (0..neurons)
+                .map(|_| if rng.bit() { 1.0 } else { -1.0 })
+                .collect()
+        };
+        let (from, to) = (signs(), signs());
+        let differ: Vec<f32> = from.iter().zip(&to).map(|(a, b)| a * b).collect();
+        flipped.flip_signs(&differ);
+        let probe = Tensor::randn([4, inputs], 1.0, &mut rng);
+        let layers = 0..net.len();
+        let a = net.infer_range(&probe, layers.clone(), Some(&from));
+        let b = flipped.infer_range(&probe, layers, Some(&to));
+        assert_eq!(a.data(), b.data(), "case {case}");
     }
 }
 
