@@ -40,7 +40,7 @@ pub fn random_key_guessing(
     let mut accuracies = Vec::with_capacity(attempts);
     for _ in 0..attempts {
         let guess = HpnnKey::random(rng);
-        let mut net = model.deploy_with_guessed_key(&guess)?;
+        let mut net = model.deploy_with_key(&guess)?;
         accuracies.push(net.accuracy(&dataset.test_inputs, &dataset.test_labels));
     }
     let best_accuracy = accuracies.iter().copied().fold(0.0, f32::max);
@@ -80,7 +80,7 @@ pub fn key_distance_profile(
         for p in positions {
             key = key.with_flipped_bit(p);
         }
-        let mut net = model.deploy_with_guessed_key(&key)?;
+        let mut net = model.deploy_with_key(&key)?;
         out.push(net.accuracy(&dataset.test_inputs, &dataset.test_labels));
     }
     Ok(out)
@@ -116,14 +116,14 @@ pub fn greedy_bit_climb(
     rng: &mut Rng,
 ) -> Result<(HpnnKey, f32, Vec<ClimbStep>), TensorError> {
     let mut key = HpnnKey::ZERO;
-    let mut net = model.deploy_with_guessed_key(&key)?;
+    let mut net = model.deploy_with_key(&key)?;
     let mut best = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
     let mut steps = Vec::new();
     for _ in 0..passes {
         let order = rng.sample_indices(hpnn_core::KEY_BITS, bits_per_pass.min(hpnn_core::KEY_BITS));
         for bit in order {
             let candidate = key.with_flipped_bit(bit);
-            let mut net = model.deploy_with_guessed_key(&candidate)?;
+            let mut net = model.deploy_with_key(&candidate)?;
             let acc = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
             let kept = acc > best;
             steps.push(ClimbStep {
@@ -207,7 +207,7 @@ mod tests {
         let (key, acc, steps) = greedy_bit_climb(&model, &ds, 1, 16, &mut rng).unwrap();
         assert_eq!(steps.len(), 16);
         // Final accuracy must be at least the all-zero-key accuracy.
-        let mut zero_net = model.deploy_with_guessed_key(&HpnnKey::ZERO).unwrap();
+        let mut zero_net = model.deploy_with_key(&HpnnKey::ZERO).unwrap();
         let zero_acc = zero_net.accuracy(&ds.test_inputs, &ds.test_labels);
         assert!(acc >= zero_acc);
         // Kept flips are reflected in the final key's weight.

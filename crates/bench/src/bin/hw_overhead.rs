@@ -11,8 +11,8 @@ use hpnn_bench::{pct, print_table, Scale};
 use hpnn_core::{HpnnKey, HpnnTrainer, KeyVault};
 use hpnn_data::Benchmark;
 use hpnn_hw::{
-    baseline_mac_gates, keyed_mac_gates, ArrayMultiplier8, DatapathMode, KeySource,
-    KeyedAccumulator, Mmu, OverheadReport, Routing, TrustedAccelerator,
+    baseline_mac_gates, keyed_mac_gates, ArrayMultiplier8, KeySource, KeyedAccumulator, Mmu,
+    OverheadReport, Routing, TrustedAccelerator,
 };
 use hpnn_nn::mlp;
 use hpnn_tensor::Rng;
@@ -104,8 +104,8 @@ fn main() {
     let a: Vec<i8> = (0..256)
         .map(|_| (rng.below(255) as i32 - 127) as i8)
         .collect();
-    let mut locked = Mmu::build(KeySource::Key(&key), DatapathMode::Behavioral);
-    let mut unlocked = Mmu::build(KeySource::None, DatapathMode::Behavioral);
+    let mut locked = Mmu::build(KeySource::Key(&key));
+    let mut unlocked = Mmu::build(KeySource::None);
     // The same weight row against one column, collected by 64 units in turn.
     let (mut locked_route, mut unlocked_route) = (Routing::default(), Routing::default());
     let mut out = [0i32];

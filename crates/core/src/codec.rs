@@ -23,6 +23,19 @@ pub const MAGIC: [u8; 4] = *b"HPNN";
 /// Current container format version.
 pub const VERSION: u16 = 1;
 
+/// Widest layer input or output a container may declare, in features.
+///
+/// The widest layer an in-repo architecture builds at full scale is the
+/// first convolution of CNN2 and CNN3 on a 32×32×3 image: 16 filters ×
+/// 32×32 = 16,384 outputs, 1,024 times below the cap. Without it a
+/// 202-byte container declares a 1×1 convolution over a 2^20×2^20 image.
+pub const MAX_WIDTH: usize = 1 << 24;
+
+/// Most lockable neurons a container may declare: every one of them costs
+/// a deployment an f32 lock factor. CNN2 on a 32×32×3 image at full width
+/// has the most of any in-repo architecture, 57,536.
+pub const MAX_LOCKABLE: usize = 1 << 24;
+
 /// Error decoding a model container.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
@@ -52,7 +65,8 @@ pub enum DecodeError {
         declared: u64,
     },
     /// The architecture does not hold together: a layer's input is not
-    /// the width entering it, or a size overflows.
+    /// the width entering it, a width is zero or above [`MAX_WIDTH`], the
+    /// lockable neurons exceed [`MAX_LOCKABLE`], or a size overflows.
     BadSpec {
         /// Index of the offending layer.
         layer: usize,
@@ -450,11 +464,13 @@ pub(crate) fn get_tensors(
         .collect()
 }
 
-/// Checks that `spec`'s layers chain, with checked arithmetic, and returns
-/// the shape of every weight tensor it declares (in
-/// [`Network::visit_params`](hpnn_nn::Network::visit_params) order) and its
-/// lockable neuron count. Nothing is built: a container whose weights then
-/// match these shapes declares no layer its own bytes do not hold.
+/// Checks that `spec`'s layers chain, with checked arithmetic, that every
+/// width is between 1 and [`MAX_WIDTH`] and that it locks at most
+/// [`MAX_LOCKABLE`] neurons, and returns the shape of every weight tensor it
+/// declares (in [`Network::visit_params`](hpnn_nn::Network::visit_params)
+/// order) and its lockable neuron count. Nothing is built: a container
+/// whose weights then match these shapes declares no layer its own bytes do
+/// not hold, and no activation or lock-factor buffer beyond the caps.
 pub(crate) fn check_spec(spec: &NetworkSpec) -> Result<(Vec<Vec<usize>>, usize), DecodeError> {
     let mut shapes = Vec::new();
     let (mut width, mut lockable) = (spec.in_features, 0usize);
@@ -520,8 +536,17 @@ pub(crate) fn check_spec(spec: &NetworkSpec) -> Result<(Vec<Vec<usize>>, usize),
         if input != width {
             return Err(bad("input width is not the width entering the layer"));
         }
+        if input == 0 || output == 0 {
+            return Err(bad("zero width"));
+        }
+        if input > MAX_WIDTH || output > MAX_WIDTH {
+            return Err(bad("width above MAX_WIDTH"));
+        }
         width = output;
         lockable = lockable.checked_add(locks).ok_or_else(overflow)?;
+        if lockable > MAX_LOCKABLE {
+            return Err(bad("lockable neurons above MAX_LOCKABLE"));
+        }
     }
     Ok((shapes, lockable))
 }
@@ -535,7 +560,7 @@ pub(crate) fn freeze(buf: BytesMut) -> Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpnn_nn::mlp;
+    use hpnn_nn::{mlp, ArchKind, ImageDims};
 
     #[test]
     fn string_roundtrip() {
@@ -652,6 +677,30 @@ mod tests {
             crate::LockedModel::from_bytes(freeze(container)).err(),
             Some(refused)
         );
+    }
+
+    #[test]
+    fn in_repo_architectures_sit_far_below_the_caps() {
+        // The figures the docs of `MAX_WIDTH` and `MAX_LOCKABLE` quote.
+        let (mut widest, mut most_locks) = (0, 0);
+        for dims in [ImageDims::new(1, 28, 28), ImageDims::new(3, 32, 32)] {
+            for arch in [
+                ArchKind::Cnn1,
+                ArchKind::Cnn2,
+                ArchKind::Cnn3,
+                ArchKind::ResNet,
+            ] {
+                let spec = arch.build_spec(dims, 10, 1.0).unwrap();
+                let (_, lockable) = check_spec(&spec).unwrap();
+                let mut width = spec.in_features;
+                for layer in &spec.layers {
+                    width = layer.out_features(width);
+                    widest = widest.max(width);
+                }
+                most_locks = most_locks.max(lockable);
+            }
+        }
+        assert_eq!((widest, most_locks), (16_384, 57_536));
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod registry;
 mod schedule;
 mod train;
 
-pub use codec::{DecodeError, MAGIC, VERSION};
+pub use codec::{DecodeError, MAGIC, MAX_LOCKABLE, MAX_WIDTH, VERSION};
 pub use digest::{sha256, Digest};
 pub use key::{HpnnKey, KeyVault, ParseKeyError, KEY_BITS};
 pub use model::{LockedModel, ModelMetadata};

@@ -65,26 +65,36 @@ impl LockedModel {
     /// values are captured — lock factors are *not* stored (they are derived
     /// from the key at inference time inside the trusted hardware).
     ///
+    /// The model is checked as [`from_bytes`](LockedModel::from_bytes)
+    /// checks a container, so every `LockedModel` holds the weights and
+    /// schedule its architecture declares.
+    ///
     /// # Panics
     ///
-    /// Panics if `schedule.num_neurons()` differs from the network's
-    /// lockable neuron count.
+    /// Panics if `spec` is an architecture `from_bytes` refuses, if
+    /// `schedule.num_neurons()` differs from its lockable neuron count, or if
+    /// the network's weights are not the tensors `spec` declares.
     pub fn from_network(
         spec: NetworkSpec,
         net: &mut Network,
         schedule: Schedule,
         metadata: ModelMetadata,
     ) -> Self {
+        let (shapes, lockable) = codec::check_spec(&spec).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(
             schedule.num_neurons(),
-            spec.lockable_neurons(),
-            "schedule covers {} neurons but the architecture has {}",
+            lockable,
+            "schedule covers {} neurons but the architecture has {lockable}",
             schedule.num_neurons(),
-            spec.lockable_neurons()
+        );
+        let weights = net.export_weights();
+        assert!(
+            weights.iter().map(|t| t.shape().dims()).eq(&shapes),
+            "the network's weights are not the tensors the architecture declares"
         );
         LockedModel {
             spec,
-            weights: net.export_weights(),
+            weights,
             schedule,
             metadata,
         }
@@ -146,16 +156,6 @@ impl LockedModel {
     /// Returns an error if the stored architecture is invalid.
     pub fn deploy_stolen(&self) -> Result<Network, TensorError> {
         self.instantiate()
-    }
-
-    /// Builds the network with a *guessed* key — brute-force attack surface
-    /// (2²⁵⁶ keyspace).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the stored architecture is invalid.
-    pub fn deploy_with_guessed_key(&self, guess: &HpnnKey) -> Result<Network, TensorError> {
-        self.deploy_with_key(guess)
     }
 
     fn instantiate(&self) -> Result<Network, TensorError> {
@@ -229,8 +229,10 @@ impl LockedModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::MAX_LOCKABLE;
     use crate::schedule::ScheduleKind;
-    use hpnn_nn::{mlp, LayerSpec};
+    use hpnn_nn::{mlp, ActKind, LayerSpec};
+    use hpnn_tensor::Conv2dGeom;
 
     fn build_model(seed: u64) -> (LockedModel, HpnnKey) {
         let mut rng = Rng::new(seed);
@@ -287,7 +289,7 @@ mod tests {
         let (model, key) = build_model(6);
         let wrong = key.with_flipped_bit(0).with_flipped_bit(3);
         let mut a = model.deploy_with_key(&key).unwrap();
-        let mut b = model.deploy_with_guessed_key(&wrong).unwrap();
+        let mut b = model.deploy_with_key(&wrong).unwrap();
         let mut rng = Rng::new(7);
         let x = Tensor::randn([8, 4], 1.0, &mut rng);
         assert!(a.forward(&x, false).max_abs_diff(&b.forward(&x, false)) > 1e-5);
@@ -340,6 +342,18 @@ mod tests {
         let _ = LockedModel::from_network(spec, &mut net, bad_schedule, ModelMetadata::default());
     }
 
+    #[test]
+    #[should_panic(expected = "the network's weights are not the tensors")]
+    fn a_network_that_is_not_its_spec_is_refused() {
+        // Six hidden neurons either way, so the schedule fits; the network's
+        // output layer has four units where the spec declares three.
+        let mut rng = Rng::new(19);
+        let spec = mlp(8, &[6], 3);
+        let mut net = mlp(8, &[6], 4).build(&mut rng).unwrap();
+        let schedule = Schedule::new(spec.lockable_neurons(), ScheduleKind::RoundRobin, 0);
+        let _ = LockedModel::from_network(spec, &mut net, schedule, ModelMetadata::default());
+    }
+
     /// A container holding exactly `spec`, a schedule over `neurons` and
     /// `weights`, whatever they say.
     fn container(spec: &NetworkSpec, neurons: usize, weights: &[Tensor]) -> Bytes {
@@ -378,6 +392,41 @@ mod tests {
             Some(DecodeError::BadSpec {
                 layer: 0,
                 reason: "size overflows",
+            })
+        );
+    }
+
+    #[test]
+    fn containers_above_the_width_or_lock_caps_are_refused() {
+        // A 1x1 convolution over a 2^20 x 2^20 image and its ReLU, with the
+        // conv's two one-element tensors, once decoded with 2^40 lockable
+        // neurons: 4 TiB of lock factors for whoever deployed it.
+        let relu = |features| LayerSpec::Activation {
+            kind: ActKind::Relu,
+            features,
+        };
+        let side = 1 << 20;
+        let geom = Conv2dGeom::new(1, side, side, 1, 1, 1, 0).unwrap();
+        let wide = NetworkSpec::new(
+            side * side,
+            vec![LayerSpec::Conv2d { geom }, relu(side * side)],
+        );
+        let weights = [Tensor::zeros([1, 1]), Tensor::zeros([1])];
+        assert_eq!(
+            LockedModel::from_bytes(container(&wide, side * side, &weights)).err(),
+            Some(DecodeError::BadSpec {
+                layer: 0,
+                reason: "width above MAX_WIDTH",
+            })
+        );
+        // Every width at the cap's half, two ReLUs: one lock too many.
+        let half = MAX_LOCKABLE / 2 + 1;
+        let locky = NetworkSpec::new(half, vec![relu(half), relu(half)]);
+        assert_eq!(
+            LockedModel::from_bytes(container(&locky, 2 * half, &[])).err(),
+            Some(DecodeError::BadSpec {
+                layer: 1,
+                reason: "lockable neurons above MAX_LOCKABLE",
             })
         );
     }

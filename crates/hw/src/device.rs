@@ -1,10 +1,12 @@
 //! The trusted accelerator device: end-to-end locked-model inference on the
 //! integer datapath (paper Fig. 1, the authorized end-user's path).
 //!
-//! The sequencer checks a model against its own architecture once, before
-//! the first MAC, and then does each piece of work once per layer: weights
-//! and the batch's activations are quantized once, the MMU resolves each
-//! output's accumulator unit into a [`Routing`] once, and every
+//! A [`LockedModel`] is valid by construction: `from_bytes` and
+//! `from_network` both check its weights and schedule against its
+//! architecture. The sequencer trusts the type and checks only the input's
+//! width, before the first MAC. It then does each piece of work once per
+//! layer: weights and the batch's activations are quantized once, the MMU
+//! resolves each output's accumulator unit into a [`Routing`] once, and every
 //! multiply–accumulate goes through [`Mmu::matmul_tile`] — a dense layer as
 //! one tile over the batch, a convolution as one tile per sample over its
 //! int8 `im2col` columns. The pass that dequantizes a tile's sums also
@@ -27,18 +29,14 @@ use std::fmt;
 use hpnn_core::{KeyVault, LockedModel, Schedule};
 use hpnn_nn::{ActKind, LayerSpec};
 use hpnn_tensor::simd::{dispatch, SimdOp};
-use hpnn_tensor::{maxpool_plane_into, Conv2dGeom, PoolGeom, Tensor, TensorError};
+use hpnn_tensor::{maxpool_plane_into, Conv2dGeom, PoolGeom, Tensor};
 
-use crate::mmu::{DatapathMode, KeySource, Mmu, MmuStats, Routing};
+use crate::mmu::{KeySource, Mmu, MmuStats, Routing};
 use crate::quant::{max_abs, quantize_into, quantize_transposed_into, scale_for};
 
 /// Error running a model on the device.
 #[derive(Debug)]
 pub enum DeviceError {
-    /// The stored architecture is invalid.
-    Arch(TensorError),
-    /// Model weights or schedule are inconsistent with the architecture.
-    WeightMismatch(String),
     /// The input batch is not `[rows x in_features]` for this model.
     InputShape {
         /// Features per row the model's first layer takes.
@@ -51,8 +49,6 @@ pub enum DeviceError {
 impl fmt::Display for DeviceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DeviceError::Arch(e) => write!(f, "invalid architecture: {e}"),
-            DeviceError::WeightMismatch(msg) => write!(f, "weight mismatch: {msg}"),
             DeviceError::InputShape { expected, got } => {
                 write!(f, "input must be [rows x {expected}], got {got:?}")
             }
@@ -60,20 +56,7 @@ impl fmt::Display for DeviceError {
     }
 }
 
-impl Error for DeviceError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            DeviceError::Arch(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<TensorError> for DeviceError {
-    fn from(e: TensorError) -> Self {
-        DeviceError::Arch(e)
-    }
-}
+impl Error for DeviceError {}
 
 /// Inference statistics of one device run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -185,8 +168,7 @@ impl Scratch {
 /// # }
 /// ```
 ///
-/// Its `Debug` shows the datapath mode and statistics: nothing derived from
-/// the key.
+/// Its `Debug` shows the statistics: nothing derived from the key.
 #[derive(Clone)]
 pub struct TrustedAccelerator {
     mmu: Mmu,
@@ -197,36 +179,29 @@ pub struct TrustedAccelerator {
 impl fmt::Debug for TrustedAccelerator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TrustedAccelerator")
-            .field("mode", &self.mmu.mode())
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
 
 impl TrustedAccelerator {
-    fn build(source: KeySource<'_>, mode: DatapathMode) -> Self {
+    fn build(source: KeySource<'_>) -> Self {
         TrustedAccelerator {
-            mmu: Mmu::build(source, mode),
+            mmu: Mmu::build(source),
             stats: DeviceStats::default(),
             scratch: Scratch::default(),
         }
     }
 
-    /// A trusted device provisioned with a sealed key (behavioral datapath).
+    /// A trusted device provisioned with a sealed key.
     pub fn new(vault: &KeyVault) -> Self {
-        Self::build(KeySource::Vault(vault), DatapathMode::Behavioral)
-    }
-
-    /// A trusted device with an explicit datapath mode (gate-level is
-    /// orders of magnitude slower; use for validation only).
-    pub fn with_mode(vault: &KeyVault, mode: DatapathMode) -> Self {
-        Self::build(KeySource::Vault(vault), mode)
+        Self::build(KeySource::Vault(vault))
     }
 
     /// An accelerator with **no key** — the commodity device an attacker
     /// would run stolen weights on. (Key register reads as all zeros.)
     pub fn untrusted() -> Self {
-        Self::build(KeySource::None, DatapathMode::Behavioral)
+        Self::build(KeySource::None)
     }
 
     /// Statistics of all runs so far.
@@ -239,15 +214,13 @@ impl TrustedAccelerator {
     /// Runs a batch of flattened samples through the model, returning
     /// logits.
     ///
-    /// The model and the input are checked against the stored architecture
-    /// before any arithmetic, so a run either fails up front or completes.
+    /// The input is checked against the model's architecture before any
+    /// arithmetic, so a run either fails up front or completes.
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::WeightMismatch`] for containers whose weights
-    /// or schedule do not fit their architecture, [`DeviceError::Arch`] for
-    /// invalid geometry or layers that do not chain, and
-    /// [`DeviceError::InputShape`] for an input of the wrong width.
+    /// Returns [`DeviceError::InputShape`] for an input that is not a batch
+    /// of rows of the model's input width.
     pub fn run(&mut self, model: &LockedModel, inputs: &Tensor) -> Result<Tensor, DeviceError> {
         let (steps, footprint) = plan(model, inputs)?;
         let schedule = model.schedule();
@@ -386,9 +359,6 @@ impl TrustedAccelerator {
         self.mmu.matmul_tile(wq, xq, in_f, routing, macs);
 
         out.resize(batch * out_f, 0.0);
-        if out_f == 0 {
-            return;
-        }
         let pass = DenseOut {
             macs,
             signs,
@@ -579,8 +549,7 @@ impl Dequantize for ConvOut<'_> {
     }
 }
 
-/// A dense or convolution layer's parameters, checked against the
-/// architecture.
+/// A dense or convolution layer's parameters.
 #[derive(Debug)]
 struct MacLayer<'m> {
     w: &'m Tensor,
@@ -615,8 +584,7 @@ struct ConvLayer<'m> {
     geom: Conv2dGeom,
 }
 
-/// One checked layer of a run: every index the sequencer will form has been
-/// shown to be in range.
+/// One layer of a run, as the sequencer executes it.
 #[derive(Debug)]
 enum Step<'m> {
     Dense(MacLayer<'m>),
@@ -635,52 +603,31 @@ struct ResidualBlock<'m> {
     conv2: ConvLayer<'m>,
 }
 
-/// Walks the container's weight list in architecture order.
+/// Walks the model's weight list in architecture order.
 struct Params<'m> {
     weights: std::slice::Iter<'m, Tensor>,
 }
 
 impl<'m> Params<'m> {
-    /// The next `(weight, bias)` pair, which must be `[w_dims]` and `[out]`.
-    fn take(
-        &mut self,
-        w_dims: [usize; 2],
-        out: usize,
-        feeds: Option<Feeds>,
-    ) -> Result<MacLayer<'m>, DeviceError> {
-        let (Some(w), Some(b)) = (self.weights.next(), self.weights.next()) else {
-            return Err(DeviceError::WeightMismatch(
-                "container has fewer weight tensors than the architecture needs".into(),
-            ));
+    /// The next `(weight, bias)` pair.
+    fn take(&mut self, feeds: Option<Feeds>) -> MacLayer<'m> {
+        let mut next = || {
+            let tensor = self.weights.next();
+            tensor.expect("a LockedModel holds every tensor its architecture declares")
         };
-        expect_shape(w, &w_dims)?;
-        expect_shape(b, &[out])?;
-        Ok(MacLayer { w, b, feeds })
+        let (w, b) = (next(), next());
+        MacLayer { w, b, feeds }
     }
 
-    fn take_conv(
-        &mut self,
-        geom: Conv2dGeom,
-        feeds: Option<Feeds>,
-    ) -> Result<ConvLayer<'m>, DeviceError> {
-        let layer = self.take([geom.out_c, geom.col_rows()], geom.out_c, feeds)?;
-        Ok(ConvLayer { layer, geom })
+    fn take_conv(&mut self, geom: Conv2dGeom, feeds: Option<Feeds>) -> ConvLayer<'m> {
+        let layer = self.take(feeds);
+        ConvLayer { layer, geom }
     }
 }
 
-fn expect_shape(t: &Tensor, dims: &[usize]) -> Result<(), DeviceError> {
-    if t.shape().dims() != dims {
-        return Err(DeviceError::WeightMismatch(format!(
-            "expected shape {dims:?}, got {:?}",
-            t.shape().dims()
-        )));
-    }
-    Ok(())
-}
-
-/// Checks input, weights and schedule against the stored architecture and
-/// returns the run as a list of steps the sequencer can execute without
-/// further checks, with the buffer sizes they need.
+/// Checks the input's width and returns the run as a list of steps the
+/// sequencer executes, with the buffer sizes they need. The model's own
+/// weights and schedule fit its architecture by construction.
 fn plan<'m>(
     model: &'m LockedModel,
     inputs: &Tensor,
@@ -705,20 +652,6 @@ fn plan<'m>(
     // Lockable neurons seen so far: the schedule index of the next one.
     let mut neurons = 0usize;
     for (i, layer) in spec.layers.iter().enumerate() {
-        // The layer must take what the previous one produced. Checked first:
-        // every size formed below is then bounded by tensors that exist.
-        let takes = match *layer {
-            LayerSpec::Dense { in_features, .. } => Some(in_features),
-            LayerSpec::Conv2d { geom } => volume([geom.in_c, geom.in_h, geom.in_w]),
-            LayerSpec::Activation { features, .. } => Some(features),
-            LayerSpec::MaxPool2d { channels, geom } => volume([channels, geom.in_h, geom.in_w]),
-            LayerSpec::Residual { in_c, h, w, .. } => volume([in_c, h, w]),
-        };
-        if takes != Some(width) || width == 0 {
-            return Err(invalid(format!(
-                "layer {i} does not take the {width} features it is fed"
-            )));
-        }
         let feeds = match spec.layers.get(i + 1) {
             Some(&LayerSpec::Activation { kind, .. }) => Some(Feeds {
                 first: neurons,
@@ -727,22 +660,15 @@ fn plan<'m>(
             _ => None,
         };
         let step = match *layer {
-            LayerSpec::Dense {
-                in_features,
-                out_features,
-            } => {
-                let layer = params.take([in_features, out_features], out_features, feeds)?;
+            LayerSpec::Dense { out_features, .. } => {
+                let layer = params.take(feeds);
                 need.weights = need.weights.max(layer.w.len());
                 need.neurons = need.neurons.max(out_features);
                 need.tile = need.tile.max(out_features * dims[0]);
                 Step::Dense(layer)
             }
             LayerSpec::Conv2d { geom } => {
-                // Padding is the one size no tensor in the container bounds.
-                if volume([geom.out_c, geom.out_h, geom.out_w]).is_none() {
-                    return Err(invalid(format!("conv layer {i} output volume overflows")));
-                }
-                let conv = params.take_conv(geom, feeds)?;
+                let conv = params.take_conv(geom, feeds);
                 need.cover_conv(&conv);
                 Step::Conv(conv)
             }
@@ -758,19 +684,22 @@ fn plan<'m>(
                 out_c,
                 stride,
             } => {
-                let g1 = Conv2dGeom::new(in_c, h, w, out_c, 3, stride, 1)?;
-                let g2 = Conv2dGeom::new(out_c, g1.out_h, g1.out_w, out_c, 3, 1, 1)?;
+                let geom = |c, h, w, k, s, p| {
+                    Conv2dGeom::new(c, h, w, out_c, k, s, p)
+                        .expect("a LockedModel's residual geometries are valid")
+                };
+                let g1 = geom(in_c, h, w, 3, stride, 1);
+                let g2 = geom(out_c, g1.out_h, g1.out_w, 3, 1, 1);
                 let relu = |first| {
                     Some(Feeds {
                         first,
                         kind: ActKind::Relu,
                     })
                 };
-                let conv1 = params.take_conv(g1, relu(neurons))?;
-                let conv2 = params.take_conv(g2, relu(neurons + g1.out_volume()))?;
+                let conv1 = params.take_conv(g1, relu(neurons));
+                let conv2 = params.take_conv(g2, relu(neurons + g1.out_volume()));
                 let projection = if in_c != out_c || stride != 1 {
-                    let gp = Conv2dGeom::new(in_c, h, w, out_c, 1, stride, 0)?;
-                    Some(params.take_conv(gp, None)?)
+                    Some(params.take_conv(geom(in_c, h, w, 1, stride, 0), None))
                 } else {
                     None
                 };
@@ -803,22 +732,7 @@ fn plan<'m>(
             steps.push(step);
         }
     }
-    if model.schedule().num_neurons() < neurons {
-        return Err(DeviceError::WeightMismatch(format!(
-            "schedule covers {} neurons but the architecture locks {neurons}",
-            model.schedule().num_neurons()
-        )));
-    }
     Ok((steps, need))
-}
-
-/// Product of layer dimensions read from a container, `None` on overflow.
-fn volume(dims: [usize; 3]) -> Option<usize> {
-    dims.iter().try_fold(1usize, |v, &d| v.checked_mul(d))
-}
-
-fn invalid(msg: String) -> DeviceError {
-    DeviceError::Arch(TensorError::InvalidGeometry(msg))
 }
 
 fn apply_activation(x: &mut [f32], kind: ActKind) {
@@ -894,7 +808,6 @@ fn im2col_i8(sample: &[i8], geom: &Conv2dGeom, out: &mut [i8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::quantize_with_scale;
     use hpnn_core::{sha256, DecodeError, HpnnKey, HpnnTrainer, ScheduleKind};
     use hpnn_data::{Benchmark, DatasetScale};
     use hpnn_nn::{cnn1, mlp, ImageDims, NetworkSpec, TrainConfig};
@@ -1104,39 +1017,32 @@ mod tests {
         // What the simulator reports for one 28x28 CNN1 row is a property of
         // the modeled hardware: conv 8·9·784 + conv 16·72·196 + dense 10·784
         // MACs over 6272 + 3136 + 10 dot products, one fill cycle each. A
-        // faster simulator must not move any of it, nor make the two modes'
-        // logits differ in any bit.
+        // faster simulator must not move any of it.
         let spec = cnn1(ImageDims::new(1, 28, 28), 10, 1.0).unwrap();
         let (model, key) = untrained_model(spec, 5);
         let vault = KeyVault::provision(key, "tpu");
         let row = Tensor::randn([1, 784], 1.0, &mut Rng::new(6));
-        let mut logits = Vec::new();
-        for mode in [DatapathMode::Behavioral, DatapathMode::GateLevel] {
-            let mut device = TrustedAccelerator::with_mode(&vault, mode);
-            let out = device.run(&model, &row).unwrap();
-            logits.push(out.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-            let want = DeviceStats {
-                mmu: MmuStats {
-                    macs: 290_080,
-                    dot_products: 9_418,
-                    cycles: 299_498,
-                },
-                locked_layers: 2,
-                unlocked_layers: 1,
-            };
-            assert_eq!(device.stats(), want, "{mode:?}");
-        }
-        assert_eq!(logits[0], logits[1], "gate level and behavioral logits");
+        let mut device = TrustedAccelerator::new(&vault);
+        device.run(&model, &row).unwrap();
+        let want = DeviceStats {
+            mmu: MmuStats {
+                macs: 290_080,
+                dot_products: 9_418,
+                cycles: 299_498,
+            },
+            locked_layers: 2,
+            unlocked_layers: 1,
+        };
+        assert_eq!(device.stats(), want);
     }
 
     #[test]
     fn device_logits_are_pinned() {
         // SHA-256 of the logits' f32 bits on untrained, seeded models: a
         // 64-row 28x28 CNN1 chunk (conv tiles at n = 784 and 196, the dense
-        // tile at n = 64), the 12x12 residual stack and a 17-row MLP. Both
-        // datapath modes share the dequantizing epilogue, so comparing them
-        // cannot see a reordered dequantization or a moved activation; this
-        // pin can. It must hold at every SIMD level and thread count.
+        // tile at n = 64), the 12x12 residual stack and a 17-row MLP. A
+        // reordered dequantization or a moved activation shows here. It must
+        // hold at every SIMD level and thread count.
         let image = ImageDims::new(1, 28, 28);
         let small = ImageDims::new(1, 12, 12);
         let cases = [
@@ -1179,7 +1085,7 @@ mod tests {
 
     #[test]
     fn debug_output_does_not_depend_on_the_key() {
-        // `{:?}` of a device, its MMU or a routing shows mode and statistics:
+        // `{:?}` of a device, its MMU or a routing shows statistics:
         // neither the key register nor the masks and lock factors the
         // sequencer derives from it.
         let spec = cnn1(ImageDims::new(1, 12, 12), 5, 0.5).unwrap();
@@ -1198,7 +1104,7 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert!(format!("{a:?}").contains("macs"), "{a:?}");
 
-        let mmus = [&key, &other].map(|k| Mmu::build(KeySource::Key(k), DatapathMode::Behavioral));
+        let mmus = [&key, &other].map(|k| Mmu::build(KeySource::Key(k)));
         let routings = mmus.each_ref().map(|mmu| {
             let mut routing = Routing::default();
             mmu.route(0..=u8::MAX, &mut routing);
@@ -1330,9 +1236,14 @@ mod tests {
                 .map(|_| rng.uniform(-2.0, 2.0))
                 .collect();
             let scale = scale_for(max_abs(&sample));
-            let want = quantize_with_scale(im2col(&sample, &geom).data(), scale);
+            let quantize = |data: &[f32]| {
+                let mut q = vec![0i8; data.len()];
+                quantize_into(data, scale, &mut q);
+                q
+            };
+            let want = quantize(im2col(&sample, &geom).data());
             let mut got = vec![i8::MIN; geom.col_rows() * geom.col_cols()];
-            im2col_i8(&quantize_with_scale(&sample, scale), &geom, &mut got);
+            im2col_i8(&quantize(&sample), &geom, &mut got);
             assert_eq!(got, want, "c={c} {h}x{w} k={kernel} s={stride} p={pad}");
         }
     }

@@ -16,14 +16,19 @@
 //!   point, [`Mmu::matmul_tile`] (int8 weights `[rows × k]` times int8
 //!   columns `[k × n]`, each output negated by the key bit of the
 //!   accumulator a [`Routing`] names; [`Mmu::route`] resolves it once per
-//!   layer), computed either gate by gate or with vectorized integer
-//!   arithmetic. The vectorized body sums products two at a time; the pair
-//!   sum is exact and every addition wraps modulo 2³², so it yields the
-//!   integers of the one-product-at-a-time reference.
+//!   layer), computed with vectorized integer arithmetic. The vectorized
+//!   body sums products two at a time; the pair sum is exact and every
+//!   addition wraps modulo 2³², so it yields the integers of the
+//!   one-product-at-a-time reference.
+//! * [`SystolicArray`] — the cycle-stepped weight-stationary array whose
+//!   columns drain into [`KeyedAccumulator`]s: the gate-level reference a
+//!   test holds every [`Mmu::matmul_tile`] result to.
 //! * [`TrustedAccelerator`] — end-to-end locked-model inference on the int8
-//!   datapath, driven by the schedule embedded in a published model: checks
-//!   the container once, quantizes each layer once, routes it once, issues
-//!   tiles, and applies each nonlinearity as it dequantizes.
+//!   datapath, driven by the schedule embedded in a published model. A
+//!   [`LockedModel`](hpnn_core::LockedModel) is valid by construction, so
+//!   the device checks only the input's width; it then quantizes each layer
+//!   once, routes it once, issues tiles, and applies each nonlinearity as it
+//!   dequantizes.
 //! * [`OverheadReport`] — the Sec. III-D3 area/timing overhead numbers.
 //!
 //! ## Simulated numbers versus host time
@@ -31,10 +36,10 @@
 //! The crate reports two kinds of number and keeps them apart. What the
 //! *modeled hardware* does — [`MmuStats`] (`macs`, `cycles`,
 //! `dot_products`), logits, argmax — is fixed by the model and the input; a
-//! change that makes the simulator faster must leave all of it identical,
-//! in both datapath modes and at every SIMD level (pinned by tests as
-//! constants for CNN1). How long the *host* takes to produce them is the
-//! only thing an optimization may move; DESIGN.md §5 records it per layer.
+//! change that makes the simulator faster must leave all of it identical
+//! at every SIMD level (pinned by tests as constants for CNN1). How long
+//! the *host* takes to produce them is the only thing an optimization may
+//! move; DESIGN.md §5 records it per layer.
 //! A free lock (Sec. III-D: no cycle overhead) only reads as free next to a
 //! datapath that runs at machine speed.
 //!
@@ -66,7 +71,7 @@ pub use adder::RippleCarryAdder;
 pub use area::{OverheadReport, BASELINE_MMU_GATES};
 pub use device::{DeviceError, DeviceStats, TrustedAccelerator};
 pub use gates::{full_adder, xor_gate, GateCount, FULL_ADDER_GATES, XOR_GATES};
-pub use mmu::{DatapathMode, KeySource, Mmu, MmuStats, Routing, MMU_SIZE};
+pub use mmu::{KeySource, Mmu, MmuStats, Routing, MMU_SIZE};
 pub use multiplier::{baseline_mac_gates, keyed_mac_gates, ArrayMultiplier8, MUL_PRODUCT_BITS};
-pub use quant::{product_scale, quantize_with_scale, scale_for, QuantTensor, Q_MAX};
+pub use quant::{scale_for, Q_MAX};
 pub use systolic::SystolicArray;

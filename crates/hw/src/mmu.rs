@@ -11,23 +11,21 @@
 //! every output collected by the accumulator unit a [`Routing`] names. The
 //! MMU resolves a routing from its own key register once per layer
 //! ([`Mmu::route`]), as one negation mask per output, so no tile looks a key
-//! bit up. Two datapath modes implement the tile:
-//! [`DatapathMode::GateLevel`] pushes every product through the bit-level
-//! XOR/FA-chain of a unit keyed from the routing (slow, used to validate the
-//! design), while [`DatapathMode::Behavioral`] computes the provably
-//! identical `(−1)^k·Σ p` with native integer arithmetic (used for
-//! whole-network inference) and applies the routing as `(v ^ m) − m` in one
-//! vector pass over the finished sums.
+//! bit up. The tile has one datapath: plain integer sums, then Fig. 4(b)'s
+//! XOR and carry-in on every locked output as `(v ^ m) − m`, in one vector
+//! pass over the finished sums. Its gate-level reference is the stepped
+//! [`SystolicArray`](crate::SystolicArray), whose columns drain into
+//! [`KeyedAccumulator`]s; a test runs random tiles through both.
 //!
-//! The behavioral sums have two bodies. The portable one adds one product
-//! per k-step, wrapping in 32 bits; it is the [`SimdLevel::Scalar`] path and
-//! the reference. At [`SimdLevel::Avx2`] and above a pair-MAC body keeps a
-//! 4 × 16 block of accumulators in registers and forms two k-steps' products
-//! per instruction: their sum is exact (|2·128·128| < 2³¹) and is then
-//! wrapping-added. Addition modulo 2³² is associative and commutative, so
-//! summing products in pairs gives the integers that summing them one at a
-//! time does: both modes, both bodies and every SIMD level agree bit for
-//! bit, and tests assert it.
+//! The sums have two bodies. The portable one adds one product per k-step,
+//! wrapping in 32 bits; it is the [`SimdLevel::Scalar`] path and the
+//! reference. At [`SimdLevel::Avx2`] and above a pair-MAC body keeps a
+//! 4 × 16 block of accumulators in registers and forms two k-steps'
+//! products per instruction: their sum is exact (|2·128·128| < 2³¹) and is
+//! then wrapping-added. Addition modulo 2³² is associative and commutative,
+//! so summing products in pairs gives the integers that summing them one at
+//! a time does: both bodies and every SIMD level agree bit for bit, and
+//! tests assert it.
 //!
 //! # What a simulator speed-up may change
 //!
@@ -53,15 +51,6 @@ const _: () = assert!(KEY_BITS == 1 << u8::BITS);
 
 /// Systolic array side (the TPU's 256).
 pub const MMU_SIZE: usize = 256;
-
-/// How MAC arithmetic is simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DatapathMode {
-    /// Bit-level XOR + ripple-carry FA chain per accumulation.
-    GateLevel,
-    /// Native integer arithmetic implementing the identical function.
-    Behavioral,
-}
 
 /// Running performance counters of an MMU.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -132,17 +121,16 @@ impl fmt::Debug for Routing {
 
 /// The matrix-multiply unit with key-dependent accumulators.
 ///
-/// Its `Debug` shows the datapath mode and counters, never the key
-/// register.
+/// Its `Debug` shows the counters, never the key register.
 ///
 /// # Examples
 ///
 /// ```
 /// use hpnn_core::{HpnnKey, KeyVault};
-/// use hpnn_hw::{DatapathMode, KeySource, Mmu, Routing};
+/// use hpnn_hw::{KeySource, Mmu, Routing};
 ///
 /// let vault = KeyVault::provision(HpnnKey::ZERO, "tpu-0");
-/// let mut mmu = Mmu::build(KeySource::Vault(&vault), DatapathMode::Behavioral);
+/// let mut mmu = Mmu::build(KeySource::Vault(&vault));
 /// // One weight row times one activation column, collected by accumulator
 /// // 0 (key bit 0 ⇒ identity).
 /// let mut routing = Routing::default();
@@ -154,14 +142,12 @@ impl fmt::Debug for Routing {
 #[derive(Clone)]
 pub struct Mmu {
     key_bits: [bool; KEY_BITS],
-    mode: DatapathMode,
     stats: MmuStats,
 }
 
 impl fmt::Debug for Mmu {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Mmu")
-            .field("mode", &self.mode)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -169,17 +155,11 @@ impl fmt::Debug for Mmu {
 
 impl Mmu {
     /// Instantiates an MMU with its key register loaded from `source`.
-    pub fn build(source: KeySource<'_>, mode: DatapathMode) -> Self {
+    pub fn build(source: KeySource<'_>) -> Self {
         Mmu {
             key_bits: source.key_bits(),
-            mode,
             stats: MmuStats::default(),
         }
-    }
-
-    /// The datapath mode.
-    pub fn mode(&self) -> DatapathMode {
-        self.mode
     }
 
     /// Performance counters so far.
@@ -218,8 +198,7 @@ impl Mmu {
     /// resolved by [`route`](Mmu::route); `None` routes the whole tile
     /// through unlocked units (layers that feed no nonlinearity). Sums wrap
     /// in 32 bits, as the accumulator register does. The counters advance by
-    /// what the modeled array spends on `rows·n` dot products of length `k`,
-    /// whichever mode computes them.
+    /// what the modeled array spends on `rows·n` dot products of length `k`.
     ///
     /// # Panics
     ///
@@ -249,34 +228,19 @@ impl Mmu {
         // Weight-stationary cycle model: one product per cycle per unit plus
         // pipeline fill across the array diagonal, amortized per dot product.
         self.stats.cycles += dots * (k as u64 + 1);
-        match self.mode {
-            DatapathMode::GateLevel => {
-                for (o, slot) in out.iter_mut().enumerate() {
-                    let (r, p) = (o / n, o % n);
-                    let key_bit = routing.is_some_and(|routing| routing.masks[o] != 0);
-                    let mut unit = KeyedAccumulator::new(key_bit);
-                    for (i, &w) in weights[r * k..(r + 1) * k].iter().enumerate() {
-                        unit.accumulate(i16::from(w) * i16::from(cols[i * n + p]));
-                    }
-                    *slot = unit.value();
-                }
-            }
-            DatapathMode::Behavioral => {
-                TileSums {
-                    weights,
-                    cols,
-                    k,
-                    n,
-                    out: &mut *out,
-                }
-                .run();
-                if let Some(routing) = routing {
-                    dispatch(Lock {
-                        out,
-                        masks: &routing.masks,
-                    });
-                }
-            }
+        TileSums {
+            weights,
+            cols,
+            k,
+            n,
+            out: &mut *out,
+        }
+        .run();
+        if let Some(routing) = routing {
+            dispatch(Lock {
+                out,
+                masks: &routing.masks,
+            });
         }
     }
 
@@ -306,7 +270,7 @@ impl SimdOp for Lock<'_> {
     }
 }
 
-/// The behavioral datapath's plain sums `out[r][p] = Σᵢ w[r][i]·cols[i][p]`.
+/// The tile's plain sums `out[r][p] = Σᵢ w[r][i]·cols[i][p]`.
 struct TileSums<'a> {
     weights: &'a [i8],
     cols: &'a [i8],
@@ -546,6 +510,7 @@ mod tile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SystolicArray;
     use hpnn_tensor::simd::{self, SimdLevel};
     use hpnn_tensor::Rng;
 
@@ -573,14 +538,14 @@ mod tests {
     #[test]
     fn zero_key_is_plain_matmul() {
         let vault = KeyVault::provision(HpnnKey::ZERO, "t");
-        let mut mmu = Mmu::build(KeySource::Vault(&vault), DatapathMode::Behavioral);
+        let mut mmu = Mmu::build(KeySource::Vault(&vault));
         assert_eq!(dot(&mut mmu, &[2, -3], &[5, 7], 42), 2 * 5 - 3 * 7);
     }
 
     #[test]
     fn set_key_bit_negates() {
         let key = HpnnKey::from_words([0b100, 0, 0, 0]); // bit 2 set
-        let mut mmu = Mmu::build(KeySource::Key(&key), DatapathMode::Behavioral);
+        let mut mmu = Mmu::build(KeySource::Key(&key));
         assert_eq!(dot(&mut mmu, &[1, 1], &[3, 4], 2), -7);
         assert_eq!(dot(&mut mmu, &[1, 1], &[3, 4], 3), 7);
     }
@@ -588,7 +553,7 @@ mod tests {
     #[test]
     fn tile_routes_each_output_to_its_accumulator() {
         let key = HpnnKey::from_words([1, 0, 0, 0]); // bit 0 set
-        let mut mmu = Mmu::build(KeySource::Key(&key), DatapathMode::Behavioral);
+        let mut mmu = Mmu::build(KeySource::Key(&key));
         // Weight rows [1 2] and [3 4]; activation columns (10, 10) and (1, 0).
         let (weights, cols) = ([1i8, 2, 3, 4], [10i8, 1, 10, 0]);
         let mut routing = Routing::default();
@@ -624,31 +589,25 @@ mod tests {
         out
     }
 
-    /// Asserts that both datapath modes, at every SIMD level, compute
-    /// `naive_tile` with and without a routing.
+    /// Asserts that the tile, at every SIMD level, computes `naive_tile`
+    /// with and without a routing.
     fn check_tile(key: &HpnnKey, rng: &mut Rng, weights: &[i8], cols: &[i8], k: usize) {
         let (rows, n) = (weights.len() / k, cols.len() / k);
         let accs: Vec<u8> = (0..rows * n).map(|_| rng.below(256) as u8).collect();
+        let mut mmu = Mmu::build(KeySource::Key(key));
         for accs in [Some(accs.as_slice()), None] {
             let want = naive_tile(key, weights, cols, k, accs);
-            let run = |mode| {
-                let mut mmu = Mmu::build(KeySource::Key(key), mode);
-                let mut routing = Routing::default();
-                if let Some(accs) = accs {
-                    mmu.route(accs.iter().copied(), &mut routing);
-                }
-                let mut got = vec![i32::MIN; rows * n];
-                let routing = accs.map(|_| &routing);
-                mmu.matmul_tile(weights, cols, k, routing, &mut got);
-                got
-            };
+            let mut routing = Routing::default();
+            if let Some(accs) = accs {
+                mmu.route(accs.iter().copied(), &mut routing);
+            }
+            let routing = accs.map(|_| &routing);
             for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
                 let _guard = simd::force(level);
-                let got = run(DatapathMode::Behavioral);
-                assert_eq!(got, want, "behavioral {level:?} k={k} rows={rows} n={n}");
+                let mut got = vec![i32::MIN; rows * n];
+                mmu.matmul_tile(weights, cols, k, routing, &mut got);
+                assert_eq!(got, want, "{level:?} k={k} rows={rows} n={n}");
             }
-            let got = run(DatapathMode::GateLevel);
-            assert_eq!(got, want, "gate level k={k} rows={rows} n={n}");
         }
     }
 
@@ -699,24 +658,70 @@ mod tests {
     }
 
     #[test]
-    fn stats_advance_in_closed_form_in_both_modes() {
-        for mode in [DatapathMode::Behavioral, DatapathMode::GateLevel] {
-            let mut mmu = Mmu::build(KeySource::None, mode);
-            dot(&mut mmu, &[1, 2, 3], &[1, 1, 1], 0);
-            let one = MmuStats {
-                macs: 3,
-                cycles: 4,
-                dot_products: 1,
-            };
-            assert_eq!(mmu.stats(), one);
-            // A 2 x 5 tile of depth 3 is ten such dot products.
-            let mut out = [0i32; 10];
-            mmu.matmul_tile(&[1; 6], &[1; 15], 3, None, &mut out);
-            let s = mmu.stats();
-            assert_eq!((s.macs, s.cycles, s.dot_products), (33, 44, 11));
-            mmu.reset_stats();
-            assert_eq!(mmu.stats(), MmuStats::default());
+    fn tile_matches_stepped_systolic_array() {
+        // The gate-level reference: the stepped array holds tile row `r` in
+        // its column `r` and drains it into a `KeyedAccumulator` keyed like
+        // the unit the row is routed to; the activation columns stream
+        // through it one per cycle.
+        let mut rng = Rng::new(12);
+        let key = HpnnKey::random(&mut rng);
+        let mut mmu = Mmu::build(KeySource::Key(&key));
+        let mut routing = Routing::default();
+        for _ in 0..48 {
+            let (rows, k, n) = (1 + rng.below(16), 1 + rng.below(16), 1 + rng.below(8));
+            let weights = random_vec(&mut rng, rows * k);
+            let cols = random_vec(&mut rng, k * n);
+            let accs: Vec<u8> = (0..rows).map(|_| rng.below(256) as u8).collect();
+            mmu.route(
+                accs.iter().flat_map(|&a| std::iter::repeat_n(a, n)),
+                &mut routing,
+            );
+            for locked in [true, false] {
+                let key_bits: Vec<bool> = accs
+                    .iter()
+                    .map(|&a| locked && key.bit(usize::from(a)))
+                    .collect();
+                let stationary = (0..k)
+                    .map(|i| (0..rows).map(|r| weights[r * k + i]).collect())
+                    .collect();
+                let mut array = SystolicArray::new(stationary, &key_bits);
+                let streamed: Vec<Vec<i8>> = (0..n)
+                    .map(|p| (0..k).map(|i| cols[i * n + p]).collect())
+                    .collect();
+                let streamed: Vec<&[i8]> = streamed.iter().map(Vec::as_slice).collect();
+                let per_column = array.run(&streamed);
+                let want: Vec<i32> = (0..rows * n).map(|o| per_column[o % n][o / n]).collect();
+                for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                    let _guard = simd::force(level);
+                    let mut got = vec![i32::MIN; rows * n];
+                    let routing = locked.then_some(&routing);
+                    mmu.matmul_tile(&weights, &cols, k, routing, &mut got);
+                    assert_eq!(
+                        got, want,
+                        "{level:?} rows={rows} k={k} n={n} locked={locked}"
+                    );
+                }
+            }
         }
+    }
+
+    #[test]
+    fn stats_advance_in_closed_form() {
+        let mut mmu = Mmu::build(KeySource::None);
+        dot(&mut mmu, &[1, 2, 3], &[1, 1, 1], 0);
+        let one = MmuStats {
+            macs: 3,
+            cycles: 4,
+            dot_products: 1,
+        };
+        assert_eq!(mmu.stats(), one);
+        // A 2 x 5 tile of depth 3 is ten such dot products.
+        let mut out = [0i32; 10];
+        mmu.matmul_tile(&[1; 6], &[1; 15], 3, None, &mut out);
+        let s = mmu.stats();
+        assert_eq!((s.macs, s.cycles, s.dot_products), (33, 44, 11));
+        mmu.reset_stats();
+        assert_eq!(mmu.stats(), MmuStats::default());
     }
 
     #[test]
@@ -731,8 +736,8 @@ mod tests {
         let mut rng = Rng::new(3);
         let key = HpnnKey::random(&mut rng);
         let vault = KeyVault::provision(key, "t");
-        let mut a = Mmu::build(KeySource::Vault(&vault), DatapathMode::Behavioral);
-        let mut b = Mmu::build(KeySource::Key(&key), DatapathMode::Behavioral);
+        let mut a = Mmu::build(KeySource::Vault(&vault));
+        let mut b = Mmu::build(KeySource::Key(&key));
         let w = random_vec(&mut rng, 32);
         let x = random_vec(&mut rng, 32);
         assert_eq!(dot(&mut a, &w, &x, 99), dot(&mut b, &w, &x, 99));
@@ -741,7 +746,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "tile output size mismatch")]
     fn tile_shape_validated() {
-        let mut mmu = Mmu::build(KeySource::None, DatapathMode::Behavioral);
+        let mut mmu = Mmu::build(KeySource::None);
         mmu.matmul_tile(&[1, 2], &[1, 2], 2, None, &mut [0, 0]);
     }
 }

@@ -11,61 +11,9 @@
 //! the textbook `(x / scale).round().clamp(-127.0, 127.0) as i8`.
 
 use hpnn_tensor::simd::{dispatch, SimdOp};
-use hpnn_tensor::Tensor;
 
 /// Maximum magnitude representable in signed int8 (symmetric scheme).
 pub const Q_MAX: i32 = 127;
-
-/// A quantized tensor: int8 values plus the dequantization scale.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantTensor {
-    /// Quantized values, same row-major layout as the source tensor.
-    pub values: Vec<i8>,
-    /// Dequantization scale: `x ≈ q * scale`.
-    pub scale: f32,
-    /// Original dimensions.
-    pub dims: Vec<usize>,
-}
-
-impl QuantTensor {
-    /// Quantizes a float tensor symmetrically.
-    ///
-    /// An all-zero tensor gets scale 1.0 (any scale reproduces zeros).
-    pub fn quantize(t: &Tensor) -> Self {
-        let scale = scale_for(max_abs(t.data()));
-        QuantTensor {
-            values: quantize_with_scale(t.data(), scale),
-            scale,
-            dims: t.shape().dims().to_vec(),
-        }
-    }
-
-    /// Reconstructs the float tensor (`q * scale`).
-    pub fn dequantize(&self) -> Tensor {
-        let data: Vec<f32> = self.values.iter().map(|&q| q as f32 * self.scale).collect();
-        Tensor::from_vec(self.dims.clone(), data).expect("quant dims volume")
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` if empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Worst-case absolute quantization error for this tensor (`scale/2`).
-    pub fn max_error(&self) -> f32 {
-        self.scale * 0.5
-    }
-}
-
-/// Dequantization scale of a product of two quantized operands.
-pub fn product_scale(a: &QuantTensor, b: &QuantTensor) -> f32 {
-    a.scale * b.scale
-}
 
 /// The symmetric quantization scale a tensor of the given max-abs value
 /// gets (`max_abs / 127`, or 1.0 for all-zero data).
@@ -75,14 +23,6 @@ pub fn scale_for(max_abs: f32) -> f32 {
     } else {
         max_abs / Q_MAX as f32
     }
-}
-
-/// Quantizes raw values with an externally chosen scale (used when several
-/// buffers — e.g. im2col patches of one batch — must share a scale).
-pub fn quantize_with_scale(data: &[f32], scale: f32) -> Vec<i8> {
-    let mut out = vec![0i8; data.len()];
-    quantize_into(data, scale, &mut out);
-    out
 }
 
 /// `(v / scale).round().clamp(-127.0, 127.0) as i8` without the libm
@@ -155,7 +95,8 @@ impl SimdOp for QuantizeInto<'_> {
     }
 }
 
-/// Allocation-free [`quantize_with_scale`].
+/// Quantizes `data` into `out` with an externally chosen scale (one scale
+/// per layer's weights, one per batch's activations).
 ///
 /// # Panics
 ///
@@ -227,54 +168,51 @@ impl SimdOp for QuantizeTransposed<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpnn_tensor::Rng;
+    use hpnn_tensor::{Rng, Tensor};
 
     /// The definition `quantize_one` must reproduce.
     fn reference(v: f32, scale: f32) -> i8 {
         (v / scale).round().clamp(-(Q_MAX as f32), Q_MAX as f32) as i8
     }
 
+    /// `t` quantized with the scale its own largest magnitude sets.
+    fn quantize(t: &Tensor) -> (Vec<i8>, f32) {
+        let scale = scale_for(max_abs(t.data()));
+        let mut q = vec![0i8; t.len()];
+        quantize_into(t.data(), scale, &mut q);
+        (q, scale)
+    }
+
     #[test]
     fn roundtrip_error_bounded() {
         let mut rng = Rng::new(1);
         let t = Tensor::randn([16, 16], 1.0, &mut rng);
-        let q = QuantTensor::quantize(&t);
-        let back = q.dequantize();
-        assert!(t.max_abs_diff(&back) <= q.max_error() + 1e-6);
+        let (q, scale) = quantize(&t);
+        for (&v, &q) in t.data().iter().zip(&q) {
+            assert!((v - f32::from(q) * scale).abs() <= scale * 0.5 + 1e-6);
+        }
     }
 
     #[test]
     fn zero_tensor_quantizes_cleanly() {
-        let t = Tensor::zeros([4, 4]);
-        let q = QuantTensor::quantize(&t);
-        assert_eq!(q.scale, 1.0);
-        assert!(q.values.iter().all(|&v| v == 0));
-        assert_eq!(q.dequantize(), t);
+        let (q, scale) = quantize(&Tensor::zeros([4, 4]));
+        assert_eq!(scale, 1.0);
+        assert_eq!(q, vec![0; 16]);
     }
 
     #[test]
     fn extremes_map_to_q_max() {
         let t = Tensor::from_vec([1usize, 3], vec![-2.0, 0.0, 2.0]).unwrap();
-        let q = QuantTensor::quantize(&t);
-        assert_eq!(q.values, vec![-127, 0, 127]);
+        assert_eq!(quantize(&t).0, vec![-127, 0, 127]);
     }
 
     #[test]
     fn scale_preserves_relative_magnitudes() {
         let t = Tensor::from_vec([1usize, 4], vec![0.5, 1.0, -0.25, -1.0]).unwrap();
-        let q = QuantTensor::quantize(&t);
-        assert_eq!(q.values[1], 127);
-        assert_eq!(q.values[3], -127);
-        assert!((q.values[0] as f32 - 63.5).abs() <= 0.5);
-    }
-
-    #[test]
-    fn product_scale_multiplies() {
-        let a = QuantTensor::quantize(&Tensor::full([2], 2.0));
-        let b = QuantTensor::quantize(&Tensor::full([2], 4.0));
-        let ps = product_scale(&a, &b);
-        // 2.0/127 * 4.0/127
-        assert!((ps - (2.0 / 127.0) * (4.0 / 127.0)).abs() < 1e-9);
+        let (q, _) = quantize(&t);
+        assert_eq!(q[1], 127);
+        assert_eq!(q[3], -127);
+        assert!((q[0] as f32 - 63.5).abs() <= 0.5);
     }
 
     #[test]
@@ -340,12 +278,12 @@ mod tests {
         let mut rng = Rng::new(6);
         let (rows, cols) = (5, 3);
         let t = Tensor::randn([rows, cols], 1.0, &mut rng);
-        let q = QuantTensor::quantize(&t);
+        let (q, scale) = quantize(&t);
         let mut out = vec![0i8; rows * cols];
-        quantize_transposed_into(t.data(), rows, cols, q.scale, &mut out);
+        quantize_transposed_into(t.data(), rows, cols, scale, &mut out);
         for r in 0..rows {
             for c in 0..cols {
-                assert_eq!(out[c * rows + r], q.values[r * cols + c]);
+                assert_eq!(out[c * rows + r], q[r * cols + c]);
             }
         }
     }

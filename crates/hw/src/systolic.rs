@@ -11,7 +11,10 @@
 //! The simulation advances one clock at a time, so the latency it reports
 //! *is* the schedule, not a model of it. Unit tests assert both functional
 //! equivalence with plain matrix multiplication and agreement of the
-//! simulated latency with the closed-form pipeline bound.
+//! simulated latency with the closed-form pipeline bound. Built from
+//! [`KeyedAccumulator`]s, the array is also the gate-level reference of
+//! [`Mmu::matmul_tile`](crate::Mmu::matmul_tile): a test holds random
+//! tiles to it.
 
 use crate::accumulator::KeyedAccumulator;
 

@@ -8,7 +8,7 @@
 use hpnn::core::{HpnnKey, HpnnTrainer, KeyVault};
 use hpnn::data::{Benchmark, DatasetScale};
 use hpnn::hw::{
-    DatapathMode, KeySource, KeyedAccumulator, Mmu, OverheadReport, RippleCarryAdder, Routing,
+    KeySource, KeyedAccumulator, Mmu, OverheadReport, RippleCarryAdder, Routing, SystolicArray,
     TrustedAccelerator,
 };
 use hpnn::nn::{mlp, TrainConfig};
@@ -42,18 +42,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         KeyedAccumulator::extra_gates().total()
     );
 
-    // ── Level 3: the MMU and the overhead report ────────────────────────
+    // ── Level 3: the MMU, its gate-level reference, the overhead report ─
     let mut rng = Rng::new(1);
     let key = HpnnKey::random(&mut rng);
-    let mut mmu = Mmu::build(KeySource::Key(&key), DatapathMode::GateLevel);
+    let mut mmu = Mmu::build(KeySource::Key(&key));
     // The key register is read once, when a layer's outputs are routed to
     // their accumulator units; every tile of the layer reuses the routing.
     let mut routing = Routing::default();
     mmu.route([0], &mut routing);
     let mut out = [0i32];
     mmu.matmul_tile(&[1, 2, 3], &[10, 20, 30], 3, Some(&routing), &mut out);
-    println!("\nMMU gate-level dot product on accumulator 0: {}", out[0]);
-    println!("  {mmu:?}"); // mode and counters; the key register stays sealed
+    println!("\nMMU dot product on accumulator 0: {}", out[0]);
+    println!("  {mmu:?}"); // counters only; the key register stays sealed
+                           // The same dot product gate by gate: a stepped 3 × 1 systolic array
+                           // whose column drains into a keyed accumulator wired to key bit 0.
+    let mut array = SystolicArray::new(vec![vec![1], vec![2], vec![3]], &[key.bit(0)]);
+    let stepped = array.run(&[&[10, 20, 30]]);
+    println!(
+        "  stepped systolic array, gate level: {} in {} cycles",
+        stepped[0][0],
+        array.cycles()
+    );
     println!("\n{}", OverheadReport::compute());
 
     // ── Level 4: end-to-end locked inference ────────────────────────────
