@@ -23,12 +23,20 @@ pub const MAGIC: [u8; 4] = *b"HPNN";
 /// Current container format version.
 pub const VERSION: u16 = 1;
 
-/// Widest layer input or output a container may declare, in features.
+/// Widest layer input or output a container may declare, in features,
+/// and the largest per-sample column matrix (`C·K·K × OH·OW`) of any of
+/// its convolutions, which the trusted device unrolls each sample into.
 ///
 /// The widest layer an in-repo architecture builds at full scale is the
 /// first convolution of CNN2 and CNN3 on a 32×32×3 image: 16 filters ×
 /// 32×32 = 16,384 outputs, 1,024 times below the cap. Without it a
 /// 202-byte container declares a 1×1 convolution over a 2^20×2^20 image.
+/// The largest in-repo column matrix is CNN2's second convolution's on a
+/// 32×32×3 image, 16·3·3 × 32·32 = 147,456 bytes, 113 times below the
+/// cap. Without that cap a
+/// 4,194,492-byte container declares a kernel-1024 convolution over a
+/// 1×1 image padded by 2,048, whose 1,048,576 × 9,449,476 matrix is
+/// ≈ 9.9 TB of int8.
 pub const MAX_WIDTH: usize = 1 << 24;
 
 /// Most lockable neurons a container may declare: every one of them costs
@@ -465,7 +473,8 @@ pub(crate) fn get_tensors(
 }
 
 /// Checks that `spec`'s layers chain, with checked arithmetic, that every
-/// width is between 1 and [`MAX_WIDTH`] and that it locks at most
+/// width and every convolution's column matrix is between 1 and
+/// [`MAX_WIDTH`] and that it locks at most
 /// [`MAX_LOCKABLE`] neurons, and returns the shape of every weight tensor it
 /// declares (in [`Network::visit_params`](hpnn_nn::Network::visit_params)
 /// order) and its lockable neuron count. Nothing is built: a container
@@ -480,9 +489,15 @@ pub(crate) fn check_spec(spec: &NetworkSpec) -> Result<(Vec<Vec<usize>>, usize),
             reason,
         };
         let overflow = || bad("size overflows");
+        // The largest per-sample column matrix of the layer's convolutions,
+        // which the trusted device unrolls each sample into.
+        let mut cols = Some(0usize);
         let mut conv = |g: &Conv2dGeom| {
             shapes.push(vec![g.out_c, g.col_rows()]);
             shapes.push(vec![g.out_c]);
+            cols = cols
+                .zip(g.col_rows().checked_mul(g.col_cols()))
+                .map(|(a, b)| a.max(b));
         };
         let (input, output, locks) = match layer {
             LayerSpec::Dense {
@@ -541,6 +556,9 @@ pub(crate) fn check_spec(spec: &NetworkSpec) -> Result<(Vec<Vec<usize>>, usize),
         }
         if input > MAX_WIDTH || output > MAX_WIDTH {
             return Err(bad("width above MAX_WIDTH"));
+        }
+        if cols.is_none_or(|cols| cols > MAX_WIDTH) {
+            return Err(bad("column matrix above MAX_WIDTH"));
         }
         width = output;
         lockable = lockable.checked_add(locks).ok_or_else(overflow)?;
@@ -682,7 +700,7 @@ mod tests {
     #[test]
     fn in_repo_architectures_sit_far_below_the_caps() {
         // The figures the docs of `MAX_WIDTH` and `MAX_LOCKABLE` quote.
-        let (mut widest, mut most_locks) = (0, 0);
+        let (mut widest, mut most_locks, mut largest_cols) = (0, 0, 0);
         for dims in [ImageDims::new(1, 28, 28), ImageDims::new(3, 32, 32)] {
             for arch in [
                 ArchKind::Cnn1,
@@ -696,11 +714,32 @@ mod tests {
                 for layer in &spec.layers {
                     width = layer.out_features(width);
                     widest = widest.max(width);
+                    let geoms = match layer {
+                        LayerSpec::Conv2d { geom } => vec![*geom],
+                        LayerSpec::Residual {
+                            in_c,
+                            h,
+                            w,
+                            out_c,
+                            stride,
+                        } => {
+                            let g1 = Conv2dGeom::new(*in_c, *h, *w, *out_c, 3, *stride, 1).unwrap();
+                            let g2 = Conv2dGeom::new(*out_c, g1.out_h, g1.out_w, *out_c, 3, 1, 1);
+                            vec![g1, g2.unwrap()]
+                        }
+                        _ => vec![],
+                    };
+                    for g in geoms {
+                        largest_cols = largest_cols.max(g.col_rows() * g.col_cols());
+                    }
                 }
                 most_locks = most_locks.max(lockable);
             }
         }
-        assert_eq!((widest, most_locks), (16_384, 57_536));
+        assert_eq!(
+            (widest, most_locks, largest_cols),
+            (16_384, 57_536, 147_456)
+        );
     }
 
     #[test]

@@ -432,6 +432,28 @@ mod tests {
     }
 
     #[test]
+    fn a_conv_whose_column_matrix_is_above_the_width_cap_is_refused() {
+        // One kernel-1024 convolution over a 1x1x1 input padded by 2048:
+        // 9,449,476 outputs, under MAX_WIDTH, and a weight tensor its
+        // 4 MB container holds. It once decoded, and the trusted
+        // device would have reserved its 1,048,576 x 9,449,476 int8
+        // column matrix, ≈ 9.9 TB, before the first MAC.
+        let geom = Conv2dGeom::new(1, 1, 1, 1, 1024, 1, 2048).unwrap();
+        assert_eq!(geom.out_volume(), 9_449_476);
+        let spec = NetworkSpec::new(1, vec![LayerSpec::Conv2d { geom }]);
+        let weights = [Tensor::zeros([1, 1 << 20]), Tensor::zeros([1])];
+        let bytes = container(&spec, 0, &weights);
+        assert_eq!(bytes.len(), 4_194_508);
+        assert_eq!(
+            LockedModel::from_bytes(bytes).err(),
+            Some(DecodeError::BadSpec {
+                layer: 0,
+                reason: "column matrix above MAX_WIDTH",
+            })
+        );
+    }
+
+    #[test]
     fn a_weight_list_one_short_is_refused() {
         let (model, _) = build_model(15);
         let short = &model.weights()[..3];

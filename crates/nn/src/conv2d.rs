@@ -20,8 +20,8 @@ use crate::param::Param;
 /// channel-major `grad_out` where it lies: `dW` sums each sample's
 /// `G_i·cols_i` in sample order over the same packed planes
 /// ([`hpnn_tensor::conv2d_weight_grad_batch_into`]), and the input
-/// gradient — skipped by [`Layer::backward_params`] — computes each
-/// sample's column gradient `Wᵀ·G_i` and folds it onto the image
+/// gradient — skipped by [`Layer::backward_params`] — reads shifted runs
+/// of zero-bordered gradient planes against the filter bank as stored
 /// ([`hpnn_tensor::conv2d_input_grad_batch_into`]). Each call allocates the
 /// temporaries it uses and frees them on return; only the packed planes of
 /// a training forward outlive the call, until backward consumes them.
@@ -132,20 +132,6 @@ impl Conv2d {
         (out, planes)
     }
 
-    /// The filter bank transposed to `[C·K·K x out_c]` for the input
-    /// gradient (out_c·cr floats, built per call).
-    fn weight_t(&self) -> Tensor {
-        let (cr, out_c) = (self.geom.col_rows(), self.geom.out_c);
-        let mut w_t = Tensor::zeros([cr, out_c]);
-        let wt = w_t.data_mut();
-        for (f, w_row) in self.weight.value.data().chunks_exact(cr).enumerate() {
-            for (r, &w) in w_row.iter().enumerate() {
-                wt[r * out_c + f] = w;
-            }
-        }
-        w_t
-    }
-
     /// The one body behind [`Layer::backward`] and
     /// [`Layer::backward_params`]: accumulates `db` and `dW`, and with
     /// `input_grad` also returns the input gradient.
@@ -197,10 +183,11 @@ impl Conv2d {
         conv2d_weight_grad_batch_into(grad_out, &planes, &self.geom, self.weight.grad.data_mut());
         drop(planes);
 
-        // dx: each sample's column gradient Wᵀ·G_i folded onto its image.
+        // dx: shifted runs of grad_out against the filter bank as stored.
         input_grad.then(|| {
             let mut grad_in = vec![0.0; batch * self.geom.in_volume()];
-            conv2d_input_grad_batch_into(grad_out, &self.weight_t(), &self.geom, &mut grad_in);
+            let w = &self.weight.value;
+            conv2d_input_grad_batch_into(grad_out, w, &self.geom, &mut grad_in);
             Tensor::from_vec(Shape::d2(batch, self.geom.in_volume()), grad_in)
                 .expect("conv grad_in volume")
         })

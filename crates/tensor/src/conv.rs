@@ -6,10 +6,10 @@
 //! then a contiguous, shifted read of that buffer. The forward
 //! ([`conv2d_forward_batch_into`]) and the weight gradient
 //! ([`conv2d_weight_grad_batch_into`]) both run over the packed planes, and
-//! the input gradient ([`conv2d_input_grad_batch_into`]) computes each
-//! channel's column gradient and folds it onto the image tap by tap.
-//! [`im2col`] / [`col2im`] keep the classical per-sample unroll and its
-//! adjoint as references.
+//! the input gradient ([`conv2d_input_grad_batch_into`]) reads each
+//! sample's output gradient the same way, from zero-padded gradient
+//! planes. [`im2col`] keeps the classical per-sample unroll as the
+//! reference.
 //!
 //! # Packed planes
 //!
@@ -26,6 +26,22 @@
 //! the last block read inside it; such a lane may hold NaN or Inf computed
 //! from a real input, and it is never stored or added anywhere.
 //!
+//! # Gradient planes
+//!
+//! The input gradient runs the same idea backwards. Input element
+//! `(iy, ix)` with `iy + pad = s·a + py` and `ix + pad = s·b + px` is
+//! reached by the taps `(py + s·u, px + s·v)`, which read output
+//! `(a − u, b − v)`. So the input is split into the `s²` phases `(py, px)`,
+//! each computed on a lane grid `r·pitch + j` over its elements, and each
+//! filter's output gradient is copied into a zero-bordered plane of that
+//! pitch: tap `(u, v)` of a phase is one contiguous, shifted run of it.
+//! A lane whose tap falls on the border reads `0.0`, but a tap outside the
+//! output grid must add nothing, and `∞ · 0.0` is NaN; so a mask plane of
+//! the same layout holds all-ones bits over the real gradient and zero
+//! bits over the border, and each tap's sum is ANDed with it before it is
+//! added. That turns the sum into `+0.0`, and adding `+0.0` to a sum that
+//! started from `+0.0` changes no bit (such a sum is never `−0.0`).
+//!
 //! # Summation order
 //!
 //! The per-element order is the contract every kernel here keeps, at every
@@ -36,9 +52,11 @@
 //! * `dW`: each element adds its products in ascending (sample, patch)
 //!   order into the existing gradient — the order of one `Gᵀ·cols` GEMM
 //!   over the whole batch;
-//! * `dx`: each input element is `0.0` plus its patch contributions in
-//!   patch-raster order, each contribution being `0.0` plus its `F`
-//!   products in ascending filter order.
+//! * `dx`: each input element is `0.0` plus the sums of its taps that fall
+//!   inside the output grid, last tap `(ky, kx)` to first, each sum being
+//!   `0.0` plus its `F` products in ascending filter order — the order of
+//!   a `G′·W` GEMM followed by a scatter over the patches in raster order
+//!   (ascending `(oy, ox)` is descending `(ky, kx)` for one element).
 //!
 //! Products commute exactly in IEEE arithmetic, so a kernel may form `w·x`
 //! for `x·w`. The vector bodies live in `mod direct`: explicit AVX-512F and
@@ -46,10 +64,10 @@
 //! [`SimdLevel::Scalar`](crate::simd::SimdLevel::Scalar) path.
 
 use crate::error::TensorError;
-use crate::matmul::gemm_rows;
+use crate::matmul::transpose_rows;
 use crate::pool::for_chunks_mut;
 use crate::shape::Shape;
-use crate::simd::{self, SimdLevel, SimdOp};
+use crate::simd::{self, SimdLevel};
 use crate::tensor::Tensor;
 
 /// Validated geometry of a 2-D convolution (single spatial configuration).
@@ -152,6 +170,7 @@ impl Conv2dGeom {
             .checked_mul(self.kernel)?;
         self.out_c.checked_mul(cr)?.checked_mul(l)?.checked_mul(2)?;
         Packing::checked(self)?;
+        GradPacking::checked(self)?;
         Some(())
     }
 
@@ -196,6 +215,12 @@ const FB: usize = 8;
 
 /// Largest number of taps one `dW` block accumulates at once.
 const TAPS: usize = 8;
+
+/// Lanes of a phase's lane grid one input-gradient block computes.
+const DX_BLOCK: usize = 16;
+
+/// Input channels one input-gradient block computes.
+const CB: usize = 8;
 
 /// Where a sample's packed planes put each pixel (module docs).
 #[derive(Debug, Clone, Copy)]
@@ -261,6 +286,120 @@ impl Packing {
     }
 }
 
+/// Where the input gradient reads each sample's output gradient, and
+/// which input elements each phase's lane grid holds (module docs).
+#[derive(Debug)]
+struct GradPacking {
+    /// Row pitch of a gradient plane and of every phase's lane grid.
+    pitch: usize,
+    /// Floats per gradient plane, one plane per filter; the dropped lanes
+    /// of every block read inside it.
+    plane: usize,
+    /// Rows and columns of zero border above and left of the gradient.
+    top: usize,
+    left: usize,
+    /// The phases that hold input elements.
+    phases: Vec<Phase>,
+}
+
+/// One input phase `(py, px)`: the input elements `(iy0 + s·r, ix0 + s·j)`
+/// for `r < rows` and `j < cols`, computed on the lane grid `r·pitch + j`.
+#[derive(Debug)]
+struct Phase {
+    iy0: usize,
+    rows: usize,
+    ix0: usize,
+    cols: usize,
+    /// Lane-grid length: `rows · pitch` rounded up to [`DX_BLOCK`].
+    lanes: usize,
+    /// For each tap `(ky, kx)` that reaches the phase, last tap first: its
+    /// column `ky·K + kx` within a channel of the filter bank, and where
+    /// lane 0 reads it in a gradient plane.
+    taps: Vec<(usize, usize)>,
+}
+
+/// The phases of one axis of `len` inputs that hold any: for each, its
+/// phase `p`, its first input index, how many inputs it holds (step `s`),
+/// the output index its first input reaches through shift 0, and how many
+/// shifts (taps `p + s·u`) reach it. At most `min(s, len)` of them.
+fn phase_axis(len: usize, g: &Conv2dGeom) -> Vec<(usize, usize, usize, usize, usize)> {
+    let (k, s) = (g.kernel, g.stride);
+    (0..len.min(s))
+        .map(|i0| {
+            let p = (i0 + g.pad) % s;
+            let shifts = if p < k { (k - 1 - p) / s + 1 } else { 0 };
+            (p, i0, (len - i0).div_ceil(s), (i0 + g.pad) / s, shifts)
+        })
+        .collect()
+}
+
+impl GradPacking {
+    /// Bounds every size [`GradPacking::of`] computes, without building
+    /// it: the pitch is below `K + max(OW, (W + pad) / s + 1)`, the rows
+    /// likewise, and a phase's lanes end within one row and one block past
+    /// the last row.
+    fn checked(g: &Conv2dGeom) -> Option<()> {
+        let (k, s, pad) = (g.kernel, g.stride, g.pad);
+        let side = |out: usize, len: usize| k.checked_add(out.max(len.checked_add(pad)? / s + 1));
+        let pitch = side(g.out_w, g.in_w)?;
+        let rows = side(g.out_h, g.in_h)?.checked_add(1)?;
+        let plane = rows.checked_mul(pitch)?.checked_add(DX_BLOCK)?;
+        plane.checked_mul(g.out_c).map(drop)
+    }
+
+    fn of(g: &Conv2dGeom) -> GradPacking {
+        let (ys, xs) = (phase_axis(g.in_h, g), phase_axis(g.in_w, g));
+        // The border must hold every shift of every phase ...
+        let border = |axis: &[(usize, usize, usize, usize, usize)]| {
+            axis.iter()
+                .filter(|a| a.4 > 0)
+                .map(|&(_, _, _, a0, shifts)| (shifts - 1).saturating_sub(a0))
+                .max()
+                .unwrap_or(0)
+        };
+        let (top, left) = (border(&ys), border(&xs));
+        // ... and a row every read of a stored lane, so none wraps round
+        // into the next row.
+        let extent = |axis: &[(usize, usize, usize, usize, usize)], real: usize, pad: usize| {
+            axis.iter()
+                .map(|&(_, _, n, a0, _)| a0 + n + pad)
+                .fold(real + pad, usize::max)
+        };
+        let pitch = extent(&xs, g.out_w, left);
+        let mut plane = extent(&ys, g.out_h, top) * pitch;
+        let mut phases = Vec::with_capacity(ys.len() * xs.len());
+        for &(py, iy0, rows, a0, us) in &ys {
+            for &(px, ix0, cols, b0, vs) in &xs {
+                let lanes = (rows * pitch).next_multiple_of(DX_BLOCK);
+                let (row0, col0) = (a0 + top, b0 + left);
+                plane = plane.max(row0 * pitch + col0 + lanes);
+                let mut taps = Vec::with_capacity(us * vs);
+                for u in (0..us).rev() {
+                    for v in (0..vs).rev() {
+                        let (ky, kx) = (py + g.stride * u, px + g.stride * v);
+                        taps.push((ky * g.kernel + kx, (row0 - u) * pitch + col0 - v));
+                    }
+                }
+                phases.push(Phase {
+                    iy0,
+                    rows,
+                    ix0,
+                    cols,
+                    lanes,
+                    taps,
+                });
+            }
+        }
+        GradPacking {
+            pitch,
+            plane,
+            top,
+            left,
+            phases,
+        }
+    }
+}
+
 /// Unrolls one sample (`[C x H x W]`, flattened) into a column matrix
 /// `[C*K*K x OH*OW]`.
 ///
@@ -303,114 +442,6 @@ pub fn im2col(sample: &[f32], geom: &Conv2dGeom) -> Tensor {
     }
     Tensor::from_vec(Shape::d2(geom.col_rows(), geom.col_cols()), out)
         .expect("im2col output volume")
-}
-
-/// Adjoint of [`im2col`]: folds a column-matrix gradient back into a
-/// sample-shaped buffer, overwriting it. Every input element starts from
-/// `0.0` and adds its patch contributions in patch-raster order (ascending
-/// `(oy, ox)`), the order a scatter over the patches produces — the order
-/// [`conv2d_input_grad_batch_into`] keeps.
-///
-/// # Panics
-///
-/// Panics if shapes disagree with `geom`.
-pub fn col2im(cols: &Tensor, geom: &Conv2dGeom) -> Vec<f32> {
-    assert_eq!(cols.shape().rows(), geom.col_rows(), "col2im row mismatch");
-    assert_eq!(cols.shape().cols(), geom.col_cols(), "col2im col mismatch");
-    let mut taps = cols.data().to_vec();
-    let mut out = vec![0.0f32; geom.in_volume()];
-    let kkl = geom.kernel * geom.kernel * geom.col_cols();
-    for (taps, plane) in taps
-        .chunks_exact_mut(kkl)
-        .zip(out.chunks_exact_mut(geom.in_h * geom.in_w))
-    {
-        fold_taps(taps, geom, plane);
-    }
-    out
-}
-
-/// Folds one channel's column gradient in the classical channel-major
-/// layout (`taps`: `[K·K × OH·OW]`, row `ky·K + kx` holding tap `(ky, kx)`
-/// for every patch) onto its input plane (`[H × W]`), overwriting it.
-/// `taps` is scratch: the entries that fall on padding are zeroed.
-///
-/// Every input element starts from `0.0` and adds its contributions in
-/// patch-raster order — ascending `(oy, ox)`, which for one element is
-/// descending `(ky, kx)`. Walking the taps from last to first and adding
-/// each tap's row whole keeps that order while every add runs along
-/// contiguous memory, with no bounds test inside the run.
-fn fold_taps(taps: &mut [f32], geom: &Conv2dGeom, plane: &mut [f32]) {
-    simd::dispatch(FoldTaps { taps, geom, plane });
-}
-
-/// [`SimdOp`] wrapper for [`fold_taps`].
-struct FoldTaps<'a> {
-    taps: &'a mut [f32],
-    geom: &'a Conv2dGeom,
-    plane: &'a mut [f32],
-}
-
-impl SimdOp for FoldTaps<'_> {
-    type Output = ();
-
-    #[inline(always)]
-    fn eval(self) {
-        let FoldTaps { taps, geom, plane } = self;
-        let (k, stride, pad) = (geom.kernel, geom.stride, geom.pad);
-        let (h, w) = (geom.in_h, geom.in_w);
-        let (oh, ow) = (geom.out_h, geom.out_w);
-        let l = oh * ow;
-        assert_eq!(taps.len(), k * k * l, "col2im taps volume");
-        assert_eq!(plane.len(), h * w, "col2im plane volume");
-        plane.fill(0.0);
-        for ky in (0..k).rev() {
-            // Output rows whose tap row `oy·stride + ky − pad` is inside.
-            let oy_lo = pad.saturating_sub(ky).div_ceil(stride).min(oh);
-            let oy_hi = (h + pad)
-                .saturating_sub(ky)
-                .div_ceil(stride)
-                .clamp(oy_lo, oh);
-            for kx in (0..k).rev() {
-                let row = &mut taps[(ky * k + kx) * l..][..l];
-                let ox_lo = pad.saturating_sub(kx).div_ceil(stride).min(ow);
-                let ox_hi = (w + pad)
-                    .saturating_sub(kx)
-                    .div_ceil(stride)
-                    .clamp(ox_lo, ow);
-                if ox_lo == ox_hi || oy_lo == oy_hi {
-                    continue;
-                }
-                let ix_lo = ox_lo * stride + kx - pad;
-                if stride == 1 && ow == w {
-                    // Image rows and patch rows share one pitch, so the
-                    // tap's row lands on the plane shifted by a constant
-                    // and folds in one run. The patches whose tap falls on
-                    // padding would wrap round a row end: they add +0.0
-                    // instead, which leaves every sum unchanged (a sum that
-                    // starts from +0.0 is never -0.0).
-                    for patches in row.chunks_exact_mut(ow) {
-                        patches[..ox_lo].fill(0.0);
-                        patches[ox_hi..].fill(0.0);
-                    }
-                    let (j0, j1) = (oy_lo * ow + ox_lo, (oy_hi - 1) * ow + ox_hi);
-                    let iy_lo = oy_lo + ky - pad;
-                    let dst = &mut plane[iy_lo * w + ix_lo..][..j1 - j0];
-                    for (d, &v) in dst.iter_mut().zip(&row[j0..j1]) {
-                        *d += v;
-                    }
-                    continue;
-                }
-                for oy in oy_lo..oy_hi {
-                    let iy = oy * stride + ky - pad;
-                    let src = &row[oy * ow + ox_lo..oy * ow + ox_hi];
-                    let dst = plane[iy * w + ix_lo..(iy + 1) * w].iter_mut();
-                    for (d, &v) in dst.step_by(stride).zip(src) {
-                        *d += v;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Packs a batch (`[B x C*H*W]`) into its zero-padded input planes
@@ -648,7 +679,7 @@ pub fn conv2d_weight_grad_batch_into(
         .chunks_exact(geom.out_volume())
         .zip(packed.data().chunks_exact(p.len))
     {
-        transpose_maps(level, g, l, &mut gt, fp);
+        transpose_rows(level, g, (out_c, l, l), &mut gt, fp);
         for f0 in (0..fp).step_by(width) {
             let mut t0 = 0;
             for b in 0..blocks {
@@ -663,37 +694,6 @@ pub fn conv2d_weight_grad_batch_into(
     for (f, row) in dw.chunks_exact_mut(cr).enumerate() {
         for (t, v) in row.iter_mut().enumerate() {
             *v = dwt[t * fp + f];
-        }
-    }
-}
-
-/// `gt[q * fp + f] = maps[f * l + q]`: a sample's `[F x L]` gradient maps
-/// transposed to patch-major rows of pitch `fp`, in 8 × 8 tiles where a
-/// vector level is available.
-fn transpose_maps(level: SimdLevel, maps: &[f32], l: usize, gt: &mut [f32], fp: usize) {
-    let out_c = maps.len() / l;
-    assert!(out_c <= fp && l * fp <= gt.len());
-    let f8 = out_c / 8 * 8;
-    let q8 = if cfg!(target_arch = "x86_64") && level >= SimdLevel::Avx2 {
-        l / 8 * 8
-    } else {
-        0
-    };
-    #[cfg(target_arch = "x86_64")]
-    for f0 in (0..f8).step_by(8) {
-        for q0 in (0..q8).step_by(8) {
-            // SAFETY: `level` is clamped to the detected features; the
-            // tile's rows `maps[(f0 + r) * l + q0..][..8]` and
-            // `gt[(q0 + r) * fp + f0..][..8]` lie inside the slices.
-            unsafe {
-                direct::transpose8_avx2(&maps[f0 * l + q0..], l, &mut gt[q0 * fp + f0..], fp)
-            };
-        }
-    }
-    for (f, map) in maps.chunks_exact(l).enumerate() {
-        let from = if f < f8 { q8 } else { 0 };
-        for (q, &v) in map.iter().enumerate().skip(from) {
-            gt[q * fp + f] = v;
         }
     }
 }
@@ -783,12 +783,13 @@ fn weight_grad_taps<const TB: usize>(
 }
 
 /// Explicit vector builds of the direct kernels. Each is the portable body
-/// of [`forward_block`] / [`weight_grad_taps`] with its lanes in vector
-/// registers: the same multiplies and adds per element, in the same order
-/// (no FMA: a fused multiply-add rounds once and would change bits).
+/// of [`forward_block`] / [`weight_grad_taps`] / [`input_grad_block`] with
+/// its lanes in vector registers: the same multiplies and adds per
+/// element, in the same order (no FMA: a fused multiply-add rounds once
+/// and would change bits).
 #[cfg(target_arch = "x86_64")]
 mod direct {
-    use super::{BLOCK, FB};
+    use super::{BLOCK, CB, DX_BLOCK, FB};
     use std::arch::x86_64::*;
 
     /// AVX-512F forward block: `FB` filters × [`BLOCK`] lanes in 16
@@ -868,46 +869,96 @@ mod direct {
         }
     }
 
-    /// Transposes the 8 × 8 tile `src[r * sstride + c]` into
-    /// `dst[c * dstride + r]`.
+    /// AVX-512F input-gradient block: [`CB`] channels × 16 lanes, one
+    /// accumulator and one tap sum per channel; each filter's gradient run
+    /// is loaded once and broadcast against every channel's weight.
     ///
     /// # Safety
     ///
-    /// Caller must ensure AVX is available, `7 * sstride + 8 <= src.len()`
-    /// and `7 * dstride + 8 <= dst.len()`.
-    #[target_feature(enable = "avx")]
-    pub(super) unsafe fn transpose8_avx2(
-        src: &[f32],
-        sstride: usize,
-        dst: &mut [f32],
-        dstride: usize,
+    /// Caller must ensure AVX-512F is available and the bounds that
+    /// `super::input_grad_block` asserts.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn input_grad_block_avx512(
+        planes: &[f32],
+        mask: &[u32],
+        taps: &[(usize, usize)],
+        q0: usize,
+        w: &[f32],
+        chans: &[usize; CB],
+        stage: &mut [f32],
     ) {
-        debug_assert!(7 * sstride + 8 <= src.len() && 7 * dstride + 8 <= dst.len());
-        let r: [__m256; 8] =
-            std::array::from_fn(|i| _mm256_loadu_ps(src.as_ptr().add(i * sstride)));
-        // Pairs of rows interleaved, then quads, then the 128-bit halves.
-        let t: [__m256; 8] = std::array::from_fn(|i| {
-            let (a, b) = (r[i / 2 * 2], r[i / 2 * 2 + 1]);
-            if i % 2 == 0 {
-                _mm256_unpacklo_ps(a, b)
-            } else {
-                _mm256_unpackhi_ps(a, b)
+        let plane = mask.len();
+        let out_c = planes.len() / plane;
+        let cr = w.len() / out_c;
+        let lanes = stage.len() / CB;
+        debug_assert!(taps.iter().all(|&(_, o)| o + q0 + DX_BLOCK <= plane));
+        debug_assert!(q0 + DX_BLOCK <= lanes);
+        let mut acc = [_mm512_setzero_ps(); CB];
+        for &(t, o) in taps {
+            let gp = planes.as_ptr().add(o + q0);
+            let wp = w.as_ptr().add(t);
+            let mut sums = [_mm512_setzero_ps(); CB];
+            for f in 0..out_c {
+                let g = _mm512_loadu_ps(gp.add(f * plane));
+                let wf = wp.add(f * cr);
+                for (sum, &c) in sums.iter_mut().zip(chans) {
+                    *sum = _mm512_add_ps(*sum, _mm512_mul_ps(g, _mm512_set1_ps(*wf.add(c))));
+                }
             }
-        });
-        let u: [__m256; 8] = std::array::from_fn(|i| {
-            let (base, hi) = (i / 4 * 4 + i % 4 / 2, i % 2 == 1);
-            let (a, b) = (t[base], t[base + 2]);
-            if hi {
-                _mm256_shuffle_ps::<0xEE>(a, b)
-            } else {
-                _mm256_shuffle_ps::<0x44>(a, b)
+            let m = _mm512_castps_si512(_mm512_loadu_ps(mask.as_ptr().add(o + q0).cast()));
+            for (a, sum) in acc.iter_mut().zip(sums) {
+                let kept = _mm512_and_si512(_mm512_castps_si512(sum), m);
+                *a = _mm512_add_ps(*a, _mm512_castsi512_ps(kept));
             }
-        });
-        for c in 0..4 {
-            let lo = _mm256_permute2f128_ps::<0x20>(u[c], u[c + 4]);
-            let hi = _mm256_permute2f128_ps::<0x31>(u[c], u[c + 4]);
-            _mm256_storeu_ps(dst.as_mut_ptr().add(c * dstride), lo);
-            _mm256_storeu_ps(dst.as_mut_ptr().add((c + 4) * dstride), hi);
+        }
+        for (c, a) in acc.iter().enumerate() {
+            _mm512_storeu_ps(stage.as_mut_ptr().add(c * lanes + q0), *a);
+        }
+    }
+
+    /// AVX input-gradient block: the same block as two 8-lane passes.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX is available and the bounds of
+    /// [`input_grad_block_avx512`].
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn input_grad_block_avx2(
+        planes: &[f32],
+        mask: &[u32],
+        taps: &[(usize, usize)],
+        q0: usize,
+        w: &[f32],
+        chans: &[usize; CB],
+        stage: &mut [f32],
+    ) {
+        let plane = mask.len();
+        let out_c = planes.len() / plane;
+        let cr = w.len() / out_c;
+        let lanes = stage.len() / CB;
+        debug_assert!(taps.iter().all(|&(_, o)| o + q0 + DX_BLOCK <= plane));
+        debug_assert!(q0 + DX_BLOCK <= lanes);
+        for j in (0..DX_BLOCK).step_by(8) {
+            let mut acc = [_mm256_setzero_ps(); CB];
+            for &(t, o) in taps {
+                let gp = planes.as_ptr().add(o + q0 + j);
+                let wp = w.as_ptr().add(t);
+                let mut sums = [_mm256_setzero_ps(); CB];
+                for f in 0..out_c {
+                    let g = _mm256_loadu_ps(gp.add(f * plane));
+                    let wf = wp.add(f * cr);
+                    for (sum, &c) in sums.iter_mut().zip(chans) {
+                        *sum = _mm256_add_ps(*sum, _mm256_mul_ps(g, _mm256_set1_ps(*wf.add(c))));
+                    }
+                }
+                let m = _mm256_loadu_ps(mask.as_ptr().add(o + q0 + j).cast());
+                for (a, sum) in acc.iter_mut().zip(sums) {
+                    *a = _mm256_add_ps(*a, _mm256_and_ps(sum, m));
+                }
+            }
+            for (c, a) in acc.iter().enumerate() {
+                _mm256_storeu_ps(stage.as_mut_ptr().add(c * lanes + q0 + j), *a);
+            }
         }
     }
 
@@ -992,30 +1043,33 @@ mod direct {
 }
 
 /// Batched convolution input gradient: `dx = col2im(G·W)` per sample,
-/// overwriting `dx` (`[B x C*H*W]`).
+/// overwriting `dx` (`[B x C*H*W]`), from the channel-major `grad_out`
+/// (`[B x F*OH*OW]`) and the filter bank `weight` (`[F x C*K*K]`) as
+/// stored.
 ///
-/// Sample `i`'s column gradient is computed channel-major, one input
-/// channel's `K*K` tap rows of `Wᵀ·G_i` at a time (`w_t` is the transposed
-/// filter bank `[C*K*K x F]`, `G_i` the sample's row of `grad_out` read in
-/// place as `[F x OH*OW]`), into a buffer that stays in L1, and folded
-/// onto that channel's plane as in [`col2im`]. Each column-gradient
-/// element is `0.0` plus its `F` products in ascending filter order, and
-/// each input element `0.0` plus its patch contributions in patch-raster
-/// order: the same sequences as a patch-major `G′·W` GEMM followed by the
-/// patch-raster scatter of [`col2im`]. Samples run in parallel on the worker pool, so
-/// the result is bit-identical at any thread count.
+/// Each sample's gradient maps are copied into zero-bordered planes, and
+/// every input phase is computed on its lane grid (module docs) in blocks
+/// of 8 input channels × 16 lanes: per tap, last to first, one vector
+/// load of the gradient run per filter, broadcast against that filter's
+/// weight for each channel, gives the tap's sums; masked to the output
+/// grid, they are added to the block's accumulators. Each input element
+/// is `0.0` plus the sums of its taps inside the output grid, last tap to
+/// first, each sum `0.0` plus its `F` products in ascending filter order:
+/// the sequence of a patch-major `G′·W` GEMM followed by a patch-raster
+/// scatter of the column gradient. Samples run in parallel on the worker
+/// pool, so the result is bit-identical at any thread count.
 ///
 /// # Panics
 ///
-/// Panics unless `grad_out` is `[B x F*OH*OW]`, `w_t` is `[C*K*K x F]` and
-/// `dx` is `B * C*H*W` long.
+/// Panics unless `grad_out` is `[B x F*OH*OW]`, `weight` is `[F x C*K*K]`
+/// and `dx` is `B * C*H*W` long.
 pub fn conv2d_input_grad_batch_into(
     grad_out: &Tensor,
-    w_t: &Tensor,
+    weight: &Tensor,
     geom: &Conv2dGeom,
     dx: &mut [f32],
 ) {
-    let (l, cr, out_c) = (geom.col_cols(), geom.col_rows(), geom.out_c);
+    let (l, cr, out_c, in_c) = (geom.col_cols(), geom.col_rows(), geom.out_c, geom.in_c);
     let batch = grad_out.shape().rows();
     assert_eq!(
         grad_out.shape().cols(),
@@ -1023,31 +1077,142 @@ pub fn conv2d_input_grad_batch_into(
         "conv input-grad gradient volume"
     );
     assert_eq!(
-        w_t.shape().dims(),
-        &[cr, out_c],
-        "conv input-grad transposed-weight shape"
+        weight.shape().dims(),
+        &[out_c, cr],
+        "conv input-grad weight shape"
     );
     let in_vol = geom.in_volume();
-    let (kk, hw) = (geom.kernel * geom.kernel, geom.in_h * geom.in_w);
     assert_eq!(dx.len(), batch * in_vol, "conv input-grad buffer volume");
-    let wtd = w_t.data();
+    let gp = GradPacking::of(geom);
+    let (h, w, s, ow) = (geom.in_h, geom.in_w, geom.stride, geom.out_w);
+    let kk = geom.kernel * geom.kernel;
+    let mut mask = vec![0u32; gp.plane];
+    for row in mask[gp.top * gp.pitch..]
+        .chunks_mut(gp.pitch)
+        .take(geom.out_h)
+    {
+        row[gp.left..gp.left + ow].fill(u32::MAX);
+    }
+    let most = gp.phases.iter().map(|p| p.lanes).max().unwrap_or(0);
+    let level = simd::current();
+    let wd = weight.data();
     for_chunks_mut(
         batch,
         in_vol,
         2 * geom.macs_per_sample(),
         dx,
         |range, chunk| {
-            let mut taps = vec![0.0f32; kk * l];
+            // The border stays zero: only the real gradient is copied in.
+            let mut planes = vec![0.0f32; out_c * gp.plane];
+            let mut stage = vec![0.0f32; CB * most];
             for (i, image) in (range.0..range.1).zip(chunk.chunks_exact_mut(in_vol)) {
-                for (c, plane) in image.chunks_exact_mut(hw).enumerate() {
-                    taps.fill(0.0);
-                    let w_c = &wtd[c * kk * out_c..(c + 1) * kk * out_c];
-                    gemm_rows(w_c, out_c, kk, out_c, grad_out.row(i), l, &mut taps);
-                    fold_taps(&mut taps, geom, plane);
+                for (map, plane) in grad_out
+                    .row(i)
+                    .chunks_exact(l)
+                    .zip(planes.chunks_exact_mut(gp.plane))
+                {
+                    let rows = plane[gp.top * gp.pitch + gp.left..].chunks_mut(gp.pitch);
+                    for (src, dst) in map.chunks_exact(ow).zip(rows) {
+                        dst[..ow].copy_from_slice(src);
+                    }
+                }
+                for ph in &gp.phases {
+                    for c0 in (0..in_c).step_by(CB) {
+                        // A partial block repeats the last channel in its
+                        // spare rows; they are computed and never stored.
+                        let chans = std::array::from_fn(|c| (c0 + c).min(in_c - 1) * kk);
+                        for q0 in (0..ph.lanes).step_by(DX_BLOCK) {
+                            let dst = &mut stage[..CB * ph.lanes];
+                            input_grad_block(level, &planes, &mask, &ph.taps, q0, wd, &chans, dst);
+                        }
+                        let grids = stage.chunks_exact(ph.lanes);
+                        for (c, grid) in (c0..in_c.min(c0 + CB)).zip(grids) {
+                            let img = &mut image[c * h * w..(c + 1) * h * w];
+                            for (r, src) in grid.chunks(gp.pitch).take(ph.rows).enumerate() {
+                                let row = &mut img[(ph.iy0 + s * r) * w + ph.ix0..][..w - ph.ix0];
+                                for (d, &v) in row.iter_mut().step_by(s).zip(&src[..ph.cols]) {
+                                    *d = v;
+                                }
+                            }
+                        }
+                    }
                 }
             }
         },
     );
+}
+
+/// One input-gradient block, for [`CB`] channels (`chans[c]` is channel
+/// `c`'s first column in a filter-bank row) and the lanes `q0..q0 +
+/// DX_BLOCK` of a phase's grid: `stage[c * lanes + q0 + j]` is `0.0` plus,
+/// for each tap `(t, o)` in the given order, the tap's sum `0.0 + Σ_f
+/// planes[f * plane + o + q0 + j] · w[f * cr + chans[c] + t]` (`f`
+/// ascending) ANDed with `mask[o + q0 + j]`, where `plane = mask.len()`,
+/// `cr = w.len() / F` and `lanes = stage.len() / CB`. Dispatches on the
+/// hoisted [`SimdLevel`]; the portable body is the reference and the
+/// [`SimdLevel::Scalar`] path.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn input_grad_block(
+    level: SimdLevel,
+    planes: &[f32],
+    mask: &[u32],
+    taps: &[(usize, usize)],
+    q0: usize,
+    w: &[f32],
+    chans: &[usize; CB],
+    stage: &mut [f32],
+) {
+    let plane = mask.len();
+    let out_c = planes.len() / plane;
+    let cr = w.len() / out_c;
+    let lanes = stage.len() / CB;
+    assert!(taps.iter().all(|&(_, o)| o + q0 + DX_BLOCK <= plane));
+    assert!(taps.iter().all(|&(t, _)| chans.iter().all(|&c| c + t < cr)));
+    assert!(out_c * plane == planes.len() && out_c * cr == w.len());
+    assert!(q0 + DX_BLOCK <= lanes);
+    #[cfg(target_arch = "x86_64")]
+    match level {
+        // SAFETY: `level` comes from `simd::current()`, which is clamped to
+        // the detected features, and the asserts above are the kernels'
+        // bounds preconditions.
+        SimdLevel::Avx512 => {
+            unsafe { direct::input_grad_block_avx512(planes, mask, taps, q0, w, chans, stage) };
+            return;
+        }
+        SimdLevel::Avx2 => {
+            unsafe { direct::input_grad_block_avx2(planes, mask, taps, q0, w, chans, stage) };
+            return;
+        }
+        SimdLevel::Scalar => {}
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = level;
+    let mut acc = [[0.0f32; DX_BLOCK]; CB];
+    for &(t, o) in taps {
+        let mut sums = [[0.0f32; DX_BLOCK]; CB];
+        for f in 0..out_c {
+            let gv: &[f32; DX_BLOCK] = planes[f * plane + o + q0..][..DX_BLOCK]
+                .try_into()
+                .expect("block");
+            let wf = &w[f * cr + t..];
+            for (sum, &c) in sums.iter_mut().zip(chans) {
+                let wv = wf[c];
+                for (a, &g) in sum.iter_mut().zip(gv) {
+                    *a += g * wv;
+                }
+            }
+        }
+        let m = &mask[o + q0..o + q0 + DX_BLOCK];
+        for (acc, sum) in acc.iter_mut().zip(&sums) {
+            for ((a, &v), &m) in acc.iter_mut().zip(sum).zip(m) {
+                *a += f32::from_bits(v.to_bits() & m);
+            }
+        }
+    }
+    for (c, acc) in acc.iter().enumerate() {
+        stage[c * lanes + q0..c * lanes + q0 + DX_BLOCK].copy_from_slice(acc);
+    }
 }
 
 #[cfg(test)]
@@ -1256,28 +1421,10 @@ mod tests {
         out
     }
 
-    #[test]
-    fn col2im_sums_in_patch_raster_order_bitwise() {
-        // Pins the summation order: per element, `0.0` then each patch's
-        // contribution in patch-raster order. Values spanning many
-        // magnitudes make any other order round differently.
-        let mut rng = Rng::new(28);
-        for g in batch_geoms().into_iter().chain(cnn1_geoms()) {
-            let n = g.col_rows() * g.col_cols();
-            let cols: Vec<f32> = (0..n)
-                .map(|i| rng.normal() * [1e-3, 1.0, 1e3][i % 3])
-                .collect();
-            let classic = Tensor::from_vec([g.col_rows(), g.col_cols()], cols).unwrap();
-            let patches = classic.transpose();
-            let want = scatter_reference(patches.data(), &g);
-            for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
-                if level > simd::probe() {
-                    continue;
-                }
-                let _g = simd::force(level);
-                assert_eq!(col2im(&classic, &g), want, "{g:?} at {level:?}");
-            }
-        }
+    /// Adjoint of [`im2col`]: folds one sample's column-matrix gradient
+    /// (`[C·K·K x OH·OW]`) back onto the sample in patch-raster order.
+    fn col2im(cols: &Tensor, g: &Conv2dGeom) -> Vec<f32> {
+        scatter_reference(cols.transpose().data(), g)
     }
 
     /// `G′`: each sample's channel-major gradient row transposed to the
@@ -1335,8 +1482,8 @@ mod tests {
     #[test]
     fn input_grad_matches_gemm_then_patch_raster_scatter_bitwise() {
         // The reference sequence: dcols = G′·W into zeros (one GEMM over
-        // the batch), then the patch-raster scatter. The kernel computes
-        // each channel's column gradient Wᵀ·G_i and folds it tap by tap.
+        // the batch), then the patch-raster scatter. The kernel reads the
+        // gradient maps and the filter bank where they lie.
         let mut rng = Rng::new(30);
         for g in batch_geoms().into_iter().chain(cnn1_geoms()) {
             let batch = 3;
@@ -1350,7 +1497,7 @@ mod tests {
                 }
                 let _g = simd::force(level);
                 let mut got = vec![f32::NAN; batch * g.in_volume()];
-                conv2d_input_grad_batch_into(&grad, &w.transpose(), &g, &mut got);
+                conv2d_input_grad_batch_into(&grad, &w, &g, &mut got);
                 assert_eq!(got, want, "{g:?} at {level:?}");
             }
         }
@@ -1362,11 +1509,11 @@ mod tests {
         let g = cnn1_geoms()[1];
         let batch = 64;
         let grad = Tensor::randn([batch, g.out_volume()], 1.0, &mut rng);
-        let w_t = Tensor::randn([g.col_rows(), g.out_c], 1.0, &mut rng);
+        let w = Tensor::randn([g.out_c, g.col_rows()], 1.0, &mut rng);
         let mut pooled = vec![0.0f32; batch * g.in_volume()];
-        conv2d_input_grad_batch_into(&grad, &w_t, &g, &mut pooled);
+        conv2d_input_grad_batch_into(&grad, &w, &g, &mut pooled);
         let mut serial = vec![0.0f32; batch * g.in_volume()];
-        crate::pool::serial_scope(|| conv2d_input_grad_batch_into(&grad, &w_t, &g, &mut serial));
+        crate::pool::serial_scope(|| conv2d_input_grad_batch_into(&grad, &w, &g, &mut serial));
         assert_eq!(pooled, serial);
     }
 
@@ -1520,6 +1667,45 @@ mod tests {
         }
     }
 
+    /// The input gradient in the contract order, naively: each input
+    /// element is `0.0` plus, for every tap from the last `(ky, kx)` to the
+    /// first whose output lies inside the grid, `0.0` plus `g·w` over
+    /// ascending filters. A tap outside the grid adds nothing.
+    fn input_grad_contract(grad: &Tensor, w: &Tensor, g: &Conv2dGeom) -> Vec<f32> {
+        let (k, s, l, cr) = (g.kernel, g.stride, g.col_cols(), g.col_rows());
+        let mut out = Vec::with_capacity(grad.shape().rows() * g.in_volume());
+        for i in 0..grad.shape().rows() {
+            for c in 0..g.in_c {
+                for iy in 0..g.in_h {
+                    for ix in 0..g.in_w {
+                        let mut acc = 0.0f32;
+                        for ky in (0..k).rev() {
+                            for kx in (0..k).rev() {
+                                let (ny, nx) = (iy + g.pad, ix + g.pad);
+                                if ny < ky || nx < kx || (ny - ky) % s != 0 || (nx - kx) % s != 0 {
+                                    continue;
+                                }
+                                let (oy, ox) = ((ny - ky) / s, (nx - kx) / s);
+                                if oy >= g.out_h || ox >= g.out_w {
+                                    continue;
+                                }
+                                let t = (c * k + ky) * k + kx;
+                                let mut sum = 0.0f32;
+                                for f in 0..g.out_c {
+                                    sum += grad.row(i)[f * l + oy * g.out_w + ox]
+                                        * w.data()[f * cr + t];
+                                }
+                                acc += sum;
+                            }
+                        }
+                        out.push(acc);
+                    }
+                }
+            }
+        }
+        out
+    }
+
     /// Bitwise equality, except that any NaN equals any NaN (which NaN an
     /// add of two NaNs returns is the compiler's choice of operand order).
     fn same_bits(a: &[f32], b: &[f32]) -> bool {
@@ -1535,7 +1721,9 @@ mod tests {
         // across whole and partial blocks, at every SIMD level and under
         // serial_scope, against naive loops in the contract order. Inputs
         // carry NaN, ±Inf and -0.0 (sample 0 stays finite), so a dropped
-        // grid lane that leaks into a stored output shows up.
+        // grid lane that leaks into a stored output shows up; so do the
+        // input gradient's weights and output gradient, so a tap outside
+        // the output grid that adds ∞·0 = NaN at a border shows up too.
         let mut rng = Rng::new(32);
         let mut case = 0usize;
         for k in [1usize, 3, 5, 7] {
@@ -1576,23 +1764,53 @@ mod tests {
         let bias: Vec<f32> = (0..g.out_c).map(|f| f as f32 * 0.25 - 1.0).collect();
         let grad = Tensor::randn([batch, g.out_volume()], 1.0, rng);
         let seed = Tensor::randn([g.out_c, g.col_rows()], 1.0, rng);
+        // The input gradient's operands: magnitudes that make any other
+        // summation order round differently, -0.0, and in the weights (if
+        // there are enough) and in every sample's gradient but the first,
+        // NaN and ±Inf.
+        let mut w_dx = Tensor::randn([g.out_c, g.col_rows()], 0.5, rng);
+        let mut grad_dx = Tensor::randn([batch, g.out_volume()], 1.0, rng);
+        for t in [&mut w_dx, &mut grad_dx] {
+            for (n, v) in t.data_mut().iter_mut().enumerate() {
+                *v *= scale[n % 3];
+                if n % 13 == 4 {
+                    *v = -0.0;
+                }
+            }
+        }
+        let n = w_dx.data().len();
+        if n >= 8 {
+            let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for (j, v) in specials.into_iter().enumerate() {
+                w_dx.data_mut()[(n / 3 * j + 5 * batch) % n] = v;
+            }
+        }
+        for i in 1..batch {
+            let row = &mut grad_dx.data_mut()[i * g.out_volume()..(i + 1) * g.out_volume()];
+            let n = row.len();
+            row[(i * 5) % n] = f32::NAN;
+            row[(i * 11 + 3) % n] = [f32::INFINITY, f32::NEG_INFINITY][i % 2];
+        }
         let want_y = forward_contract(&x, &w, &bias, g);
         let mut want_dw = seed.data().to_vec();
         weight_grad_contract(&x, &grad, g, &mut want_dw);
+        let want_dx = input_grad_contract(&grad_dx, &w_dx, g);
         let run = || {
             let planes = conv2d_pack_batch(&x, g);
             let mut y = vec![0.0f32; batch * g.out_volume()];
             conv2d_forward_batch_into(&planes, &w, &bias, g, &mut y);
             let mut dw = seed.data().to_vec();
             conv2d_weight_grad_batch_into(&grad, &planes, g, &mut dw);
-            (y, dw)
+            let mut dx = vec![f32::NAN; batch * g.in_volume()];
+            conv2d_input_grad_batch_into(&grad_dx, &w_dx, g, &mut dx);
+            (y, dw, dx)
         };
         for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
             if level > simd::probe() {
                 continue;
             }
             let _guard = simd::force(level);
-            let (y, dw) = run();
+            let (y, dw, dx) = run();
             assert!(
                 same_bits(&y, &want_y),
                 "forward {g:?} batch {batch} at {level:?}"
@@ -1601,9 +1819,14 @@ mod tests {
                 same_bits(&dw, &want_dw),
                 "dW {g:?} batch {batch} at {level:?}"
             );
+            assert!(
+                same_bits(&dx, &want_dx),
+                "dx {g:?} batch {batch} at {level:?}"
+            );
         }
-        let (y, dw) = crate::pool::serial_scope(run);
+        let (y, dw, dx) = crate::pool::serial_scope(run);
         assert!(same_bits(&y, &want_y), "serial forward {g:?} batch {batch}");
         assert!(same_bits(&dw, &want_dw), "serial dW {g:?} batch {batch}");
+        assert!(same_bits(&dx, &want_dx), "serial dx {g:?} batch {batch}");
     }
 }

@@ -33,7 +33,7 @@ pub mod simd;
 mod tensor;
 
 pub use conv::{
-    col2im, conv2d_forward_batch_into, conv2d_input_grad_batch_into, conv2d_pack_batch,
+    conv2d_forward_batch_into, conv2d_input_grad_batch_into, conv2d_pack_batch,
     conv2d_weight_grad_batch_into, im2col, Conv2dGeom,
 };
 pub use error::TensorError;

@@ -35,11 +35,13 @@
 //!   `B` that only enough rows repay; the row and column tails of a tiled
 //!   chunk go back through `stream_rows`.
 //!
-//! Two training shapes leave these layouts a partial vector per element,
-//! and both are turned around instead: `Aᵀ·B` with fewer than `NR` output
-//! columns (a classifier's `dW`) accumulates `Cᵀ += Bᵀ·A`, and `A·Bᵀ` with
-//! a dot shorter than two lane chunks (its input gradient) carries the dot
-//! product's lanes across 16 output columns at once.
+//! Three training shapes leave these layouts a partial vector per element,
+//! and all are turned around instead: `A·B` with fewer than `NR` output
+//! columns and at least `NR` rows (a classifier's forward over a batch)
+//! accumulates `Cᵀ += Bᵀ·Aᵀ` with lanes over rows, `Aᵀ·B` with fewer than
+//! `NR` output columns (its `dW`) takes the same lanes from `A` as stored,
+//! and `A·Bᵀ` with a dot shorter than two lane chunks (its input gradient)
+//! carries the dot product's lanes across 16 output columns at once.
 //!
 //! `A·Bᵀ` is one long dot product per output element. All kernels dispatch
 //! output-row chunks through the persistent worker pool ([`crate::pool`])
@@ -221,6 +223,113 @@ mod tile {
         for r in 0..MR {
             _mm512_storeu_ps(acc0[r].as_mut_ptr(), v0[r]);
             _mm512_storeu_ps(acc1[r].as_mut_ptr(), v1[r]);
+        }
+    }
+    /// AVX-512F build of `narrow_portable`: one 16-lane accumulator per
+    /// output column; each `Aᵀ` row load is broadcast-multiplied against
+    /// the `N` entries of the matching `B` row.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F is available, `b.len()` is a multiple of
+    /// `N`, and `(b.len() / N - 1) * pitch + NR <= at.len()`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn narrow_avx512<const N: usize>(
+        at: &[f32],
+        pitch: usize,
+        b: &[f32],
+        acc: &mut [[f32; NR]; N],
+    ) {
+        use std::arch::x86_64::*;
+        let k = b.len() / N;
+        debug_assert!(k == 0 || (k - 1) * pitch + NR <= at.len());
+        let mut v: [__m512; N] = std::array::from_fn(|j| _mm512_loadu_ps(acc[j].as_ptr()));
+        for p in 0..k {
+            let av = _mm512_loadu_ps(at.as_ptr().add(p * pitch));
+            let bp = b.as_ptr().add(p * N);
+            for (j, vj) in v.iter_mut().enumerate() {
+                *vj = _mm512_add_ps(*vj, _mm512_mul_ps(av, _mm512_set1_ps(*bp.add(j))));
+            }
+        }
+        for (j, vj) in v.iter().enumerate() {
+            _mm512_storeu_ps(acc[j].as_mut_ptr(), *vj);
+        }
+    }
+
+    /// AVX build of `narrow_portable`: [`narrow_avx512`] as two 8-lane
+    /// passes.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX is available and the bounds of
+    /// [`narrow_avx512`].
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn narrow_avx2<const N: usize>(
+        at: &[f32],
+        pitch: usize,
+        b: &[f32],
+        acc: &mut [[f32; NR]; N],
+    ) {
+        use std::arch::x86_64::*;
+        let k = b.len() / N;
+        debug_assert!(k == 0 || (k - 1) * pitch + NR <= at.len());
+        for half in [0, 8] {
+            let mut v: [__m256; N] =
+                std::array::from_fn(|j| _mm256_loadu_ps(acc[j].as_ptr().add(half)));
+            for p in 0..k {
+                let av = _mm256_loadu_ps(at.as_ptr().add(p * pitch + half));
+                let bp = b.as_ptr().add(p * N);
+                for (j, vj) in v.iter_mut().enumerate() {
+                    *vj = _mm256_add_ps(*vj, _mm256_mul_ps(av, _mm256_set1_ps(*bp.add(j))));
+                }
+            }
+            for (j, vj) in v.iter().enumerate() {
+                _mm256_storeu_ps(acc[j].as_mut_ptr().add(half), *vj);
+            }
+        }
+    }
+
+    /// Transposes the 8 × 8 tile `src[r * sstride + c]` into
+    /// `dst[c * dstride + r]`.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX is available, `7 * sstride + 8 <= src.len()`
+    /// and `7 * dstride + 8 <= dst.len()`.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn transpose8_avx2(
+        src: &[f32],
+        sstride: usize,
+        dst: &mut [f32],
+        dstride: usize,
+    ) {
+        use std::arch::x86_64::*;
+        debug_assert!(7 * sstride + 8 <= src.len() && 7 * dstride + 8 <= dst.len());
+        let r: [__m256; 8] =
+            std::array::from_fn(|i| _mm256_loadu_ps(src.as_ptr().add(i * sstride)));
+        // Pairs of rows interleaved, then quads, then the 128-bit halves.
+        let t: [__m256; 8] = std::array::from_fn(|i| {
+            let (a, b) = (r[i / 2 * 2], r[i / 2 * 2 + 1]);
+            if i % 2 == 0 {
+                _mm256_unpacklo_ps(a, b)
+            } else {
+                _mm256_unpackhi_ps(a, b)
+            }
+        });
+        let u: [__m256; 8] = std::array::from_fn(|i| {
+            let (base, hi) = (i / 4 * 4 + i % 4 / 2, i % 2 == 1);
+            let (a, b) = (t[base], t[base + 2]);
+            if hi {
+                _mm256_shuffle_ps::<0xEE>(a, b)
+            } else {
+                _mm256_shuffle_ps::<0x44>(a, b)
+            }
+        });
+        for c in 0..4 {
+            let lo = _mm256_permute2f128_ps::<0x20>(u[c], u[c + 4]);
+            let hi = _mm256_permute2f128_ps::<0x31>(u[c], u[c + 4]);
+            _mm256_storeu_ps(dst.as_mut_ptr().add(c * dstride), lo);
+            _mm256_storeu_ps(dst.as_mut_ptr().add((c + 4) * dstride), hi);
         }
     }
 }
@@ -561,7 +670,8 @@ fn stream_rows(
 thread_local! {
     /// Per-thread kernel scratch, kept across calls so no path allocates:
     /// the `B` panel of [`mr_block`], the `Aᵀ` panel of
-    /// [`matmul_at_b_into`] and the output tile of [`stream_rows`].
+    /// [`matmul_at_b_into`] and of [`narrow_rows`], and the output tile of
+    /// [`stream_rows`].
     static PANEL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static A_PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static TILE: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
@@ -612,6 +722,48 @@ pub(crate) fn axpy(a: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
+/// `dst[c * pitch + r] = src[r * stride + c]` for `r < rows` and
+/// `c < cols`: `rows` rows of `src`, `stride` apart, transposed into rows
+/// of pitch `pitch`, in 8 × 8 tiles where a vector level is available.
+pub(crate) fn transpose_rows(
+    level: SimdLevel,
+    src: &[f32],
+    (rows, cols, stride): (usize, usize, usize),
+    dst: &mut [f32],
+    pitch: usize,
+) {
+    assert!(rows <= pitch && cols * pitch <= dst.len() && cols <= stride);
+    assert!(rows == 0 || (rows - 1) * stride + cols <= src.len());
+    let r8 = rows / 8 * 8;
+    let c8 = if cfg!(target_arch = "x86_64") && level >= SimdLevel::Avx2 {
+        cols / 8 * 8
+    } else {
+        0
+    };
+    #[cfg(target_arch = "x86_64")]
+    for r0 in (0..r8).step_by(8) {
+        for c0 in (0..c8).step_by(8) {
+            // SAFETY: `level` is clamped to the detected features; the
+            // tile's rows `src[(r0 + i) * stride + c0..][..8]` and
+            // `dst[(c0 + i) * pitch + r0..][..8]` lie inside the slices.
+            unsafe {
+                let src = &src[r0 * stride + c0..];
+                tile::transpose8_avx2(src, stride, &mut dst[c0 * pitch + r0..], pitch)
+            };
+        }
+    }
+    for r in 0..rows {
+        let from = if r < r8 { c8 } else { 0 };
+        for (c, &v) in src[r * stride..r * stride + cols]
+            .iter()
+            .enumerate()
+            .skip(from)
+        {
+            dst[c * pitch + r] = v;
+        }
+    }
+}
+
 /// `C = A·B` for rank-2 tensors.
 ///
 /// # Panics
@@ -638,7 +790,10 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// `C += A·B`: accumulates the product into `out` (BLAS `beta = 1`).
 ///
 /// Pass a zero-filled buffer for a plain product. Per-element contributions
-/// arrive in ascending-`k` order, identical to the allocating [`matmul`].
+/// arrive in ascending-`k` order, identical to the allocating [`matmul`],
+/// whichever kernel a row chunk runs: register tiles for enough rows, the
+/// streaming kernel for few, and lanes over rows for at least 16 rows and
+/// fewer than 16 output columns (a classifier's forward over a batch).
 ///
 /// # Panics
 ///
@@ -650,42 +805,144 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     assert_eq!(out.len(), m * n, "matmul output buffer volume");
     let (ad, bd) = (a.data(), b.data());
     for_grouped_chunks_mut(m, SM, n, 2 * n * k, out, |rows, chunk| {
-        gemm_rows(
-            &ad[rows.0 * k..rows.1 * k],
-            k,
-            rows.1 - rows.0,
-            k,
-            bd,
-            n,
-            chunk,
-        );
+        let rcount = rows.1 - rows.0;
+        let a = &ad[rows.0 * k..rows.1 * k];
+        let level = simd::current();
+        if (1..NR).contains(&n) && rcount >= NR {
+            // `P = Aᵀ`: transpose `A`'s rows in.
+            let pack = |(r0, nr), (kb, kw), at: &mut [f32], pitch| {
+                transpose_rows(level, &a[r0 * k + kb..], (nr, kw, k), at, pitch)
+            };
+            narrow_rows(level, (rcount, k), bd, n, chunk, pack);
+        } else if rcount >= TILED_MIN_ROWS && k >= QUAD_MIN_K {
+            for kb in (0..k).step_by(KC) {
+                let kw = (kb + KC).min(k) - kb;
+                let b_blk = &bd[kb * n..(kb + kw) * n];
+                mr_block(level, &a[kb..], k, rcount, kw, b_blk, n, chunk);
+            }
+        } else {
+            stream_rows(a, k, rcount, k, bd, n, (0, n), chunk);
+        }
     });
 }
 
-/// `chunk += A·B` on the calling thread: `a` holds `m` rows of `A` at row
-/// stride `astride`, `b` is `[k × n]` and `chunk` is `[m × n]`.
-///
-/// Contributions to any element arrive in ascending-`p` order whichever
-/// kernel runs ([`mr_block`] for enough rows, [`stream_rows`] otherwise),
-/// exactly as in the naive loop.
-pub(crate) fn gemm_rows(
-    a: &[f32],
-    astride: usize,
-    m: usize,
-    k: usize,
+/// Rows of `P` one panel of [`narrow_rows`] holds.
+const NARROW_ROWS: usize = 4 * NR;
+
+/// `chunk[r][j] += Σ_p P[p][r] · b[p][j]`, `p` ascending, for the chunk's
+/// `rows` rows and fewer than `NR` columns (`chunk` and `b` are `n`
+/// wide), with lanes over rows. `P` is `[k × rows]`: `matmul_into`'s `Aᵀ`,
+/// `matmul_at_b_into`'s `A`. One [`NARROW_ROWS`] × [`KC`] block of it at
+/// a time is written into the thread's `A_PACK` panel by
+/// `pack((r0, nr), (kb, kw), panel, pitch)`, which puts
+/// `P[kb + p][r0 + r]` at `panel[p * pitch + r]` for `p < kw`, `r < nr`.
+fn narrow_rows(
+    level: SimdLevel,
+    (rows, k): (usize, usize),
+    b: &[f32],
+    n: usize,
+    chunk: &mut [f32],
+    pack: impl Fn((usize, usize), (usize, usize), &mut [f32], usize),
+) {
+    A_PACK.with_borrow_mut(|panel| {
+        // Lanes past a block's rows hold whatever the panel last held:
+        // computed, never stored.
+        let panel = at_least(panel, KC * NARROW_ROWS);
+        for r0 in (0..rows).step_by(NARROW_ROWS) {
+            let nr = NARROW_ROWS.min(rows - r0);
+            let pitch = nr.next_multiple_of(NR);
+            let out = &mut chunk[r0 * n..(r0 + nr) * n];
+            for kb in (0..k).step_by(KC) {
+                let kw = KC.min(k - kb);
+                let at = &mut panel[..kw * pitch];
+                pack((r0, nr), (kb, kw), at, pitch);
+                narrow_columns(level, at, pitch, &b[kb * n..(kb + kw) * n], n, out);
+            }
+        }
+    });
+}
+
+/// [`narrow_block`] for the `n` (`1..NR`) columns `b` and `chunk` have.
+fn narrow_columns(
+    level: SimdLevel,
+    at: &[f32],
+    pitch: usize,
     b: &[f32],
     n: usize,
     chunk: &mut [f32],
 ) {
-    if m >= TILED_MIN_ROWS && k >= QUAD_MIN_K {
-        let level = simd::current();
-        for kb in (0..k).step_by(KC) {
-            let kw = (kb + KC).min(k) - kb;
-            let b_blk = &b[kb * n..(kb + kw) * n];
-            mr_block(level, &a[kb..], astride, m, kw, b_blk, n, chunk);
+    macro_rules! cols {
+        ($($n:literal)*) => {
+            match n {
+                $($n => narrow_block::<$n>(level, at, pitch, b, chunk),)*
+                n => unreachable!("{n} columns on the narrow path"),
+            }
+        };
+    }
+    cols!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+}
+
+/// `chunk[r][j] += Σ_p at[p * pitch + r] · b[p * N + j]`, `p` ascending,
+/// for the chunk's rows `r` (`chunk` is `[rows × N]`, `at` is `[k × pitch]`
+/// with `pitch` a multiple of `NR` and at least `rows`): one `NR`-lane
+/// accumulator per output column over each block of `NR` rows, so each
+/// `Aᵀ` row load serves all `N` columns. Every element starts from its
+/// value in `chunk` and adds its products one multiply and one add at a
+/// time, as in [`stream_rows`]. Dispatches on the hoisted [`SimdLevel`];
+/// the portable body is the reference and the [`SimdLevel::Scalar`] path.
+fn narrow_block<const N: usize>(
+    level: SimdLevel,
+    at: &[f32],
+    pitch: usize,
+    b: &[f32],
+    chunk: &mut [f32],
+) {
+    let (rows, k) = (chunk.len() / N, b.len() / N);
+    assert!(pitch.is_multiple_of(NR) && rows <= pitch && k * pitch <= at.len());
+    assert!(rows * N == chunk.len() && k * N == b.len());
+    for r0 in (0..rows).step_by(NR) {
+        let live = NR.min(rows - r0);
+        let mut acc = [[0.0f32; NR]; N];
+        for (l, row) in chunk[r0 * N..(r0 + live) * N].chunks_exact(N).enumerate() {
+            for (lanes, &v) in acc.iter_mut().zip(row) {
+                lanes[l] = v;
+            }
         }
-    } else {
-        stream_rows(a, astride, m, k, b, n, (0, n), chunk);
+        let at = &at[r0..];
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = level;
+        #[cfg(target_arch = "x86_64")]
+        match level {
+            // SAFETY: `level` comes from `simd::current()`, which is
+            // clamped to the detected features; the asserts above give
+            // `(k - 1) * pitch + NR <= at.len()` for this block.
+            SimdLevel::Avx512 => unsafe { tile::narrow_avx512(at, pitch, b, &mut acc) },
+            SimdLevel::Avx2 => unsafe { tile::narrow_avx2(at, pitch, b, &mut acc) },
+            SimdLevel::Scalar => narrow_portable(at, pitch, b, &mut acc),
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        narrow_portable(at, pitch, b, &mut acc);
+        for (l, row) in chunk[r0 * N..(r0 + live) * N]
+            .chunks_exact_mut(N)
+            .enumerate()
+        {
+            for (v, lanes) in row.iter_mut().zip(&acc) {
+                *v = lanes[l];
+            }
+        }
+    }
+}
+
+/// The portable body of [`narrow_block`] for one block of `NR` rows:
+/// `acc[j][l] += at[p * pitch + l] · b[p * N + j]`, `p` ascending.
+fn narrow_portable<const N: usize>(at: &[f32], pitch: usize, b: &[f32], acc: &mut [[f32; NR]; N]) {
+    for (ap, bp) in at.chunks(pitch).zip(b.chunks_exact(N)) {
+        let av: &[f32; NR] = ap[..NR].try_into().expect("row block");
+        for (lanes, &bv) in acc.iter_mut().zip(bp) {
+            for (c, &x) in lanes.iter_mut().zip(av) {
+                *c += x * bv;
+            }
+        }
     }
 }
 
@@ -864,22 +1121,19 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut [f32]) {
     assert_eq!(out.len(), m * n, "matmul_at_b output buffer volume");
     if (1..NR).contains(&n) && m >= NR {
         // Output rows this short (a classifier's dW has n = classes) do not
-        // fill a vector; accumulate `outᵀ += Bᵀ·A` instead, whose few rows
-        // run the whole width m, transposing in and out. A product is the
-        // same number either way round, so every element sees the same
-        // sequence.
-        let mut out_t = vec![0.0f32; n * m];
-        for (i, row) in out.chunks_exact(n).enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                out_t[j * m + i] = v;
-            }
-        }
-        at_b_into(b.data(), n, a.data(), m, k, &mut out_t);
-        for (j, row) in out_t.chunks_exact(m).enumerate() {
-            for (i, &v) in row.iter().enumerate() {
-                out[i * n + j] = v;
-            }
-        }
+        // fill a vector; run lanes over output rows instead, as
+        // `matmul_into` does for a narrow product. Here `P = A`, already
+        // a row per `p`: copy its rows in at a whole-vector pitch.
+        let (ad, bd) = (a.data(), b.data());
+        for_grouped_chunks_mut(m, SM, n, 2 * n * k, out, |rows, chunk| {
+            let level = simd::current();
+            let pack = |(r0, nr), (kb, _), at: &mut [f32], pitch| {
+                for (p, dst) in at.chunks_exact_mut(pitch).enumerate() {
+                    dst[..nr].copy_from_slice(&ad[(kb + p) * m + rows.0 + r0..][..nr]);
+                }
+            };
+            narrow_rows(level, (rows.1 - rows.0, k), bd, n, chunk, pack);
+        });
         return;
     }
     at_b_into(a.data(), m, b.data(), n, k, out);
@@ -1291,6 +1545,63 @@ mod tests {
                         matmul_at_b_into(&at_m, &b, &mut got);
                         assert_eq!(got, want[..m * n], "Aᵀ·B ({m},{k},{n}) at {level:?}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_outputs_bit_identical_to_naive_at_every_level() {
+        // A classifier's forward: fewer than NR output columns. From NR
+        // rows on it runs on lanes over rows from a transposed A panel, in
+        // blocks of NARROW_ROWS rows and KC columns of A; below, on the
+        // streaming kernel. Its dW, `Aᵀ·B` with A stored transposed, runs
+        // on the same lanes from a copy of Aᵀ at a whole-vector pitch.
+        // Either way every element sees the naive ascending-k sequence
+        // from its seed, at every level and under serial_scope. A carries
+        // NaN and ±Inf, so a lane that leaks into another row's output
+        // shows up.
+        use crate::simd::{self, SimdLevel};
+        let mut rng = Rng::new(43);
+        for k in [1usize, 9, 784] {
+            for m in [1usize, 2, 7, 8, 32, 64, 100] {
+                let mut a = Tensor::randn([m, k], 1.0, &mut rng);
+                for (i, v) in a.data_mut().iter_mut().enumerate() {
+                    *v *= [1e-3, 1.0, 1e3][i % 3];
+                }
+                if m > 2 {
+                    a.data_mut()[k] = f32::NAN;
+                    a.data_mut()[2 * k + k / 2] = [f32::INFINITY, f32::NEG_INFINITY][k % 2];
+                }
+                let at = a.transpose();
+                for n in 1..=NR {
+                    let b = Tensor::randn([k, n], 1.0, &mut rng);
+                    let seed: Vec<f32> = (0..m * n).map(|i| (i as f32 * 0.37).sin()).collect();
+                    let mut want = seed.clone();
+                    naive_into(a.data(), b.data(), (m, k, n), &mut want);
+                    let same = |got: &[f32]| {
+                        got.iter()
+                            .zip(&want)
+                            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+                    };
+                    for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                        if level > simd::probe() {
+                            continue;
+                        }
+                        let _g = simd::force(level);
+                        let mut got = seed.clone();
+                        matmul_into(&a, &b, &mut got);
+                        assert!(same(&got), "({m},{k},{n}) at {level:?}");
+                        let mut got = seed.clone();
+                        matmul_at_b_into(&at, &b, &mut got);
+                        assert!(same(&got), "Aᵀ·B ({m},{k},{n}) at {level:?}");
+                    }
+                    let mut got = seed.clone();
+                    serial_scope(|| matmul_into(&a, &b, &mut got));
+                    assert!(same(&got), "serial ({m},{k},{n})");
+                    let mut got = seed.clone();
+                    serial_scope(|| matmul_at_b_into(&at, &b, &mut got));
+                    assert!(same(&got), "serial Aᵀ·B ({m},{k},{n})");
                 }
             }
         }

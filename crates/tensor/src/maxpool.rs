@@ -1,7 +1,7 @@
 //! Max-pooling primitives (see [`crate::pool`] for the worker pool).
 
 use crate::error::TensorError;
-use crate::simd::{self, SimdOp};
+use crate::simd::{self, SimdLevel, SimdOp};
 
 /// Validated geometry of a 2-D max-pool over one channel plane.
 ///
@@ -90,7 +90,10 @@ pub fn maxpool_plane(plane: &[f32], geom: &PoolGeom) -> (Vec<f32>, Vec<u32>) {
 /// if it is strictly greater, visiting the window in raster order: the
 /// first of equal maxima wins, NaN never wins, and a window holding only
 /// NaN and `-∞` reports `-∞` at index 0. The common window = stride = 2
-/// runs a branch-free body with that same rule.
+/// keeps that rule in a vector body at the AVX2 and AVX-512 levels: each
+/// output row's two input rows are split into their even and odd columns,
+/// and the four window elements are taken in raster order with an ordered
+/// strict `>` that blends value and index, 8 or 16 cells at a time.
 ///
 /// # Panics
 ///
@@ -111,6 +114,22 @@ pub fn maxpool_plane_into(
     assert_eq!(vals.len(), n, "maxpool vals buffer mismatch");
     if let Some(idxs) = idxs.as_deref() {
         assert_eq!(idxs.len(), n, "maxpool idxs buffer mismatch");
+    }
+    #[cfg(target_arch = "x86_64")]
+    if geom.window == 2 && geom.stride == 2 {
+        match simd::current() {
+            // SAFETY: the level is clamped to the detected features, and
+            // the asserts above are the bodies' bounds preconditions.
+            SimdLevel::Avx512 => {
+                unsafe { vector::pool2_avx512(planes, geom, vals, idxs) };
+                return;
+            }
+            SimdLevel::Avx2 => {
+                unsafe { vector::pool2_avx2(planes, geom, vals, idxs) };
+                return;
+            }
+            SimdLevel::Scalar => {}
+        }
     }
     simd::dispatch(Pool {
         planes,
@@ -245,6 +264,171 @@ pub fn maxpool_plane_backward(
     }
 }
 
+/// Vector builds of the window = stride = 2 forward. Each cell takes the
+/// same compares and selects as the portable body, in the same order; only
+/// the number of cells per instruction changes.
+#[cfg(target_arch = "x86_64")]
+mod vector {
+    use super::PoolGeom;
+    use std::arch::x86_64::*;
+
+    /// Twice the lane number: the offset of a cell's window from the
+    /// first cell's within its top row, and the even selector of
+    /// `_mm512_permutex2var_ps` over 32 floats.
+    const TWICE: [i32; 16] = [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30];
+
+    /// The odd selector of `_mm512_permutex2var_ps` over 32 floats.
+    const ODD: [i32; 16] = [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31];
+
+    /// The low `n` bits set, `n <= 16`.
+    fn low_bits(n: usize) -> u16 {
+        ((1u32 << n) - 1) as u16
+    }
+
+    /// AVX-512F window = stride = 2 forward, 16 cells per step.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX-512F is available, `planes` is a whole number
+    /// of `in_h × in_w` planes, and `vals` (and `idxs`, if given) hold
+    /// `out_h × out_w` cells per plane.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn pool2_avx512(
+        planes: &[f32],
+        g: &PoolGeom,
+        vals: &mut [f32],
+        idxs: Option<&mut [u32]>,
+    ) {
+        let (w, ow) = (g.in_w, g.out_w);
+        let (in_plane, out_plane) = (g.in_h * w, g.out_h * ow);
+        debug_assert_eq!(planes.len() / in_plane * out_plane, vals.len());
+        let twice = _mm512_loadu_epi32(TWICE.as_ptr());
+        let odd = _mm512_loadu_epi32(ODD.as_ptr());
+        let (one, below) = (_mm512_set1_epi32(1), _mm512_set1_epi32(w as i32));
+        let idx_out = idxs.map(|idxs| idxs.as_mut_ptr().cast::<i32>());
+        for p in 0..planes.len() / in_plane {
+            let plane = planes.as_ptr().add(p * in_plane);
+            for oy in 0..g.out_h {
+                let out = p * out_plane + oy * ow;
+                let mut ox = 0;
+                while ox < ow {
+                    let n = (ow - ox).min(16);
+                    let (lo, hi) = (low_bits((2 * n).min(16)), low_bits((2 * n).max(16) - 16));
+                    let at = 2 * oy * w + 2 * ox;
+                    let top = plane.add(at);
+                    let bottom = top.add(w);
+                    // Even and odd columns of 2n floats from each row.
+                    let split = |row: *const f32| {
+                        let l = _mm512_maskz_loadu_ps(lo, row);
+                        let h = _mm512_maskz_loadu_ps(hi, row.wrapping_add(16));
+                        (
+                            _mm512_permutex2var_ps(l, twice, h),
+                            _mm512_permutex2var_ps(l, odd, h),
+                        )
+                    };
+                    let ((a, b), (c, d)) = (split(top), split(bottom));
+                    let ia = _mm512_add_epi32(_mm512_set1_epi32(at as i32), twice);
+                    let ic = _mm512_add_epi32(ia, below);
+                    let mut v = _mm512_set1_ps(f32::NEG_INFINITY);
+                    let mut i = _mm512_setzero_si512();
+                    for (x, j) in [
+                        (a, ia),
+                        (b, _mm512_add_epi32(ia, one)),
+                        (c, ic),
+                        (d, _mm512_add_epi32(ic, one)),
+                    ] {
+                        let take = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(x, v);
+                        v = _mm512_mask_blend_ps(take, v, x);
+                        i = _mm512_mask_blend_epi32(take, i, j);
+                    }
+                    let cells = low_bits(n);
+                    _mm512_mask_storeu_ps(vals.as_mut_ptr().add(out + ox), cells, v);
+                    if let Some(idx_out) = idx_out {
+                        _mm512_mask_storeu_epi32(idx_out.add(out + ox), cells, i);
+                    }
+                    ox += n;
+                }
+            }
+        }
+    }
+
+    /// AVX2 window = stride = 2 forward, 8 cells per step.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available and the bounds of
+    /// [`pool2_avx512`].
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn pool2_avx2(
+        planes: &[f32],
+        g: &PoolGeom,
+        vals: &mut [f32],
+        idxs: Option<&mut [u32]>,
+    ) {
+        let (w, ow) = (g.in_w, g.out_w);
+        let (in_plane, out_plane) = (g.in_h * w, g.out_h * ow);
+        debug_assert_eq!(planes.len() / in_plane * out_plane, vals.len());
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let twice = _mm256_add_epi32(lane, lane);
+        let first = |n: usize| _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lane);
+        let (one, below) = (_mm256_set1_epi32(1), _mm256_set1_epi32(w as i32));
+        let idx_out = idxs.map(|idxs| idxs.as_mut_ptr().cast::<i32>());
+        for p in 0..planes.len() / in_plane {
+            let plane = planes.as_ptr().add(p * in_plane);
+            for oy in 0..g.out_h {
+                let out = p * out_plane + oy * ow;
+                let mut ox = 0;
+                while ox < ow {
+                    let n = (ow - ox).min(8);
+                    let (lo, hi) = (first((2 * n).min(8)), first((2 * n).max(8) - 8));
+                    let at = 2 * oy * w + 2 * ox;
+                    let top = plane.add(at);
+                    let bottom = top.add(w);
+                    let split = |row: *const f32| {
+                        let l = _mm256_maskload_ps(row, lo);
+                        let h = _mm256_maskload_ps(row.wrapping_add(8), hi);
+                        // [l0 l2 h0 h2 | l4 l6 h4 h6], then the 64-bit
+                        // pairs put in order.
+                        let even = _mm256_shuffle_ps::<0b10_00_10_00>(l, h);
+                        let odd = _mm256_shuffle_ps::<0b11_01_11_01>(l, h);
+                        let order = |x: __m256| {
+                            _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(
+                                _mm256_castps_pd(x),
+                            ))
+                        };
+                        (order(even), order(odd))
+                    };
+                    let ((a, b), (c, d)) = (split(top), split(bottom));
+                    let ia = _mm256_add_epi32(_mm256_set1_epi32(at as i32), twice);
+                    let ic = _mm256_add_epi32(ia, below);
+                    let mut v = _mm256_set1_ps(f32::NEG_INFINITY);
+                    let mut i = _mm256_setzero_ps();
+                    for (x, j) in [
+                        (a, ia),
+                        (b, _mm256_add_epi32(ia, one)),
+                        (c, ic),
+                        (d, _mm256_add_epi32(ic, one)),
+                    ] {
+                        let take = _mm256_cmp_ps::<_CMP_GT_OQ>(x, v);
+                        v = _mm256_blendv_ps(v, x, take);
+                        i = _mm256_blendv_ps(i, _mm256_castsi256_ps(j), take);
+                    }
+                    let cells = first(n);
+                    _mm256_maskstore_ps(vals.as_mut_ptr().add(out + ox), cells, v);
+                    if let Some(idx_out) = idx_out {
+                        _mm256_maskstore_epi32(
+                            idx_out.add(out + ox),
+                            cells,
+                            _mm256_castps_si256(i),
+                        );
+                    }
+                    ox += n;
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,6 +551,89 @@ mod tests {
                     assert_eq!(i, want_i, "{name} idxs at {level:?}");
                 }
                 assert_eq!(bits(&infer), bits(&vals), "{name} inference at {level:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_two_sweep_matches_the_general_body_at_every_level() {
+        // Window = stride = 2 over odd and even sides, one to 33 cells a
+        // row, values drawn from a small set so that windows tie, hold NaN,
+        // or hold only -∞ and NaN, three planes per call. Forward against
+        // the per-window rule; backward against adding each cell at its
+        // winner in cell order into a cleared plane, with -0.0 among the
+        // gradients (the winner gets 0.0 + g, so +0.0).
+        use crate::simd::{self, SimdLevel};
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        let pick = [1.0, 2.0, 2.0, -0.0, 0.0, nan, ninf, -3.0, 5.0];
+        let sides = [
+            (2, 2),
+            (3, 3),
+            (2, 3),
+            (7, 7),
+            (14, 14),
+            (15, 14),
+            (28, 28),
+            (28, 29),
+            (4, 34),
+            (5, 66),
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (case, (h, w)) in sides.into_iter().enumerate() {
+            let g = PoolGeom::new(h, w, 2, 2).unwrap();
+            let mut planes: Vec<f32> = (0..3 * h * w)
+                .map(|i| pick[(i * 7 + i / 5 + case) % pick.len()])
+                .collect();
+            // Plane 1's first window holds only -∞ and NaN; plane 2's last.
+            for j in [0, 1, w, w + 1] {
+                planes[h * w + j] = [ninf, nan][j % 2];
+            }
+            let last = 2 * h * w + (2 * g.out_h - 2) * w + 2 * g.out_w - 2;
+            for j in [0, 1, w, w + 1] {
+                planes[last + j] = ninf;
+            }
+            let n = 3 * g.out_h * g.out_w;
+            let (mut want_v, mut want_i) = (Vec::new(), Vec::new());
+            for plane in planes.chunks_exact(h * w) {
+                let (v, i) = reference(plane, &g);
+                want_v.extend(v);
+                want_i.extend(i);
+            }
+            let grad: Vec<f32> = (0..n)
+                .map(|i| {
+                    if i % 4 == 1 {
+                        -0.0
+                    } else {
+                        (i as f32 * 0.7).sin()
+                    }
+                })
+                .collect();
+            let mut want_dx = vec![0.0f32; planes.len()];
+            for (p, dst) in want_dx.chunks_exact_mut(h * w).enumerate() {
+                let cells = p * n / 3..(p + 1) * n / 3;
+                for (&g, &i) in grad[cells.clone()].iter().zip(&want_i[cells]) {
+                    dst[i as usize] += g;
+                }
+            }
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+                if level > simd::probe() {
+                    continue;
+                }
+                let _g = simd::force(level);
+                let (mut vals, mut idxs) = (vec![0.0f32; n], vec![0u32; n]);
+                maxpool_plane_into(&planes, &g, &mut vals, Some(&mut idxs));
+                assert_eq!(bits(&vals), bits(&want_v), "{h}x{w} vals at {level:?}");
+                assert_eq!(idxs, want_i, "{h}x{w} idxs at {level:?}");
+                let mut infer = vec![0.0f32; n];
+                maxpool_plane_into(&planes, &g, &mut infer, None);
+                assert_eq!(
+                    bits(&infer),
+                    bits(&want_v),
+                    "{h}x{w} inference at {level:?}"
+                );
+                let mut dx = vec![0.0f32; planes.len()];
+                maxpool_plane_backward(&grad, &idxs, &g, &mut dx);
+                assert_eq!(bits(&dx), bits(&want_dx), "{h}x{w} backward at {level:?}");
             }
         }
     }
