@@ -6,8 +6,9 @@
 //! * [`FineTuneAttack`] — model fine-tuning from stolen or random weights
 //!   with an α-fraction thief dataset (Figs. 5 and 7, Table I cols 6–9).
 //! * [`run_sweep`] — attacker-side hyperparameter sweeps (Fig. 6).
-//! * [`keyguess`] — key brute-forcing, key-distance profiles, and greedy
-//!   bit-climbing (extension: quantifies the 2²⁵⁶-keyspace argument).
+//! * [`Attacker`] — the key-less attacker with an accuracy oracle: key
+//!   guessing, key-distance profiles, and every greedy key-bit or sign
+//!   search as one [`Attacker::climb`] over lock factors (extensions).
 //! * [`transcript`] — what an untrusted worker on both sides of a locked
 //!   layer reads off its own exchanges: the key, in two requests.
 //!
@@ -28,13 +29,15 @@
 
 #![warn(missing_docs)]
 
+mod attacker;
 mod finetune;
-pub mod keyguess;
-pub mod signflip;
+#[cfg(test)]
+mod signflip;
 mod sweep;
 pub mod transcript;
 mod transform;
 
+pub use attacker::{Attacker, Outcome};
 pub use finetune::{leakage_experiment, AttackInit, FineTuneAttack, FineTuneResult};
 pub use sweep::{run_sweep, SweepCell, SweepGrid, SweepReport};
 pub use transform::{transformation_sweep, Transform, TransformResult};

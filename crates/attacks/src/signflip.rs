@@ -1,214 +1,87 @@
-//! Sign-recovery attack — an extension analysis beyond the paper.
+//! The sign-flip attacks as [`Attacker`] move sets (tests only).
 //!
-//! A locked neuron computes `f(−aᵀw)`; an attacker who *negates that
-//! neuron's incoming weights* in the stolen model gets `f(−aᵀ(−w)) = f(aᵀw)`
-//! back without knowing the key at all (the Lemma 1 equivalence, weaponized).
-//! The search space is one bit per locked neuron — far larger than the
-//! 256-bit key — but a greedy, accuracy-oracle-guided search over *neuron
-//! groups* is the natural attack to try. This module implements it for
-//! networks whose first weighted layer is dense (MLPs), where column
-//! negation is well-defined, plus a group-flip variant that exploits
-//! knowledge of the scheduling policy (if leaked) to flip all neurons
-//! sharing an accumulator at once.
-//!
-//! The harness uses this to *measure* how much security rests on keeping the
-//! schedule private (paper Sec. III-D2 keeps it secret for exactly this
-//! reason).
-
-use hpnn_core::{LockedModel, Schedule};
-use hpnn_data::Dataset;
-use hpnn_nn::Network;
-use hpnn_tensor::{Rng, TensorError};
-
-/// Outcome of a greedy sign-recovery run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SignFlipReport {
-    /// Accuracy of the stolen model before any flips.
-    pub initial_accuracy: f32,
-    /// Accuracy after the greedy search.
-    pub final_accuracy: f32,
-    /// Number of candidate flips evaluated (oracle queries).
-    pub queries: usize,
-    /// Number of flips kept.
-    pub flips_kept: usize,
-}
-
-/// The attacker's guess that the first-layer neurons in `group` were
-/// locked: [`Network::flip_signs`] of exactly those neurons. Applying it
-/// twice restores the network.
-fn flip_first_layer(net: &mut Network, group: &[usize]) {
-    let mut factors = vec![1.0; net.lockable_neurons()];
-    for &j in group {
-        factors[j] = -1.0;
-    }
-    net.flip_signs(&factors);
-}
-
-/// Greedy per-neuron sign recovery on the first hidden layer of an
-/// MLP-shaped locked model: for each of the first `budget` neurons (in
-/// random order), flip its incoming weights and keep the flip if test
-/// accuracy improves.
-///
-/// # Errors
-///
-/// Returns an error if the published architecture is invalid.
-///
-/// # Panics
-///
-/// Panics if the model's first layer is not a dense layer feeding an
-/// activation (the attack is defined on MLPs).
-pub fn greedy_neuron_flip(
-    model: &LockedModel,
-    dataset: &Dataset,
-    budget: usize,
-    rng: &mut Rng,
-) -> Result<SignFlipReport, TensorError> {
-    let mut net = model.deploy_stolen()?;
-    let hidden = first_dense_width(&net);
-    let mut best = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
-    let initial_accuracy = best;
-    let mut queries = 0usize;
-    let mut flips_kept = 0usize;
-
-    let order = rng.sample_indices(hidden, budget.min(hidden));
-    for neuron in order {
-        flip_first_layer(&mut net, &[neuron]);
-        let acc = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
-        queries += 1;
-        if acc > best {
-            best = acc;
-            flips_kept += 1;
-        } else {
-            // Revert.
-            flip_first_layer(&mut net, &[neuron]);
-        }
-    }
-    Ok(SignFlipReport {
-        initial_accuracy,
-        final_accuracy: best,
-        queries,
-        flips_kept,
-    })
-}
-
-/// Schedule-aware group flip: if the attacker has learned the hardware's
-/// scheduling algorithm (the paper keeps it private), they can flip all
-/// first-layer neurons sharing one accumulator together — reducing the
-/// search from `#neurons` bits to at most 256 bits. This measures the value
-/// of schedule secrecy.
-///
-/// # Errors
-///
-/// Returns an error if the published architecture is invalid.
-pub fn schedule_aware_group_flip(
-    model: &LockedModel,
-    dataset: &Dataset,
-    leaked_schedule: &Schedule,
-    passes: usize,
-) -> Result<SignFlipReport, TensorError> {
-    let mut net = model.deploy_stolen()?;
-    let hidden = first_dense_width(&net);
-    let mut best = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
-    let initial_accuracy = best;
-    let mut queries = 0usize;
-    let mut flips_kept = 0usize;
-
-    // Group first-layer neurons by their (leaked) accumulator index.
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); hpnn_core::KEY_BITS];
-    for j in 0..hidden.min(leaked_schedule.num_neurons()) {
-        groups[leaked_schedule.accumulator_of(j)].push(j);
-    }
-
-    for _ in 0..passes {
-        for group in groups.iter().filter(|g| !g.is_empty()) {
-            flip_first_layer(&mut net, group);
-            let acc = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
-            queries += 1;
-            if acc > best {
-                best = acc;
-                flips_kept += 1;
-            } else {
-                flip_first_layer(&mut net, group);
-            }
-        }
-    }
-    Ok(SignFlipReport {
-        initial_accuracy,
-        final_accuracy: best,
-        queries,
-        flips_kept,
-    })
-}
-
-fn first_dense_width(net: &Network) -> usize {
-    assert!(
-        net.len() > 1 && net.layer(0).name() == "dense" && net.layer(1).lockable_neurons() > 0,
-        "sign-flip attack requires a dense first layer feeding an activation"
-    );
-    net.layer(0).out_features(net.in_features())
-}
+//! By Lemma 1 an attacker who negates a locked neuron's incoming weights
+//! undoes its lock without the key. Blind, each move toggles one neuron of
+//! [`Attacker::first_layer`]; with the schedule leaked, each move toggles
+//! the first-layer neurons that share one accumulator.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use hpnn_core::{HpnnKey, HpnnTrainer, ScheduleKind};
-    use hpnn_data::{Benchmark, DatasetScale};
+    use crate::attacker::toggle;
+    use crate::Attacker;
+    use hpnn_core::{HpnnKey, HpnnTrainer, LockedModel, ScheduleKind, KEY_BITS};
+    use hpnn_data::{Benchmark, Dataset, DatasetScale};
     use hpnn_nn::{mlp, TrainConfig};
+    use hpnn_tensor::Rng;
 
-    fn trained() -> (LockedModel, Dataset, f32, Schedule) {
+    fn trained() -> (LockedModel, Dataset) {
         let ds = Benchmark::FashionMnist.synthetic(DatasetScale::TINY);
         let spec = mlp(ds.shape.volume(), &[24], ds.classes);
-        let mut rng = Rng::new(1);
-        let key = HpnnKey::random(&mut rng);
-        let trainer = HpnnTrainer::new(spec, key)
+        let key = HpnnKey::random(&mut Rng::new(1));
+        let artifacts = HpnnTrainer::new(spec, key)
             .with_schedule(ScheduleKind::Permuted, 99)
-            .with_config(TrainConfig::default().with_epochs(10).with_lr(0.05));
-        let artifacts = trainer.train(&ds).unwrap();
-        (
-            artifacts.model,
-            ds,
-            artifacts.accuracy_with_key,
-            trainer.schedule(),
-        )
+            .with_config(TrainConfig::default().with_epochs(10).with_lr(0.05))
+            .train(&ds)
+            .unwrap();
+        (artifacts.model, ds)
     }
 
     #[test]
     fn greedy_flip_improves_over_stolen() {
-        let (model, ds, _owner, _) = trained();
-        let mut rng = Rng::new(2);
-        let report = greedy_neuron_flip(&model, &ds, 24, &mut rng).unwrap();
-        assert!(report.final_accuracy >= report.initial_accuracy);
-        assert_eq!(report.queries, 24);
+        let (model, ds) = trained();
+        let attacker = Attacker::new(&model, &ds).unwrap();
+        let first = attacker.first_layer();
+        assert_eq!(first, 0..24);
+        let order = Rng::new(2).sample_indices(first.len(), first.len());
+        let blind = attacker.climb(order.iter().map(|&j| vec![j]));
+        assert_eq!(blind.queries, 24);
+        assert!(blind.accuracy >= blind.initial_accuracy);
     }
 
     #[test]
     fn schedule_leak_is_at_least_as_strong_as_blind_start() {
-        let (model, ds, _owner, schedule) = trained();
-        let report = schedule_aware_group_flip(&model, &ds, &schedule, 2).unwrap();
-        // With the true schedule leaked, group flips must never end below
-        // the stolen baseline (greedy keeps only improving moves).
-        assert!(report.final_accuracy >= report.initial_accuracy);
-        assert!(report.queries > 0);
+        let (model, ds) = trained();
+        let attacker = Attacker::new(&model, &ds).unwrap();
+        let first = attacker.first_layer();
+        let groups = (0..KEY_BITS)
+            .map(|acc| attacker.on_accumulator(acc, first.clone()))
+            .filter(|group| !group.is_empty());
+        // Two passes over the accumulator groups; greedy keeps only
+        // improving moves, so the climb never ends below the stolen view.
+        let leaked = attacker.climb(groups.clone().chain(groups));
+        assert_eq!(leaked.queries, 48);
+        assert!(leaked.accuracy >= leaked.initial_accuracy);
     }
 
     #[test]
     fn flip_is_involutive() {
-        let (model, ds, _, _) = trained();
-        let mut net = model.deploy_stolen().unwrap();
-        let before = net.forward(&ds.test_inputs, false);
-        flip_first_layer(&mut net, &[3]);
-        flip_first_layer(&mut net, &[3]);
-        let after = net.forward(&ds.test_inputs, false);
-        assert_eq!(before.data(), after.data());
+        let (model, ds) = trained();
+        let attacker = Attacker::new(&model, &ds).unwrap();
+        let ones = vec![1.0; attacker.neurons().len()];
+        let mut factors = ones.clone();
+        toggle(&mut factors, &[3]);
+        toggle(&mut factors, &[3]);
+        let bits = |f: &[f32]| -> Vec<u32> {
+            attacker
+                .logits(f)
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&factors), bits(&ones));
     }
 
     #[test]
     fn flip_changes_function() {
-        let (model, ds, _, _) = trained();
-        let mut net = model.deploy_stolen().unwrap();
-        let before = net.forward(&ds.test_inputs, false);
-        flip_first_layer(&mut net, &[0]);
-        let after = net.forward(&ds.test_inputs, false);
-        assert!(before.max_abs_diff(&after) > 1e-6);
+        let (model, ds) = trained();
+        let attacker = Attacker::new(&model, &ds).unwrap();
+        let ones = vec![1.0; attacker.neurons().len()];
+        let mut factors = ones.clone();
+        toggle(&mut factors, &[0]);
+        let diff = attacker
+            .logits(&ones)
+            .max_abs_diff(&attacker.logits(&factors));
+        assert!(diff > 1e-6);
     }
 }

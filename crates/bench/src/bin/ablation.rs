@@ -31,6 +31,31 @@ fn main() {
     let mut rng = Rng::new(0xAB1A);
     let key = HpnnKey::random(&mut rng);
 
+    // One owner training run per arm, from one initialization: the row is
+    // the arm's label, its accuracy with the key, without it (the
+    // attacker's all-+1 factors on the same weights) and the drop.
+    let score = |label: String, factors: &[f32]| {
+        let mut net = spec.build(&mut Rng::new(1)).expect("build");
+        net.install_lock_factors(factors);
+        let history = train(
+            &mut net,
+            LabeledBatch::new(&dataset.train_inputs, &dataset.train_labels),
+            None,
+            &scale.owner_config(),
+            &mut Rng::new(2),
+        );
+        let with_key = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
+        net.install_lock_factors(&vec![1.0; neurons]);
+        let without_key = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
+        let row = vec![
+            label,
+            pct(with_key),
+            pct(without_key),
+            pct(with_key - without_key),
+        ];
+        (row, history.final_loss())
+    };
+
     // ── 1. Lock-coverage sweep ───────────────────────────────────────────
     println!("## lock coverage: fraction of neurons locked vs no-key accuracy");
     let schedule = Schedule::new(neurons, ScheduleKind::Permuted, 3);
@@ -43,27 +68,9 @@ fn main() {
         for &j in &kept {
             factors[j] = full_factors[j];
         }
-        let mut net = spec.build(&mut Rng::new(1)).expect("build");
-        net.install_lock_factors(&factors);
-        let mut train_rng = Rng::new(2);
-        let history = train(
-            &mut net,
-            LabeledBatch::new(&dataset.train_inputs, &dataset.train_labels),
-            None,
-            &scale.owner_config(),
-            &mut train_rng,
-        );
-        let with_key = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
-        // Attacker path: same weights, all-+1 factors.
-        net.install_lock_factors(&vec![1.0; neurons]);
-        let without_key = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
-        rows.push(vec![
-            format!("{:.0}%", coverage * 100.0),
-            pct(with_key),
-            pct(without_key),
-            pct(with_key - without_key),
-            format!("{:.3}", history.final_loss()),
-        ]);
+        let (mut row, final_loss) = score(format!("{:.0}%", coverage * 100.0), &factors);
+        row.push(format!("{final_loss:.3}"));
+        rows.push(row);
         eprintln!("[ablation] coverage {coverage} done");
     }
     print_table(
@@ -87,31 +94,14 @@ fn main() {
         ScheduleKind::Blocked,
         ScheduleKind::Permuted,
     ] {
-        let schedule = Schedule::new(neurons, kind, 17);
-        let factors = schedule.derive_lock_factors(&key);
-        let mut net = spec.build(&mut Rng::new(1)).expect("build");
-        net.install_lock_factors(&factors);
-        let mut train_rng = Rng::new(2);
-        let _ = train(
-            &mut net,
-            LabeledBatch::new(&dataset.train_inputs, &dataset.train_labels),
-            None,
-            &scale.owner_config(),
-            &mut train_rng,
-        );
-        let with_key = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
-        net.install_lock_factors(&vec![1.0; neurons]);
-        let without_key = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
-        rows.push(vec![
-            format!("{kind:?}"),
-            pct(with_key),
-            pct(without_key),
-            pct(with_key - without_key),
-        ]);
+        let factors = Schedule::new(neurons, kind, 17).derive_lock_factors(&key);
+        rows.push(score(format!("{kind:?}"), &factors).0);
         eprintln!("[ablation] schedule {kind:?} done");
     }
     print_table(&["schedule", "with key", "no key", "drop"], &rows);
     println!("(expected: owner accuracy and drop are policy-independent — the policy only");
+    // The sign-flip searches now live in `hpnn_attacks::Attacker`; the line
+    // keeps the old name until `results/ablation.txt` is regenerated.
     println!(" matters for attack surface, cf. hpnn_attacks::signflip)");
     println!();
 
@@ -125,26 +115,7 @@ fn main() {
         for bit in kw_rng.sample_indices(256, ones) {
             key = key.with_flipped_bit(bit);
         }
-        let factors = schedule.derive_lock_factors(&key);
-        let mut net = spec.build(&mut Rng::new(1)).expect("build");
-        net.install_lock_factors(&factors);
-        let mut train_rng = Rng::new(2);
-        let _ = train(
-            &mut net,
-            LabeledBatch::new(&dataset.train_inputs, &dataset.train_labels),
-            None,
-            &scale.owner_config(),
-            &mut train_rng,
-        );
-        let with_key = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
-        net.install_lock_factors(&vec![1.0; neurons]);
-        let without_key = net.accuracy(&dataset.test_inputs, &dataset.test_labels);
-        rows.push(vec![
-            ones.to_string(),
-            pct(with_key),
-            pct(without_key),
-            pct(with_key - without_key),
-        ]);
+        rows.push(score(ones.to_string(), &schedule.derive_lock_factors(&key)).0);
         eprintln!("[ablation] hamming weight {ones} done");
     }
     print_table(&["key weight", "with key", "no key", "drop"], &rows);

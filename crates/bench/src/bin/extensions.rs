@@ -6,19 +6,21 @@
 //!    transforms): none recovers locked accuracy.
 //! 2. **Key guessing** — random 256-bit keys and greedy bit-climbing with a
 //!    test-set oracle.
-//! 3. **Sign recovery** — per-neuron weight negation (Lemma 1 weaponized)
-//!    and its schedule-aware variant, measuring the value of keeping the
-//!    hardware schedule private (Sec. III-D2).
+//! 3. **Sign recovery** — per-neuron sign flips (Lemma 1 weaponized) and
+//!    their schedule-aware variant, which groups first-layer neurons by the
+//!    accumulator the published schedule gives them (the paper keeps the
+//!    schedule private, Sec. III-D2; this container publishes it).
+//!
+//! Sections 2 and 3 are one greedy search each over lock factors of the
+//! stolen network ([`hpnn_attacks::Attacker`]).
 //!
 //! ```text
 //! cargo run --release -p hpnn-bench --bin extensions [-- --scale tiny|small|medium]
 //! ```
 
-use hpnn_attacks::{
-    keyguess, signflip, transformation_sweep, AttackInit, FineTuneAttack, Transform,
-};
+use hpnn_attacks::{transformation_sweep, AttackInit, Attacker, FineTuneAttack, Transform};
 use hpnn_bench::{load_dataset, pct, print_table, Scale};
-use hpnn_core::{HpnnKey, HpnnTrainer, ScheduleKind};
+use hpnn_core::{HpnnKey, HpnnTrainer, ScheduleKind, KEY_BITS};
 use hpnn_data::AugmentPolicy;
 use hpnn_data::Benchmark;
 use hpnn_nn::mlp;
@@ -39,11 +41,12 @@ fn main() {
     let mut rng = Rng::new(0xE71);
     let key = HpnnKey::random(&mut rng);
     eprintln!("[extensions] owner-training ...");
-    let trainer = HpnnTrainer::new(spec, key)
+    let artifacts = HpnnTrainer::new(spec, key)
         .with_schedule(ScheduleKind::Permuted, 0x5EC2E7)
         .with_config(scale.owner_config())
-        .with_seed(5);
-    let artifacts = trainer.train(&dataset).expect("owner training");
+        .with_seed(5)
+        .train(&dataset)
+        .expect("owner training");
     println!(
         "victim: owner accuracy {} | stolen (no key) {}",
         pct(artifacts.accuracy_with_key),
@@ -118,69 +121,71 @@ fn main() {
 
     // ── 2. Key guessing ──────────────────────────────────────────────────
     println!("## key guessing (2^256 keyspace)");
+    let attacker = Attacker::new(&artifacts.model, &dataset).expect("stolen model");
     let mut guess_rng = Rng::new(0x6E55);
-    let guesses = keyguess::random_key_guessing(&artifacts.model, &dataset, 12, &mut guess_rng)
-        .expect("guessing");
+    let guesses: Vec<f32> = (0..12)
+        .map(|_| attacker.key_accuracy(&HpnnKey::random(&mut guess_rng)))
+        .collect();
+    let best_guess = guesses.iter().copied().fold(0.0, f32::max);
     println!(
         "12 random keys: best {} | mean {}",
-        pct(guesses.best_accuracy),
-        pct(guesses.mean_accuracy)
+        pct(best_guess),
+        pct(guesses.iter().sum::<f32>() / 12.0)
     );
     let profile_rows: Vec<Vec<String>> = [1usize, 8, 32, 128]
         .iter()
         .map(|&flips| {
-            let accs = keyguess::key_distance_profile(
-                &artifacts.model,
-                &dataset,
-                &key,
-                flips,
-                4,
-                &mut guess_rng,
-            )
-            .expect("profile");
-            let mean = accs.iter().sum::<f32>() / accs.len() as f32;
+            let mean = (0..4)
+                .map(|_| {
+                    let wrong = guess_rng.sample_indices(KEY_BITS, flips);
+                    attacker
+                        .key_accuracy(&wrong.into_iter().fold(key, |k, b| k.with_flipped_bit(b)))
+                })
+                .sum::<f32>()
+                / 4.0;
             vec![flips.to_string(), pct(mean)]
         })
         .collect();
     print_table(&["key bits wrong", "mean accuracy"], &profile_rows);
-    let (_, climb_acc, steps) =
-        keyguess::greedy_bit_climb(&artifacts.model, &dataset, 1, 64, &mut guess_rng)
-            .expect("climb");
+    let bits = guess_rng.sample_indices(KEY_BITS, 64);
+    let key_bit = |&b: &usize| attacker.on_accumulator(b, attacker.neurons());
+    let climb = attacker.climb(bits.iter().map(key_bit));
     println!(
         "greedy bit-climb (64 oracle queries, {} flips kept): {}",
-        steps.iter().filter(|s| s.kept).count(),
-        pct(climb_acc)
+        climb.kept.len(),
+        pct(climb.accuracy)
     );
     println!();
 
     // ── 3. Sign recovery ─────────────────────────────────────────────────
     println!("## sign-recovery attacks (Lemma 1 weaponized)");
-    let mut sf_rng = Rng::new(0x516F);
-    let blind = signflip::greedy_neuron_flip(&artifacts.model, &dataset, 64, &mut sf_rng)
-        .expect("blind flip");
+    let first = attacker.first_layer();
+    let order = Rng::new(0x516F).sample_indices(first.len(), 64);
+    let blind = attacker.climb(order.iter().map(|&j| vec![j]));
     println!(
         "blind per-neuron flips:     {} -> {} ({} queries, {} kept)",
         pct(blind.initial_accuracy),
-        pct(blind.final_accuracy),
+        pct(blind.accuracy),
         blind.queries,
-        blind.flips_kept
+        blind.kept.len()
     );
-    let leaked =
-        signflip::schedule_aware_group_flip(&artifacts.model, &dataset, &trainer.schedule(), 2)
-            .expect("group flip");
+    let groups = (0..KEY_BITS)
+        .map(|acc| attacker.on_accumulator(acc, first.clone()))
+        .filter(|group| !group.is_empty());
+    let leaked = attacker.climb(groups.clone().chain(groups));
     println!(
         "schedule-leak group flips:  {} -> {} ({} queries, {} kept)",
         pct(leaked.initial_accuracy),
-        pct(leaked.final_accuracy),
+        pct(leaked.accuracy),
         leaked.queries,
-        leaked.flips_kept
+        leaked.kept.len()
     );
     println!();
     let best_attack = leaked
-        .final_accuracy
-        .max(blind.final_accuracy)
-        .max(climb_acc)
-        .max(guesses.best_accuracy);
+        .accuracy
+        .max(blind.accuracy)
+        .max(climb.accuracy)
+        .max(best_guess);
     println!(
         "owner reference: {} | best extension attack: {}",
         pct(artifacts.accuracy_with_key),
@@ -198,15 +203,15 @@ fn main() {
         .with_seed(6)
         .train(&dataset)
         .expect("shallow training");
-    let mut shallow_rng = Rng::new(0x51F);
-    let broken = signflip::greedy_neuron_flip(&shallow.model, &dataset, 48, &mut shallow_rng)
-        .expect("shallow flip");
+    let shallow_attacker = Attacker::new(&shallow.model, &dataset).expect("stolen model");
+    let order = Rng::new(0x51F).sample_indices(shallow_attacker.first_layer().len(), 48);
+    let broken = shallow_attacker.climb(order.iter().map(|&j| vec![j]));
     println!(
         "  1-hidden-layer MLP: owner {} | stolen {} | after {} greedy flips: {}",
         pct(shallow.accuracy_with_key),
         pct(broken.initial_accuracy),
         broken.queries,
-        pct(broken.final_accuracy)
+        pct(broken.accuracy)
     );
     println!("HPNN therefore needs depth (interacting locked layers) for its security —");
     println!("the paper's CNN1/CNN2/CNN3/ResNet18 evaluation targets all satisfy this;");

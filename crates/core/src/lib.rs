@@ -6,8 +6,10 @@
 //! DAC 2020):
 //!
 //! * [`HpnnKey`] — the secret 256-bit key (one bit per hardware accumulator).
-//! * [`Schedule`] — the (private) neuron→accumulator mapping that lets a
-//!   256-bit key lock networks with thousands of neurons.
+//! * [`Schedule`] — the neuron→accumulator mapping that lets a
+//!   256-bit key lock networks with thousands of neurons. The container
+//!   publishes it, and its default seed is derived from key word 0
+//!   (ROADMAP security step 1).
 //! * [`HpnnTrainer`] — the owner's key-dependent backpropagation flow.
 //! * [`LockedModel`] — the published obfuscated model container, with
 //!   trusted ([`LockedModel::deploy_trusted`]) and stolen

@@ -4,9 +4,12 @@
 //! root-of-trust has only 256 accumulator units, each wired to one key bit.
 //! The hardware's scheduling algorithm maps every locked neuron onto an
 //! accumulator; the neuron inherits that accumulator's key bit (paper
-//! Sec. III-D2). The schedule is *private*: the paper notes that keeping the
-//! scheduling details secret further hardens the framework, which this
-//! module models with a seeded secret permutation.
+//! Sec. III-D2). The paper notes that keeping the scheduling details secret
+//! further hardens the framework; this module models the policy as a seeded
+//! permutation. The seed is **not** secret here: the model container
+//! publishes it, and the default seed is derived from key word 0 (see
+//! [`HpnnTrainer::new`](crate::HpnnTrainer::new) and ROADMAP security
+//! step 1, "Close the key leak").
 
 use hpnn_tensor::Rng;
 
@@ -22,9 +25,10 @@ pub enum ScheduleKind {
     /// Neuron `j` → accumulator `j / ceil(N/A)`: contiguous blocks of
     /// neurons share an accumulator (output-stationary tiling).
     Blocked,
-    /// Like [`ScheduleKind::RoundRobin`] but composed with a secret
-    /// permutation of the accumulator indices derived from the schedule
-    /// seed — the paper's "details of such scheduling … kept private".
+    /// Like [`ScheduleKind::RoundRobin`] but composed with a permutation of
+    /// the accumulator indices derived from the schedule seed — the
+    /// paper's "details of such scheduling … kept private". The container
+    /// publishes the seed, so the permutation is public.
     Permuted,
 }
 
@@ -49,14 +53,14 @@ pub struct Schedule {
     num_neurons: usize,
     kind: ScheduleKind,
     seed: u64,
-    /// Secret accumulator permutation (identity unless `Permuted`).
+    /// Accumulator permutation (identity unless `Permuted`).
     perm: Vec<u16>,
 }
 
 impl Schedule {
     /// Creates a schedule for `num_neurons` locked neurons.
     ///
-    /// `seed` parameterizes the secret permutation for
+    /// `seed` parameterizes the permutation for
     /// [`ScheduleKind::Permuted`] (ignored otherwise, but stored so the
     /// owner can reproduce the mapping).
     pub fn new(num_neurons: usize, kind: ScheduleKind, seed: u64) -> Self {

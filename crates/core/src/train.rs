@@ -17,7 +17,8 @@ pub struct HpnnTrainer {
     pub key: HpnnKey,
     /// Scheduling policy of the target hardware.
     pub schedule_kind: ScheduleKind,
-    /// Secret schedule seed (private to owner and hardware vendor).
+    /// Schedule seed. The published container carries it, so it is public.
+    /// By default it is derived from key word 0 ([`HpnnTrainer::new`]).
     pub schedule_seed: u64,
     /// Training hyperparameters.
     pub config: TrainConfig,
@@ -50,10 +51,15 @@ impl TrainedArtifacts {
 
 impl HpnnTrainer {
     /// Creates a trainer with the default hardware schedule
-    /// ([`ScheduleKind::Permuted`], secret seed derived from the key) and
+    /// ([`ScheduleKind::Permuted`], seed derived from key word 0) and
     /// default hyperparameters.
+    ///
+    /// The container publishes that seed, so every published model leaks
+    /// 64 bits of information about key word 0 (ROADMAP security step 1,
+    /// "Close the key leak").
     pub fn new(spec: NetworkSpec, key: HpnnKey) -> Self {
-        let schedule_seed = key.words()[0] ^ 0x7072_6976_6174_6531; // owner-private
+        // Published in the container: a function of key word 0, not a secret.
+        let schedule_seed = key.words()[0] ^ 0x7072_6976_6174_6531;
         HpnnTrainer {
             spec,
             key,

@@ -8,8 +8,8 @@
 //! cargo run --release --example fine_tune_attack
 //! ```
 
-use hpnn::attacks::{keyguess, leakage_experiment, run_sweep, AttackInit, SweepGrid};
-use hpnn::core::{HpnnKey, HpnnTrainer};
+use hpnn::attacks::{leakage_experiment, run_sweep, AttackInit, Attacker, SweepGrid};
+use hpnn::core::{HpnnKey, HpnnTrainer, KEY_BITS};
 use hpnn::data::{Benchmark, DatasetScale};
 use hpnn::nn::{mlp, TrainConfig};
 use hpnn::tensor::Rng;
@@ -75,21 +75,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Attack 3: key guessing.
+    // Attack 3: key guessing, and a greedy climb over key bits.
     println!("\n## key guessing (keyspace = 2^256)");
+    let attacker = Attacker::new(&model, &dataset)?;
     let mut attack_rng = Rng::new(7);
-    let guesses = keyguess::random_key_guessing(&model, &dataset, 10, &mut attack_rng)?;
+    let guesses: Vec<f32> = (0..10)
+        .map(|_| attacker.key_accuracy(&HpnnKey::random(&mut attack_rng)))
+        .collect();
     println!(
         "  10 random keys: best {:.2}%, mean {:.2}%",
-        guesses.best_accuracy * 100.0,
-        guesses.mean_accuracy * 100.0
+        guesses.iter().copied().fold(0.0, f32::max) * 100.0,
+        guesses.iter().sum::<f32>() / 10.0 * 100.0
     );
-    let (_, climb_acc, steps) =
-        keyguess::greedy_bit_climb(&model, &dataset, 1, 32, &mut attack_rng)?;
+    let bits = attack_rng.sample_indices(KEY_BITS, 32);
+    let key_bit = |&b: &usize| attacker.on_accumulator(b, attacker.neurons());
+    let climb = attacker.climb(bits.iter().map(key_bit));
     println!(
         "  greedy bit-climb (32 bits probed, {} flips kept): {:.2}%",
-        steps.iter().filter(|s| s.kept).count(),
-        climb_acc * 100.0
+        climb.kept.len(),
+        climb.accuracy * 100.0
     );
 
     println!("\nconclusion: every attack stays well below the owner's accuracy.");
